@@ -25,7 +25,7 @@ from .modules import (
     qdybe_residual,
     rll_residual,
 )
-from .dynamical import compose_module_ops
+from .dynamical import SingularityError, compose_module_ops, worst_residual
 from .reports import CheckResult, build_report, render_text, write_report
 from .theta import (
     EllipticParams,
@@ -218,14 +218,15 @@ def run_gauss(cfg) -> list[CheckResult]:
                        res, tol, res < tol)]
     g = gauss_decompose(X)
     comp = compose_module_ops(g.kplus, g.kminus.shift_z(-h))
-    worst = 0.0
+    residuals = []
     safe = X.safe_levels
     for (z, x) in pts:
         ref = theta_eval(z + (spin + 1) * h, P) * theta_eval(z, P)
         for j in range(safe + 1):
             idx = X.basis.offset(j)
             got = comp.entries[(idx, idx)].eval(z, x, P)
-            worst = max(worst, abs(got - ref) / max(1.0, abs(ref)))
+            residuals.append(abs(got - ref) / max(1.0, abs(ref)))
+    worst = worst_residual(residuals)
     out.append(CheckResult("gauss", "diagonal-scalar-law",
                            {"spin": spin, "levels": safe, "seed": cfg.seed},
                            worst, tol, worst < tol))
@@ -472,7 +473,9 @@ def main(argv=None) -> int:
         return 2
     try:
         results = run_suites(cfg)
-    except (PoleError, ZeroDivisionError, RuntimeError) as exc:
+    except (PoleError, ZeroDivisionError, RuntimeError, OverflowError,
+            SingularityError, np.linalg.LinAlgError) as exc:
+        # LinAlgError is a ValueError, so it must be caught before the next branch
         print(f"numerical breakdown: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

@@ -17,7 +17,8 @@ to the right of T_alpha:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -308,8 +309,8 @@ def tensor_entry_tables(
 class TermMatrix:
     """A series coefficient matrix, evaluable at (z, x), with memoization.
 
-    Composed and inverted series hold closures over other TermMatrix
-    objects; shifting x is an exact argument update.
+    Composed and divided series hold closures over other TermMatrix
+    objects.
     """
 
     __slots__ = ("_fn", "dim", "_cache")
@@ -327,12 +328,6 @@ class TermMatrix:
             self._cache[key] = hit
         return hit
 
-    def shifted_x(self, c: complex) -> "TermMatrix":
-        c = complex(c)
-        if c == 0:
-            return self
-        return TermMatrix(lambda z, x: self.eval(z, x + c), self.dim)
-
     def bound_z(self, z0: complex) -> "TermMatrix":
         z0 = complex(z0)
         return TermMatrix(lambda z, x: self.eval(z0, x), self.dim)
@@ -344,22 +339,6 @@ class TermMatrix:
     @staticmethod
     def identity(dim: int) -> "TermMatrix":
         return TermMatrix(lambda z, x: np.eye(dim, dtype=complex), dim)
-
-    @staticmethod
-    def from_symbolic(mat, params: EllipticParams) -> "TermMatrix":
-        """mat: 2-d nested sequence of ThetaSum."""
-        rows = [list(r) for r in mat]
-        dim = len(rows)
-
-        def fn(z, x):
-            out = np.zeros((dim, len(rows[0])), dtype=complex)
-            for a, row in enumerate(rows):
-                for b, s in enumerate(row):
-                    if s:
-                        out[a, b] = s.eval(z, x, params)
-            return out
-
-        return TermMatrix(fn, dim)
 
 
 @dataclass
@@ -419,43 +398,41 @@ def series_compose(s1: DiffOpSeries, s2: DiffOpSeries, order: int) -> DiffOpSeri
     return DiffOpSeries(s1.alpha0 + s2.alpha0, terms, s1.dim, s1.params)
 
 
-def series_invert(s: DiffOpSeries, order: int) -> DiffOpSeries:
-    """Right/left inverse to the truncation order.
+def series_divide(num: DiffOpSeries, den: DiffOpSeries, order: int) -> DiffOpSeries:
+    """Right quotient R = num * den^{-1} to the truncation order, solved
+    order by order from R * den = num without forming den^{-1}.
 
-    With S = sum_k T_{a-2k} M_k and S^{-1} = sum_k T_{-a-2k} N_k the order-m
-    condition reads sum_{k=0..m} M_k(x + (-a-2(m-k))*hbar) N_{m-k}(x) =
-    delta_{m0} I.
+    With den = sum_k T_{b-2k} D_k the order-m condition reads
+    sum_{k=0..m} R_k(x + (b-2(m-k))*hbar) D_{m-k}(x) = N_m(x), a linear
+    solve against the leading coefficient D_0(x) for R_m at x + b*hbar.
     """
-    hb = s.params.hbar
-    a = s.alpha0
-    dim = s.dim
-    inv_terms: list[TermMatrix] = []
-
-    def leading_inv(z, x, m):
-        mat = s.terms[0].eval(z, x + (-a - 2 * m) * hb)
-        try:
-            return np.linalg.inv(mat)
-        except np.linalg.LinAlgError as exc:
-            raise SingularityError("singular leading coefficient", point=(z, x)) from exc
+    if num.dim != den.dim:
+        raise ShapeError("series dimensions differ")
+    hb = den.params.hbar
+    b = den.alpha0
+    terms: list[TermMatrix] = []
 
     def make_term(m):
-        if m == 0:
-            return TermMatrix(lambda z, x: leading_inv(z, x, 0), dim)
+        def fn(z, y):
+            x = y - b * hb
+            acc = num.term(m).eval(z, x)
+            for k in range(max(0, m - den.order), m):
+                acc = acc - terms[k].eval(z, y - 2 * (m - k) * hb) @ den.terms[m - k].eval(z, x)
+            try:
+                return np.linalg.solve(den.terms[0].eval(z, x).T, acc.T).T
+            except np.linalg.LinAlgError as exc:
+                raise SingularityError("singular leading coefficient", point=(z, x)) from exc
 
-        def fn(z, x):
-            acc = np.zeros((dim, dim), dtype=complex)
-            for k in range(1, m + 1):
-                if k > s.order:
-                    break
-                shift = (-a - 2 * (m - k)) * hb
-                acc += s.terms[k].eval(z, x + shift) @ inv_terms[m - k].eval(z, x)
-            return -leading_inv(z, x, m) @ acc
-
-        return TermMatrix(fn, dim)
+        return TermMatrix(fn, num.dim)
 
     for m in range(order + 1):
-        inv_terms.append(make_term(m))
-    return DiffOpSeries(-a, inv_terms, dim, s.params)
+        terms.append(make_term(m))
+    return DiffOpSeries(num.alpha0 - b, terms, num.dim, num.params)
+
+
+def series_invert(s: DiffOpSeries, order: int) -> DiffOpSeries:
+    """Inverse to the truncation order: the quotient of the identity by s."""
+    return series_divide(DiffOpSeries.identity(s.dim, order, s.params), s, order)
 
 
 def series_add(s1: DiffOpSeries, s2: DiffOpSeries, order: int) -> DiffOpSeries:
@@ -493,13 +470,22 @@ def series_max_residual(
     d = _coset_offset(s1.alpha0, s2.alpha0)
     if d < 0:
         return series_max_residual(s2, s1, order, points)
+    return worst_residual(
+        _relative_deviation(s1.term(k).eval(z, x), s2.term(k - d).eval(z, x))
+        for k in range(order + 1)
+        for (z, x) in points
+    )
+
+
+def _relative_deviation(a: np.ndarray, b: np.ndarray) -> float:
+    return float(np.linalg.norm(a - b) / max(1.0, np.linalg.norm(a), np.linalg.norm(b)))
+
+
+def worst_residual(residuals) -> float:
+    """Largest of the residuals, 0.0 for none.  Any NaN or inf among them
+    gives +inf, so a breakdown never reads as a small residual."""
     worst = 0.0
-    for k in range(order + 1):
-        t1 = s1.term(k)
-        t2 = s2.term(k - d)
-        for (z, x) in points:
-            a = t1.eval(z, x)
-            b = t2.eval(z, x)
-            na, nb = np.linalg.norm(a), np.linalg.norm(b)
-            worst = max(worst, float(np.linalg.norm(a - b) / max(1.0, na, nb)))
+    for r in residuals:
+        r = float(r)
+        worst = max(worst, r) if math.isfinite(r) else math.inf
     return worst

@@ -17,6 +17,7 @@ from .dynamical import (
     compose_module_ops,
     invert_weightwise,
     tensor_entry_tables,
+    worst_residual,
 )
 from .theta import (
     EllipticParams,
@@ -296,7 +297,7 @@ def rll_residual(
     cols = [basis.index(level, i) for i in range(basis.dims[level])]
     weights = np.array([basis.weight_of_index(a) for a in range(size)])
 
-    worst = 0.0
+    residuals = []
     for i, jj, m, n in product((1, -1), repeat=4):
         ki = "+" if i == 1 else "-"
         kj = "+" if jj == 1 else "-"
@@ -320,8 +321,8 @@ def rll_residual(
                 v = lmat(kn + kq, w, x) @ v
                 rhs += r0[ridx(p, q), ridx(i, jj)] * v
             scale = max(1.0, np.linalg.norm(lhs), np.linalg.norm(rhs))
-            worst = max(worst, float(np.linalg.norm(lhs - rhs) / scale))
-    return worst
+            residuals.append(np.linalg.norm(lhs - rhs) / scale)
+    return worst_residual(residuals)
 
 
 # ---------------------------------------------------------------------------
@@ -356,14 +357,14 @@ def gauss_reconstruction_residual(X: EllipticModule, points) -> float:
         "--": g.kminus,
     }
     safe = X.basis.offset(X.safe_levels) + X.basis.dims[X.safe_levels]
-    worst = 0.0
+    residuals = []
     for key in ("++", "+-", "-+", "--"):
         for (z, x) in points:
             a = X.L[key].to_matrix(z, x)[:safe, :safe]
             b = rec[key].to_matrix(z, x)[:safe, :safe]
             scale = max(1.0, np.linalg.norm(a), np.linalg.norm(b))
-            worst = max(worst, float(np.linalg.norm(a - b) / scale))
-    return worst
+            residuals.append(np.linalg.norm(a - b) / scale)
+    return worst_residual(residuals)
 
 
 # ---------------------------------------------------------------------------

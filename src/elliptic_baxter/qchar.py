@@ -10,6 +10,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
+from .dynamical import worst_residual
 from .modules import (
     HighestWeightData,
     build_asymptotic,
@@ -146,14 +147,6 @@ def _eval_component(comp, z: complex, params: EllipticParams) -> complex:
     if isinstance(comp, _ProductComponent):
         return _eval_component(comp.a, z, params) * _eval_component(comp.b, z, params)
     return comp(z)
-
-
-def make_numeric(comp, params: EllipticParams):
-    """Close a symbolic component over params so products mixing numeric and
-    symbolic components evaluate uniformly."""
-    if isinstance(comp, ThetaExpression):
-        return lambda z, c=comp: c.eval(z, 0.0, params)
-    return comp
 
 
 def monomial_deviation(
@@ -325,7 +318,7 @@ def element_deviation(
     top = min(A.depth, B.depth + d)
     if depth is not None:
         top = min(top, depth)
-    worst = 0.0
+    matched = []
     for k in range(top + 1):
         la = [[m, n] for m, n in A.term_list(k)]
         lb = [[m, n] for m, n in B.term_list(k - d)] if k - d >= 0 else []
@@ -352,12 +345,12 @@ def element_deviation(
                     c = min(pa[1], pb[1])
                     pa[1] -= c
                     pb[1] -= c
-                    worst = max(worst, dev)
+                    matched.append(dev)
                     if pa[1] == 0:
                         break
         if any(p[1] for p in la) or any(p[1] for p in lb):
             return math.inf
-    return worst
+    return worst_residual(matched)
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,8 @@ import numpy as np
 
 _TWO_PI_I = 2j * math.pi
 _MAX_J = 64
+# a negative-power theta factor this close to Z + Z*tau raises PoleError
+POLE_TOL = 1e-12
 
 
 class ParameterError(ValueError):
@@ -101,6 +103,57 @@ def theta_eval(z: complex, params: EllipticParams, eps: float = 1e-14) -> comple
     return -s
 
 
+def theta_eval_array(z, params: EllipticParams, eps: float = 1e-14) -> np.ndarray:
+    """Evaluate theta elementwise over an array of arguments.
+
+    The series and the stopping rule are those of ``theta_eval``, applied
+    per element: an element stops taking pairs once its next pair is below
+    ``eps`` times its own partial sum.  The series is summed at z - m with
+    m the nearest integer to Re(z), which is exact, and the sign of
+    theta(z + m) = (-1)^m theta(z) restored: the phases of the terms stay
+    small, and with them the rounding of each term.  A non-finite value
+    raises OverflowError, as ``theta_eval`` does, instead of returning inf
+    or NaN.
+    """
+    tau = params.tau
+    if tau.imag <= 0:
+        raise ParameterError(f"Im(tau) must be positive, got tau={tau}")
+    if eps <= 0:
+        raise ParameterError("eps must be positive")
+    z = np.asarray(z, dtype=complex)
+    m = np.round(z.real).ravel()
+    zp = z.ravel() - m + 0.5
+    zi = np.abs(z.ravel().imag)
+    s = np.zeros_like(zp)
+    live = np.arange(zp.size)
+    # pairs per block: at the largest |Im z| the bound of the next pair is
+    # below eps * 1e-3 once pi*Im(tau)*nxt^2 - 2*pi*|Im z|*nxt > log(2e3/eps),
+    # so one block serves every partial sum down to 1e-3
+    a = math.pi * tau.imag
+    c = 2.0 * math.pi * float(np.fmin(np.max(zi, initial=0.0), 1e3))
+    block = math.ceil((c + math.sqrt(c * c + 4.0 * a * math.log(2e3 / eps))) / (2.0 * a))
+    with np.errstate(over="ignore", invalid="ignore"):
+        # a block of pairs for every live element at once; accumulate is
+        # sequential, so the partial sums are those of the scalar loop
+        for j0 in range(0, _MAX_J + 1, block):
+            half = np.arange(j0, min(j0 + block, _MAX_J + 1))[:, None] + 0.5
+            quad = 1j * math.pi * half * half * tau
+            lin = (_TWO_PI_I * half) * zp[live]
+            pairs = np.vstack([s[live], np.exp(quad + lin) + np.exp(quad - lin)])
+            partial = np.add.accumulate(pairs, axis=0)[1:]
+            nxt = half + 1.0
+            bound = 2.0 * np.exp(-math.pi * tau.imag * nxt * nxt + 2.0 * math.pi * nxt * zi[live])
+            done = bound <= eps * np.abs(partial)
+            stop = np.where(done.any(axis=0), done.argmax(axis=0), len(half) - 1)
+            s[live] = partial[stop, np.arange(live.size)]
+            live = live[~done.any(axis=0)]
+            if not live.size:
+                break
+    if not np.isfinite(s).all():
+        raise OverflowError("theta series is not finite at some argument")
+    return np.where(m % 2, s, -s).reshape(z.shape)
+
+
 def lattice_reduce(c: complex, params: EllipticParams) -> tuple[complex, int, int]:
     """Write c = c0 + m + n*tau with Re(c0) in [0,1) and Im(c0) in [0, Im tau)."""
     c = complex(c)
@@ -115,6 +168,15 @@ def lattice_distance(c: complex, params: EllipticParams) -> float:
     c0, _, _ = lattice_reduce(c, params)
     tau = params.tau
     return min(abs(c0), abs(c0 - 1), abs(c0 - tau), abs(c0 - 1 - tau))
+
+
+def lattice_distance_array(c, params: EllipticParams) -> np.ndarray:
+    """Elementwise ``lattice_distance`` over an array of arguments."""
+    c = np.asarray(c, dtype=complex)
+    tau = params.tau
+    c1 = c - np.floor(c.imag / tau.imag) * tau
+    c0 = c1 - np.floor(c1.real)
+    return np.minimum.reduce([np.abs(c0), np.abs(c0 - 1), np.abs(c0 - tau), np.abs(c0 - 1 - tau)])
 
 
 def in_lattice(c: complex, params: EllipticParams, tol: float | None = None) -> bool:
@@ -247,7 +309,7 @@ class ThetaExpression:
         for f in self.factors:
             arg = f.argument(z, x)
             tv = theta_eval(arg, params, eps)
-            if f.power < 0 and lattice_distance(arg, params) < 1e-12:
+            if f.power < 0 and lattice_distance(arg, params) < POLE_TOL:
                 raise PoleError(f"theta factor {f} evaluated at lattice point {arg}")
             val *= tv ** f.power
         return val

@@ -7,7 +7,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
+from functools import lru_cache
 from itertools import permutations
 
 import numpy as np
@@ -16,15 +17,25 @@ from .dynamical import (
     DiffOpSeries,
     ShapeError,
     TermMatrix,
-    compose_module_ops,
     series_add,
     series_compose,
-    series_invert,
+    series_divide,
     series_max_residual,
     series_scale,
+    worst_residual,
 )
 from .modules import EllipticModule, build_asymptotic, socle
-from .theta import EllipticParams, SamplePlan, ThetaSum, lattice_distance, theta_eval
+from .theta import (
+    POLE_TOL,
+    EllipticParams,
+    PoleError,
+    lattice_distance,
+    lattice_distance_array,
+    theta_eval,
+    theta_eval_array,
+)
+
+_KEYS = ("++", "+-", "-+", "--")
 
 
 @dataclass(frozen=True)
@@ -72,42 +83,149 @@ class QuantumSpace:
         return a
 
 
-@dataclass
+class _EntryTables:
+    """The four L tables of a module flattened into factor arrays, so that
+    all entries at a batch of (z, x) points come out of one numpy pass.
+
+    An entry is a sum of terms scalar * exp(exp_z*z + exp_x*x) *
+    prod theta(cz*z + cx*x + shift)**power.  Each distinct factor is stored
+    once; terms are sorted by the entry they add to.
+    """
+
+    def __init__(self, X: EllipticModule):
+        self.params = X.params
+        self.size = n = X.basis.size
+        factors: dict[tuple, int] = {}
+        terms = []
+        for key, name in enumerate(_KEYS):
+            for (a, b), s in X.L[name].entries.items():
+                for t in s.terms:
+                    idx = [factors.setdefault((f.cz, f.cx, f.shift, f.power), len(factors))
+                           for f in t.factors]
+                    terms.append(((key * n + a) * n + b, t.scalar, t.exp_z, t.exp_x, idx))
+        terms.sort(key=lambda t: t[0])
+        dest, scalar, exp_z, exp_x, idx = zip(*terms)
+        self.starts = np.flatnonzero(np.diff(dest, prepend=-1))
+        self.dest = np.array(dest)[self.starts]
+        self.scalar, self.exp_z, self.exp_x = (np.array(c, dtype=complex) for c in (scalar, exp_z, exp_x))
+        self.cz, self.cx, self.shift, self.power = (np.array(c) for c in zip(*factors))
+        # index len(factors) is a row of ones that pads shorter products
+        width = max(map(len, idx))
+        self.index = np.array([i + [len(factors)] * (width - len(i)) for i in idx])
+
+    def at(self, zs: np.ndarray, xs: np.ndarray) -> np.ndarray:
+        """Dense entry matrices [point, key, row, col] at the points (zs, xs)."""
+        args = self.cz[:, None] * zs + self.cx[:, None] * xs + self.shift[:, None]
+        poles = args[self.power < 0]
+        near = lattice_distance_array(poles, self.params) < POLE_TOL
+        if near.any():
+            raise PoleError(f"theta factor with negative power at lattice point {poles[near][0]}")
+        vals = theta_eval_array(args, self.params) ** self.power[:, None]
+        vals = np.vstack([vals, np.ones((1, len(zs)))])
+        terms = vals[self.index].prod(axis=1) * self.scalar[:, None]
+        terms *= np.exp(self.exp_z[:, None] * zs + self.exp_x[:, None] * xs)
+        out = np.zeros((len(zs), 4 * self.size * self.size), dtype=complex)
+        out[:, self.dest] = np.add.reduceat(terms, self.starts, axis=0).T
+        return out.reshape(len(zs), 4, self.size, self.size)
+
+
+@lru_cache(maxsize=8)
+def _contraction_plan(basis: tuple[tuple[int, ...], ...]):
+    """Index arrays of the left-to-right contraction over the pairs (i, j)
+    of chain strings, sharing products between pairs with equal prefixes.
+
+    Site l of a pair multiplies in L_{i_l j_l} at the x-shift
+    s = sum_{m<l} j_m; zero total weight bounds it by |s| <= min(l, L-l).
+    Returns the reachable (site, shift) grid and, per site, the parent
+    prefix, grid point and entry key of every prefix one site longer.  At
+    the last site the prefixes are the full pairs in row-major order.
+    """
+    L = len(basis[0])
+    grid = [(l, s) for l in range(L) for s in range(-min(l, L - l), min(l, L - l) + 1, 2)]
+    where = {g: n for n, g in enumerate(grid)}
+    pairs = [tuple(zip(i, j)) for i in basis for j in basis]
+    steps = []
+    prev = {(): 0}
+    for l in range(L):
+        cur: dict[tuple, int] = {}
+        parent, point, key = [], [], []
+        for pair in pairs:
+            pre = pair[: l + 1]
+            if pre in cur:
+                continue
+            cur[pre] = len(cur)
+            parent.append(prev[pre[:-1]])
+            point.append(where[(l, sum(j for _, j in pre[:-1]))])
+            i, j = pre[-1]
+            key.append(2 * (i < 0) + (j < 0))
+        steps.append((np.array(parent), np.array(point), np.array(key)))
+        prev = cur
+    return np.array(grid), tuple(steps)
+
+
+class _GradedTrace:
+    """Level-block traces, levels 0..order, of the site-ordered product
+    M_0(x) M_1(x + hbar*j_0) ... with M_l = L_{i_l j_l}(z + a_l - hbar; .),
+    for every pair of chain strings, evaluated at a point and memoized."""
+
+    def __init__(self, X: EllipticModule, space: QuantumSpace, order: int):
+        self.entries = _EntryTables(X)
+        grid, self.steps = _contraction_plan(space.basis)
+        h = X.params.hbar
+        self.z_off = np.array(space.sites, dtype=complex)[grid[:, 0]] - h
+        self.x_off = h * grid[:, 1]
+        self.levels = [X.basis.offset(k) for k in range(order + 1)]
+        self.rows = X.basis.offset(order + 1)
+        self.shape = (order + 1, space.dim, space.dim)
+        self.memo: dict[tuple[complex, complex], np.ndarray] = {}
+
+    def __call__(self, z: complex, x: complex) -> np.ndarray:
+        key = (complex(z), complex(x))
+        hit = self.memo.get(key)
+        if hit is None:
+            hit = self._contract(*key)
+            hit.flags.writeable = False
+            self.memo[key] = hit
+        return hit
+
+    def _contract(self, z: complex, x: complex) -> np.ndarray:
+        m = self.entries.at(z + self.z_off, x + self.x_off)
+        # only rows of levels <= order reach the traces
+        acc = np.eye(self.entries.size, dtype=complex)[None, : self.rows]
+        *inner, (parent, point, key) = self.steps
+        for up, pt, k in inner:
+            acc = acc[up] @ m[pt, k]
+        diag = np.einsum("pab,pba->pa", acc[parent], m[point, key][:, :, : self.rows])
+        return np.add.reduceat(diag, self.levels, axis=1).T.reshape(self.shape)
+
+
+@dataclass(frozen=True)
 class TransferSeries:
-    """p-graded series of chain-space matrices with symbolic entries in
-    (z, x); alpha0 is the leading p-exponent."""
+    """p-graded series of chain-space matrices in (z, x); alpha0 is the
+    leading p-exponent.  All coefficients at a point come from one graded
+    trace contraction, memoized per point; shift_z offsets z."""
 
     alpha0: complex
-    tables: list[list[list[ThetaSum]]]  # tables[k][row][col]
+    order: int
+    dim: int
     params: EllipticParams
+    trace: _GradedTrace
+    z_shift: complex = 0j
     label: str = ""
 
-    @property
-    def order(self) -> int:
-        return len(self.tables) - 1
-
-    @property
-    def dim(self) -> int:
-        return len(self.tables[0])
-
     def shift_z(self, c: complex) -> "TransferSeries":
-        tables = [
-            [[s.shift_z(c) for s in row] for row in tab] for tab in self.tables
-        ]
-        return TransferSeries(self.alpha0, tables, self.params, self.label)
+        return replace(self, z_shift=self.z_shift + c)
 
     @property
     def series(self) -> DiffOpSeries:
-        terms = [TermMatrix.from_symbolic(tab, self.params) for tab in self.tables]
+        terms = [
+            TermMatrix(lambda z, x, k=k: self.coefficient(k, z, x), self.dim)
+            for k in range(self.order + 1)
+        ]
         return DiffOpSeries(self.alpha0, terms, self.dim, self.params)
 
     def coefficient(self, k: int, z: complex, x: complex) -> np.ndarray:
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for a, row in enumerate(self.tables[k]):
-            for b, s in enumerate(row):
-                if s:
-                    out[a, b] = s.eval(z, x, self.params)
-        return out
+        return self.trace(z + self.z_shift, x)[k]
 
 
 def _max_transfer_order(X: EllipticModule, L: int) -> int:
@@ -124,56 +242,19 @@ def transfer_matrix(X: EllipticModule, space: QuantumSpace, order: int) -> Trans
         raise ValueError(
             f"truncation too shallow: order {order} needs more module levels"
         )
-    h = X.params.hbar
-    basis = X.basis
-    strings = space.basis
-    shifted = {
-        key: [op.shift_z(a - h) for a in space.sites] for key, op in X.L.items()
-    }
-    tables = [
-        [[ThetaSum.zero() for _ in strings] for _ in strings]
-        for _ in range(order + 1)
-    ]
-    sign = {1: "+", -1: "-"}
-    for col, jstr in enumerate(strings):
-        for row, istr in enumerate(strings):
-            comp = None
-            for l in range(space.L - 1, -1, -1):
-                op = shifted[sign[istr[l]] + sign[jstr[l]]][l]
-                comp = op if comp is None else compose_module_ops(op, comp)
-            for k in range(order + 1):
-                acc = ThetaSum.zero()
-                off = basis.offset(k)
-                for i in range(basis.dims[k]):
-                    d = comp.entries.get((off + i, off + i))
-                    if d:
-                        acc = acc + d
-                if acc:
-                    tables[k][row][col] = acc
-    return TransferSeries(basis.alpha0, tables, X.params, label=f"t[{X.label}]")
+    return TransferSeries(
+        X.basis.alpha0, order, space.dim, X.params, _GradedTrace(X, space, order),
+        label=f"t[{X.label}]",
+    )
 
 
 def q_operator(space: QuantumSpace, spin_z: complex, order: int) -> TransferSeries:
     """Transfer series of the ladder module of spin z/hbar, bound at
-    spectral point zero; the returned tables depend on x only."""
+    spectral point zero: evaluated at z = 0 it depends on x only."""
     params = space.params
     K = max(order + space.L // 2, 2)
     W = build_asymptotic(spin_z / params.hbar, 0.0, K, params)
-    t = transfer_matrix(W, space, order)
-    tables = [[[s.shift_z(0.0) for s in row] for row in tab] for tab in t.tables]
-    return TransferSeries(t.alpha0, tables, params, label=f"Q({spin_z})")
-
-
-def q_tilde_coefficient(space: QuantumSpace, spin_z: complex, k: int, order: int | None = None):
-    """k-th normalized-Q coefficient matrix as a function of x (z bound to 0).
-
-    Normalizing by the leading formal power leaves the coefficient tables
-    unchanged, so this is just the k-th table of the Q series.
-    """
-    if order is None:
-        order = k
-    q = q_operator(space, spin_z, max(order, k))
-    return lambda x, q=q: q.coefficient(k, 0.0, x)
+    return replace(transfer_matrix(W, space, order), label=f"Q({spin_z})")
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +329,7 @@ def qq_relation_residual(
     h = params.hbar
     K = max(order + space.L // 2, 2)
     other = rhs_sites if rhs_sites is not None else space
-    worst = 0.0
+    residuals = []
     for z0 in z_samples:
         q_up = q_operator(space, z0 + l * h, order).series
         t0 = transfer_matrix(
@@ -261,8 +342,8 @@ def qq_relation_residual(
         lhs = series_compose(q_up, t0, order)
         rhs = series_compose(tl, q0, order)
         pts = [(0.0, x) for x in xpoints]
-        worst = max(worst, series_max_residual(lhs, rhs, order, pts))
-    return worst
+        residuals.append(series_max_residual(lhs, rhs, order, pts))
+    return worst_residual(residuals)
 
 
 def tq_residual(
@@ -274,7 +355,7 @@ def tq_residual(
         raise ValueError("n must be a nonnegative integer")
     params = space.params
     h = params.hbar
-    worst = 0.0
+    residuals = []
     pts = [(0.0, x) for x in xpoints]
     for z0 in z_samples:
         V = socle(build_asymptotic(float(n), 0.0, max(n, 2), params))
@@ -288,14 +369,14 @@ def tq_residual(
         for j in range(n + 1):
             num = series_compose(q_at[n], q_at[-1], order)
             den = series_compose(q_at[j], q_at[j - 1], order)
-            term = series_compose(num, series_invert(den, order), order)
+            term = series_divide(num, den, order)
             scalar = 1.0 + 0j
             for a in space.sites:
                 scalar *= theta_eval(z0 + a + j * h, params)
             term = series_scale(term, scalar)
             rhs = term if rhs is None else series_add(rhs, term, order)
-        worst = max(worst, series_max_residual(t_v, rhs, order, pts))
-    return worst
+        residuals.append(series_max_residual(t_v, rhs, order, pts))
+    return worst_residual(residuals)
 
 
 def periodicity_residual(
@@ -309,7 +390,7 @@ def periodicity_residual(
     tau = params.tau
     n = space.L // 2
     sign = (-1.0) ** n
-    worst = 0.0
+    residuals = []
     for z0 in z_samples:
         q = q_operator(space, z0, order)
         q1 = q_operator(space, z0 + 1, order)
@@ -321,6 +402,6 @@ def periodicity_residual(
                 m1 = q1.coefficient(k, 0.0, x)
                 mt = qt.coefficient(k, 0.0, x)
                 scale = max(1.0, np.linalg.norm(m))
-                worst = max(worst, float(np.linalg.norm(m1 - sign * m) / scale))
-                worst = max(worst, float(np.linalg.norm(mt - fac * m) / scale))
-    return worst
+                residuals.append(np.linalg.norm(m1 - sign * m) / scale)
+                residuals.append(np.linalg.norm(mt - fac * m) / scale)
+    return worst_residual(residuals)

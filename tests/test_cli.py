@@ -3,9 +3,11 @@ import io
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from elliptic_baxter import cli
+from elliptic_baxter.dynamical import SingularityError
 from elliptic_baxter.reports import (
     CheckResult,
     build_report,
@@ -72,6 +74,29 @@ class TestExitCodes:
             raise PoleError("argument on the period lattice")
         monkeypatch.setitem(cli.RUNNERS, "ybe", boom)
         assert run(["ybe"]) == 3
+
+    def test_theta_overflow_exits_three(self, capsys):
+        assert run(["transfer", "--hbar", "0.2+2i", "--no-timestamp"]) == 3
+        assert "numerical breakdown" in capsys.readouterr().err
+
+    def test_singular_series_exits_three(self, capsys, monkeypatch):
+        def boom(cfg):
+            raise SingularityError("singular leading coefficient")
+        monkeypatch.setitem(cli.RUNNERS, "ybe", boom)
+        assert run(["ybe"]) == 3
+
+    def test_linalg_error_exits_three_not_usage(self, capsys, monkeypatch):
+        def boom(cfg):
+            raise np.linalg.LinAlgError("Singular matrix")
+        monkeypatch.setitem(cli.RUNNERS, "ybe", boom)
+        assert run(["ybe"]) == 3
+
+    def test_six_site_tq_quotient_keeps_its_digits(self, capsys):
+        # the explicit series inverse lost about eight digits here (1.8e-8)
+        sites = ("0.2618-0.1747i,0.7828+0.2225i,0.7296-0.2384i,"
+                 "0.0915-0.0854i,0.1997-0.0053i,0.1195-0.0373i")
+        assert run(["tq", "--sites=" + sites, "--order", "2",
+                    "--seed", "1252347035", "--no-timestamp"]) == 0
 
     def test_yangian_suite_exact(self, capsys):
         assert run(["yangian-tq", "--sites", "1/2,2/3", "--order", "10",

@@ -13,9 +13,11 @@ from elliptic_baxter.dynamical import (
     invert_weightwise,
     series_add,
     series_compose,
+    series_divide,
     series_invert,
     series_max_residual,
     series_scale,
+    worst_residual,
 )
 from elliptic_baxter.modules import build_asymptotic
 from elliptic_baxter.theta import EllipticParams, SamplePlan, ThetaExpression, ThetaSum
@@ -110,8 +112,14 @@ def const_series(alpha0, mats, params=P):
 
 
 def theta_series(alpha0, sums, params=P):
-    terms = [TermMatrix.from_symbolic(m, params) for m in sums]
-    return DiffOpSeries(alpha0, terms, len(sums[0]), params)
+    # sums[k] is a square nested sequence of ThetaSum entries
+    def term(mat):
+        def fn(z, x):
+            return np.array([[s.eval(z, x, params) if s else 0j for s in row] for row in mat])
+
+        return TermMatrix(fn, len(mat))
+
+    return DiffOpSeries(alpha0, [term(m) for m in sums], len(sums[0]), params)
 
 
 class TestSeries:
@@ -200,3 +208,42 @@ class TestSeries:
         s = const_series(0.0, [np.eye(2)])
         scaled = series_scale(s, lambda z, x: z + x)
         assert np.allclose(scaled.terms[0].eval(0.3, 0.4), 0.7 * np.eye(2))
+
+    def test_divide_recovers_the_numerator(self):
+        rng = np.random.default_rng(7)
+        mats = lambda: [np.eye(3) + 0.3 * (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+                        for _ in range(4)]
+        num = const_series(1.5 - 0.2j, mats())
+        den = const_series(0.4 + 1.2j, mats())
+        quo = series_divide(num, den, 3)
+        assert abs(quo.alpha0 - (1.1 - 1.4j)) < 1e-12
+        pts = sample_pairs(31, 3)
+        assert series_max_residual(series_compose(quo, den, 3), num, 3, pts) < 1e-12
+        via_inverse = series_compose(num, series_invert(den, 3), 3)
+        assert series_max_residual(quo, via_inverse, 3, pts) < 1e-9
+
+    def test_divide_singular_leading_term(self):
+        num = const_series(0.0, [np.eye(2)])
+        quo = series_divide(num, const_series(0.0, [np.zeros((2, 2))]), 1)
+        with pytest.raises(SingularityError):
+            quo.terms[1].eval(0.1, 0.2)
+
+
+class TestWorstResidual:
+    def test_largest_finite_value(self):
+        assert worst_residual([]) == 0.0
+        assert worst_residual([1e-12, 3e-9, 2e-10]) == 3e-9
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_is_infinite(self, bad):
+        assert worst_residual([1e-12, bad, 2e-10]) == float("inf")
+        assert worst_residual([bad, 1e-12]) == float("inf")
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf / inf
+    def test_series_residual_against_non_finite_series(self, bad):
+        ident = DiffOpSeries.identity(2, 1, P)
+        broken = const_series(0.0, [np.full((2, 2), bad), np.zeros((2, 2))])
+        pts = sample_pairs(37, 2)
+        assert series_max_residual(ident, broken, 1, pts) == float("inf")
+        assert series_max_residual(broken, ident, 1, pts) == float("inf")

@@ -1,6 +1,8 @@
 import cmath
 import math
+import warnings
 
+import numpy as np
 import pytest
 
 from elliptic_baxter.theta import (
@@ -13,9 +15,11 @@ from elliptic_baxter.theta import (
     ThetaSum,
     in_hbar_inv_lattice,
     lattice_distance,
+    lattice_distance_array,
     lattice_reduce,
     nonneg_int_plus_hbar_inv_lattice,
     theta_eval,
+    theta_eval_array,
 )
 
 P = EllipticParams(tau=1j, hbar=0.31)
@@ -60,6 +64,38 @@ class TestThetaEval:
     def test_genericity_scan_rejects_collision(self):
         with pytest.raises(GenericityError):
             EllipticParams(tau=1j, hbar=0.5)  # 2*hbar = 1 on the lattice
+
+
+class TestThetaEvalArray:
+    @pytest.mark.parametrize("tau", [1j, 0.3 + 0.6j, 0.2j])
+    def test_matches_scalar_on_grid(self, tau):
+        params = EllipticParams(tau=tau, hbar=0.31)
+        g = np.linspace(-1.45, 1.55, 21) + 0.013
+        z = (g[:, None] + g[None, :] * tau).ravel()
+        got = theta_eval_array(z, params)
+        ref = np.array([theta_eval(c, params) for c in z])
+        assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref))
+
+    def test_keeps_shape(self):
+        z = np.array([[0.1, 0.2 + 0.3j], [0.4j, -0.7]])
+        got = theta_eval_array(z, P)
+        assert got.shape == (2, 2)
+        assert got[1, 0] == pytest.approx(theta_eval(0.4j, P), rel=1e-13)
+
+    def test_overflow_raises_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError):
+                theta_eval_array(np.array([0.3, 0.3 + 300j]), P)
+            with pytest.raises(OverflowError):
+                theta_eval_array(np.array([0.3, complex("nan")]), P)
+        with pytest.raises(OverflowError):
+            theta_eval(0.3 + 300j, P)
+
+    def test_lattice_distance_array_matches_scalar(self):
+        c = np.array([0.0, 3 + 2 * P.tau, 0.5, 0.123 - 2.456j, -0.7 + 0.2j])
+        ref = [lattice_distance(v, P) for v in c]
+        assert np.allclose(lattice_distance_array(c, P), ref, rtol=0, atol=1e-15)
 
 
 class TestQuasiPeriodicity:

@@ -1,13 +1,21 @@
 import numpy as np
 import pytest
 
+from elliptic_baxter.dynamical import compose_module_ops
 from elliptic_baxter.modules import (
     build_asymptotic,
     dynamical_tensor,
     one_dim_module,
+    socle,
     spectral_shift,
 )
-from elliptic_baxter.theta import EllipticParams, SamplePlan, ThetaExpression, theta_eval
+from elliptic_baxter.theta import (
+    EllipticParams,
+    PoleError,
+    SamplePlan,
+    ThetaExpression,
+    theta_eval,
+)
 from elliptic_baxter.transfer import (
     QuantumSpace,
     commutativity_residual,
@@ -49,6 +57,73 @@ class TestQuantumSpace:
         assert hom.homogeneous_site() == A1
         with pytest.raises(ValueError):
             SPACE.homogeneous_site()
+
+
+def symbolic_transfer(X, space, order, points):
+    """Oracle: compose the site operators symbolically, right to left, and
+    take the level-block traces of the composite at each (z, x)."""
+    h = X.params.hbar
+    sign = {1: "+", -1: "-"}
+    out = np.zeros((len(points), order + 1, space.dim, space.dim), dtype=complex)
+    for row, istr in enumerate(space.basis):
+        for col, jstr in enumerate(space.basis):
+            comp = None
+            for l in range(space.L - 1, -1, -1):
+                op = X.L[sign[istr[l]] + sign[jstr[l]]].shift_z(space.sites[l] - h)
+                comp = op if comp is None else compose_module_ops(op, comp)
+            for k in range(order + 1):
+                off = X.basis.offset(k)
+                for i in range(X.basis.dims[k]):
+                    d = comp.entries.get((off + i, off + i))
+                    for p, (z, x) in enumerate(points):
+                        if d:
+                            out[p, k, row, col] += d.eval(z, x, X.params)
+    return out
+
+
+def oracle_module(name):
+    """(module, order) of each kind the contraction must handle."""
+    if name == "ladder":
+        return build_asymptotic(1.3 + 0.2j, 0.4, 5, P), 3
+    if name == "tensor":
+        X = build_asymptotic(1.1 + 0.2j, 0.0, 4, P)
+        Y = build_asymptotic(0.6 - 0.3j, 0.3, 4, P)
+        return dynamical_tensor(X, Y, max_level=4), 2
+    if name == "socle":
+        return socle(build_asymptotic(2.0, 0.0, 3, P)), 2
+    return one_dim_module(ThetaExpression.theta(1, 0, 0.4, 2), P), 0
+
+
+class TestGradedTraceContraction:
+    @pytest.mark.parametrize("sites", [(A1, A2), (A1, A2, A1 + 0.13, A2 - 0.11j)])
+    @pytest.mark.parametrize("name", ["ladder", "tensor", "socle", "one-dim"])
+    def test_matches_symbolic_composition(self, sites, name):
+        X, order = oracle_module(name)
+        space = QuantumSpace(sites, P)
+        t = transfer_matrix(X, space, order)
+        ref = symbolic_transfer(X, space, order, PTS[:2])
+        for (z, x), r in zip(PTS[:2], ref):
+            got = np.array([t.coefficient(k, z, x) for k in range(order + 1)])
+            assert np.abs(got - r).max() <= 1e-13 * np.abs(r).max()
+
+    def test_shift_z_offsets_the_spectral_argument(self):
+        t = transfer_matrix(build_asymptotic(1.3 + 0.2j, 0.0, 6, P), SPACE, 3)
+        z0, x0 = PTS[0]
+        for k in range(4):
+            assert np.array_equal(t.shift_z(0.25).coefficient(k, z0, x0),
+                                  t.coefficient(k, z0 + 0.25, x0))
+
+    def test_pole_on_lattice_raises(self):
+        # the ++ entries of a ladder module carry theta(x)^-1; at site 0
+        # the contraction evaluates them at x itself
+        t = transfer_matrix(build_asymptotic(1.3 + 0.2j, 0.0, 4, P), SPACE, 0)
+        with pytest.raises(PoleError):
+            t.coefficient(0, 0.37 + 0.21j, 0.0)
+        # a z-dependent pole: theta(z + a_0 - hbar + 0.4)^-1 vanishes at z0
+        D = one_dim_module(ThetaExpression.theta(1, 0, 0.4, -1), P)
+        z0 = H - A1 - 0.4
+        with pytest.raises(PoleError):
+            transfer_matrix(D, SPACE, 0).coefficient(0, z0, 0.3)
 
 
 class TestTransferMatrix:
