@@ -376,7 +376,7 @@ def run_yangian_all(cfg) -> list[CheckResult]:
     if len(sites) == 2:
         exact("leading-coefficient-closed-form",
               {"sites": list(sites), "order": order},
-              float(yangian.two_site_leading_residual(*sites, order)))
+              yangian.two_site_leading_residual(*sites, order))
     exact("tq-relation", {"sites": list(sites), "order": order},
           yangian.tq_residual(sites, order))
     exact("oscillator-comparison", {"sites": list(sites), "order": order},

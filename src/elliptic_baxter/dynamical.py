@@ -154,11 +154,11 @@ class ModuleOperator:
     def __sub__(self, other: "ModuleOperator") -> "ModuleOperator":
         return self + (-other)
 
-    def to_matrix(self, z: complex, x: complex, eps: float = 1e-14) -> np.ndarray:
+    def to_matrix(self, z: complex, x: complex) -> np.ndarray:
         """Dense numeric entry matrix at fixed (z, x)."""
         m = np.zeros((self.target.size, self.source.size), dtype=complex)
         for (a, b), s in self.entries.items():
-            m[a, b] = s.eval(z, x, self.params, eps)
+            m[a, b] = s.eval(z, x, self.params)
         return m
 
     def apply_to_function_vector(self, coeffs, z, x):
@@ -300,6 +300,31 @@ def tensor_entry_tables(
             bid = {"+": 1, "-": -1}
             out[i + j] = ModuleOperator(bid[i], bid[j], basis, basis, entries, params)
     return basis, out
+
+
+def prefix_plan(pairs: tuple) -> tuple:
+    """Left-to-right contraction plan of a graded trace over the pairs
+    (i, j) of index strings, sharing products between pairs with equal
+    prefixes (an MPO-style sweep, Schollwoeck arXiv:1008.3477).
+
+    Site l lists each distinct prefix (i[:l+1], j[:l+1]) once, in order of
+    first appearance, as (parent, i_l, j_l): the index of its prefix at
+    site l-1 (0 at site 0) and the entry it multiplies in.  At the last
+    site the prefixes are the given pairs, in the given order.
+    """
+    plan = []
+    prev = {((), ()): 0}
+    for l in range(len(pairs[0][0])):
+        cur: dict[tuple, int] = {}
+        step = []
+        for i, j in pairs:
+            pre = (i[: l + 1], j[: l + 1])
+            if pre not in cur:
+                cur[pre] = len(step)
+                step.append((prev[i[:l], j[:l]], i[l], j[l]))
+        plan.append(tuple(step))
+        prev = cur
+    return tuple(plan)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ written that way on purpose)."""
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 
 def is_zero(v) -> bool:
@@ -27,10 +26,6 @@ class Poly:
         while c and is_zero(c[-1]):
             c.pop()
         self.coeffs = tuple(c)
-
-    @classmethod
-    def const(cls, c) -> "Poly":
-        return cls((c,))
 
     @classmethod
     def variable(cls) -> "Poly":
@@ -159,11 +154,26 @@ def poly_rem(a: Poly, b: Poly) -> Poly:
     return Poly(r)
 
 
-def max_abs(v) -> float:
-    """Largest coefficient magnitude, recursing through nested rings."""
+def max_abs(v):
+    """Largest coefficient magnitude, exact, recursing through nested
+    rings."""
     if isinstance(v, Poly):
-        return max((max_abs(c) for c in v.coeffs), default=0.0)
-    return float(abs(v))
+        return max((max_abs(c) for c in v.coeffs), default=0)
+    return abs(v)
+
+
+def exact_residual(values) -> float:
+    """Largest coefficient magnitude among exact values, as a float that
+    is 0.0 only when every value is zero.  A nonzero magnitude below the
+    float range reads as the smallest positive float, one above it as inf,
+    so neither reads as a pass nor raises."""
+    worst = max(map(max_abs, values), default=0)
+    if is_zero(worst):
+        return 0.0
+    try:
+        return float(worst) or math.ulp(0.0)
+    except OverflowError:
+        return math.inf
 
 
 class RatFn:
@@ -196,6 +206,3 @@ class RatFn:
 
     def __repr__(self):
         return f"RatFn({self.num!r}, {self.den!r})"
-
-
-FR = Fraction

@@ -10,7 +10,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .dynamical import worst_residual
+from .dynamical import _coset_offset, worst_residual
 from .modules import (
     HighestWeightData,
     build_asymptotic,
@@ -259,14 +259,6 @@ def qchar_unit(params: EllipticParams, depth: int = 0) -> QCharElement:
     return el
 
 
-def _coset_steps(a1: complex, a2: complex) -> int:
-    d = (a1 - a2) / 2
-    di = round(d.real)
-    if abs(d - di) > 1e-8:
-        raise ValueError(f"t-weights {a1} and {a2} lie in different cosets")
-    return di
-
-
 def mul(A: QCharElement, B: QCharElement, depth: int | None = None) -> QCharElement:
     if A.params != B.params:
         raise ValueError("mismatched parameters")
@@ -288,7 +280,7 @@ def mul(A: QCharElement, B: QCharElement, depth: int | None = None) -> QCharElem
 
 
 def element_add(A: QCharElement, B: QCharElement) -> QCharElement:
-    d = _coset_steps(A.alpha0, B.alpha0)
+    d = _coset_offset(A.alpha0, B.alpha0)
     if d < 0:
         return element_add(B, A)
     top = min(A.depth, B.depth + d)
@@ -310,7 +302,7 @@ def element_deviation(
     """Worst monomial-matching deviation between two elements; inf when the
     term multisets cannot be matched."""
     try:
-        d = _coset_steps(A.alpha0, B.alpha0)
+        d = _coset_offset(A.alpha0, B.alpha0)
     except ValueError:
         return math.inf
     if d < 0:

@@ -27,6 +27,8 @@ import numpy as np
 
 _TWO_PI_I = 2j * math.pi
 _MAX_J = 64
+# the series stops once its next pair of terms is below this share of the partial sum
+_SERIES_EPS = 1e-14
 # a negative-power theta factor this close to Z + Z*tau raises PoleError
 POLE_TOL = 1e-12
 
@@ -75,18 +77,16 @@ class EllipticParams:
                         )
 
 
-def theta_eval(z: complex, params: EllipticParams, eps: float = 1e-14) -> complex:
+def theta_eval(z: complex, params: EllipticParams) -> complex:
     """Evaluate theta(z) by its defining series.
 
     Terms are added in pairs (j, -1-j) of equal Gaussian decay; summation
-    stops once the next pair is below ``eps`` times the partial sum, with a
-    hard cap at |j| <= 64 (never binding for Im(tau) >= 0.05).
+    stops once the next pair is below ``_SERIES_EPS`` times the partial
+    sum, with a hard cap at |j| <= 64 (never binding for Im(tau) >= 0.05).
     """
     tau = params.tau
     if tau.imag <= 0:
         raise ParameterError(f"Im(tau) must be positive, got tau={tau}")
-    if eps <= 0:
-        raise ParameterError("eps must be positive")
     s = 0j
     for j in range(_MAX_J + 1):
         half = j + 0.5
@@ -98,17 +98,17 @@ def theta_eval(z: complex, params: EllipticParams, eps: float = 1e-14) -> comple
         nxt = half + 1.0
         zi = complex(z).imag
         bound = 2.0 * math.exp(-math.pi * tau.imag * nxt * nxt + 2.0 * math.pi * nxt * abs(zi))
-        if bound <= eps * abs(s):
+        if bound <= _SERIES_EPS * abs(s):
             break
     return -s
 
 
-def theta_eval_array(z, params: EllipticParams, eps: float = 1e-14) -> np.ndarray:
+def theta_eval_array(z, params: EllipticParams) -> np.ndarray:
     """Evaluate theta elementwise over an array of arguments.
 
     The series and the stopping rule are those of ``theta_eval``, applied
     per element: an element stops taking pairs once its next pair is below
-    ``eps`` times its own partial sum.  The series is summed at z - m with
+    ``_SERIES_EPS`` times its own partial sum.  The series is summed at z - m with
     m the nearest integer to Re(z), which is exact, and the sign of
     theta(z + m) = (-1)^m theta(z) restored: the phases of the terms stay
     small, and with them the rounding of each term.  A non-finite value
@@ -118,8 +118,6 @@ def theta_eval_array(z, params: EllipticParams, eps: float = 1e-14) -> np.ndarra
     tau = params.tau
     if tau.imag <= 0:
         raise ParameterError(f"Im(tau) must be positive, got tau={tau}")
-    if eps <= 0:
-        raise ParameterError("eps must be positive")
     z = np.asarray(z, dtype=complex)
     m = np.round(z.real).ravel()
     zp = z.ravel() - m + 0.5
@@ -127,11 +125,11 @@ def theta_eval_array(z, params: EllipticParams, eps: float = 1e-14) -> np.ndarra
     s = np.zeros_like(zp)
     live = np.arange(zp.size)
     # pairs per block: at the largest |Im z| the bound of the next pair is
-    # below eps * 1e-3 once pi*Im(tau)*nxt^2 - 2*pi*|Im z|*nxt > log(2e3/eps),
+    # below _SERIES_EPS * 1e-3 once pi*Im(tau)*nxt^2 - 2*pi*|Im z|*nxt > log(2e3/_SERIES_EPS),
     # so one block serves every partial sum down to 1e-3
     a = math.pi * tau.imag
     c = 2.0 * math.pi * float(np.fmin(np.max(zi, initial=0.0), 1e3))
-    block = math.ceil((c + math.sqrt(c * c + 4.0 * a * math.log(2e3 / eps))) / (2.0 * a))
+    block = math.ceil((c + math.sqrt(c * c + 4.0 * a * math.log(2e3 / _SERIES_EPS))) / (2.0 * a))
     with np.errstate(over="ignore", invalid="ignore"):
         # a block of pairs for every live element at once; accumulate is
         # sequential, so the partial sums are those of the scalar loop
@@ -143,7 +141,7 @@ def theta_eval_array(z, params: EllipticParams, eps: float = 1e-14) -> np.ndarra
             partial = np.add.accumulate(pairs, axis=0)[1:]
             nxt = half + 1.0
             bound = 2.0 * np.exp(-math.pi * tau.imag * nxt * nxt + 2.0 * math.pi * nxt * zi[live])
-            done = bound <= eps * np.abs(partial)
+            done = bound <= _SERIES_EPS * np.abs(partial)
             stop = np.where(done.any(axis=0), done.argmax(axis=0), len(half) - 1)
             s[live] = partial[stop, np.arange(live.size)]
             live = live[~done.any(axis=0)]
@@ -304,11 +302,11 @@ class ThetaExpression:
         )
 
     # -- evaluation -----------------------------------------------------
-    def eval(self, z: complex, x: complex, params: EllipticParams, eps: float = 1e-14) -> complex:
+    def eval(self, z: complex, x: complex, params: EllipticParams) -> complex:
         val = self.scalar * cmath.exp(self.exp_z * z + self.exp_x * x)
         for f in self.factors:
             arg = f.argument(z, x)
-            tv = theta_eval(arg, params, eps)
+            tv = theta_eval(arg, params)
             if f.power < 0 and lattice_distance(arg, params) < POLE_TOL:
                 raise PoleError(f"theta factor {f} evaluated at lattice point {arg}")
             val *= tv ** f.power
@@ -424,8 +422,8 @@ class ThetaSum:
     def shift_x(self, c: complex) -> "ThetaSum":
         return ThetaSum(tuple(t.shift_x(c) for t in self.terms))
 
-    def eval(self, z: complex, x: complex, params: EllipticParams, eps: float = 1e-14) -> complex:
-        return sum((t.eval(z, x, params, eps) for t in self.terms), 0j)
+    def eval(self, z: complex, x: complex, params: EllipticParams) -> complex:
+        return sum((t.eval(z, x, params) for t in self.terms), 0j)
 
     def single(self) -> ThetaExpression | None:
         """The unique term if this sum is a monomial, else None."""

@@ -17,6 +17,7 @@ from .dynamical import (
     DiffOpSeries,
     ShapeError,
     TermMatrix,
+    prefix_plan,
     series_add,
     series_compose,
     series_divide,
@@ -131,35 +132,26 @@ class _EntryTables:
 
 @lru_cache(maxsize=8)
 def _contraction_plan(basis: tuple[tuple[int, ...], ...]):
-    """Index arrays of the left-to-right contraction over the pairs (i, j)
-    of chain strings, sharing products between pairs with equal prefixes.
+    """Index arrays of the prefix plan over the pairs (i, j) of chain
+    strings, row-major.
 
     Site l of a pair multiplies in L_{i_l j_l} at the x-shift
     s = sum_{m<l} j_m; zero total weight bounds it by |s| <= min(l, L-l).
     Returns the reachable (site, shift) grid and, per site, the parent
-    prefix, grid point and entry key of every prefix one site longer.  At
-    the last site the prefixes are the full pairs in row-major order.
+    prefix, grid point and entry key of every prefix one site longer.
     """
     L = len(basis[0])
     grid = [(l, s) for l in range(L) for s in range(-min(l, L - l), min(l, L - l) + 1, 2)]
     where = {g: n for n, g in enumerate(grid)}
-    pairs = [tuple(zip(i, j)) for i in basis for j in basis]
     steps = []
-    prev = {(): 0}
-    for l in range(L):
-        cur: dict[tuple, int] = {}
-        parent, point, key = [], [], []
-        for pair in pairs:
-            pre = pair[: l + 1]
-            if pre in cur:
-                continue
-            cur[pre] = len(cur)
-            parent.append(prev[pre[:-1]])
-            point.append(where[(l, sum(j for _, j in pre[:-1]))])
-            i, j = pre[-1]
-            key.append(2 * (i < 0) + (j < 0))
+    ends = [0]  # x-shift after each prefix of the previous site
+    for l, step in enumerate(prefix_plan(tuple((i, j) for i in basis for j in basis))):
+        parent, i, j = zip(*step)
+        shift = [ends[p] for p in parent]
+        point = [where[(l, s)] for s in shift]
+        key = [2 * (a < 0) + (b < 0) for a, b in zip(i, j)]
         steps.append((np.array(parent), np.array(point), np.array(key)))
-        prev = cur
+        ends = [s + b for s, b in zip(shift, j)]
     return np.array(grid), tuple(steps)
 
 
@@ -261,11 +253,6 @@ def q_operator(space: QuantumSpace, spin_z: complex, order: int) -> TransferSeri
 # Functional relations
 # ---------------------------------------------------------------------------
 
-def _pad_series(s: DiffOpSeries, order: int) -> DiffOpSeries:
-    terms = list(s.terms) + [TermMatrix.zero(s.dim) for _ in range(order - s.order)]
-    return DiffOpSeries(s.alpha0, terms, s.dim, s.params)
-
-
 def product_residual(
     X: EllipticModule, Y: EllipticModule, XY: EllipticModule,
     space: QuantumSpace, order: int, points
@@ -360,7 +347,6 @@ def tq_residual(
     for z0 in z_samples:
         V = socle(build_asymptotic(float(n), 0.0, max(n, 2), params))
         t_v = transfer_matrix(V, space, n).shift_z(z0).series.bound_z(0.0)
-        t_v = _pad_series(t_v, order)
         q_at = {
             j: q_operator(space, z0 + j * h, order).series
             for j in range(-1, n + 1)

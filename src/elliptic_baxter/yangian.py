@@ -9,11 +9,13 @@ against the oscillator transfer matrix, and rational q-characters."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as iproduct
 
-from .polyring import Poly, RatFn, as_poly, is_zero, max_abs, poly_rem
+from .dynamical import prefix_plan
+from .polyring import Poly, RatFn, as_poly, exact_residual, is_zero, poly_rem
 
 SPIN_VARIABLE = Poly.variable()
 
@@ -74,15 +76,15 @@ def _matmul(a, b):
     return out
 
 
-def qybe_residual(z: Fraction, w: Fraction) -> Fraction:
+def qybe_residual(z: Fraction, w: Fraction) -> float:
     """Exact defect of the three-slot braid relation at rational points."""
     r12 = _embed(None, (0, 1), z - w)
     r13 = _embed(None, (0, 2), z)
     r23 = _embed(None, (1, 2), w)
     lhs = _matmul(_matmul(r12, r13), r23)
     rhs = _matmul(_matmul(r23, r13), r12)
-    return max(
-        abs(lhs[i][j] - rhs[i][j]) for i in range(8) for j in range(8)
+    return exact_residual(
+        lhs[i][j] - rhs[i][j] for i in range(8) for j in range(8)
     )
 
 
@@ -233,24 +235,15 @@ def rtt_residual(X: YangianModule) -> float:
         (1, 1): {(1, 1): corner},
     }
 
-    def apply_first_slot(state, as_w):
+    def apply_slot(state, slot):
+        # the first auxiliary slot carries z, the second w
+        lift = lift_w if slot else lift_z
         out = {}
         for (a, b, lab), poly in state.items():
             for c in (1, 2):
-                for lab2, coeff in X.act[(c, a)].get(lab, ()):
-                    lifted = lift_w(coeff) if as_w else lift_z(coeff)
-                    key = (c, b, lab2)
-                    out[key] = out.get(key, Poly()) + lifted * poly
-        return out
-
-    def apply_second_slot(state, as_w):
-        out = {}
-        for (a, b, lab), poly in state.items():
-            for c in (1, 2):
-                for lab2, coeff in X.act[(c, b)].get(lab, ()):
-                    lifted = lift_w(coeff) if as_w else lift_z(coeff)
-                    key = (a, c, lab2)
-                    out[key] = out.get(key, Poly()) + lifted * poly
+                for lab2, coeff in X.act[(c, b if slot else a)].get(lab, ()):
+                    key = (a, c, lab2) if slot else (c, b, lab2)
+                    out[key] = out.get(key, Poly()) + lift(coeff) * poly
         return out
 
     def apply_r(state):
@@ -261,20 +254,16 @@ def rtt_residual(X: YangianModule) -> float:
                 out[key] = out.get(key, Poly()) + entry * poly
         return out
 
-    worst = 0.0
-    for v in safe:
-        for a in (1, 2):
-            for b in (1, 2):
-                start = {(a, b, v): Poly((Poly((1,)),))}
-                lhs = apply_r(apply_first_slot(
-                    apply_second_slot(start, as_w=True), as_w=False))
-                rhs = apply_second_slot(apply_first_slot(
-                    apply_r(start), as_w=False), as_w=True)
-                keys = set(lhs) | set(rhs)
-                for k in keys:
-                    diff = lhs.get(k, Poly()) - rhs.get(k, Poly())
-                    worst = max(worst, max_abs(diff))
-    return worst
+    def defects(start):
+        lhs = apply_r(apply_slot(apply_slot(start, 1), 0))
+        rhs = apply_slot(apply_slot(apply_r(start), 0), 1)
+        return (lhs.get(k, Poly()) - rhs.get(k, Poly())
+                for k in set(lhs) | set(rhs))
+
+    return exact_residual(
+        d for v in safe for a in (1, 2) for b in (1, 2)
+        for d in defects({(a, b, v): Poly((Poly((1,)),))})
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +280,10 @@ def chain_basis(L: int) -> tuple:
 
 def sector_indices(basis, s: int) -> list[int]:
     return [i for i, string in enumerate(basis) if string.count(1) == s]
+
+
+def _zero_table(dim: int) -> list:
+    return [[Poly() for _ in range(dim)] for _ in range(dim)]
 
 
 @dataclass
@@ -315,7 +308,7 @@ class PSeriesMatrix:
         if k <= self.order:
             return self.tables[k]
         if self.terminates:
-            return [[Poly() for _ in range(self.dim)] for _ in range(self.dim)]
+            return _zero_table(self.dim)
         raise IndexError(f"coefficient {k} beyond truncation order {self.order}")
 
     def map_entries(self, f) -> "PSeriesMatrix":
@@ -330,6 +323,24 @@ class PSeriesMatrix:
 
     def bind_var(self, v) -> "PSeriesMatrix":
         return self.map_entries(lambda p: as_poly(p(v)))
+
+    def coefficient(self, s: int) -> "PSeriesMatrix":
+        """Entrywise coefficient of the s-th power of the variable."""
+        return self.map_entries(lambda p: p.coefficient(s))
+
+    def times_p(self) -> "PSeriesMatrix":
+        """The series multiplied by the grading variable p."""
+        return PSeriesMatrix(self.basis, [_zero_table(self.dim)] + self.tables,
+                             self.terminates)
+
+    def combine(self, other: "PSeriesMatrix", f) -> "PSeriesMatrix":
+        """Entrywise f(x, y) of two series, to the lower stored order."""
+        if self.basis != other.basis:
+            raise ValueError("mismatched chain bases")
+        return PSeriesMatrix(self.basis, [
+            [[f(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(ta, tb)]
+            for ta, tb in zip(self.tables, other.tables)
+        ])
 
     def restrict(self, s: int) -> "PSeriesMatrix":
         idx = sector_indices(self.basis, s)
@@ -364,23 +375,36 @@ class PSeriesMatrix:
     def residual(self, other: "PSeriesMatrix", order: int | None = None) -> float:
         if order is None:
             order = min(self.order, other.order)
-        worst = 0.0
-        for k in range(order + 1):
-            a, b = self.get(k), other.get(k)
-            for i in range(self.dim):
-                for j in range(self.dim):
-                    worst = max(worst, max_abs(a[i][j] - b[i][j]))
-        return worst
+        return exact_residual(
+            x - y
+            for k in range(order + 1)
+            for ra, rb in zip(self.get(k), other.get(k))
+            for x, y in zip(ra, rb)
+        )
 
     def cross_sector_residual(self) -> float:
         """Largest entry linking two different index-count sectors."""
-        worst = 0.0
-        for tab in self.tables:
-            for r, rs in enumerate(self.basis):
-                for c, cs in enumerate(self.basis):
-                    if rs.count(1) != cs.count(1):
-                        worst = max(worst, max_abs(tab[r][c]))
-        return worst
+        return exact_residual(
+            tab[r][c]
+            for tab in self.tables
+            for r, rs in enumerate(self.basis)
+            for c, cs in enumerate(self.basis)
+            if rs.count(1) != cs.count(1)
+        )
+
+
+def _row_times(rows: dict, cols: dict) -> dict:
+    """Each row vector {label: entry} in `rows` times the operator with
+    cols[label] = ((source, entry), ...); rows that vanish are dropped."""
+    out = {}
+    for start, row in rows.items():
+        nxt = {}
+        for lab, poly in row.items():
+            for lab2, c in cols.get(lab, ()):
+                nxt[lab2] = nxt.get(lab2, Poly()) + c * poly
+        if nxt:
+            out[start] = nxt
+    return out
 
 
 def yangian_transfer(X: YangianModule, sites, order: int,
@@ -388,6 +412,11 @@ def yangian_transfer(X: YangianModule, sites, order: int,
     """Level-graded trace over the auxiliary module of the site-ordered
     product of its entry operators, acting on the index-string basis.
 
+    A left-to-right contraction over the prefix plan of the string pairs:
+    per prefix and per start label of weight <= order, the row of that
+    label in the prefix's product, formed once from its parent's row; the
+    last site forms only the diagonal entry.  The plan is walked depth
+    first, so only the rows along one path are held at a time.
     Entries linking strings with different index counts vanish by the
     weight grading; `skip_cross_sector=False` computes them anyway."""
     L = len(sites)
@@ -403,42 +432,46 @@ def yangian_transfer(X: YangianModule, sites, order: int,
             f"at least {order + L} levels, module has {X.levels}"
         )
     strings = chain_basis(L)
-    shifted = {
-        ab: [
-            {lab: tuple((lab2, p.shift(a)) for lab2, p in rows)
-             for lab, rows in table.items()}
-            for a in sites
-        ]
-        for ab, table in X.act.items()
-    }
-    by_weight = {}
-    for lab, wt in X.weight.items():
-        by_weight.setdefault(wt, []).append(lab)
-    dim = len(strings)
-    tables = [[[Poly() for _ in range(dim)] for _ in range(dim)]
-              for _ in range(order + 1)]
-    for col, jstr in enumerate(strings):
-        for row, istr in enumerate(strings):
-            if skip_cross_sector and istr.count(1) != jstr.count(1):
+    pairs = tuple((i, j) for i in strings for j in strings
+                  if not skip_cross_sector or i.count(1) == j.count(1))
+
+    def at_site(a, tables):
+        return {ab: {lab: tuple((lab2, p.shift(a)) for lab2, p in rows)
+                     for lab, rows in table.items()}
+                for ab, table in tables.items()}
+
+    # X.act[ab][lab] lists (lab2, p) for T_ab e_lab = ... + p e_lab2;
+    # by_row[ab][lab2] lists the same (lab, p) by row
+    by_row = {ab: {} for ab in X.act}
+    for ab, table in X.act.items():
+        for lab, rows in table.items():
+            for lab2, p in rows:
+                by_row[ab].setdefault(lab2, []).append((lab, p))
+    plan = prefix_plan(pairs)
+    # the prefixes one site longer than each prefix, per site
+    children = [{} for _ in plan]
+    for step, kids in zip(plan, children):
+        for n, (parent, i, j) in enumerate(step):
+            kids.setdefault(parent, []).append((n, i, j))
+    cols = [at_site(a, by_row) for a in sites[:-1]]
+    act = at_site(sites[-1], X.act)
+    pos = {string: n for n, string in enumerate(strings)}
+    tables = [_zero_table(len(strings)) for _ in range(order + 1)]
+
+    def descend(l, parent, rows):
+        for n, i, j in children[l].get(parent, ()):
+            if l < L - 1:
+                descend(l + 1, n, _row_times(rows, cols[l][(i, j)]))
                 continue
-            ops = [shifted[(istr[l], jstr[l])][l] for l in range(L)]
-            for k in range(order + 1):
-                total = Poly()
-                for lab in by_weight.get(k, ()):
-                    state = {lab: Poly((1,))}
-                    for l in range(L - 1, -1, -1):
-                        nxt = {}
-                        for lb, poly in state.items():
-                            for lb2, c in ops[l].get(lb, ()):
-                                nxt[lb2] = nxt.get(lb2, Poly()) + c * poly
-                        state = nxt
-                        if not state:
-                            break
-                    v = state.get(lab)
-                    if v:
-                        total = total + v
-                if total:
-                    tables[k][row][col] = total
+            r, c = (pos[string] for string in pairs[n])
+            for start, row in rows.items():
+                k = X.weight[start]
+                for lab, p in act[(i, j)].get(start, ()):
+                    if lab in row:
+                        tables[k][r][c] = tables[k][r][c] + p * row[lab]
+
+    descend(0, 0, {lab: {lab: Poly((1,))}
+                   for lab, wt in X.weight.items() if wt <= order})
     return PSeriesMatrix(strings, tables, terminates=X.exact)
 
 
@@ -508,12 +541,7 @@ def q_degree_report(sites, order: int = 1) -> list[SectorDegreeData]:
 def q_leading_coefficient_series(sites, order: int, s: int) -> list:
     """Coefficient of the top spin power on sector s, one numeric matrix
     per series order."""
-    qs = yangian_q(sites, order).restrict(s)
-    return [
-        [[tab[r][c].coefficient(s) for c in range(qs.dim)]
-         for r in range(qs.dim)]
-        for tab in qs.tables
-    ]
+    return yangian_q(sites, order).restrict(s).coefficient(s).tables
 
 
 def two_site_leading_closed_form(a1, a2, order: int) -> list:
@@ -525,11 +553,11 @@ def two_site_leading_closed_form(a1, a2, order: int) -> list:
     ]
 
 
-def two_site_leading_residual(a1, a2, order: int):
+def two_site_leading_residual(a1, a2, order: int) -> float:
     got = q_leading_coefficient_series((a1, a2), order, 1)
     ref = two_site_leading_closed_form(a1, a2, order)
-    return max(
-        abs(got[k][i][j] - ref[k][i][j])
+    return exact_residual(
+        got[k][i][j] - ref[k][i][j]
         for k in range(order + 1) for i in range(2) for j in range(2)
     )
 
@@ -538,36 +566,20 @@ def two_site_leading_residual(a1, a2, order: int):
 # Functional relations
 # ---------------------------------------------------------------------------
 
-def _scale_table(tab, p: Poly):
-    return [[e * p for e in row] for row in tab]
-
-
 def tq_residual(sites, order: int, drop_second_term: bool = False) -> float:
     """Exact defect of (two-dim transfer) x Q against the two shifted-Q
     terms weighted by the site products; `drop_second_term` removes the
     series-graded term as a negative control."""
-    L = len(sites)
     t1 = yangian_transfer(build_module("finite", spin=1), sites,
                           min(order, 1))
     q = yangian_q(sites, order)
-    qp, qm = q.shift_var(1), q.shift_var(-1)
-    prod0, prod1 = Poly((1,)), Poly((1,))
-    for a in sites:
-        prod0 = prod0 * Poly((a, 1))
-        prod1 = prod1 * Poly((a + 1, 1))
-    lhs = t1.mul(q, order)
-    worst = 0.0
-    for k in range(order + 1):
-        rhs = _scale_table(qp.get(k), prod0)
-        if k >= 1 and not drop_second_term:
-            extra = _scale_table(qm.get(k - 1), prod1)
-            rhs = [[rhs[i][j] + extra[i][j] for j in range(q.dim)]
-                   for i in range(q.dim)]
-        a = lhs.get(k)
-        for i in range(q.dim):
-            for j in range(q.dim):
-                worst = max(worst, max_abs(a[i][j] - rhs[i][j]))
-    return worst
+    w0, w1 = (math.prod((Poly((a + c, 1)) for a in sites), start=Poly((1,)))
+              for c in (0, 1))
+    if drop_second_term:
+        w1 = 0
+    rhs = q.shift_var(1).combine(q.shift_var(-1).times_p(),
+                                 lambda x, y: x * w0 + y * w1)
+    return t1.mul(q, order).residual(rhs, order)
 
 
 def product_residual(X: YangianModule, Y: YangianModule, sites,
@@ -590,39 +602,17 @@ def oscillator_comparison(sites, order: int) -> float:
     tb = yangian_transfer(
         build_module("oscillator", levels=order + L), sites, order
     )
-    worst = 0.0
-    for s in range(L + 1):
+
+    def sector(s):
         qs, ts = q.restrict(s), tb.restrict(s)
-        n = qs.dim
-        lead = [
-            [[tab[r][c].coefficient(s) for c in range(n)] for r in range(n)]
-            for tab in qs.tables
-        ]
-        for k in range(order + 1):
-            tk = ts.get(k)
-            for r in range(n):
-                for c in range(n):
-                    ref = 1 if r == c else 0
-                    worst = max(worst, max_abs(
-                        tk[r][c].coefficient(s) - ref))
-        # coefficients of (1 - p) x lead
-        for k in range(order + 1):
-            acc = [[Poly() for _ in range(n)] for _ in range(n)]
-            for m in range(k + 1):
-                b = [[lead[m][i][j] - (lead[m - 1][i][j] if m else 0)
-                      for j in range(n)] for i in range(n)]
-                tk = ts.get(k - m)
-                for i in range(n):
-                    for t in range(n):
-                        if b[i][t] == 0:
-                            continue
-                        for j in range(n):
-                            acc[i][j] = acc[i][j] + tk[t][j] * b[i][t]
-            qk = qs.get(k)
-            for i in range(n):
-                for j in range(n):
-                    worst = max(worst, max_abs(qk[i][j] - acc[i][j]))
-    return worst
+        eye = [[int(r == c) for c in range(qs.dim)] for r in range(qs.dim)]
+        flat = ts.coefficient(s).residual(
+            PSeriesMatrix(ts.basis, [eye] * (order + 1)))
+        lead = qs.coefficient(s)
+        damped = lead.combine(lead.times_p(), lambda x, y: x - y)
+        return max(flat, qs.residual(damped.mul(ts, order), order))
+
+    return max(sector(s) for s in range(L + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -733,15 +723,14 @@ def eigen_example_residual(a1: Fraction, a2: Fraction, p: Fraction) -> float:
     def red(poly_t: Poly) -> Poly:
         return poly_rem(poly_t, quad)
 
-    worst = 0.0
     # leading-coefficient matrix, scaled by (1 - p)^2
     amat = [[a1 * (1 - p) + p, Fraction(1)], [p, a2 * (1 - p) + p]]
     lam = Poly((a1 * (1 - p) * (a1 + 1) + p * (a1 + 1) + a2,
                 a1 * (1 - p) + p + 1))  # cleared eigenvalue, linear in root
-    for i in range(2):
-        got = red(clear * (amat[i][0] * v[0] + amat[i][1] * v[1]))
-        ref = red(lam * v[i])
-        worst = max(worst, max_abs(got - ref))
+    defects = [
+        red(clear * (amat[i][0] * v[0] + amat[i][1] * v[1])) - red(lam * v[i])
+        for i in range(2)
+    ]
     # Baxter operator eigenrelation at the summed grading point:
     # (1-p)^2 (t+a1+1) Q(z;p) v == cleared-eigenvalue (z - t) v  mod quad
     full = q_exact_at_p((a1, a2), p)
@@ -757,10 +746,11 @@ def eigen_example_residual(a1: Fraction, a2: Fraction, p: Fraction) -> float:
         w = red(lam * v[i])
         rhs = Poly((red(-tvar * w), w))
         n = max(len(lhs.coeffs), len(rhs.coeffs))
-        for m in range(n):
-            d = red(as_poly(lhs.coefficient(m)) - as_poly(rhs.coefficient(m)))
-            worst = max(worst, max_abs(d))
-    return worst
+        defects += [
+            red(as_poly(lhs.coefficient(m)) - as_poly(rhs.coefficient(m)))
+            for m in range(n)
+        ]
+    return exact_residual(defects)
 
 
 # ---------------------------------------------------------------------------

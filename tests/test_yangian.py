@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from elliptic_baxter.polyring import Poly, RatFn, as_poly, max_abs, poly_rem
 from elliptic_baxter.yangian import (
     SPIN_VARIABLE,
+    PSeriesMatrix,
     build_module,
     chain_basis,
     eigen_example_residual,
@@ -143,7 +145,79 @@ class TestExchangeRelation:
             rtt_residual(build_module("oscillator", levels=1))
 
 
+def per_pair_transfer(X, sites, order, skip_cross_sector=True):
+    """Reference graded trace: for every pair of strings and every start
+    label, propagate the label right to left through all sites."""
+    L = len(sites)
+    strings = chain_basis(L)
+    shifted = {
+        ab: [
+            {lab: tuple((lab2, p.shift(a)) for lab2, p in rows)
+             for lab, rows in table.items()}
+            for a in sites
+        ]
+        for ab, table in X.act.items()
+    }
+    by_weight = {}
+    for lab, wt in X.weight.items():
+        by_weight.setdefault(wt, []).append(lab)
+    dim = len(strings)
+    tables = [[[Poly() for _ in range(dim)] for _ in range(dim)]
+              for _ in range(order + 1)]
+    for col, jstr in enumerate(strings):
+        for row, istr in enumerate(strings):
+            if skip_cross_sector and istr.count(1) != jstr.count(1):
+                continue
+            ops = [shifted[(istr[l], jstr[l])][l] for l in range(L)]
+            for k in range(order + 1):
+                total = Poly()
+                for lab in by_weight.get(k, ()):
+                    state = {lab: Poly((1,))}
+                    for l in range(L - 1, -1, -1):
+                        nxt = {}
+                        for lb, poly in state.items():
+                            for lb2, c in ops[l].get(lb, ()):
+                                nxt[lb2] = nxt.get(lb2, Poly()) + c * poly
+                        state = nxt
+                        if not state:
+                            break
+                    v = state.get(lab)
+                    if v:
+                        total = total + v
+                if total:
+                    tables[k][row][col] = total
+    return PSeriesMatrix(strings, tables, terminates=X.exact)
+
+
+ORACLE_SITES = (F(2, 3), F(-5, 7), F(9, 4), F(-1, 6))
+ORACLE_ORDER = 2
+ORACLE_MODULES = {
+    "finite-1": lambda L: build_module("finite", spin=1),
+    "finite-2": lambda L: build_module("finite", spin=2),
+    "ladder-rational": lambda L: build_module(
+        "ladder", spin=F(5, 3), shift=F(1, 4), levels=ORACLE_ORDER + L),
+    "ladder-symbolic": lambda L: build_module(
+        "ladder", spin=SPIN_VARIABLE, levels=ORACLE_ORDER + L),
+    "oscillator": lambda L: build_module(
+        "oscillator", levels=ORACLE_ORDER + L),
+    "tensor": lambda L: tensor_module(
+        build_module("finite", spin=1),
+        build_module("ladder", spin=F(-1, 2), levels=ORACLE_ORDER + L)),
+}
+
+
 class TestTransfer:
+    @pytest.mark.parametrize("skip", [True, False])
+    @pytest.mark.parametrize("L", [1, 2, 3, 4])
+    @pytest.mark.parametrize("kind", sorted(ORACLE_MODULES))
+    def test_matches_per_pair_oracle(self, kind, L, skip):
+        X = ORACLE_MODULES[kind](L)
+        sites = ORACLE_SITES[:L]
+        got = yangian_transfer(X, sites, ORACLE_ORDER, skip_cross_sector=skip)
+        ref = per_pair_transfer(X, sites, ORACLE_ORDER, skip_cross_sector=skip)
+        assert got.basis == ref.basis and got.terminates == ref.terminates
+        assert got.tables == ref.tables
+
     def test_single_site_defining_module(self):
         a = F(3, 4)
         t = yangian_transfer(build_module("finite", spin=1), (a,), 1)
@@ -177,6 +251,20 @@ class TestTransfer:
         X = build_module("finite", spin=2)
         Y = build_module("oscillator", levels=6)
         assert product_residual(X, Y, SITES, 3) == 0.0
+
+
+class TestExactResidual:
+    ONE = ((1,),)
+
+    def test_underflowing_defect_is_not_zero(self):
+        tiny = PSeriesMatrix(self.ONE, [[[Poly((F(1, 10**400),))]]])
+        zero = PSeriesMatrix(self.ONE, [[[Poly()]]])
+        assert tiny.residual(zero) > 0
+
+    def test_overflowing_defect_reads_inf(self):
+        huge = PSeriesMatrix(self.ONE, [[[Poly((F(10**400),))]]])
+        zero = PSeriesMatrix(self.ONE, [[[Poly()]]])
+        assert huge.residual(zero) == math.inf
 
 
 class TestBaxterOperator:
