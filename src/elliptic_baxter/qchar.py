@@ -56,14 +56,16 @@ def format_component(comp) -> str:
     if comp.exp_z != 0 or comp.exp_x != 0:
         parts.append(f"exp({_fmt_c(comp.exp_z)}z+{_fmt_c(comp.exp_x)}x)")
     for f in comp.factors:
-        arg = []
+        terms = []
         if f.cz:
-            arg.append("z" if f.cz > 0 else "-z")
+            terms.append("z" if f.cz > 0 else "-z")
         if f.cx:
-            arg.append("+x" if f.cx > 0 else "-x")
-        if f.shift != 0 or not arg:
-            arg.append(f"{'+' if f.shift.real >= 0 and f.shift.imag >= 0 else ''}{_fmt_c(f.shift)}")
-        body = f"theta({''.join(arg)})"
+            terms.append("x" if f.cx > 0 else "-x")
+        if f.shift != 0 or not terms:
+            terms.append(_fmt_c(f.shift))
+        arg = terms[0] + "".join(
+            t if t.startswith("-") else "+" + t for t in terms[1:])
+        body = f"theta({arg})"
         parts.append(body if f.power == 1 else f"{body}^{f.power}")
     return "*".join(parts) if parts else "1"
 

@@ -278,8 +278,10 @@ def chain_basis(L: int) -> tuple:
                         key=lambda s: tuple(reversed(s))))
 
 
-def sector_indices(basis, s: int) -> list[int]:
-    return [i for i, string in enumerate(basis) if string.count(1) == s]
+def sector_basis(L: int, s: int) -> tuple:
+    """The strings of `chain_basis(L)` with s indices equal to 1, in that
+    order: the basis of the weight sector s."""
+    return tuple(string for string in chain_basis(L) if string.count(1) == s)
 
 
 def _zero_table(dim: int) -> list:
@@ -342,14 +344,6 @@ class PSeriesMatrix:
             for ta, tb in zip(self.tables, other.tables)
         ])
 
-    def restrict(self, s: int) -> "PSeriesMatrix":
-        idx = sector_indices(self.basis, s)
-        return PSeriesMatrix(
-            tuple(self.basis[i] for i in idx),
-            [[[tab[r][c] for c in idx] for r in idx] for tab in self.tables],
-            self.terminates,
-        )
-
     def mul(self, other: "PSeriesMatrix", order: int) -> "PSeriesMatrix":
         if self.basis != other.basis:
             raise ValueError("mismatched chain bases")
@@ -382,16 +376,6 @@ class PSeriesMatrix:
             for x, y in zip(ra, rb)
         )
 
-    def cross_sector_residual(self) -> float:
-        """Largest entry linking two different index-count sectors."""
-        return exact_residual(
-            tab[r][c]
-            for tab in self.tables
-            for r, rs in enumerate(self.basis)
-            for c, cs in enumerate(self.basis)
-            if rs.count(1) != cs.count(1)
-        )
-
 
 def _row_times(rows: dict, cols: dict) -> dict:
     """Each row vector {label: entry} in `rows` times the operator with
@@ -407,18 +391,20 @@ def _row_times(rows: dict, cols: dict) -> dict:
     return out
 
 
-def yangian_transfer(X: YangianModule, sites, order: int,
-                     skip_cross_sector: bool = True) -> PSeriesMatrix:
+def yangian_transfer(X: YangianModule, sites,
+                     order: int) -> list[PSeriesMatrix]:
     """Level-graded trace over the auxiliary module of the site-ordered
     product of its entry operators, acting on the index-string basis.
-
-    A left-to-right contraction over the prefix plan of the string pairs:
-    per prefix and per start label of weight <= order, the row of that
-    label in the prefix's product, formed once from its parent's row; the
-    last site forms only the diagonal entry.  The plan is walked depth
-    first, so only the rows along one path are held at a time.
     Entries linking strings with different index counts vanish by the
-    weight grading; `skip_cross_sector=False` computes them anyway."""
+    weight grading, so the result is one series per sector s = 0..L, on
+    `sector_basis(L, s)`.
+
+    A left-to-right contraction over the prefix plan of the same-sector
+    string pairs: per prefix and per start label of weight <= order, the
+    row of that label in the prefix's product, formed once from its
+    parent's row; the last site forms only the diagonal entry.  The plan
+    is walked depth first, so only the rows along one path are held at a
+    time."""
     L = len(sites)
     if L < 1:
         raise ValueError("need at least one site")
@@ -433,7 +419,7 @@ def yangian_transfer(X: YangianModule, sites, order: int,
         )
     strings = chain_basis(L)
     pairs = tuple((i, j) for i in strings for j in strings
-                  if not skip_cross_sector or i.count(1) == j.count(1))
+                  if i.count(1) == j.count(1))
 
     def at_site(a, tables):
         return {ab: {lab: tuple((lab2, p.shift(a)) for lab2, p in rows)
@@ -455,34 +441,38 @@ def yangian_transfer(X: YangianModule, sites, order: int,
             kids.setdefault(parent, []).append((n, i, j))
     cols = [at_site(a, by_row) for a in sites[:-1]]
     act = at_site(sites[-1], X.act)
-    pos = {string: n for n, string in enumerate(strings)}
-    tables = [_zero_table(len(strings)) for _ in range(order + 1)]
+    bases = [sector_basis(L, s) for s in range(L + 1)]
+    pos = {string: n for basis in bases for n, string in enumerate(basis)}
+    tables = [[_zero_table(len(basis)) for _ in range(order + 1)]
+              for basis in bases]
 
     def descend(l, parent, rows):
         for n, i, j in children[l].get(parent, ()):
             if l < L - 1:
                 descend(l + 1, n, _row_times(rows, cols[l][(i, j)]))
                 continue
-            r, c = (pos[string] for string in pairs[n])
+            istr, jstr = pairs[n]
+            sector, r, c = tables[istr.count(1)], pos[istr], pos[jstr]
             for start, row in rows.items():
-                k = X.weight[start]
+                tab = sector[X.weight[start]]
                 for lab, p in act[(i, j)].get(start, ()):
                     if lab in row:
-                        tables[k][r][c] = tables[k][r][c] + p * row[lab]
+                        tab[r][c] = tab[r][c] + p * row[lab]
 
     descend(0, 0, {lab: {lab: Poly((1,))}
                    for lab, wt in X.weight.items() if wt <= order})
-    return PSeriesMatrix(strings, tables, terminates=X.exact)
+    return [PSeriesMatrix(basis, sector, terminates=X.exact)
+            for basis, sector in zip(bases, tables)]
 
 
-def yangian_q(sites, order: int) -> PSeriesMatrix:
+def yangian_q(sites, order: int) -> list[PSeriesMatrix]:
     """Baxter operator: ladder transfer matrix with the spin promoted to
-    a polynomial variable and the spectral variable bound to zero; the
-    returned entries are polynomials in that spin variable."""
+    a polynomial variable and the spectral variable bound to zero, one
+    series per sector; the entries are polynomials in that spin
+    variable."""
     L = len(sites)
     W = build_module("ladder", spin=SPIN_VARIABLE, levels=order + L)
-    t = yangian_transfer(W, sites, order)
-    return t.bind_var(0)
+    return [t.bind_var(0) for t in yangian_transfer(W, sites, order)]
 
 
 # ---------------------------------------------------------------------------
@@ -501,39 +491,30 @@ class SectorDegreeData:
 
 def q_degree_report(sites, order: int = 1) -> list[SectorDegreeData]:
     """Per-sector degree of the Baxter operator in its spin variable,
-    with the level-zero triangularity and diagonal checks."""
-    q = yangian_q(sites, order)
-    L = len(sites)
+    with the level-zero triangularity and diagonal checks; the leading
+    check reads Q's own top spin coefficient on the diagonal."""
     out = []
-    for s in range(L + 1):
-        qs = q.restrict(s)
+    for s, qs in enumerate(yangian_q(sites, order)):
         deg = max(
             (e.degree for tab in qs.tables for row in tab for e in row if e),
             default=-1,
         )
         p0 = qs.get(0)
-        upper = all(
-            not p0[r][c]
-            for r in range(qs.dim) for c in range(qs.dim) if r > c
-        )
-        diag_ok = True
-        lead_ok = True
-        for i, string in enumerate(qs.basis):
-            expect = Poly((1,))
-            for l, il in enumerate(string):
-                expect = expect * (Poly((sites[l], 1)) if il == 1
-                                   else Poly((sites[l],)))
-            if p0[i][i] != expect:
-                diag_ok = False
-            if is_zero(expect.coefficient(s)):
-                lead_ok = False
+        expect = [
+            math.prod((Poly((a, 1)) if il == 1 else Poly((a,))
+                       for a, il in zip(sites, string)), start=Poly((1,)))
+            for string in qs.basis
+        ]
         out.append(SectorDegreeData(
             sector=s,
             degree=deg,
             degree_matches=(deg == s),
-            leading_nonzero=lead_ok,
-            p0_upper_triangular=upper,
-            p0_diagonal_matches=diag_ok,
+            leading_nonzero=all(not is_zero(p0[i][i].coefficient(s))
+                                for i in range(qs.dim)),
+            p0_upper_triangular=all(not p0[r][c] for r in range(qs.dim)
+                                    for c in range(r)),
+            p0_diagonal_matches=all(p0[i][i] == e
+                                    for i, e in enumerate(expect)),
         ))
     return out
 
@@ -541,7 +522,7 @@ def q_degree_report(sites, order: int = 1) -> list[SectorDegreeData]:
 def q_leading_coefficient_series(sites, order: int, s: int) -> list:
     """Coefficient of the top spin power on sector s, one numeric matrix
     per series order."""
-    return yangian_q(sites, order).restrict(s).coefficient(s).tables
+    return yangian_q(sites, order)[s].coefficient(s).tables
 
 
 def two_site_leading_closed_form(a1, a2, order: int) -> list:
@@ -568,28 +549,36 @@ def two_site_leading_residual(a1, a2, order: int) -> float:
 
 def tq_residual(sites, order: int, drop_second_term: bool = False) -> float:
     """Exact defect of (two-dim transfer) x Q against the two shifted-Q
-    terms weighted by the site products; `drop_second_term` removes the
-    series-graded term as a negative control."""
+    terms weighted by the site products, the largest over the sectors;
+    `drop_second_term` removes the series-graded term as a negative
+    control."""
     t1 = yangian_transfer(build_module("finite", spin=1), sites,
                           min(order, 1))
-    q = yangian_q(sites, order)
     w0, w1 = (math.prod((Poly((a + c, 1)) for a in sites), start=Poly((1,)))
               for c in (0, 1))
     if drop_second_term:
         w1 = 0
-    rhs = q.shift_var(1).combine(q.shift_var(-1).times_p(),
-                                 lambda x, y: x * w0 + y * w1)
-    return t1.mul(q, order).residual(rhs, order)
+
+    def sector(ts, qs):
+        rhs = qs.shift_var(1).combine(qs.shift_var(-1).times_p(),
+                                      lambda x, y: x * w0 + y * w1)
+        return ts.mul(qs, order).residual(rhs, order)
+
+    return max(map(sector, t1, yangian_q(sites, order)))
 
 
 def product_residual(X: YangianModule, Y: YangianModule, sites,
                      order: int) -> float:
     """Transfer matrix of the coproduct module against the product of the
-    factors' transfer matrices, exact to the stated order."""
-    tx = yangian_transfer(X, sites, order)
-    ty = yangian_transfer(Y, sites, order)
-    txy = yangian_transfer(tensor_module(X, Y), sites, order)
-    return tx.mul(ty, order).residual(txy, order)
+    factors' transfer matrices, exact to the stated order, the largest
+    over the sectors."""
+    return max(
+        tx.mul(ty, order).residual(txy, order)
+        for tx, ty, txy in zip(yangian_transfer(X, sites, order),
+                               yangian_transfer(Y, sites, order),
+                               yangian_transfer(tensor_module(X, Y), sites,
+                                                order))
+    )
 
 
 def oscillator_comparison(sites, order: int) -> float:
@@ -598,13 +587,11 @@ def oscillator_comparison(sites, order: int) -> float:
     the oscillator leading spin coefficient is the identity at every
     series order.  Returns the largest exact defect."""
     L = len(sites)
-    q = yangian_q(sites, order)
     tb = yangian_transfer(
         build_module("oscillator", levels=order + L), sites, order
     )
 
-    def sector(s):
-        qs, ts = q.restrict(s), tb.restrict(s)
+    def sector(s, qs, ts):
         eye = [[int(r == c) for c in range(qs.dim)] for r in range(qs.dim)]
         flat = ts.coefficient(s).residual(
             PSeriesMatrix(ts.basis, [eye] * (order + 1)))
@@ -612,7 +599,7 @@ def oscillator_comparison(sites, order: int) -> float:
         damped = lead.combine(lead.times_p(), lambda x, y: x - y)
         return max(flat, qs.residual(damped.mul(ts, order), order))
 
-    return max(sector(s) for s in range(L + 1))
+    return max(map(sector, range(L + 1), yangian_q(sites, order), tb))
 
 
 # ---------------------------------------------------------------------------
@@ -645,50 +632,41 @@ def _power_sum(s: int, p: Fraction) -> Fraction:
 
 def q_exact_at_p(sites, p: Fraction, degree_margin: int = 2) -> list:
     """Baxter operator with the series summed exactly at a rational
-    grading point: each entry's level trace is a polynomial in the level
-    index of degree at most the site count, verified on extra sample
-    levels, so the sum is a finite combination of closed-form level
-    sums.  Returns a matrix of polynomials in the spin variable."""
+    grading point, one matrix of polynomials in the spin variable per
+    sector.  Each entry's level trace is a polynomial in the level index
+    of degree at most the site count, so in the Lagrange basis on levels
+    0..L its level sum (a finite combination of closed-form level sums)
+    and its values on the extra sample levels are fixed rational
+    combinations of its values on those levels; the extra levels verify
+    the degree."""
     L = len(sites)
-    npts = L + 1 + degree_margin
-    W = build_module("ladder", spin=SPIN_VARIABLE, levels=npts - 1 + L)
-    t = yangian_transfer(W, sites, npts - 1).bind_var(0)
-    dim = t.dim
-    weights = [_power_sum(s, p) for s in range(L + 1)]
-    out = [[Poly() for _ in range(dim)] for _ in range(dim)]
-    for r in range(dim):
-        for c in range(dim):
-            values = [t.get(i)[r][c] for i in range(npts)]
-            # solve the Vandermonde system on levels 0..L exactly
-            n = L + 1
-            mat = [[Fraction(i) ** s for s in range(n)] for i in range(n)]
-            rhs = [values[i] for i in range(n)]
-            for col in range(n):
-                piv = next(r2 for r2 in range(col, n) if mat[r2][col] != 0)
-                mat[col], mat[piv] = mat[piv], mat[col]
-                rhs[col], rhs[piv] = rhs[piv], rhs[col]
-                inv = 1 / mat[col][col]
-                mat[col] = [m * inv for m in mat[col]]
-                rhs[col] = rhs[col].scale(inv)
-                for r2 in range(n):
-                    if r2 != col and mat[r2][col] != 0:
-                        f = mat[r2][col]
-                        mat[r2] = [m - f * mc for m, mc in zip(mat[r2], mat[col])]
-                        rhs[r2] = rhs[r2] - rhs[col].scale(f)
-            coeffs = rhs
-            for i in range(n, npts):
-                pred = Poly()
-                for s in range(n):
-                    pred = pred + coeffs[s].scale(Fraction(i) ** s)
-                if pred != values[i]:
-                    raise ValueError(
-                        "level trace is not polynomial of the expected degree"
-                    )
-            acc = Poly()
-            for s in range(n):
-                acc = acc + coeffs[s].scale(weights[s])
-            out[r][c] = acc
-    return out
+    nodes = range(L + 1)
+    weights = [_power_sum(s, p) for s in nodes]
+    lagrange = [
+        math.prod((Poly((Fraction(-n, m - n), Fraction(1, m - n)))
+                   for n in nodes if n != m), start=Poly((1,)))
+        for m in nodes
+    ]
+    sum_weights = [sum(lag.coefficient(s) * weights[s] for s in nodes)
+                   for lag in lagrange]
+    checks = [(i, [lag(Fraction(i)) for lag in lagrange])
+              for i in range(L + 1, L + 1 + degree_margin)]
+
+    def mix(values, coeffs):
+        return sum((v.scale(c) for v, c in zip(values, coeffs)), Poly())
+
+    def summed(values):
+        if any(mix(values, w) != values[i] for i, w in checks):
+            raise ValueError(
+                "level trace is not polynomial of the expected degree"
+            )
+        return mix(values, sum_weights)
+
+    return [
+        [[summed([tab[r][c] for tab in qs.tables]) for c in range(qs.dim)]
+         for r in range(qs.dim)]
+        for qs in yangian_q(sites, L + degree_margin)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -733,9 +711,7 @@ def eigen_example_residual(a1: Fraction, a2: Fraction, p: Fraction) -> float:
     ]
     # Baxter operator eigenrelation at the summed grading point:
     # (1-p)^2 (t+a1+1) Q(z;p) v == cleared-eigenvalue (z - t) v  mod quad
-    full = q_exact_at_p((a1, a2), p)
-    idx = sector_indices(chain_basis(2), 1)
-    qmat = [[full[r][c] for c in idx] for r in idx]
+    qmat = q_exact_at_p((a1, a2), p)[1]  # basis (21, 12)
     scale = (1 - p) ** 2
     tvar = Poly.variable()
     for i in range(2):

@@ -16,6 +16,7 @@ from elliptic_baxter.qchar import (
     classify_highest_weight,
     element_add,
     element_deviation,
+    format_component,
     generalized_baxter,
     interchange_check,
     monomial_deviation,
@@ -202,6 +203,14 @@ class TestGeneralizedBaxter:
 
 
 class TestSerialization:
+    @pytest.mark.parametrize("factor,text", [
+        ((1, 0, 0.3 - 0.2j), "theta(z+(0.3-0.2i))"),
+        ((1, -1, 0.3 - 0.2j), "theta(z-x+(0.3-0.2i))"),
+        ((0, 0, 0.31), "theta(0.31)"),
+    ])
+    def test_theta_argument_signs(self, factor, text):
+        assert format_component(ThetaExpression.theta(*factor)) == text
+
     def test_text_and_json(self):
         q = qchar_asymptotic(2.0, 0.0, 2, P)
         txt = q.to_text()

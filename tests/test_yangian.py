@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from elliptic_baxter import yangian
 from elliptic_baxter.polyring import Poly, RatFn, as_poly, max_abs, poly_rem
 from elliptic_baxter.yangian import (
     SPIN_VARIABLE,
@@ -21,7 +22,7 @@ from elliptic_baxter.yangian import (
     qchar_oscillator_term,
     qybe_residual,
     rtt_residual,
-    sector_indices,
+    sector_basis,
     tensor_module,
     tq_residual,
     two_site_leading_residual,
@@ -189,6 +190,22 @@ def per_pair_transfer(X, sites, order, skip_cross_sector=True):
     return PSeriesMatrix(strings, tables, terminates=X.exact)
 
 
+def oracle_block(t, s):
+    """Entries of a dense chain-basis series between strings of sector s,
+    in `sector_basis` order."""
+    idx = [n for n, string in enumerate(t.basis) if string.count(1) == s]
+    return [[[tab[r][c] for c in idx] for r in idx] for tab in t.tables]
+
+
+def cross_sector_entries(t):
+    """Entries of a dense chain-basis series linking different sectors."""
+    return [tab[r][c]
+            for tab in t.tables
+            for r, rs in enumerate(t.basis)
+            for c, cs in enumerate(t.basis)
+            if rs.count(1) != cs.count(1)]
+
+
 ORACLE_SITES = (F(2, 3), F(-5, 7), F(9, 4), F(-1, 6))
 ORACLE_ORDER = 2
 ORACLE_MODULES = {
@@ -213,20 +230,25 @@ class TestTransfer:
     def test_matches_per_pair_oracle(self, kind, L, skip):
         X = ORACLE_MODULES[kind](L)
         sites = ORACLE_SITES[:L]
-        got = yangian_transfer(X, sites, ORACLE_ORDER, skip_cross_sector=skip)
+        got = yangian_transfer(X, sites, ORACLE_ORDER)
         ref = per_pair_transfer(X, sites, ORACLE_ORDER, skip_cross_sector=skip)
-        assert got.basis == ref.basis and got.terminates == ref.terminates
-        assert got.tables == ref.tables
+        assert ref.basis == chain_basis(L) and len(got) == L + 1
+        for s, block in enumerate(got):
+            assert block.basis == sector_basis(L, s)
+            assert block.terminates == ref.terminates
+            assert block.tables == oracle_block(ref, s)
+        if not skip:
+            assert not any(cross_sector_entries(ref))
 
     def test_single_site_defining_module(self):
         a = F(3, 4)
-        t = yangian_transfer(build_module("finite", spin=1), (a,), 1)
-        assert t.basis == ((1,), (2,))
-        assert t.get(0)[0][0] == Poly((a + 1, 1))
-        assert t.get(0)[1][1] == Poly((a, 1))
-        assert t.get(1)[0][0] == Poly((a, 1))
-        assert t.get(1)[1][1] == Poly((a + 1, 1))
-        assert not t.get(0)[0][1] and not t.get(1)[1][0]
+        t2, t1 = yangian_transfer(build_module("finite", spin=1), (a,), 1)
+        # one string per sector, so no entry links (1,) and (2,)
+        assert t1.basis == ((1,),) and t2.basis == ((2,),)
+        assert t1.get(0)[0][0] == Poly((a + 1, 1))
+        assert t2.get(0)[0][0] == Poly((a, 1))
+        assert t1.get(1)[0][0] == Poly((a, 1))
+        assert t2.get(1)[0][0] == Poly((a + 1, 1))
 
     def test_zero_site_rejected(self):
         with pytest.raises(ValueError):
@@ -239,8 +261,8 @@ class TestTransfer:
 
     def test_sector_preservation(self):
         W = build_module("ladder", spin=F(5, 3), levels=6)
-        t = yangian_transfer(W, SITES, 3, skip_cross_sector=False)
-        assert t.cross_sector_residual() == 0.0
+        t = per_pair_transfer(W, SITES, 3, skip_cross_sector=False)
+        assert not any(cross_sector_entries(t))
 
     def test_product_rule_exact(self):
         X = build_module("ladder", spin=F(5, 3), levels=7)
@@ -279,24 +301,61 @@ class TestBaxterOperator:
         assert two_site_leading_residual(*SITES, 12) == 0
 
     def test_sector_preservation(self):
-        q = yangian_q(SITES, 3)
-        assert q.cross_sector_residual() == 0.0
+        W = build_module("ladder", spin=SPIN_VARIABLE, levels=3 + len(SITES))
+        ref = per_pair_transfer(W, SITES, 3,
+                                skip_cross_sector=False).bind_var(0)
+        assert not any(cross_sector_entries(ref))
+        for s, block in enumerate(yangian_q(SITES, 3)):
+            assert block.tables == oracle_block(ref, s)
+
+    def test_leading_coefficient_is_read_from_q(self, monkeypatch):
+        exact_q = yangian.yangian_q
+
+        def top_dropped(sites, order):
+            # zero the top spin coefficient of every level-zero diagonal
+            blocks = exact_q(sites, order)
+            for s, qs in enumerate(blocks):
+                p0 = qs.get(0)
+                for i in range(qs.dim):
+                    p0[i][i] = Poly(p0[i][i].coeffs[:s])
+            return blocks
+
+        monkeypatch.setattr(yangian, "yangian_q", top_dropped)
+        report = q_degree_report(SITES, order=1)
+        assert len(report) == len(SITES) + 1
+        assert not any(d.leading_nonzero for d in report)
 
     def test_exact_summation_matches_series(self):
         p = F(1, 7)
         full = q_exact_at_p(SITES, p)
         q = yangian_q(SITES, 60)
         z0 = 0.37
-        for r in range(4):
-            for c in range(4):
-                exact = sum(float(cc) * z0**m
-                            for m, cc in enumerate(full[r][c].coeffs))
-                approx = sum(
-                    float(p)**k * sum(float(cc) * z0**m for m, cc in
-                                      enumerate(q.get(k)[r][c].coeffs))
-                    for k in range(61)
-                )
-                assert abs(exact - approx) < 1e-12 * (1 + abs(exact))
+        assert [len(block) for block in full] == [qs.dim for qs in q]
+        for block, qs in zip(full, q):
+            for r in range(qs.dim):
+                for c in range(qs.dim):
+                    exact = sum(float(cc) * z0**m
+                                for m, cc in enumerate(block[r][c].coeffs))
+                    approx = sum(
+                        float(p)**k * sum(float(cc) * z0**m for m, cc in
+                                          enumerate(qs.get(k)[r][c].coeffs))
+                        for k in range(61)
+                    )
+                    assert abs(exact - approx) < 1e-12 * (1 + abs(exact))
+
+    def test_exact_summation_checks_extra_levels(self, monkeypatch):
+        exact_transfer = yangian.yangian_transfer
+
+        def perturbed(X, sites, order):
+            # the last level is an extra level of the degree check
+            blocks = exact_transfer(X, sites, order)
+            tab = blocks[1].get(order)
+            tab[0][0] = tab[0][0] + Poly((1,))
+            return blocks
+
+        monkeypatch.setattr(yangian, "yangian_transfer", perturbed)
+        with pytest.raises(ValueError):
+            q_exact_at_p(SITES, F(1, 7))
 
     def test_exact_summation_rejects_unit_point(self):
         with pytest.raises(ZeroDivisionError):
