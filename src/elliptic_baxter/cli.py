@@ -373,14 +373,15 @@ def run_yangian_all(cfg) -> list[CheckResult]:
              for d in degs)
     exact("q-degree-structure", {"sites": list(sites)},
           0.0 if ok else 1.0)
+    q = yangian.yangian_q(sites, order)
     if len(sites) == 2:
         exact("leading-coefficient-closed-form",
               {"sites": list(sites), "order": order},
-              yangian.two_site_leading_residual(*sites, order))
+              yangian.two_site_leading_residual(*sites, order, q=q))
     exact("tq-relation", {"sites": list(sites), "order": order},
-          yangian.tq_residual(sites, order))
+          yangian.tq_residual(sites, order, q=q))
     exact("oscillator-comparison", {"sites": list(sites), "order": order},
-          yangian.oscillator_comparison(sites, order))
+          yangian.oscillator_comparison(sites, order, q=q))
     exact("eigen-example", {"a1": Fraction(2, 3), "a2": Fraction(9, 5),
                             "p": Fraction(1, 3)},
           yangian.eigen_example_residual(

@@ -8,6 +8,7 @@ written that way on purpose)."""
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 
 def is_zero(v) -> bool:
@@ -152,6 +153,35 @@ def poly_rem(a: Poly, b: Poly) -> Poly:
             r[off + i] = r[off + i] - q * c
         r.pop()
     return Poly(r)
+
+
+def denominator(values) -> int:
+    """Least common multiple of the leaf denominators of exact values
+    (ints and Fractions), recursing through nested rings."""
+    d = 1
+    for v in values:
+        d = math.lcm(d, denominator(v.coeffs) if isinstance(v, Poly)
+                     else v.denominator)
+    return d
+
+
+def numerators(v, d: int):
+    """v times d with int leaves, recursing through nested rings; raises
+    ValueError when d does not clear a leaf's denominator."""
+    if isinstance(v, Poly):
+        return Poly(tuple(numerators(c, d) for c in v.coeffs))
+    q, r = divmod(d, v.denominator)
+    if r:
+        raise ValueError(f"{d} does not clear the denominator of {v}")
+    return v.numerator * q
+
+
+def over(v, d: int):
+    """Each leaf of v divided by d, as a Fraction, recursing through
+    nested rings."""
+    if isinstance(v, Poly):
+        return Poly(tuple(over(c, d) for c in v.coeffs))
+    return Fraction(v, d)
 
 
 def max_abs(v):

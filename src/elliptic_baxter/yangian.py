@@ -15,7 +15,17 @@ from fractions import Fraction
 from itertools import product as iproduct
 
 from .dynamical import prefix_plan
-from .polyring import Poly, RatFn, as_poly, exact_residual, is_zero, poly_rem
+from .polyring import (
+    Poly,
+    RatFn,
+    as_poly,
+    denominator,
+    exact_residual,
+    is_zero,
+    numerators,
+    over,
+    poly_rem,
+)
 
 SPIN_VARIABLE = Poly.variable()
 
@@ -288,6 +298,15 @@ def _zero_table(dim: int) -> list:
     return [[Poly() for _ in range(dim)] for _ in range(dim)]
 
 
+def _denominator(tables) -> int:
+    """One common denominator of every entry of a list of tables."""
+    return denominator(e for tab in tables for row in tab for e in row)
+
+
+def _numerators(tables, d: int) -> list:
+    return [[[numerators(e, d) for e in row] for row in tab] for tab in tables]
+
+
 @dataclass
 class PSeriesMatrix:
     """Truncated power series of matrices with polynomial entries;
@@ -321,7 +340,10 @@ class PSeriesMatrix:
         )
 
     def shift_var(self, c) -> "PSeriesMatrix":
-        return self.map_entries(lambda p: p.shift(c))
+        """Taylor shift v -> v + c of every entry, on the numerators over
+        one common denominator."""
+        d = _denominator(self.tables)
+        return self.map_entries(lambda p: over(numerators(p, d).shift(c), d))
 
     def bind_var(self, v) -> "PSeriesMatrix":
         return self.map_entries(lambda p: as_poly(p(v)))
@@ -335,34 +357,47 @@ class PSeriesMatrix:
         return PSeriesMatrix(self.basis, [_zero_table(self.dim)] + self.tables,
                              self.terminates)
 
-    def combine(self, other: "PSeriesMatrix", f) -> "PSeriesMatrix":
-        """Entrywise f(x, y) of two series, to the lower stored order."""
+    def weighted(self, other: "PSeriesMatrix", a, b) -> "PSeriesMatrix":
+        """Entrywise a*x + b*y of two series for scalar polynomials a and
+        b, to the lower stored order; the entries are multiplied on their
+        numerators over one common denominator."""
         if self.basis != other.basis:
             raise ValueError("mismatched chain bases")
+        tables = list(zip(self.tables, other.tables))
+        d = _denominator(t for pair in tables for t in pair)
+        dw = denominator((a, b))
+        na, nb = numerators(a, dw), numerators(b, dw)
         return PSeriesMatrix(self.basis, [
-            [[f(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(ta, tb)]
-            for ta, tb in zip(self.tables, other.tables)
+            [[over(numerators(x, d) * na + numerators(y, d) * nb, d * dw)
+              for x, y in zip(ra, rb)] for ra, rb in zip(ta, tb)]
+            for ta, tb in tables
         ])
 
     def mul(self, other: "PSeriesMatrix", order: int) -> "PSeriesMatrix":
+        """Truncated product to the stated order.  Each factor's
+        denominators are cleared once, the matrix products and their sums
+        run on int-leaf polynomials, and each output coefficient is
+        divided once by the product of the two denominators."""
         if self.basis != other.basis:
             raise ValueError("mismatched chain bases")
+        try:
+            fa = [self.get(k) for k in range(order + 1)]
+            fb = [other.get(k) for k in range(order + 1)]
+        except IndexError:
+            raise IndexError(
+                f"product order {order} exceeds factor truncations"
+            ) from None
+        da, db = _denominator(fa), _denominator(fb)
+        na, nb = _numerators(fa, da), _numerators(fb, db)
+        d = da * db
         tables = []
         for k in range(order + 1):
-            acc = None
-            for m in range(k + 1):
-                try:
-                    a, b = self.get(m), other.get(k - m)
-                except IndexError:
-                    raise IndexError(
-                        f"product order {order} exceeds factor truncations"
-                    ) from None
-                prod = _matmul(a, b)
-                acc = prod if acc is None else [
-                    [acc[i][j] + prod[i][j] for j in range(self.dim)]
-                    for i in range(self.dim)
-                ]
-            tables.append(acc)
+            acc = _matmul(na[0], nb[k])
+            for m in range(1, k + 1):
+                prod = _matmul(na[m], nb[k - m])
+                acc = [[x + y for x, y in zip(ra, rp)]
+                       for ra, rp in zip(acc, prod)]
+            tables.append([[over(e, d) for e in row] for row in acc])
         return PSeriesMatrix(self.basis, tables,
                              self.terminates and other.terminates)
 
@@ -519,12 +554,6 @@ def q_degree_report(sites, order: int = 1) -> list[SectorDegreeData]:
     return out
 
 
-def q_leading_coefficient_series(sites, order: int, s: int) -> list:
-    """Coefficient of the top spin power on sector s, one numeric matrix
-    per series order."""
-    return yangian_q(sites, order)[s].coefficient(s).tables
-
-
 def two_site_leading_closed_form(a1, a2, order: int) -> list:
     """Series coefficients of the one-index-sector leading matrix for two
     sites, on the basis (21, 12)."""
@@ -534,8 +563,14 @@ def two_site_leading_closed_form(a1, a2, order: int) -> list:
     ]
 
 
-def two_site_leading_residual(a1, a2, order: int) -> float:
-    got = q_leading_coefficient_series((a1, a2), order, 1)
+def two_site_leading_residual(a1, a2, order: int,
+                              q: list[PSeriesMatrix] | None = None) -> float:
+    """The top spin coefficient of the one-index sector of Q, one matrix
+    per series order, against the closed form.  `q` is
+    `yangian_q((a1, a2), order)`, built here when not given."""
+    if q is None:
+        q = yangian_q((a1, a2), order)
+    got = q[1].coefficient(1).tables
     ref = two_site_leading_closed_form(a1, a2, order)
     return exact_residual(
         got[k][i][j] - ref[k][i][j]
@@ -547,11 +582,13 @@ def two_site_leading_residual(a1, a2, order: int) -> float:
 # Functional relations
 # ---------------------------------------------------------------------------
 
-def tq_residual(sites, order: int, drop_second_term: bool = False) -> float:
+def tq_residual(sites, order: int, drop_second_term: bool = False,
+                q: list[PSeriesMatrix] | None = None) -> float:
     """Exact defect of (two-dim transfer) x Q against the two shifted-Q
     terms weighted by the site products, the largest over the sectors;
     `drop_second_term` removes the series-graded term as a negative
-    control."""
+    control.  `q` is `yangian_q(sites, order)`, built here when not
+    given."""
     t1 = yangian_transfer(build_module("finite", spin=1), sites,
                           min(order, 1))
     w0, w1 = (math.prod((Poly((a + c, 1)) for a in sites), start=Poly((1,)))
@@ -560,11 +597,12 @@ def tq_residual(sites, order: int, drop_second_term: bool = False) -> float:
         w1 = 0
 
     def sector(ts, qs):
-        rhs = qs.shift_var(1).combine(qs.shift_var(-1).times_p(),
-                                      lambda x, y: x * w0 + y * w1)
+        rhs = qs.shift_var(1).weighted(qs.shift_var(-1).times_p(), w0, w1)
         return ts.mul(qs, order).residual(rhs, order)
 
-    return max(map(sector, t1, yangian_q(sites, order)))
+    if q is None:
+        q = yangian_q(sites, order)
+    return max(map(sector, t1, q))
 
 
 def product_residual(X: YangianModule, Y: YangianModule, sites,
@@ -581,11 +619,13 @@ def product_residual(X: YangianModule, Y: YangianModule, sites,
     )
 
 
-def oscillator_comparison(sites, order: int) -> float:
+def oscillator_comparison(sites, order: int,
+                          q: list[PSeriesMatrix] | None = None) -> float:
     """Per sector, the Baxter operator against (1 - p) x (its leading
     spin coefficient) x (oscillator transfer matrix); also checks that
     the oscillator leading spin coefficient is the identity at every
-    series order.  Returns the largest exact defect."""
+    series order.  Returns the largest exact defect.  `q` is
+    `yangian_q(sites, order)`, built here when not given."""
     L = len(sites)
     tb = yangian_transfer(
         build_module("oscillator", levels=order + L), sites, order
@@ -596,10 +636,12 @@ def oscillator_comparison(sites, order: int) -> float:
         flat = ts.coefficient(s).residual(
             PSeriesMatrix(ts.basis, [eye] * (order + 1)))
         lead = qs.coefficient(s)
-        damped = lead.combine(lead.times_p(), lambda x, y: x - y)
+        damped = lead.weighted(lead.times_p(), 1, -1)
         return max(flat, qs.residual(damped.mul(ts, order), order))
 
-    return max(map(sector, range(L + 1), yangian_q(sites, order), tb))
+    if q is None:
+        q = yangian_q(sites, order)
+    return max(map(sector, range(L + 1), q, tb))
 
 
 # ---------------------------------------------------------------------------

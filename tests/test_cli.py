@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from elliptic_baxter import cli
+from elliptic_baxter import cli, yangian
 from elliptic_baxter.dynamical import SingularityError
 from elliptic_baxter.reports import (
     CheckResult,
@@ -103,6 +103,20 @@ class TestExitCodes:
                     "--no-timestamp"]) == 0
         out = capsys.readouterr().out
         assert "exact" in out and "residual=0.000e+00" in out
+
+    def test_yangian_all_builds_q_once(self, monkeypatch):
+        # the closed-form, TQ and oscillator checks share one Baxter operator
+        orders = []
+        exact_q = yangian.yangian_q
+
+        def counted(sites, order):
+            orders.append(order)
+            return exact_q(sites, order)
+
+        monkeypatch.setattr(yangian, "yangian_q", counted)
+        assert run(["yangian-all", "--sites", "1/2,2/3", "--order", "3",
+                    "--no-timestamp"]) == 0
+        assert orders.count(3) == 1
 
 
 class TestConfigFile:

@@ -5,7 +5,16 @@ import numpy as np
 import pytest
 
 from elliptic_baxter import yangian
-from elliptic_baxter.polyring import Poly, RatFn, as_poly, max_abs, poly_rem
+from elliptic_baxter.polyring import (
+    Poly,
+    RatFn,
+    as_poly,
+    denominator,
+    max_abs,
+    numerators,
+    over,
+    poly_rem,
+)
 from elliptic_baxter.yangian import (
     SPIN_VARIABLE,
     PSeriesMatrix,
@@ -36,6 +45,13 @@ from elliptic_baxter.yangian import (
 SITES = (F(2, 3), F(-5, 7))
 
 
+def leaves(v):
+    """The scalar leaves of a value of a nested polynomial ring."""
+    if isinstance(v, Poly):
+        return [leaf for c in v.coeffs for leaf in leaves(c)]
+    return [v]
+
+
 class TestPolyRing:
     def test_arithmetic_and_shift(self):
         p = Poly((F(1), F(2), F(3)))  # 1 + 2x + 3x^2
@@ -56,6 +72,39 @@ class TestPolyRing:
         b = RatFn(Poly((F(0), F(1))))
         assert a == b
         assert not a == RatFn(Poly((F(1), F(1))))
+
+    def test_numerators_refuse_an_uncleared_leaf(self):
+        # int() would truncate 1/3 * 2 to 0
+        with pytest.raises(ValueError):
+            numerators(F(1, 3), 2)
+        with pytest.raises(ValueError):
+            numerators(Poly((Poly((F(1, 2), F(1, 3))), F(1, 4))), 4)
+        assert numerators(F(-5, 6), 12) == -10
+        assert type(numerators(F(4, 2), 3)) is int
+
+    def test_denominator_is_the_lcm_of_the_leaves(self):
+        nested = Poly((Poly((F(1, 4), 3)), F(5, 6), Poly((F(7, 10),))))
+        assert denominator([nested, F(1, 9), 2]) == 180
+        assert denominator([Poly(), 0]) == 1
+
+    @pytest.mark.parametrize("entries", [
+        [e for tab in yangian_transfer(
+            build_module("ladder", spin=SPIN_VARIABLE, shift=F(1, 4),
+                         levels=4), (F(2, 3), F(-5, 7)), 2)[1].tables
+         for row in tab for e in row],
+        [Poly((F(10**400, 3), F(-1, 10**400))), F(7, 10**400),
+         Poly((Poly((F(1, 7), F(10**400))), F(-3, 2 * 10**400)))],
+    ], ids=["nested-spin", "magnitudes-1e400"])
+    def test_over_inverts_numerators(self, entries):
+        assert any(isinstance(c, Poly) for e in entries
+                   for c in as_poly(e).coeffs)
+        d = denominator(entries)
+        assert d > 1
+        for e in entries:
+            n = numerators(e, d)
+            assert all(type(leaf) is int for leaf in leaves(n))
+            assert max_abs(n) == max_abs(e) * d
+            assert over(n, d) == e
 
 
 class TestRMatrix:
@@ -275,6 +324,109 @@ class TestTransfer:
         assert product_residual(X, Y, SITES, 3) == 0.0
 
 
+def fraction_mul(x, y, order):
+    """Reference series product: `_matmul` on the exact entries, with the
+    sum over splittings accumulated in Fraction arithmetic."""
+    tables = []
+    for k in range(order + 1):
+        acc = None
+        for m in range(k + 1):
+            prod = yangian._matmul(x.get(m), y.get(k - m))
+            acc = prod if acc is None else [
+                [a + b for a, b in zip(ra, rp)] for ra, rp in zip(acc, prod)]
+        tables.append(acc)
+    return PSeriesMatrix(x.basis, tables, x.terminates and y.terminates)
+
+
+def entrywise_combine(x, y, f):
+    """Reference entrywise f(a, b) of two series, to the lower order."""
+    return PSeriesMatrix(x.basis, [
+        [[f(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(ta, tb)]
+        for ta, tb in zip(x.tables, y.tables)
+    ])
+
+
+def fraction_shift(x, c):
+    """Reference Taylor shift of every entry, in Fraction arithmetic."""
+    return x.map_entries(lambda p: p.shift(c))
+
+
+def assert_same_series(got, ref):
+    assert got.basis == ref.basis and got.terminates == ref.terminates
+    assert got.tables == ref.tables
+
+
+class TestIntegerSeriesCalculus:
+    """`mul`, `shift_var` and `weighted` run on cleared numerators; each
+    must equal its Fraction reference exactly."""
+
+    ORDER = 2
+
+    @pytest.mark.parametrize("L", [1, 2, 3, 4])
+    def test_baxter_and_transfer_sectors(self, L):
+        sites = ORACLE_SITES[:L]
+        q = yangian_q(sites, self.ORDER)
+        t = yangian_transfer(build_module("finite", spin=1), sites, 1)
+        osc = yangian_transfer(build_module("oscillator",
+                                            levels=self.ORDER + L),
+                               sites, self.ORDER)
+        w0, w1 = (math.prod((Poly((a + c, 1)) for a in sites),
+                            start=Poly((1,))) for c in (0, 1))
+        for s, (qs, ts, bs) in enumerate(zip(q, t, osc)):
+            assert_same_series(qs.mul(ts, self.ORDER),
+                               fraction_mul(qs, ts, self.ORDER))
+            assert_same_series(ts.mul(qs, self.ORDER),
+                               fraction_mul(ts, qs, self.ORDER))
+            for c in (1, -1, F(1, 3)):
+                assert_same_series(qs.shift_var(c), fraction_shift(qs, c))
+                assert_same_series(ts.shift_var(c), fraction_shift(ts, c))
+            up, down = qs.shift_var(1), qs.shift_var(-1).times_p()
+            for a, b in ((w0, w1), (w0, 0)):
+                assert_same_series(
+                    up.weighted(down, a, b),
+                    entrywise_combine(up, down, lambda x, y: x * a + y * b))
+            lead = qs.coefficient(s)
+            damped = lead.weighted(lead.times_p(), 1, -1)
+            assert_same_series(damped, entrywise_combine(
+                lead, lead.times_p(), lambda x, y: x - y))
+            assert_same_series(damped.mul(bs, self.ORDER),
+                               fraction_mul(damped, bs, self.ORDER))
+
+    @pytest.mark.parametrize("L", [1, 2, 3, 4])
+    def test_nested_ladder_transfer(self, L):
+        # entries are polynomials in z whose coefficients are polynomials
+        # in the spin, as before the spectral variable is bound
+        W = build_module("ladder", spin=SPIN_VARIABLE, shift=F(1, 4),
+                         levels=self.ORDER + L)
+        a, b = Poly((F(1, 3), 1)), Poly((F(-2, 7),))
+        for ts in yangian_transfer(W, ORACLE_SITES[:L], self.ORDER):
+            assert_same_series(ts.mul(ts, self.ORDER),
+                               fraction_mul(ts, ts, self.ORDER))
+            for c in (1, F(2, 5)):
+                assert_same_series(ts.shift_var(c), fraction_shift(ts, c))
+            up = ts.shift_var(1)
+            assert_same_series(
+                up.weighted(ts.times_p(), a, b),
+                entrywise_combine(up, ts.times_p(),
+                                  lambda x, y: x * a + y * b))
+
+    @pytest.mark.parametrize("L", [1, 2, 3, 4])
+    def test_terminating_times_non_terminating(self, L):
+        sites = ORACLE_SITES[:L]
+        order = 3
+        fin = yangian_transfer(build_module("finite", spin=2), sites, 1)
+        osc = yangian_transfer(build_module("oscillator", levels=order + L),
+                               sites, order)
+        for fs, bs in zip(fin, osc):
+            assert fs.terminates and not bs.terminates
+            for x, y in ((fs, bs), (bs, fs), (fs, fs)):
+                got = x.mul(y, order)
+                assert_same_series(got, fraction_mul(x, y, order))
+            assert fs.mul(fs, order).terminates
+        with pytest.raises(IndexError):
+            osc[0].mul(fin[0], order + 1)
+
+
 class TestExactResidual:
     ONE = ((1,),)
 
@@ -373,7 +525,22 @@ class TestFunctionalRelations:
         assert tq_residual((F(2, 3), F(-5, 7), F(9, 4)), 3) == 0.0
 
     def test_tq_negative_control(self):
-        assert tq_residual(SITES, 3, drop_second_term=True) > 0
+        # the exact magnitudes of the dropped term, so a defect divided by
+        # the wrong denominator cannot pass
+        assert tq_residual(SITES, 3, drop_second_term=True) \
+            == 18.068027210884352
+        assert tq_residual((F(2, 3), F(-5, 7), F(9, 4)), 3,
+                           drop_second_term=True) == 269.609977324263
+
+    def test_shared_baxter_operator(self):
+        sites = (F(2, 3), F(-5, 7), F(9, 4))
+        q = yangian_q(sites, 3)
+        assert tq_residual(sites, 3, q=q) == 0.0
+        assert tq_residual(sites, 3, drop_second_term=True, q=q) \
+            == 269.609977324263
+        assert oscillator_comparison(sites, 3, q=q) == 0.0
+        assert two_site_leading_residual(*SITES, 5,
+                                         q=yangian_q(SITES, 5)) == 0
 
     def test_oscillator_comparison_two_sites(self):
         assert oscillator_comparison(SITES, 10) == 0.0
