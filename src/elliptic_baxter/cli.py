@@ -367,13 +367,14 @@ def run_yangian_all(cfg) -> list[CheckResult]:
               yangian.build_module("ladder", spin=Fraction(5, 3), levels=6)))
     exact("rtt-oscillator", {"levels": 6},
           yangian.rtt_residual(yangian.build_module("oscillator", levels=6)))
-    degs = yangian.q_degree_report(sites, order=1)
+    # the degree check reads levels 0..1, so Q holds at least those
+    q = yangian.yangian_q(sites, max(order, 1))
+    degs = yangian.q_degree_report(sites, order=1, q=q)
     ok = all(d.degree_matches and d.leading_nonzero
              and d.p0_upper_triangular and d.p0_diagonal_matches
              for d in degs)
     exact("q-degree-structure", {"sites": list(sites)},
           0.0 if ok else 1.0)
-    q = yangian.yangian_q(sites, order)
     if len(sites) == 2:
         exact("leading-coefficient-closed-form",
               {"sites": list(sites), "order": order},

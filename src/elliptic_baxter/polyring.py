@@ -8,6 +8,7 @@ written that way on purpose)."""
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 
@@ -56,10 +57,10 @@ class Poly:
 
     def __add__(self, other) -> "Poly":
         if isinstance(other, Poly):
-            n = max(len(self.coeffs), len(other.coeffs))
-            return Poly(
-                (self.coefficient(i) + other.coefficient(i) for i in range(n))
-            )
+            a, b = self.coeffs, other.coeffs
+            # pairwise sums, then the longer one's tail as it is
+            return Poly(tuple(map(operator.add, a, b))
+                        + a[len(b):] + b[len(a):])
         if not self.coeffs:
             return Poly((other,))
         return Poly((self.coeffs[0] + other,) + self.coeffs[1:])

@@ -345,9 +345,6 @@ class PSeriesMatrix:
         d = _denominator(self.tables)
         return self.map_entries(lambda p: over(numerators(p, d).shift(c), d))
 
-    def bind_var(self, v) -> "PSeriesMatrix":
-        return self.map_entries(lambda p: as_poly(p(v)))
-
     def coefficient(self, s: int) -> "PSeriesMatrix":
         """Entrywise coefficient of the s-th power of the variable."""
         return self.map_entries(lambda p: p.coefficient(s))
@@ -429,20 +426,43 @@ def _row_times(rows: dict, cols: dict) -> dict:
 def yangian_transfer(X: YangianModule, sites,
                      order: int) -> list[PSeriesMatrix]:
     """Level-graded trace over the auxiliary module of the site-ordered
-    product of its entry operators, acting on the index-string basis.
-    Entries linking strings with different index counts vanish by the
-    weight grading, so the result is one series per sector s = 0..L, on
-    `sector_basis(L, s)`.
+    product of its entry operators, acting on the index-string basis,
+    with each site's entries shifted by the site.  Entries linking
+    strings with different index counts vanish by the weight grading, so
+    the result is one series per sector s = 0..L, on
+    `sector_basis(L, s)`."""
+    return _graded_trace(X, sites, order, lambda p, a: p.shift(a))
+
+
+def yangian_q(sites, order: int) -> list[PSeriesMatrix]:
+    """Baxter operator: ladder transfer matrix with the spin promoted to
+    a polynomial variable and the spectral variable bound to zero, one
+    series per sector; the entries are polynomials in that spin
+    variable.  Evaluation at zero is a ring homomorphism, so each site's
+    entries are evaluated at the site before the contraction."""
+    L = len(sites)
+    W = build_module("ladder", spin=SPIN_VARIABLE, levels=order + L)
+    return _graded_trace(W, sites, order, lambda p, a: as_poly(p(a)))
+
+
+def _graded_trace(X: YangianModule, sites, order: int,
+                  at) -> list[PSeriesMatrix]:
+    """The trace of `yangian_transfer`, with at(p, a) the value of the
+    module entry p at the site a.
 
     A left-to-right contraction over the prefix plan of the same-sector
     string pairs: per prefix and per start label of weight <= order, the
     row of that label in the prefix's product, formed once from its
     parent's row; the last site forms only the diagonal entry.  The plan
     is walked depth first, so only the rows along one path are held at a
-    time."""
+    time.  Each site's entries are cleared over one denominator, the
+    contraction runs on int-leaf polynomials, and each output entry is
+    divided once by the product of the site denominators."""
     L = len(sites)
     if L < 1:
         raise ValueError("need at least one site")
+    if not all(isinstance(a, (int, Fraction)) for a in sites):
+        raise ValueError("sites must be exact (int or Fraction)")
     if any(a == 0 for a in sites):
         raise ValueError("sites must be nonzero")
     if order < 0:
@@ -456,26 +476,37 @@ def yangian_transfer(X: YangianModule, sites,
     pairs = tuple((i, j) for i in strings for j in strings
                   if i.count(1) == j.count(1))
 
-    def at_site(a, tables):
-        return {ab: {lab: tuple((lab2, p.shift(a)) for lab2, p in rows)
+    def at_site(a):
+        # X.act[ab][lab] lists (lab2, p) for T_ab e_lab = ... + p e_lab2;
+        # here with p at the site, as numerators over one denominator d
+        vals = {ab: {lab: [(lab2, at(p, a)) for lab2, p in rows]
                      for lab, rows in table.items()}
-                for ab, table in tables.items()}
+                for ab, table in X.act.items()}
+        d = denominator(p for table in vals.values()
+                        for rows in table.values() for _, p in rows)
+        return d, {ab: {lab: tuple((lab2, numerators(p, d))
+                                   for lab2, p in rows)
+                        for lab, rows in table.items()}
+                   for ab, table in vals.items()}
 
-    # X.act[ab][lab] lists (lab2, p) for T_ab e_lab = ... + p e_lab2;
-    # by_row[ab][lab2] lists the same (lab, p) by row
-    by_row = {ab: {} for ab in X.act}
-    for ab, table in X.act.items():
+    def by_row(table):
+        # the same (lab, p) listed by the row label lab2
+        out = {}
         for lab, rows in table.items():
             for lab2, p in rows:
-                by_row[ab].setdefault(lab2, []).append((lab, p))
+                out.setdefault(lab2, []).append((lab, p))
+        return out
+
     plan = prefix_plan(pairs)
     # the prefixes one site longer than each prefix, per site
     children = [{} for _ in plan]
     for step, kids in zip(plan, children):
         for n, (parent, i, j) in enumerate(step):
             kids.setdefault(parent, []).append((n, i, j))
-    cols = [at_site(a, by_row) for a in sites[:-1]]
-    act = at_site(sites[-1], X.act)
+    cleared = [at_site(a) for a in sites]
+    cols = [{ab: by_row(table) for ab, table in tabs.items()}
+            for _, tabs in cleared[:-1]]
+    act = cleared[-1][1]
     bases = [sector_basis(L, s) for s in range(L + 1)]
     pos = {string: n for basis in bases for n, string in enumerate(basis)}
     tables = [[_zero_table(len(basis)) for _ in range(order + 1)]
@@ -496,18 +527,11 @@ def yangian_transfer(X: YangianModule, sites,
 
     descend(0, 0, {lab: {lab: Poly((1,))}
                    for lab, wt in X.weight.items() if wt <= order})
-    return [PSeriesMatrix(basis, sector, terminates=X.exact)
+    denom = math.prod(d for d, _ in cleared)
+    return [PSeriesMatrix(basis, [[[over(e, denom) for e in row]
+                                   for row in tab] for tab in sector],
+                          terminates=X.exact)
             for basis, sector in zip(bases, tables)]
-
-
-def yangian_q(sites, order: int) -> list[PSeriesMatrix]:
-    """Baxter operator: ladder transfer matrix with the spin promoted to
-    a polynomial variable and the spectral variable bound to zero, one
-    series per sector; the entries are polynomials in that spin
-    variable."""
-    L = len(sites)
-    W = build_module("ladder", spin=SPIN_VARIABLE, levels=order + L)
-    return [t.bind_var(0) for t in yangian_transfer(W, sites, order)]
 
 
 # ---------------------------------------------------------------------------
@@ -524,14 +548,21 @@ class SectorDegreeData:
     p0_diagonal_matches: bool
 
 
-def q_degree_report(sites, order: int = 1) -> list[SectorDegreeData]:
-    """Per-sector degree of the Baxter operator in its spin variable,
-    with the level-zero triangularity and diagonal checks; the leading
-    check reads Q's own top spin coefficient on the diagonal."""
+def q_degree_report(sites, order: int = 1,
+                    q: list[PSeriesMatrix] | None = None
+                    ) -> list[SectorDegreeData]:
+    """Per-sector degree of the Baxter operator in its spin variable over
+    levels 0..order, with the level-zero triangularity and diagonal
+    checks; the leading check reads Q's own top spin coefficient on the
+    diagonal.  `q` is `yangian_q(sites, n)` for some n >= order, built
+    here at n = order when not given."""
+    if q is None:
+        q = yangian_q(sites, order)
     out = []
-    for s, qs in enumerate(yangian_q(sites, order)):
+    for s, qs in enumerate(q):
         deg = max(
-            (e.degree for tab in qs.tables for row in tab for e in row if e),
+            (e.degree for k in range(order + 1) for row in qs.get(k)
+             for e in row if e),
             default=-1,
         )
         p0 = qs.get(0)

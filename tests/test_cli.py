@@ -105,18 +105,21 @@ class TestExitCodes:
         assert "exact" in out and "residual=0.000e+00" in out
 
     def test_yangian_all_builds_q_once(self, monkeypatch):
-        # the closed-form, TQ and oscillator checks share one Baxter operator
-        orders = []
+        # the degree, closed-form, TQ and oscillator checks share one
+        # Baxter operator of the chain (the eigen example builds its own,
+        # on its own sites)
+        builds = []
         exact_q = yangian.yangian_q
 
         def counted(sites, order):
-            orders.append(order)
+            builds.append((tuple(sites), order))
             return exact_q(sites, order)
 
         monkeypatch.setattr(yangian, "yangian_q", counted)
         assert run(["yangian-all", "--sites", "1/2,2/3", "--order", "3",
                     "--no-timestamp"]) == 0
-        assert orders.count(3) == 1
+        chain = (Fraction(1, 2), Fraction(2, 3))
+        assert [order for sites, order in builds if sites == chain] == [3]
 
 
 class TestConfigFile:

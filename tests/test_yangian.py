@@ -52,6 +52,20 @@ def leaves(v):
     return [v]
 
 
+def leaf_types(v):
+    """The nesting of a value with the type of each scalar leaf."""
+    if isinstance(v, Poly):
+        return tuple(leaf_types(c) for c in v.coeffs)
+    return type(v)
+
+
+def generator_add(p, q):
+    """Reference sum: one generator over the indices of the longer
+    polynomial, reading a missing coefficient as 0."""
+    n = max(len(p.coeffs), len(q.coeffs))
+    return Poly((p.coefficient(i) + q.coefficient(i) for i in range(n)))
+
+
 class TestPolyRing:
     def test_arithmetic_and_shift(self):
         p = Poly((F(1), F(2), F(3)))  # 1 + 2x + 3x^2
@@ -60,6 +74,24 @@ class TestPolyRing:
         assert p.shift(F(1, 2))(F(0)) == p(F(1, 2))
         assert p - p == Poly()
         assert poly_rem(p * q + Poly((F(5),)), q) == Poly((F(5),))
+
+    @pytest.mark.parametrize("p,q", [
+        (Poly((1, 2, 3)), Poly((4,))),
+        (Poly((F(1, 2), F(1, 3))), Poly((F(1, 2), F(-1, 3), F(2)))),
+        (Poly((1, F(1, 3), 5)), Poly((F(2, 3), 2))),
+        (Poly((Poly((1, F(1, 2))), 2)),
+         Poly((3, Poly((F(1, 3),)), Poly((0, 1))))),
+        (Poly((1, Poly(), Poly((F(1, 2), 1)))), Poly((Poly((2,)),))),
+        (Poly((F(1, 2), Poly((1, 2)))), -Poly((F(1, 2), Poly((1, 2))))),
+        (Poly((1, 2, 3)), Poly((4, -2, -3))),
+        (Poly(), Poly((Poly((F(1, 7),)),))),
+    ], ids=["int", "fraction", "mixed", "nested", "nested-tail",
+            "cancel-to-zero", "cancel-top", "zero"])
+    def test_add_matches_generator_form(self, p, q):
+        for x, y in ((p, q), (q, p)):
+            got, ref = x + y, generator_add(x, y)
+            assert got == ref
+            assert leaf_types(got) == leaf_types(ref)
 
     def test_nested_coefficients(self):
         inner = Poly((F(1), F(1)))
@@ -303,6 +335,14 @@ class TestTransfer:
         with pytest.raises(ValueError):
             yangian_transfer(build_module("finite", spin=1), (F(0), F(1)), 0)
 
+    @pytest.mark.parametrize("site", [0.5, 0.5 + 0j])
+    def test_inexact_site_rejected(self, site):
+        with pytest.raises(ValueError):
+            yangian_transfer(build_module("finite", spin=1),
+                             (F(2, 3), site), 1)
+        with pytest.raises(ValueError):
+            yangian_q((site, F(2, 3)), 1)
+
     def test_shallow_truncation_rejected(self):
         W = build_module("ladder", spin=F(5, 3), levels=3)
         with pytest.raises(ValueError):
@@ -427,6 +467,15 @@ class TestIntegerSeriesCalculus:
             osc[0].mul(fin[0], order + 1)
 
 
+def nested_then_bound_q(sites, order):
+    """Reference Baxter operator: the transfer matrix of the symbolic-spin
+    ladder, on nested (z, spin) entries, with every entry evaluated at
+    z = 0 afterwards."""
+    W = build_module("ladder", spin=SPIN_VARIABLE, levels=order + len(sites))
+    return [t.map_entries(lambda p: as_poly(p(0)))
+            for t in yangian_transfer(W, sites, order)]
+
+
 class TestExactResidual:
     ONE = ((1,),)
 
@@ -454,11 +503,39 @@ class TestBaxterOperator:
 
     def test_sector_preservation(self):
         W = build_module("ladder", spin=SPIN_VARIABLE, levels=3 + len(SITES))
-        ref = per_pair_transfer(W, SITES, 3,
-                                skip_cross_sector=False).bind_var(0)
+        ref = per_pair_transfer(W, SITES, 3, skip_cross_sector=False)
+        ref = ref.map_entries(lambda p: as_poly(p(0)))
         assert not any(cross_sector_entries(ref))
         for s, block in enumerate(yangian_q(SITES, 3)):
             assert block.tables == oracle_block(ref, s)
+
+    @pytest.mark.parametrize("sites", [
+        ORACLE_SITES[:L] + (F(3, 5), F(7, 2))[:max(0, L - 4)]
+        for L in range(1, 7)
+    ] + [
+        (F(1, 10**20 + 39), F(-7, 3**40)),
+        (3, F(2**61 - 1, 2**64 + 13), -2, F(-10**18 - 9, 10**18 + 3)),
+    ], ids=[f"{L}site" for L in range(1, 7)] + ["large-2site",
+                                                "large-4site"])
+    def test_bound_per_site_matches_nested_oracle(self, sites):
+        order = 2 if len(sites) < 6 else 1
+        got = yangian_q(sites, order)
+        ref = nested_then_bound_q(sites, order)
+        assert len(got) == len(ref) == len(sites) + 1
+        for g, r in zip(got, ref):
+            assert_same_series(g, r)
+
+    def test_lower_orders_are_truncations(self):
+        # the degree check reads levels 0..1 of a higher-order Q
+        for L in range(1, 5):
+            sites = ORACLE_SITES[:L]
+            low = yangian_q(sites, 1)
+            for order in (2, 3):
+                high = yangian_q(sites, order)
+                assert [qs.tables[:2] for qs in high] == \
+                    [qs.tables for qs in low]
+                assert q_degree_report(sites, 1, q=high) == \
+                    q_degree_report(sites, 1)
 
     def test_leading_coefficient_is_read_from_q(self, monkeypatch):
         exact_q = yangian.yangian_q
@@ -496,16 +573,16 @@ class TestBaxterOperator:
                     assert abs(exact - approx) < 1e-12 * (1 + abs(exact))
 
     def test_exact_summation_checks_extra_levels(self, monkeypatch):
-        exact_transfer = yangian.yangian_transfer
+        exact_q = yangian.yangian_q
 
-        def perturbed(X, sites, order):
+        def perturbed(sites, order):
             # the last level is an extra level of the degree check
-            blocks = exact_transfer(X, sites, order)
+            blocks = exact_q(sites, order)
             tab = blocks[1].get(order)
             tab[0][0] = tab[0][0] + Poly((1,))
             return blocks
 
-        monkeypatch.setattr(yangian, "yangian_transfer", perturbed)
+        monkeypatch.setattr(yangian, "yangian_q", perturbed)
         with pytest.raises(ValueError):
             q_exact_at_p(SITES, F(1, 7))
 
