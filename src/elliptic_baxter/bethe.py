@@ -5,14 +5,23 @@ logarithmic residual, and the exact two-site polynomial system."""
 from __future__ import annotations
 
 import cmath
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .theta import EllipticParams, PoleError, lattice_distance, lattice_reduce, theta_eval
 
 _POLE_GUARD = 1e-8
+# Newton: iteration cap, log-residual norm to stop at, finite-difference step
+_NEWTON_MAX_ITER = 80
+_NEWTON_TOL = 1e-12
+_FD_STEP = 1e-7
+# an accepted root set must meet the multiplicative system to this norm
+_RESIDUAL_TOL = 1e-10
+# sum-rule defect below which the rule counts as met
+_SUM_RULE_TOL = 1e-6
+# leading coefficients below this count as zero in the two-site system
+_DEGENERATE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -30,11 +39,11 @@ class BetheConfig:
         if len(self.roots) != self.n:
             raise ValueError("root count must equal n")
 
-    def annotated(self, params: EllipticParams, tol: float = 1e-6) -> "BetheConfig":
+    def annotated(self, params: EllipticParams) -> "BetheConfig":
         d = sum(self.roots) - self.n * self.a
         defect = lattice_distance(d, params)
         return BetheConfig(self.n, self.a, self.p, self.roots,
-                           sum_rule_defect=complex(d), sum_rule_ok=bool(defect < tol))
+                           sum_rule_defect=complex(d), sum_rule_ok=bool(defect < _SUM_RULE_TOL))
 
 
 def _theta_ratio(z: complex, params: EllipticParams) -> complex:
@@ -115,24 +124,24 @@ def _same_solution(r1, r2, params, tol=1e-6) -> bool:
     return not left
 
 
-def _newton(seed, n, a, p, params, max_iter, tol, fd_step=1e-7):
+def _newton(seed, n, a, p, params):
     roots = np.array(seed, dtype=complex)
     trace = []
-    for it in range(max_iter):
+    for it in range(_NEWTON_MAX_ITER):
         try:
             r = _log_residual(roots, n, a, p, params)
         except PoleError:
             return None, NewtonFailure(tuple(seed), it, trace, "pole during iteration")
         nr = float(np.linalg.norm(r))
         trace.append(nr)
-        if nr < tol:
+        if nr < _NEWTON_TOL:
             return roots, None
         jac = np.zeros((n, n), dtype=complex)
         try:
             for j in range(n):
                 bumped = roots.copy()
-                bumped[j] += fd_step
-                jac[:, j] = (_log_residual(bumped, n, a, p, params) - r) / fd_step
+                bumped[j] += _FD_STEP
+                jac[:, j] = (_log_residual(bumped, n, a, p, params) - r) / _FD_STEP
             step = np.linalg.solve(jac, r)
         except (PoleError, np.linalg.LinAlgError):
             return None, NewtonFailure(tuple(seed), it, trace, "singular Jacobian")
@@ -148,7 +157,7 @@ def _newton(seed, n, a, p, params, max_iter, tol, fd_step=1e-7):
             lam *= 0.5
         else:
             return None, NewtonFailure(tuple(seed), it, trace, "no descent direction")
-    return None, NewtonFailure(tuple(seed), max_iter, trace, "max iterations reached")
+    return None, NewtonFailure(tuple(seed), _NEWTON_MAX_ITER, trace, "max iterations reached")
 
 
 def _default_seeds(n, a, params, count, seed):
@@ -174,8 +183,7 @@ def _default_seeds(n, a, params, count, seed):
 
 def elliptic_bethe_solve(
     n: int, a: complex, p: complex, params: EllipticParams,
-    seeds=None, max_iter: int = 80, tol: float = 1e-12,
-    residual_tol: float = 1e-10, seed: int = 7, seed_count: int = 40,
+    seeds=None, seed: int = 7, seed_count: int = 40,
 ) -> SolveReport:
     """Damped Newton runs from many seeds, deduplicated as unordered root
     multisets on the torus, each annotated with the sum-rule defect."""
@@ -184,14 +192,14 @@ def elliptic_bethe_solve(
     solutions: list[BetheConfig] = []
     failures: list[NewtonFailure] = []
     for s in seeds:
-        roots, fail = _newton(s, n, a, p, params, max_iter, tol)
+        roots, fail = _newton(s, n, a, p, params)
         if roots is None:
             failures.append(fail)
             continue
         cfg = BetheConfig(n, complex(a), complex(p), tuple(roots))
         try:
-            if float(np.linalg.norm(elliptic_bethe_residual(cfg, params))) > residual_tol:
-                failures.append(NewtonFailure(tuple(s), max_iter, [], "converged off-solution"))
+            if float(np.linalg.norm(elliptic_bethe_residual(cfg, params))) > _RESIDUAL_TOL:
+                failures.append(NewtonFailure(tuple(s), _NEWTON_MAX_ITER, [], "converged off-solution"))
                 continue
         except PoleError:
             continue
@@ -217,19 +225,18 @@ class YangianBetheResult:
     degenerate_discriminant: bool
 
 
-def yangian_bethe_solve(a1: complex, a2: complex, p: complex,
-                        tol: float = 1e-12) -> YangianBetheResult:
+def yangian_bethe_solve(a1: complex, a2: complex, p: complex) -> YangianBetheResult:
     """Roots of p(z+a1+1)(z+a2+1) = (z+a1)(z+a2)."""
     a1, a2, p = complex(a1), complex(a2), complex(p)
     qa = 1 - p
     qb = (a1 + a2) * (1 - p) - 2 * p
     qc = a1 * a2 - p * (a1 + 1) * (a2 + 1)
-    if abs(qa) < tol:
-        if abs(qb) < tol:
+    if abs(qa) < _DEGENERATE_TOL:
+        if abs(qb) < _DEGENERATE_TOL:
             raise ZeroDivisionError("degenerate system: no z dependence")
         return YangianBetheResult((-qc / qb,), True, False)
     disc = qb * qb - 4 * qa * qc
     crit = (a1 - a2) ** 2 + 4 * p / (1 - p) ** 2
     s = cmath.sqrt(disc)
     roots = ((-qb + s) / (2 * qa), (-qb - s) / (2 * qa))
-    return YangianBetheResult(roots, False, bool(abs(crit) < tol))
+    return YangianBetheResult(roots, False, bool(abs(crit) < _DEGENERATE_TOL))

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import datetime
+import math
 import os
 import sys
 from fractions import Fraction
@@ -120,7 +121,7 @@ class RunConfig:
         self.depth = _as_int("depth", raw["depth"], lo=0)
         self.samples = _as_int("samples", raw["samples"], lo=1)
         self.seed = _as_int("seed", raw["seed"], lo=0)
-        self.tol = None if raw["tol"] is None else float(raw["tol"])
+        self.tol = None if raw["tol"] is None else _as_tol(raw["tol"])
         self.format = raw["format"]
         if self.format not in ("json", "csv", "text"):
             raise ConfigError(f"format: unknown format {self.format!r}")
@@ -149,6 +150,16 @@ class RunConfig:
 
 def _as_real_or_complex(c: complex):
     return c.real if c.imag == 0 else c
+
+
+def _as_tol(value) -> float:
+    try:
+        v = float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"tol: expected a number, got {value!r}") from None
+    if not math.isfinite(v) or v < 0:
+        raise ConfigError(f"tol: must be finite and >= 0, got {value!r}")
+    return v
 
 
 def _as_int(name, value, lo):

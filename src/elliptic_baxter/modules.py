@@ -5,7 +5,7 @@ relations, Gauss decomposition, and the highest-weight predicates."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -24,11 +24,14 @@ from .theta import (
     ThetaExpression,
     ThetaSum,
     in_hbar_inv_lattice,
-    theta_eval,
 )
 
 _SIGNS = ("+", "-")
 _BIDEG = {"+": 1, "-": -1}
+# singular values below this share of the largest count as kernel; those
+# between it and the second bound make the count indeterminate
+_KERNEL_REL_TOL = 1e-8
+_KERNEL_INDETERMINATE = 1e-6
 
 
 def _th(cz, cx, shift, power=1):
@@ -77,42 +80,36 @@ def _slot_weight(idx: int) -> int:
     return 1 if idx == 0 else -1
 
 
+def _embed_r(slots, spectral, x, params: EllipticParams, shifted=False) -> np.ndarray:
+    """R on the slot pair ``slots`` of the 8-dimensional triple tensor space;
+    when ``shifted``, its dynamical argument moves by hbar times the weight
+    of the third slot."""
+    i, j = slots
+    k = 3 - i - j
+    m = np.zeros((8, 8), dtype=complex)
+    for c in range(2):
+        xv = x + (params.hbar * _slot_weight(c) if shifted else 0.0)
+        r = r_matrix(spectral, xv, params)
+        for a, b, ap, bp in product(range(2), repeat=4):
+            row, col = [0, 0, 0], [0, 0, 0]
+            row[i], row[j], row[k] = a, b, c
+            col[i], col[j], col[k] = ap, bp, c
+            m[4 * row[0] + 2 * row[1] + row[2],
+              4 * col[0] + 2 * col[1] + col[2]] = r[2 * a + b, 2 * ap + bp]
+    return m
+
+
 def qdybe_residual(z: complex, w: complex, x: complex, params: EllipticParams) -> float:
     """Relative Frobenius-norm residual of the dynamical Yang-Baxter
     equation on the 8-dimensional triple tensor space; the dynamical
     argument of each two-slot R is shifted by hbar times the weight of the
     untouched slot."""
-    h = params.hbar
-
-    def op12(spectral, base_x, shift_by_slot3=False):
-        m = np.zeros((8, 8), dtype=complex)
-        for c in range(2):
-            xv = base_x + (h * _slot_weight(c) if shift_by_slot3 else 0.0)
-            r = r_matrix(spectral, xv, params)
-            for a, b, ap, bp in product(range(2), repeat=4):
-                m[4 * a + 2 * b + c, 4 * ap + 2 * bp + c] = r[2 * a + b, 2 * ap + bp]
-        return m
-
-    def op13(spectral, base_x, shift_by_slot2=False):
-        m = np.zeros((8, 8), dtype=complex)
-        for b in range(2):
-            xv = base_x + (h * _slot_weight(b) if shift_by_slot2 else 0.0)
-            r = r_matrix(spectral, xv, params)
-            for a, c, ap, cp in product(range(2), repeat=4):
-                m[4 * a + 2 * b + c, 4 * ap + 2 * b + cp] = r[2 * a + c, 2 * ap + cp]
-        return m
-
-    def op23(spectral, base_x, shift_by_slot1=False):
-        m = np.zeros((8, 8), dtype=complex)
-        for a in range(2):
-            xv = base_x + (h * _slot_weight(a) if shift_by_slot1 else 0.0)
-            r = r_matrix(spectral, xv, params)
-            for b, c, bp, cp in product(range(2), repeat=4):
-                m[4 * a + 2 * b + c, 4 * a + 2 * bp + cp] = r[2 * b + c, 2 * bp + cp]
-        return m
-
-    lhs = op12(z - w, x, shift_by_slot3=True) @ op13(z, x) @ op23(w, x, shift_by_slot1=True)
-    rhs = op23(w, x) @ op13(z, x, shift_by_slot2=True) @ op12(z - w, x)
+    lhs = (_embed_r((0, 1), z - w, x, params, shifted=True)
+           @ _embed_r((0, 2), z, x, params)
+           @ _embed_r((1, 2), w, x, params, shifted=True))
+    rhs = (_embed_r((1, 2), w, x, params)
+           @ _embed_r((0, 2), z, x, params, shifted=True)
+           @ _embed_r((0, 1), z - w, x, params))
     scale = max(1.0, np.linalg.norm(lhs), np.linalg.norm(rhs))
     return float(np.linalg.norm(lhs - rhs) / scale)
 
@@ -438,10 +435,7 @@ class KernelCount:
     indeterminate: bool
 
 
-def highest_vector_count(
-    X: EllipticModule, z_samples, x: complex, rel_tol: float = 1e-8,
-    indeterminate_band: float = 1e-6
-) -> KernelCount:
+def highest_vector_count(X: EllipticModule, z_samples, x: complex) -> KernelCount:
     """Dimension of the joint kernel of L_{-+}(z_s) over the samples."""
     mats = [X.entry_matrix("-+", z, x) for z in z_samples]
     stacked = np.vstack(mats)
@@ -450,8 +444,8 @@ def highest_vector_count(
     if smax == 0:
         return KernelCount(X.basis.size, False)
     rel = sv / smax
-    dim = X.basis.size - int(np.sum(rel >= rel_tol))
-    indet = bool(np.any((rel > rel_tol) & (rel < indeterminate_band)))
+    dim = X.basis.size - int(np.sum(rel >= _KERNEL_REL_TOL))
+    indet = bool(np.any((rel > _KERNEL_REL_TOL) & (rel < _KERNEL_INDETERMINATE)))
     return KernelCount(dim, indet)
 
 

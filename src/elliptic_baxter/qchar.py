@@ -9,6 +9,7 @@ import cmath
 import json
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .dynamical import _coset_offset, worst_residual
 from .modules import (
@@ -27,6 +28,8 @@ from .theta import (
 _MERGE_TOL = 1e-9
 _MATCH_TOL = 1e-6
 _MIN_VALID_SAMPLES = 5
+_CATEGORY_TOL = 1e-8
+_X_REF = 0.2337 + 0.1711j
 
 
 class CategoryConditionError(ValueError):
@@ -34,8 +37,21 @@ class CategoryConditionError(ValueError):
     make its character well defined."""
 
 
-def _default_zpoints(params: EllipticParams) -> list[complex]:
-    return SamplePlan(seed=173, count=10, pole_margin=5e-2).points(params)
+@lru_cache(maxsize=32)
+def _zgrid(params: EllipticParams) -> tuple[complex, ...]:
+    """The z sample grid of every ratio test and probe under ``params``;
+    drawn once per parameter set from the fixed seed."""
+    return tuple(SamplePlan(seed=173, count=10, pole_margin=5e-2).points(params))
+
+
+def _rounded(c: complex) -> tuple[float, float]:
+    return (round(c.real, 9), round(c.imag, 9))
+
+
+def _factor_key(c: ThetaExpression) -> tuple:
+    """Rounded factor multiset of a canonical form, scalar excluded."""
+    return (_rounded(c.exp_z) + _rounded(c.exp_x),
+            tuple((f.cz, f.cx, *_rounded(f.shift), f.power) for f in c.factors))
 
 
 def _fmt_c(c: complex) -> str:
@@ -72,9 +88,13 @@ def format_component(comp) -> str:
 
 class WeightMonomial:
     """A pair of z-functions carrying a t-weight; the pair is considered up
-    to the rescaling (a+, a-) ~ (c*a+, a-/c)."""
+    to the rescaling (a+, a-) ~ (c*a+, a-/c).
 
-    __slots__ = ("aplus", "aminus", "weight", "_vals")
+    ``key`` is a hashable invariant of that class for symbolic components
+    and None for numeric ones.
+    """
+
+    __slots__ = ("aplus", "aminus", "weight", "key", "_vals")
 
     def __init__(self, aplus, aminus, weight: complex):
         if isinstance(aplus, ThetaExpression) and not aplus.is_x_free():
@@ -85,27 +105,11 @@ class WeightMonomial:
         self.aminus = aminus
         self.weight = complex(weight)
         self._vals: dict = {}
-
-    @property
-    def symbolic(self) -> bool:
-        return isinstance(self.aplus, ThetaExpression) and isinstance(
-            self.aminus, ThetaExpression
-        )
-
-    def canonical_key(self):
-        """Hashable invariant of the scalar-equivalence class, or None for
-        numeric components."""
-        if not self.symbolic:
-            return None
-        ap = self.aplus.canonical()
-        am = self.aminus.canonical()
-        prod_scalar = ap.scalar * am.scalar
-        return (
-            self.aplus.factor_key(),
-            self.aminus.factor_key(),
-            (round(prod_scalar.real, 9), round(prod_scalar.imag, 9)),
-            (round(self.weight.real, 9), round(self.weight.imag, 9)),
-        )
+        self.key = None
+        if isinstance(aplus, ThetaExpression) and isinstance(aminus, ThetaExpression):
+            ap, am = aplus.canonical(), aminus.canonical()
+            self.key = (_factor_key(ap), _factor_key(am),
+                        _rounded(ap.scalar * am.scalar), _rounded(self.weight))
 
     def values(self, z: complex, params: EllipticParams) -> tuple[complex, complex]:
         key = complex(z)
@@ -152,20 +156,18 @@ def _eval_component(comp, z: complex, params: EllipticParams) -> complex:
 
 
 def monomial_deviation(
-    m1: WeightMonomial, m2: WeightMonomial, params: EllipticParams, zpoints=None
+    m1: WeightMonomial, m2: WeightMonomial, params: EllipticParams
 ) -> float:
-    """0 for equal scalar-equivalence classes; otherwise the worst
-    ratio-constancy defect: both component ratios must be z-independent with
-    reciprocal constants."""
+    """The one equivalence rule of the ring: 0 for equal class keys;
+    otherwise the worst ratio-constancy defect on the z grid of ``params``:
+    both component ratios must be z-independent with reciprocal
+    constants."""
     if abs(m1.weight - m2.weight) > _MERGE_TOL:
         return math.inf
-    k1, k2 = m1.canonical_key(), m2.canonical_key()
-    if k1 is not None and k1 == k2:
+    if m1.key is not None and m1.key == m2.key:
         return 0.0
-    if zpoints is None:
-        zpoints = _default_zpoints(params)
     rp, rm = [], []
-    for z in zpoints:
+    for z in _zgrid(params):
         try:
             p1, n1 = m1.values(z, params)
             p2, n2 = m2.values(z, params)
@@ -199,12 +201,6 @@ class QCharElement:
         if step < 0 or step > self.depth:
             return
         row = self.terms.setdefault(step, [])
-        key = mono.canonical_key()
-        for pair in row:
-            other = pair[0]
-            if key is not None and key == other.canonical_key():
-                pair[1] += mult
-                return
         for pair in row:
             if monomial_deviation(mono, pair[0], self.params) < _MERGE_TOL:
                 pair[1] += mult
@@ -316,20 +312,6 @@ def element_deviation(
     for k in range(top + 1):
         la = [[m, n] for m, n in A.term_list(k)]
         lb = [[m, n] for m, n in B.term_list(k - d)] if k - d >= 0 else []
-        # symbolic fast path: cancel identical canonical keys
-        for pa in la:
-            ka = pa[0].canonical_key()
-            if ka is None:
-                continue
-            for pb in lb:
-                if pb[1] and pb[0].canonical_key() == ka:
-                    c = min(pa[1], pb[1])
-                    pa[1] -= c
-                    pb[1] -= c
-                    if pa[1] == 0:
-                        break
-        la = [p for p in la if p[1]]
-        lb = [p for p in lb if p[1]]
         for pa in la:
             for pb in lb:
                 if not pb[1]:
@@ -375,9 +357,7 @@ def qchar_one_dim(g: ThetaExpression, params: EllipticParams, depth: int = 0) ->
     return el
 
 
-def qchar_of_module(
-    X, tol: float = 1e-8, x_ref: complex = 0.2337 + 0.1711j, zpoints=None
-) -> QCharElement:
+def qchar_of_module(X) -> QCharElement:
     """Character extracted from the Gauss diagonal of a module.
 
     Requires both diagonal Gauss blocks to be triangular per weight space
@@ -388,10 +368,8 @@ def qchar_of_module(
     g = gauss_decompose(X)
     basis = X.basis
     safe = X.safe_levels
-    if zpoints is None:
-        zpoints = _default_zpoints(params)
-    zprobe = zpoints[:3]
-    xprobe = [x_ref, x_ref + 0.2931 + 0.171j, x_ref - 0.2113 + 0.0917j]
+    zprobe = _zgrid(params)[:3]
+    xprobe = [_X_REF, _X_REF + 0.2931 + 0.171j, _X_REF - 0.2113 + 0.0917j]
     el = QCharElement(basis.alpha0, safe, params)
     for op in (g.kplus, g.kminus):
         for (a, b), s in op.entries.items():
@@ -403,7 +381,7 @@ def qchar_of_module(
             bad = max(
                 abs(s.eval(z, x, params)) for z in zprobe for x in xprobe
             )
-            if bad > tol:
+            if bad > _CATEGORY_TOL:
                 raise CategoryConditionError(
                     f"Gauss diagonal block is not triangular at entry ({a},{b})"
                 )
@@ -424,11 +402,11 @@ def qchar_of_module(
                 for z in zprobe:
                     vals = [s.eval(z, x, params) for x in xprobe]
                     scale = max(1.0, max(abs(v) for v in vals))
-                    if max(abs(v - vals[0]) for v in vals) > tol * scale:
+                    if max(abs(v - vals[0]) for v in vals) > _CATEGORY_TOL * scale:
                         raise CategoryConditionError(
                             f"x-dependent Gauss diagonal at index {idx}"
                         )
-                comps.append(lambda z, s=s, x0=x_ref, p=params: s.eval(z, x0, p))
+                comps.append(lambda z, s=s, p=params: s.eval(z, _X_REF, p))
             el.add_monomial(j, WeightMonomial(comps[0], comps[1], basis.weight(j)))
     return el
 
@@ -451,7 +429,7 @@ def classify_highest_weight(
     """Recover (lambda, {alpha_k}, {beta_k}) from a symbolic monomial, or
     None when the component ratio is not a balanced product of z-shifted
     theta factors matching the t-weight."""
-    if not m.symbolic:
+    if m.key is None:
         raise ValueError("classification needs symbolic components")
     ratio = m.aplus / m.aminus
     if abs(ratio.exp_z) > tol or abs(ratio.exp_x) > tol:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,6 +31,8 @@ _MAX_J = 64
 _SERIES_EPS = 1e-14
 # a negative-power theta factor this close to Z + Z*tau raises PoleError
 POLE_TOL = 1e-12
+# a SamplePlan gives up after this many rejected and accepted draws
+_MAX_TRIES = 2000
 
 
 class ParameterError(ValueError):
@@ -177,25 +179,23 @@ def lattice_distance_array(c, params: EllipticParams) -> np.ndarray:
     return np.minimum.reduce([np.abs(c0), np.abs(c0 - 1), np.abs(c0 - tau), np.abs(c0 - 1 - tau)])
 
 
-def in_lattice(c: complex, params: EllipticParams, tol: float | None = None) -> bool:
-    return lattice_distance(c, params) < (params.lattice_tol if tol is None else tol)
+def in_lattice(c: complex, params: EllipticParams) -> bool:
+    return lattice_distance(c, params) < params.lattice_tol
 
 
-def in_hbar_inv_lattice(c: complex, params: EllipticParams, tol: float | None = None) -> bool:
+def in_hbar_inv_lattice(c: complex, params: EllipticParams) -> bool:
     """Test c in hbar^{-1} (Z + Z*tau), i.e. c*hbar on the period lattice."""
-    return in_lattice(c * params.hbar, params, tol)
+    return in_lattice(c * params.hbar, params)
 
 
-def nonneg_int_plus_hbar_inv_lattice(
-    c: complex, params: EllipticParams, tol: float | None = None
-) -> int | None:
+def nonneg_int_plus_hbar_inv_lattice(c: complex, params: EllipticParams) -> int | None:
     """Return l >= 0 with c in l + hbar^{-1}(Z+Z*tau), or None.
 
     The scan window for l is params.search_radius; under the standing
     genericity assumption the representative is unique when it exists.
     """
     for l in range(params.search_radius + 1):
-        if in_hbar_inv_lattice(c - l, params, tol):
+        if in_hbar_inv_lattice(c - l, params):
             return l
     return None
 
@@ -359,18 +359,6 @@ class ThetaExpression:
         )
         return ThetaExpression(scalar, exp_z, exp_x, factors)
 
-    def factor_key(self) -> tuple:
-        """Hashable key of the canonical factor multiset (scalar excluded)."""
-        c = self.canonical()
-        return (
-            (round(c.exp_z.real, 9), round(c.exp_z.imag, 9),
-             round(c.exp_x.real, 9), round(c.exp_x.imag, 9)),
-            tuple(
-                (f.cz, f.cx, round(f.shift.real, 9), round(f.shift.imag, 9), f.power)
-                for f in c.factors
-            ),
-        )
-
 
 ONE = ThetaExpression()
 
@@ -454,7 +442,6 @@ class SamplePlan:
     seed: int
     count: int = 20
     pole_margin: float = 1e-3
-    max_tries: int = 2000
 
     def points(self, params: EllipticParams, guard=None) -> list[complex]:
         """Draw ``count`` points z = u + v*tau, u,v in [0,1).
@@ -467,7 +454,7 @@ class SamplePlan:
         tries = 0
         while len(pts) < self.count:
             tries += 1
-            if tries > self.max_tries:
+            if tries > _MAX_TRIES:
                 raise RuntimeError("SamplePlan could not find enough generic points")
             u, v = rng.random(2)
             z = complex(u + v * params.tau)
@@ -483,7 +470,7 @@ class SamplePlan:
         tries = 0
         while len(out) < self.count:
             tries += 1
-            if tries > self.max_tries:
+            if tries > _MAX_TRIES:
                 raise RuntimeError("SamplePlan could not find enough generic pairs")
             u1, v1, u2, v2 = rng.random(4)
             z = complex(u1 + v1 * params.tau)

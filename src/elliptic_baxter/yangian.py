@@ -10,7 +10,7 @@ against the oscillator transfer matrix, and rational q-characters."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
 
@@ -28,6 +28,8 @@ from .polyring import (
 )
 
 SPIN_VARIABLE = Poly.variable()
+# extra sample levels that verify the degree of the level trace in q_exact_at_p
+_DEGREE_MARGIN = 2
 
 
 # ---------------------------------------------------------------------------
@@ -146,15 +148,12 @@ def build_module(kind: str, spin=None, shift=0, levels: int | None = None,
         if not isinstance(spin, int) or spin < 1:
             raise ValueError("finite family needs a positive integer spin")
         levels = spin
-        exact = True
     elif kind == "ladder":
         if spin is None or levels is None:
             raise ValueError("ladder family needs a spin and a level cap")
-        exact = False
     elif kind == "oscillator":
         if levels is None:
             raise ValueError("oscillator family needs a level cap")
-        exact = False
     else:
         raise ValueError(f"unknown module kind {kind!r}")
     basis = tuple(range(levels + 1))
@@ -224,7 +223,6 @@ def rtt_residual(X: YangianModule) -> float:
             if X.exact or X.weight[v] <= X.levels - 2]
     if not safe:
         raise ValueError("module too shallow for the exchange check")
-    zp = Poly.variable()
 
     def lift_z(p):
         # polynomial in z, constant in w
@@ -703,7 +701,7 @@ def _power_sum(s: int, p: Fraction) -> Fraction:
     return total
 
 
-def q_exact_at_p(sites, p: Fraction, degree_margin: int = 2) -> list:
+def q_exact_at_p(sites, p: Fraction) -> list:
     """Baxter operator with the series summed exactly at a rational
     grading point, one matrix of polynomials in the spin variable per
     sector.  Each entry's level trace is a polynomial in the level index
@@ -723,7 +721,7 @@ def q_exact_at_p(sites, p: Fraction, degree_margin: int = 2) -> list:
     sum_weights = [sum(lag.coefficient(s) * weights[s] for s in nodes)
                    for lag in lagrange]
     checks = [(i, [lag(Fraction(i)) for lag in lagrange])
-              for i in range(L + 1, L + 1 + degree_margin)]
+              for i in range(L + 1, L + 1 + _DEGREE_MARGIN)]
 
     def mix(values, coeffs):
         return sum((v.scale(c) for v, c in zip(values, coeffs)), Poly())
@@ -738,7 +736,7 @@ def q_exact_at_p(sites, p: Fraction, degree_margin: int = 2) -> list:
     return [
         [[summed([tab[r][c] for tab in qs.tables]) for c in range(qs.dim)]
          for r in range(qs.dim)]
-        for qs in yangian_q(sites, L + degree_margin)
+        for qs in yangian_q(sites, L + _DEGREE_MARGIN)
     ]
 
 

@@ -57,6 +57,12 @@ class TestExitCodes:
         assert run(["ybe", "--tau", "banana"]) == 2
         assert run(["ybe", "--order", "-3"]) == 2
         assert run(["tq", "--sites", "1.0,0.3"]) == 2  # site on the lattice
+        for tol in ("banana", "nan", "inf", "-1"):
+            assert run(["ybe", "--tol", tol]) == 2
+        assert "tol" in capsys.readouterr().err
+
+    def test_zero_tol_is_valid(self):
+        assert cli.RunConfig(["ybe"], {**cli._DEFAULTS, "tol": "0"}).tol == 0.0
 
     def test_pass_run_exits_zero(self, capsys):
         assert run(["ybe", "--samples", "4", "--seed",
@@ -143,6 +149,12 @@ class TestConfigFile:
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text("banana = 3\n")
         assert run(["ybe", "--config", str(cfgfile)]) == 2
+
+    def test_bad_tol_rejected(self, tmp_path, capsys):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("tol = abc\n")
+        assert run(["ybe", "--config", str(cfgfile)]) == 2
+        assert "tol" in capsys.readouterr().err
 
 
 class TestReports:

@@ -1,3 +1,4 @@
+import cmath
 import json
 import math
 
@@ -26,7 +27,7 @@ from elliptic_baxter.qchar import (
     qchar_one_dim,
     qchar_unit,
 )
-from elliptic_baxter.theta import EllipticParams, ThetaExpression, theta_eval
+from elliptic_baxter.theta import EllipticParams, SamplePlan, ThetaExpression, theta_eval
 
 P = EllipticParams(tau=1j, hbar=0.31)
 H = P.hbar
@@ -63,6 +64,74 @@ class TestWeightMonomial:
         a = ThetaExpression.theta(1, 0, 0.2)
         num = mono(lambda z: 2.0 * theta_eval(z + 0.2, P), lambda z: 0.5 * theta_eval(z + 0.2, P), 0.0)
         assert monomial_deviation(mono(a, a, 0.0), num, P) < 1e-10
+
+
+
+class TestOneEquivalenceRule:
+    """Key equality and the ratio test are one rule, applied the same way
+    by merging (add_monomial) and by matching (element_deviation)."""
+
+    B = ThetaExpression.theta(1, 0, 0.5)
+    # theta(z+0.2+tau) and its quasi-periodic rewrite
+    # -exp(-i*pi*tau - 2*pi*i*0.2) * exp(-2*pi*i*z) * theta(z+0.2)
+    SHIFTED = ThetaExpression.theta(1, 0, 0.2 + P.tau)
+    REWRITTEN = ThetaExpression(
+        scalar=-cmath.exp(-1j * math.pi * P.tau - 2j * math.pi * 0.2),
+        exp_z=-2j * math.pi) * ThetaExpression.theta(1, 0, 0.2)
+    OTHER = ThetaExpression.theta(1, 0, 0.3)
+
+    def test_rewrite_has_own_key_but_same_class(self):
+        m1, m2 = mono(self.SHIFTED, self.B, 1.0), mono(self.REWRITTEN, self.B, 1.0)
+        assert m1.key is not None and m2.key is not None and m1.key != m2.key
+        assert monomial_deviation(m1, m2, P) < 1e-9
+        assert monomial_deviation(m1, mono(2.0 * self.SHIFTED, 0.5 * self.B, 1.0), P) == 0.0
+
+    def test_add_monomial_merges_into_one_entry(self):
+        el = QCharElement(1.0, 0, P)
+        el.add_monomial(0, mono(self.SHIFTED, self.B, 1.0))
+        el.add_monomial(0, mono(2.0 * self.SHIFTED, 0.5 * self.B, 1.0))   # by key
+        el.add_monomial(0, mono(self.REWRITTEN, self.B, 1.0))              # by ratio
+        el.add_monomial(0, mono(lambda z: theta_eval(z + 0.2 + P.tau, P),
+                                lambda z: theta_eval(z + 0.5, P), 1.0), 3)  # numeric
+        assert [n for _, n in el.term_list(0)] == [6]
+        el.add_monomial(0, mono(self.OTHER, self.B, 1.0))
+        assert [n for _, n in el.term_list(0)] == [6, 1]
+
+    def _element(self, terms):
+        el = QCharElement(1.0, 0, P)
+        el.terms[0] = [[m, n] for m, n in terms]
+        return el
+
+    def _pair(self, rewritten_mult):
+        # one entry of A splits over a key-equal and a ratio-equal entry of B
+        A = self._element([(mono(self.SHIFTED, self.B, 1.0), 3),
+                           (mono(self.OTHER, self.B, 1.0), 1)])
+        B = self._element([(mono(2.0 * self.OTHER, 0.5 * self.B, 1.0), 1),
+                           (mono(2.0 * self.SHIFTED, 0.5 * self.B, 1.0), 2),
+                           (mono(self.REWRITTEN, self.B, 1.0), rewritten_mult)])
+        return A, B
+
+    def test_element_deviation_matches_key_and_ratio_pairs(self):
+        A, B = self._pair(1)
+        assert element_deviation(A, B) < 1e-9
+        assert element_deviation(B, A) < 1e-9
+
+    def test_element_deviation_leftover_multiplicity_is_inf(self):
+        A, B = self._pair(2)
+        assert element_deviation(A, B) == math.inf
+        assert element_deviation(B, A) == math.inf
+
+    def test_one_grid_draw_per_parameter_set(self, monkeypatch):
+        calls = []
+        draw = SamplePlan.points
+
+        def counted(plan, params, guard=None):
+            calls.append(params)
+            return draw(plan, params, guard)
+
+        monkeypatch.setattr(SamplePlan, "points", counted)
+        assert interchange_check(1.3 + 0.2j, 0.57, 8, P) < 1e-9
+        assert len(calls) <= 1
 
 
 class TestRing:
