@@ -22,6 +22,8 @@ _RESIDUAL_TOL = 1e-10
 _SUM_RULE_TOL = 1e-6
 # leading coefficients below this count as zero in the two-site system
 _DEGENERATE_TOL = 1e-12
+# torus distance below which two roots count as the same root
+_SAME_ROOT_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -109,11 +111,11 @@ def _torus_distance(u: complex, v: complex, params: EllipticParams) -> float:
     return lattice_distance(u - v, params)
 
 
-def _same_solution(r1, r2, params, tol=1e-6) -> bool:
+def _same_solution(r1, r2, params) -> bool:
     """Unordered root-multiset match on the torus, greedy assignment."""
     left = list(r2)
     for z in r1:
-        best, best_d = None, tol
+        best, best_d = None, _SAME_ROOT_TOL
         for i, w in enumerate(left):
             d = _torus_distance(z, w, params)
             if d < best_d:

@@ -50,6 +50,9 @@ DEFAULT_TOLS = {
 
 REPORT_DIR_ENV = "ELLIPTIC_BAXTER_REPORT_DIR"
 
+# torus distance of every guarded sample argument from the zero lattice
+_SAMPLE_MARGIN = 5e-2
+
 _DEFAULTS = {
     "tau": "1i", "hbar": "0.31", "sites": None, "order": 4, "depth": 6,
     "samples": 12, "seed": 7, "tol": None, "report": None, "format": "json",
@@ -176,13 +179,13 @@ def _as_int(name, value, lo):
 # Suite runners
 # ---------------------------------------------------------------------------
 
-def _triples(cfg, margin=5e-2):
+def _triples(cfg):
     P = cfg.params
     h = P.hbar
-    zs = SamplePlan(cfg.seed, cfg.samples, margin).points(P)
-    ws = SamplePlan(cfg.seed + 1, cfg.samples, margin).points(P)
+    zs = SamplePlan(cfg.seed, cfg.samples, _SAMPLE_MARGIN).points(P)
+    ws = SamplePlan(cfg.seed + 1, cfg.samples, _SAMPLE_MARGIN).points(P)
     xs = SamplePlan(
-        cfg.seed + 2, cfg.samples, margin,
+        cfg.seed + 2, cfg.samples, _SAMPLE_MARGIN,
     ).points(P, guard=lambda x: [x + k * h for k in range(-2, 3)])
     return list(zip(zs, ws, xs))
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import operator
-from fractions import Fraction
 
 
 def is_zero(v) -> bool:
@@ -175,14 +174,6 @@ def numerators(v, d: int):
     if r:
         raise ValueError(f"{d} does not clear the denominator of {v}")
     return v.numerator * q
-
-
-def over(v, d: int):
-    """Each leaf of v divided by d, as a Fraction, recursing through
-    nested rings."""
-    if isinstance(v, Poly):
-        return Poly(tuple(over(c, d) for c in v.coeffs))
-    return Fraction(v, d)
 
 
 def max_abs(v):

@@ -29,6 +29,8 @@ _MERGE_TOL = 1e-9
 _MATCH_TOL = 1e-6
 _MIN_VALID_SAMPLES = 5
 _CATEGORY_TOL = 1e-8
+# x and z exponents of a highest-weight ratio below this count as zero
+_EXPONENT_TOL = 1e-9
 _X_REF = 0.2337 + 0.1711j
 
 
@@ -424,7 +426,7 @@ def interchange_check(
 
 
 def classify_highest_weight(
-    m: WeightMonomial, params: EllipticParams, tol: float = 1e-9
+    m: WeightMonomial, params: EllipticParams
 ) -> HighestWeightData | None:
     """Recover (lambda, {alpha_k}, {beta_k}) from a symbolic monomial, or
     None when the component ratio is not a balanced product of z-shifted
@@ -432,7 +434,7 @@ def classify_highest_weight(
     if m.key is None:
         raise ValueError("classification needs symbolic components")
     ratio = m.aplus / m.aminus
-    if abs(ratio.exp_z) > tol or abs(ratio.exp_x) > tol:
+    if abs(ratio.exp_z) > _EXPONENT_TOL or abs(ratio.exp_x) > _EXPONENT_TOL:
         return None
     alphas: list[complex] = []
     betas: list[complex] = []

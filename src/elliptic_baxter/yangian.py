@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
 
+import numpy as np
+
 from .dynamical import prefix_plan
 from .polyring import (
     Poly,
@@ -23,7 +25,6 @@ from .polyring import (
     exact_residual,
     is_zero,
     numerators,
-    over,
     poly_rem,
 )
 
@@ -296,39 +297,191 @@ def _zero_table(dim: int) -> list:
     return [[Poly() for _ in range(dim)] for _ in range(dim)]
 
 
-def _denominator(tables) -> int:
-    """One common denominator of every entry of a list of tables."""
-    return denominator(e for tab in tables for row in tab for e in row)
+# A series entry is a polynomial with integer coefficients over the
+# series' one denominator, stored as its value at X = 2^width: one Python
+# int (Kronecker substitution).  An entry in two variables, sum c_ij x^i y^j
+# with y the inner (coefficient-ring) variable, is stored as
+# sum c_ij X^(i*stride + j).  Evaluation at X is a ring homomorphism, so
+# sums, integer multiples and products of entries are sums, multiples and
+# products of ints, and a matrix product is one object-array matmul.  The
+# coefficients read back as balanced digits, which is exact only while each
+# of them has magnitude below 2^(width-1): every operation takes the width
+# of its result from an a-priori bound on the result's coefficients.  A
+# coefficient too large for its slot carries into the next slot and leaves
+# a packed int that reads back as other, valid digits, so no check on the
+# packed values can see it: exactness rests on each bound being a true
+# bound, which tests check on inputs that attain it.
+
+def _width(bound: int) -> int:
+    """Bits per coefficient slot that hold every integer of magnitude at
+    most `bound` as a balanced digit."""
+    return bound.bit_length() + 1
 
 
-def _numerators(tables, d: int) -> list:
-    return [[[numerators(e, d) for e in row] for row in tab] for tab in tables]
+def _digits(v, width: int, count: int) -> list:
+    """The lowest `count` balanced digits base 2^width of an int, or of
+    every int of an object array at once."""
+    half, mask = 1 << (width - 1), (1 << width) - 1
+    # offset every digit by half: the offset value's plain digits
+    u = v + _pack([half] * count, width)
+    return [((u >> (width * n)) & mask) - half for n in range(count)]
 
 
-@dataclass
+def _pack(digits, width: int):
+    """Inverse of `_digits`: the sum of digits[n] * 2^(width*n)."""
+    v = 0
+    for d in reversed(digits):
+        v = (v << width) + d
+    return v
+
+
+def _inner_slots(values) -> int:
+    """Slots of the inner variable among ints and int-leaf polynomials in
+    at most two variables."""
+    inner = [c for v in values if isinstance(v, Poly) for c in v.coeffs
+             if isinstance(c, Poly)]
+    if any(isinstance(leaf, Poly) for c in inner for leaf in c.coeffs):
+        raise ValueError("series entries have at most two variables")
+    return max((len(c.coeffs) for c in inner), default=1) or 1
+
+
+def _flatten(v, stride: int) -> list:
+    """Coefficients of an int or int-leaf polynomial, the inner variable's
+    at offsets below `stride`."""
+    if not isinstance(v, Poly):
+        return [v]
+    flat = [0] * (len(v.coeffs) * stride)
+    for i, c in enumerate(v.coeffs):
+        if isinstance(c, Poly):
+            flat[i * stride:i * stride + len(c.coeffs)] = c.coeffs
+        else:
+            flat[i * stride] = c
+    return flat
+
+
+def _coefficient_rows(values, stride: int) -> np.ndarray:
+    """One row per value: its coefficients as from `_flatten`, padded
+    with zeros to the same whole number of outer slots."""
+    flat = [_flatten(v, stride) for v in values]
+    count = max(stride, max(map(len, flat)))
+    return np.array([f + [0] * (count - len(f)) for f in flat],
+                    dtype=object)
+
+
+def _shape(v) -> tuple:
+    """(largest coefficient magnitude, outer slots, inner slots) of an
+    int or int-leaf polynomial."""
+    inner = _inner_slots((v,))
+    row = _coefficient_rows((v,), inner)[0]
+    return np.abs(row).max(), len(row) // inner, inner
+
+
+def _pack_tables(tables) -> tuple:
+    """(num, width, stride, outer slots, bound) of `PSeriesMatrix._set`
+    for tables of ints and int-leaf polynomials."""
+    entries = [e for tab in tables for row in tab for e in row]
+    stride = _inner_slots(entries)
+    rows = _coefficient_rows(entries, stride)
+    bound = np.abs(rows).max()
+    width = _width(bound)
+    num = _pack(list(rows.T), width).reshape(
+        len(tables), len(tables[0]), len(tables[0]))
+    return num, width, stride, rows.shape[1] // stride, bound
+
+
 class PSeriesMatrix:
     """Truncated power series of matrices with polynomial entries;
     tables[k][row][col] is the k-th coefficient.  `terminates` marks a
-    series known to be a polynomial of the stored order."""
+    series known to be a polynomial of the stored order.
 
-    basis: tuple
-    tables: list
-    terminates: bool = False
+    The entries are held as Kronecker-packed integer numerators over one
+    denominator (see `_width`); `tables` and `get` are views unpacked to
+    Fraction polynomials once per coefficient, on first read.  The views
+    are for reading: the series operations read the packed numerators
+    only, so an entry written into a view would be seen by readers of the
+    view and by no series operation.  A changed series is built through
+    the constructor."""
+
+    def __init__(self, basis: tuple, tables: list, terminates: bool = False):
+        d = denominator(e for tab in tables for row in tab for e in row)
+        self._set(basis, terminates, d, *_pack_tables(
+            [[[numerators(e, d) for e in row] for row in tab]
+             for tab in tables]))
+        self._views.update(enumerate(tables))
+
+    @classmethod
+    def _packed(cls, basis, terminates, den, num, width, stride, outer,
+                bound) -> "PSeriesMatrix":
+        self = cls.__new__(cls)
+        self._set(basis, terminates, den, num, width, stride, outer, bound)
+        return self
+
+    def _set(self, basis, terminates, den, num, width, stride, outer, bound):
+        """num[k][row][col] is the numerator over `den` of the k-th
+        coefficient, packed at `width` bits per slot with inner stride
+        `stride`; the entries have at most `outer` outer and `stride`
+        inner slots and coefficients of magnitude at most `bound`."""
+        self.basis, self.terminates = basis, terminates
+        self._den, self._num = den, num
+        self._width, self._stride = width, stride
+        self._outer, self._bound = outer, bound
+        self._views = {}
 
     @property
     def order(self) -> int:
-        return len(self.tables) - 1
+        return len(self._num) - 1
 
     @property
     def dim(self) -> int:
-        return len(self.tables[0])
+        return self._num.shape[1]
+
+    @property
+    def tables(self) -> list:
+        return [self.get(k) for k in range(self.order + 1)]
 
     def get(self, k: int):
         if k <= self.order:
-            return self.tables[k]
+            if k not in self._views:
+                self._views[k] = self._unpacked(k)
+            return self._views[k]
         if self.terminates:
             return _zero_table(self.dim)
         raise IndexError(f"coefficient {k} beyond truncation order {self.order}")
+
+    def _unpacked(self, k: int) -> list:
+        s, d = self._stride, self._den
+        digits = [dig.tolist() for dig in
+                  _digits(self._num[k], self._width, self._outer * s)]
+
+        def entry(flat):
+            if s == 1:
+                return Poly(Fraction(c, d) for c in flat)
+            return Poly(Poly(Fraction(c, d) for c in flat[i:i + s])
+                        for i in range(0, len(flat), s))
+
+        return [[entry([dig[r][c] for dig in digits]) for c in range(self.dim)]
+                for r in range(self.dim)]
+
+    def _at(self, width: int, stride: int, order: int):
+        """Numerators of coefficients 0..order packed at `width` and
+        `stride` (stride >= the series' own); levels past the stored order
+        of a terminating series are zero."""
+        if order > self.order and not self.terminates:
+            raise IndexError(
+                f"coefficient {order} beyond truncation order {self.order}")
+        num = self._num[:order + 1]
+        if (width, stride) != (self._width, self._stride):
+            spread = [0] * (self._outer * stride)
+            digits = _digits(num, self._width, self._outer * self._stride)
+            for n, dig in enumerate(digits):
+                i, j = divmod(n, self._stride)
+                spread[i * stride + j] = dig
+            num = _pack(spread, width)
+        if order > self.order:
+            pad = np.zeros((order - self.order, self.dim, self.dim),
+                           dtype=object)
+            num = np.concatenate([num, pad])
+        return num
 
     def map_entries(self, f) -> "PSeriesMatrix":
         return PSeriesMatrix(
@@ -338,73 +491,122 @@ class PSeriesMatrix:
         )
 
     def shift_var(self, c) -> "PSeriesMatrix":
-        """Taylor shift v -> v + c of every entry, on the numerators over
-        one common denominator."""
-        d = _denominator(self.tables)
-        return self.map_entries(lambda p: over(numerators(p, d).shift(c), d))
+        """Taylor shift v -> v + c of every entry: with c = u/w and D the
+        outer degree, w^D p(v + c) has the integer coefficients
+        sum_i C(i, k) u^(i-k) w^(D-i+k) p_i, a fixed matrix on the
+        coefficient axis; w^D joins the denominator."""
+        c = Fraction(c)
+        u, w = c.numerator, c.denominator
+        n, s = self._outer, self._stride
+        shift = [[math.comb(i, k) * u ** (i - k) * w ** (n - 1 - i + k)
+                  for i in range(k, n)] for k in range(n)]
+        bound = self._bound * max(sum(map(abs, row)) for row in shift)
+        width = _width(bound)
+        digits = _digits(self._num, self._width, n * s)
+        flat = [sum(m * digits[(k + i) * s + j]
+                    for i, m in enumerate(shift[k]))
+                for k in range(n) for j in range(s)]
+        return self._packed(self.basis, self.terminates,
+                            self._den * w ** (n - 1), _pack(flat, width),
+                            width, s, n, bound)
 
     def coefficient(self, s: int) -> "PSeriesMatrix":
         """Entrywise coefficient of the s-th power of the variable."""
-        return self.map_entries(lambda p: p.coefficient(s))
+        stride = self._stride
+        if s < self._outer:
+            digits = _digits(self._num, self._width, (s + 1) * stride)
+            num = _pack(digits[s * stride:], self._width)
+        else:
+            num, stride = np.zeros_like(self._num), 1
+        return self._packed(self.basis, self.terminates, self._den, num,
+                            self._width, 1, stride, self._bound)
 
     def times_p(self) -> "PSeriesMatrix":
         """The series multiplied by the grading variable p."""
-        return PSeriesMatrix(self.basis, [_zero_table(self.dim)] + self.tables,
-                             self.terminates)
+        zero = np.zeros((1, self.dim, self.dim), dtype=object)
+        return self._packed(self.basis, self.terminates, self._den,
+                            np.concatenate([zero, self._num]), self._width,
+                            self._stride, self._outer, self._bound)
 
     def weighted(self, other: "PSeriesMatrix", a, b) -> "PSeriesMatrix":
         """Entrywise a*x + b*y of two series for scalar polynomials a and
-        b, to the lower stored order; the entries are multiplied on their
-        numerators over one common denominator."""
+        b, to the lower stored order, on packed numerators: a and b over
+        their common denominator, x and y rescaled to the lcm of theirs."""
         if self.basis != other.basis:
             raise ValueError("mismatched chain bases")
-        tables = list(zip(self.tables, other.tables))
-        d = _denominator(t for pair in tables for t in pair)
         dw = denominator((a, b))
-        na, nb = numerators(a, dw), numerators(b, dw)
-        return PSeriesMatrix(self.basis, [
-            [[over(numerators(x, d) * na + numerators(y, d) * nb, d * dw)
-              for x, y in zip(ra, rb)] for ra, rb in zip(ta, tb)]
-            for ta, tb in tables
-        ])
+        den = math.lcm(self._den, other._den)
+        # (scalar numerator, series, rescale, bound, outer, inner slots)
+        terms = [(n, x, den // x._den, *_shape(n)) for n, x in
+                 ((numerators(a, dw), self), (numerators(b, dw), other))]
+        stride = max(inner + x._stride - 1 for _, x, _, _, _, inner in terms)
+        bound = sum(bn * x._bound * scale * min(outer, x._outer)
+                    * min(inner, x._stride)
+                    for _, x, scale, bn, outer, inner in terms)
+        width = _width(bound)
+        order = min(self.order, other.order)
+        num = sum(x._at(width, stride, order)
+                  * (_pack(_flatten(n, stride), width) * scale)
+                  for n, x, scale, *_ in terms)
+        outer = max(outer + x._outer - 1 for _, x, _, _, outer, _ in terms)
+        return self._packed(self.basis, False, den * dw, num, width, stride,
+                            outer, bound)
 
     def mul(self, other: "PSeriesMatrix", order: int) -> "PSeriesMatrix":
-        """Truncated product to the stated order.  Each factor's
-        denominators are cleared once, the matrix products and their sums
-        run on int-leaf polynomials, and each output coefficient is
-        divided once by the product of the two denominators."""
+        """Truncated product to the stated order: per output coefficient,
+        a sum of object-array matmuls of the packed numerators, skipping
+        the zero coefficients past a terminating factor's stored order;
+        the denominator is the product of the factors'."""
         if self.basis != other.basis:
             raise ValueError("mismatched chain bases")
+        top_a, top_b = (min(x.order, order) if x.terminates else order
+                        for x in (self, other))
+        stride = self._stride + other._stride - 1
+        bound = (self._bound * other._bound * self.dim
+                 * min(self._outer, other._outer)
+                 * min(self._stride, other._stride)
+                 * (min(top_a, top_b) + 1))
+        width = _width(bound)
         try:
-            fa = [self.get(k) for k in range(order + 1)]
-            fb = [other.get(k) for k in range(order + 1)]
+            fa = self._at(width, stride, top_a)
+            fb = other._at(width, stride, top_b)
         except IndexError:
             raise IndexError(
                 f"product order {order} exceeds factor truncations"
             ) from None
-        da, db = _denominator(fa), _denominator(fb)
-        na, nb = _numerators(fa, da), _numerators(fb, db)
-        d = da * db
-        tables = []
+        levels = []
         for k in range(order + 1):
-            acc = _matmul(na[0], nb[k])
-            for m in range(1, k + 1):
-                prod = _matmul(na[m], nb[k - m])
-                acc = [[x + y for x, y in zip(ra, rp)]
-                       for ra, rp in zip(acc, prod)]
-            tables.append([[over(e, d) for e in row] for row in acc])
-        return PSeriesMatrix(self.basis, tables,
-                             self.terminates and other.terminates)
+            prods = [fa[m] @ fb[k - m]
+                     for m in range(max(0, k - top_b), min(k, top_a) + 1)]
+            levels.append(sum(prods[1:], prods[0]) if prods else
+                          np.zeros((self.dim, self.dim), dtype=object))
+        return self._packed(self.basis, self.terminates and other.terminates,
+                            self._den * other._den, np.stack(levels), width,
+                            stride, self._outer + other._outer - 1, bound)
 
     def residual(self, other: "PSeriesMatrix", order: int | None = None) -> float:
+        """Largest coefficient magnitude of the difference to the stated
+        order (both orders by default), exact.  Both numerators, rescaled
+        to one denominator, are packed at one width that holds each of
+        them, so they are equal exactly when their packed values are;
+        otherwise the magnitude is read from their balanced digits."""
+        if self.basis != other.basis:
+            raise ValueError("mismatched chain bases")
         if order is None:
             order = min(self.order, other.order)
-        return exact_residual(
-            x - y
-            for k in range(order + 1)
-            for ra, rb in zip(self.get(k), other.get(k))
-            for x, y in zip(ra, rb)
-        )
+        den = math.lcm(self._den, other._den)
+        rx, ry = den // self._den, den // other._den
+        stride = max(self._stride, other._stride)
+        width = max(self._width, other._width,
+                    _width(max(self._bound * rx, other._bound * ry)))
+        x = self._at(width, stride, order) * rx
+        y = other._at(width, stride, order) * ry
+        if (x == y).all():
+            return 0.0
+        count = max(self._outer, other._outer) * stride
+        worst = max(np.abs(dx - dy).max() for dx, dy in
+                    zip(_digits(x, width, count), _digits(y, width, count)))
+        return exact_residual((Fraction(worst, den),))
 
 
 def _row_times(rows: dict, cols: dict) -> dict:
@@ -526,9 +728,7 @@ def _graded_trace(X: YangianModule, sites, order: int,
     descend(0, 0, {lab: {lab: Poly((1,))}
                    for lab, wt in X.weight.items() if wt <= order})
     denom = math.prod(d for d, _ in cleared)
-    return [PSeriesMatrix(basis, [[[over(e, denom) for e in row]
-                                   for row in tab] for tab in sector],
-                          terminates=X.exact)
+    return [PSeriesMatrix._packed(basis, X.exact, denom, *_pack_tables(sector))
             for basis, sector in zip(bases, tables)]
 
 

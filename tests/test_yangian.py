@@ -10,9 +10,9 @@ from elliptic_baxter.polyring import (
     RatFn,
     as_poly,
     denominator,
+    exact_residual,
     max_abs,
     numerators,
-    over,
     poly_rem,
 )
 from elliptic_baxter.yangian import (
@@ -136,7 +136,6 @@ class TestPolyRing:
             n = numerators(e, d)
             assert all(type(leaf) is int for leaf in leaves(n))
             assert max_abs(n) == max_abs(e) * d
-            assert over(n, d) == e
 
 
 class TestRMatrix:
@@ -467,6 +466,103 @@ class TestIntegerSeriesCalculus:
             osc[0].mul(fin[0], order + 1)
 
 
+def fraction_residual(x, y, order):
+    """Reference residual: the largest exact entry difference."""
+    return exact_residual(a - b for k in range(order + 1)
+                          for ra, rb in zip(x.get(k), y.get(k))
+                          for a, b in zip(ra, rb))
+
+
+def site_weights(sites):
+    """The scalar weights of the TQ relation."""
+    return [math.prod((Poly((a + c, 1)) for a in sites), start=Poly((1,)))
+            for c in (0, 1)]
+
+
+LARGE_SITES = (
+    (F(1, 10**20 + 39), F(-7, 3**40)),
+    (3, F(2**61 - 1, 2**64 + 13), -2, F(-10**18 - 9, 10**18 + 3)),
+)
+
+
+class TestPackedSeries:
+    """The packed calculus against its Fraction references on entries
+    with huge denominators, on inputs whose a-priori coefficient bound is
+    attained, and with a slot width one bit too narrow for them."""
+
+    @pytest.mark.parametrize("sites", LARGE_SITES,
+                             ids=["large-2site", "large-4site"])
+    def test_large_denominators(self, sites):
+        order = 2
+        q = yangian_q(sites, order)
+        t = yangian_transfer(build_module("finite", spin=1), sites, 1)
+        w0, w1 = site_weights(sites)
+        for ts, qs in zip(t, q):
+            assert_same_series(ts.mul(qs, order), fraction_mul(ts, qs, order))
+            for c in (1, -1, F(1, 3), F(-2**64 - 13, 3**40)):
+                assert_same_series(qs.shift_var(c), fraction_shift(qs, c))
+            up, down = qs.shift_var(1), qs.shift_var(-1).times_p()
+            combine = entrywise_combine(up, down, lambda x, y: x * w0 + y * w1)
+            assert_same_series(up.weighted(down, w0, w1), combine)
+            # two series over different denominators
+            assert_same_series(
+                qs.shift_var(F(1, 3)).weighted(ts, w0, F(-1, 3)),
+                entrywise_combine(fraction_shift(qs, F(1, 3)), ts,
+                                  lambda x, y: x * w0 - y * F(1, 3)))
+            for rhs in (combine, up):
+                assert ts.mul(qs, order).residual(rhs, order) == \
+                    fraction_residual(fraction_mul(ts, qs, order), rhs, order)
+            assert qs.residual(ts, 1) == fraction_residual(qs, ts, 1)
+        for drop in (False, True):
+            # the TQ defect from the Fraction references alone
+            ref = max(
+                fraction_residual(
+                    fraction_mul(ts, qs, order),
+                    entrywise_combine(
+                        fraction_shift(qs, 1),
+                        PSeriesMatrix(qs.basis, [[[Poly()] * qs.dim] * qs.dim]
+                                      + fraction_shift(qs, -1).tables),
+                        lambda x, y: x * w0 + (0 if drop else y * w1)),
+                    order)
+                for ts, qs in zip(t, q))
+            assert tq_residual(sites, order, drop_second_term=drop, q=q) == ref
+            assert (ref > 0) == drop
+
+    def tight(self, m):
+        # every coefficient equal and positive: the bounds are attained
+        dim, order = 3, 2
+        tab = [[Poly((m, m, m))] * dim] * dim
+        return PSeriesMatrix(tuple(range(dim)), [tab] * (order + 1)), order
+
+    def test_attained_bounds(self):
+        x, order = self.tight(2**40 - 1)
+        a = Poly((2**20 - 1,) * 3)
+        assert_same_series(x.mul(x, order), fraction_mul(x, x, order))
+        assert_same_series(x.weighted(x, a, a),
+                           entrywise_combine(x, x, lambda u, v: u * a + v * a))
+        assert_same_series(x.shift_var(1), fraction_shift(x, 1))
+        neg = x.map_entries(lambda p: -p)
+        assert x.residual(neg) == fraction_residual(x, neg, order)
+
+    def test_narrow_width_is_detected(self, monkeypatch):
+        # one bit less than each attained bound: the largest coefficient
+        # wraps, so `test_attained_bounds` sees a width that is too narrow
+        x, order = self.tight(2**40 - 1)
+        a = Poly((2**20 - 1,) * 3)
+        refs = [(lambda: x.mul(x, order), fraction_mul(x, x, order)),
+                (lambda: x.weighted(x, a, a),
+                 entrywise_combine(x, x, lambda u, v: u * a + v * a)),
+                (lambda: x.shift_var(1), fraction_shift(x, 1))]
+        monkeypatch.setattr(yangian, "_width", lambda bound: bound.bit_length())
+        for op, ref in refs:
+            assert op().tables != ref.tables
+
+    def test_three_variables_rejected(self):
+        deep = Poly((Poly((Poly((1, 2)),)),))
+        with pytest.raises(ValueError):
+            PSeriesMatrix(((1,),), [[[deep]]])
+
+
 def nested_then_bound_q(sites, order):
     """Reference Baxter operator: the transfer matrix of the symbolic-spin
     ladder, on nested (z, spin) entries, with every entry evaluated at
@@ -541,12 +637,14 @@ class TestBaxterOperator:
         exact_q = yangian.yangian_q
 
         def top_dropped(sites, order):
-            # zero the top spin coefficient of every level-zero diagonal
-            blocks = exact_q(sites, order)
-            for s, qs in enumerate(blocks):
-                p0 = qs.get(0)
+            # zero the top spin coefficient of every level-zero diagonal;
+            # a changed series is built through the constructor
+            blocks = []
+            for s, qs in enumerate(exact_q(sites, order)):
+                tables = [[list(row) for row in tab] for tab in qs.tables]
                 for i in range(qs.dim):
-                    p0[i][i] = Poly(p0[i][i].coeffs[:s])
+                    tables[0][i][i] = Poly(tables[0][i][i].coeffs[:s])
+                blocks.append(PSeriesMatrix(qs.basis, tables, qs.terminates))
             return blocks
 
         monkeypatch.setattr(yangian, "yangian_q", top_dropped)
@@ -576,10 +674,13 @@ class TestBaxterOperator:
         exact_q = yangian.yangian_q
 
         def perturbed(sites, order):
-            # the last level is an extra level of the degree check
+            # the last level is an extra level of the degree check; a
+            # changed series is built through the constructor
             blocks = exact_q(sites, order)
-            tab = blocks[1].get(order)
-            tab[0][0] = tab[0][0] + Poly((1,))
+            qs = blocks[1]
+            tables = [[list(row) for row in tab] for tab in qs.tables]
+            tables[order][0][0] = tables[order][0][0] + Poly((1,))
+            blocks[1] = PSeriesMatrix(qs.basis, tables, qs.terminates)
             return blocks
 
         monkeypatch.setattr(yangian, "yangian_q", perturbed)
@@ -608,6 +709,14 @@ class TestFunctionalRelations:
             == 18.068027210884352
         assert tq_residual((F(2, 3), F(-5, 7), F(9, 4)), 3,
                            drop_second_term=True) == 269.609977324263
+
+    def test_tq_six_sites(self):
+        # the first six sites of the exact-twin measurements
+        sites = (F(2, 3), F(-5, 7), F(9, 4), F(-1, 6), F(3, 5), F(7, 2))
+        q = yangian_q(sites, 3)
+        assert tq_residual(sites, 3, q=q) == 0.0
+        assert tq_residual(sites, 3, drop_second_term=True, q=q) \
+            == 453142.8720238095
 
     def test_shared_baxter_operator(self):
         sites = (F(2, 3), F(-5, 7), F(9, 4))
