@@ -19,10 +19,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .theta import EllipticParams, ThetaSum
+from .theta import EllipticParams, ThetaSum, ThetaTable
 
 _WEIGHT_TOL = 1e-9
 
@@ -154,12 +155,20 @@ class ModuleOperator:
     def __sub__(self, other: "ModuleOperator") -> "ModuleOperator":
         return self + (-other)
 
+    @cached_property
+    def _table(self) -> ThetaTable:
+        cols = self.source.size
+        return ThetaTable(((a * cols + b, s) for (a, b), s in self.entries.items()),
+                          self.target.size * cols, self.params)
+
+    def to_matrices(self, zs, xs) -> np.ndarray:
+        """Dense numeric entry matrices [point, row, col] at the points
+        (zs, xs), from one table pass."""
+        return self._table.at(zs, xs).reshape(len(zs), self.target.size, self.source.size)
+
     def to_matrix(self, z: complex, x: complex) -> np.ndarray:
         """Dense numeric entry matrix at fixed (z, x)."""
-        m = np.zeros((self.target.size, self.source.size), dtype=complex)
-        for (a, b), s in self.entries.items():
-            m[a, b] = s.eval(z, x, self.params)
-        return m
+        return self.to_matrices([z], [x])[0]
 
     def apply_to_function_vector(self, coeffs, z, x):
         """Apply to sum_b g_b(x) v_b with g_b given as callables of x.

@@ -6,6 +6,7 @@ relations, Gauss decomposition, and the highest-weight predicates."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from itertools import product
 
 import numpy as np
@@ -23,10 +24,12 @@ from .theta import (
     EllipticParams,
     ThetaExpression,
     ThetaSum,
+    ThetaTable,
     in_hbar_inv_lattice,
 )
 
 _SIGNS = ("+", "-")
+_KEYS = ("++", "+-", "-+", "--")
 _BIDEG = {"+": 1, "-": -1}
 # singular values below this share of the largest count as kernel; those
 # between it and the second bound make the count indeterminate
@@ -64,32 +67,36 @@ def r_matrix_symbolic(params: EllipticParams):
     ]
 
 
-def r_matrix(z: complex, x: complex, params: EllipticParams) -> np.ndarray:
-    """Numeric dynamical R-matrix; entry [(m,n),(i,j)] is the coefficient of
-    v_m (x) v_n in R(v_i (x) v_j)."""
+@lru_cache(maxsize=8)
+def _r_table(params: EllipticParams) -> ThetaTable:
     sym = r_matrix_symbolic(params)
-    out = np.zeros((4, 4), dtype=complex)
-    for a in range(4):
-        for b in range(4):
-            if sym[a][b]:
-                out[a, b] = sym[a][b].eval(z, x, params)
-    return out
+    return ThetaTable(((4 * a + b, sym[a][b]) for a in range(4) for b in range(4)), 16, params)
+
+
+def r_matrices(zs, xs, params: EllipticParams) -> np.ndarray:
+    """Numeric dynamical R-matrices [point, (m,n), (i,j)] at the points
+    (zs, xs); entry [(m,n),(i,j)] is the coefficient of v_m (x) v_n in
+    R(v_i (x) v_j)."""
+    return _r_table(params).at(zs, xs).reshape(-1, 4, 4)
+
+
+def r_matrix(z: complex, x: complex, params: EllipticParams) -> np.ndarray:
+    """The numeric dynamical R-matrix at one point (``r_matrices``)."""
+    return r_matrices([z], [x], params)[0]
 
 
 def _slot_weight(idx: int) -> int:
     return 1 if idx == 0 else -1
 
 
-def _embed_r(slots, spectral, x, params: EllipticParams, shifted=False) -> np.ndarray:
-    """R on the slot pair ``slots`` of the 8-dimensional triple tensor space;
-    when ``shifted``, its dynamical argument moves by hbar times the weight
-    of the third slot."""
+def _embed_r(slots, r_by_state) -> np.ndarray:
+    """R on the slot pair ``slots`` of the 8-dimensional triple tensor
+    space, acting as r_by_state[c] while the third slot is in state c."""
     i, j = slots
     k = 3 - i - j
     m = np.zeros((8, 8), dtype=complex)
     for c in range(2):
-        xv = x + (params.hbar * _slot_weight(c) if shifted else 0.0)
-        r = r_matrix(spectral, xv, params)
+        r = r_by_state[c]
         for a, b, ap, bp in product(range(2), repeat=4):
             row, col = [0, 0, 0], [0, 0, 0]
             row[i], row[j], row[k] = a, b, c
@@ -103,13 +110,17 @@ def qdybe_residual(z: complex, w: complex, x: complex, params: EllipticParams) -
     """Relative Frobenius-norm residual of the dynamical Yang-Baxter
     equation on the 8-dimensional triple tensor space; the dynamical
     argument of each two-slot R is shifted by hbar times the weight of the
-    untouched slot."""
-    lhs = (_embed_r((0, 1), z - w, x, params, shifted=True)
-           @ _embed_r((0, 2), z, x, params)
-           @ _embed_r((1, 2), w, x, params, shifted=True))
-    rhs = (_embed_r((1, 2), w, x, params)
-           @ _embed_r((0, 2), z, x, params, shifted=True)
-           @ _embed_r((0, 1), z - w, x, params))
+    untouched slot.  All twelve R evaluations come from one table pass."""
+    h = params.hbar
+    # (slots, spectral argument, shifted) of lhs = R12 R13 R23, rhs = R23 R13 R12
+    factors = (((0, 1), z - w, True), ((0, 2), z, False), ((1, 2), w, True),
+               ((1, 2), w, False), ((0, 2), z, True), ((0, 1), z - w, False))
+    zs = [s for _, s, _ in factors for c in range(2)]
+    xs = [x + h * _slot_weight(c) if shifted else x for _, _, shifted in factors for c in range(2)]
+    r = r_matrices(zs, xs, params).reshape(6, 2, 4, 4)
+    e = [_embed_r(slots, r[n]) for n, (slots, _, _) in enumerate(factors)]
+    lhs = e[0] @ e[1] @ e[2]
+    rhs = e[3] @ e[4] @ e[5]
     scale = max(1.0, np.linalg.norm(lhs), np.linalg.norm(rhs))
     return float(np.linalg.norm(lhs - rhs) / scale)
 
@@ -135,8 +146,19 @@ class EllipticModule:
         """Highest level at which one L-application is truncation-exact."""
         return self.basis.levels if self.exact else self.basis.levels - 1
 
-    def entry_matrix(self, key: str, z: complex, x: complex) -> np.ndarray:
-        return self.L[key].to_matrix(z, x)
+    @cached_property
+    def _table(self) -> ThetaTable:
+        n = self.basis.size
+        return ThetaTable(
+            (((k * n + a) * n + b, s) for k, name in enumerate(_KEYS)
+             for (a, b), s in self.L[name].entries.items()),
+            4 * n * n, self.params)
+
+    def entry_matrices(self, zs, xs) -> np.ndarray:
+        """The four L tables at the points (zs, xs), one table pass, as
+        [point, key, row, col] with keys in the order ++, +-, -+, --."""
+        n = self.basis.size
+        return self._table.at(zs, xs).reshape(len(zs), 4, n, n)
 
 
 def build_asymptotic(l: complex, u: complex, K: int, params: EllipticParams) -> EllipticModule:
@@ -271,28 +293,22 @@ def rll_residual(
     params = X.params
     h = params.hbar
     size = basis.size
+    # the four L tables at z and at w, each at x - hbar, x and x + hbar
+    tables = X.entry_matrices([z] * 3 + [w] * 3, [x + s * h for s in (-1, 0, 1)] * 2)
 
-    mat_cache: dict[tuple, np.ndarray] = {}
+    def lmat(key: str, at_w: bool, shift: int) -> np.ndarray:
+        return tables[3 * at_w + shift + 1, _KEYS.index(key)]
 
-    def lmat(key: str, spectral: complex, xval: complex) -> np.ndarray:
-        k = (key, complex(spectral), complex(xval))
-        if k not in mat_cache:
-            mat_cache[k] = X.entry_matrix(key, spectral, xval)
-        return mat_cache[k]
-
-    r_cache: dict[complex, np.ndarray] = {}
-
-    def rnum(xval: complex) -> np.ndarray:
-        k = complex(xval)
-        if k not in r_cache:
-            r_cache[k] = r_matrix(z - w, xval, params)
-        return r_cache[k]
+    # R(z - w; x + hbar*weight) at every level weight, then R(z - w; x)
+    weights = [basis.weight(j) for j in range(basis.levels + 1)]
+    r = r_matrices([z - w] * (len(weights) + 1), [x + h * wt for wt in weights] + [x], params)
+    r_target = r[[basis.level_of(a) for a in range(size)]]
+    r0 = r[-1]
 
     def ridx(s1: int, s2: int) -> int:  # signs +-1 to the 4-dim index
         return 2 * (0 if s1 == 1 else 1) + (0 if s2 == 1 else 1)
 
     cols = [basis.index(level, i) for i in range(basis.dims[level])]
-    weights = np.array([basis.weight_of_index(a) for a in range(size)])
 
     residuals = []
     for i, jj, m, n in product((1, -1), repeat=4):
@@ -305,17 +321,15 @@ def rll_residual(
             for p, q in product((1, -1), repeat=2):
                 kp = "+" if p == 1 else "-"
                 kq = "+" if q == 1 else "-"
-                v = lmat(kq + kj, w, x + i * h)[:, b]
-                v = lmat(kp + ki, z, x) @ v
-                coeff = np.array([rnum(x + h * wt)[ridx(m, n), ridx(p, q)] for wt in weights])
-                lhs += coeff * v
+                v = lmat(kq + kj, True, i)[:, b]
+                v = lmat(kp + ki, False, 0) @ v
+                lhs += r_target[:, ridx(m, n), ridx(p, q)] * v
             rhs = np.zeros(size, dtype=complex)
-            r0 = rnum(x)
             for p, q in product((1, -1), repeat=2):
                 kp = "+" if p == 1 else "-"
                 kq = "+" if q == 1 else "-"
-                v = lmat(km + kp, z, x + q * h)[:, b]
-                v = lmat(kn + kq, w, x) @ v
+                v = lmat(km + kp, False, q)[:, b]
+                v = lmat(kn + kq, True, 0) @ v
                 rhs += r0[ridx(p, q), ridx(i, jj)] * v
             scale = max(1.0, np.linalg.norm(lhs), np.linalg.norm(rhs))
             residuals.append(np.linalg.norm(lhs - rhs) / scale)
@@ -354,11 +368,12 @@ def gauss_reconstruction_residual(X: EllipticModule, points) -> float:
         "--": g.kminus,
     }
     safe = X.basis.offset(X.safe_levels) + X.basis.dims[X.safe_levels]
+    zs, xs = zip(*points)
     residuals = []
-    for key in ("++", "+-", "-+", "--"):
-        for (z, x) in points:
-            a = X.L[key].to_matrix(z, x)[:safe, :safe]
-            b = rec[key].to_matrix(z, x)[:safe, :safe]
+    for key in _KEYS:
+        lhs = X.L[key].to_matrices(zs, xs)[:, :safe, :safe]
+        rhs = rec[key].to_matrices(zs, xs)[:, :safe, :safe]
+        for a, b in zip(lhs, rhs):
             scale = max(1.0, np.linalg.norm(a), np.linalg.norm(b))
             residuals.append(np.linalg.norm(a - b) / scale)
     return worst_residual(residuals)
@@ -437,8 +452,8 @@ class KernelCount:
 
 def highest_vector_count(X: EllipticModule, z_samples, x: complex) -> KernelCount:
     """Dimension of the joint kernel of L_{-+}(z_s) over the samples."""
-    mats = [X.entry_matrix("-+", z, x) for z in z_samples]
-    stacked = np.vstack(mats)
+    zs = list(z_samples)
+    stacked = X.L["-+"].to_matrices(zs, [x] * len(zs)).reshape(-1, X.basis.size)
     sv = np.linalg.svd(stacked, compute_uv=False)
     smax = sv[0] if len(sv) else 1.0
     if smax == 0:

@@ -11,6 +11,8 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
+import numpy as np
+
 from .dynamical import _coset_offset, worst_residual
 from .modules import (
     HighestWeightData,
@@ -23,6 +25,8 @@ from .theta import (
     PoleError,
     SamplePlan,
     ThetaExpression,
+    ThetaSum,
+    ThetaTable,
 )
 
 _MERGE_TOL = 1e-9
@@ -92,11 +96,13 @@ class WeightMonomial:
     """A pair of z-functions carrying a t-weight; the pair is considered up
     to the rescaling (a+, a-) ~ (c*a+, a-/c).
 
-    ``key`` is a hashable invariant of that class for symbolic components
-    and None for numeric ones.
+    A component is symbolic (an x-free ``ThetaExpression``) or numeric: a
+    ``ThetaSum`` read at x = ``_X_REF``, a callable of z, or a product of
+    components.  ``key`` is a hashable invariant of the class for symbolic
+    components and None for numeric ones.
     """
 
-    __slots__ = ("aplus", "aminus", "weight", "key", "_vals")
+    __slots__ = ("aplus", "aminus", "weight", "key", "_grid")
 
     def __init__(self, aplus, aminus, weight: complex):
         if isinstance(aplus, ThetaExpression) and not aplus.is_x_free():
@@ -106,21 +112,20 @@ class WeightMonomial:
         self.aplus = aplus
         self.aminus = aminus
         self.weight = complex(weight)
-        self._vals: dict = {}
+        self._grid = None
         self.key = None
         if isinstance(aplus, ThetaExpression) and isinstance(aminus, ThetaExpression):
             ap, am = aplus.canonical(), aminus.canonical()
             self.key = (_factor_key(ap), _factor_key(am),
                         _rounded(ap.scalar * am.scalar), _rounded(self.weight))
 
-    def values(self, z: complex, params: EllipticParams) -> tuple[complex, complex]:
-        key = complex(z)
-        hit = self._vals.get(key)
-        if hit is None:
-            hit = (_eval_component(self.aplus, z, params),
-                   _eval_component(self.aminus, z, params))
-            self._vals[key] = hit
-        return hit
+    def grid_values(self, params: EllipticParams) -> tuple[np.ndarray, np.ndarray]:
+        """Both components on the z grid of ``params``, as [component,
+        point], and the mask of the grid points where both are defined
+        and finite; evaluated once, from one table pass."""
+        if self._grid is None or self._grid[0] != params:
+            self._grid = (params, *_on_grid((self.aplus, self.aminus), params))
+        return self._grid[1], self._grid[2]
 
     def __mul__(self, other: "WeightMonomial") -> "WeightMonomial":
         def comb(a, b):
@@ -142,19 +147,38 @@ class WeightMonomial:
 class _ProductComponent:
     """Deferred product of mixed symbolic/numeric components."""
 
-    __slots__ = ("a", "b")
+    __slots__ = ("factors",)
 
     def __init__(self, a, b):
-        self.a = a
-        self.b = b
+        self.factors = _factors(a) + _factors(b)
 
 
-def _eval_component(comp, z: complex, params: EllipticParams) -> complex:
-    if isinstance(comp, ThetaExpression):
-        return comp.eval(z, 0.0, params)
-    if isinstance(comp, _ProductComponent):
-        return _eval_component(comp.a, z, params) * _eval_component(comp.b, z, params)
-    return comp(z)
+def _factors(comp) -> tuple:
+    return comp.factors if isinstance(comp, _ProductComponent) else (comp,)
+
+
+def _call_or_nan(fn, z: complex) -> complex:
+    try:
+        return fn(z)
+    except (PoleError, ZeroDivisionError, OverflowError):
+        return complex("nan")
+
+
+def _on_grid(comps, params: EllipticParams) -> tuple[np.ndarray, np.ndarray]:
+    """The components on the z grid, theta factors from one table pass at
+    x = ``_X_REF`` and callables point by point, and the mask of the grid
+    points where every component is finite."""
+    zs = np.array(_zgrid(params))
+    leaves = [(k, leaf) for k, comp in enumerate(comps) for leaf in _factors(comp)]
+    table = ThetaTable(
+        ((n, ThetaSum(leaf) if isinstance(leaf, ThetaExpression) else leaf)
+         for n, (_, leaf) in enumerate(leaves) if not callable(leaf)),
+        len(leaves), params)
+    vals, _ = table.masked_at(zs, np.full(zs.shape, _X_REF))
+    out = np.ones((len(comps), zs.size), dtype=complex)
+    for n, (k, leaf) in enumerate(leaves):
+        out[k] *= [_call_or_nan(leaf, z) for z in zs] if callable(leaf) else vals[:, n]
+    return out, np.isfinite(out).all(axis=0)
 
 
 def monomial_deviation(
@@ -162,30 +186,26 @@ def monomial_deviation(
 ) -> float:
     """The one equivalence rule of the ring: 0 for equal class keys;
     otherwise the worst ratio-constancy defect on the z grid of ``params``:
-    both component ratios must be z-independent with reciprocal
-    constants."""
+    both component ratios must be z-independent with reciprocal constants.
+
+    A grid point is skipped where a component has a pole or is not finite,
+    where a component of m2 is below 1e-13 or any component above 1e13;
+    with fewer than ``_MIN_VALID_SAMPLES`` points left the result is inf.
+    """
     if abs(m1.weight - m2.weight) > _MERGE_TOL:
         return math.inf
     if m1.key is not None and m1.key == m2.key:
         return 0.0
-    rp, rm = [], []
-    for z in _zgrid(params):
-        try:
-            p1, n1 = m1.values(z, params)
-            p2, n2 = m2.values(z, params)
-        except (PoleError, ZeroDivisionError, OverflowError):
-            continue
-        if min(abs(p2), abs(n2)) < 1e-13 or max(abs(p1), abs(n1), abs(p2), abs(n2)) > 1e13:
-            continue
-        rp.append(p1 / p2)
-        rm.append(n1 / n2)
-    if len(rp) < _MIN_VALID_SAMPLES:
+    (p1, n1), ok1 = m1.grid_values(params)
+    (p2, n2), ok2 = m2.grid_values(params)
+    size = np.abs([p1, n1, p2, n2])
+    ok = ok1 & ok2 & (size[2:].min(axis=0) >= 1e-13) & (size.max(axis=0) <= 1e13)
+    if np.count_nonzero(ok) < _MIN_VALID_SAMPLES:
         return math.inf
+    rp = p1[ok] / p2[ok]
+    rm = n1[ok] / n2[ok]
     c = rp[0]
-    scale = max(1.0, abs(c))
-    dev = max(abs(r - c) / scale for r in rp)
-    dev = max(dev, max(abs(r * c - 1.0) for r in rm))
-    return dev
+    return float(max(np.abs(rp - c).max() / max(1.0, abs(c)), np.abs(rm * c - 1.0).max()))
 
 
 @dataclass
@@ -370,47 +390,53 @@ def qchar_of_module(X) -> QCharElement:
     g = gauss_decompose(X)
     basis = X.basis
     safe = X.safe_levels
+    ops = (g.kplus, g.kminus)
+    lower = [((a, b), s) for op in ops for (a, b), s in op.entries.items()
+             if a > b and s and basis.level_of(a) == basis.level_of(b) <= safe]
+    diagonal = [[op.entries.get((idx, idx)) for op in ops]
+                for idx in range(basis.offset(safe + 1))]
+    numeric = [s for pair in diagonal for s in pair if s and _x_free_term(s) is None]
+    # both conditions are probed at zprobe x xprobe from one table pass: the
+    # strictly lower entries of the diagonal blocks must vanish, and diagonal
+    # entries other than a single x-free term must not depend on x
     zprobe = _zgrid(params)[:3]
     xprobe = [_X_REF, _X_REF + 0.2931 + 0.171j, _X_REF - 0.2113 + 0.0917j]
-    el = QCharElement(basis.alpha0, safe, params)
-    for op in (g.kplus, g.kminus):
-        for (a, b), s in op.entries.items():
-            if a <= b or not s:
-                continue
-            la, lb = basis.level_of(a), basis.level_of(b)
-            if la != lb or la > safe:
-                continue
-            bad = max(
-                abs(s.eval(z, x, params)) for z in zprobe for x in xprobe
+    probed = [s for _, s in lower] + numeric
+    vals = ThetaTable(enumerate(probed), len(probed), params).at(
+        [z for z in zprobe for _ in xprobe], xprobe * len(zprobe))
+    vals = vals.T.reshape(len(probed), len(zprobe), len(xprobe))
+    for ((a, b), _), v in zip(lower, vals):
+        if np.abs(v).max() > _CATEGORY_TOL:
+            raise CategoryConditionError(
+                f"Gauss diagonal block is not triangular at entry ({a},{b})"
             )
-            if bad > _CATEGORY_TOL:
-                raise CategoryConditionError(
-                    f"Gauss diagonal block is not triangular at entry ({a},{b})"
-                )
-    for j in range(safe + 1):
-        off = basis.offset(j)
-        for i in range(basis.dims[j]):
-            idx = off + i
-            comps = []
-            for op in (g.kplus, g.kminus):
-                s = op.entries.get((idx, idx))
-                if s is None or not s:
-                    raise CategoryConditionError(f"zero Gauss diagonal at index {idx}")
-                single = s.single()
-                if single is not None and single.is_x_free():
-                    comps.append(ThetaExpression(
-                        single.scalar, single.exp_z, 0j, single.factors))
-                    continue
-                for z in zprobe:
-                    vals = [s.eval(z, x, params) for x in xprobe]
-                    scale = max(1.0, max(abs(v) for v in vals))
-                    if max(abs(v - vals[0]) for v in vals) > _CATEGORY_TOL * scale:
-                        raise CategoryConditionError(
-                            f"x-dependent Gauss diagonal at index {idx}"
-                        )
-                comps.append(lambda z, s=s, p=params: s.eval(z, _X_REF, p))
-            el.add_monomial(j, WeightMonomial(comps[0], comps[1], basis.weight(j)))
+    x_probes = iter(vals[len(lower):])
+    el = QCharElement(basis.alpha0, safe, params)
+    for idx, pair in enumerate(diagonal):
+        comps = []
+        for s in pair:
+            if not s:
+                raise CategoryConditionError(f"zero Gauss diagonal at index {idx}")
+            term = _x_free_term(s)
+            if term is None:
+                v = next(x_probes)
+                scale = np.maximum(1.0, np.abs(v).max(axis=1))
+                if (np.abs(v - v[:, :1]).max(axis=1) > _CATEGORY_TOL * scale).any():
+                    raise CategoryConditionError(
+                        f"x-dependent Gauss diagonal at index {idx}"
+                    )
+            # a numeric component is the ThetaSum itself, read at x = _X_REF
+            comps.append(s if term is None else term)
+        j = basis.level_of(idx)
+        el.add_monomial(j, WeightMonomial(comps[0], comps[1], basis.weight(j)))
     return el
+
+
+def _x_free_term(s: ThetaSum) -> ThetaExpression | None:
+    """The single term of a Gauss diagonal entry when it is x-free, else
+    None."""
+    t = s.single()
+    return t if t is not None and t.is_x_free() else None
 
 
 def interchange_check(

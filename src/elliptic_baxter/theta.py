@@ -117,6 +117,15 @@ def theta_eval_array(z, params: EllipticParams) -> np.ndarray:
     raises OverflowError, as ``theta_eval`` does, instead of returning inf
     or NaN.
     """
+    vals = _theta_series(z, params)
+    if not np.isfinite(vals).all():
+        raise OverflowError("theta series is not finite at some argument")
+    return vals
+
+
+def _theta_series(z, params: EllipticParams) -> np.ndarray:
+    """``theta_eval_array`` without the finiteness check: an element whose
+    series overflows comes back inf or NaN."""
     tau = params.tau
     if tau.imag <= 0:
         raise ParameterError(f"Im(tau) must be positive, got tau={tau}")
@@ -149,8 +158,6 @@ def theta_eval_array(z, params: EllipticParams) -> np.ndarray:
             live = live[~done.any(axis=0)]
             if not live.size:
                 break
-    if not np.isfinite(s).all():
-        raise OverflowError("theta series is not finite at some argument")
     return np.where(m % 2, s, -s).reshape(z.shape)
 
 
@@ -425,6 +432,85 @@ class ThetaSum:
 
     def __repr__(self) -> str:
         return f"ThetaSum({len(self.terms)} terms)"
+
+
+# ---------------------------------------------------------------------------
+# ThetaTable: many ThetaSums at many points from one theta series pass
+# ---------------------------------------------------------------------------
+
+class ThetaTable:
+    """Theta sums flattened into factor arrays, so that every sum at a
+    batch of (z, x) points comes out of one ``theta_eval_array`` pass.
+
+    Built from (slot, ThetaSum) pairs; slot k of the result is the sum of
+    all terms given for k, zero when there are none.  Each distinct factor
+    theta(cz*z + cx*x + shift)**power is stored once; terms are sorted by
+    the slot they add to.
+    """
+
+    def __init__(self, sums, size: int, params: EllipticParams):
+        self.size = size
+        self.params = params
+        factors: dict[tuple, int] = {}
+        terms = []
+        for slot, s in sums:
+            for t in s.terms:
+                idx = [factors.setdefault((f.cz, f.cx, f.shift, f.power), len(factors))
+                       for f in t.factors]
+                terms.append((slot, t.scalar, t.exp_z, t.exp_x, idx))
+        terms.sort(key=lambda t: t[0])
+        dest, scalar, exp_z, exp_x, idx = zip(*terms) if terms else ((),) * 5
+        self.starts = np.flatnonzero(np.diff(np.array(dest, dtype=int), prepend=-1))
+        self.dest = np.array(dest, dtype=int)[self.starts]
+        self.scalar, self.exp_z, self.exp_x = (np.array(c, dtype=complex) for c in (scalar, exp_z, exp_x))
+        cz, cx, shift, power = zip(*factors) if factors else ((),) * 4
+        self.cz, self.cx, self.power = (np.array(c, dtype=int) for c in (cz, cx, power))
+        self.shift = np.array(shift, dtype=complex)
+        # index len(factors) is a row of ones that pads shorter products
+        width = max(map(len, idx), default=0)
+        self.index = np.array([i + [len(factors)] * (width - len(i)) for i in idx],
+                              dtype=int).reshape(len(idx), width)
+
+    def at(self, zs, xs) -> np.ndarray:
+        """Every slot at the points (zs, xs), as an array [point, slot].
+
+        A negative-power factor on the zero lattice raises PoleError and a
+        non-finite theta value OverflowError, as ``ThetaExpression.eval``.
+        """
+        return self._eval(zs, xs, strict=True)
+
+    def masked_at(self, zs, xs) -> tuple[np.ndarray, np.ndarray]:
+        """``at`` without raising: the values, NaN in every slot with a
+        term that has a negative-power factor on the zero lattice or a
+        non-finite theta value, and the mask of the points where some slot
+        is not finite."""
+        out = self._eval(zs, xs, strict=False)
+        return out, ~np.isfinite(out).all(axis=1)
+
+    def _eval(self, zs, xs, strict: bool) -> np.ndarray:
+        zs = np.asarray(zs, dtype=complex)
+        xs = np.asarray(xs, dtype=complex)
+        out = np.zeros((len(zs), self.size), dtype=complex)
+        if not self.dest.size:
+            return out
+        args = self.cz[:, None] * zs + self.cx[:, None] * xs + self.shift[:, None]
+        neg = self.power < 0
+        near = lattice_distance_array(args[neg], self.params) < POLE_TOL
+        if strict:
+            if near.any():
+                raise PoleError(f"theta factor with negative power at lattice point {args[neg][near][0]}")
+            vals = theta_eval_array(args, self.params)
+        else:
+            vals = _theta_series(args, self.params)
+            vals[neg] = np.where(near, np.nan, vals[neg])
+            vals[~np.isfinite(vals)] = np.nan
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            vals = vals ** self.power[:, None]
+            vals = np.vstack([vals, np.ones((1, len(zs)))])
+            terms = vals[self.index].prod(axis=1) * self.scalar[:, None]
+            terms *= np.exp(self.exp_z[:, None] * zs + self.exp_x[:, None] * xs)
+            out[:, self.dest] = np.add.reduceat(terms, self.starts, axis=0).T
+        return out
 
 
 # ---------------------------------------------------------------------------

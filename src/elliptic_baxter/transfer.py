@@ -26,17 +26,7 @@ from .dynamical import (
     worst_residual,
 )
 from .modules import EllipticModule, build_asymptotic, socle
-from .theta import (
-    POLE_TOL,
-    EllipticParams,
-    PoleError,
-    lattice_distance,
-    lattice_distance_array,
-    theta_eval,
-    theta_eval_array,
-)
-
-_KEYS = ("++", "+-", "-+", "--")
+from .theta import EllipticParams, lattice_distance, theta_eval
 
 
 @dataclass(frozen=True)
@@ -84,52 +74,6 @@ class QuantumSpace:
         return a
 
 
-class _EntryTables:
-    """The four L tables of a module flattened into factor arrays, so that
-    all entries at a batch of (z, x) points come out of one numpy pass.
-
-    An entry is a sum of terms scalar * exp(exp_z*z + exp_x*x) *
-    prod theta(cz*z + cx*x + shift)**power.  Each distinct factor is stored
-    once; terms are sorted by the entry they add to.
-    """
-
-    def __init__(self, X: EllipticModule):
-        self.params = X.params
-        self.size = n = X.basis.size
-        factors: dict[tuple, int] = {}
-        terms = []
-        for key, name in enumerate(_KEYS):
-            for (a, b), s in X.L[name].entries.items():
-                for t in s.terms:
-                    idx = [factors.setdefault((f.cz, f.cx, f.shift, f.power), len(factors))
-                           for f in t.factors]
-                    terms.append(((key * n + a) * n + b, t.scalar, t.exp_z, t.exp_x, idx))
-        terms.sort(key=lambda t: t[0])
-        dest, scalar, exp_z, exp_x, idx = zip(*terms)
-        self.starts = np.flatnonzero(np.diff(dest, prepend=-1))
-        self.dest = np.array(dest)[self.starts]
-        self.scalar, self.exp_z, self.exp_x = (np.array(c, dtype=complex) for c in (scalar, exp_z, exp_x))
-        self.cz, self.cx, self.shift, self.power = (np.array(c) for c in zip(*factors))
-        # index len(factors) is a row of ones that pads shorter products
-        width = max(map(len, idx))
-        self.index = np.array([i + [len(factors)] * (width - len(i)) for i in idx])
-
-    def at(self, zs: np.ndarray, xs: np.ndarray) -> np.ndarray:
-        """Dense entry matrices [point, key, row, col] at the points (zs, xs)."""
-        args = self.cz[:, None] * zs + self.cx[:, None] * xs + self.shift[:, None]
-        poles = args[self.power < 0]
-        near = lattice_distance_array(poles, self.params) < POLE_TOL
-        if near.any():
-            raise PoleError(f"theta factor with negative power at lattice point {poles[near][0]}")
-        vals = theta_eval_array(args, self.params) ** self.power[:, None]
-        vals = np.vstack([vals, np.ones((1, len(zs)))])
-        terms = vals[self.index].prod(axis=1) * self.scalar[:, None]
-        terms *= np.exp(self.exp_z[:, None] * zs + self.exp_x[:, None] * xs)
-        out = np.zeros((len(zs), 4 * self.size * self.size), dtype=complex)
-        out[:, self.dest] = np.add.reduceat(terms, self.starts, axis=0).T
-        return out.reshape(len(zs), 4, self.size, self.size)
-
-
 @lru_cache(maxsize=8)
 def _contraction_plan(basis: tuple[tuple[int, ...], ...]):
     """Index arrays of the prefix plan over the pairs (i, j) of chain
@@ -161,7 +105,7 @@ class _GradedTrace:
     for every pair of chain strings, evaluated at a point and memoized."""
 
     def __init__(self, X: EllipticModule, space: QuantumSpace, order: int):
-        self.entries = _EntryTables(X)
+        self.module = X
         grid, self.steps = _contraction_plan(space.basis)
         h = X.params.hbar
         self.z_off = np.array(space.sites, dtype=complex)[grid[:, 0]] - h
@@ -181,9 +125,9 @@ class _GradedTrace:
         return hit
 
     def _contract(self, z: complex, x: complex) -> np.ndarray:
-        m = self.entries.at(z + self.z_off, x + self.x_off)
+        m = self.module.entry_matrices(z + self.z_off, x + self.x_off)
         # only rows of levels <= order reach the traces
-        acc = np.eye(self.entries.size, dtype=complex)[None, : self.rows]
+        acc = np.eye(self.module.basis.size, dtype=complex)[None, : self.rows]
         *inner, (parent, point, key) = self.steps
         for up, pt, k in inner:
             acc = acc[up] @ m[pt, k]

@@ -11,6 +11,7 @@ from elliptic_baxter.modules import (
     socle,
 )
 from elliptic_baxter.qchar import (
+    _MIN_VALID_SAMPLES,
     CategoryConditionError,
     QCharElement,
     WeightMonomial,
@@ -26,8 +27,16 @@ from elliptic_baxter.qchar import (
     qchar_of_module,
     qchar_one_dim,
     qchar_unit,
+    _zgrid,
 )
-from elliptic_baxter.theta import EllipticParams, SamplePlan, ThetaExpression, theta_eval
+from elliptic_baxter.theta import (
+    EllipticParams,
+    PoleError,
+    SamplePlan,
+    ThetaExpression,
+    ThetaSum,
+    theta_eval,
+)
 
 P = EllipticParams(tau=1j, hbar=0.31)
 H = P.hbar
@@ -65,6 +74,43 @@ class TestWeightMonomial:
         num = mono(lambda z: 2.0 * theta_eval(z + 0.2, P), lambda z: 0.5 * theta_eval(z + 0.2, P), 0.0)
         assert monomial_deviation(mono(a, a, 0.0), num, P) < 1e-10
 
+
+
+class TestRatioTestSkips:
+    """Grid points where a component has a pole are skipped, not raised;
+    too few points left gives inf."""
+
+    B = ThetaExpression.theta(1, 0, 0.5)
+
+    @staticmethod
+    def _poles_on_grid(count):
+        """theta(z + 0.2) times theta(z - g)^-1 for the first ``count`` grid points g."""
+        e = ThetaExpression.theta(1, 0, 0.2)
+        for g in _zgrid(P)[:count]:
+            e = e * ThetaExpression.theta(1, 0, -g, power=-1)
+        return e
+
+    def test_pole_on_one_grid_point_is_skipped(self):
+        a = self._poles_on_grid(1)
+        m1 = mono(a, self.B, 1.0)
+        assert m1.grid_values(P)[1].tolist() == [False] + [True] * (len(_zgrid(P)) - 1)
+        numeric = mono(ThetaSum(2.0 * a), ThetaSum(0.5 * self.B), 1.0)
+        called = mono(lambda z: 2.0 * a.eval(z, 0.0, P), lambda z: 0.5 * self.B.eval(z, 0.0, P), 1.0)
+        with pytest.raises(PoleError):
+            a.eval(_zgrid(P)[0], 0.0, P)
+        assert numeric.key is None and called.key is None
+        assert monomial_deviation(m1, numeric, P) < 1e-12
+        assert monomial_deviation(called, m1, P) < 1e-12
+
+    def test_too_few_valid_points_is_inf(self):
+        n = len(_zgrid(P))
+        enough = self._poles_on_grid(n - _MIN_VALID_SAMPLES)
+        too_few = self._poles_on_grid(n - _MIN_VALID_SAMPLES + 1)
+        for a, finite in ((enough, True), (too_few, False)):
+            m1 = mono(a, self.B, 1.0)
+            m2 = mono(ThetaSum(2.0 * a), ThetaSum(0.5 * self.B), 1.0)
+            assert (monomial_deviation(m1, m2, P) < 1e-12) is finite
+            assert (monomial_deviation(m1, m2, P) == math.inf) is not finite
 
 
 class TestOneEquivalenceRule:
@@ -184,12 +230,12 @@ class TestExtraction:
         q = qchar_of_module(S)
         assert q.depth == 2 and all(len(q.term_list(k)) == 1 for k in range(3))
         # leading term is the highest weight
-        lead = q.leading()
-        z0 = 0.23 + 0.11j
-        ref_p = theta_eval(z0 + 3 * H, P)
-        got_p, got_m = lead.values(z0, P)
-        assert abs(got_p - ref_p) < 1e-12 * (1 + abs(ref_p))
-        assert abs(got_m - theta_eval(z0 + H, P)) < 1e-12
+        (got_p, got_m), ok = q.leading().grid_values(P)
+        assert ok.all()
+        for z, gp, gm in zip(_zgrid(P), got_p, got_m):
+            ref_p = theta_eval(z + 3 * H, P)
+            assert abs(gp - ref_p) < 1e-12 * (1 + abs(ref_p))
+            assert abs(gm - theta_eval(z + H, P)) < 1e-12
 
     def test_multiplicativity(self):
         X = build_asymptotic(1.1 + 0.2j, 0.0, 6, P)
@@ -198,6 +244,21 @@ class TestExtraction:
         qT = qchar_of_module(T)
         qXY = mul(qchar_of_module(X), qchar_of_module(Y), qT.depth)
         assert element_deviation(qT, qXY) < 1e-9
+
+    def test_run_qchar_multiplicities_small_im_tau(self):
+        # the modules of the CLI qchar suite at tau = 0.2i, depth 8: every
+        # monomial class is distinct, step k of the tensor has k + 1
+        p2 = EllipticParams(tau=0.2j, hbar=0.31)
+        X = build_asymptotic(1.1 + 0.2j, 0.0, 8, p2)
+        Y = build_asymptotic(0.7 - 0.4j, 0.3, 8, p2)
+        T = dynamical_tensor(X, Y, max_level=8)
+
+        def mults(M):
+            q = qchar_of_module(M)
+            return [[n for _, n in q.term_list(k)] for k in range(q.depth + 1)]
+
+        assert mults(X) == mults(Y) == [[1]] * 8
+        assert mults(T) == [[1] * (k + 1) for k in range(8)]
 
     def test_x_dependent_diagonal_rejected(self):
         from elliptic_baxter.dynamical import ModuleOperator

@@ -5,6 +5,12 @@ import warnings
 import numpy as np
 import pytest
 
+from elliptic_baxter.modules import (
+    build_asymptotic,
+    dynamical_tensor,
+    gauss_decompose,
+    r_matrix_symbolic,
+)
 from elliptic_baxter.theta import (
     EllipticParams,
     GenericityError,
@@ -13,6 +19,7 @@ from elliptic_baxter.theta import (
     SamplePlan,
     ThetaExpression,
     ThetaSum,
+    ThetaTable,
     in_hbar_inv_lattice,
     lattice_distance,
     lattice_distance_array,
@@ -234,6 +241,72 @@ class TestThetaSum:
         assert abs(a.inv().eval(z, x, P) * a.eval(z, x, P) - 1) < 1e-12
         with pytest.raises(ValueError):
             b.inv()
+
+
+def _table_cases(params):
+    """The R-matrix table, a ladder module's four L tables and the Gauss
+    diagonals of a tensor module (sums of up to four terms)."""
+    ladder = build_asymptotic(1.7 + 0.3j, 0.4, 6, params)
+    tensor = dynamical_tensor(build_asymptotic(1.1 + 0.2j, 0.0, 4, params),
+                              build_asymptotic(0.7 - 0.4j, 0.3, 4, params), max_level=4)
+    g = gauss_decompose(tensor)
+    return {
+        "r-matrix": [s for row in r_matrix_symbolic(params) for s in row],
+        "ladder": [s for key in ("++", "+-", "-+", "--") for s in ladder.L[key].entries.values()],
+        "gauss-diagonal": [op.entries[(i, i)] for op in (g.kplus, g.kminus)
+                           for i in range(tensor.basis.size)],
+    }
+
+
+class TestThetaTable:
+    @pytest.mark.parametrize("tau", [1j, 0.2j, 0.4 + 0.6j])
+    def test_matches_thetasum_eval(self, tau):
+        params = EllipticParams(tau=tau, hbar=0.31)
+        pts = SamplePlan(seed=5, count=8, pole_margin=5e-2).pairs(params)
+        for sums in _table_cases(params).values():
+            got = ThetaTable(enumerate(sums), len(sums), params).at(*zip(*pts))
+            assert got.shape == (len(pts), len(sums))
+            for row, (z, x) in zip(got, pts):
+                for v, s in zip(row, sums):
+                    # relative to the term scale, so that cancellation
+                    # inside a multi-term sum does not count
+                    scale = sum(abs(t.eval(z, x, params)) for t in s.terms)
+                    assert abs(v - s.eval(z, x, params)) <= 1e-13 * scale
+
+    def test_slots_add_and_empty_slots_are_zero(self):
+        a = ThetaSum(ThetaExpression.theta(1, 0, 0.2))
+        b = ThetaSum(ThetaExpression.theta(0, 1, 0.1, power=-1))
+        got = ThetaTable([(2, a), (0, b), (2, b)], 4, P).at([0.3 + 0.1j], [0.4 + 0.2j])[0]
+        z, x = 0.3 + 0.1j, 0.4 + 0.2j
+        assert got[1] == got[3] == 0
+        assert got[0] == pytest.approx(b.eval(z, x, P), rel=1e-13)
+        assert got[2] == pytest.approx((a + b).eval(z, x, P), rel=1e-13)
+        assert ThetaTable([], 2, P).at([0.1, 0.2], [0.3, 0.4]).tolist() == [[0, 0], [0, 0]]
+
+    POLE = ThetaSum(ThetaExpression.theta(1, 0, -0.3, power=-1))   # pole at z = 0.3
+    GROWS = ThetaSum(ThetaExpression.theta(0, 1, 0.0))             # overflows at x = 300i
+    ZS = [0.1 + 0.2j, 0.3, 0.5 + 0.1j, 0.7 + 0.3j, 0.2 + 0.4j]
+    XS = [0.3 + 0.1j, 0.4 + 0.2j, 0.1 + 0.1j, 0.2 + 300j, 0.6 + 0.3j]
+
+    def test_strict_raises_pole_and_overflow(self):
+        with pytest.raises(PoleError):
+            ThetaTable([(0, self.POLE)], 1, P).at(self.ZS[:3], self.XS[:3])
+        with pytest.raises(OverflowError):
+            theta_eval(self.XS[3], P)
+        with pytest.raises(OverflowError):
+            ThetaTable([(0, self.GROWS)], 1, P).at(self.ZS[3:], self.XS[3:])
+
+    def test_masked_marks_exactly_the_bad_points(self):
+        table = ThetaTable([(0, self.POLE), (1, self.GROWS), (2, ThetaSum.one())], 3, P)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vals, bad = table.masked_at(self.ZS, self.XS)
+        assert bad.tolist() == [False, True, False, True, False]
+        # a bad factor spoils only the slots whose terms use it
+        assert np.isnan(vals[1, 0]) and np.isfinite(vals[1, 1:]).all()
+        assert np.isnan(vals[3, 1]) and np.isfinite(vals[3, [0, 2]]).all()
+        good = ~bad
+        assert np.array_equal(vals[good], table.at(np.array(self.ZS)[good], np.array(self.XS)[good]))
 
 
 class TestSamplePlan:

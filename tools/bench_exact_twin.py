@@ -15,12 +15,9 @@ alike; the medians over the repeats are reported.
 from __future__ import annotations
 
 import argparse
-import json
-import os
-import platform
-import statistics
-import subprocess
 import sys
+
+import benchturns
 
 # The first eight sites of the exact-twin measurements in ROADMAP.md.
 SITES = ("2/3", "-5/7", "9/4", "-1/6", "3/5", "7/2", "5/4", "-4/9")
@@ -61,56 +58,24 @@ print(json.dumps({"cli_yangian_tq_s": wall, "exit_code": code,
 """
 
 
-def _run(src: str, code: str, n_sites: int, order: int) -> dict:
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    out = subprocess.run(
-        [sys.executable, "-c", code, ",".join(SITES[:n_sites]), str(order)],
-        env=env, capture_output=True, text=True, check=True)
-    return json.loads(out.stdout)
-
-
-def _median(runs: list[dict]) -> dict:
-    out = {}
-    for key in runs[0]:
-        values = [r[key] for r in runs]
-        if key in ("residual", "exit_code"):
-            if len(set(values)) != 1:
-                raise RuntimeError(f"{key} differs between repeats: {values}")
-            out[key] = values[0]
-        else:
-            out[key] = round(statistics.median(values), 4)
-    return out
-
-
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--src", action="append", required=True,
-                    metavar="LABEL=PATH",
-                    help="a label and the src/ directory of a checkout")
-    ap.add_argument("--out", help="write the JSON here instead of stdout")
+    benchturns.src_arguments(ap)
     args = ap.parse_args(argv)
     checkouts = dict(s.split("=", 1) for s in args.src)
-    runs = {label: {} for label in checkouts}
-    jobs = [(f"{n}site-o{o}", _IN_PROCESS, n, o) for n, o in CHAINS]
-    jobs.append((f"cli-{CLI_CHAIN[0]}site-o{CLI_CHAIN[1]}", _CLI, *CLI_CHAIN))
-    for _ in range(REPEATS):
-        for name, code, n, o in jobs:
-            for label, src in checkouts.items():
-                runs[label].setdefault(name, []).append(_run(src, code, n, o))
+    jobs = [(f"{n}site-o{o}", _IN_PROCESS, (",".join(SITES[:n]), o)) for n, o in CHAINS]
+    n, o = CLI_CHAIN
+    jobs.append((f"cli-{n}site-o{o}", _CLI, (",".join(SITES[:n]), o)))
+    runs = benchturns.take_turns(checkouts, jobs, REPEATS)
     record = {
-        "host": {"platform": platform.platform(), "python": sys.version.split()[0],
-                 "nproc": os.cpu_count()},
+        "host": benchturns.host(),
         "sites": list(SITES),
         "repeats": REPEATS,
-        "median": {label: {name: _median(r) for name, r in by_job.items()}
+        "median": {label: {name: benchturns.median(r, ("residual", "exit_code"))
+                           for name, r in by_job.items()}
                    for label, by_job in runs.items()},
     }
-    text = json.dumps(record, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    benchturns.write(record, args.out)
     return 0
 
 
