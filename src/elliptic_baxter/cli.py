@@ -123,6 +123,8 @@ class RunConfig:
             raise ConfigError(f"tau/hbar: {exc}") from None
         self.order = _as_int("order", raw["order"], lo=0)
         self.depth = _as_int("depth", raw["depth"], lo=0)
+        if "qchar" in self.suites and self.depth < 2:
+            raise ConfigError("depth: the qchar suite needs depth >= 2")
         self.samples = _as_int("samples", raw["samples"], lo=1)
         self.seed = _as_int("seed", raw["seed"], lo=0)
         self.tol = None if raw["tol"] is None else _as_tol(raw["tol"])

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -311,29 +311,75 @@ def tensor_entry_tables(
     return basis, out
 
 
-def prefix_plan(pairs: tuple) -> tuple:
-    """Left-to-right contraction plan of a graded trace over the pairs
-    (i, j) of index strings, sharing products between pairs with equal
-    prefixes (an MPO-style sweep, Schollwoeck arXiv:1008.3477).
+# Entry-matrix items gathered for one batched matmul of `graded_trace`:
+# bounds the batch temporaries whatever the number of prefixes.
+_BATCH_ITEMS = 1 << 18
 
-    Site l lists each distinct prefix (i[:l+1], j[:l+1]) once, in order of
-    first appearance, as (parent, i_l, j_l): the index of its prefix at
-    site l-1 (0 at site 0) and the entry it multiplies in.  At the last
-    site the prefixes are the given pairs, in the given order.
+
+@lru_cache(maxsize=8)
+def contraction_plan(pairs: tuple, letters: tuple) -> tuple:
+    """Left-to-right plan of `graded_trace` over the pairs (i, j) of
+    strings in two letters (up, down), sharing products between pairs
+    with equal prefixes (an MPO-style sweep, Schollwoeck arXiv:1008.3477).
+
+    Site l lists each distinct prefix (i[:l+1], j[:l+1]) once, in order
+    of first appearance; at the last site the prefixes are the pairs, in
+    order.  A prefix is its parent prefix at site l-1 times the entry
+    (i_l, j_l) at the shift s = #up - #down of j[:l].  Returns the
+    reachable (site, shift) grid, sorted, and per site the parent index
+    and the entry 4*point + key of every prefix, with point the grid
+    index and key 2*[i_l is down] + [j_l is down].
     """
-    plan = []
-    prev = {((), ()): 0}
+    up, down = letters
+    raw = []
+    prev = {((), ()): (0, 0)}  # prefix: (index, shift after it)
     for l in range(len(pairs[0][0])):
-        cur: dict[tuple, int] = {}
-        step = []
+        cur: dict[tuple, tuple] = {}
+        parent, points, key = [], [], []
         for i, j in pairs:
             pre = (i[: l + 1], j[: l + 1])
             if pre not in cur:
-                cur[pre] = len(step)
-                step.append((prev[i[:l], j[:l]], i[l], j[l]))
-        plan.append(tuple(step))
+                n, s = prev[i[:l], j[:l]]
+                cur[pre] = (len(parent), s + (1 if j[l] == up else -1))
+                parent.append(n)
+                points.append((l, s))
+                key.append(2 * (i[l] == down) + (j[l] == down))
+        raw.append((parent, points, key))
         prev = cur
-    return tuple(plan)
+    grid = sorted({g for _, points, _ in raw for g in points})
+    where = {g: n for n, g in enumerate(grid)}
+    steps = tuple((np.array(parent), 4 * np.array([where[g] for g in points]) + key)
+                  for parent, points, key in raw)
+    return np.array(grid), steps
+
+
+def graded_trace(m: np.ndarray, plan: tuple, levels) -> np.ndarray:
+    """Level-block traces of the site-ordered products over the pairs of
+    a `contraction_plan`, in any dtype: m[point, key] is the entry matrix
+    at a grid point and rows levels[k]:levels[k+1] are level k, each
+    level nonempty.  Returns [pair, level].
+
+    Each site multiplies its prefixes' entries in batched matmuls of at
+    most `_BATCH_ITEMS` gathered entry items; only the rows of the traced
+    levels are carried, and the last site forms only the diagonal.
+    """
+    _, steps = plan
+    rows, size = levels[-1], m.shape[-1]
+    entries = m.reshape(-1, size, size)
+    batch = max(1, _BATCH_ITEMS // (size * size))
+    acc = np.eye(size, dtype=m.dtype)[None, :rows]
+    *inner, (parent, code) = steps
+    for up, key in inner:
+        nxt = np.empty((len(up), rows, size), dtype=m.dtype)
+        for lo in range(0, len(up), batch):
+            b = slice(lo, lo + batch)
+            np.matmul(acc[up[b]], entries[key[b]], out=nxt[b])
+        acc = nxt
+    diag = np.empty((len(parent), rows), dtype=m.dtype)
+    for lo in range(0, len(parent), batch):
+        b = slice(lo, lo + batch)
+        diag[b] = np.einsum("pab,pba->pa", acc[parent[b]], entries[code[b]][:, :, :rows])
+    return np.add.reduceat(diag, levels[:-1], axis=1)
 
 
 # ---------------------------------------------------------------------------

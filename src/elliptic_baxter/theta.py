@@ -323,32 +323,15 @@ class ThetaExpression:
         return self.exp_x == 0 and all(f.cx == 0 for f in self.factors)
 
     # -- canonical form --------------------------------------------------
-    def canonical(self, mod_tau: bool = False, params: EllipticParams | None = None) -> "ThetaExpression":
-        """Orient factors by oddness and reduce shifts modulo 1.
-
-        Reduction modulo tau (``mod_tau=True``, requires params) folds
-        theta(w+tau) = -exp(-i*pi*tau - 2*i*pi*w) theta(w) into the scalar
-        and the exponential prefactor.
-        """
+    def canonical(self) -> "ThetaExpression":
+        """Orient factors by oddness and reduce shifts modulo 1."""
         scalar = self.scalar
-        exp_z, exp_x = self.exp_z, self.exp_x
         out: dict[tuple, list] = {}
         for f in self.factors:
             cz, cx, shift, power = f.cz, f.cx, f.shift, f.power
             if cz < 0 or (cz == 0 and cx < 0):
                 cz, cx, shift = -cz, -cx, -shift
                 scalar *= (-1.0) ** power
-            if mod_tau:
-                if params is None:
-                    raise ValueError("mod_tau reduction needs params")
-                n = math.floor(shift.imag / params.tau.imag)
-                if n != 0:
-                    # theta(w + n*tau) = (-1)^n exp(-i*pi*n^2*tau - 2*i*pi*n*w) theta(w)
-                    shift = shift - n * params.tau
-                    scalar *= ((-1.0) ** n) ** power
-                    scalar *= cmath.exp(power * (-1j * math.pi * n * n * params.tau - _TWO_PI_I * n * shift))
-                    exp_z += power * (-_TWO_PI_I * n * cz)
-                    exp_x += power * (-_TWO_PI_I * n * cx)
             m = math.floor(shift.real)
             if m != 0:
                 shift = shift - m
@@ -364,7 +347,7 @@ class ThetaExpression:
                 key=lambda f: (f.cz, f.cx, round(f.shift.real, 12), round(f.shift.imag, 12), f.power),
             )
         )
-        return ThetaExpression(scalar, exp_z, exp_x, factors)
+        return ThetaExpression(scalar, self.exp_z, self.exp_x, factors)
 
 
 ONE = ThetaExpression()

@@ -8,7 +8,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from itertools import permutations
 
 import numpy as np
@@ -17,7 +16,8 @@ from .dynamical import (
     DiffOpSeries,
     ShapeError,
     TermMatrix,
-    prefix_plan,
+    contraction_plan,
+    graded_trace,
     series_add,
     series_compose,
     series_divide,
@@ -74,44 +74,21 @@ class QuantumSpace:
         return a
 
 
-@lru_cache(maxsize=8)
-def _contraction_plan(basis: tuple[tuple[int, ...], ...]):
-    """Index arrays of the prefix plan over the pairs (i, j) of chain
-    strings, row-major.
-
-    Site l of a pair multiplies in L_{i_l j_l} at the x-shift
-    s = sum_{m<l} j_m; zero total weight bounds it by |s| <= min(l, L-l).
-    Returns the reachable (site, shift) grid and, per site, the parent
-    prefix, grid point and entry key of every prefix one site longer.
-    """
-    L = len(basis[0])
-    grid = [(l, s) for l in range(L) for s in range(-min(l, L - l), min(l, L - l) + 1, 2)]
-    where = {g: n for n, g in enumerate(grid)}
-    steps = []
-    ends = [0]  # x-shift after each prefix of the previous site
-    for l, step in enumerate(prefix_plan(tuple((i, j) for i in basis for j in basis))):
-        parent, i, j = zip(*step)
-        shift = [ends[p] for p in parent]
-        point = [where[(l, s)] for s in shift]
-        key = [2 * (a < 0) + (b < 0) for a, b in zip(i, j)]
-        steps.append((np.array(parent), np.array(point), np.array(key)))
-        ends = [s + b for s, b in zip(shift, j)]
-    return np.array(grid), tuple(steps)
-
-
 class _GradedTrace:
     """Level-block traces, levels 0..order, of the site-ordered product
     M_0(x) M_1(x + hbar*j_0) ... with M_l = L_{i_l j_l}(z + a_l - hbar; .),
-    for every pair of chain strings, evaluated at a point and memoized."""
+    for every pair of chain strings, row-major, evaluated at a point by
+    `graded_trace` and memoized."""
 
     def __init__(self, X: EllipticModule, space: QuantumSpace, order: int):
         self.module = X
-        grid, self.steps = _contraction_plan(space.basis)
+        basis = space.basis
+        self.plan = contraction_plan(tuple((i, j) for i in basis for j in basis), (1, -1))
+        grid = self.plan[0]
         h = X.params.hbar
         self.z_off = np.array(space.sites, dtype=complex)[grid[:, 0]] - h
         self.x_off = h * grid[:, 1]
-        self.levels = [X.basis.offset(k) for k in range(order + 1)]
-        self.rows = X.basis.offset(order + 1)
+        self.levels = [X.basis.offset(k) for k in range(order + 2)]
         self.shape = (order + 1, space.dim, space.dim)
         self.memo: dict[tuple[complex, complex], np.ndarray] = {}
 
@@ -119,20 +96,11 @@ class _GradedTrace:
         key = (complex(z), complex(x))
         hit = self.memo.get(key)
         if hit is None:
-            hit = self._contract(*key)
+            m = self.module.entry_matrices(key[0] + self.z_off, key[1] + self.x_off)
+            hit = graded_trace(m, self.plan, self.levels).T.reshape(self.shape)
             hit.flags.writeable = False
             self.memo[key] = hit
         return hit
-
-    def _contract(self, z: complex, x: complex) -> np.ndarray:
-        m = self.module.entry_matrices(z + self.z_off, x + self.x_off)
-        # only rows of levels <= order reach the traces
-        acc = np.eye(self.module.basis.size, dtype=complex)[None, : self.rows]
-        *inner, (parent, point, key) = self.steps
-        for up, pt, k in inner:
-            acc = acc[up] @ m[pt, k]
-        diag = np.einsum("pab,pba->pa", acc[parent], m[point, key][:, :, : self.rows])
-        return np.add.reduceat(diag, self.levels, axis=1).T.reshape(self.shape)
 
 
 @dataclass(frozen=True)

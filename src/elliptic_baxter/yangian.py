@@ -16,7 +16,7 @@ from itertools import product as iproduct
 
 import numpy as np
 
-from .dynamical import prefix_plan
+from .dynamical import contraction_plan, graded_trace
 from .polyring import (
     Poly,
     RatFn,
@@ -381,12 +381,22 @@ def _pack_tables(tables) -> tuple:
     for tables of ints and int-leaf polynomials."""
     entries = [e for tab in tables for row in tab for e in row]
     stride = _inner_slots(entries)
-    rows = _coefficient_rows(entries, stride)
-    bound = np.abs(rows).max()
+    num, *rest = _tight_pack(list(_coefficient_rows(entries, stride).T), stride)
+    return num.reshape(len(tables), len(tables[0]), len(tables[0])), *rest
+
+
+def _tight_pack(digits, stride: int) -> tuple:
+    """(num, width, stride, outer slots, bound) of the entries whose
+    coefficient slots at inner stride `stride` are digits[0], digits[1],
+    ..., packed at the least width, stride and outer slot count that
+    hold them."""
+    used = [k for k, dig in enumerate(digits) if dig.any()] or [0]
+    tight = max(k % stride for k in used) + 1
+    outer = max(k // stride for k in used) + 1
+    bound = max(np.abs(dig).max() for dig in digits)
     width = _width(bound)
-    num = _pack(list(rows.T), width).reshape(
-        len(tables), len(tables[0]), len(tables[0]))
-    return num, width, stride, rows.shape[1] // stride, bound
+    spread = [digits[i * stride + j] for i in range(outer) for j in range(tight)]
+    return _pack(spread, width), width, tight, outer, bound
 
 
 class PSeriesMatrix:
@@ -609,20 +619,6 @@ class PSeriesMatrix:
         return exact_residual((Fraction(worst, den),))
 
 
-def _row_times(rows: dict, cols: dict) -> dict:
-    """Each row vector {label: entry} in `rows` times the operator with
-    cols[label] = ((source, entry), ...); rows that vanish are dropped."""
-    out = {}
-    for start, row in rows.items():
-        nxt = {}
-        for lab, poly in row.items():
-            for lab2, c in cols.get(lab, ()):
-                nxt[lab2] = nxt.get(lab2, Poly()) + c * poly
-        if nxt:
-            out[start] = nxt
-    return out
-
-
 def yangian_transfer(X: YangianModule, sites,
                      order: int) -> list[PSeriesMatrix]:
     """Level-graded trace over the auxiliary module of the site-ordered
@@ -650,14 +646,16 @@ def _graded_trace(X: YangianModule, sites, order: int,
     """The trace of `yangian_transfer`, with at(p, a) the value of the
     module entry p at the site a.
 
-    A left-to-right contraction over the prefix plan of the same-sector
-    string pairs: per prefix and per start label of weight <= order, the
-    row of that label in the prefix's product, formed once from its
-    parent's row; the last site forms only the diagonal entry.  The plan
-    is walked depth first, so only the rows along one path are held at a
-    time.  Each site's entries are cleared over one denominator, the
-    contraction runs on int-leaf polynomials, and each output entry is
-    divided once by the product of the site denominators."""
+    `dynamical.graded_trace` over the same-sector string pairs, on
+    Kronecker-packed ints: each site's entries are cleared over one
+    denominator and packed at one width and stride for the whole
+    contraction.  Each output coefficient is a sum of level-dimension
+    many diagonal entries of the site product, so its magnitude is at
+    most the largest level dimension times the product over sites of the
+    largest row sum of the entries' coefficient l1 norms (the l1 norm is
+    submultiplicative); the inner degrees add up the same way.  Each
+    sector is then repacked at its own tight width, stride and outer slot
+    count, read from the digits."""
     L = len(sites)
     if L < 1:
         raise ValueError("need at least one site")
@@ -672,64 +670,53 @@ def _graded_trace(X: YangianModule, sites, order: int,
             f"truncation too shallow: order {order} with {L} sites needs "
             f"at least {order + L} levels, module has {X.levels}"
         )
-    strings = chain_basis(L)
-    pairs = tuple((i, j) for i in strings for j in strings
-                  if i.count(1) == j.count(1))
-
-    def at_site(a):
-        # X.act[ab][lab] lists (lab2, p) for T_ab e_lab = ... + p e_lab2;
-        # here with p at the site, as numerators over one denominator d
-        vals = {ab: {lab: [(lab2, at(p, a)) for lab2, p in rows]
-                     for lab, rows in table.items()}
-                for ab, table in X.act.items()}
-        d = denominator(p for table in vals.values()
-                        for rows in table.values() for _, p in rows)
-        return d, {ab: {lab: tuple((lab2, numerators(p, d))
-                                   for lab2, p in rows)
-                        for lab, rows in table.items()}
-                   for ab, table in vals.items()}
-
-    def by_row(table):
-        # the same (lab, p) listed by the row label lab2
-        out = {}
-        for lab, rows in table.items():
-            for lab2, p in rows:
-                out.setdefault(lab2, []).append((lab, p))
-        return out
-
-    plan = prefix_plan(pairs)
-    # the prefixes one site longer than each prefix, per site
-    children = [{} for _ in plan]
-    for step, kids in zip(plan, children):
-        for n, (parent, i, j) in enumerate(step):
-            kids.setdefault(parent, []).append((n, i, j))
-    cleared = [at_site(a) for a in sites]
-    cols = [{ab: by_row(table) for ab, table in tabs.items()}
-            for _, tabs in cleared[:-1]]
-    act = cleared[-1][1]
     bases = [sector_basis(L, s) for s in range(L + 1)]
-    pos = {string: n for basis in bases for n, string in enumerate(basis)}
-    tables = [[_zero_table(len(basis)) for _ in range(order + 1)]
-              for basis in bases]
-
-    def descend(l, parent, rows):
-        for n, i, j in children[l].get(parent, ()):
-            if l < L - 1:
-                descend(l + 1, n, _row_times(rows, cols[l][(i, j)]))
-                continue
-            istr, jstr = pairs[n]
-            sector, r, c = tables[istr.count(1)], pos[istr], pos[jstr]
-            for start, row in rows.items():
-                tab = sector[X.weight[start]]
-                for lab, p in act[(i, j)].get(start, ()):
-                    if lab in row:
-                        tab[r][c] = tab[r][c] + p * row[lab]
-
-    descend(0, 0, {lab: {lab: Poly((1,))}
-                   for lab, wt in X.weight.items() if wt <= order})
-    denom = math.prod(d for d, _ in cleared)
-    return [PSeriesMatrix._packed(basis, X.exact, denom, *_pack_tables(sector))
-            for basis, sector in zip(bases, tables)]
+    pairs = tuple((i, j) for i in chain_basis(L) for j in bases[i.count(1)])
+    plan = contraction_plan(pairs, (1, 2))
+    labels = sorted(X.basis, key=X.weight.__getitem__)
+    pos = {lab: n for n, lab in enumerate(labels)}
+    # levels past the module's top (a finite module) trace to zero
+    top = min(order, X.weight[labels[-1]])
+    levels = [sum(X.weight[lab] < k for lab in labels)
+              for k in range(top + 2)]
+    n = len(labels)
+    # T_ab e_lab = ... + p e_lab2 is entry (lab2, lab) of the ab matrix
+    cells = [(2 * ab[0] + ab[1] - 3, pos[lab2], pos[lab], p)
+             for ab, table in X.act.items()
+             for lab, rows in table.items() for lab2, p in rows]
+    dens, nums, shapes = [], [], []
+    for a in sites:
+        vals = [at(p, a) for *_, p in cells]
+        d = denominator(vals)
+        site = [numerators(v, d) for v in vals]
+        inner = _inner_slots(site)
+        flat = _coefficient_rows(site, inner)
+        row_l1 = np.zeros((4, n), dtype=object)
+        for (key, r, _, _), l1 in zip(cells, np.abs(flat).sum(axis=1)):
+            row_l1[key, r] += l1
+        dens.append(d)
+        nums.append(site)
+        shapes.append((inner, flat.shape[1] // inner, row_l1.max()))
+    inner, slots, row_l1 = zip(*shapes)
+    stride, outer = sum(inner) - L + 1, sum(slots) - L + 1
+    width = _width(int(max(np.diff(levels))) * math.prod(row_l1))
+    m = np.zeros((L, 4, n, n), dtype=object)
+    for l, site in enumerate(nums):
+        packed = _pack(list(_coefficient_rows(site, stride).T), width)
+        for (key, r, c, _), v in zip(cells, packed):
+            m[l, key, r, c] += v
+    # the exact entries do not depend on the shift: each grid point takes
+    # its site's matrices
+    traces = np.zeros((len(pairs), order + 1), dtype=object)
+    traces[:, :top + 1] = graded_trace(m[plan[0][:, 0]], plan, levels)
+    denom = math.prod(dens)
+    sector = np.array([i.count(1) for i, _ in pairs])
+    out = []
+    for s, basis in enumerate(bases):
+        num = traces[sector == s].T.reshape(order + 1, len(basis), len(basis))
+        out.append(PSeriesMatrix._packed(basis, X.exact, denom, *_tight_pack(
+            _digits(num, width, outer * stride), stride)))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -60,6 +60,9 @@ class TestExitCodes:
         for tol in ("banana", "nan", "inf", "-1"):
             assert run(["ybe", "--tol", tol]) == 2
         assert "tol" in capsys.readouterr().err
+        for depth in ("0", "1"):
+            assert run(["qchar", "--depth", depth]) == 2
+            assert "error: depth:" in capsys.readouterr().err
 
     def test_zero_tol_is_valid(self):
         assert cli.RunConfig(["ybe"], {**cli._DEFAULTS, "tol": "0"}).tol == 0.0

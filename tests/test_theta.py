@@ -208,14 +208,6 @@ class TestThetaExpression:
             a, b = e.eval(z, x, P), c.eval(z, x, P)
             assert abs(a - b) <= 1e-10 * (1 + abs(b))
 
-    def test_canonical_mod_tau_preserves_value(self):
-        e = ThetaExpression.theta(1, -1, 0.3 + 2 * P.tau, power=2)
-        c = e.canonical(mod_tau=True, params=P)
-        assert all(0 <= f.shift.imag < P.tau.imag for f in c.factors)
-        for z, x in SamplePlan(seed=13, count=10, pole_margin=1e-2).pairs(P):
-            a, b = e.eval(z, x, P), c.eval(z, x, P)
-            assert abs(a - b) <= 1e-9 * (1 + abs(b))
-
     def test_mul_inv_cancel(self):
         e = r_entry_expression()
         u = e * e.inv()

@@ -1,6 +1,9 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
+from elliptic_baxter import dynamical
 from elliptic_baxter.dynamical import compose_module_ops
 from elliptic_baxter.modules import (
     build_asymptotic,
@@ -28,6 +31,7 @@ from elliptic_baxter.transfer import (
     tq_residual,
     transfer_matrix,
 )
+from elliptic_baxter.yangian import yangian_q
 
 P = EllipticParams(tau=1j, hbar=0.31)
 H = P.hbar
@@ -105,6 +109,25 @@ class TestGradedTraceContraction:
         for (z, x), r in zip(PTS[:2], ref):
             got = np.array([t.coefficient(k, z, x) for k in range(order + 1)])
             assert np.abs(got - r).max() <= 1e-13 * np.abs(r).max()
+
+    def test_batch_size_does_not_change_the_traces(self, monkeypatch):
+        # one prefix per batched matmul against the default single batch,
+        # on the complex entries and on the exact twin's packed ints
+        space = QuantumSpace((A1, A2, A1 + 0.13, A2 - 0.11j), P)
+        X = dynamical_tensor(build_asymptotic(1.1 + 0.2j, 0.0, 4, P),
+                             build_asymptotic(0.6 - 0.3j, 0.3, 4, P), max_level=4)
+        sites = (Fraction(2, 3), Fraction(-5, 7), Fraction(9, 4), Fraction(-1, 6))
+
+        def both():
+            t = transfer_matrix(X, space, 2)
+            return ([t.coefficient(k, *PTS[0]) for k in range(3)],
+                    [s.tables for s in yangian_q(sites, 2)])
+
+        ell, exact = both()
+        monkeypatch.setattr(dynamical, "_BATCH_ITEMS", 1)
+        ell_1, exact_1 = both()
+        assert all(np.array_equal(a, b) for a, b in zip(ell, ell_1))
+        assert exact == exact_1
 
     def test_shift_z_offsets_the_spectral_argument(self):
         t = transfer_matrix(build_asymptotic(1.3 + 0.2j, 0.0, 6, P), SPACE, 3)

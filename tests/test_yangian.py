@@ -534,6 +534,18 @@ class TestPackedSeries:
         tab = [[Poly((m, m, m))] * dim] * dim
         return PSeriesMatrix(tuple(range(dim)), [tab] * (order + 1)), order
 
+    def diagonal_module(self, c):
+        # every entry operator is c times the identity on three labels of
+        # level zero: each site's largest row sum is c and every trace
+        # sums three diagonal entries, so the contraction's bound
+        # 3 * c^L is attained
+        basis = (0, 1, 2)
+        diag = {lab: ((lab, Poly((c,))),) for lab in basis}
+        return yangian.YangianModule(
+            "diagonal", basis, dict.fromkeys(basis, 0),
+            {ab: diag for ab in ((1, 1), (1, 2), (2, 1), (2, 2))},
+            exact=True, levels=0)
+
     def test_attained_bounds(self):
         x, order = self.tight(2**40 - 1)
         a = Poly((2**20 - 1,) * 3)
@@ -543,6 +555,10 @@ class TestPackedSeries:
         assert_same_series(x.shift_var(1), fraction_shift(x, 1))
         neg = x.map_entries(lambda p: -p)
         assert x.residual(neg) == fraction_residual(x, neg, order)
+        X = self.diagonal_module(2**40 - 1)
+        ref = per_pair_transfer(X, SITES, 0)
+        for s, block in enumerate(yangian_transfer(X, SITES, 0)):
+            assert block.tables == oracle_block(ref, s)
 
     def test_narrow_width_is_detected(self, monkeypatch):
         # one bit less than each attained bound: the largest coefficient
@@ -553,9 +569,14 @@ class TestPackedSeries:
                 (lambda: x.weighted(x, a, a),
                  entrywise_combine(x, x, lambda u, v: u * a + v * a)),
                 (lambda: x.shift_var(1), fraction_shift(x, 1))]
+        X = self.diagonal_module(2**40 - 1)
+        trace = per_pair_transfer(X, SITES, 0)
         monkeypatch.setattr(yangian, "_width", lambda bound: bound.bit_length())
         for op, ref in refs:
             assert op().tables != ref.tables
+        got = yangian_transfer(X, SITES, 0)
+        assert [block.tables for block in got] != \
+            [oracle_block(trace, s) for s in range(len(got))]
 
     def test_three_variables_rejected(self):
         deep = Poly((Poly((Poly((1, 2)),)),))
