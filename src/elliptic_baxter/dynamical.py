@@ -551,13 +551,14 @@ def series_max_residual(
     if d < 0:
         return series_max_residual(s2, s1, order, points)
     return worst_residual(
-        _relative_deviation(s1.term(k).eval(z, x), s2.term(k - d).eval(z, x))
+        relative_deviation(s1.term(k).eval(z, x), s2.term(k - d).eval(z, x))
         for k in range(order + 1)
         for (z, x) in points
     )
 
 
-def _relative_deviation(a: np.ndarray, b: np.ndarray) -> float:
+def relative_deviation(a: np.ndarray, b: np.ndarray) -> float:
+    """|a - b| / max(1, |a|, |b|) in the Frobenius norm."""
     return float(np.linalg.norm(a - b) / max(1.0, np.linalg.norm(a), np.linalg.norm(b)))
 
 

@@ -17,6 +17,7 @@ from .dynamical import (
     WeightBasis,
     compose_module_ops,
     invert_weightwise,
+    relative_deviation,
     tensor_entry_tables,
     worst_residual,
 )
@@ -121,8 +122,7 @@ def qdybe_residual(z: complex, w: complex, x: complex, params: EllipticParams) -
     e = [_embed_r(slots, r[n]) for n, (slots, _, _) in enumerate(factors)]
     lhs = e[0] @ e[1] @ e[2]
     rhs = e[3] @ e[4] @ e[5]
-    scale = max(1.0, np.linalg.norm(lhs), np.linalg.norm(rhs))
-    return float(np.linalg.norm(lhs - rhs) / scale)
+    return relative_deviation(lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -331,8 +331,7 @@ def rll_residual(
                 v = lmat(km + kp, False, q)[:, b]
                 v = lmat(kn + kq, True, 0) @ v
                 rhs += r0[ridx(p, q), ridx(i, jj)] * v
-            scale = max(1.0, np.linalg.norm(lhs), np.linalg.norm(rhs))
-            residuals.append(np.linalg.norm(lhs - rhs) / scale)
+            residuals.append(relative_deviation(lhs, rhs))
     return worst_residual(residuals)
 
 
@@ -353,7 +352,7 @@ def gauss_decompose(X: EllipticModule) -> GaussData:
     km_inv = invert_weightwise(km)
     e = compose_module_ops(km_inv, X.L["-+"])
     f = compose_module_ops(X.L["+-"], km_inv)
-    kp = X.L["++"] - compose_module_ops(X.L["+-"], compose_module_ops(km_inv, X.L["-+"]))
+    kp = X.L["++"] - compose_module_ops(X.L["+-"], e)
     return GaussData(kp, km, e, f)
 
 
@@ -373,9 +372,7 @@ def gauss_reconstruction_residual(X: EllipticModule, points) -> float:
     for key in _KEYS:
         lhs = X.L[key].to_matrices(zs, xs)[:, :safe, :safe]
         rhs = rec[key].to_matrices(zs, xs)[:, :safe, :safe]
-        for a, b in zip(lhs, rhs):
-            scale = max(1.0, np.linalg.norm(a), np.linalg.norm(b))
-            residuals.append(np.linalg.norm(a - b) / scale)
+        residuals.extend(map(relative_deviation, lhs, rhs))
     return worst_residual(residuals)
 
 

@@ -6,7 +6,6 @@ highest-weight classification, and the generalized Baxter decomposition."""
 from __future__ import annotations
 
 import cmath
-import json
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -22,7 +21,6 @@ from .modules import (
 )
 from .theta import (
     EllipticParams,
-    PoleError,
     SamplePlan,
     ThetaExpression,
     ThetaSum,
@@ -96,97 +94,69 @@ class WeightMonomial:
     """A pair of z-functions carrying a t-weight; the pair is considered up
     to the rescaling (a+, a-) ~ (c*a+, a-/c).
 
-    A component is symbolic (an x-free ``ThetaExpression``) or numeric: a
-    ``ThetaSum`` read at x = ``_X_REF``, a callable of z, or a product of
-    components.  ``key`` is a hashable invariant of the class for symbolic
-    components and None for numeric ones.
+    ``values`` holds both components on the z grid of one parameter set
+    (``_zgrid``) as [component, point]; ``ok`` marks the points where both
+    are finite.  ``pair`` is the symbolic pair (a+, a-) when both
+    components are x-free ``ThetaExpression``s, else None, and ``key`` a
+    hashable invariant of its class (None without a pair).  Build leaf
+    monomials with ``monomials``; a product multiplies the values.
     """
 
-    __slots__ = ("aplus", "aminus", "weight", "key", "_grid")
+    __slots__ = ("values", "ok", "weight", "pair", "key")
 
-    def __init__(self, aplus, aminus, weight: complex):
-        if isinstance(aplus, ThetaExpression) and not aplus.is_x_free():
-            raise ValueError("monomial components must not depend on x")
-        if isinstance(aminus, ThetaExpression) and not aminus.is_x_free():
-            raise ValueError("monomial components must not depend on x")
-        self.aplus = aplus
-        self.aminus = aminus
+    def __init__(self, values: np.ndarray, weight: complex, pair=None):
+        self.values = values
+        self.ok = np.isfinite(values).all(axis=0)
         self.weight = complex(weight)
-        self._grid = None
+        self.pair = pair
         self.key = None
-        if isinstance(aplus, ThetaExpression) and isinstance(aminus, ThetaExpression):
-            ap, am = aplus.canonical(), aminus.canonical()
+        if pair is not None:
+            ap, am = (c.canonical() for c in pair)
             self.key = (_factor_key(ap), _factor_key(am),
                         _rounded(ap.scalar * am.scalar), _rounded(self.weight))
 
-    def grid_values(self, params: EllipticParams) -> tuple[np.ndarray, np.ndarray]:
-        """Both components on the z grid of ``params``, as [component,
-        point], and the mask of the grid points where both are defined
-        and finite; evaluated once, from one table pass."""
-        if self._grid is None or self._grid[0] != params:
-            self._grid = (params, *_on_grid((self.aplus, self.aminus), params))
-        return self._grid[1], self._grid[2]
-
     def __mul__(self, other: "WeightMonomial") -> "WeightMonomial":
-        def comb(a, b):
-            if isinstance(a, ThetaExpression) and isinstance(b, ThetaExpression):
-                return a * b
-            return _ProductComponent(a, b)
-
-        return WeightMonomial(
-            comb(self.aplus, other.aplus),
-            comb(self.aminus, other.aminus),
-            self.weight + other.weight,
-        )
+        pair = None
+        if self.pair is not None and other.pair is not None:
+            pair = (self.pair[0] * other.pair[0], self.pair[1] * other.pair[1])
+        return WeightMonomial(self.values * other.values, self.weight + other.weight, pair)
 
     def __repr__(self):
-        return (f"[{format_component(self.aplus)}, {format_component(self.aminus)}]"
-                f"t^{_fmt_c(self.weight)}")
+        ap, am = self.pair or (None, None)
+        return f"[{format_component(ap)}, {format_component(am)}]t^{_fmt_c(self.weight)}"
 
 
-class _ProductComponent:
-    """Deferred product of mixed symbolic/numeric components."""
+def monomials(triples, params: EllipticParams) -> list[WeightMonomial]:
+    """The monomials of (a+, a-, weight) triples, every component on the z
+    grid of ``params`` from one masked ``ThetaTable`` pass.
 
-    __slots__ = ("factors",)
-
-    def __init__(self, a, b):
-        self.factors = _factors(a) + _factors(b)
-
-
-def _factors(comp) -> tuple:
-    return comp.factors if isinstance(comp, _ProductComponent) else (comp,)
-
-
-def _call_or_nan(fn, z: complex) -> complex:
-    try:
-        return fn(z)
-    except (PoleError, ZeroDivisionError, OverflowError):
-        return complex("nan")
-
-
-def _on_grid(comps, params: EllipticParams) -> tuple[np.ndarray, np.ndarray]:
-    """The components on the z grid, theta factors from one table pass at
-    x = ``_X_REF`` and callables point by point, and the mask of the grid
-    points where every component is finite."""
+    A component is an x-free ``ThetaExpression`` or a ``ThetaSum``, read at
+    x = ``_X_REF``; a point where a component has a pole or is not finite
+    is NaN there.
+    """
+    triples = list(triples)
+    comps = [c for ap, am, _ in triples for c in (ap, am)]
+    for c in comps:
+        if isinstance(c, ThetaExpression) and not c.is_x_free():
+            raise ValueError("monomial components must not depend on x")
+        if not isinstance(c, (ThetaExpression, ThetaSum)):
+            raise TypeError(f"a monomial component is a ThetaExpression or a ThetaSum, "
+                            f"not {type(c).__name__}")
     zs = np.array(_zgrid(params))
-    leaves = [(k, leaf) for k, comp in enumerate(comps) for leaf in _factors(comp)]
-    table = ThetaTable(
-        ((n, ThetaSum(leaf) if isinstance(leaf, ThetaExpression) else leaf)
-         for n, (_, leaf) in enumerate(leaves) if not callable(leaf)),
-        len(leaves), params)
+    table = ThetaTable(((n, ThetaSum(c) if isinstance(c, ThetaExpression) else c)
+                        for n, c in enumerate(comps)), len(comps), params)
     vals, _ = table.masked_at(zs, np.full(zs.shape, _X_REF))
-    out = np.ones((len(comps), zs.size), dtype=complex)
-    for n, (k, leaf) in enumerate(leaves):
-        out[k] *= [_call_or_nan(leaf, z) for z in zs] if callable(leaf) else vals[:, n]
-    return out, np.isfinite(out).all(axis=0)
+    out = []
+    for v, (ap, am, w) in zip(vals.T.reshape(len(triples), 2, zs.size), triples):
+        symbolic = isinstance(ap, ThetaExpression) and isinstance(am, ThetaExpression)
+        out.append(WeightMonomial(v, w, (ap, am) if symbolic else None))
+    return out
 
 
-def monomial_deviation(
-    m1: WeightMonomial, m2: WeightMonomial, params: EllipticParams
-) -> float:
+def monomial_deviation(m1: WeightMonomial, m2: WeightMonomial) -> float:
     """The one equivalence rule of the ring: 0 for equal class keys;
-    otherwise the worst ratio-constancy defect on the z grid of ``params``:
-    both component ratios must be z-independent with reciprocal constants.
+    otherwise the worst ratio-constancy defect on the z grid: both
+    component ratios must be z-independent with reciprocal constants.
 
     A grid point is skipped where a component has a pole or is not finite,
     where a component of m2 is below 1e-13 or any component above 1e13;
@@ -196,10 +166,9 @@ def monomial_deviation(
         return math.inf
     if m1.key is not None and m1.key == m2.key:
         return 0.0
-    (p1, n1), ok1 = m1.grid_values(params)
-    (p2, n2), ok2 = m2.grid_values(params)
+    (p1, n1), (p2, n2) = m1.values, m2.values
     size = np.abs([p1, n1, p2, n2])
-    ok = ok1 & ok2 & (size[2:].min(axis=0) >= 1e-13) & (size.max(axis=0) <= 1e13)
+    ok = m1.ok & m2.ok & (size[2:].min(axis=0) >= 1e-13) & (size.max(axis=0) <= 1e13)
     if np.count_nonzero(ok) < _MIN_VALID_SAMPLES:
         return math.inf
     rp = p1[ok] / p2[ok]
@@ -224,7 +193,7 @@ class QCharElement:
             return
         row = self.terms.setdefault(step, [])
         for pair in row:
-            if monomial_deviation(mono, pair[0], self.params) < _MERGE_TOL:
+            if monomial_deviation(mono, pair[0]) < _MERGE_TOL:
                 pair[1] += mult
                 return
         row.append([mono, mult])
@@ -242,41 +211,9 @@ class QCharElement:
     def weight_of_step(self, step: int) -> complex:
         return self.alpha0 - 2 * step
 
-    def to_text(self) -> str:
-        out = []
-        for k in sorted(self.terms):
-            for mono, mult in self.terms[k]:
-                prefix = "" if mult == 1 else f"{mult}*"
-                out.append(f"{prefix}{mono!r}")
-        return " + ".join(out) if out else "0"
-
-    def to_json(self) -> str:
-        data = {
-            "alpha0": [self.alpha0.real, self.alpha0.imag],
-            "depth": self.depth,
-            "terms": [
-                {
-                    "step": k,
-                    "weight": [self.weight_of_step(k).real, self.weight_of_step(k).imag],
-                    "monomials": [
-                        {
-                            "mult": mult,
-                            "aplus": format_component(m.aplus),
-                            "aminus": format_component(m.aminus),
-                        }
-                        for m, mult in self.terms[k]
-                    ],
-                }
-                for k in sorted(self.terms)
-            ],
-        }
-        return json.dumps(data, sort_keys=True)
-
 
 def qchar_unit(params: EllipticParams, depth: int = 0) -> QCharElement:
-    el = QCharElement(0.0, depth, params)
-    el.add_monomial(0, WeightMonomial(ThetaExpression(), ThetaExpression(), 0.0))
-    return el
+    return qchar_one_dim(ThetaExpression(), params, depth)
 
 
 def mul(A: QCharElement, B: QCharElement, depth: int | None = None) -> QCharElement:
@@ -338,7 +275,7 @@ def element_deviation(
             for pb in lb:
                 if not pb[1]:
                     continue
-                dev = monomial_deviation(pa[0], pb[0], A.params)
+                dev = monomial_deviation(pa[0], pb[0])
                 if dev < _MATCH_TOL:
                     c = min(pa[1], pb[1])
                     pa[1] -= c
@@ -362,20 +299,21 @@ def qchar_asymptotic(
     spectral shift u*hbar."""
     h = params.hbar
     el = QCharElement(complex(l), depth, params)
-    for j in range(depth + 1):
-        aplus = (
-            ThetaExpression.theta(1, 0, (u + l + 1) * h)
-            * ThetaExpression.theta(1, 0, u * h)
-            * ThetaExpression.theta(1, 0, (u + j) * h, -1)
-        )
-        aminus = ThetaExpression.theta(1, 0, (u + j + 1) * h)
-        el.add_monomial(j, WeightMonomial(aplus, aminus, l - 2 * j))
+    leaves = monomials(((
+        ThetaExpression.theta(1, 0, (u + l + 1) * h)
+        * ThetaExpression.theta(1, 0, u * h)
+        * ThetaExpression.theta(1, 0, (u + j) * h, -1),
+        ThetaExpression.theta(1, 0, (u + j + 1) * h),
+        l - 2 * j,
+    ) for j in range(depth + 1)), params)
+    for j, m in enumerate(leaves):
+        el.add_monomial(j, m)
     return el
 
 
 def qchar_one_dim(g: ThetaExpression, params: EllipticParams, depth: int = 0) -> QCharElement:
     el = QCharElement(0.0, depth, params)
-    el.add_monomial(0, WeightMonomial(g, g, 0.0))
+    el.add_monomial(0, monomials([(g, g, 0.0)], params)[0])
     return el
 
 
@@ -411,7 +349,7 @@ def qchar_of_module(X) -> QCharElement:
                 f"Gauss diagonal block is not triangular at entry ({a},{b})"
             )
     x_probes = iter(vals[len(lower):])
-    el = QCharElement(basis.alpha0, safe, params)
+    triples = []
     for idx, pair in enumerate(diagonal):
         comps = []
         for s in pair:
@@ -427,8 +365,10 @@ def qchar_of_module(X) -> QCharElement:
                     )
             # a numeric component is the ThetaSum itself, read at x = _X_REF
             comps.append(s if term is None else term)
-        j = basis.level_of(idx)
-        el.add_monomial(j, WeightMonomial(comps[0], comps[1], basis.weight(j)))
+        triples.append((*comps, basis.weight(basis.level_of(idx))))
+    el = QCharElement(basis.alpha0, safe, params)
+    for idx, m in enumerate(monomials(triples, params)):
+        el.add_monomial(basis.level_of(idx), m)
     return el
 
 
@@ -459,7 +399,8 @@ def classify_highest_weight(
     theta factors matching the t-weight."""
     if m.key is None:
         raise ValueError("classification needs symbolic components")
-    ratio = m.aplus / m.aminus
+    aplus, aminus = m.pair
+    ratio = aplus / aminus
     if abs(ratio.exp_z) > _EXPONENT_TOL or abs(ratio.exp_x) > _EXPONENT_TOL:
         return None
     alphas: list[complex] = []
@@ -476,7 +417,7 @@ def classify_highest_weight(
         return None
     if abs(sum(alphas) - sum(betas) - m.weight) > 1e-6:
         return None
-    lam = cmath.sqrt(m.aplus.scalar * m.aminus.scalar)
+    lam = cmath.sqrt(aplus.scalar * aminus.scalar)
     if lam == 0:
         return None
     try:

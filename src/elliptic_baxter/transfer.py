@@ -8,7 +8,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
-from itertools import permutations
+from itertools import combinations
 
 import numpy as np
 
@@ -48,12 +48,10 @@ class QuantumSpace:
 
     @staticmethod
     def _make_basis(L):
-        half = L // 2
-        seen = []
-        for s in sorted(set(permutations((1,) * half + (-1,) * half))):
-            seen.append(s)
-        # lexicographic with +1 before -1
-        return sorted(seen, key=lambda s: tuple(0 if c == 1 else 1 for c in s))
+        # the up positions in lexicographic order are the strings in
+        # lexicographic order with +1 before -1
+        return [tuple(1 if i in up else -1 for i in range(L))
+                for up in combinations(range(L), L // 2)]
 
     @property
     def L(self) -> int:
@@ -263,9 +261,9 @@ def tq_residual(
             j: q_operator(space, z0 + j * h, order).series
             for j in range(-1, n + 1)
         }
+        num = series_compose(q_at[n], q_at[-1], order)
         rhs = None
         for j in range(n + 1):
-            num = series_compose(q_at[n], q_at[-1], order)
             den = series_compose(q_at[j], q_at[j - 1], order)
             term = series_divide(num, den, order)
             scalar = 1.0 + 0j

@@ -1,5 +1,4 @@
 import cmath
-import json
 import math
 
 import pytest
@@ -14,7 +13,6 @@ from elliptic_baxter.qchar import (
     _MIN_VALID_SAMPLES,
     CategoryConditionError,
     QCharElement,
-    WeightMonomial,
     classify_highest_weight,
     element_add,
     element_deviation,
@@ -22,6 +20,7 @@ from elliptic_baxter.qchar import (
     generalized_baxter,
     interchange_check,
     monomial_deviation,
+    monomials,
     mul,
     qchar_asymptotic,
     qchar_of_module,
@@ -35,6 +34,7 @@ from elliptic_baxter.theta import (
     SamplePlan,
     ThetaExpression,
     ThetaSum,
+    ThetaTable,
     theta_eval,
 )
 
@@ -43,7 +43,7 @@ H = P.hbar
 
 
 def mono(ap, am, w):
-    return WeightMonomial(ap, am, w)
+    return monomials([(ap, am, w)], P)[0]
 
 
 class TestWeightMonomial:
@@ -52,27 +52,44 @@ class TestWeightMonomial:
         b = ThetaExpression.theta(1, 0, 0.5)
         m1 = mono(a, b, 1.0)
         m2 = mono(3.0 * a, (1 / 3.0) * b, 1.0)
-        assert monomial_deviation(m1, m2, P) < 1e-12
+        assert monomial_deviation(m1, m2) < 1e-12
 
     def test_integer_shift_is_identified(self):
         # theta(z+1) = -theta(z): a unit-lattice shift is a scalar
         m1 = mono(ThetaExpression.theta(1, 0, 0.2), ThetaExpression.theta(1, 0, 0.5), 1.0)
         m2 = mono(ThetaExpression.theta(1, 0, 1.2), -ThetaExpression.theta(1, 0, 0.5), 1.0)
-        assert monomial_deviation(m1, m2, P) < 1e-12
+        assert monomial_deviation(m1, m2) < 1e-12
 
     def test_tau_shift_is_distinct(self):
         m1 = mono(ThetaExpression.theta(1, 0, 0.2), ThetaExpression.theta(1, 0, 0.5), 1.0)
         m2 = mono(ThetaExpression.theta(1, 0, 0.2 + P.tau), ThetaExpression.theta(1, 0, 0.5), 1.0)
-        assert monomial_deviation(m1, m2, P) > 1e-2
+        assert monomial_deviation(m1, m2) > 1e-2
 
     def test_different_weights_never_equal(self):
         a = ThetaExpression.theta(1, 0, 0.2)
-        assert monomial_deviation(mono(a, a, 1.0), mono(a, a, 3.0), P) == math.inf
+        assert monomial_deviation(mono(a, a, 1.0), mono(a, a, 3.0)) == math.inf
 
     def test_numeric_fallback_matches_symbolic(self):
         a = ThetaExpression.theta(1, 0, 0.2)
-        num = mono(lambda z: 2.0 * theta_eval(z + 0.2, P), lambda z: 0.5 * theta_eval(z + 0.2, P), 0.0)
-        assert monomial_deviation(mono(a, a, 0.0), num, P) < 1e-10
+        num = mono(ThetaSum(2.0 * a), ThetaSum(0.5 * a), 0.0)
+        assert num.key is None and num.pair is None
+        assert monomial_deviation(mono(a, a, 0.0), num) < 1e-10
+
+    def test_components_are_theta_expressions_or_sums(self):
+        with pytest.raises(TypeError):
+            mono(lambda z: theta_eval(z, P), ThetaExpression(), 0.0)
+        with pytest.raises(ValueError):
+            mono(ThetaExpression.theta(1, 1, 0.2), ThetaExpression(), 0.0)
+
+    def test_product_multiplies_values_and_pairs(self):
+        a, b = ThetaExpression.theta(1, 0, 0.2), ThetaExpression.theta(1, 0, 0.5, -1)
+        c, d = ThetaExpression.theta(1, 0, -0.3), 2.0 * ThetaExpression.theta(1, 0, 0.2)
+        got = mono(a, b, 1.0) * mono(c, d, -0.5)
+        ref = mono(a * c, b * d, 0.5)
+        assert got.key == ref.key and got.ok.all()
+        assert abs(got.values - ref.values).max() < 1e-13 * abs(ref.values).max()
+        # a numeric factor makes a numeric product
+        assert (mono(a, b, 1.0) * mono(ThetaSum(c), d, -0.5)).key is None
 
 
 
@@ -93,14 +110,17 @@ class TestRatioTestSkips:
     def test_pole_on_one_grid_point_is_skipped(self):
         a = self._poles_on_grid(1)
         m1 = mono(a, self.B, 1.0)
-        assert m1.grid_values(P)[1].tolist() == [False] + [True] * (len(_zgrid(P)) - 1)
+        assert m1.ok.tolist() == [False] + [True] * (len(_zgrid(P)) - 1)
         numeric = mono(ThetaSum(2.0 * a), ThetaSum(0.5 * self.B), 1.0)
-        called = mono(lambda z: 2.0 * a.eval(z, 0.0, P), lambda z: 0.5 * self.B.eval(z, 0.0, P), 1.0)
+        # a product with a numeric factor carries the factor's NaN
+        product = (mono(ThetaSum(2.0 * a), ThetaSum(ThetaExpression.const(0.5)), 0.5)
+                   * mono(ThetaExpression(), self.B, 0.5))
         with pytest.raises(PoleError):
             a.eval(_zgrid(P)[0], 0.0, P)
-        assert numeric.key is None and called.key is None
-        assert monomial_deviation(m1, numeric, P) < 1e-12
-        assert monomial_deviation(called, m1, P) < 1e-12
+        assert numeric.key is None and product.key is None
+        assert numeric.ok.tolist() == product.ok.tolist() == m1.ok.tolist()
+        assert monomial_deviation(m1, numeric) < 1e-12
+        assert monomial_deviation(product, m1) < 1e-12
 
     def test_too_few_valid_points_is_inf(self):
         n = len(_zgrid(P))
@@ -109,8 +129,8 @@ class TestRatioTestSkips:
         for a, finite in ((enough, True), (too_few, False)):
             m1 = mono(a, self.B, 1.0)
             m2 = mono(ThetaSum(2.0 * a), ThetaSum(0.5 * self.B), 1.0)
-            assert (monomial_deviation(m1, m2, P) < 1e-12) is finite
-            assert (monomial_deviation(m1, m2, P) == math.inf) is not finite
+            assert (monomial_deviation(m1, m2) < 1e-12) is finite
+            assert (monomial_deviation(m1, m2) == math.inf) is not finite
 
 
 class TestOneEquivalenceRule:
@@ -129,16 +149,15 @@ class TestOneEquivalenceRule:
     def test_rewrite_has_own_key_but_same_class(self):
         m1, m2 = mono(self.SHIFTED, self.B, 1.0), mono(self.REWRITTEN, self.B, 1.0)
         assert m1.key is not None and m2.key is not None and m1.key != m2.key
-        assert monomial_deviation(m1, m2, P) < 1e-9
-        assert monomial_deviation(m1, mono(2.0 * self.SHIFTED, 0.5 * self.B, 1.0), P) == 0.0
+        assert monomial_deviation(m1, m2) < 1e-9
+        assert monomial_deviation(m1, mono(2.0 * self.SHIFTED, 0.5 * self.B, 1.0)) == 0.0
 
     def test_add_monomial_merges_into_one_entry(self):
         el = QCharElement(1.0, 0, P)
         el.add_monomial(0, mono(self.SHIFTED, self.B, 1.0))
         el.add_monomial(0, mono(2.0 * self.SHIFTED, 0.5 * self.B, 1.0))   # by key
         el.add_monomial(0, mono(self.REWRITTEN, self.B, 1.0))              # by ratio
-        el.add_monomial(0, mono(lambda z: theta_eval(z + 0.2 + P.tau, P),
-                                lambda z: theta_eval(z + 0.5, P), 1.0), 3)  # numeric
+        el.add_monomial(0, mono(ThetaSum(self.SHIFTED), ThetaSum(self.B), 1.0), 3)  # numeric
         assert [n for _, n in el.term_list(0)] == [6]
         el.add_monomial(0, mono(self.OTHER, self.B, 1.0))
         assert [n for _, n in el.term_list(0)] == [6, 1]
@@ -230,7 +249,7 @@ class TestExtraction:
         q = qchar_of_module(S)
         assert q.depth == 2 and all(len(q.term_list(k)) == 1 for k in range(3))
         # leading term is the highest weight
-        (got_p, got_m), ok = q.leading().grid_values(P)
+        (got_p, got_m), ok = q.leading().values, q.leading().ok
         assert ok.all()
         for z, gp, gm in zip(_zgrid(P), got_p, got_m):
             ref_p = theta_eval(z + 3 * H, P)
@@ -277,6 +296,24 @@ class TestExtraction:
 
 
 class TestInterchange:
+    def test_mul_makes_no_table_pass(self, monkeypatch):
+        # the factors of interchange_check at tau = 0.2i, depth 8: products
+        # multiply grid values, so no theta table is evaluated
+        p2 = EllipticParams(tau=0.2j, hbar=0.31)
+        factors = [qchar_asymptotic(l, u, 8, p2)
+                   for l, u in ((1.3 + 0.2j, 0.0), (0.0, 0.57), (1.3 + 0.2j - 0.57, 0.57), (0.57, 0.0))]
+        passes = []
+        evaluate = ThetaTable._eval
+
+        def counted(table, zs, xs, strict):
+            passes.append(len(zs))
+            return evaluate(table, zs, xs, strict)
+
+        monkeypatch.setattr(ThetaTable, "_eval", counted)
+        lhs, rhs = mul(*factors[:2], 8), mul(*factors[2:], 8)
+        assert passes == []
+        assert element_deviation(lhs, rhs, 8) < 1e-9
+
     def test_trivial_at_zero_shift(self):
         assert interchange_check(1.3 + 0.2j, 0.0, 6, P) == 0.0
 
@@ -340,12 +377,3 @@ class TestSerialization:
     ])
     def test_theta_argument_signs(self, factor, text):
         assert format_component(ThetaExpression.theta(*factor)) == text
-
-    def test_text_and_json(self):
-        q = qchar_asymptotic(2.0, 0.0, 2, P)
-        txt = q.to_text()
-        assert "t^2" in txt and "theta" in txt
-        data = json.loads(q.to_json())
-        assert data["depth"] == 2
-        assert len(data["terms"]) == 3
-        assert data["terms"][0]["monomials"][0]["mult"] == 1

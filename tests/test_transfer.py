@@ -1,4 +1,6 @@
 from fractions import Fraction
+from itertools import permutations
+from math import comb
 
 import numpy as np
 import pytest
@@ -49,6 +51,20 @@ class TestQuantumSpace:
         big = QuantumSpace((A1, A2, A1 + 0.1, A2 - 0.1j), P)
         assert big.dim == 6
         assert all(sum(s) == 0 for s in big.basis)
+
+    @pytest.mark.parametrize("L", range(2, 9, 2))
+    def test_basis_order_matches_permutation_construction(self, L):
+        # the construction the basis had before: every arrangement of the
+        # signs, sorted lexicographically with +1 before -1
+        perms = set(permutations((1,) * (L // 2) + (-1,) * (L // 2)))
+        ref = sorted(perms, key=lambda s: tuple(0 if c == 1 else 1 for c in s))
+        assert QuantumSpace._make_basis(L) == ref
+
+    @pytest.mark.parametrize("L", [10, 12])
+    def test_basis_size_is_central_binomial(self, L):
+        basis = QuantumSpace._make_basis(L)
+        assert len(basis) == len(set(basis)) == comb(L, L // 2)
+        assert all(sum(s) == 0 and len(s) == L for s in basis)
 
     def test_rejects_odd_length_and_lattice_sites(self):
         with pytest.raises(ValueError):
