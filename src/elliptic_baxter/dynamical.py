@@ -353,6 +353,21 @@ def contraction_plan(pairs: tuple, letters: tuple) -> tuple:
     return np.array(grid), steps
 
 
+def tile_plan(plan: tuple, n: int) -> tuple:
+    """The plan of `contraction_plan` repeated for n points: point p's
+    prefixes follow point p-1's at every site, its parents are offset by
+    p times the previous site's prefix count (site 0 shares the empty
+    prefix) and its entries by p times 4 * len(grid), so that `graded_trace`
+    reads m[point, grid, key] with points outermost."""
+    grid, steps = plan
+    p = np.arange(n)[:, None]
+    tiled, prev = [], 0
+    for parent, code in steps:
+        tiled.append(((parent + p * prev).ravel(), (code + p * 4 * len(grid)).ravel()))
+        prev = len(parent)
+    return grid, tuple(tiled)
+
+
 def graded_trace(m: np.ndarray, plan: tuple, levels) -> np.ndarray:
     """Level-block traces of the site-ordered products over the pairs of
     a `contraction_plan`, in any dtype: m[point, key] is the entry matrix
@@ -387,10 +402,13 @@ def graded_trace(m: np.ndarray, plan: tuple, levels) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class TermMatrix:
-    """A series coefficient matrix, evaluable at (z, x), with memoization.
+    """A series coefficient matrix, evaluable at a batch of points, with a
+    per-point memo.
 
-    Composed and divided series hold closures over other TermMatrix
-    objects.
+    ``fn(zs, xs)`` maps arrays of n points to the stacked matrices
+    [n, dim, dim].  ``at`` calls it once per request, on the distinct
+    points not yet in the memo; composed and divided series hold closures
+    over other TermMatrix objects.
     """
 
     __slots__ = ("_fn", "dim", "_cache")
@@ -400,25 +418,39 @@ class TermMatrix:
         self.dim = dim
         self._cache: dict[tuple[complex, complex], np.ndarray] = {}
 
+    def at(self, zs, xs) -> np.ndarray:
+        """The matrices at the points (zs, xs), as [point, dim, dim]."""
+        keys = [(complex(z), complex(x)) for z, x in zip(zs, xs)]
+        if not keys:
+            return np.empty((0, self.dim, self.dim), dtype=complex)
+        miss = list(dict.fromkeys(k for k in keys if k not in self._cache))
+        if miss:
+            mz, mx = np.array(miss, dtype=complex).T
+            vals = np.asarray(self._fn(mz, mx), dtype=complex)
+            vals.flags.writeable = False
+            self._cache.update(zip(miss, vals))
+            if miss == keys:
+                return vals
+        # np.stack keeps the matrices' memory order (a quotient is
+        # column-major), and a norm sums a matrix in its memory order
+        return np.stack([self._cache[k] for k in keys])
+
     def eval(self, z: complex, x: complex) -> np.ndarray:
-        key = (complex(z), complex(x))
-        hit = self._cache.get(key)
-        if hit is None:
-            hit = np.asarray(self._fn(key[0], key[1]), dtype=complex)
-            self._cache[key] = hit
-        return hit
+        """The matrix at one point: a batch of one."""
+        return self.at([z], [x])[0]
 
     def bound_z(self, z0: complex) -> "TermMatrix":
         z0 = complex(z0)
-        return TermMatrix(lambda z, x: self.eval(z0, x), self.dim)
+        return TermMatrix(lambda zs, xs: self.at(np.full(len(xs), z0), xs), self.dim)
 
     @staticmethod
     def zero(dim: int) -> "TermMatrix":
-        return TermMatrix(lambda z, x: np.zeros((dim, dim), dtype=complex), dim)
+        return TermMatrix(lambda zs, xs: np.zeros((len(zs), dim, dim), dtype=complex), dim)
 
     @staticmethod
     def identity(dim: int) -> "TermMatrix":
-        return TermMatrix(lambda z, x: np.eye(dim, dtype=complex), dim)
+        return TermMatrix(lambda zs, xs: np.broadcast_to(np.eye(dim, dtype=complex),
+                                                         (len(zs), dim, dim)), dim)
 
 
 @dataclass
@@ -468,10 +500,10 @@ def series_compose(s1: DiffOpSeries, s2: DiffOpSeries, order: int) -> DiffOpSeri
             if k2 <= s2.order
         ]
 
-        def fn(z, x, pairs=pairs, dim=s1.dim):
-            out = np.zeros((dim, dim), dtype=complex)
+        def fn(zs, xs, pairs=pairs, dim=s1.dim):
+            out = np.zeros((len(zs), dim, dim), dtype=complex)
             for t1, t2, shift in pairs:
-                out += t1.eval(z, x + shift) @ t2.eval(z, x)
+                out += t1.at(zs, xs + shift) @ t2.at(zs, xs)
             return out
 
         terms.append(TermMatrix(fn, s1.dim))
@@ -492,22 +524,36 @@ def series_divide(num: DiffOpSeries, den: DiffOpSeries, order: int) -> DiffOpSer
     b = den.alpha0
     terms: list[TermMatrix] = []
 
-    def make_term(m):
-        def fn(z, y):
-            x = y - b * hb
-            acc = num.term(m).eval(z, x)
+    # term m holds the lower terms, not the list it joins: no reference
+    # cycle, so a series and its memos are freed as soon as it is dropped
+    def make_term(m, lower):
+        def fn(zs, ys):
+            xs = ys - b * hb
+            acc = num.term(m).at(zs, xs)
             for k in range(max(0, m - den.order), m):
-                acc = acc - terms[k].eval(z, y - 2 * (m - k) * hb) @ den.terms[m - k].eval(z, x)
+                acc = acc - lower[k].at(zs, ys - 2 * (m - k) * hb) @ den.terms[m - k].at(zs, xs)
+            lead = den.terms[0].at(zs, xs).transpose(0, 2, 1)
             try:
-                return np.linalg.solve(den.terms[0].eval(z, x).T, acc.T).T
+                return np.linalg.solve(lead, acc.transpose(0, 2, 1)).transpose(0, 2, 1)
             except np.linalg.LinAlgError as exc:
-                raise SingularityError("singular leading coefficient", point=(z, x)) from exc
+                raise SingularityError("singular leading coefficient",
+                                       point=_first_singular(lead, zs, xs)) from exc
 
         return TermMatrix(fn, num.dim)
 
     for m in range(order + 1):
-        terms.append(make_term(m))
+        terms.append(make_term(m, tuple(terms)))
     return DiffOpSeries(num.alpha0 - b, terms, num.dim, num.params)
+
+
+def _first_singular(mats, zs, xs) -> tuple[complex, complex] | None:
+    """The point of the first matrix of the stack that ``solve`` rejects."""
+    for m, z, x in zip(mats, zs, xs):
+        try:
+            np.linalg.solve(m, m[:, :1])
+        except np.linalg.LinAlgError:
+            return complex(z), complex(x)
+    return None
 
 
 def series_invert(s: DiffOpSeries, order: int) -> DiffOpSeries:
@@ -526,18 +572,24 @@ def series_add(s1: DiffOpSeries, s2: DiffOpSeries, order: int) -> DiffOpSeries:
         t1 = s1.term(k)
         t2 = s2.term(k - d)
 
-        def fn(z, x, t1=t1, t2=t2):
-            return t1.eval(z, x) + t2.eval(z, x)
+        def fn(zs, xs, t1=t1, t2=t2):
+            return t1.at(zs, xs) + t2.at(zs, xs)
 
         terms.append(TermMatrix(fn, s1.dim))
     return DiffOpSeries(s1.alpha0, terms, s1.dim, s1.params)
 
 
 def series_scale(s: DiffOpSeries, c) -> DiffOpSeries:
-    """Multiply every coefficient by a constant or a scalar function f(z, x)."""
-    fn_c = c if callable(c) else (lambda z, x, c=c: c)
+    """Multiply every coefficient by a constant or by a scalar function
+    f(zs, xs) of the points, evaluated on arrays of them."""
+    if callable(c):
+        def fn_c(zs, xs):
+            return np.asarray(c(zs, xs))[:, None, None]
+    else:
+        def fn_c(zs, xs):
+            return c
     terms = [
-        TermMatrix(lambda z, x, t=t: fn_c(z, x) * t.eval(z, x), s.dim) for t in s.terms
+        TermMatrix(lambda zs, xs, t=t: fn_c(zs, xs) * t.at(zs, xs), s.dim) for t in s.terms
     ]
     return DiffOpSeries(s.alpha0, terms, s.dim, s.params)
 
@@ -550,10 +602,11 @@ def series_max_residual(
     d = _coset_offset(s1.alpha0, s2.alpha0)
     if d < 0:
         return series_max_residual(s2, s1, order, points)
+    zs, xs = np.array(points, dtype=complex).reshape(-1, 2).T
     return worst_residual(
-        relative_deviation(s1.term(k).eval(z, x), s2.term(k - d).eval(z, x))
+        relative_deviation(a, b)
         for k in range(order + 1)
-        for (z, x) in points
+        for a, b in zip(s1.term(k).at(zs, xs), s2.term(k - d).at(zs, xs))
     )
 
 

@@ -67,16 +67,16 @@ class EllipticParams:
         if self.hbar == 0:
             raise ParameterError("hbar must be nonzero")
         r = self.search_radius
-        for m in range(-r, r + 1):
-            for n in range(-r, r + 1):
-                for k in range(-r, r + 1):
-                    if (m, n, k) == (0, 0, 0):
-                        continue
-                    if abs(m + n * self.tau - k * self.hbar) < self.lattice_tol:
-                        raise GenericityError(
-                            f"lattice collision m={m}, n={n}, k={k} for "
-                            f"tau={self.tau}, hbar={self.hbar}"
-                        )
+        # every (m, n, k) of the window at once, in the loop order m, n, k
+        m, n, k = np.mgrid[-r:r + 1, -r:r + 1, -r:r + 1].reshape(3, -1)
+        hit = np.abs(m + n * self.tau - k * self.hbar) < self.lattice_tol
+        hit[m.size // 2] = False  # (0, 0, 0)
+        if hit.any():
+            i = hit.argmax()
+            raise GenericityError(
+                f"lattice collision m={m[i]}, n={n[i]}, k={k[i]} for "
+                f"tau={self.tau}, hbar={self.hbar}"
+            )
 
 
 def theta_eval(z: complex, params: EllipticParams) -> complex:
@@ -423,7 +423,8 @@ class ThetaSum:
 
 class ThetaTable:
     """Theta sums flattened into factor arrays, so that every sum at a
-    batch of (z, x) points comes out of one ``theta_eval_array`` pass.
+    batch of (z, x) points comes out of one ``theta_eval_array`` pass over
+    the distinct theta arguments.
 
     Built from (slot, ThetaSum) pairs; slot k of the result is the sum of
     all terms given for k, zero when there are none.  Each distinct factor
@@ -477,14 +478,17 @@ class ThetaTable:
         if not self.dest.size:
             return out
         args = self.cz[:, None] * zs + self.cx[:, None] * xs + self.shift[:, None]
+        # each distinct argument is summed and pole-checked once
+        distinct, inverse = np.unique(args, return_inverse=True)
+        inverse = inverse.reshape(args.shape)
         neg = self.power < 0
-        near = lattice_distance_array(args[neg], self.params) < POLE_TOL
+        near = (lattice_distance_array(distinct, self.params) < POLE_TOL)[inverse[neg]]
         if strict:
             if near.any():
                 raise PoleError(f"theta factor with negative power at lattice point {args[neg][near][0]}")
-            vals = theta_eval_array(args, self.params)
+            vals = theta_eval_array(distinct, self.params)[inverse]
         else:
-            vals = _theta_series(args, self.params)
+            vals = _theta_series(distinct, self.params)[inverse]
             vals[neg] = np.where(near, np.nan, vals[neg])
             vals[~np.isfinite(vals)] = np.nan
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):

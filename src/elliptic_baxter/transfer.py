@@ -16,6 +16,7 @@ from .dynamical import (
     DiffOpSeries,
     ShapeError,
     TermMatrix,
+    _BATCH_ITEMS,
     contraction_plan,
     graded_trace,
     series_add,
@@ -23,6 +24,7 @@ from .dynamical import (
     series_divide,
     series_max_residual,
     series_scale,
+    tile_plan,
     worst_residual,
 )
 from .modules import EllipticModule, build_asymptotic, socle
@@ -75,30 +77,56 @@ class QuantumSpace:
 class _GradedTrace:
     """Level-block traces, levels 0..order, of the site-ordered product
     M_0(x) M_1(x + hbar*j_0) ... with M_l = L_{i_l j_l}(z + a_l - hbar; .),
-    for every pair of chain strings, row-major, evaluated at a point by
-    `graded_trace` and memoized."""
+    for every pair of chain strings, row-major, memoized per point.
+
+    The points missing from the memo are evaluated in groups of at most
+    `_BATCH_ITEMS` entry and prefix items (and at least one point): one
+    table pass over the group's points times the grid, and one
+    `graded_trace` call on the plan tiled over them."""
 
     def __init__(self, X: EllipticModule, space: QuantumSpace, order: int):
         self.module = X
         basis = space.basis
         self.plan = contraction_plan(tuple((i, j) for i in basis for j in basis), (1, -1))
-        grid = self.plan[0]
+        grid, steps = self.plan
         h = X.params.hbar
         self.z_off = np.array(space.sites, dtype=complex)[grid[:, 0]] - h
         self.x_off = h * grid[:, 1]
         self.levels = [X.basis.offset(k) for k in range(order + 2)]
-        self.shape = (order + 1, space.dim, space.dim)
-        self.memo: dict[tuple[complex, complex], np.ndarray] = {}
+        self.shape = (space.dim, space.dim, order + 1)
+        # complex items one point holds at once: its entry matrices, and
+        # at the widest site the gathered entries and the prefix products
+        n = X.basis.size
+        widest = max(len(parent) for parent, _ in steps)
+        items = 4 * len(grid) * n * n + widest * n * (n + 2 * self.levels[-1])
+        self.group = max(1, _BATCH_ITEMS // items)
+        # point: (block of the traces filled by one request, index in it)
+        self.memo: dict[tuple[complex, complex], tuple[np.ndarray, int]] = {}
 
-    def __call__(self, z: complex, x: complex) -> np.ndarray:
-        key = (complex(z), complex(x))
-        hit = self.memo.get(key)
-        if hit is None:
-            m = self.module.entry_matrices(key[0] + self.z_off, key[1] + self.x_off)
-            hit = graded_trace(m, self.plan, self.levels).T.reshape(self.shape)
-            hit.flags.writeable = False
-            self.memo[key] = hit
-        return hit
+    def at(self, zs, xs, level=slice(None)) -> np.ndarray:
+        """The traces of the levels at the points (zs, xs), as [point,
+        row, col, level], or of one level as [point, row, col].  Points
+        filled together in the requested order come back as a view of the
+        memo, otherwise as a copy."""
+        keys = [(complex(z), complex(x)) for z, x in zip(zs, xs)]
+        miss = list(dict.fromkeys(k for k in keys if k not in self.memo))
+        if miss:
+            block = np.empty((len(miss), *self.shape), dtype=complex)
+            for lo in range(0, len(miss), self.group):
+                block[lo:lo + self.group] = self._contract(miss[lo:lo + self.group])
+            self.memo.update((k, (block, i)) for i, k in enumerate(miss))
+        where = [self.memo[k] for k in keys]
+        block, first = where[0] if where else (np.empty((0, *self.shape)), 0)
+        if all(b is block and i == first + n for n, (b, i) in enumerate(where)):
+            return block[first:first + len(keys), ..., level]
+        return np.stack([b[i, ..., level] for b, i in where])
+
+    def _contract(self, keys) -> np.ndarray:
+        z, x = np.array(keys, dtype=complex).T
+        m = self.module.entry_matrices((z[:, None] + self.z_off).ravel(),
+                                       (x[:, None] + self.x_off).ravel())
+        traces = graded_trace(m, tile_plan(self.plan, len(keys)), self.levels)
+        return traces.reshape(len(keys), *self.shape)
 
 
 @dataclass(frozen=True)
@@ -121,13 +149,18 @@ class TransferSeries:
     @property
     def series(self) -> DiffOpSeries:
         terms = [
-            TermMatrix(lambda z, x, k=k: self.coefficient(k, z, x), self.dim)
+            TermMatrix(lambda zs, xs, k=k: self.coefficients(zs, xs, k), self.dim)
             for k in range(self.order + 1)
         ]
         return DiffOpSeries(self.alpha0, terms, self.dim, self.params)
 
+    def coefficients(self, zs, xs, k=slice(None)) -> np.ndarray:
+        """Coefficient k at the points, as [point, row, col]; by default
+        every coefficient, as [point, row, col, k]."""
+        return self.trace.at(np.asarray(zs, dtype=complex) + self.z_shift, xs, k)
+
     def coefficient(self, k: int, z: complex, x: complex) -> np.ndarray:
-        return self.trace(z + self.z_shift, x)[k]
+        return self.coefficients([z], [x], k)[0]
 
 
 def _max_transfer_order(X: EllipticModule, L: int) -> int:
@@ -288,15 +321,11 @@ def periodicity_residual(
     sign = (-1.0) ** n
     residuals = []
     for z0 in z_samples:
-        q = q_operator(space, z0, order)
-        q1 = q_operator(space, z0 + 1, order)
-        qt = q_operator(space, z0 + tau, order)
+        q, q1, qt = (q_operator(space, z, order).coefficients(np.zeros(len(xpoints)), xpoints)
+                     for z in (z0, z0 + 1, z0 + tau))
         fac = sign * cmath.exp(-n * 1j * math.pi * (tau + 2 * z0 + 2 * a))
         for k in range(order + 1):
-            for x in xpoints:
-                m = q.coefficient(k, 0.0, x)
-                m1 = q1.coefficient(k, 0.0, x)
-                mt = qt.coefficient(k, 0.0, x)
+            for m, m1, mt in zip(q[..., k], q1[..., k], qt[..., k]):
                 scale = max(1.0, np.linalg.norm(m))
                 residuals.append(np.linalg.norm(m1 - sign * m) / scale)
                 residuals.append(np.linalg.norm(mt - fac * m) / scale)

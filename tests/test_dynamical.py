@@ -107,15 +107,17 @@ class TestComposeModuleOps:
 
 
 def const_series(alpha0, mats, params=P):
-    terms = [TermMatrix(lambda z, x, m=np.asarray(m, dtype=complex): m, len(mats[0])) for m in mats]
+    terms = [TermMatrix(lambda zs, xs, m=np.asarray(m, dtype=complex): np.broadcast_to(m, (len(zs), *m.shape)),
+                        len(mats[0])) for m in mats]
     return DiffOpSeries(alpha0, terms, len(mats[0]), params)
 
 
 def theta_series(alpha0, sums, params=P):
     # sums[k] is a square nested sequence of ThetaSum entries
     def term(mat):
-        def fn(z, x):
-            return np.array([[s.eval(z, x, params) if s else 0j for s in row] for row in mat])
+        def fn(zs, xs):
+            return np.array([[[s.eval(z, x, params) if s else 0j for s in row] for row in mat]
+                             for z, x in zip(zs, xs)])
 
         return TermMatrix(fn, len(mat))
 
@@ -227,6 +229,51 @@ class TestSeries:
         quo = series_divide(num, const_series(0.0, [np.zeros((2, 2))]), 1)
         with pytest.raises(SingularityError):
             quo.terms[1].eval(0.1, 0.2)
+
+
+class TestBatchedCalls:
+    def test_batched_divide_names_the_singular_point(self):
+        # the leading coefficient vanishes at one point of the batch only
+        bad = 0.35 + 0.2j
+
+        def lead(zs, xs):
+            return np.where((xs == bad)[:, None, None], 0.0, np.eye(2))
+
+        den = DiffOpSeries(0.0, [TermMatrix(lead, 2)], 2, P)
+        quo = series_divide(const_series(0.0, [np.eye(2)]), den, 1)
+        zs = [0.1, 0.2, 0.3, 0.4]
+        xs = [0.2 + 0.1j, 0.4, bad, 0.1]
+        with pytest.raises(SingularityError) as exc:
+            quo.terms[1].at(zs, xs)
+        assert exc.value.point == (0.3, bad)
+        assert np.array_equal(quo.terms[0].at(zs[:2], xs[:2]), np.stack([np.eye(2)] * 2))
+
+    def test_memo_answers_repeated_and_overlapping_points(self):
+        calls = []
+
+        def fn(zs, xs):
+            calls.append(len(zs))
+            return (np.asarray(zs) + 2 * np.asarray(xs))[:, None, None] * np.eye(2)
+
+        t = TermMatrix(fn, 2)
+        first = t.at([0.1, 0.2, 0.1], [0.3, 0.4, 0.3])
+        again = t.at([0.2, 0.5], [0.4, 0.6])
+        assert calls == [2, 1]
+        assert np.array_equal(first[0], first[2]) and np.array_equal(again[0], first[1])
+        assert np.array_equal(t.eval(0.5, 0.6), again[1])
+        assert t.at([], []).shape == (0, 2, 2)
+
+    def test_quotients_keep_their_memory_order(self):
+        # a norm sums in memory order, so a quotient gathered from the memo
+        # must stay column-major as when it is evaluated alone (np.stack
+        # keeps it; np.array of the list would not)
+        rng = np.random.default_rng(3)
+        mats = [np.eye(3) + 0.3 * rng.normal(size=(3, 3)) for _ in range(2)]
+        quo = series_divide(const_series(0.0, mats), const_series(0.0, mats[::-1]), 1)
+        fresh = quo.terms[1].at([0.1, 0.2], [0.3, 0.4])
+        gathered = quo.terms[1].at([0.2, 0.5, 0.1], [0.4, 0.6, 0.3])
+        for m in (*fresh, *gathered):
+            assert m.flags.f_contiguous and not m.flags.c_contiguous
 
 
 class TestWorstResidual:

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 import warnings
 
 import numpy as np
@@ -12,6 +13,7 @@ from elliptic_baxter.modules import (
     r_matrix_symbolic,
 )
 from elliptic_baxter.theta import (
+    POLE_TOL,
     EllipticParams,
     GenericityError,
     ParameterError,
@@ -25,6 +27,7 @@ from elliptic_baxter.theta import (
     lattice_distance_array,
     lattice_reduce,
     nonneg_int_plus_hbar_inv_lattice,
+    _theta_series,
     theta_eval,
     theta_eval_array,
 )
@@ -71,6 +74,29 @@ class TestThetaEval:
     def test_genericity_scan_rejects_collision(self):
         with pytest.raises(GenericityError):
             EllipticParams(tau=1j, hbar=0.5)  # 2*hbar = 1 on the lattice
+
+
+def first_collision(tau, hbar, tol=1e-9, r=6):
+    """The genericity scan as a scalar loop in the order m, n, k."""
+    for m in range(-r, r + 1):
+        for n in range(-r, r + 1):
+            for k in range(-r, r + 1):
+                if (m, n, k) != (0, 0, 0) and abs(m + n * tau - k * hbar) < tol:
+                    return m, n, k
+    return None
+
+
+class TestGenericityScan:
+    @pytest.mark.parametrize("tau, hbar", [(1j, 0.5), (1j, 0.25j), (0.5 + 1j, 0.25 + 0.5j)])
+    def test_names_the_first_collision_of_the_loop(self, tau, hbar):
+        m, n, k = first_collision(tau, hbar)
+        msg = f"lattice collision m={m}, n={n}, k={k} for tau={tau}, hbar={hbar}"
+        with pytest.raises(GenericityError, match=f"^{re.escape(msg)}$"):
+            EllipticParams(tau=tau, hbar=hbar)
+
+    def test_generic_parameters_pass(self):
+        assert first_collision(1j, 0.31) is None
+        EllipticParams(tau=1j, hbar=0.31)
 
 
 class TestThetaEvalArray:
@@ -299,6 +325,78 @@ class TestThetaTable:
         assert np.isnan(vals[3, 1]) and np.isfinite(vals[3, [0, 2]]).all()
         good = ~bad
         assert np.array_equal(vals[good], table.at(np.array(self.ZS)[good], np.array(self.XS)[good]))
+
+
+def raw_table_values(table, zs, xs, strict):
+    """``ThetaTable._eval`` with every raw argument summed and pole-checked
+    on its own, in [factor, point] order."""
+    zs, xs = np.asarray(zs, dtype=complex), np.asarray(xs, dtype=complex)
+    args = table.cz[:, None] * zs + table.cx[:, None] * xs + table.shift[:, None]
+    neg = table.power < 0
+    near = lattice_distance_array(args[neg], table.params) < POLE_TOL
+    if strict:
+        if near.any():
+            raise PoleError(f"theta factor with negative power at lattice point {args[neg][near][0]}")
+        vals = theta_eval_array(args, table.params)
+    else:
+        vals = _theta_series(args, table.params)
+        vals[neg] = np.where(near, np.nan, vals[neg])
+        vals[~np.isfinite(vals)] = np.nan
+    out = np.zeros((len(zs), table.size), dtype=complex)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        vals = np.vstack([vals ** table.power[:, None], np.ones((1, len(zs)))])
+        terms = vals[table.index].prod(axis=1) * table.scalar[:, None]
+        terms *= np.exp(table.exp_z[:, None] * zs + table.exp_x[:, None] * xs)
+        out[:, table.dest] = np.add.reduceat(terms, table.starts, axis=0).T
+    return out
+
+
+class TestDeduplicatedArguments:
+    """Each distinct theta argument is evaluated once; the values must be
+    those of evaluating every raw argument, bit for bit."""
+
+    def grid_points(self):
+        # a transfer-style grid: x-only factors repeat across the sites
+        h = P.hbar
+        z0, x0 = 0.37 + 0.21j, 0.12 + 0.33j
+        zs = [z0 + a - h for a in (0.41 + 0.12j, 0.27 - 0.23j, 0.54 + 0.13j) for _ in range(3)]
+        xs = [x0 + s * h for _ in range(3) for s in (-1, 0, 1)]
+        return zs, xs
+
+    def test_module_table_matches_raw_arguments(self):
+        table = build_asymptotic(1.3 + 0.2j, 0.0, 5, P)._table
+        zs, xs = self.grid_points()
+        args = table.cz[:, None] * np.array(zs) + table.cx[:, None] * np.array(xs) + table.shift[:, None]
+        assert np.unique(args).size < args.size / 2
+        assert np.array_equal(table.at(zs, xs), raw_table_values(table, zs, xs, strict=True))
+        vals, bad = table.masked_at(zs, xs)
+        assert not bad.any()
+        assert np.array_equal(vals, raw_table_values(table, zs, xs, strict=False))
+
+    POLE = TestThetaTable.POLE
+    GROWS = TestThetaTable.GROWS
+
+    def test_nan_slots_match_raw_arguments(self):
+        table = ThetaTable([(0, self.POLE), (1, self.GROWS), (2, ThetaSum.one()),
+                            (3, self.POLE * self.GROWS)], 4, P)
+        zs = [0.3, 0.3, 0.1 + 0.2j, 0.5 + 0.1j, 0.5 + 0.1j, 0.3]
+        xs = [0.4 + 0.2j, 0.2 + 300j, 0.2 + 300j, 0.1 + 0.1j, 0.2 + 300j, 0.4 + 0.2j]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vals, bad = table.masked_at(zs, xs)
+        ref = raw_table_values(table, zs, xs, strict=False)
+        assert np.array_equal(vals, ref, equal_nan=True)
+        assert np.isnan(vals).any() and bad.tolist() == [True, True, True, False, True, True]
+
+    def test_strict_errors_match_raw_arguments(self):
+        table = ThetaTable([(0, self.POLE), (1, self.GROWS)], 2, P)
+        for zs, xs, err in (([0.1, 0.3, 0.3 + 1j], [0.2, 0.1, 0.2], PoleError),
+                            ([0.1, 0.2, 0.1], [0.2 + 300j, 0.1, 0.2 + 300j], OverflowError)):
+            with pytest.raises(err) as got:
+                table.at(zs, xs)
+            with pytest.raises(err) as ref:
+                raw_table_values(table, zs, xs, strict=True)
+            assert str(got.value) == str(ref.value)
 
 
 class TestSamplePlan:

@@ -1,3 +1,5 @@
+import cmath
+import math
 from fractions import Fraction
 from itertools import permutations
 from math import comb
@@ -6,7 +8,15 @@ import numpy as np
 import pytest
 
 from elliptic_baxter import dynamical
-from elliptic_baxter.dynamical import compose_module_ops
+from elliptic_baxter.dynamical import (
+    compose_module_ops,
+    graded_trace,
+    series_add,
+    series_compose,
+    series_divide,
+    series_max_residual,
+    series_scale,
+)
 from elliptic_baxter.modules import (
     build_asymptotic,
     dynamical_tensor,
@@ -163,6 +173,79 @@ class TestGradedTraceContraction:
         z0 = H - A1 - 0.4
         with pytest.raises(PoleError):
             transfer_matrix(D, SPACE, 0).coefficient(0, z0, 0.3)
+
+
+SPACE4 = QuantumSpace((A1, A2, A1 + 0.13, A2 - 0.11j), P)
+
+
+class TestPointBatches:
+    """Batched evaluation must give the per-point values bit for bit."""
+
+    def test_tiled_trace_matches_per_point_contraction(self):
+        ladder = build_asymptotic(1.3 + 0.2j, 0.0, 5, P)
+        tensor, _ = oracle_module("tensor")
+        zs = [z for z, _ in PTS] + [PTS[0][0]]
+        xs = XS + [XS[0]]
+        for X, order in ((ladder, 3), (tensor, 2)):
+            for group in (None, 1, 2):
+                trace = transfer_matrix(X, SPACE4, order).trace
+                trace.group = group or trace.group
+                first = trace.at(zs[:2], xs[:2])
+                got = trace.at(zs, xs)
+                for z, x, g in zip(zs, xs, got):
+                    m = X.entry_matrices(z + trace.z_off, x + trace.x_off)
+                    ref = graded_trace(m, trace.plan, trace.levels).reshape(g.shape)
+                    assert np.array_equal(g, ref)
+                assert np.array_equal(first, got[:2])
+
+    @staticmethod
+    def series_graph():
+        # transfer and Q series of a 4-site chain through every series operation
+        z0 = 0.37 + 0.21j
+        t = transfer_matrix(build_asymptotic(1.3 + 0.2j, 0.0, 5, P), SPACE4, 2).series
+        q = {j: q_operator(SPACE4, z0 + j * H, 2).series for j in (-1, 0, 1)}
+        num = series_compose(q[1], q[-1], 2)
+        quo = [series_divide(num, series_compose(q[j], q[j - 1], 2), 2) for j in (0, 1)]
+        scaled = series_scale(quo[0], 0.7 - 0.2j)
+        total = series_add(scaled, series_scale(quo[1], -0.4 + 1.1j), 2)
+        return {"compose": num, "mixed": series_compose(t.bound_z(0.0), q[0], 2),
+                "divide": quo[1], "scale": scaled, "add": total, "transfer": t}
+
+    def test_series_operations_match_per_point_eval(self):
+        pts = [(0.0, x) for x in XS] + [(0.0, XS[1])]
+        batched = self.series_graph()
+        for name, s in batched.items():
+            for k in range(3):
+                got = s.terms[k].at(*zip(*pts))
+                for (z, x), g in zip(pts, got):
+                    # a fresh graph per point: no memo is shared
+                    alone = self.series_graph()[name].terms[k].eval(z, x)
+                    assert np.array_equal(g, alone), (name, k)
+                    assert g.flags.f_contiguous == alone.flags.f_contiguous
+
+    def test_residual_matches_per_point_residuals(self):
+        pts = [(0.0, x) for x in XS]
+        g = self.series_graph()
+        got = series_max_residual(g["add"], g["scale"], 2, pts)
+        alone = []
+        for p in pts:
+            h = self.series_graph()
+            alone.append(series_max_residual(h["add"], h["scale"], 2, [p]))
+        assert got == max(alone) > 0
+
+    def test_periodicity_matches_per_point_coefficients(self):
+        a = 0.41 + 0.12j
+        hom = QuantumSpace((a, a), P)
+        order, z0 = 3, 0.37 + 0.21j
+        sign, fac = -1.0, -cmath.exp(-1j * math.pi * (P.tau + 2 * z0 + 2 * a))
+        ref = []
+        for k in range(order + 1):
+            for x in XS:
+                m, m1, mt = (q_operator(hom, z, order).coefficient(k, 0.0, x)
+                             for z in (z0, z0 + 1, z0 + P.tau))
+                scale = max(1.0, np.linalg.norm(m))
+                ref += [np.linalg.norm(m1 - sign * m) / scale, np.linalg.norm(mt - fac * m) / scale]
+        assert periodicity_residual(hom, order, [z0], XS) == max(ref)
 
 
 class TestTransferMatrix:

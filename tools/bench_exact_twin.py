@@ -4,9 +4,10 @@ For each checkout given, and for 6 and 8 sites at series orders 2 and 3,
 a fresh interpreter builds the Baxter operator (``yangian_q``), then
 evaluates the TQ defect with that operator given (``tq_residual``), and
 reports both wall times and its peak RSS.  A last run per checkout times
-the CLI ``yangian-tq`` job at 8 sites, order 3, with its exit code.  The
-checkouts take turns within every repeat, so a busy host slows them
-alike; the medians over the repeats are reported.
+the CLI ``yangian-tq`` job at 8 sites, order 3, with its exit code and
+report SHA-256.  Times are the best of ``benchturns.BEST_OF`` runs in the
+interpreter.  The checkouts take turns within every repeat, so a busy
+host slows them alike; the medians over the repeats are reported.
 
     python3 tools/bench_exact_twin.py --src change=src --src parent=../old/src \\
         --out BENCH_exact_twin.json
@@ -26,35 +27,19 @@ CLI_CHAIN = (8, 3)
 REPEATS = 3
 
 _IN_PROCESS = """
-import json, resource, sys, time
+import time
 from fractions import Fraction
 from elliptic_baxter import yangian
-sites = tuple(Fraction(a) for a in sys.argv[1].split(","))
-order = int(sys.argv[2])
-t0 = time.perf_counter()
-q = yangian.yangian_q(sites, order)
-t1 = time.perf_counter()
-res = yangian.tq_residual(sites, order, q=q)
-t2 = time.perf_counter()
-print(json.dumps({"yangian_q_s": t1 - t0, "tq_residual_s": t2 - t1,
-                  "residual": res,
-                  "peak_rss_mb": resource.getrusage(
-                      resource.RUSAGE_SELF).ru_maxrss / 1024}))
-"""
 
-_CLI = """
-import contextlib, io, json, os, resource, sys, tempfile, time
-from elliptic_baxter import cli
-with tempfile.TemporaryDirectory() as tmp:
-    argv = ["yangian-tq", "--sites=" + sys.argv[1], "--order", sys.argv[2],
-            "--no-timestamp", "--report", os.path.join(tmp, "r.json")]
+def measure(argv):
+    sites = tuple(Fraction(a) for a in argv[0].split(","))
+    order = int(argv[1])
     t0 = time.perf_counter()
-    with contextlib.redirect_stdout(io.StringIO()):
-        code = cli.main(argv)
-    wall = time.perf_counter() - t0
-print(json.dumps({"cli_yangian_tq_s": wall, "exit_code": code,
-                  "peak_rss_mb": resource.getrusage(
-                      resource.RUSAGE_SELF).ru_maxrss / 1024}))
+    q = yangian.yangian_q(sites, order)
+    t1 = time.perf_counter()
+    res = yangian.tq_residual(sites, order, q=q)
+    t2 = time.perf_counter()
+    return {"yangian_q_s": t1 - t0, "tq_residual_s": t2 - t1, "residual": res}
 """
 
 
@@ -65,13 +50,15 @@ def main(argv=None) -> int:
     checkouts = dict(s.split("=", 1) for s in args.src)
     jobs = [(f"{n}site-o{o}", _IN_PROCESS, (",".join(SITES[:n]), o)) for n, o in CHAINS]
     n, o = CLI_CHAIN
-    jobs.append((f"cli-{n}site-o{o}", _CLI, (",".join(SITES[:n]), o)))
+    jobs.append((f"cli-{n}site-o{o}", benchturns.CLI_JOB,
+                 ("yangian-tq", "--sites=" + ",".join(SITES[:n]), "--order", o)))
     runs = benchturns.take_turns(checkouts, jobs, REPEATS)
     record = {
         "host": benchturns.host(),
         "sites": list(SITES),
         "repeats": REPEATS,
-        "median": {label: {name: benchturns.median(r, ("residual", "exit_code"))
+        "best_of": benchturns.BEST_OF,
+        "median": {label: {name: benchturns.median(r, ("residual", "exit_code", "report_sha256"))
                            for name, r in by_job.items()}
                    for label, by_job in runs.items()},
     }

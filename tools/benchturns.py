@@ -1,9 +1,14 @@
 """Take-turns runner shared by the benchmark tools in this directory.
 
 Every measurement runs a code snippet in a fresh interpreter whose
-``PYTHONPATH`` is one checkout's ``src/`` directory; the snippet prints one
-JSON object.  Within every repeat the checkouts take turns on each job, so a
-busy host slows them alike, and the medians over the repeats are reported.
+``PYTHONPATH`` is one checkout's ``src/`` directory.  The snippet defines
+``measure(argv) -> dict``; the interpreter calls it ``BEST_OF`` times and
+the fastest run is kept, so that a job of a few tens of milliseconds is
+not read off one run that the host happened to slow down.  The later runs
+find the interpreter warm: its imports done and the package's module-level
+caches (such as ``dynamical.contraction_plan``) filled.  Within every
+repeat the checkouts take turns on each job, so a busy host slows them
+alike, and the medians over the repeats are reported.
 """
 
 from __future__ import annotations
@@ -16,6 +21,50 @@ import statistics
 import subprocess
 import sys
 
+BEST_OF = 3
+
+# Runs the snippet's measure() BEST_OF times.  Fields ending in "_s" are
+# times (the fastest run is kept), peak_rss_mb is the interpreter's peak
+# over all runs, and every other field must be the same in all runs.
+_BEST_OF_LOOP = """
+import json, resource, sys
+runs = [measure(sys.argv[1:]) for _ in range({best_of})]
+best = {{}}
+for key in runs[0]:
+    values = [r[key] for r in runs]
+    if key.endswith("_s"):
+        best[key] = min(values)
+    elif len(set(map(json.dumps, values))) != 1:
+        raise SystemExit(f"{{key}} differs between runs: {{values}}")
+    else:
+        best[key] = values[0]
+best["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+print(json.dumps(best))
+"""
+
+# One CLI job: wall time, exit code and the SHA-256 of its --no-timestamp
+# JSON report.  The report is written under a fixed relative name in a
+# scratch directory, because the report records its own path.
+CLI_JOB = """
+import contextlib, hashlib, io, os, tempfile, time
+from elliptic_baxter import cli
+
+def measure(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        cwd = os.getcwd()
+        os.chdir(tmp)
+        try:
+            t0 = time.perf_counter()
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main([*argv, "--no-timestamp", "--report", "report.json"])
+            wall = time.perf_counter() - t0
+            with open("report.json", "rb") as fh:
+                sha = hashlib.sha256(fh.read()).hexdigest()
+        finally:
+            os.chdir(cwd)
+    return {"wall_s": wall, "exit_code": code, "report_sha256": sha}
+"""
+
 
 def src_arguments(ap: argparse.ArgumentParser) -> None:
     """Add the ``--src LABEL=PATH`` (repeatable) and ``--out`` options."""
@@ -26,9 +75,11 @@ def src_arguments(ap: argparse.ArgumentParser) -> None:
 
 
 def run(src: str, code: str, args) -> dict:
-    """Run ``code`` with ``args`` in a fresh interpreter on checkout ``src``."""
+    """The best of ``BEST_OF`` calls of the snippet's ``measure`` with
+    ``args``, in a fresh interpreter on checkout ``src``."""
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    out = subprocess.run([sys.executable, "-c", code, *map(str, args)],
+    program = code + _BEST_OF_LOOP.format(best_of=BEST_OF)
+    out = subprocess.run([sys.executable, "-c", program, *map(str, args)],
                          env=env, capture_output=True, text=True, check=True)
     return json.loads(out.stdout)
 
