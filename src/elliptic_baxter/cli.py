@@ -229,11 +229,11 @@ def run_gauss(cfg) -> list[CheckResult]:
     X = build_asymptotic(spin, 0.0, 8, P)
     pts = SamplePlan(cfg.seed, max(4, cfg.samples // 3), 5e-2).pairs(
         P, guard=lambda z, x: [x + k * h for k in range(-8, 9)])
-    res = gauss_reconstruction_residual(X, pts)
+    g = gauss_decompose(X)
+    res = gauss_reconstruction_residual(X, pts, g)
     out = [CheckResult("gauss", "reconstruction",
                        {"spin": spin, "points": len(pts), "seed": cfg.seed},
                        res, tol, res < tol)]
-    g = gauss_decompose(X)
     comp = compose_module_ops(g.kplus, g.kminus.shift_z(-h))
     safe = X.safe_levels
     diag = ThetaTable(((j, comp.entries[(X.basis.offset(j),) * 2]) for j in range(safe + 1)),

@@ -160,6 +160,12 @@ class EllipticModule:
         n = self.basis.size
         return self._table.at(zs, xs).reshape(len(zs), 4, n, n)
 
+    def masked_entry_matrices(self, zs, xs) -> np.ndarray:
+        """``entry_matrices`` without raising: NaN in every entry with a
+        pole or a non-finite theta value (``ThetaTable.masked_at``)."""
+        n = self.basis.size
+        return self._table.masked_at(zs, xs)[0].reshape(len(zs), 4, n, n)
+
 
 def build_asymptotic(l: complex, u: complex, K: int, params: EllipticParams) -> EllipticModule:
     """Ladder module on w_0..w_K of weights l - 2j, with the spectral
@@ -356,10 +362,14 @@ def gauss_decompose(X: EllipticModule) -> GaussData:
     return GaussData(kp, km, e, f)
 
 
-def gauss_reconstruction_residual(X: EllipticModule, points) -> float:
+def gauss_reconstruction_residual(
+    X: EllipticModule, points, g: GaussData | None = None
+) -> float:
     """Entrywise residual of L = (1 F; 0 1)(K+ 0; 0 K-)(1 0; E 1) at the
-    sampled (z, x) points, restricted to truncation-safe levels."""
-    g = gauss_decompose(X)
+    sampled (z, x) points, restricted to truncation-safe levels; ``g`` is
+    the decomposition of X, built here when not given."""
+    if g is None:
+        g = gauss_decompose(X)
     rec = {
         "++": g.kplus + compose_module_ops(g.f, compose_module_ops(g.kminus, g.e)),
         "+-": compose_module_ops(g.f, g.kminus),

@@ -13,12 +13,7 @@ from functools import lru_cache
 import numpy as np
 
 from .dynamical import _coset_offset, worst_residual
-from .modules import (
-    HighestWeightData,
-    build_asymptotic,
-    gauss_decompose,
-    socle,
-)
+from .modules import HighestWeightData, build_asymptotic, socle
 from .theta import (
     EllipticParams,
     SamplePlan,
@@ -128,24 +123,34 @@ class WeightMonomial:
 
 def monomials(triples, params: EllipticParams) -> list[WeightMonomial]:
     """The monomials of (a+, a-, weight) triples, every component on the z
-    grid of ``params`` from one masked ``ThetaTable`` pass.
+    grid of ``params``, the symbolic ones from one masked ``ThetaTable``
+    pass.
 
-    A component is an x-free ``ThetaExpression`` or a ``ThetaSum``, read at
-    x = ``_X_REF``; a point where a component has a pole or is not finite
-    is NaN there.
+    A component is an x-free ``ThetaExpression``, a ``ThetaSum`` read at
+    x = ``_X_REF``, or an array of its values on the grid; a symbolic
+    component is NaN at a point where it has a pole or is not finite.
     """
     triples = list(triples)
     comps = [c for ap, am, _ in triples for c in (ap, am)]
-    for c in comps:
-        if isinstance(c, ThetaExpression) and not c.is_x_free():
-            raise ValueError("monomial components must not depend on x")
-        if not isinstance(c, (ThetaExpression, ThetaSum)):
-            raise TypeError(f"a monomial component is a ThetaExpression or a ThetaSum, "
-                            f"not {type(c).__name__}")
     zs = np.array(_zgrid(params))
-    table = ThetaTable(((n, ThetaSum(c) if isinstance(c, ThetaExpression) else c)
-                        for n, c in enumerate(comps)), len(comps), params)
-    vals, _ = table.masked_at(zs, np.full(zs.shape, _X_REF))
+    sums = []
+    for n, c in enumerate(comps):
+        if isinstance(c, np.ndarray):
+            if c.shape != zs.shape:
+                raise ValueError(f"a component array holds {zs.size} grid values")
+        elif isinstance(c, ThetaExpression):
+            if not c.is_x_free():
+                raise ValueError("monomial components must not depend on x")
+            sums.append((n, ThetaSum(c)))
+        elif isinstance(c, ThetaSum):
+            sums.append((n, c))
+        else:
+            raise TypeError(f"a monomial component is a ThetaExpression, a ThetaSum "
+                            f"or an array of grid values, not {type(c).__name__}")
+    vals, _ = ThetaTable(sums, len(comps), params).masked_at(zs, np.full(zs.shape, _X_REF))
+    for n, c in enumerate(comps):
+        if isinstance(c, np.ndarray):
+            vals[:, n] = c
     out = []
     for v, (ap, am, w) in zip(vals.T.reshape(len(triples), 2, zs.size), triples):
         symbolic = isinstance(ap, ThetaExpression) and isinstance(am, ThetaExpression)
@@ -320,56 +325,89 @@ def qchar_one_dim(g: ThetaExpression, params: EllipticParams, depth: int = 0) ->
 def qchar_of_module(X) -> QCharElement:
     """Character extracted from the Gauss diagonal of a module.
 
+    K- is L--, and K+ = L++ - L+- (L--)^-1 L-+ with every factor at the
+    same (z, x): the x-shifts of the composition rule cancel.  On the
+    diagonal block of level j only L--, L+- and L-+ of levels j-1 and j
+    enter, so K+ is solved level by level on the module's L tables from one
+    masked pass over the z grid at x = ``_X_REF`` and the 3x3 probe points.
+    A diagonal component is its x-free symbolic term when it is one (every
+    K- entry, and a K+ entry with no L-+ entry in its column), else its
+    grid values.
+
     Requires both diagonal Gauss blocks to be triangular per weight space
-    with x-independent diagonal entries; violations raise
-    CategoryConditionError.
+    with nonzero, x-independent diagonal entries; violations raise
+    CategoryConditionError.  A pole or an overflow at a probe point raises,
+    as ``ThetaTable.at``.
     """
     params = X.params
-    g = gauss_decompose(X)
     basis = X.basis
     safe = X.safe_levels
-    ops = (g.kplus, g.kminus)
-    lower = [((a, b), s) for op in ops for (a, b), s in op.entries.items()
-             if a > b and s and basis.level_of(a) == basis.level_of(b) <= safe]
-    diagonal = [[op.entries.get((idx, idx)) for op in ops]
-                for idx in range(basis.offset(safe + 1))]
-    numeric = [s for pair in diagonal for s in pair if s and _x_free_term(s) is None]
-    # both conditions are probed at zprobe x xprobe from one table pass: the
-    # strictly lower entries of the diagonal blocks must vanish, and diagonal
-    # entries other than a single x-free term must not depend on x
-    zprobe = _zgrid(params)[:3]
+    size = basis.offset(safe + 1)
+    # the grid at _X_REF, then zprobe x xprobe: both conditions are probed
+    # there, the strictly lower entries of the diagonal blocks must vanish
+    # and the numeric diagonal entries must not depend on x
+    grid = _zgrid(params)
+    n = len(grid)
+    zprobe = grid[:3]
     xprobe = [_X_REF, _X_REF + 0.2931 + 0.171j, _X_REF - 0.2113 + 0.0917j]
-    probed = [s for _, s in lower] + numeric
-    vals = ThetaTable(enumerate(probed), len(probed), params).at(
-        [z for z in zprobe for _ in xprobe], xprobe * len(zprobe))
-    vals = vals.T.reshape(len(probed), len(zprobe), len(xprobe))
-    for ((a, b), _), v in zip(lower, vals):
-        if np.abs(v).max() > _CATEGORY_TOL:
-            raise CategoryConditionError(
-                f"Gauss diagonal block is not triangular at entry ({a},{b})"
-            )
-    x_probes = iter(vals[len(lower):])
+    zs = [*grid, *(z for z in zprobe for _ in xprobe)]
+    xs = [_X_REF] * n + xprobe * len(zprobe)
+    L = X.masked_entry_matrices(zs, xs)[:, :, :size, :size]
+    finite = np.isfinite(L).all(axis=(1, 2, 3))
+    if not finite[n:].all():
+        X.entry_matrices(zs[n:], xs[n:])  # raises PoleError or OverflowError
+        raise OverflowError("an L entry overflows at a probe point")
+    km = X.L["--"].entries
+    for idx in range(size):
+        if not km.get((idx, idx)):
+            raise CategoryConditionError(f"zero Gauss diagonal at index {idx}")
+    kplus = np.full((len(zs), size), np.nan, dtype=complex)
+    for s, kp in _kplus_blocks(L[finite], basis, safe):
+        # the probe points are the last rows of kp, all finite
+        for op in (kp[n - len(zs):], L[n:, 3, s, s]):
+            a, b = np.nonzero(np.abs(np.tril(op, -1)).max(axis=0) > _CATEGORY_TOL)
+            if a.size:
+                raise CategoryConditionError(
+                    f"Gauss diagonal block is not triangular at entry "
+                    f"({s.start + a[0]},{s.start + b[0]})")
+        kplus[finite, s] = np.diagonal(kp, axis1=1, axis2=2)
+    kminus = np.diagonal(L[:, 3], axis1=1, axis2=2)
+    # a K+ diagonal entry with no L-+ entry in its column is its L++ entry
+    corrected = {b for (_, b), t in X.L["-+"].entries.items() if t}
     triples = []
-    for idx, pair in enumerate(diagonal):
+    for idx in range(size):
+        plus = None if idx in corrected else X.L["++"].entries.get((idx, idx), ThetaSum.zero())
         comps = []
-        for s in pair:
-            if not s:
+        for entry, vals in ((plus, kplus[:, idx]), (km[(idx, idx)], kminus[:, idx])):
+            if not (vals.any() if entry is None else entry):
                 raise CategoryConditionError(f"zero Gauss diagonal at index {idx}")
-            term = _x_free_term(s)
-            if term is None:
-                v = next(x_probes)
-                scale = np.maximum(1.0, np.abs(v).max(axis=1))
-                if (np.abs(v - v[:, :1]).max(axis=1) > _CATEGORY_TOL * scale).any():
-                    raise CategoryConditionError(
-                        f"x-dependent Gauss diagonal at index {idx}"
-                    )
-            # a numeric component is the ThetaSum itself, read at x = _X_REF
-            comps.append(s if term is None else term)
+            term = None if entry is None else _x_free_term(entry)
+            if term is not None:
+                comps.append(term)
+                continue
+            v = vals[n:].reshape(len(zprobe), len(xprobe))
+            scale = np.maximum(1.0, np.abs(v).max(axis=1))
+            if (np.abs(v - v[:, :1]).max(axis=1) > _CATEGORY_TOL * scale).any():
+                raise CategoryConditionError(f"x-dependent Gauss diagonal at index {idx}")
+            comps.append(vals[:n])
         triples.append((*comps, basis.weight(basis.level_of(idx))))
     el = QCharElement(basis.alpha0, safe, params)
     for idx, m in enumerate(monomials(triples, params)):
         el.add_monomial(basis.level_of(idx), m)
     return el
+
+
+def _kplus_blocks(L: np.ndarray, basis, top: int):
+    """(slice, K+ block) of the levels 0..top from the L tables
+    [point, key, row, col]: K+_j = L++_jj - L+-_{j,j-1} (L--_{j-1})^-1 L-+_{j-1,j}."""
+    pp, pm, mp, mm = (L[:, k] for k in range(4))
+    for j in range(top + 1):
+        s = slice(basis.offset(j), basis.offset(j + 1))
+        kp = pp[:, s, s]
+        if j:
+            r = slice(basis.offset(j - 1), s.start)
+            kp = kp - pm[:, s, r] @ np.linalg.solve(mm[:, r, r], mp[:, r, s])
+        yield s, kp
 
 
 def _x_free_term(s: ThetaSum) -> ThetaExpression | None:

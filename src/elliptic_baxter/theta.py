@@ -22,6 +22,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -217,6 +218,11 @@ class ThetaFactor:
     def argument(self, z: complex, x: complex) -> complex:
         return self.cz * z + self.cx * x + self.shift
 
+    @cached_property
+    def key(self) -> tuple:
+        """The factor's ``_merge_key``, rounded once per factor."""
+        return _merge_key(self.cz, self.cx, self.shift)
+
 
 def _merge_key(cz: int, cx: int, shift: complex) -> tuple:
     return (cz, cx, round(shift.real, 12), round(shift.imag, 12))
@@ -250,13 +256,15 @@ class ThetaExpression:
             return ThetaExpression(self.scalar * complex(other), self.exp_z, self.exp_x, self.factors)
         merged: dict[tuple, list] = {}
         for f in self.factors + other.factors:
-            k = _merge_key(f.cz, f.cx, f.shift)
+            k = f.key
             if k in merged:
                 merged[k][1] += f.power
             else:
                 merged[k] = [f, f.power]
+        # an unmerged factor is kept as it is, with its key
         factors = tuple(
-            ThetaFactor(f.cz, f.cx, f.shift, p) for f, p in merged.values() if p != 0
+            f if p == f.power else ThetaFactor(f.cz, f.cx, f.shift, p)
+            for f, p in merged.values() if p != 0
         )
         return ThetaExpression(
             self.scalar * other.scalar,

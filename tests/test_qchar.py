@@ -1,16 +1,21 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 
+from elliptic_baxter.dynamical import ModuleOperator
 from elliptic_baxter.modules import (
     build_asymptotic,
     dynamical_tensor,
+    gauss_decompose,
     one_dim_module,
     socle,
 )
 from elliptic_baxter.qchar import (
     _MIN_VALID_SAMPLES,
+    _X_REF,
+    _kplus_blocks,
     CategoryConditionError,
     QCharElement,
     classify_highest_weight,
@@ -377,3 +382,108 @@ class TestSerialization:
     ])
     def test_theta_argument_signs(self, factor, text):
         assert format_component(ThetaExpression.theta(*factor)) == text
+
+
+def _ladder_tensor(params, depth):
+    X = build_asymptotic(1.1 + 0.2j, 0.0, depth, params)
+    Y = build_asymptotic(0.7 - 0.4j, 0.3, depth, params)
+    return dynamical_tensor(X, Y, max_level=depth)
+
+
+class TestNumericGaussDiagonal:
+    """qchar_of_module reads the Gauss diagonal from the L values, level by
+    level; the symbolic decomposition of the gauss suite is its oracle."""
+
+    P2 = EllipticParams(tau=0.2j, hbar=0.31)
+    MODULES = {
+        "ladder": lambda: build_asymptotic(1.7 + 0.3j, 0.4 - 0.1j, 8, P),
+        "socle": lambda: socle(build_asymptotic(3.0, 0.0, 5, P)),
+        "tensor": lambda: _ladder_tensor(P, 6),
+        "tensor-small-im-tau": lambda: _ladder_tensor(TestNumericGaussDiagonal.P2, 8),
+    }
+
+    @pytest.mark.parametrize("name", MODULES)
+    def test_kplus_diagonal_matches_symbolic(self, name):
+        M = self.MODULES[name]()
+        params, top = M.params, M.safe_levels
+        size = M.basis.offset(top + 1)
+        zs = _zgrid(params)
+        xs = [_X_REF] * len(zs)
+        L = M.entry_matrices(zs, xs)[:, :, :size, :size]
+        got = np.concatenate([np.diagonal(k, axis1=1, axis2=2)
+                              for _, k in _kplus_blocks(L, M.basis, top)], axis=1)
+        diag = [gauss_decompose(M).kplus.entries[(i, i)] for i in range(size)]
+        ref = ThetaTable(enumerate(diag), size, params).at(zs, xs)
+        # the cancelling diagonals at tau = 0.2i are compared on the scale
+        # of their largest term
+        terms = [(i, ThetaSum(t)) for i, s in enumerate(diag) for t in s.terms]
+        term_vals = ThetaTable(enumerate(s for _, s in terms), len(terms), params).at(zs, xs)
+        scale = np.zeros(ref.shape)
+        for k, (i, _) in enumerate(terms):
+            scale[:, i] = np.maximum(scale[:, i], np.abs(term_vals[:, k]))
+        assert (np.abs(got - ref) <= 1e-13 * scale).all()
+
+    def test_no_symbolic_gauss_decomposition(self, monkeypatch):
+        from elliptic_baxter import dynamical, modules
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("symbolic Gauss decomposition")
+
+        for mod, name in ((modules, "gauss_decompose"), (modules, "compose_module_ops"),
+                          (dynamical, "compose_module_ops"), (modules, "invert_weightwise"),
+                          (dynamical, "invert_weightwise")):
+            monkeypatch.setattr(mod, name, forbidden)
+        T = _ladder_tensor(self.P2, 8)
+        assert [len(qchar_of_module(T).term_list(k)) for k in range(8)] == list(range(1, 9))
+
+    @staticmethod
+    def _with_entries(M, key, update):
+        L = dict(M.L)
+        op = M.L[key]
+        L[key] = ModuleOperator(op.alpha, op.beta, op.source, op.target,
+                                update(dict(op.entries)), M.params)
+        return type(M)(M.params, M.basis, L, M.spin, M.shift_u)
+
+    @pytest.mark.parametrize("idx", [0, 2])
+    def test_x_dependent_kplus_diagonal_rejected(self, idx):
+        # level 0 has no correction term, level 2 is solved numerically
+        twist = ThetaExpression.theta(0, 1, 0.4)
+        X = build_asymptotic(1.3, 0.0, 4, P)
+
+        def update(entries):
+            entries[(idx, idx)] = entries[(idx, idx)] * twist
+            return entries
+
+        qchar_of_module(X)
+        with pytest.raises(CategoryConditionError, match="x-dependent"):
+            qchar_of_module(self._with_entries(X, "++", update))
+
+    def test_non_triangular_kplus_block_rejected(self):
+        T = _ladder_tensor(P, 4)
+        a, b = T.basis.offset(2) + 1, T.basis.offset(2)
+
+        def update(entries):
+            entries[(a, b)] = entries.get((a, b), ThetaSum.zero()) + ThetaSum(
+                ThetaExpression.theta(1, 0, 0.3))
+            return entries
+
+        qchar_of_module(T)
+        with pytest.raises(CategoryConditionError, match=rf"not triangular at entry \({a},{b}\)"):
+            qchar_of_module(self._with_entries(T, "++", update))
+
+    def test_pole_at_probe_point_raises(self):
+        # L++ of level 1 carries theta(x + (l - 1) hbar)^-1, on its zero
+        # lattice at the probe x = _X_REF
+        X = build_asymptotic(1 - _X_REF / H, 0.0, 4, P)
+        with pytest.raises(PoleError):
+            qchar_of_module(X)
+
+    def test_monomial_component_from_grid_values(self):
+        a = ThetaExpression.theta(1, 0, 0.2)
+        b = ThetaExpression.theta(1, 0, 0.5, -1)
+        ref = mono(a, b, 1.0)
+        got = mono(ref.values[0].copy(), b, 1.0)
+        assert got.key is None and (got.values == ref.values).all()
+        assert monomial_deviation(got, ref) < 1e-15
+        with pytest.raises(ValueError):
+            mono(ref.values[0][:3], b, 1.0)

@@ -20,6 +20,7 @@ from elliptic_baxter.theta import (
     PoleError,
     SamplePlan,
     ThetaExpression,
+    ThetaFactor,
     ThetaSum,
     ThetaTable,
     in_hbar_inv_lattice,
@@ -239,6 +240,41 @@ class TestThetaExpression:
         u = e * e.inv()
         assert u.canonical().factors == ()
         assert abs(u.scalar - 1) < 1e-14
+
+    def test_product_merges_shifts_equal_to_12_decimals(self):
+        # factors merge when their shifts round alike at 12 decimals, and
+        # the merged factor keeps the shift of the first one
+        s = 0.3 + 0.1j
+        a = ThetaExpression.theta(1, 0, s)
+        near = ThetaExpression.theta(1, 0, s + 1e-14, 2)
+        apart = ThetaExpression.theta(1, 0, s + 1e-9)
+        p = a * near * apart
+        assert p.factors == (ThetaFactor(1, 0, s, 3), ThetaFactor(1, 0, s + 1e-9, 1))
+        assert (near * a).factors == (ThetaFactor(1, 0, s + 1e-14, 3),)
+        assert (a * a.inv()).factors == ()
+
+    def test_product_matches_factorwise_merge(self):
+        # the merge rule spelled out with one rounding per factor occurrence
+        def reference(x, y):
+            merged = {}
+            for f in x.factors + y.factors:
+                k = (f.cz, f.cx, round(f.shift.real, 12), round(f.shift.imag, 12))
+                merged.setdefault(k, [f, 0])[1] += f.power
+            return tuple(ThetaFactor(f.cz, f.cx, f.shift, p)
+                         for f, p in merged.values() if p)
+
+        e = r_entry_expression()
+        h = P.hbar
+        exprs = [e, e.inv(), e.shift_x(h), e.shift_x(-h).inv(), e.shift_z(0.2),
+                 ThetaExpression.theta(0, 1, h * (1 + 1e-13)),
+                 ThetaExpression.theta(1, 0, 0.5e-12, -1) * ThetaExpression.theta(0, 1, 0, 3)]
+        for x in exprs:
+            for y in exprs:
+                got = x * y
+                assert got.factors == reference(x, y)
+                assert [f.shift for f in got.factors] == [f.shift for f in reference(x, y)]
+                assert (got.scalar, got.exp_z, got.exp_x) == (
+                    x.scalar * y.scalar, x.exp_z + y.exp_z, x.exp_x + y.exp_x)
 
 
 class TestThetaSum:
