@@ -97,12 +97,6 @@ class Poly:
             return Poly()
         return Poly(tuple(a * c for a in self.coeffs))
 
-    def __pow__(self, n: int) -> "Poly":
-        out = Poly((1,))
-        for _ in range(n):
-            out = out * self
-        return out
-
     def __call__(self, v):
         """Evaluate at a scalar of the coefficient ring (Horner)."""
         res = 0

@@ -32,6 +32,9 @@ _MAX_J = 64
 _SERIES_EPS = 1e-14
 # a negative-power theta factor this close to Z + Z*tau raises PoleError
 POLE_TOL = 1e-12
+# the batched theta series takes pairs for at most this many
+# (pair, argument) items at once, to cap its temporaries
+_SERIES_ITEMS = 2**12
 # a SamplePlan gives up after this many rejected and accepted draws
 _MAX_TRIES = 2000
 
@@ -142,23 +145,28 @@ def _theta_series(z, params: EllipticParams) -> np.ndarray:
     a = math.pi * tau.imag
     c = 2.0 * math.pi * float(np.fmin(np.max(zi, initial=0.0), 1e3))
     block = math.ceil((c + math.sqrt(c * c + 4.0 * a * math.log(2e3 / _SERIES_EPS))) / (2.0 * a))
+    chunk = max(1, _SERIES_ITEMS // block)
     with np.errstate(over="ignore", invalid="ignore"):
-        # a block of pairs for every live element at once; accumulate is
-        # sequential, so the partial sums are those of the scalar loop
+        # a block of pairs for a chunk of live elements at once; accumulate
+        # is sequential, so the partial sums are those of the scalar loop
         for j0 in range(0, _MAX_J + 1, block):
-            half = np.arange(j0, min(j0 + block, _MAX_J + 1))[:, None] + 0.5
-            quad = 1j * math.pi * half * half * tau
-            lin = (_TWO_PI_I * half) * zp[live]
-            pairs = np.vstack([s[live], np.exp(quad + lin) + np.exp(quad - lin)])
-            partial = np.add.accumulate(pairs, axis=0)[1:]
-            nxt = half + 1.0
-            bound = 2.0 * np.exp(-math.pi * tau.imag * nxt * nxt + 2.0 * math.pi * nxt * zi[live])
-            done = bound <= _SERIES_EPS * np.abs(partial)
-            stop = np.where(done.any(axis=0), done.argmax(axis=0), len(half) - 1)
-            s[live] = partial[stop, np.arange(live.size)]
-            live = live[~done.any(axis=0)]
             if not live.size:
                 break
+            half = np.arange(j0, min(j0 + block, _MAX_J + 1))[:, None] + 0.5
+            quad = 1j * math.pi * half * half * tau
+            nxt = half + 1.0
+            still = []
+            for c0 in range(0, live.size, chunk):
+                cols = live[c0:c0 + chunk]
+                lin = (_TWO_PI_I * half) * zp[cols]
+                pairs = np.vstack([s[cols], np.exp(quad + lin) + np.exp(quad - lin)])
+                partial = np.add.accumulate(pairs, axis=0)[1:]
+                bound = 2.0 * np.exp(-math.pi * tau.imag * nxt * nxt + 2.0 * math.pi * nxt * zi[cols])
+                done = bound <= _SERIES_EPS * np.abs(partial)
+                stop = np.where(done.any(axis=0), done.argmax(axis=0), len(half) - 1)
+                s[cols] = partial[stop, np.arange(cols.size)]
+                still.append(cols[~done.any(axis=0)])
+            live = np.concatenate(still)
     return np.where(m % 2, s, -s).reshape(z.shape)
 
 

@@ -10,6 +10,7 @@ against the oscillator transfer matrix, and rational q-characters."""
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
@@ -217,62 +218,101 @@ def tensor_module(X: YangianModule, Y: YangianModule) -> YangianModule:
     )
 
 
+# cleared R(z - w), with its denominator (z - w + 1) multiplied through:
+# column (a, b) maps to rows (c, d) with entries given as terms
+# (coefficient, power of z, power of w)
+_RTT_R = {
+    (1, 1): {(1, 1): ((1, 1, 0), (1, 0, 0), (-1, 0, 1))},
+    (1, 2): {(1, 2): ((1, 1, 0), (-1, 0, 1)), (2, 1): ((1, 0, 0),)},
+    (2, 1): {(1, 2): ((1, 0, 0),), (2, 1): ((1, 1, 0), (-1, 0, 1))},
+    (2, 2): {(2, 2): ((1, 1, 0), (1, 0, 0), (-1, 0, 1))},
+}
+
+
 def rtt_residual(X: YangianModule) -> float:
-    """Exact defect of the cleared exchange relation applied to all
-    truncation-safe basis vectors of the two-fold auxiliary space."""
+    """Exact defect of the cleared exchange relation
+    R(z - w) T1(z) T2(w) = T2(w) T1(z) R(z - w) applied to all
+    truncation-safe basis vectors of the two-fold auxiliary space.
+
+    The sparse state walk runs on Kronecker-packed ints (see `_width`):
+    the module's entries are cleared over one denominator d, and each
+    state value is a polynomial in z, w and, for a symbolic-spin module,
+    the spin variable (innermost), stored as its value at 2^width.  The
+    two sides are compared as packed ints and read back only where they
+    differ; both are quadratic in the entries, so the defect is the
+    worst digit over d^2.
+
+    The slot width holds both sides' coefficients.  With mu the largest
+    entry coefficient, rho the largest sum of the entries' largest
+    coefficients over one row of one entry operator, and n the spin
+    slots of an entry: a coefficient of p(z) q(w) is at most
+    n mu(p) mu(q), a sum over the middle labels of such products at most
+    n rho mu, and the l1 norms of R's entries sum to at most 3 along each
+    row and each column, so every coefficient of either side is at most
+    3 n rho mu."""
     safe = [v for v in X.basis
             if X.exact or X.weight[v] <= X.levels - 2]
     if not safe:
         raise ValueError("module too shallow for the exchange check")
-
-    def lift_z(p):
-        # polynomial in z, constant in w
-        return Poly((p,))
-
-    def lift_w(p):
-        # reinterpret the variable as w: coefficients become z-constants
-        return Poly(tuple(Poly((c,)) for c in p.coeffs))
-
-    # cleared R(z - w): denominator (z - w + 1) multiplied through
-    corner = Poly((Poly((1, 1)), Poly((-1,))))   # z + 1 - w
-    mid_d = Poly((Poly((0, 1)), Poly((-1,))))    # z - w
-    mid_o = Poly((Poly((1,)),))                  # 1
-    rc = {
-        (0, 0): {(0, 0): corner},
-        (0, 1): {(0, 1): mid_d, (1, 0): mid_o},
-        (1, 0): {(0, 1): mid_o, (1, 0): mid_d},
-        (1, 1): {(1, 1): corner},
-    }
+    cells = [(ab, lab, lab2, p) for ab, table in X.act.items()
+             for lab, rows in table.items() for lab2, p in rows]
+    d = denominator(p for *_, p in cells)
+    entries = [numerators(p, d) for *_, p in cells]
+    inner = _inner_slots(entries)
+    flat = _coefficient_rows(entries, inner)
+    outer = flat.shape[1] // inner
+    mu = np.abs(flat).max(axis=1)
+    row = {}
+    for (ab, _, lab2, _), m in zip(cells, mu):
+        row[ab, lab2] = row.get((ab, lab2), 0) + m
+    width = _width(3 * inner * max(row.values()) * max(mu))
+    # slot strides: the spin variable (degree below 2 * inner - 1), then
+    # w and z (degree below outer in an entry, plus one from R)
+    ws = 2 * inner - 1
+    zs = ws * (outer + 1)
+    count = zs * (outer + 1)
+    # tables[slot][(a, b)][lab]: (lab2, packed entry in z for slot 0, in
+    # w for slot 1)
+    tables = [{ab: {} for ab in X.act} for _ in range(2)]
+    for (ab, lab, lab2, _), p in zip(cells, entries):
+        for slot, stride in ((0, zs), (1, ws)):
+            tables[slot][ab].setdefault(lab, []).append(
+                (lab2, _pack(_flatten(p, stride), width)))
+    rc = {ab: {cd: sum(c << (width * (i * zs + j * ws)) for c, i, j in terms)
+               for cd, terms in col.items()}
+          for ab, col in _RTT_R.items()}
 
     def apply_slot(state, slot):
         # the first auxiliary slot carries z, the second w
-        lift = lift_w if slot else lift_z
         out = {}
-        for (a, b, lab), poly in state.items():
+        for (a, b, lab), v in state.items():
             for c in (1, 2):
-                for lab2, coeff in X.act[(c, b if slot else a)].get(lab, ()):
+                for lab2, coeff in tables[slot][(c, b if slot else a)].get(lab, ()):
                     key = (a, c, lab2) if slot else (c, b, lab2)
-                    out[key] = out.get(key, Poly()) + lift(coeff) * poly
+                    out[key] = out.get(key, 0) + coeff * v
         return out
 
     def apply_r(state):
         out = {}
-        for (a, b, lab), poly in state.items():
-            for (c, d), entry in rc[(a - 1, b - 1)].items():
-                key = (c + 1, d + 1, lab)
-                out[key] = out.get(key, Poly()) + entry * poly
+        for (a, b, lab), v in state.items():
+            for (c, e), entry in rc[(a, b)].items():
+                key = (c, e, lab)
+                out[key] = out.get(key, 0) + entry * v
         return out
 
-    def defects(start):
-        lhs = apply_r(apply_slot(apply_slot(start, 1), 0))
-        rhs = apply_slot(apply_slot(apply_r(start), 0), 1)
-        return (lhs.get(k, Poly()) - rhs.get(k, Poly())
-                for k in set(lhs) | set(rhs))
-
-    return exact_residual(
-        d for v in safe for a in (1, 2) for b in (1, 2)
-        for d in defects({(a, b, v): Poly((Poly((1,)),))})
-    )
+    worst = 0
+    for v in safe:
+        for a in (1, 2):
+            for b in (1, 2):
+                start = {(a, b, v): 1}
+                lhs = apply_r(apply_slot(apply_slot(start, 1), 0))
+                rhs = apply_slot(apply_slot(apply_r(start), 0), 1)
+                for key in lhs.keys() | rhs.keys():
+                    x, y = lhs.get(key, 0), rhs.get(key, 0)
+                    if x != y:
+                        worst = max(worst, *(abs(dx - dy) for dx, dy in zip(
+                            _digits(x, width, count), _digits(y, width, count))))
+    return exact_residual((Fraction(worst, d * d),))
 
 
 # ---------------------------------------------------------------------------
@@ -1010,12 +1050,22 @@ def yangian_qchar(X: YangianModule, depth: int | None = None) -> list:
     return out
 
 
+def _ladder_roots(spin, u, i: int) -> tuple:
+    """The level-i character pair of a spectrally shifted ladder as
+    quotients of monic linear factors z + r: for each component, the r of
+    its numerator and of its denominator factors."""
+    return ((u + spin, u - 1), (u + i - 1,)), ((u + i,), ())
+
+
+def _linear_product(roots) -> Poly:
+    return math.prod((Poly((r, 1)) for r in roots), start=Poly((1,)))
+
+
 def qchar_ladder_term(spin, u, i: int) -> tuple:
     """Closed-form level-i character pair of a spectrally shifted
     ladder."""
-    k1 = RatFn(Poly((u + spin, 1)) * Poly((u - 1, 1)), Poly((u + i - 1, 1)))
-    k2 = RatFn(Poly((u + i, 1)))
-    return k1, k2
+    return tuple(RatFn(_linear_product(num), _linear_product(den))
+                 for num, den in _ladder_roots(spin, u, i))
 
 
 def qchar_finite_term(m: int, i: int) -> tuple:
@@ -1026,34 +1076,42 @@ def qchar_oscillator_term(i: int) -> tuple:
     return RatFn(Poly((0, 1))), RatFn(Poly((1,)))
 
 
-def _pairs_match(lhs: list, rhs: list) -> bool:
-    """Unordered exact match of lists of character pairs."""
-    rest = list(rhs)
-    for a1, a2 in lhs:
-        for idx, (b1, b2) in enumerate(rest):
-            if a1 == b1 and a2 == b2:
-                rest.pop(idx)
-                break
-        else:
-            return False
-    return not rest
+def _factor_multisets(terms, scale: int) -> tuple:
+    """Both components of the product of the ladder character pairs of
+    `terms`, (spin, u, i) triples, as reduced factor multisets: each root
+    r of a factor z + r, times `scale`, which must make it an int, with
+    its numerator count minus its denominator count, zero counts
+    dropped.  By unique factorization two such products are equal as
+    rational functions exactly when their multisets are."""
+    out = []
+    for comp in zip(*(_ladder_roots(*t) for t in terms)):
+        count = {}
+        for num, den in comp:
+            for roots, sign in ((num, 1), (den, -1)):
+                for r in roots:
+                    r = int(r * scale)
+                    count[r] = count.get(r, 0) + sign
+        out.append(frozenset((r, n) for r, n in count.items() if n))
+    return tuple(out)
 
 
-def qchar_interchange_mismatches(l: Fraction, u: Fraction, depth: int) -> int:
+def qchar_interchange_mismatches(l: Fraction, u: Fraction, depth: int,
+                                 rhs_shift: Fraction = Fraction(0)) -> int:
     """Number of series levels at which the two tensor-product characters
     differ: ladder(l, 0) x ladder(0, u) against ladder(l-u, u) x
-    ladder(u, 0)."""
+    ladder(u, 0), each level compared as a multiset of component pairs.
+    `rhs_shift` is added to the spectral shift of the ladder(l-u, u)
+    factor alone, as a negative control.  The roots are integer
+    combinations of 1, l, u and `rhs_shift`, so the lcm of their
+    denominators scales them to ints."""
+    scale = math.lcm(*(Fraction(v).denominator for v in (l, u, rhs_shift)))
+    zero = Fraction(0)
     bad = 0
     for k in range(depth + 1):
-        lhs, rhs = [], []
-        for i in range(k + 1):
-            j = k - i
-            x1, x2 = qchar_ladder_term(l, Fraction(0), i)
-            y1, y2 = qchar_ladder_term(Fraction(0), u, j)
-            lhs.append((x1 * y1, x2 * y2))
-            x1, x2 = qchar_ladder_term(l - u, u, i)
-            y1, y2 = qchar_ladder_term(u, Fraction(0), j)
-            rhs.append((x1 * y1, x2 * y2))
-        if not _pairs_match(lhs, rhs):
-            bad += 1
+        lhs = Counter(_factor_multisets(((l, zero, i), (zero, u, k - i)), scale)
+                      for i in range(k + 1))
+        rhs = Counter(_factor_multisets(((l - u, u + rhs_shift, i),
+                                         (u, zero, k - i)), scale)
+                      for i in range(k + 1))
+        bad += lhs != rhs
     return bad

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from elliptic_baxter import theta
 from elliptic_baxter.modules import (
     build_asymptotic,
     dynamical_tensor,
@@ -125,6 +126,20 @@ class TestThetaEvalArray:
                 theta_eval_array(np.array([0.3, complex("nan")]), P)
         with pytest.raises(OverflowError):
             theta_eval(0.3 + 300j, P)
+
+    @pytest.mark.parametrize("tau", [1j, 0.4 + 0.6j, 0.2j])
+    def test_chunked_series_is_bit_identical(self, tau, monkeypatch):
+        # a few (pair, argument) items per chunk: many chunks per block,
+        # elements finishing in different chunks, and NaN/inf elements
+        params = EllipticParams(tau=tau, hbar=0.31)
+        rng = np.random.default_rng(11)
+        z = np.concatenate([
+            rng.uniform(-3, 3, 997) + 1j * tau.imag * rng.uniform(-3, 3, 997),
+            [0.3 + 300j, complex("nan"), 0.0]])
+        whole = _theta_series(z, params)
+        monkeypatch.setattr(theta, "_SERIES_ITEMS", 7)
+        assert np.array_equal(_theta_series(z, params), whole, equal_nan=True)
+        assert _theta_series(z[:0], params).shape == (0,)
 
     def test_lattice_distance_array_matches_scalar(self):
         c = np.array([0.0, 3 + 2 * P.tau, 0.5, 0.123 - 2.456j, -0.7 + 0.2j])

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction as F
 
 import numpy as np
@@ -195,6 +196,80 @@ class TestModules:
             build_module("unknown")
 
 
+def nested_rtt_sides(X):
+    """Reference exchange walk on nested (w, z) Fraction polynomials, with
+    a symbolic spin innermost: for each truncation-safe start vector, the
+    two sides R(z - w) T1(z) T2(w) and T2(w) T1(z) R(z - w), with
+    (z - w + 1) multiplied through, as dicts keyed (a, b, label)."""
+    safe = [v for v in X.basis
+            if X.exact or X.weight[v] <= X.levels - 2]
+
+    def lift_z(p):
+        # polynomial in z, constant in w
+        return Poly((p,))
+
+    def lift_w(p):
+        # reinterpret the variable as w: coefficients become z-constants
+        return Poly(tuple(Poly((c,)) for c in p.coeffs))
+
+    corner = Poly((Poly((1, 1)), Poly((-1,))))   # z + 1 - w
+    mid_d = Poly((Poly((0, 1)), Poly((-1,))))    # z - w
+    mid_o = Poly((Poly((1,)),))                  # 1
+    rc = {
+        (0, 0): {(0, 0): corner},
+        (0, 1): {(0, 1): mid_d, (1, 0): mid_o},
+        (1, 0): {(0, 1): mid_o, (1, 0): mid_d},
+        (1, 1): {(1, 1): corner},
+    }
+
+    def apply_slot(state, slot):
+        lift = lift_w if slot else lift_z
+        out = {}
+        for (a, b, lab), poly in state.items():
+            for c in (1, 2):
+                for lab2, coeff in X.act[(c, b if slot else a)].get(lab, ()):
+                    key = (a, c, lab2) if slot else (c, b, lab2)
+                    out[key] = out.get(key, Poly()) + lift(coeff) * poly
+        return out
+
+    def apply_r(state):
+        out = {}
+        for (a, b, lab), poly in state.items():
+            for (c, d), entry in rc[(a - 1, b - 1)].items():
+                key = (c + 1, d + 1, lab)
+                out[key] = out.get(key, Poly()) + entry * poly
+        return out
+
+    for v in safe:
+        for a in (1, 2):
+            for b in (1, 2):
+                start = {(a, b, v): Poly((Poly((1,)),))}
+                yield (apply_r(apply_slot(apply_slot(start, 1), 0)),
+                       apply_slot(apply_slot(apply_r(start), 0), 1))
+
+
+def nested_rtt_residual(X):
+    return exact_residual(
+        lhs.get(k, Poly()) - rhs.get(k, Poly())
+        for lhs, rhs in nested_rtt_sides(X) for k in lhs.keys() | rhs.keys())
+
+
+def bound_module(m):
+    """Two labels of level zero; T11 e1 = m z e0, T12 e0 = m (1 + z) e0 +
+    m (z - 1) e1, T22 e0 = -m e0 + m z e1, T21 = 0.  Each row of each
+    entry operator holds one entry, of largest coefficient m, so the
+    packed walk's coefficient bound 3 n rho mu is 3 m^2 (n = 1 spin
+    slot, rho = mu = m), which a side of the walk attains where the two
+    sides differ."""
+    return yangian.YangianModule(
+        "bound", (0, 1), {0: 0, 1: 0},
+        {(1, 1): {1: ((0, Poly((0, m))),)},
+         (1, 2): {0: ((0, Poly((m, m))), (1, Poly((-m, m))))},
+         (2, 1): {},
+         (2, 2): {0: ((0, Poly((-m,))), (1, Poly((0, m))))}},
+        exact=True, levels=0)
+
+
 class TestExchangeRelation:
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_finite_exact(self, m):
@@ -224,6 +299,39 @@ class TestExchangeRelation:
     def test_too_shallow_rejected(self):
         with pytest.raises(ValueError):
             rtt_residual(build_module("oscillator", levels=1))
+
+    @pytest.mark.parametrize("X", [
+        build_module("ladder", spin=F(5, 3), levels=6, flip_raising=True),
+        build_module("ladder", spin=F(5, 3), shift=F(1, 4), levels=6,
+                     flip_raising=True),
+        tensor_module(build_module("finite", spin=2),
+                      build_module("ladder", spin=F(-1, 2), levels=6,
+                                   flip_raising=True)),
+        build_module("ladder", spin=SPIN_VARIABLE, levels=5),
+        build_module("ladder", spin=SPIN_VARIABLE, levels=5,
+                     flip_raising=True),
+        build_module("oscillator", levels=6, flip_raising=True),
+    ], ids=["flipped-ladder", "flipped-shifted-ladder", "flipped-tensor",
+            "symbolic-ladder", "flipped-symbolic-ladder",
+            "flipped-oscillator"])
+    def test_matches_nested_walk(self, X):
+        assert rtt_residual(X) == nested_rtt_residual(X)
+
+    def test_attained_bound(self):
+        m = 2**40 - 1
+        X = bound_module(m)
+        worst = max(max_abs(v) for sides in nested_rtt_sides(X)
+                    for side in sides for v in side.values())
+        assert worst == 3 * m * m
+        assert rtt_residual(X) == nested_rtt_residual(X) > 0
+
+    def test_narrow_width_is_detected(self, monkeypatch):
+        # one bit less than the attained bound: the largest coefficient
+        # wraps, so `test_attained_bound` sees a width that is too narrow
+        X = bound_module(2**40 - 1)
+        ref = nested_rtt_residual(X)
+        monkeypatch.setattr(yangian, "_width", lambda bound: bound.bit_length())
+        assert rtt_residual(X) != ref
 
 
 def per_pair_transfer(X, sites, order, skip_cross_sector=True):
@@ -827,14 +935,40 @@ class TestQCharacters:
         assert qchar_interchange_mismatches(F(7, 3), F(4, 5), 8) == 0
 
     def test_interchange_negative_control(self):
-        from elliptic_baxter.yangian import _pairs_match
-        lhs, rhs = [], []
-        for i in range(3):
-            j = 2 - i
-            x = qchar_ladder_term(F(7, 3), F(0), i)
-            y = qchar_ladder_term(F(0), F(4, 5), j)
-            lhs.append((x[0] * y[0], x[1] * y[1]))
-            x = qchar_ladder_term(F(7, 3) - F(4, 5), F(4, 5) + F(1, 9), i)
-            y = qchar_ladder_term(F(4, 5), F(0), j)
-            rhs.append((x[0] * y[0], x[1] * y[1]))
-        assert not _pairs_match(lhs, rhs)
+        assert qchar_interchange_mismatches(F(7, 3), F(4, 5), 2,
+                                            rhs_shift=F(1, 9)) > 0
+
+    def test_factor_multisets_match_cross_multiplication(self):
+        # small spins and shifts make cancelling and coinciding factors
+        # frequent
+        rng = random.Random(5)
+        values = [F(v) for v in (-2, -1, 0, 1, 2, 3)] + [F(1, 2), F(-3, 2)]
+
+        def product(terms):
+            out = (RatFn(Poly((1,))), RatFn(Poly((1,))))
+            for t in terms:
+                out = tuple(x * y for x, y in zip(out, qchar_ladder_term(*t)))
+            return out
+
+        def draw():
+            return [(rng.choice(values), rng.choice(values), rng.randrange(4))
+                    for _ in range(rng.randint(1, 3))]
+
+        seen = set()
+        for _ in range(300):
+            a = draw()
+            # a reordering, a redraw, or a copy with one term redrawn
+            b = rng.choice([rng.sample(a, len(a)), draw(),
+                            a[:-1] + draw()[:1]])
+            # each component alone: equal first components may cancel
+            # different factors
+            for x, y, mx, my in zip(product(a), product(b),
+                                    yangian._factor_multisets(a, 2),
+                                    yangian._factor_multisets(b, 2)):
+                assert (mx == my) == (x == y)
+            equal = product(a) == product(b)
+            cancels = any(len(yangian._factor_multisets([t], 2)[0]) < 2
+                          for t in a)
+            seen.add((equal, cancels))
+        assert seen == {(True, True), (True, False), (False, True),
+                        (False, False)}

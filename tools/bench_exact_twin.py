@@ -1,13 +1,18 @@
-"""Wall times of the exact rational twin on fixed chains.
+"""Wall times of the exact rational twin on fixed chains and checks.
 
 For each checkout given, and for 6 and 8 sites at series orders 2 and 3,
 a fresh interpreter builds the Baxter operator (``yangian_q``), then
 evaluates the TQ defect with that operator given (``tq_residual``), and
-reports both wall times and its peak RSS.  A last run per checkout times
-the CLI ``yangian-tq`` job at 8 sites, order 3, with its exit code and
-report SHA-256.  Times are the best of ``benchturns.BEST_OF`` runs in the
-interpreter.  The checkouts take turns within every repeat, so a busy
-host slows them alike; the medians over the repeats are reported.
+reports both wall times and its peak RSS.  Further runs per checkout time
+the two fixed checks of the ``yangian-all`` suite: the exchange relation
+(``rtt_residual``) on the suite's five modules together, and the
+q-character interchange count (``qchar_interchange_mismatches``, l = 7/3,
+u = 4/5) at depths 6 and 10, each with its result.  Two CLI jobs close the
+list: ``yangian-tq`` at 8 sites, order 3, and ``yangian-all`` at 4 sites,
+order 3, each with its exit code and report SHA-256.  Times are the best
+of ``benchturns.BEST_OF`` runs in the interpreter.  The checkouts take
+turns within every repeat, so a busy host slows them alike; the medians
+over the repeats are reported.
 
     python3 tools/bench_exact_twin.py --src change=src --src parent=../old/src \\
         --out BENCH_exact_twin.json
@@ -23,7 +28,8 @@ import benchturns
 # The first eight sites of the exact-twin measurements in ROADMAP.md.
 SITES = ("2/3", "-5/7", "9/4", "-1/6", "3/5", "7/2", "5/4", "-4/9")
 CHAINS = ((6, 2), (6, 3), (8, 2), (8, 3))
-CLI_CHAIN = (8, 3)
+INTERCHANGE_DEPTHS = (6, 10)
+CLI_JOBS = (("yangian-tq", 8, 3), ("yangian-all", 4, 3))
 REPEATS = 3
 
 _IN_PROCESS = """
@@ -42,6 +48,33 @@ def measure(argv):
     return {"yangian_q_s": t1 - t0, "tq_residual_s": t2 - t1, "residual": res}
 """
 
+# the modules of the rtt-* records of cli.run_yangian_all
+_RTT = """
+import time
+from fractions import Fraction
+from elliptic_baxter import yangian
+
+def measure(argv):
+    modules = [yangian.build_module("finite", spin=m) for m in (1, 2, 3)]
+    modules += [yangian.build_module("ladder", spin=Fraction(5, 3), levels=6),
+                yangian.build_module("oscillator", levels=6)]
+    t0 = time.perf_counter()
+    res = max(yangian.rtt_residual(X) for X in modules)
+    return {"rtt_residual_s": time.perf_counter() - t0, "residual": res}
+"""
+
+_INTERCHANGE = """
+import time
+from fractions import Fraction
+from elliptic_baxter import yangian
+
+def measure(argv):
+    t0 = time.perf_counter()
+    n = yangian.qchar_interchange_mismatches(Fraction(7, 3), Fraction(4, 5),
+                                             int(argv[0]))
+    return {"qchar_interchange_s": time.perf_counter() - t0, "mismatches": n}
+"""
+
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
@@ -49,16 +82,19 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     checkouts = dict(s.split("=", 1) for s in args.src)
     jobs = [(f"{n}site-o{o}", _IN_PROCESS, (",".join(SITES[:n]), o)) for n, o in CHAINS]
-    n, o = CLI_CHAIN
-    jobs.append((f"cli-{n}site-o{o}", benchturns.CLI_JOB,
-                 ("yangian-tq", "--sites=" + ",".join(SITES[:n]), "--order", o)))
+    jobs.append(("rtt-five-modules", _RTT, ()))
+    jobs += [(f"interchange-depth{d}", _INTERCHANGE, (d,)) for d in INTERCHANGE_DEPTHS]
+    jobs += [(f"cli-{suite}-{n}site-o{o}", benchturns.CLI_JOB,
+              (suite, "--sites=" + ",".join(SITES[:n]), "--order", o))
+             for suite, n, o in CLI_JOBS]
     runs = benchturns.take_turns(checkouts, jobs, REPEATS)
+    exact = ("residual", "mismatches", "exit_code", "report_sha256")
     record = {
         "host": benchturns.host(),
         "sites": list(SITES),
         "repeats": REPEATS,
         "best_of": benchturns.BEST_OF,
-        "median": {label: {name: benchturns.median(r, ("residual", "exit_code", "report_sha256"))
+        "median": {label: {name: benchturns.median(r, exact)
                            for name, r in by_job.items()}
                    for label, by_job in runs.items()},
     }
