@@ -23,8 +23,8 @@ from .modules import (
     dynamical_tensor,
     gauss_decompose,
     gauss_reconstruction_residual,
-    qdybe_residual,
-    rll_residual,
+    qdybe_residuals,
+    rll_residuals,
 )
 from .dynamical import SingularityError, compose_module_ops, worst_residual
 from .reports import CheckResult, build_report, render_text, write_report
@@ -195,9 +195,9 @@ def _triples(cfg):
 
 def run_ybe(cfg) -> list[CheckResult]:
     tol = cfg.tol_for("ybe")
+    triples = _triples(cfg)
     out = []
-    for i, (z, w, x) in enumerate(_triples(cfg)):
-        res = qdybe_residual(z, w, x, cfg.params)
+    for i, ((z, w, x), res) in enumerate(zip(triples, qdybe_residuals(triples, cfg.params))):
         out.append(CheckResult(
             "ybe", "dynamical-yang-baxter",
             {"index": i, "z": z, "w": w, "x": x, "seed": cfg.seed},
@@ -209,10 +209,13 @@ def run_rll(cfg) -> list[CheckResult]:
     tol = cfg.tol_for("rll")
     P = cfg.params
     X = build_asymptotic(1.7 + 0.3j, 0.0, 8, P)
+    triples = _triples(cfg)[: max(4, cfg.samples // 3)]
+    levels = (0, 2)
+    residuals = iter(rll_residuals(X, triples, levels))
     out = []
-    for i, (z, w, x) in enumerate(_triples(cfg)[: max(4, cfg.samples // 3)]):
-        for level in (0, 2):
-            res = rll_residual(X, z, w, x, level)
+    for i, (z, w, x) in enumerate(triples):
+        for level in levels:
+            res = next(residuals)
             out.append(CheckResult(
                 "rll", "exchange-relation",
                 {"index": i, "level": level, "z": z, "w": w, "x": x,

@@ -408,15 +408,22 @@ class TermMatrix:
     ``fn(zs, xs)`` maps arrays of n points to the stacked matrices
     [n, dim, dim].  ``at`` calls it once per request, on the distinct
     points not yet in the memo; composed and divided series hold closures
-    over other TermMatrix objects.
+    over other TermMatrix objects.  Such a term also declares what it
+    reads: ``reads(zs, xs)`` lists the (source, zs', xs') that ``fn``
+    asks for at the points, a pure function of the points, so that
+    ``request`` can fill the leaves below a whole relation before any
+    arithmetic runs.  A term without ``reads`` is opaque to ``request``
+    and evaluated when asked.  ``eval`` stays as a batch of one: the
+    benchmark's tracer (``perfbench/tracer.py``) wraps it by name.
     """
 
-    __slots__ = ("_fn", "dim", "_cache")
+    __slots__ = ("_fn", "dim", "_cache", "reads")
 
-    def __init__(self, fn, dim: int):
+    def __init__(self, fn, dim: int, reads=None):
         self._fn = fn
         self.dim = dim
         self._cache: dict[tuple[complex, complex], np.ndarray] = {}
+        self.reads = reads
 
     def at(self, zs, xs) -> np.ndarray:
         """The matrices at the points (zs, xs), as [point, dim, dim]."""
@@ -441,7 +448,8 @@ class TermMatrix:
 
     def bound_z(self, z0: complex) -> "TermMatrix":
         z0 = complex(z0)
-        return TermMatrix(lambda zs, xs: self.at(np.full(len(xs), z0), xs), self.dim)
+        return TermMatrix(lambda zs, xs: self.at(np.full(len(xs), z0), xs), self.dim,
+                          lambda zs, xs: [(self, np.full(len(xs), z0), xs)])
 
     @staticmethod
     def zero(dim: int) -> "TermMatrix":
@@ -451,6 +459,31 @@ class TermMatrix:
     def identity(dim: int) -> "TermMatrix":
         return TermMatrix(lambda zs, xs: np.broadcast_to(np.eye(dim, dtype=complex),
                                                          (len(zs), dim, dim)), dim)
+
+
+def request(reads) -> None:
+    """Fill the leaves below the reads (source, zs, xs) before any term is
+    evaluated: walk the declared ``reads`` of every TermMatrix at the
+    points missing from its memo, down to the sources that are not
+    TermMatrix objects (the leaves), and hand each leaf the union of the
+    points it is asked for in one ``fill`` call.  A (source, point) is
+    entered once, so the recursion of a quotient stays linear."""
+    seen: set = set()
+    leaves: dict = {}
+    todo = list(reads)
+    while todo:
+        src, zs, xs = todo.pop()
+        keys = [k for k in dict.fromkeys(zip(map(complex, zs), map(complex, xs)))
+                if (src, k) not in seen]
+        seen.update((src, k) for k in keys)
+        if not isinstance(src, TermMatrix):
+            leaves.setdefault(src, []).extend(keys)
+            continue
+        keys = [k for k in keys if k not in src._cache]
+        if keys and src.reads is not None:
+            todo.extend(src.reads(*np.array(keys, dtype=complex).T))
+    for leaf, keys in leaves.items():
+        leaf.fill(keys)
 
 
 @dataclass
@@ -506,7 +539,10 @@ def series_compose(s1: DiffOpSeries, s2: DiffOpSeries, order: int) -> DiffOpSeri
                 out += t1.at(zs, xs + shift) @ t2.at(zs, xs)
             return out
 
-        terms.append(TermMatrix(fn, s1.dim))
+        def reads(zs, xs, pairs=pairs):
+            return [r for t1, t2, shift in pairs for r in ((t1, zs, xs + shift), (t2, zs, xs))]
+
+        terms.append(TermMatrix(fn, s1.dim, reads))
     return DiffOpSeries(s1.alpha0 + s2.alpha0, terms, s1.dim, s1.params)
 
 
@@ -527,10 +563,12 @@ def series_divide(num: DiffOpSeries, den: DiffOpSeries, order: int) -> DiffOpSer
     # term m holds the lower terms, not the list it joins: no reference
     # cycle, so a series and its memos are freed as soon as it is dropped
     def make_term(m, lower):
+        inner = range(max(0, m - den.order), m)
+
         def fn(zs, ys):
             xs = ys - b * hb
             acc = num.term(m).at(zs, xs)
-            for k in range(max(0, m - den.order), m):
+            for k in inner:
                 acc = acc - lower[k].at(zs, ys - 2 * (m - k) * hb) @ den.terms[m - k].at(zs, xs)
             lead = den.terms[0].at(zs, xs).transpose(0, 2, 1)
             try:
@@ -539,7 +577,13 @@ def series_divide(num: DiffOpSeries, den: DiffOpSeries, order: int) -> DiffOpSer
                 raise SingularityError("singular leading coefficient",
                                        point=_first_singular(lead, zs, xs)) from exc
 
-        return TermMatrix(fn, num.dim)
+        def reads(zs, ys):
+            xs = ys - b * hb
+            return [(num.term(m), zs, xs), (den.terms[0], zs, xs),
+                    *(r for k in inner for r in ((lower[k], zs, ys - 2 * (m - k) * hb),
+                                                 (den.terms[m - k], zs, xs)))]
+
+        return TermMatrix(fn, num.dim, reads)
 
     for m in range(order + 1):
         terms.append(make_term(m, tuple(terms)))
@@ -556,11 +600,6 @@ def _first_singular(mats, zs, xs) -> tuple[complex, complex] | None:
     return None
 
 
-def series_invert(s: DiffOpSeries, order: int) -> DiffOpSeries:
-    """Inverse to the truncation order: the quotient of the identity by s."""
-    return series_divide(DiffOpSeries.identity(s.dim, order, s.params), s, order)
-
-
 def series_add(s1: DiffOpSeries, s2: DiffOpSeries, order: int) -> DiffOpSeries:
     if s1.dim != s2.dim:
         raise ShapeError("series dimensions differ")
@@ -575,7 +614,10 @@ def series_add(s1: DiffOpSeries, s2: DiffOpSeries, order: int) -> DiffOpSeries:
         def fn(zs, xs, t1=t1, t2=t2):
             return t1.at(zs, xs) + t2.at(zs, xs)
 
-        terms.append(TermMatrix(fn, s1.dim))
+        def reads(zs, xs, t1=t1, t2=t2):
+            return [(t1, zs, xs), (t2, zs, xs)]
+
+        terms.append(TermMatrix(fn, s1.dim, reads))
     return DiffOpSeries(s1.alpha0, terms, s1.dim, s1.params)
 
 
@@ -589,7 +631,9 @@ def series_scale(s: DiffOpSeries, c) -> DiffOpSeries:
         def fn_c(zs, xs):
             return c
     terms = [
-        TermMatrix(lambda zs, xs, t=t: fn_c(zs, xs) * t.at(zs, xs), s.dim) for t in s.terms
+        TermMatrix(lambda zs, xs, t=t: fn_c(zs, xs) * t.at(zs, xs), s.dim,
+                   lambda zs, xs, t=t: [(t, zs, xs)])
+        for t in s.terms
     ]
     return DiffOpSeries(s.alpha0, terms, s.dim, s.params)
 
@@ -598,11 +642,13 @@ def series_max_residual(
     s1: DiffOpSeries, s2: DiffOpSeries, order: int, points
 ) -> float:
     """Worst relative coefficient deviation over p-orders <= order and the
-    sampled (z, x) points.  Exponent cosets must agree."""
+    sampled (z, x) points.  Exponent cosets must agree.  Every leaf below
+    the coefficients of both sides is filled in one ``request`` first."""
     d = _coset_offset(s1.alpha0, s2.alpha0)
     if d < 0:
         return series_max_residual(s2, s1, order, points)
     zs, xs = np.array(points, dtype=complex).reshape(-1, 2).T
+    request((t, zs, xs) for k in range(order + 1) for t in (s1.term(k), s2.term(k - d)))
     return worst_residual(
         relative_deviation(a, b)
         for k in range(order + 1)

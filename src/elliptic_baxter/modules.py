@@ -107,22 +107,34 @@ def _embed_r(slots, r_by_state) -> np.ndarray:
     return m
 
 
-def qdybe_residual(z: complex, w: complex, x: complex, params: EllipticParams) -> float:
+# (slots, shifted) of the factors of lhs = R12 R13 R23, rhs = R23 R13 R12
+_YBE_FACTORS = (((0, 1), True), ((0, 2), False), ((1, 2), True),
+                ((1, 2), False), ((0, 2), True), ((0, 1), False))
+
+
+def qdybe_residuals(triples, params: EllipticParams) -> list[float]:
     """Relative Frobenius-norm residual of the dynamical Yang-Baxter
-    equation on the 8-dimensional triple tensor space; the dynamical
-    argument of each two-slot R is shifted by hbar times the weight of the
-    untouched slot.  All twelve R evaluations come from one table pass."""
+    equation on the 8-dimensional triple tensor space at each (z, w, x) of
+    triples; the dynamical argument of each two-slot R is shifted by hbar
+    times the weight of the untouched slot.  The twelve R evaluations of
+    every triple come from one table pass."""
     h = params.hbar
-    # (slots, spectral argument, shifted) of lhs = R12 R13 R23, rhs = R23 R13 R12
-    factors = (((0, 1), z - w, True), ((0, 2), z, False), ((1, 2), w, True),
-               ((1, 2), w, False), ((0, 2), z, True), ((0, 1), z - w, False))
-    zs = [s for _, s, _ in factors for c in range(2)]
-    xs = [x + h * _slot_weight(c) if shifted else x for _, _, shifted in factors for c in range(2)]
-    r = r_matrices(zs, xs, params).reshape(6, 2, 4, 4)
-    e = [_embed_r(slots, r[n]) for n, (slots, _, _) in enumerate(factors)]
-    lhs = e[0] @ e[1] @ e[2]
-    rhs = e[3] @ e[4] @ e[5]
-    return relative_deviation(lhs, rhs)
+    zs, xs = [], []
+    for z, w, x in triples:
+        # the spectral arguments of the factors
+        zs += [s for s in (z - w, z, w, w, z, z - w) for c in range(2)]
+        xs += [x + h * _slot_weight(c) if shifted else x
+               for _, shifted in _YBE_FACTORS for c in range(2)]
+    out = []
+    for r in r_matrices(zs, xs, params).reshape(-1, 6, 2, 4, 4):
+        e = [_embed_r(slots, r[n]) for n, (slots, _) in enumerate(_YBE_FACTORS)]
+        out.append(relative_deviation(e[0] @ e[1] @ e[2], e[3] @ e[4] @ e[5]))
+    return out
+
+
+def qdybe_residual(z: complex, w: complex, x: complex, params: EllipticParams) -> float:
+    """``qdybe_residuals`` at one triple."""
+    return qdybe_residuals([(z, w, x)], params)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -148,23 +160,22 @@ class EllipticModule:
 
     @cached_property
     def _table(self) -> ThetaTable:
-        n = self.basis.size
+        return self.leading_table(self.basis.size)
+
+    def leading_table(self, size: int) -> ThetaTable:
+        """The four L tables cut to their leading size x size block, slot
+        (k*size + a)*size + b for key k in the order ++, +-, -+, --: a pass
+        evaluates no entry outside the block."""
         return ThetaTable(
-            (((k * n + a) * n + b, s) for k, name in enumerate(_KEYS)
-             for (a, b), s in self.L[name].entries.items()),
-            4 * n * n, self.params)
+            (((k * size + a) * size + b, s) for k, name in enumerate(_KEYS)
+             for (a, b), s in self.L[name].entries.items() if a < size and b < size),
+            4 * size * size, self.params)
 
     def entry_matrices(self, zs, xs) -> np.ndarray:
         """The four L tables at the points (zs, xs), one table pass, as
         [point, key, row, col] with keys in the order ++, +-, -+, --."""
         n = self.basis.size
         return self._table.at(zs, xs).reshape(len(zs), 4, n, n)
-
-    def masked_entry_matrices(self, zs, xs) -> np.ndarray:
-        """``entry_matrices`` without raising: NaN in every entry with a
-        pole or a non-finite theta value (``ThetaTable.masked_at``)."""
-        n = self.basis.size
-        return self._table.masked_at(zs, xs)[0].reshape(len(zs), 4, n, n)
 
 
 def build_asymptotic(l: complex, u: complex, K: int, params: EllipticParams) -> EllipticModule:
@@ -281,33 +292,53 @@ def socle(X: EllipticModule, l: int | None = None) -> EllipticModule:
 # RLL residual
 # ---------------------------------------------------------------------------
 
-def rll_residual(
-    X: EllipticModule, z: complex, w: complex, x: complex, level: int
-) -> float:
+def rll_residuals(X: EllipticModule, triples, levels) -> list[float]:
     """Max relative residual of the exchange relations
 
         sum_{p,q} R^{pq}_{mn}(z-w; x+hbar*h) L_{pi}(z;x) L_{qj}(w;x+i*hbar)
       = sum_{p,q} L_{nq}(w;x) L_{mp}(z;x+q*hbar) R^{ij}_{pq}(z-w;x)
 
-    applied to basis vectors at the given level; the weight operator h acts
-    on the result of the two L-applications.
+    applied to basis vectors at each level, for each (z, w, x) of triples:
+    triple by triple, a level inside.  The weight operator h acts on the
+    result of the two L-applications.  The L tables of every triple come
+    from one table pass, and so do its R-matrices.
     """
     basis = X.basis
     safe_top = basis.levels if X.exact else basis.levels - 2
-    if level > safe_top or level < 0:
-        raise ValueError(f"level {level} is not truncation-safe (K={basis.levels})")
+    for level in levels:
+        if level > safe_top or level < 0:
+            raise ValueError(f"level {level} is not truncation-safe (K={basis.levels})")
     params = X.params
     h = params.hbar
+    weights = [basis.weight(j) for j in range(basis.levels + 1)]
+    # per triple: the four L tables at z and at w, each at x - hbar, x and
+    # x + hbar; R(z - w; x + hbar*weight) at every level weight, then R(z - w; x)
+    lz, lx, rz, rx = [], [], [], []
+    for z, w, x in triples:
+        lz += [z] * 3 + [w] * 3
+        lx += [x + s * h for s in (-1, 0, 1)] * 2
+        rz += [z - w] * (len(weights) + 1)
+        rx += [x + h * wt for wt in weights] + [x]
+    tables = X.entry_matrices(lz, lx).reshape(len(triples), 6, 4, basis.size, basis.size)
+    r = r_matrices(rz, rx, params).reshape(len(triples), len(weights) + 1, 4, 4)
+    return [_rll_level(basis, t, rt, level) for t, rt in zip(tables, r) for level in levels]
+
+
+def rll_residual(
+    X: EllipticModule, z: complex, w: complex, x: complex, level: int
+) -> float:
+    """``rll_residuals`` at one triple and one level."""
+    return rll_residuals(X, [(z, w, x)], (level,))[0]
+
+
+def _rll_level(basis: WeightBasis, tables: np.ndarray, r: np.ndarray, level: int) -> float:
+    """The exchange residual of ``rll_residuals`` at one level, from the
+    six L tables and the R-matrices of one triple."""
     size = basis.size
-    # the four L tables at z and at w, each at x - hbar, x and x + hbar
-    tables = X.entry_matrices([z] * 3 + [w] * 3, [x + s * h for s in (-1, 0, 1)] * 2)
 
     def lmat(key: str, at_w: bool, shift: int) -> np.ndarray:
         return tables[3 * at_w + shift + 1, _KEYS.index(key)]
 
-    # R(z - w; x + hbar*weight) at every level weight, then R(z - w; x)
-    weights = [basis.weight(j) for j in range(basis.levels + 1)]
-    r = r_matrices([z - w] * (len(weights) + 1), [x + h * wt for wt in weights] + [x], params)
     r_target = r[[basis.level_of(a) for a in range(size)]]
     r0 = r[-1]
 

@@ -328,8 +328,9 @@ def qchar_of_module(X) -> QCharElement:
     K- is L--, and K+ = L++ - L+- (L--)^-1 L-+ with every factor at the
     same (z, x): the x-shifts of the composition rule cancel.  On the
     diagonal block of level j only L--, L+- and L-+ of levels j-1 and j
-    enter, so K+ is solved level by level on the module's L tables from one
-    masked pass over the z grid at x = ``_X_REF`` and the 3x3 probe points.
+    enter, so K+ is solved level by level on the module's L tables, cut to
+    the levels up to ``safe_levels`` (``leading_table``), from one masked
+    pass over the z grid at x = ``_X_REF`` and the 3x3 probe points.
     A diagonal component is its x-free symbolic term when it is one (every
     K- entry, and a K+ entry with no L-+ entry in its column), else its
     grid values.
@@ -352,10 +353,12 @@ def qchar_of_module(X) -> QCharElement:
     xprobe = [_X_REF, _X_REF + 0.2931 + 0.171j, _X_REF - 0.2113 + 0.0917j]
     zs = [*grid, *(z for z in zprobe for _ in xprobe)]
     xs = [_X_REF] * n + xprobe * len(zprobe)
-    L = X.masked_entry_matrices(zs, xs)[:, :, :size, :size]
-    finite = np.isfinite(L).all(axis=(1, 2, 3))
-    if not finite[n:].all():
-        X.entry_matrices(zs[n:], xs[n:])  # raises PoleError or OverflowError
+    table = X.leading_table(size)
+    L, bad = table.masked_at(zs, xs)
+    L = L.reshape(len(zs), 4, size, size)
+    finite = ~bad
+    if bad[n:].any():
+        table.at(zs[n:], xs[n:])  # raises PoleError or OverflowError
         raise OverflowError("an L entry overflows at a probe point")
     km = X.L["--"].entries
     for idx in range(size):

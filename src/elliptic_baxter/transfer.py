@@ -82,7 +82,9 @@ class _GradedTrace:
     The points missing from the memo are evaluated in groups of at most
     `_BATCH_ITEMS` entry and prefix items (and at least one point): one
     table pass over the group's points times the grid, and one
-    `graded_trace` call on the plan tiled over them."""
+    `graded_trace` call on the plan tiled over them.  It is the leaf of
+    the series' ``request``: ``fill`` takes every point a relation needs
+    at once."""
 
     def __init__(self, X: EllipticModule, space: QuantumSpace, order: int):
         self.module = X
@@ -103,18 +105,22 @@ class _GradedTrace:
         # point: (block of the traces filled by one request, index in it)
         self.memo: dict[tuple[complex, complex], tuple[np.ndarray, int]] = {}
 
-    def at(self, zs, xs, level=slice(None)) -> np.ndarray:
-        """The traces of the levels at the points (zs, xs), as [point,
-        row, col, level], or of one level as [point, row, col].  Points
-        filled together in the requested order come back as a view of the
-        memo, otherwise as a copy."""
-        keys = [(complex(z), complex(x)) for z, x in zip(zs, xs)]
+    def fill(self, keys) -> None:
+        """Contract the points (z, x) of keys that the memo lacks."""
         miss = list(dict.fromkeys(k for k in keys if k not in self.memo))
         if miss:
             block = np.empty((len(miss), *self.shape), dtype=complex)
             for lo in range(0, len(miss), self.group):
                 block[lo:lo + self.group] = self._contract(miss[lo:lo + self.group])
             self.memo.update((k, (block, i)) for i, k in enumerate(miss))
+
+    def at(self, zs, xs, level=slice(None)) -> np.ndarray:
+        """The traces of the levels at the points (zs, xs), as [point,
+        row, col, level], or of one level as [point, row, col].  Points
+        filled together in the requested order come back as a view of the
+        memo, otherwise as a copy."""
+        keys = [(complex(z), complex(x)) for z, x in zip(zs, xs)]
+        self.fill(keys)
         where = [self.memo[k] for k in keys]
         block, first = where[0] if where else (np.empty((0, *self.shape)), 0)
         if all(b is block and i == first + n for n, (b, i) in enumerate(where)):
@@ -133,7 +139,8 @@ class _GradedTrace:
 class TransferSeries:
     """p-graded series of chain-space matrices in (z, x); alpha0 is the
     leading p-exponent.  All coefficients at a point come from one graded
-    trace contraction, memoized per point; shift_z offsets z."""
+    trace contraction, memoized per point; shift_z offsets z.  The
+    coefficients of ``series`` declare the trace points they read."""
 
     alpha0: complex
     order: int
@@ -149,15 +156,19 @@ class TransferSeries:
     @property
     def series(self) -> DiffOpSeries:
         terms = [
-            TermMatrix(lambda zs, xs, k=k: self.coefficients(zs, xs, k), self.dim)
+            TermMatrix(lambda zs, xs, k=k: self.coefficients(zs, xs, k), self.dim,
+                       lambda zs, xs: [(self.trace, self._trace_zs(zs), xs)])
             for k in range(self.order + 1)
         ]
         return DiffOpSeries(self.alpha0, terms, self.dim, self.params)
 
+    def _trace_zs(self, zs) -> np.ndarray:
+        return np.asarray(zs, dtype=complex) + self.z_shift
+
     def coefficients(self, zs, xs, k=slice(None)) -> np.ndarray:
         """Coefficient k at the points, as [point, row, col]; by default
         every coefficient, as [point, row, col, k]."""
-        return self.trace.at(np.asarray(zs, dtype=complex) + self.z_shift, xs, k)
+        return self.trace.at(self._trace_zs(zs), xs, k)
 
     def coefficient(self, k: int, z: complex, x: complex) -> np.ndarray:
         return self.coefficients([z], [x], k)[0]

@@ -1,13 +1,16 @@
 import csv
 import io
 import json
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from elliptic_baxter import cli, yangian
 from elliptic_baxter.dynamical import SingularityError
+from elliptic_baxter.modules import build_asymptotic, qdybe_residual, qdybe_residuals, rll_residual
 from elliptic_baxter.reports import (
     CheckResult,
     build_report,
@@ -16,6 +19,9 @@ from elliptic_baxter.reports import (
     render_text,
 )
 from elliptic_baxter.theta import PoleError
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from jobs import PARAM_SETS  # noqa: E402
 
 
 def run(argv):
@@ -129,6 +135,48 @@ class TestExitCodes:
                     "--no-timestamp"]) == 0
         chain = (Fraction(1, 2), Fraction(2, 3))
         assert [order for sites, order in builds if sites == chain] == [3]
+
+
+def config(suite, params):
+    return cli.resolve_config(cli.build_parser().parse_args([suite, *params]))
+
+
+class TestBatchedTriples:
+    """The ybe and rll jobs evaluate all their triples in one pass per
+    table, with the residuals of one triple at a time."""
+
+    @pytest.mark.parametrize("params", [p for _, p in PARAM_SETS],
+                             ids=[name for name, _ in PARAM_SETS])
+    def test_ybe_job_matches_per_triple_residuals(self, params):
+        cfg = config("ybe", params)
+        got = [r.residual for r in cli.run_ybe(cfg)]
+        assert got == [qdybe_residual(z, w, x, cfg.params) for z, w, x in cli._triples(cfg)]
+
+    @pytest.mark.parametrize("params", [p for _, p in PARAM_SETS],
+                             ids=[name for name, _ in PARAM_SETS])
+    def test_rll_job_matches_per_triple_residuals(self, params):
+        cfg = config("rll", params)
+        X = build_asymptotic(1.7 + 0.3j, 0.0, 8, cfg.params)
+        got = [(r.params["index"], r.params["level"], r.residual) for r in cli.run_rll(cfg)]
+        triples = cli._triples(cfg)[: max(4, cfg.samples // 3)]
+        assert got == [(i, level, rll_residual(X, z, w, x, level))
+                       for i, (z, w, x) in enumerate(triples) for level in (0, 2)]
+
+    def test_pole_triple_raises_and_exits_three(self, capsys, monkeypatch):
+        # x = 0 puts theta(x)^-1 of the L++ entries and theta(x)^-2 of R
+        # on the lattice
+        cfg = config("ybe", ())
+        good, pole = cli._triples(cfg)[0], (0.3 + 0.1j, 0.2 - 0.2j, 0.0)
+        with pytest.raises(PoleError):
+            qdybe_residuals([good, pole], cfg.params)
+        with pytest.raises(PoleError):
+            qdybe_residual(*pole, cfg.params)
+        with pytest.raises(PoleError):
+            rll_residual(build_asymptotic(1.7 + 0.3j, 0.0, 8, cfg.params), *pole, 0)
+        monkeypatch.setattr(cli, "_triples", lambda cfg: [good, pole])
+        for suite in ("ybe", "rll"):
+            assert run([suite, "--no-timestamp"]) == 3
+            assert "numerical breakdown" in capsys.readouterr().err
 
 
 class TestConfigFile:

@@ -7,7 +7,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from elliptic_baxter import dynamical
+from elliptic_baxter import dynamical, transfer
 from elliptic_baxter.dynamical import (
     compose_module_ops,
     graded_trace,
@@ -33,6 +33,7 @@ from elliptic_baxter.theta import (
 )
 from elliptic_baxter.transfer import (
     QuantumSpace,
+    _GradedTrace,
     commutativity_residual,
     interchange_transfer_residual,
     periodicity_residual,
@@ -246,6 +247,113 @@ class TestPointBatches:
                 scale = max(1.0, np.linalg.norm(m))
                 ref += [np.linalg.norm(m1 - sign * m) / scale, np.linalg.norm(mt - fac * m) / scale]
         assert periodicity_residual(hom, order, [z0], XS) == max(ref)
+
+
+class LeafSpy:
+    """Records every `_GradedTrace._contract` call as (trace number, keys),
+    the traces numbered in the order a relation builds them; ``group``
+    overrides the points per contraction."""
+
+    def __init__(self, monkeypatch, group=None):
+        self.reset()
+        init, contract = _GradedTrace.__init__, _GradedTrace._contract
+
+        def spy_init(trace, *args):
+            init(trace, *args)
+            trace.group = group or trace.group
+            self.group[len(self.group)] = trace.group
+            self.number[trace] = len(self.number)
+
+        def spy_contract(trace, keys):
+            self.calls.setdefault(self.number[trace], []).append(list(keys))
+            return contract(trace, keys)
+
+        monkeypatch.setattr(_GradedTrace, "__init__", spy_init)
+        monkeypatch.setattr(_GradedTrace, "_contract", spy_contract)
+
+    def reset(self):
+        self.number, self.group, self.calls = {}, {}, {}
+
+    def points(self):
+        return {n: {k for keys in calls for k in keys} for n, calls in self.calls.items()}
+
+
+def compared(s1, s2, order):
+    """The coefficients `series_max_residual` compares, both sides."""
+    d = dynamical._coset_offset(s1.alpha0, s2.alpha0)
+    if d < 0:
+        s1, s2, d = s2, s1, -d
+    return [t for k in range(order + 1) for t in (s1.term(k), s2.term(k - d))]
+
+
+def relation_cases(sites):
+    """The series relations of the transfer and tq suites at order 4 and
+    three points, each a call that builds its graphs afresh."""
+    space = QuantumSpace(sites, P)
+    order = 4
+    K = order + space.L // 2 + 2
+    X = build_asymptotic(1.3 + 0.2j, 0.0, K, P)
+    Y = build_asymptotic(0.7 - 0.3j, 0.0, K, P)
+    XY = dynamical_tensor(X, Y, max_level=K)
+    pts = SamplePlan(7, 3, 5e-2).pairs(P, guard=lambda z, x: [x + k * H for k in range(-6, 7)])
+    xs = [x for _, x in pts]
+    return {
+        "product": lambda: product_residual(X, Y, XY, space, order, pts),
+        "interchange": lambda: interchange_transfer_residual(1.3 + 0.2j, 0.57, space, order, pts),
+        "commutativity": lambda: commutativity_residual(
+            X, Y, space, order, ZS[0], ZS[1], [(0.0, x) for x in xs]),
+        "tq": lambda: tq_residual(1, space, order, ZS[:1], xs),
+    }
+
+
+class TestRelationRequests:
+    """A relation contracts each trace in one request, cut only into the
+    trace's groups, at the points its coefficients read one at a time."""
+
+    @pytest.mark.parametrize("sites, group", [((A1, A2), None), ((A1, A2), 2),
+                                              ((A1, A2, A1 + 0.13, A2 - 0.11j), None)])
+    @pytest.mark.parametrize("name", ["product", "interchange", "commutativity", "tq"])
+    def test_one_grouped_pass_per_trace(self, sites, group, name, monkeypatch):
+        relation = relation_cases(sites)[name]
+        spy = LeafSpy(monkeypatch, group)
+        relation()
+        batched = spy.points()
+        assert sorted(batched) == sorted(spy.group)
+        for n, calls in spy.calls.items():
+            sizes = [len(keys) for keys in calls]
+            assert sum(sizes) == len(batched[n])
+            assert sizes[:-1] == [spy.group[n]] * (len(sizes) - 1)
+            assert 0 < sizes[-1] <= spy.group[n]
+
+        # every compared coefficient asked alone at one point, with no
+        # request, on graphs built afresh for each ask
+        asks = []
+
+        def list_asks(s1, s2, order, points):
+            asks.extend((i, p) for i in range(len(compared(s1, s2, order))) for p in points)
+            return 0.0
+
+        monkeypatch.setattr(transfer, "series_max_residual", list_asks)
+        relation()
+        alone: dict = {}
+        for i, (z, x) in asks:
+            def ask(s1, s2, order, points, i=i, z=z, x=x):
+                compared(s1, s2, order)[i].at([z], [x])
+                return 0.0
+
+            monkeypatch.setattr(transfer, "series_max_residual", ask)
+            spy.reset()
+            relation()
+            for n, keys in spy.points().items():
+                alone.setdefault(n, set()).update(keys)
+        assert batched == alone
+
+    def test_periodicity_contracts_each_trace_once(self, monkeypatch):
+        spy = LeafSpy(monkeypatch)
+        periodicity_residual(QuantumSpace((A1, A1), P), 4, ZS[:1], XS[:3])
+        want = {(0j, complex(x)) for x in XS[:3]}
+        assert all(len(calls) == 1 for calls in spy.calls.values())
+        assert spy.points() == {0: want, 1: want, 2: want}
 
 
 class TestTransferMatrix:

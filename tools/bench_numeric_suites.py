@@ -1,8 +1,9 @@
 """Wall times of the numeric certificate suites, parent against change.
 
 For each checkout given, a fresh interpreter runs one CLI job of each of
-the suites ``qchar``, ``rll``, ``ybe``, ``gauss`` and ``interchange`` at
-each of the three parameter sets of the ``suites-2site`` benchmark workload
+the suites ``qchar``, ``rll``, ``ybe``, ``gauss``, ``interchange``,
+``transfer`` and ``tq`` (2 sites, the CLI defaults) at each of the three
+parameter sets of the ``suites-2site`` benchmark workload
 (``perfbench/jobs.py``), with the CLI's default seed, and reports the job's
 wall time (the best of ``benchturns.BEST_OF`` runs in the interpreter),
 exit code, report SHA-256 and peak RSS.  The checkouts take turns within
@@ -24,7 +25,7 @@ import benchturns
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench"))
 from jobs import PARAM_SETS  # noqa: E402
 
-SUITES = ("qchar", "rll", "ybe", "gauss", "interchange")
+SUITES = ("qchar", "rll", "ybe", "gauss", "interchange", "transfer", "tq")
 REPEATS = 5
 
 def main(argv=None) -> int:
