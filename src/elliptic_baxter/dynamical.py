@@ -315,6 +315,26 @@ def tensor_entry_tables(
 # bounds the batch temporaries whatever the number of prefixes.
 _BATCH_ITEMS = 1 << 18
 
+# The complex item of `cmatmul`'s clean-up multiply.
+_UNIT = np.ones(1, dtype=complex)
+_UNIT_OUT = np.empty(1, dtype=complex)
+
+
+def cmatmul(a, b, out=None) -> np.ndarray:
+    """``np.matmul`` of complex matrices that leaves the vector unit clean.
+
+    OpenBLAS's complex gemm kernels (scipy-openblas 0.3.31 on AVX-512
+    Xeons) return with the upper halves of the vector registers dirty.
+    Every legacy-SSE instruction after them (libm, the interpreter's float
+    and complex arithmetic) then runs about four times slower, until some
+    AVX code clears the registers; matrix-vector products do not dirty
+    them.  One complex multiply in numpy's own vector loop clears them.
+    Call it for every complex matrix product on a hot path.
+    """
+    out = np.matmul(a, b, out=out)
+    np.multiply(_UNIT, _UNIT, out=_UNIT_OUT)
+    return out
+
 
 @lru_cache(maxsize=8)
 def contraction_plan(pairs: tuple, letters: tuple) -> tuple:
@@ -388,7 +408,7 @@ def graded_trace(m: np.ndarray, plan: tuple, levels) -> np.ndarray:
         nxt = np.empty((len(up), rows, size), dtype=m.dtype)
         for lo in range(0, len(up), batch):
             b = slice(lo, lo + batch)
-            np.matmul(acc[up[b]], entries[key[b]], out=nxt[b])
+            cmatmul(acc[up[b]], entries[key[b]], out=nxt[b])
         acc = nxt
     diag = np.empty((len(parent), rows), dtype=m.dtype)
     for lo in range(0, len(parent), batch):
@@ -536,7 +556,7 @@ def series_compose(s1: DiffOpSeries, s2: DiffOpSeries, order: int) -> DiffOpSeri
         def fn(zs, xs, pairs=pairs, dim=s1.dim):
             out = np.zeros((len(zs), dim, dim), dtype=complex)
             for t1, t2, shift in pairs:
-                out += t1.at(zs, xs + shift) @ t2.at(zs, xs)
+                out += cmatmul(t1.at(zs, xs + shift), t2.at(zs, xs))
             return out
 
         def reads(zs, xs, pairs=pairs):
@@ -569,7 +589,8 @@ def series_divide(num: DiffOpSeries, den: DiffOpSeries, order: int) -> DiffOpSer
             xs = ys - b * hb
             acc = num.term(m).at(zs, xs)
             for k in inner:
-                acc = acc - lower[k].at(zs, ys - 2 * (m - k) * hb) @ den.terms[m - k].at(zs, xs)
+                acc = acc - cmatmul(lower[k].at(zs, ys - 2 * (m - k) * hb),
+                                    den.terms[m - k].at(zs, xs))
             lead = den.terms[0].at(zs, xs).transpose(0, 2, 1)
             try:
                 return np.linalg.solve(lead, acc.transpose(0, 2, 1)).transpose(0, 2, 1)

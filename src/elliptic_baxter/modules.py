@@ -15,6 +15,7 @@ from .dynamical import (
     ModuleOperator,
     ShapeError,
     WeightBasis,
+    cmatmul,
     compose_module_ops,
     invert_weightwise,
     relative_deviation,
@@ -128,7 +129,8 @@ def qdybe_residuals(triples, params: EllipticParams) -> list[float]:
     out = []
     for r in r_matrices(zs, xs, params).reshape(-1, 6, 2, 4, 4):
         e = [_embed_r(slots, r[n]) for n, (slots, _) in enumerate(_YBE_FACTORS)]
-        out.append(relative_deviation(e[0] @ e[1] @ e[2], e[3] @ e[4] @ e[5]))
+        out.append(relative_deviation(cmatmul(cmatmul(e[0], e[1]), e[2]),
+                                      cmatmul(cmatmul(e[3], e[4]), e[5])))
     return out
 
 

@@ -12,7 +12,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dynamical import _coset_offset, worst_residual
+from .dynamical import _coset_offset, cmatmul, worst_residual
 from .modules import HighestWeightData, build_asymptotic, socle
 from .theta import (
     EllipticParams,
@@ -409,7 +409,7 @@ def _kplus_blocks(L: np.ndarray, basis, top: int):
         kp = pp[:, s, s]
         if j:
             r = slice(basis.offset(j - 1), s.start)
-            kp = kp - pm[:, s, r] @ np.linalg.solve(mm[:, r, r], mp[:, r, s])
+            kp = kp - cmatmul(pm[:, s, r], np.linalg.solve(mm[:, r, r], mp[:, r, s]))
         yield s, kp
 
 

@@ -9,6 +9,7 @@ from elliptic_baxter.dynamical import (
     SingularityError,
     TermMatrix,
     WeightBasis,
+    cmatmul,
     compose_module_ops,
     invert_weightwise,
     series_add,
@@ -273,6 +274,17 @@ class TestBatchedCalls:
         gathered = quo.terms[1].at([0.2, 0.5, 0.1], [0.4, 0.6, 0.3])
         for m in (*fresh, *gathered):
             assert m.flags.f_contiguous and not m.flags.c_contiguous
+
+    def test_cmatmul_is_matmul(self):
+        # the clean-up multiply touches nothing of the product
+        rng = np.random.default_rng(5)
+        a = rng.normal(size=(6, 3, 4)) + 1j * rng.normal(size=(6, 3, 4))
+        b = rng.normal(size=(6, 4, 4)) + 1j * rng.normal(size=(6, 4, 4))
+        assert np.array_equal(cmatmul(a, b), np.matmul(a, b))
+        out = np.zeros((9, 3, 4), dtype=complex)
+        cmatmul(a[::-1], b, out=out[1:7])
+        assert np.array_equal(out[1:7], np.matmul(a[::-1], b))
+        assert not out[0].any() and not out[7:].any()
 
 
 class TestWorstResidual:
