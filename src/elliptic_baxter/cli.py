@@ -496,8 +496,10 @@ def main(argv=None) -> int:
     try:
         results = run_suites(cfg)
     except (PoleError, ZeroDivisionError, RuntimeError, OverflowError,
-            SingularityError, np.linalg.LinAlgError) as exc:
-        # LinAlgError is a ValueError, so it must be caught before the next branch
+            SingularityError, np.linalg.LinAlgError, qchar.CategoryConditionError) as exc:
+        # LinAlgError and CategoryConditionError (a category condition that
+        # fails at the sample points) are ValueErrors, so they must be
+        # caught before the next branch
         print(f"numerical breakdown: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

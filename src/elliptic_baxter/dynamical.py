@@ -71,9 +71,6 @@ class WeightBasis:
     def offset(self, level: int) -> int:
         return sum(self.dims[:level])
 
-    def index(self, level: int, i: int = 0) -> int:
-        return self.offset(level) + i
-
     def level_of(self, idx: int) -> int:
         acc = 0
         for j, d in enumerate(self.dims):
@@ -84,9 +81,6 @@ class WeightBasis:
 
     def weight(self, level: int) -> complex:
         return self.alpha0 - 2 * level
-
-    def weight_of_index(self, idx: int) -> complex:
-        return self.weight(self.level_of(idx))
 
 
 # ---------------------------------------------------------------------------
@@ -109,20 +103,13 @@ class ModuleOperator:
         for (a, b), s in self.entries.items():
             if not s:
                 continue
-            wa = self.target.weight_of_index(a)
-            wb = self.source.weight_of_index(b)
+            wa = self.target.weight(self.target.level_of(a))
+            wb = self.source.weight(self.source.level_of(b))
             if abs(wa - wb - shift) > _WEIGHT_TOL:
                 raise ShapeError(
                     f"entry ({a},{b}) violates the weight rule for bidegree "
                     f"({self.alpha},{self.beta})"
                 )
-
-    @staticmethod
-    def identity(basis: WeightBasis, params: EllipticParams) -> "ModuleOperator":
-        return ModuleOperator(
-            0.0, 0.0, basis, basis,
-            {(i, i): ThetaSum.one() for i in range(basis.size)}, params,
-        )
 
     def shift_z(self, c: complex) -> "ModuleOperator":
         return ModuleOperator(
@@ -169,21 +156,6 @@ class ModuleOperator:
     def to_matrix(self, z: complex, x: complex) -> np.ndarray:
         """Dense numeric entry matrix at fixed (z, x)."""
         return self.to_matrices([z], [x])[0]
-
-    def apply_to_function_vector(self, coeffs, z, x):
-        """Apply to sum_b g_b(x) v_b with g_b given as callables of x.
-
-        Returns numeric target coefficients at the point x; the defining
-        property inserts g_b(x + beta*hbar).  Used by test oracles.
-        """
-        hb = self.params.hbar
-        out = np.zeros(self.target.size, dtype=complex)
-        for (a, b), s in self.entries.items():
-            g = coeffs[b]
-            if g is None:
-                continue
-            out[a] += s.eval(z, x, self.params) * g(x + self.beta * hb)
-        return out
 
 
 def compose_module_ops(phi: ModuleOperator, psi: ModuleOperator) -> ModuleOperator:
@@ -260,55 +232,66 @@ def tensor_basis(bx: WeightBasis, by: WeightBasis, max_level: int | None = None)
     layout: list[tuple[int, int, int, int]] = []
     dims = []
     for m in range(top + 1):
-        d = 0
-        for jx in range(max(0, m - by.levels), min(m, bx.levels) + 1):
-            jy = m - jx
-            for ix in range(bx.dims[jx]):
-                for iy in range(by.dims[jy]):
-                    layout.append((jx, ix, jy, iy))
-                    d += 1
-        dims.append(d)
+        level = [(jx, ix, m - jx, iy) for jx in range(max(0, m - by.levels), min(m, bx.levels) + 1)
+                 for ix in range(bx.dims[jx]) for iy in range(by.dims[m - jx])]
+        layout += level
+        dims.append(len(level))
     basis = WeightBasis(bx.alpha0 + by.alpha0, tuple(dims))
     return basis, layout
 
 
-def tensor_entry_tables(
-    Lx: dict[str, ModuleOperator],
-    Ly: dict[str, ModuleOperator],
-    params: EllipticParams,
-    max_level: int | None = None,
-) -> tuple[WeightBasis, dict[str, ModuleOperator]]:
-    """Coproduct entry tables L_{ij} = sum_k L_{ik} (x) L_{kj}; the X-side
-    entry is x-shifted by hbar * (weight of the target Y basis vector)."""
-    some = next(iter(Lx.values()))
-    bx, by = some.source, next(iter(Ly.values())).source
-    basis, layout = tensor_basis(bx, by, max_level)
-    pos = {q: i for i, q in enumerate(layout)}
-    hb = params.hbar
-    signs = ("+", "-")
-    out: dict[str, ModuleOperator] = {}
-    for i in signs:
-        for j in signs:
-            entries: dict[tuple[int, int], ThetaSum] = {}
-            for k in signs:
-                ox, oy = Lx[i + k], Ly[k + j]
-                for (cy, dy), sy in oy.entries.items():
-                    jy_t, iy_t = by.level_of(cy), cy - by.offset(by.level_of(cy))
-                    jy_s, iy_s = by.level_of(dy), dy - by.offset(by.level_of(dy))
-                    wy_target = by.weight(jy_t)
-                    for (ax, bx_i), sx in ox.entries.items():
-                        jx_t, ix_t = bx.level_of(ax), ax - bx.offset(bx.level_of(ax))
-                        jx_s, ix_s = bx.level_of(bx_i), bx_i - bx.offset(bx.level_of(bx_i))
-                        tgt = pos.get((jx_t, ix_t, jy_t, iy_t))
-                        src = pos.get((jx_s, ix_s, jy_s, iy_s))
-                        if tgt is None or src is None:
-                            continue
-                        term = sx.shift_x(hb * wy_target) * sy
-                        key = (tgt, src)
-                        entries[key] = entries[key] + term if key in entries else term
-            bid = {"+": 1, "-": -1}
-            out[i + j] = ModuleOperator(bid[i], bid[j], basis, basis, entries, params)
-    return basis, out
+def tensor_gather(X, Y, top: int) -> np.ndarray:
+    """The products whose sums are the coproduct L_{ij} = sum_k L^X_{ik}
+    (x) L^Y_{kj} cut to total level ``top``, one per pair of the factors'
+    structural nonzeros (``nonzeros``: the slots (key*n + row)*n + col,
+    keys in the order ++, +-, -+, --, of the entries that are not zero).
+    Column p holds X's entry of product p in [Y level, key, row, col],
+    with the level of the target Y vector, Y's entry in [key, row, col]
+    and the tensor's slot, sorted by slot."""
+    bx, by = X.basis, Y.basis
+    basis, layout = tensor_basis(bx, by, top)
+    n, nx, ny = basis.size, bx.offset(min(top, bx.levels) + 1), by.offset(min(top, by.levels) + 1)
+    pos = np.full((bx.size, by.size), -1)
+    for t, (jx, ix, jy, iy) in enumerate(layout):
+        pos[bx.offset(jx) + ix, by.offset(jy) + iy] = t
+    level_y = np.repeat(np.arange(len(by.dims)), by.dims)
+
+    def entries(M, key):  # (rows, cols) of M's nonzero entries of one key
+        m = M.basis.size
+        return np.divmod(M.nonzeros[M.nonzeros // (m * m) == key] % (m * m), m)
+
+    parts = []
+    for i, j, k in np.ndindex(2, 2, 2):
+        (a, b), (c, d) = entries(X, 2 * i + k), entries(Y, 2 * k + j)
+        tgt, src = pos[a, c[:, None]], pos[b, d[:, None]]  # [Y entry, X entry]
+        parts.append(np.stack(np.broadcast_arrays(
+            ((level_y[c, None] * 4 + 2 * i + k) * nx + a) * nx + b,
+            (((2 * k + j) * ny + c) * ny + d)[:, None],
+            ((2 * i + j) * n + tgt) * n + src))[:, (tgt >= 0) & (src >= 0)])
+    parts = np.concatenate(parts, axis=1)
+    return parts[:, np.argsort(parts[2], kind="stable")]
+
+
+def tensor_entry_tables(X, Y, gather: np.ndarray, zs, xs, top: int,
+                        masked: bool = False) -> np.ndarray:
+    """The coproduct's four entry tables at the points (zs, xs), cut to
+    total level ``top``, as [point, key, row, col]: L_{ij}(z, x) = sum_k
+    L^X_{ik}(z, x + hbar*w) L^Y_{kj}(z, x), w the weight of the target Y
+    level.  X's ``entry_matrices`` are taken once at every Y level weight
+    and Y's once (``masked`` as there); only the products of
+    ``tensor_gather`` are formed, so a factor's NaN reaches the entries
+    that read it and no other."""
+    zs, xs = np.asarray(zs, dtype=complex), np.asarray(xs, dtype=complex)
+    tx, ty = min(top, X.basis.levels), min(top, Y.basis.levels)
+    size = tensor_basis(X.basis, Y.basis, top)[0].size
+    shifts = Y.params.hbar * np.array([Y.basis.weight(j) for j in range(ty + 1)])
+    mx = X.entry_matrices(np.repeat(zs, ty + 1), (xs[:, None] + shifts).ravel(), tx, masked)
+    my = Y.entry_matrices(zs, xs, ty, masked)
+    out = np.zeros((len(zs), 4 * size * size), dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.add.at(out, (slice(None), gather[2]), mx.reshape(len(zs), -1)[:, gather[0]]
+                  * my.reshape(len(zs), -1)[:, gather[1]])
+    return out.reshape(len(zs), 4, size, size)
 
 
 # Entry-matrix items gathered for one batched matmul of `graded_trace`:

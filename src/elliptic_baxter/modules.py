@@ -19,7 +19,9 @@ from .dynamical import (
     compose_module_ops,
     invert_weightwise,
     relative_deviation,
+    tensor_basis,
     tensor_entry_tables,
+    tensor_gather,
     worst_residual,
 )
 from .theta import (
@@ -28,6 +30,7 @@ from .theta import (
     ThetaSum,
     ThetaTable,
     in_hbar_inv_lattice,
+    nonneg_int_plus_hbar_inv_lattice,
 )
 
 _SIGNS = ("+", "-")
@@ -143,9 +146,19 @@ def qdybe_residual(z: complex, w: complex, x: complex, params: EllipticParams) -
 # Modules
 # ---------------------------------------------------------------------------
 
+class GradedModule:
+    """What the checks read of a module: ``params``, ``basis``, ``exact``,
+    ``entry_matrices``, ``nonzeros`` and ``diagonal_terms``."""
+
+    @property
+    def safe_levels(self) -> int:
+        """Highest level at which one L-application is truncation-exact."""
+        return self.basis.levels if self.exact else self.basis.levels - 1
+
+
 @dataclass
-class EllipticModule:
-    """Weight-graded truncated module with four L-entry tables."""
+class EllipticModule(GradedModule):
+    """Weight-graded truncated module with four symbolic L-entry tables."""
 
     params: EllipticParams
     basis: WeightBasis
@@ -155,29 +168,85 @@ class EllipticModule:
     label: str = ""
     exact: bool = False  # finite module, no truncation edge
 
+    @cached_property
+    def _tables(self) -> dict[int, ThetaTable]:
+        return {}
+
+    def _table(self, n: int) -> ThetaTable:
+        """The four L tables cut to their leading n x n block, slot
+        (k*n + a)*n + b for key k in the order ++, +-, -+, --."""
+        if n not in self._tables:
+            self._tables[n] = ThetaTable(
+                (((k * n + a) * n + b, s) for k, name in enumerate(_KEYS)
+                 for (a, b), s in self.L[name].entries.items() if a < n and b < n),
+                4 * n * n, self.params)
+        return self._tables[n]
+
+    def entry_matrices(self, zs, xs, top: int | None = None, masked: bool = False) -> np.ndarray:
+        """The four L tables at the points (zs, xs), one table pass, as
+        [point, key, row, col] with keys in the order ++, +-, -+, --, cut
+        to the levels up to ``top`` (a pass evaluates no entry outside
+        them).  ``masked`` gives NaN where ``ThetaTable.masked_at`` does
+        instead of raising."""
+        n = self.basis.size if top is None else self.basis.offset(top + 1)
+        table = self._table(n)
+        vals = table.masked_at(zs, xs)[0] if masked else table.at(zs, xs)
+        return vals.reshape(len(zs), 4, n, n)
+
     @property
-    def safe_levels(self) -> int:
-        """Highest level at which one L-application is truncation-exact."""
-        return self.basis.levels if self.exact else self.basis.levels - 1
+    def nonzeros(self) -> np.ndarray:
+        """The slots (key*n + row)*n + col of the entries that are not zero."""
+        return self._table(self.basis.size).dest
 
     @cached_property
-    def _table(self) -> ThetaTable:
-        return self.leading_table(self.basis.size)
+    def diagonal_terms(self) -> tuple:
+        """(K+, K-): per basis index the single symbolic term of the Gauss
+        diagonal entry, or None.  K- is L--; a K+ entry is its L++ entry
+        when no L-+ entry is in its column, else None."""
+        pp, mp, mm = (self.L[k].entries for k in ("++", "-+", "--"))
+        corrected = {b for (_, b), s in mp.items() if s}
+        n, zero = range(self.basis.size), ThetaSum.zero()
+        return (tuple(None if i in corrected else pp.get((i, i), zero).single() for i in n),
+                tuple(mm.get((i, i), zero).single() for i in n))
 
-    def leading_table(self, size: int) -> ThetaTable:
-        """The four L tables cut to their leading size x size block, slot
-        (k*size + a)*size + b for key k in the order ++, +-, -+, --: a pass
-        evaluates no entry outside the block."""
-        return ThetaTable(
-            (((k * size + a) * size + b, s) for k, name in enumerate(_KEYS)
-             for (a, b), s in self.L[name].entries.items() if a < size and b < size),
-            4 * size * size, self.params)
 
-    def entry_matrices(self, zs, xs) -> np.ndarray:
-        """The four L tables at the points (zs, xs), one table pass, as
-        [point, key, row, col] with keys in the order ++, +-, -+, --."""
-        n = self.basis.size
-        return self._table.at(zs, xs).reshape(len(zs), 4, n, n)
+class TensorModule(GradedModule):
+    """The dynamical tensor product X (x) Y truncated at total level
+    ``max_level``, with no symbolic L: its entry tables are evaluated from
+    the factors' (``dynamical.tensor_entry_tables``), and its Gauss
+    diagonal terms are products of theirs."""
+
+    exact = False
+
+    def __init__(self, X, Y, max_level: int | None = None):
+        if X.params != Y.params:
+            raise ShapeError("tensor factors must share parameters")
+        self.X, self.Y, self.params, self.label = X, Y, X.params, f"({X.label})(x)({Y.label})"
+        self.basis, self.layout = tensor_basis(X.basis, Y.basis, max_level)
+        self._gathers: dict[int, np.ndarray] = {}
+
+    def entry_matrices(self, zs, xs, top: int | None = None, masked: bool = False) -> np.ndarray:
+        """As ``EllipticModule.entry_matrices``."""
+        top = self.basis.levels if top is None else top
+        if top not in self._gathers:
+            self._gathers[top] = tensor_gather(self.X, self.Y, top)
+        return tensor_entry_tables(self.X, self.Y, self._gathers[top], zs, xs, top, masked)
+
+    @cached_property
+    def nonzeros(self) -> np.ndarray:
+        return np.unique(tensor_gather(self.X, self.Y, self.basis.levels)[2])
+
+    @cached_property
+    def diagonal_terms(self) -> tuple:
+        """The factors' terms multiplied, X's x-shifted by hbar times the Y
+        weight; a column is corrected when either factor's column is."""
+        bx, by = self.X.basis, self.Y.basis
+        pairs = [(bx.offset(jx) + ix, by.offset(jy) + iy, self.params.hbar * by.weight(jy))
+                 for jx, ix, jy, iy in self.layout]
+        return tuple(
+            tuple(None if tx[a] is None or ty[c] is None else tx[a].shift_x(shift) * ty[c]
+                  for a, c, shift in pairs)
+            for tx, ty in zip(self.X.diagonal_terms, self.Y.diagonal_terms))
 
 
 def build_asymptotic(l: complex, u: complex, K: int, params: EllipticParams) -> EllipticModule:
@@ -222,20 +291,11 @@ def build_vector_rep(params: EllipticParams) -> EllipticModule:
     off the R-matrix."""
     basis = WeightBasis(1.0, (1, 1))
     sym = r_matrix_symbolic(params)
-
-    def pair(m, a):  # slot signs to the 4-dim index, + -> 0, - -> 1
-        return 2 * m + a
-
-    L = {}
-    for mi, m in enumerate(_SIGNS):
-        for ii, i in enumerate(_SIGNS):
-            entries = {}
-            for a in range(2):
-                for b in range(2):
-                    s = sym[pair(mi, a)][pair(ii, b)]
-                    if s:
-                        entries[(a, b)] = s
-            L[m + i] = ModuleOperator(_BIDEG[m], _BIDEG[i], basis, basis, entries, params)
+    # L_{mi} has entry (a, b) = R[(m, a), (i, b)], slot signs + -> 0, - -> 1
+    L = {m + i: ModuleOperator(_BIDEG[m], _BIDEG[i], basis, basis,
+                               {(a, b): s for a in range(2) for b in range(2)
+                                if (s := sym[2 * mi + a][2 * ii + b])}, params)
+         for mi, m in enumerate(_SIGNS) for ii, i in enumerate(_SIGNS)}
     return EllipticModule(params, basis, L, spin=1.0, label="V", exact=True)
 
 
@@ -253,11 +313,8 @@ def one_dim_module(g: ThetaExpression, params: EllipticParams) -> EllipticModule
     return EllipticModule(params, basis, L, spin=0.0, label="D", exact=True)
 
 
-def dynamical_tensor(X: EllipticModule, Y: EllipticModule, max_level: int | None = None) -> EllipticModule:
-    if X.params != Y.params:
-        raise ShapeError("tensor factors must share parameters")
-    basis, L = tensor_entry_tables(X.L, Y.L, X.params, max_level)
-    return EllipticModule(X.params, basis, L, label=f"({X.label})(x)({Y.label})")
+def dynamical_tensor(X: GradedModule, Y: GradedModule, max_level: int | None = None) -> TensorModule:
+    return TensorModule(X, Y, max_level)
 
 
 def spectral_shift(X: EllipticModule, u: complex) -> EllipticModule:
@@ -279,13 +336,10 @@ def socle(X: EllipticModule, l: int | None = None) -> EllipticModule:
     if l > X.basis.levels:
         raise ValueError("truncation too shallow for the requested socle")
     basis = WeightBasis(X.basis.alpha0, X.basis.dims[: l + 1])
-    size = basis.size
-    L = {}
-    for key, op in X.L.items():
-        entries = {
-            (a, b): s for (a, b), s in op.entries.items() if a < size and b < size
-        }
-        L[key] = ModuleOperator(op.alpha, op.beta, basis, basis, entries, X.params)
+    n = basis.size
+    L = {key: ModuleOperator(op.alpha, op.beta, basis, basis,
+                             {ab: s for ab, s in op.entries.items() if max(ab) < n}, X.params)
+         for key, op in X.L.items()}
     return EllipticModule(X.params, basis, L, spin=float(l), shift_u=X.shift_u,
                           label=f"V^{l}", exact=True)
 
@@ -294,7 +348,7 @@ def socle(X: EllipticModule, l: int | None = None) -> EllipticModule:
 # RLL residual
 # ---------------------------------------------------------------------------
 
-def rll_residuals(X: EllipticModule, triples, levels) -> list[float]:
+def rll_residuals(X: GradedModule, triples, levels) -> list[float]:
     """Max relative residual of the exchange relations
 
         sum_{p,q} R^{pq}_{mn}(z-w; x+hbar*h) L_{pi}(z;x) L_{qj}(w;x+i*hbar)
@@ -327,7 +381,7 @@ def rll_residuals(X: EllipticModule, triples, levels) -> list[float]:
 
 
 def rll_residual(
-    X: EllipticModule, z: complex, w: complex, x: complex, level: int
+    X: GradedModule, z: complex, w: complex, x: complex, level: int
 ) -> float:
     """``rll_residuals`` at one triple and one level."""
     return rll_residuals(X, [(z, w, x)], (level,))[0]
@@ -335,41 +389,25 @@ def rll_residual(
 
 def _rll_level(basis: WeightBasis, tables: np.ndarray, r: np.ndarray, level: int) -> float:
     """The exchange residual of ``rll_residuals`` at one level, from the
-    six L tables and the R-matrices of one triple."""
-    size = basis.size
-
-    def lmat(key: str, at_w: bool, shift: int) -> np.ndarray:
-        return tables[3 * at_w + shift + 1, _KEYS.index(key)]
-
-    r_target = r[[basis.level_of(a) for a in range(size)]]
+    six L tables and the R-matrices of one triple: tables[3*at_w + s + 1,
+    key] is the L table at z (w when at_w) and x + s*hbar."""
+    r_target = r[[basis.level_of(a) for a in range(basis.size)]]
     r0 = r[-1]
 
-    def ridx(s1: int, s2: int) -> int:  # signs +-1 to the 4-dim index
+    def ridx(s1: int, s2: int) -> int:  # signs +-1 to the 4-dim index and the key
         return 2 * (0 if s1 == 1 else 1) + (0 if s2 == 1 else 1)
-
-    cols = [basis.index(level, i) for i in range(basis.dims[level])]
 
     residuals = []
     for i, jj, m, n in product((1, -1), repeat=4):
-        ki = "+" if i == 1 else "-"
-        kj = "+" if jj == 1 else "-"
-        km = "+" if m == 1 else "-"
-        kn = "+" if n == 1 else "-"
-        for b in cols:
-            lhs = np.zeros(size, dtype=complex)
+        for b in range(basis.offset(level), basis.offset(level + 1)):
+            lhs = np.zeros(basis.size, dtype=complex)
+            rhs = np.zeros(basis.size, dtype=complex)
             for p, q in product((1, -1), repeat=2):
-                kp = "+" if p == 1 else "-"
-                kq = "+" if q == 1 else "-"
-                v = lmat(kq + kj, True, i)[:, b]
-                v = lmat(kp + ki, False, 0) @ v
-                lhs += r_target[:, ridx(m, n), ridx(p, q)] * v
-            rhs = np.zeros(size, dtype=complex)
+                lhs += r_target[:, ridx(m, n), ridx(p, q)] * (
+                    tables[1, ridx(p, i)] @ tables[4 + i, ridx(q, jj)][:, b])
             for p, q in product((1, -1), repeat=2):
-                kp = "+" if p == 1 else "-"
-                kq = "+" if q == 1 else "-"
-                v = lmat(km + kp, False, q)[:, b]
-                v = lmat(kn + kq, True, 0) @ v
-                rhs += r0[ridx(p, q), ridx(i, jj)] * v
+                rhs += r0[ridx(p, q), ridx(i, jj)] * (
+                    tables[4, ridx(n, q)] @ tables[1 + q, ridx(m, p)][:, b])
             residuals.append(relative_deviation(lhs, rhs))
     return worst_residual(residuals)
 
@@ -456,8 +494,6 @@ def _int_part_mod_lattice(c: complex, params: EllipticParams) -> int | None:
 
 
 def sigma_set(alpha: complex, beta: complex, depth: int, params: EllipticParams) -> SigmaSet:
-    from .theta import nonneg_int_plus_hbar_inv_lattice
-
     l = nonneg_int_plus_hbar_inv_lattice(alpha - beta, params)
     if l is not None:
         return SigmaSet(tuple(beta + p for p in range(l)), False, l)
@@ -490,10 +526,10 @@ class KernelCount:
     indeterminate: bool
 
 
-def highest_vector_count(X: EllipticModule, z_samples, x: complex) -> KernelCount:
+def highest_vector_count(X: GradedModule, z_samples, x: complex) -> KernelCount:
     """Dimension of the joint kernel of L_{-+}(z_s) over the samples."""
     zs = list(z_samples)
-    stacked = X.L["-+"].to_matrices(zs, [x] * len(zs)).reshape(-1, X.basis.size)
+    stacked = X.entry_matrices(zs, [x] * len(zs))[:, 2].reshape(-1, X.basis.size)
     sv = np.linalg.svd(stacked, compute_uv=False)
     smax = sv[0] if len(sv) else 1.0
     if smax == 0:
@@ -506,7 +542,7 @@ def highest_vector_count(X: EllipticModule, z_samples, x: complex) -> KernelCoun
 
 @dataclass
 class SimpleConstruction:
-    module: EllipticModule
+    module: GradedModule
     data: HighestWeightData
     alphas: tuple[complex, ...]
     betas: tuple[complex, ...]

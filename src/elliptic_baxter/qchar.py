@@ -126,9 +126,9 @@ def monomials(triples, params: EllipticParams) -> list[WeightMonomial]:
     grid of ``params``, the symbolic ones from one masked ``ThetaTable``
     pass.
 
-    A component is an x-free ``ThetaExpression``, a ``ThetaSum`` read at
-    x = ``_X_REF``, or an array of its values on the grid; a symbolic
-    component is NaN at a point where it has a pole or is not finite.
+    A component is an x-free ``ThetaExpression`` or an array of its values
+    on the grid; a symbolic component is NaN at a point where it has a
+    pole or is not finite.
     """
     triples = list(triples)
     comps = [c for ap, am, _ in triples for c in (ap, am)]
@@ -142,11 +142,9 @@ def monomials(triples, params: EllipticParams) -> list[WeightMonomial]:
             if not c.is_x_free():
                 raise ValueError("monomial components must not depend on x")
             sums.append((n, ThetaSum(c)))
-        elif isinstance(c, ThetaSum):
-            sums.append((n, c))
         else:
-            raise TypeError(f"a monomial component is a ThetaExpression, a ThetaSum "
-                            f"or an array of grid values, not {type(c).__name__}")
+            raise TypeError(f"a monomial component is a ThetaExpression or an array "
+                            f"of grid values, not {type(c).__name__}")
     vals, _ = ThetaTable(sums, len(comps), params).masked_at(zs, np.full(zs.shape, _X_REF))
     for n, c in enumerate(comps):
         if isinstance(c, np.ndarray):
@@ -212,9 +210,6 @@ class QCharElement:
             if row:
                 return row[0][0]
         raise ValueError("empty element")
-
-    def weight_of_step(self, step: int) -> complex:
-        return self.alpha0 - 2 * step
 
 
 def qchar_unit(params: EllipticParams, depth: int = 0) -> QCharElement:
@@ -328,12 +323,11 @@ def qchar_of_module(X) -> QCharElement:
     K- is L--, and K+ = L++ - L+- (L--)^-1 L-+ with every factor at the
     same (z, x): the x-shifts of the composition rule cancel.  On the
     diagonal block of level j only L--, L+- and L-+ of levels j-1 and j
-    enter, so K+ is solved level by level on the module's L tables, cut to
-    the levels up to ``safe_levels`` (``leading_table``), from one masked
-    pass over the z grid at x = ``_X_REF`` and the 3x3 probe points.
-    A diagonal component is its x-free symbolic term when it is one (every
-    K- entry, and a K+ entry with no L-+ entry in its column), else its
-    grid values.
+    enter, so K+ is solved level by level on the module's entry matrices,
+    cut to the levels up to ``safe_levels``, from one masked pass over the
+    z grid at x = ``_X_REF`` and the 3x3 probe points.  A diagonal
+    component is the module's symbolic term (``diagonal_terms``) when
+    that is x-free, else its grid values.
 
     Requires both diagonal Gauss blocks to be triangular per weight space
     with nonzero, x-independent diagonal entries; violations raise
@@ -353,17 +347,11 @@ def qchar_of_module(X) -> QCharElement:
     xprobe = [_X_REF, _X_REF + 0.2931 + 0.171j, _X_REF - 0.2113 + 0.0917j]
     zs = [*grid, *(z for z in zprobe for _ in xprobe)]
     xs = [_X_REF] * n + xprobe * len(zprobe)
-    table = X.leading_table(size)
-    L, bad = table.masked_at(zs, xs)
-    L = L.reshape(len(zs), 4, size, size)
-    finite = ~bad
-    if bad[n:].any():
-        table.at(zs[n:], xs[n:])  # raises PoleError or OverflowError
+    L = X.entry_matrices(zs, xs, safe, masked=True)
+    finite = np.isfinite(L).all(axis=(1, 2, 3))
+    if not finite[n:].all():
+        X.entry_matrices(zs[n:], xs[n:], safe)  # raises PoleError or OverflowError
         raise OverflowError("an L entry overflows at a probe point")
-    km = X.L["--"].entries
-    for idx in range(size):
-        if not km.get((idx, idx)):
-            raise CategoryConditionError(f"zero Gauss diagonal at index {idx}")
     kplus = np.full((len(zs), size), np.nan, dtype=complex)
     for s, kp in _kplus_blocks(L[finite], basis, safe):
         # the probe points are the last rows of kp, all finite
@@ -375,19 +363,15 @@ def qchar_of_module(X) -> QCharElement:
                     f"({s.start + a[0]},{s.start + b[0]})")
         kplus[finite, s] = np.diagonal(kp, axis1=1, axis2=2)
     kminus = np.diagonal(L[:, 3], axis1=1, axis2=2)
-    # a K+ diagonal entry with no L-+ entry in its column is its L++ entry
-    corrected = {b for (_, b), t in X.L["-+"].entries.items() if t}
     triples = []
     for idx in range(size):
-        plus = None if idx in corrected else X.L["++"].entries.get((idx, idx), ThetaSum.zero())
         comps = []
-        for entry, vals in ((plus, kplus[:, idx]), (km[(idx, idx)], kminus[:, idx])):
-            if not (vals.any() if entry is None else entry):
-                raise CategoryConditionError(f"zero Gauss diagonal at index {idx}")
-            term = None if entry is None else _x_free_term(entry)
-            if term is not None:
+        for term, vals in zip((t[idx] for t in X.diagonal_terms), (kplus[:, idx], kminus[:, idx])):
+            if term is not None and term.is_x_free():
                 comps.append(term)
                 continue
+            if not vals.any():
+                raise CategoryConditionError(f"zero Gauss diagonal at index {idx}")
             v = vals[n:].reshape(len(zprobe), len(xprobe))
             scale = np.maximum(1.0, np.abs(v).max(axis=1))
             if (np.abs(v - v[:, :1]).max(axis=1) > _CATEGORY_TOL * scale).any():
@@ -411,13 +395,6 @@ def _kplus_blocks(L: np.ndarray, basis, top: int):
             r = slice(basis.offset(j - 1), s.start)
             kp = kp - cmatmul(pm[:, s, r], np.linalg.solve(mm[:, r, r], mp[:, r, s]))
         yield s, kp
-
-
-def _x_free_term(s: ThetaSum) -> ThetaExpression | None:
-    """The single term of a Gauss diagonal entry when it is x-free, else
-    None."""
-    t = s.single()
-    return t if t is not None and t.is_x_free() else None
 
 
 def interchange_check(

@@ -27,7 +27,7 @@ from .dynamical import (
     tile_plan,
     worst_residual,
 )
-from .modules import EllipticModule, build_asymptotic, socle
+from .modules import GradedModule, build_asymptotic, socle
 from .theta import EllipticParams, lattice_distance, theta_eval
 
 
@@ -86,7 +86,7 @@ class _GradedTrace:
     the series' ``request``: ``fill`` takes every point a relation needs
     at once."""
 
-    def __init__(self, X: EllipticModule, space: QuantumSpace, order: int):
+    def __init__(self, X: GradedModule, space: QuantumSpace, order: int):
         self.module = X
         basis = space.basis
         self.plan = contraction_plan(tuple((i, j) for i in basis for j in basis), (1, -1))
@@ -174,11 +174,11 @@ class TransferSeries:
         return self.coefficients([z], [x], k)[0]
 
 
-def _max_transfer_order(X: EllipticModule, L: int) -> int:
+def _max_transfer_order(X: GradedModule, L: int) -> int:
     return X.basis.levels if X.exact else X.basis.levels - L // 2
 
 
-def transfer_matrix(X: EllipticModule, space: QuantumSpace, order: int) -> TransferSeries:
+def transfer_matrix(X: GradedModule, space: QuantumSpace, order: int) -> TransferSeries:
     """Graded trace over the auxiliary module of the site-ordered product of
     its entry operators; only zero-weight strings act on the chain space."""
     if X.params != space.params:
@@ -208,7 +208,7 @@ def q_operator(space: QuantumSpace, spin_z: complex, order: int) -> TransferSeri
 # ---------------------------------------------------------------------------
 
 def product_residual(
-    X: EllipticModule, Y: EllipticModule, XY: EllipticModule,
+    X: GradedModule, Y: GradedModule, XY: GradedModule,
     space: QuantumSpace, order: int, points
 ) -> float:
     """t_X(z;p) t_Y(z;p) against t_{X (x) Y}(z;p)."""
@@ -219,7 +219,7 @@ def product_residual(
 
 
 def spectral_shift_residual(
-    X: EllipticModule, Xshift: EllipticModule, u: complex,
+    X: GradedModule, Xshift: GradedModule, u: complex,
     space: QuantumSpace, order: int, points
 ) -> float:
     """t of the spectrally twisted module against the z-shifted series."""
@@ -229,7 +229,7 @@ def spectral_shift_residual(
 
 
 def commutativity_residual(
-    X: EllipticModule, Y: EllipticModule, space: QuantumSpace,
+    X: GradedModule, Y: GradedModule, space: QuantumSpace,
     order: int, z0: complex, w0: complex, points
 ) -> float:
     tx = transfer_matrix(X, space, order).shift_z(z0).series.bound_z(0.0)

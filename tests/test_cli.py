@@ -106,6 +106,14 @@ class TestExitCodes:
         monkeypatch.setitem(cli.RUNNERS, "ybe", boom)
         assert run(["ybe"]) == 3
 
+    def test_category_condition_at_small_im_tau_exits_three(self, capsys):
+        # precision loss at tau = 0.1i makes a Gauss diagonal read as
+        # x-dependent at the probe points: a breakdown, not a usage error
+        assert run(["qchar", "--tau", "0.1i", "--no-timestamp"]) == 3
+        assert "numerical breakdown: x-dependent Gauss diagonal" in capsys.readouterr().err
+        assert run(["qchar", "--depth", "1", "--no-timestamp"]) == 2
+        assert "error: depth" in capsys.readouterr().err
+
     def test_six_site_tq_quotient_keeps_its_digits(self, capsys):
         # the explicit series inverse lost about eight digits here (1.8e-8)
         sites = ("0.2618-0.1747i,0.7828+0.2225i,0.7296-0.2384i,"

@@ -1,0 +1,187 @@
+"""The numeric coproduct of ``dynamical_tensor`` against the symbolic
+coproduct of ``coproduct_oracle``: entry tables, masked passes, Gauss
+diagonal terms, and no symbolic products per entry pair."""
+
+import numpy as np
+import pytest
+
+from elliptic_baxter import dynamical, modules
+from elliptic_baxter.dynamical import ModuleOperator
+from elliptic_baxter.modules import (
+    HighestWeightData,
+    build_asymptotic,
+    build_vector_rep,
+    construct_simple,
+    dynamical_tensor,
+    spectral_shift,
+)
+from elliptic_baxter.qchar import _X_REF, _zgrid, qchar_of_module
+from elliptic_baxter.theta import EllipticParams, PoleError, SamplePlan, ThetaExpression, ThetaSum
+from elliptic_baxter.transfer import QuantumSpace, product_residual
+
+from coproduct_oracle import symbolic_module
+
+# the parameter sets of the suite jobs of the benchmark (perfbench/jobs.py)
+PARAM_SETS = {
+    "default": EllipticParams(tau=1j, hbar=0.31),
+    "skew": EllipticParams(tau=0.4 + 0.6j, hbar=0.23 + 0.05j),
+    "small-im-tau": EllipticParams(tau=0.2j, hbar=0.31),
+}
+P = PARAM_SETS["default"]
+
+
+def ladder_tensor(params, depth):
+    """The tensor module of the qchar suite."""
+    X = build_asymptotic(1.1 + 0.2j, 0.0, depth, params)
+    Y = build_asymptotic(0.7 - 0.4j, 0.3, depth, params)
+    return dynamical_tensor(X, Y, max_level=depth)
+
+
+def other_tensors():
+    V = build_vector_rep(P)
+    data = HighestWeightData(2.0, (2.3, 0.85), (0.3, 0.55), 2.3)
+    return {
+        "vector-ladder": dynamical_tensor(V, build_asymptotic(1.7 + 0.3j, 0.0, 8, P), max_level=5),
+        "vector-shifted-vector": dynamical_tensor(V, spectral_shift(V, 0.77 + 0.1j)),
+        "shifted-vector-vector": dynamical_tensor(spectral_shift(V, 1.0), V),
+        # D (x) L (x) L, a tensor with a tensor factor
+        "nested": construct_simple(data, 4, P).module,
+    }
+
+
+def assert_tables_match(T, S, pts, top=None):
+    """Every table of T within 1e-13 of that table's largest entry in S,
+    at every point, and the same structural nonzeros."""
+    zs, xs = np.array(pts).T
+    got, ref = T.entry_matrices(zs, xs, top), S.entry_matrices(zs, xs, top)
+    assert got.shape == ref.shape
+    scale = np.abs(ref).max(axis=(2, 3), keepdims=True)
+    assert (scale > 0).all()
+    assert (np.abs(got - ref) <= 1e-13 * scale).all()
+    assert np.array_equal(T.nonzeros, S._table(S.basis.size).dest)
+
+
+class TestEntryTables:
+    @pytest.mark.parametrize("depth", range(2, 11))
+    @pytest.mark.parametrize("name", PARAM_SETS)
+    def test_ladder_tensor_matches_oracle(self, name, depth):
+        params = PARAM_SETS[name]
+        T = ladder_tensor(params, depth)
+        S = symbolic_module(T)
+        pts = SamplePlan(seed=depth, count=4, pole_margin=5e-2).pairs(params)
+        assert_tables_match(T, S, pts)
+        assert_tables_match(T, S, pts, T.safe_levels)
+
+    @pytest.mark.parametrize("name", other_tensors())
+    def test_other_tensors_match_oracle(self, name):
+        T = other_tensors()[name]
+        pts = SamplePlan(seed=3, count=4, pole_margin=5e-2).pairs(P)
+        assert_tables_match(T, symbolic_module(T), pts)
+
+
+class TestMaskedPass:
+    """Probes on the factors' poles.  Y's L++ carries theta(x)^-1 above
+    level 0.  X's L++ at level j carries theta(x + (l - 2j + 1)*hbar)^-1
+    and is read at x + hbar*(weight of the target Y level jy), so that
+    pole lies at x_c = -hbar*(alpha_Y + l + 1) + 2*hbar*c, c = j + jy, in
+    the entries of total level c and no other."""
+
+    T = ladder_tensor(P, 6)
+
+    def probes(self):
+        l, alpha_y = self.T.X.spin, self.T.Y.basis.alpha0
+        xs = [_X_REF, 0.0, *(-P.hbar * (alpha_y + l + 1) + 2 * P.hbar * c for c in (3, 6, 7))]
+        zs = _zgrid(P)[:3]
+        return [z for z in zs for _ in xs], xs * len(zs)
+
+    @pytest.mark.parametrize("top, flagged", [(6, [0, 1, 1, 1, 0]), (5, [0, 1, 1, 0, 0])])
+    def test_flags_the_oracle_points(self, top, flagged):
+        # level 7 is past the tensor's top, and level 6 past the cut: a
+        # pole there is in no entry the pass reads
+        S = symbolic_module(self.T)
+        zs, xs = self.probes()
+        vals = self.T.entry_matrices(zs, xs, top, masked=True)
+        size = vals.shape[-1]
+        ref, bad = S._table(size).masked_at(zs, xs)
+        assert bad.tolist() == [bool(f) for f in flagged] * 3
+        assert (~np.isfinite(vals).all(axis=(1, 2, 3)) == bad).all()
+        ok = ~bad
+        assert np.allclose(vals[ok], ref[ok].reshape(-1, 4, size, size), rtol=1e-12, atol=0)
+
+    def test_strict_pass_raises_at_the_pole(self):
+        zs, xs = self.probes()
+        with pytest.raises(PoleError):
+            symbolic_module(self.T)._table(self.T.basis.size).at(zs, xs)
+        with pytest.raises(PoleError):
+            self.T.entry_matrices(zs, xs)
+
+
+def x_twisted_ladder():
+    """A ladder whose L-- entries carry the x-dependent factor theta(x + 0.4):
+    its K- terms depend on x."""
+    X = build_asymptotic(1.3, 0.0, 4, P)
+    op = X.L["--"]
+    twist = ThetaExpression.theta(0, 1, 0.4)
+    L = dict(X.L, **{"--": ModuleOperator(op.alpha, op.beta, op.source, op.target,
+                                          {k: s * twist for k, s in op.entries.items()}, P)})
+    return type(X)(P, X.basis, L, X.spin, X.shift_u)
+
+
+class TestDiagonalTerms:
+    @staticmethod
+    def modules():
+        out = {f"ladders-{name}": ladder_tensor(params, 6) for name, params in PARAM_SETS.items()}
+        out.update(other_tensors())
+        # X's terms are x-shifted by hbar times the Y weight
+        out["x-dependent-ladder"] = dynamical_tensor(
+            x_twisted_ladder(), build_asymptotic(0.7 - 0.4j, 0.3, 4, P), max_level=4)
+        return out
+
+    @pytest.mark.parametrize("name", modules())
+    def test_terms_and_corrected_columns_match_oracle(self, name):
+        T = self.modules()[name]
+        plus, minus = T.diagonal_terms
+        ref_plus, ref_minus = symbolic_module(T).diagonal_terms
+        assert len(plus) == len(minus) == T.basis.size
+        # a corrected column has no K+ term
+        assert [t is None for t in plus] == [t is None for t in ref_plus]
+        assert plus == ref_plus and minus == ref_minus
+        assert all(t is not None for t in minus)
+
+
+def test_no_symbolic_products_per_entry_pair(monkeypatch):
+    # the qchar suite's modules at tau = 0.2i, depth 8, and the transfer
+    # suite's product rule on two sites
+    p2 = PARAM_SETS["small-im-tau"]
+    X = build_asymptotic(1.1 + 0.2j, 0.0, 8, p2)
+    Y = build_asymptotic(0.7 - 0.4j, 0.3, 8, p2)
+    K, order = 7, 4
+    A = build_asymptotic(1.3 + 0.2j, 0.0, K, P)
+    B = build_asymptotic(0.7 - 0.3j, 0.0, K, P)
+    space = QuantumSpace((0.41 + 0.12j, 0.27 - 0.23j), P)
+    pts = SamplePlan(7, 3, 5e-2).pairs(P, guard=lambda z, x: [x + k * P.hbar for k in range(-6, 7)])
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("symbolic product")
+
+    for name in ("__mul__", "__rmul__"):
+        monkeypatch.setattr(ThetaSum, name, forbidden)
+    for mod in (modules, dynamical):
+        monkeypatch.setattr(mod, "compose_module_ops", forbidden)
+    products = []
+    mul = ThetaExpression.__mul__
+
+    def counted(a, b):
+        products.append(1)
+        return mul(a, b)
+
+    for name in ("__mul__", "__rmul__"):
+        monkeypatch.setattr(ThetaExpression, name, counted)
+    T = dynamical_tensor(X, Y, max_level=8)
+    assert [len(qchar_of_module(T).term_list(k)) for k in range(8)] == list(range(1, 9))
+    # the diagonal terms: at most a K+ and a K- product per basis index
+    assert 0 < len(products) <= 2 * T.basis.size
+    products.clear()
+    AB = dynamical_tensor(A, B, max_level=K)
+    assert product_residual(A, B, AB, space, order, pts) < 1e-8
+    assert products == []

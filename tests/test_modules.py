@@ -28,6 +28,8 @@ from elliptic_baxter.theta import (
     theta_eval,
 )
 
+from coproduct_oracle import symbolic_tensor
+
 P = EllipticParams(tau=1j, hbar=0.31)
 H = P.hbar
 
@@ -164,7 +166,7 @@ class TestGauss:
         assert gauss_reconstruction_residual(LADDER, pts) < 1e-10
 
     def test_reconstruction_tensor(self):
-        T = dynamical_tensor(build_vector_rep(P), LADDER, max_level=6)
+        T = symbolic_tensor(build_vector_rep(P), LADDER, max_level=6)
         pts = SamplePlan(seed=83, count=4, pole_margin=5e-2).pairs(P)
         assert gauss_reconstruction_residual(T, pts) < 1e-10
 
@@ -298,6 +300,6 @@ class TestConstructSimple:
         cs = construct_simple(data, 3, P)
         plain = build_asymptotic(2.0, -0.7, 3, P)
         z, x = 0.21 + 0.13j, 0.23 + 0.17j
-        got = cs.module.L["--"].to_matrix(z, x)
-        ref = lam * plain.L["--"].to_matrix(z, x)
+        got = cs.module.entry_matrices([z], [x])[0, 3]
+        ref = lam * plain.entry_matrices([z], [x])[0, 3]
         assert np.allclose(got, ref, rtol=1e-10)

@@ -9,7 +9,6 @@ import pytest
 from elliptic_baxter import theta
 from elliptic_baxter.modules import (
     build_asymptotic,
-    dynamical_tensor,
     gauss_decompose,
     r_matrix_symbolic,
 )
@@ -33,6 +32,8 @@ from elliptic_baxter.theta import (
     theta_eval,
     theta_eval_array,
 )
+
+from coproduct_oracle import symbolic_tensor
 
 P = EllipticParams(tau=1j, hbar=0.31)
 
@@ -316,8 +317,8 @@ def _table_cases(params):
     """The R-matrix table, a ladder module's four L tables and the Gauss
     diagonals of a tensor module (sums of up to four terms)."""
     ladder = build_asymptotic(1.7 + 0.3j, 0.4, 6, params)
-    tensor = dynamical_tensor(build_asymptotic(1.1 + 0.2j, 0.0, 4, params),
-                              build_asymptotic(0.7 - 0.4j, 0.3, 4, params), max_level=4)
+    tensor = symbolic_tensor(build_asymptotic(1.1 + 0.2j, 0.0, 4, params),
+                             build_asymptotic(0.7 - 0.4j, 0.3, 4, params), max_level=4)
     g = gauss_decompose(tensor)
     return {
         "r-matrix": [s for row in r_matrix_symbolic(params) for s in row],
@@ -415,7 +416,8 @@ class TestDeduplicatedArguments:
         return zs, xs
 
     def test_module_table_matches_raw_arguments(self):
-        table = build_asymptotic(1.3 + 0.2j, 0.0, 5, P)._table
+        X = build_asymptotic(1.3 + 0.2j, 0.0, 5, P)
+        table = X._table(X.basis.size)
         zs, xs = self.grid_points()
         args = table.cz[:, None] * np.array(zs) + table.cx[:, None] * np.array(xs) + table.shift[:, None]
         assert np.unique(args).size < args.size / 2
