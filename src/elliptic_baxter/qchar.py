@@ -363,10 +363,11 @@ def qchar_of_module(X) -> QCharElement:
                     f"({s.start + a[0]},{s.start + b[0]})")
         kplus[finite, s] = np.diagonal(kp, axis1=1, axis2=2)
     kminus = np.diagonal(L[:, 3], axis1=1, axis2=2)
+    plus_terms, minus_terms = X.diagonal_terms
     triples = []
     for idx in range(size):
         comps = []
-        for term, vals in zip((t[idx] for t in X.diagonal_terms), (kplus[:, idx], kminus[:, idx])):
+        for term, vals in ((plus_terms[idx], kplus[:, idx]), (minus_terms[idx], kminus[:, idx])):
             if term is not None and term.is_x_free():
                 comps.append(term)
                 continue
