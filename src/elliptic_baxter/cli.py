@@ -2,8 +2,10 @@
 
 Runs selected identity suites with configurable parameters and writes
 deterministic machine-readable reports.  Exit codes: 0 all checks pass,
-1 at least one identity check fails, 2 usage or configuration error,
-3 numerical breakdown (pole or indeterminate value) during a run."""
+1 at least one identity check fails, 2 usage or configuration error
+(including a report that cannot be written), 3 numerical breakdown (pole
+or indeterminate value) during a run, 4 internal error (any other
+exception)."""
 
 from __future__ import annotations
 
@@ -450,7 +452,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", help="character depth")
     p.add_argument("--samples", help="number of sampled points")
     p.add_argument("--seed", help="sampling seed")
-    p.add_argument("--tol", help="override all suite tolerances")
+    p.add_argument("--tol", help="override the tolerance of every numeric suite "
+                                 "(the exact yangian suites compare to 0)")
     p.add_argument("--report", help="report output path")
     p.add_argument("--format", choices=("json", "csv", "text"),
                    help="report format (default json)")
@@ -484,6 +487,14 @@ def run_suites(cfg: RunConfig) -> list[CheckResult]:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    try:
+        return _run(parser, args)
+    except Exception as exc:  # a crash must not read as exit 1, a failed identity
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
+
+
+def _run(parser, args) -> int:
     if not args.suites:
         parser.print_usage(sys.stderr)
         print("error: no suite selected", file=sys.stderr)
@@ -514,7 +525,11 @@ def main(argv=None) -> int:
         path = os.path.join(os.environ[REPORT_DIR_ENV],
                             f"report.{cfg.format}")
     if path is not None:
-        write_report(report, path, cfg.format)
+        try:
+            write_report(report, path, cfg.format)
+        except OSError as exc:
+            print(f"error: report: {exc}", file=sys.stderr)
+            return 2
     sys.stdout.write(render_text(report))
     return 0 if report["all_passed"] else 1
 

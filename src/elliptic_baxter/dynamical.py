@@ -454,6 +454,11 @@ class TermMatrix:
         return TermMatrix(lambda zs, xs: self.at(np.full(len(xs), z0), xs), self.dim,
                           lambda zs, xs: [(self, np.full(len(xs), z0), xs)])
 
+    def shift_z(self, c: complex) -> "TermMatrix":
+        c = complex(c)
+        return TermMatrix(lambda zs, xs: self.at(np.asarray(zs) + c, xs), self.dim,
+                          lambda zs, xs: [(self, np.asarray(zs) + c, xs)])
+
     @staticmethod
     def zero(dim: int) -> "TermMatrix":
         return TermMatrix(lambda zs, xs: np.zeros((len(zs), dim, dim), dtype=complex), dim)
@@ -507,6 +512,9 @@ class DiffOpSeries:
 
     def bound_z(self, z0: complex) -> "DiffOpSeries":
         return DiffOpSeries(self.alpha0, [t.bound_z(z0) for t in self.terms], self.dim, self.params)
+
+    def shift_z(self, c: complex) -> "DiffOpSeries":
+        return DiffOpSeries(self.alpha0, [t.shift_z(c) for t in self.terms], self.dim, self.params)
 
     @staticmethod
     def identity(dim: int, order: int, params: EllipticParams) -> "DiffOpSeries":

@@ -25,6 +25,7 @@ from .dynamical import (
     worst_residual,
 )
 from .theta import (
+    SEARCH_RADIUS,
     EllipticParams,
     ThetaExpression,
     ThetaSum,
@@ -83,11 +84,6 @@ def r_matrices(zs, xs, params: EllipticParams) -> np.ndarray:
     (zs, xs); entry [(m,n),(i,j)] is the coefficient of v_m (x) v_n in
     R(v_i (x) v_j)."""
     return _r_table(params).at(zs, xs).reshape(-1, 4, 4)
-
-
-def r_matrix(z: complex, x: complex, params: EllipticParams) -> np.ndarray:
-    """The numeric dynamical R-matrix at one point (``r_matrices``)."""
-    return r_matrices([z], [x], params)[0]
 
 
 def _slot_weight(idx: int) -> int:
@@ -487,7 +483,7 @@ class SigmaSet:
 def _int_part_mod_lattice(c: complex, params: EllipticParams) -> int | None:
     """Integer l (any sign) with c in l + hbar^{-1}(Z+Z*tau), if unique in
     the scan window."""
-    for l in range(-params.search_radius, params.search_radius + 1):
+    for l in range(-SEARCH_RADIUS, SEARCH_RADIUS + 1):
         if in_hbar_inv_lattice(c - l, params):
             return l
     return None

@@ -53,38 +53,6 @@ def _factor_key(c: ThetaExpression) -> tuple:
             tuple((f.cz, f.cx, *_rounded(f.shift), f.power) for f in c.factors))
 
 
-def _fmt_c(c: complex) -> str:
-    c = complex(c)
-    if abs(c.imag) < 1e-12:
-        r = c.real
-        return str(int(r)) if abs(r - round(r)) < 1e-12 else f"{r:.6g}"
-    return f"({c.real:.6g}{c.imag:+.6g}i)"
-
-
-def format_component(comp) -> str:
-    """Bracket-notation rendering of one monomial component."""
-    if not isinstance(comp, ThetaExpression):
-        return "<numeric(z)>"
-    parts = []
-    if abs(comp.scalar - 1) > 1e-12:
-        parts.append(_fmt_c(comp.scalar))
-    if comp.exp_z != 0 or comp.exp_x != 0:
-        parts.append(f"exp({_fmt_c(comp.exp_z)}z+{_fmt_c(comp.exp_x)}x)")
-    for f in comp.factors:
-        terms = []
-        if f.cz:
-            terms.append("z" if f.cz > 0 else "-z")
-        if f.cx:
-            terms.append("x" if f.cx > 0 else "-x")
-        if f.shift != 0 or not terms:
-            terms.append(_fmt_c(f.shift))
-        arg = terms[0] + "".join(
-            t if t.startswith("-") else "+" + t for t in terms[1:])
-        body = f"theta({arg})"
-        parts.append(body if f.power == 1 else f"{body}^{f.power}")
-    return "*".join(parts) if parts else "1"
-
-
 class WeightMonomial:
     """A pair of z-functions carrying a t-weight; the pair is considered up
     to the rescaling (a+, a-) ~ (c*a+, a-/c).
@@ -115,10 +83,6 @@ class WeightMonomial:
         if self.pair is not None and other.pair is not None:
             pair = (self.pair[0] * other.pair[0], self.pair[1] * other.pair[1])
         return WeightMonomial(self.values * other.values, self.weight + other.weight, pair)
-
-    def __repr__(self):
-        ap, am = self.pair or (None, None)
-        return f"[{format_component(ap)}, {format_component(am)}]t^{_fmt_c(self.weight)}"
 
 
 def monomials(triples, params: EllipticParams) -> list[WeightMonomial]:
@@ -203,13 +167,6 @@ class QCharElement:
 
     def term_list(self, step: int) -> list[list]:
         return self.terms.get(step, [])
-
-    def leading(self) -> WeightMonomial:
-        for k in sorted(self.terms):
-            row = self.terms[k]
-            if row:
-                return row[0][0]
-        raise ValueError("empty element")
 
 
 def qchar_unit(params: EllipticParams, depth: int = 0) -> QCharElement:

@@ -37,6 +37,10 @@ POLE_TOL = 1e-12
 _SERIES_ITEMS = 2**12
 # a SamplePlan gives up after this many rejected and accepted draws
 _MAX_TRIES = 2000
+# distance threshold of every lattice-membership test
+LATTICE_TOL = 1e-9
+# integer window of the genericity scan and of every hbar-lattice test
+SEARCH_RADIUS = 6
 
 
 class ParameterError(ValueError):
@@ -53,27 +57,20 @@ class GenericityError(ParameterError):
 
 @dataclass(frozen=True)
 class EllipticParams:
-    """Global modular parameter tau and Planck constant hbar.
-
-    ``lattice_tol`` is the distance threshold for all lattice-membership
-    tests; ``search_radius`` bounds the integer window of the genericity
-    scan and of every hbar-lattice test.
-    """
+    """Global modular parameter tau and Planck constant hbar."""
 
     tau: complex
     hbar: complex
-    lattice_tol: float = 1e-9
-    search_radius: int = 6
 
     def __post_init__(self) -> None:
         if self.tau.imag <= 0:
             raise ParameterError(f"Im(tau) must be positive, got tau={self.tau}")
         if self.hbar == 0:
             raise ParameterError("hbar must be nonzero")
-        r = self.search_radius
+        r = SEARCH_RADIUS
         # every (m, n, k) of the window at once, in the loop order m, n, k
         m, n, k = np.mgrid[-r:r + 1, -r:r + 1, -r:r + 1].reshape(3, -1)
-        hit = np.abs(m + n * self.tau - k * self.hbar) < self.lattice_tol
+        hit = np.abs(m + n * self.tau - k * self.hbar) < LATTICE_TOL
         hit[m.size // 2] = False  # (0, 0, 0)
         if hit.any():
             i = hit.argmax()
@@ -196,7 +193,7 @@ def lattice_distance_array(c, params: EllipticParams) -> np.ndarray:
 
 
 def in_lattice(c: complex, params: EllipticParams) -> bool:
-    return lattice_distance(c, params) < params.lattice_tol
+    return lattice_distance(c, params) < LATTICE_TOL
 
 
 def in_hbar_inv_lattice(c: complex, params: EllipticParams) -> bool:
@@ -207,10 +204,10 @@ def in_hbar_inv_lattice(c: complex, params: EllipticParams) -> bool:
 def nonneg_int_plus_hbar_inv_lattice(c: complex, params: EllipticParams) -> int | None:
     """Return l >= 0 with c in l + hbar^{-1}(Z+Z*tau), or None.
 
-    The scan window for l is params.search_radius; under the standing
+    The scan window for l is SEARCH_RADIUS; under the standing
     genericity assumption the representative is unique when it exists.
     """
-    for l in range(params.search_radius + 1):
+    for l in range(SEARCH_RADIUS + 1):
         if in_hbar_inv_lattice(c - l, params):
             return l
     return None
@@ -538,33 +535,25 @@ class SamplePlan:
         ``guard`` maps a candidate z to an iterable of arguments that must
         all stay ``pole_margin`` away from Z + Z*tau.
         """
-        rng = np.random.default_rng(self.seed)
-        pts: list[complex] = []
-        tries = 0
-        while len(pts) < self.count:
-            tries += 1
-            if tries > _MAX_TRIES:
-                raise RuntimeError("SamplePlan could not find enough generic points")
-            u, v = rng.random(2)
-            z = complex(u + v * params.tau)
-            args = [z] if guard is None else list(guard(z))
-            if all(lattice_distance(a, params) >= self.pole_margin for a in args):
-                pts.append(z)
-        return pts
+        return [z for z, in self._draw(params, 1, guard, "points")]
 
     def pairs(self, params: EllipticParams, guard=None) -> list[tuple[complex, complex]]:
         """Draw ``count`` pairs (z, x); guard maps (z, x) to guarded args."""
+        return self._draw(params, 2, guard, "pairs")
+
+    def _draw(self, params: EllipticParams, n: int, guard, what: str) -> list[tuple]:
+        """The seeded rejection loop: ``count`` accepted tuples of n points
+        of the cell, each tuple from 2n uniform draws (u1, v1, u2, v2, ...)."""
         rng = np.random.default_rng(self.seed)
-        out: list[tuple[complex, complex]] = []
+        out: list[tuple] = []
         tries = 0
         while len(out) < self.count:
             tries += 1
             if tries > _MAX_TRIES:
-                raise RuntimeError("SamplePlan could not find enough generic pairs")
-            u1, v1, u2, v2 = rng.random(4)
-            z = complex(u1 + v1 * params.tau)
-            x = complex(u2 + v2 * params.tau)
-            args = [z, x] if guard is None else list(guard(z, x))
+                raise RuntimeError(f"SamplePlan could not find enough generic {what}")
+            uv = rng.random(2 * n)
+            cand = tuple(complex(uv[i] + uv[i + 1] * params.tau) for i in range(0, 2 * n, 2))
+            args = cand if guard is None else list(guard(*cand))
             if all(lattice_distance(a, params) >= self.pole_margin for a in args):
-                out.append((z, x))
+                out.append(cand)
         return out

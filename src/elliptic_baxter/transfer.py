@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -28,7 +28,7 @@ from .dynamical import (
     worst_residual,
 )
 from .modules import GradedModule, build_asymptotic, socle
-from .theta import EllipticParams, lattice_distance, theta_eval
+from .theta import LATTICE_TOL, EllipticParams, lattice_distance, theta_eval
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,7 @@ class QuantumSpace:
         if L == 0 or L % 2:
             raise ValueError("the chain length must be a positive even integer")
         for a in self.sites:
-            if lattice_distance(a, self.params) < self.params.lattice_tol:
+            if lattice_distance(a, self.params) < LATTICE_TOL:
                 raise ValueError(f"site {a} lies on the period lattice")
         object.__setattr__(self, "_basis", tuple(self._make_basis(L)))
 
@@ -135,52 +135,15 @@ class _GradedTrace:
         return traces.reshape(len(keys), *self.shape)
 
 
-@dataclass(frozen=True)
-class TransferSeries:
-    """p-graded series of chain-space matrices in (z, x); alpha0 is the
-    leading p-exponent.  All coefficients at a point come from one graded
-    trace contraction, memoized per point; shift_z offsets z.  The
-    coefficients of ``series`` declare the trace points they read."""
-
-    alpha0: complex
-    order: int
-    dim: int
-    params: EllipticParams
-    trace: _GradedTrace
-    z_shift: complex = 0j
-    label: str = ""
-
-    def shift_z(self, c: complex) -> "TransferSeries":
-        return replace(self, z_shift=self.z_shift + c)
-
-    @property
-    def series(self) -> DiffOpSeries:
-        terms = [
-            TermMatrix(lambda zs, xs, k=k: self.coefficients(zs, xs, k), self.dim,
-                       lambda zs, xs: [(self.trace, self._trace_zs(zs), xs)])
-            for k in range(self.order + 1)
-        ]
-        return DiffOpSeries(self.alpha0, terms, self.dim, self.params)
-
-    def _trace_zs(self, zs) -> np.ndarray:
-        return np.asarray(zs, dtype=complex) + self.z_shift
-
-    def coefficients(self, zs, xs, k=slice(None)) -> np.ndarray:
-        """Coefficient k at the points, as [point, row, col]; by default
-        every coefficient, as [point, row, col, k]."""
-        return self.trace.at(self._trace_zs(zs), xs, k)
-
-    def coefficient(self, k: int, z: complex, x: complex) -> np.ndarray:
-        return self.coefficients([z], [x], k)[0]
-
-
 def _max_transfer_order(X: GradedModule, L: int) -> int:
     return X.basis.levels if X.exact else X.basis.levels - L // 2
 
 
-def transfer_matrix(X: GradedModule, space: QuantumSpace, order: int) -> TransferSeries:
+def transfer_matrix(X: GradedModule, space: QuantumSpace, order: int) -> DiffOpSeries:
     """Graded trace over the auxiliary module of the site-ordered product of
-    its entry operators; only zero-weight strings act on the chain space."""
+    its entry operators; only zero-weight strings act on the chain space.
+    Coefficient k reads level k of one memoized trace, and declares the
+    trace points it reads."""
     if X.params != space.params:
         raise ShapeError("module and chain space parameters differ")
     top = _max_transfer_order(X, space.L)
@@ -188,19 +151,24 @@ def transfer_matrix(X: GradedModule, space: QuantumSpace, order: int) -> Transfe
         raise ValueError(
             f"truncation too shallow: order {order} needs more module levels"
         )
-    return TransferSeries(
-        X.basis.alpha0, order, space.dim, X.params, _GradedTrace(X, space, order),
-        label=f"t[{X.label}]",
-    )
+    trace = _GradedTrace(X, space, order)
+    terms = [TermMatrix(lambda zs, xs, k=k: trace.at(zs, xs, k), space.dim,
+                        lambda zs, xs: [(trace, zs, xs)])
+             for k in range(order + 1)]
+    return DiffOpSeries(X.basis.alpha0, terms, space.dim, X.params)
 
 
-def q_operator(space: QuantumSpace, spin_z: complex, order: int) -> TransferSeries:
+def _ladder_transfer(spin: complex, space: QuantumSpace, order: int) -> DiffOpSeries:
+    """Transfer series of the ladder module of the spin at 0, with
+    K = max(order + L/2, 2) levels: enough for the order on an L-site chain."""
+    W = build_asymptotic(spin, 0.0, max(order + space.L // 2, 2), space.params)
+    return transfer_matrix(W, space, order)
+
+
+def q_operator(space: QuantumSpace, spin_z: complex, order: int) -> DiffOpSeries:
     """Transfer series of the ladder module of spin z/hbar, bound at
     spectral point zero: evaluated at z = 0 it depends on x only."""
-    params = space.params
-    K = max(order + space.L // 2, 2)
-    W = build_asymptotic(spin_z / params.hbar, 0.0, K, params)
-    return replace(transfer_matrix(W, space, order), label=f"Q({spin_z})")
+    return _ladder_transfer(spin_z / space.params.hbar, space, order)
 
 
 # ---------------------------------------------------------------------------
@@ -212,9 +180,9 @@ def product_residual(
     space: QuantumSpace, order: int, points
 ) -> float:
     """t_X(z;p) t_Y(z;p) against t_{X (x) Y}(z;p)."""
-    tx = transfer_matrix(X, space, order).series
-    ty = transfer_matrix(Y, space, order).series
-    txy = transfer_matrix(XY, space, order).series
+    tx = transfer_matrix(X, space, order)
+    ty = transfer_matrix(Y, space, order)
+    txy = transfer_matrix(XY, space, order)
     return series_max_residual(series_compose(tx, ty, order), txy, order, points)
 
 
@@ -225,15 +193,15 @@ def spectral_shift_residual(
     """t of the spectrally twisted module against the z-shifted series."""
     lhs = transfer_matrix(Xshift, space, order)
     rhs = transfer_matrix(X, space, order).shift_z(u * X.params.hbar)
-    return series_max_residual(lhs.series, rhs.series, order, points)
+    return series_max_residual(lhs, rhs, order, points)
 
 
 def commutativity_residual(
     X: GradedModule, Y: GradedModule, space: QuantumSpace,
     order: int, z0: complex, w0: complex, points
 ) -> float:
-    tx = transfer_matrix(X, space, order).shift_z(z0).series.bound_z(0.0)
-    ty = transfer_matrix(Y, space, order).shift_z(w0).series.bound_z(0.0)
+    tx = transfer_matrix(X, space, order).bound_z(z0)
+    ty = transfer_matrix(Y, space, order).bound_z(w0)
     lhs = series_compose(tx, ty, order)
     rhs = series_compose(ty, tx, order)
     return series_max_residual(lhs, rhs, order, points)
@@ -245,14 +213,10 @@ def interchange_transfer_residual(
 ) -> float:
     """t_{W^l}(z) t_{W^0}(z+u*hbar) against t_{W^{l-u}}(z+u*hbar) t_{W^u}(z);
     flip_shift_sign applies the wrong-sign shift as a negative control."""
-    params = space.params
-    K = order + space.L // 2
-    h = params.hbar
-    c = (-u if flip_shift_sign else u) * h
+    c = (-u if flip_shift_sign else u) * space.params.hbar
 
     def t_of(spin, zshift):
-        W = build_asymptotic(spin, 0.0, max(K, 2), params)
-        return transfer_matrix(W, space, order).shift_z(zshift).series
+        return _ladder_transfer(spin, space, order).shift_z(zshift)
 
     lhs = series_compose(t_of(l, 0.0), t_of(0.0, c), order)
     rhs = series_compose(t_of(l - u, c), t_of(u, 0.0), order)
@@ -266,20 +230,14 @@ def qq_relation_residual(
     """Q(z+l*hbar;p) t_{W^0}(z;p) against t_{W^l}(z;p) Q(z;p) at sampled z;
     rhs_sites substitutes a different chain on the right as a negative
     control."""
-    params = space.params
-    h = params.hbar
-    K = max(order + space.L // 2, 2)
+    h = space.params.hbar
     other = rhs_sites if rhs_sites is not None else space
     residuals = []
     for z0 in z_samples:
-        q_up = q_operator(space, z0 + l * h, order).series
-        t0 = transfer_matrix(
-            build_asymptotic(0.0, 0.0, K, params), space, order
-        ).shift_z(z0).series.bound_z(0.0)
-        tl = transfer_matrix(
-            build_asymptotic(l, 0.0, K, params), other, order
-        ).shift_z(z0).series.bound_z(0.0)
-        q0 = q_operator(other, z0, order).series
+        q_up = q_operator(space, z0 + l * h, order)
+        t0 = _ladder_transfer(0.0, space, order).bound_z(z0)
+        tl = _ladder_transfer(l, other, order).bound_z(z0)
+        q0 = q_operator(other, z0, order)
         lhs = series_compose(q_up, t0, order)
         rhs = series_compose(tl, q0, order)
         pts = [(0.0, x) for x in xpoints]
@@ -300,11 +258,8 @@ def tq_residual(
     pts = [(0.0, x) for x in xpoints]
     for z0 in z_samples:
         V = socle(build_asymptotic(float(n), 0.0, max(n, 2), params))
-        t_v = transfer_matrix(V, space, n).shift_z(z0).series.bound_z(0.0)
-        q_at = {
-            j: q_operator(space, z0 + j * h, order).series
-            for j in range(-1, n + 1)
-        }
+        t_v = transfer_matrix(V, space, n).bound_z(z0)
+        q_at = {j: q_operator(space, z0 + j * h, order) for j in range(-1, n + 1)}
         num = series_compose(q_at[n], q_at[-1], order)
         rhs = None
         for j in range(n + 1):
@@ -331,8 +286,11 @@ def periodicity_residual(
     n = space.L // 2
     sign = (-1.0) ** n
     residuals = []
+    zeros = np.zeros(len(xpoints))
     for z0 in z_samples:
-        q, q1, qt = (q_operator(space, z, order).coefficients(np.zeros(len(xpoints)), xpoints)
+        # each Q at z = 0 (z sets its spin), as [point, row, col, k]
+        q, q1, qt = (np.stack([t.at(zeros, xpoints) for t in q_operator(space, z, order).terms],
+                              axis=-1)
                      for z in (z0, z0 + 1, z0 + tau))
         fac = sign * cmath.exp(-n * 1j * math.pi * (tau + 2 * z0 + 2 * a))
         for k in range(order + 1):

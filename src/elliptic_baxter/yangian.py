@@ -533,13 +533,6 @@ class PSeriesMatrix:
             num = np.concatenate([num, pad])
         return num
 
-    def map_entries(self, f) -> "PSeriesMatrix":
-        return PSeriesMatrix(
-            self.basis,
-            [[[f(e) for e in row] for row in tab] for tab in self.tables],
-            self.terminates,
-        )
-
     def shift_var(self, c) -> "PSeriesMatrix":
         """Taylor shift v -> v + c of every entry: with c = u/w and D the
         outer degree, w^D p(v + c) has the integer coefficients

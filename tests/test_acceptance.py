@@ -22,7 +22,7 @@ from elliptic_baxter.modules import (
     gauss_decompose,
     gauss_reconstruction_residual,
     qdybe_residual,
-    r_matrix,
+    r_matrices,
     rll_residual,
 )
 from elliptic_baxter.dynamical import compose_module_ops
@@ -113,15 +113,15 @@ def test_criterion_2_dynamical_yang_baxter():
         worst = max(worst, qdybe_residual(z, w, x, P))
     # negative control: one dynamical shift perturbed by a lattice period
     z, w, x = _triples(29, 1)[0]
-    r12 = _dyn_embed(lambda wt: r_matrix(z - w, x + H * wt, P), (0, 1))
-    r13 = _dyn_embed(lambda wt: r_matrix(z, x, P), (0, 2))
-    r23 = _dyn_embed(lambda wt: r_matrix(w, x + H * wt, P), (1, 2))
-    r23p = _dyn_embed(lambda wt: r_matrix(w, x, P), (1, 2))
-    r13s = _dyn_embed(lambda wt: r_matrix(z, x + H * wt, P), (0, 2))
-    r12p = _dyn_embed(lambda wt: r_matrix(z - w, x, P), (0, 1))
+    r12 = _dyn_embed(lambda wt: r_matrices([z - w], [x + H * wt], P)[0], (0, 1))
+    r13 = _dyn_embed(lambda wt: r_matrices([z], [x], P)[0], (0, 2))
+    r23 = _dyn_embed(lambda wt: r_matrices([w], [x + H * wt], P)[0], (1, 2))
+    r23p = _dyn_embed(lambda wt: r_matrices([w], [x], P)[0], (1, 2))
+    r13s = _dyn_embed(lambda wt: r_matrices([z], [x + H * wt], P)[0], (0, 2))
+    r12p = _dyn_embed(lambda wt: r_matrices([z - w], [x], P)[0], (0, 1))
     lhs, rhs = r12 @ r13 @ r23, r23p @ r13s @ r12p
     sane = np.linalg.norm(lhs - rhs) / max(1.0, np.linalg.norm(lhs))
-    r13bad = _dyn_embed(lambda wt: r_matrix(z, x + P.tau, P), (0, 2))
+    r13bad = _dyn_embed(lambda wt: r_matrices([z], [x + P.tau], P)[0], (0, 2))
     bad = np.linalg.norm(r12 @ r13bad @ r23 - rhs) / max(
         1.0, np.linalg.norm(lhs))
     _verdict(2, "dynamical Yang-Baxter",
@@ -199,7 +199,7 @@ def test_criterion_6_transfer_suite():
     t0 = transfer_matrix(build_asymptotic(0.0, 0.0, 8, P), space, 0)
     ref = theta_eval(A1, P) * theta_eval(A2, P)
     lead = max(
-        np.abs(t0.coefficient(0, 0.0, x) - ref * np.eye(2)).max() /
+        np.abs(t0.terms[0].eval(0.0, x) - ref * np.eye(2)).max() /
         max(1.0, abs(ref))
         for x in xs
     )
@@ -238,7 +238,7 @@ def _normalized_q_entry_residual(order, xs):
     for k in range(order + 1):
         for x in xs:
             ref = entry(k, x)
-            got = q.coefficient(k, 0.0, x)
+            got = q.terms[k].eval(0.0, x)
             worst = max(worst,
                         np.abs(got - ref).max() / max(1.0, np.abs(ref).max()))
     return worst

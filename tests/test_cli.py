@@ -106,6 +106,19 @@ class TestExitCodes:
         monkeypatch.setitem(cli.RUNNERS, "ybe", boom)
         assert run(["ybe"]) == 3
 
+    def test_unwritable_report_is_usage_error(self, capsys, tmp_path):
+        assert run(["ybe", "--samples", "2", "--no-timestamp",
+                    "--report", str(tmp_path / "missing" / "out.json")]) == 2
+        assert "error: report:" in capsys.readouterr().err
+
+    def test_unexpected_exception_exits_four(self, capsys, monkeypatch):
+        # a crash is an internal error, never exit 1 (an identity failed)
+        def boom(cfg):
+            raise IndexError("list index out of range")
+        monkeypatch.setitem(cli.RUNNERS, "ybe", boom)
+        assert run(["ybe"]) == 4
+        assert "internal error: IndexError: list index out of range" in capsys.readouterr().err
+
     def test_category_condition_at_small_im_tau_exits_three(self, capsys):
         # precision loss at tau = 0.1i makes a Gauss diagonal read as
         # x-dependent at the probe points: a breakdown, not a usage error

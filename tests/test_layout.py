@@ -1,0 +1,93 @@
+"""Dead-code guard: every top-level function, class and method of the
+package has a use.
+
+A definition is used when its name is read elsewhere in ``src/`` (outside
+its own body), when ``perfbench/tracer.py`` resolves it by name, or when it
+is listed below: a paper relation that awaits a report record, or
+reference code of the tests.  Dunder methods are called by the language
+and count as used.
+"""
+
+import ast
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "elliptic_baxter"
+
+sys.path.insert(0, str(ROOT / "perfbench"))
+from tracer import TARGETS  # noqa: E402
+
+# Relations of the paper that are implemented and tested but carried by no
+# report yet; each leaves this list once a suite records it, or goes with
+# its tests.
+AWAITING_RECORD = {
+    "transfer.qq_relation_residual": "QQ relation Q(z+l*hbar) t_0 = t_l Q",
+    "transfer.spectral_shift_residual": "spectral-shift covariance of the transfer series",
+    "modules.spectral_shift": "twisted module of the spectral-shift relation",
+    "qchar.generalized_baxter": "generalized Baxter relations in the q-character ring",
+    "modules.construct_simple": "simple-module construction",
+    "modules.cyclicity_predicates": "cyclicity of the simple modules",
+    "modules.highest_vector_count": "highest-weight vectors of the simple modules",
+    "qchar.classify_highest_weight": "highest-weight classification of the simple modules",
+    "yangian.qybe_residual": "exact Yang-Baxter equation of the rational twin",
+    "yangian.yangian_qchar": "exact q-characters of the rational twin",
+    "yangian.qchar_finite_term": "exact finite-spin q-character term",
+    "yangian.qchar_oscillator_term": "exact oscillator q-character term",
+    "bethe.yangian_bethe_solve": "two-site Bethe roots of the rational twin",
+}
+
+# Reference code that tests build or compare against, with no reader in the
+# package.
+TEST_REFERENCES = {
+    "modules.build_vector_rep": "vector module the coproduct and exchange tests build",
+    "theta.ThetaSum.eval": "scalar evaluation of the symbolic oracles",
+    "dynamical.DiffOpSeries.identity": "unit series the inverse tests divide",
+}
+
+
+def definitions(tree, module):
+    """(qualified name, node) of the top-level functions and classes and
+    of the methods of the top-level classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield f"{module}.{node.name}", node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield f"{module}.{node.name}.{item.name}", item
+
+
+def outside_reads():
+    """Qualified name of every non-dunder definition: the number of reads
+    of its name (a bare name or an attribute) in the package outside the
+    lines of its own definition."""
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8"))
+             for p in sorted(PACKAGE.glob("*.py"))}
+    reads: dict[str, list[tuple[str, int]]] = {}
+    for module, tree in trees.items():
+        for n in ast.walk(tree):
+            if isinstance(n, (ast.Name, ast.Attribute)):
+                reads.setdefault(n.id if isinstance(n, ast.Name) else n.attr,
+                                 []).append((module, n.lineno))
+    return {
+        qualname: sum(1 for m, line in reads.get(node.name, ())
+                      if m != module or not node.lineno <= line <= node.end_lineno)
+        for module, tree in trees.items()
+        for qualname, node in definitions(tree, module)
+        if not (node.name.startswith("__") and node.name.endswith("__"))
+    }
+
+
+def test_every_definition_has_a_use():
+    traced = {f"{t.module}.{t.path}" for t in TARGETS}
+    unused = [q for q, n in outside_reads().items()
+              if n == 0 and q not in traced and q not in AWAITING_RECORD | TEST_REFERENCES]
+    assert unused == []
+
+
+def test_allowlists_name_only_unread_definitions():
+    # an entry whose code is gone, or that gained a reader, leaves its list
+    counts = outside_reads()
+    listed = AWAITING_RECORD | TEST_REFERENCES
+    assert {q: counts.get(q) for q in listed} == dict.fromkeys(listed, 0)

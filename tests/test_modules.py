@@ -14,7 +14,7 @@ from elliptic_baxter.modules import (
     highest_vector_count,
     one_dim_module,
     qdybe_residual,
-    r_matrix,
+    r_matrices,
     rll_residual,
     sigma_set,
     socle,
@@ -48,13 +48,13 @@ def triples(seed, count):
 
 class TestRMatrix:
     def test_unit_diagonal_corners(self):
-        r = r_matrix(0.23 + 0.11j, 0.37 + 0.19j, P)
+        r = r_matrices([0.23 + 0.11j], [0.37 + 0.19j], P)[0]
         assert r[0, 0] == 1 and r[3, 3] == 1
         assert np.all(r[0, 1:] == 0) and np.all(r[1:, 0] == 0)
 
     def test_middle_block_matches_theta_oracle(self):
         z, x = 0.23 + 0.11j, 0.37 + 0.19j
-        r = r_matrix(z, x, P)
+        r = r_matrices([z], [x], P)[0]
         tz = theta_eval(z, P)
         ref11 = (
             tz * theta_eval(x + H, P) * theta_eval(x - H, P)
@@ -95,9 +95,9 @@ class TestDynamicalYangBaxter:
             return m
 
         z, w, x = 0.21 + 0.13j, -0.17 + 0.31j, 0.23 + 0.17j
-        r12 = emb(r_matrix(z - w, x, P), (0, 1))
-        r13 = emb(r_matrix(z, x, P), (0, 2))
-        r23 = emb(r_matrix(w, x, P), (1, 2))
+        r12 = emb(r_matrices([z - w], [x], P)[0], (0, 1))
+        r13 = emb(r_matrices([z], [x], P)[0], (0, 2))
+        r23 = emb(r_matrices([w], [x], P)[0], (1, 2))
         lhs, rhs = r12 @ r13 @ r23, r23 @ r13 @ r12
         dev = np.linalg.norm(lhs - rhs) / max(1.0, np.linalg.norm(lhs))
         assert dev > 1e-2

@@ -136,7 +136,7 @@ class TestGradedTraceContraction:
         t = transfer_matrix(X, space, order)
         ref = symbolic_transfer(symbolic_module(X), space, order, PTS[:2])
         for (z, x), r in zip(PTS[:2], ref):
-            got = np.array([t.coefficient(k, z, x) for k in range(order + 1)])
+            got = np.array([t.terms[k].eval(z, x) for k in range(order + 1)])
             assert np.abs(got - r).max() <= 1e-13 * np.abs(r).max()
 
     def test_batch_size_does_not_change_the_traces(self, monkeypatch):
@@ -149,7 +149,7 @@ class TestGradedTraceContraction:
 
         def both():
             t = transfer_matrix(X, space, 2)
-            return ([t.coefficient(k, *PTS[0]) for k in range(3)],
+            return ([t.terms[k].eval(*PTS[0]) for k in range(3)],
                     [s.tables for s in yangian_q(sites, 2)])
 
         ell, exact = both()
@@ -162,20 +162,20 @@ class TestGradedTraceContraction:
         t = transfer_matrix(build_asymptotic(1.3 + 0.2j, 0.0, 6, P), SPACE, 3)
         z0, x0 = PTS[0]
         for k in range(4):
-            assert np.array_equal(t.shift_z(0.25).coefficient(k, z0, x0),
-                                  t.coefficient(k, z0 + 0.25, x0))
+            assert np.array_equal(t.shift_z(0.25).terms[k].eval(z0, x0),
+                                  t.terms[k].eval(z0 + 0.25, x0))
 
     def test_pole_on_lattice_raises(self):
         # the ++ entries of a ladder module carry theta(x)^-1; at site 0
         # the contraction evaluates them at x itself
         t = transfer_matrix(build_asymptotic(1.3 + 0.2j, 0.0, 4, P), SPACE, 0)
         with pytest.raises(PoleError):
-            t.coefficient(0, 0.37 + 0.21j, 0.0)
+            t.terms[0].eval(0.37 + 0.21j, 0.0)
         # a z-dependent pole: theta(z + a_0 - hbar + 0.4)^-1 vanishes at z0
         D = one_dim_module(ThetaExpression.theta(1, 0, 0.4, -1), P)
         z0 = H - A1 - 0.4
         with pytest.raises(PoleError):
-            transfer_matrix(D, SPACE, 0).coefficient(0, z0, 0.3)
+            transfer_matrix(D, SPACE, 0).terms[0].eval(z0, 0.3)
 
 
 SPACE4 = QuantumSpace((A1, A2, A1 + 0.13, A2 - 0.11j), P)
@@ -191,7 +191,7 @@ class TestPointBatches:
         xs = XS + [XS[0]]
         for X, order in ((ladder, 3), (tensor, 2)):
             for group in (None, 1, 2):
-                trace = transfer_matrix(X, SPACE4, order).trace
+                trace = _GradedTrace(X, SPACE4, order)
                 trace.group = group or trace.group
                 first = trace.at(zs[:2], xs[:2])
                 got = trace.at(zs, xs)
@@ -205,8 +205,8 @@ class TestPointBatches:
     def series_graph():
         # transfer and Q series of a 4-site chain through every series operation
         z0 = 0.37 + 0.21j
-        t = transfer_matrix(build_asymptotic(1.3 + 0.2j, 0.0, 5, P), SPACE4, 2).series
-        q = {j: q_operator(SPACE4, z0 + j * H, 2).series for j in (-1, 0, 1)}
+        t = transfer_matrix(build_asymptotic(1.3 + 0.2j, 0.0, 5, P), SPACE4, 2)
+        q = {j: q_operator(SPACE4, z0 + j * H, 2) for j in (-1, 0, 1)}
         num = series_compose(q[1], q[-1], 2)
         quo = [series_divide(num, series_compose(q[j], q[j - 1], 2), 2) for j in (0, 1)]
         scaled = series_scale(quo[0], 0.7 - 0.2j)
@@ -244,7 +244,7 @@ class TestPointBatches:
         ref = []
         for k in range(order + 1):
             for x in XS:
-                m, m1, mt = (q_operator(hom, z, order).coefficient(k, 0.0, x)
+                m, m1, mt = (q_operator(hom, z, order).terms[k].eval(0.0, x)
                              for z in (z0, z0 + 1, z0 + P.tau))
                 scale = max(1.0, np.linalg.norm(m))
                 ref += [np.linalg.norm(m1 - sign * m) / scale, np.linalg.norm(mt - fac * m) / scale]
@@ -364,12 +364,12 @@ class TestTransferMatrix:
         tD = transfer_matrix(one_dim_module(g, P), SPACE, 0)
         z0, x0 = PTS[0]
         ref = g.eval(z0 + A1 - H, x0, P) * g.eval(z0 + A2 - H, x0, P)
-        assert np.allclose(tD.coefficient(0, z0, x0), ref * np.eye(2), rtol=1e-12)
+        assert np.allclose(tD.terms[0].eval(z0, x0), ref * np.eye(2), rtol=1e-12)
 
     def test_leading_coefficient_at_origin_is_site_product(self):
         t0 = transfer_matrix(build_asymptotic(0.0, 0.0, 8, P), SPACE, 6)
         ref = theta_eval(A1, P) * theta_eval(A2, P)
-        assert np.allclose(t0.coefficient(0, 0.0, XS[0]), ref * np.eye(2), rtol=1e-12)
+        assert np.allclose(t0.terms[0].eval(0.0, XS[0]), ref * np.eye(2), rtol=1e-12)
 
     def test_truncation_too_shallow_rejected(self):
         W = build_asymptotic(1.0 + 0.2j, 0.0, 4, P)
@@ -428,7 +428,7 @@ class TestQOperator:
         worst = 0.0
         for k in range(7):
             for x in XS:
-                got = q.coefficient(k, 0.0, x)
+                got = q.terms[k].eval(0.0, x)
                 ref = np.array([
                     [entry_a(k, x), entry_b(k, x)],
                     [entry_c(k, x), entry_d(k, x)],
