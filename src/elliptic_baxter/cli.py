@@ -487,18 +487,19 @@ def run_suites(cfg: RunConfig) -> list[CheckResult]:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if not args.suites:
+        parser.print_usage(sys.stderr)
+        print("error: no suite selected", file=sys.stderr)
+        return 2
     try:
-        return _run(parser, args)
+        return _run(args)
     except Exception as exc:  # a crash must not read as exit 1, a failed identity
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
 
 
-def _run(parser, args) -> int:
-    if not args.suites:
-        parser.print_usage(sys.stderr)
-        print("error: no suite selected", file=sys.stderr)
-        return 2
+def _run(args) -> int:
+    """Resolve the configuration, run the suites, write the report."""
     try:
         cfg = resolve_config(args)
     except ConfigError as exc:
