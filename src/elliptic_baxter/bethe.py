@@ -94,21 +94,8 @@ def _log_residual(roots: np.ndarray, n: int, a: complex, p: complex,
 
 
 @dataclass
-class NewtonFailure:
-    seed: tuple[complex, ...]
-    iterations: int
-    trace: list[float]
-    reason: str
-
-
-@dataclass
 class SolveReport:
     solutions: list[BetheConfig]
-    failures: list[NewtonFailure]
-
-
-def _torus_distance(u: complex, v: complex, params: EllipticParams) -> float:
-    return lattice_distance(u - v, params)
 
 
 def _same_solution(r1, r2, params) -> bool:
@@ -117,7 +104,7 @@ def _same_solution(r1, r2, params) -> bool:
     for z in r1:
         best, best_d = None, _SAME_ROOT_TOL
         for i, w in enumerate(left):
-            d = _torus_distance(z, w, params)
+            d = lattice_distance(z - w, params)
             if d < best_d:
                 best, best_d = i, d
         if best is None:
@@ -127,17 +114,16 @@ def _same_solution(r1, r2, params) -> bool:
 
 
 def _newton(seed, n, a, p, params):
+    """The converged roots, or None when the iteration fails."""
     roots = np.array(seed, dtype=complex)
-    trace = []
-    for it in range(_NEWTON_MAX_ITER):
+    for _ in range(_NEWTON_MAX_ITER):
         try:
             r = _log_residual(roots, n, a, p, params)
         except PoleError:
-            return None, NewtonFailure(tuple(seed), it, trace, "pole during iteration")
+            return None
         nr = float(np.linalg.norm(r))
-        trace.append(nr)
         if nr < _NEWTON_TOL:
-            return roots, None
+            return roots
         jac = np.zeros((n, n), dtype=complex)
         try:
             for j in range(n):
@@ -146,7 +132,7 @@ def _newton(seed, n, a, p, params):
                 jac[:, j] = (_log_residual(bumped, n, a, p, params) - r) / _FD_STEP
             step = np.linalg.solve(jac, r)
         except (PoleError, np.linalg.LinAlgError):
-            return None, NewtonFailure(tuple(seed), it, trace, "singular Jacobian")
+            return None
         lam = 1.0
         for _ in range(25):
             cand = roots - lam * step
@@ -158,8 +144,8 @@ def _newton(seed, n, a, p, params):
                 pass
             lam *= 0.5
         else:
-            return None, NewtonFailure(tuple(seed), it, trace, "no descent direction")
-    return None, NewtonFailure(tuple(seed), _NEWTON_MAX_ITER, trace, "max iterations reached")
+            return None
+    return None
 
 
 def _default_seeds(n, a, params, count, seed):
@@ -192,16 +178,13 @@ def elliptic_bethe_solve(
     if seeds is None:
         seeds = _default_seeds(n, a, params, seed_count, seed)
     solutions: list[BetheConfig] = []
-    failures: list[NewtonFailure] = []
     for s in seeds:
-        roots, fail = _newton(s, n, a, p, params)
+        roots = _newton(s, n, a, p, params)
         if roots is None:
-            failures.append(fail)
             continue
         cfg = BetheConfig(n, complex(a), complex(p), tuple(roots))
         try:
             if float(np.linalg.norm(elliptic_bethe_residual(cfg, params))) > _RESIDUAL_TOL:
-                failures.append(NewtonFailure(tuple(s), _NEWTON_MAX_ITER, [], "converged off-solution"))
                 continue
         except PoleError:
             continue
@@ -213,7 +196,7 @@ def elliptic_bethe_solve(
         for z in sorted(c.roots, key=lambda z: (lattice_reduce(z, params)[0].real,
                                                 lattice_reduce(z, params)[0].imag))
     ))
-    return SolveReport(solutions, failures)
+    return SolveReport(solutions)
 
 
 # ---------------------------------------------------------------------------

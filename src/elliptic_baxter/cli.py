@@ -29,7 +29,7 @@ from .modules import (
     rll_residuals,
 )
 from .dynamical import SingularityError, compose_module_ops, worst_residual
-from .reports import CheckResult, build_report, render_text, write_report
+from .reports import Check, CheckResult, build_report, render_text, write_report
 from .theta import (
     EllipticParams,
     ParameterError,
@@ -37,11 +37,6 @@ from .theta import (
     SamplePlan,
     ThetaTable,
     theta_eval,
-)
-
-SUITES = (
-    "ybe", "rll", "gauss", "qchar", "interchange", "transfer", "tq",
-    "periodicity", "bethe", "yangian-all", "yangian-tq",
 )
 
 DEFAULT_TOLS = {
@@ -134,10 +129,20 @@ class RunConfig:
         if self.format not in ("json", "csv", "text"):
             raise ConfigError(f"format: unknown format {self.format!r}")
         self.report = raw["report"]
+        if self.report is None and os.environ.get(REPORT_DIR_ENV):
+            self.report = os.path.join(os.environ[REPORT_DIR_ENV], f"report.{self.format}")
+        if self.report is not None:
+            # fail before any suite runs; the file is written only at the end
+            folder = os.path.dirname(self.report) or "."
+            if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+                raise ConfigError(f"report: directory {folder!r} is missing or not writable")
         self.sites_raw = raw["sites"]
 
     def tol_for(self, suite: str) -> float:
-        return self.tol if self.tol is not None else DEFAULT_TOLS[suite]
+        """``--tol`` if given, else the default; an exact suite (default 0)
+        keeps 0."""
+        default = DEFAULT_TOLS[suite]
+        return default if self.tol is None or default == 0 else self.tol
 
     def elliptic_sites(self):
         if self.sites_raw is None:
@@ -195,20 +200,15 @@ def _triples(cfg):
     return list(zip(zs, ws, xs))
 
 
-def run_ybe(cfg) -> list[CheckResult]:
-    tol = cfg.tol_for("ybe")
+def run_ybe(cfg) -> list[Check]:
     triples = _triples(cfg)
-    out = []
-    for i, ((z, w, x), res) in enumerate(zip(triples, qdybe_residuals(triples, cfg.params))):
-        out.append(CheckResult(
-            "ybe", "dynamical-yang-baxter",
-            {"index": i, "z": z, "w": w, "x": x, "seed": cfg.seed},
-            res, tol, res < tol))
-    return out
+    residuals = qdybe_residuals(triples, cfg.params)
+    return [Check("dynamical-yang-baxter",
+                  {"index": i, "z": z, "w": w, "x": x, "seed": cfg.seed}, res)
+            for i, ((z, w, x), res) in enumerate(zip(triples, residuals))]
 
 
-def run_rll(cfg) -> list[CheckResult]:
-    tol = cfg.tol_for("rll")
+def run_rll(cfg) -> list[Check]:
     P = cfg.params
     X = build_asymptotic(1.7 + 0.3j, 0.0, 8, P)
     triples = _triples(cfg)[: max(4, cfg.samples // 3)]
@@ -217,17 +217,15 @@ def run_rll(cfg) -> list[CheckResult]:
     out = []
     for i, (z, w, x) in enumerate(triples):
         for level in levels:
-            res = next(residuals)
-            out.append(CheckResult(
-                "rll", "exchange-relation",
+            out.append(Check(
+                "exchange-relation",
                 {"index": i, "level": level, "z": z, "w": w, "x": x,
                  "spin": 1.7 + 0.3j, "seed": cfg.seed},
-                res, tol, res < tol))
+                next(residuals)))
     return out
 
 
-def run_gauss(cfg) -> list[CheckResult]:
-    tol = cfg.tol_for("gauss")
+def run_gauss(cfg) -> list[Check]:
     P = cfg.params
     h = P.hbar
     spin = 1.7 + 0.3j
@@ -236,9 +234,8 @@ def run_gauss(cfg) -> list[CheckResult]:
         P, guard=lambda z, x: [x + k * h for k in range(-8, 9)])
     g = gauss_decompose(X)
     res = gauss_reconstruction_residual(X, pts, g)
-    out = [CheckResult("gauss", "reconstruction",
-                       {"spin": spin, "points": len(pts), "seed": cfg.seed},
-                       res, tol, res < tol)]
+    out = [Check("reconstruction",
+                 {"spin": spin, "points": len(pts), "seed": cfg.seed}, res)]
     comp = compose_module_ops(g.kplus, g.kminus.shift_z(-h))
     safe = X.safe_levels
     diag = ThetaTable(((j, comp.entries[(X.basis.offset(j),) * 2]) for j in range(safe + 1)),
@@ -248,15 +245,13 @@ def run_gauss(cfg) -> list[CheckResult]:
     for (z, _), got in zip(pts, diag.at(*zip(*pts))):
         ref = theta_eval(z + (spin + 1) * h, P) * theta_eval(z, P)
         residuals.extend(abs(got - ref) / max(1.0, abs(ref)))
-    worst = worst_residual(residuals)
-    out.append(CheckResult("gauss", "diagonal-scalar-law",
-                           {"spin": spin, "levels": safe, "seed": cfg.seed},
-                           worst, tol, worst < tol))
+    out.append(Check("diagonal-scalar-law",
+                     {"spin": spin, "levels": safe, "seed": cfg.seed},
+                     worst_residual(residuals)))
     return out
 
 
-def run_qchar(cfg) -> list[CheckResult]:
-    tol = cfg.tol_for("qchar")
+def run_qchar(cfg) -> list[Check]:
     P = cfg.params
     X = build_asymptotic(1.1 + 0.2j, 0.0, cfg.depth, P)
     Y = build_asymptotic(0.7 - 0.4j, 0.3, cfg.depth, P)
@@ -264,18 +259,15 @@ def run_qchar(cfg) -> list[CheckResult]:
     qT = qchar.qchar_of_module(T)
     qXY = qchar.mul(qchar.qchar_of_module(X), qchar.qchar_of_module(Y),
                     qT.depth)
-    res = qchar.element_deviation(qT, qXY)
-    return [CheckResult("qchar", "multiplicativity",
-                        {"depth": qT.depth, "spins": [1.1 + 0.2j, 0.7 - 0.4j]},
-                        res, tol, res < tol)]
+    return [Check("multiplicativity",
+                  {"depth": qT.depth, "spins": [1.1 + 0.2j, 0.7 - 0.4j]},
+                  qchar.element_deviation(qT, qXY))]
 
 
-def run_interchange(cfg) -> list[CheckResult]:
-    tol = cfg.tol_for("interchange")
-    res = qchar.interchange_check(1.3 + 0.2j, 0.57, cfg.depth, cfg.params)
-    return [CheckResult("interchange", "shift-distribution",
-                        {"l": 1.3 + 0.2j, "u": 0.57, "depth": cfg.depth},
-                        res, tol, res < tol)]
+def run_interchange(cfg) -> list[Check]:
+    return [Check("shift-distribution",
+                  {"l": 1.3 + 0.2j, "u": 0.57, "depth": cfg.depth},
+                  qchar.interchange_check(1.3 + 0.2j, 0.57, cfg.depth, cfg.params))]
 
 
 def _space(cfg):
@@ -289,8 +281,7 @@ def _sample_pairs(cfg, n=3):
         P, guard=lambda z, x: [x + k * h for k in range(-6, 7)])
 
 
-def run_transfer(cfg) -> list[CheckResult]:
-    tol = cfg.tol_for("transfer")
+def run_transfer(cfg) -> list[Check]:
     P = cfg.params
     space = _space(cfg)
     order = cfg.order
@@ -298,121 +289,91 @@ def run_transfer(cfg) -> list[CheckResult]:
     X = build_asymptotic(1.3 + 0.2j, 0.0, K, P)
     Y = build_asymptotic(0.7 - 0.3j, 0.0, K, P)
     pts = _sample_pairs(cfg)
-    out = []
-    res = transfer.product_residual(
-        X, Y, dynamical_tensor(X, Y, max_level=K), space, order, pts)
-    out.append(CheckResult("transfer", "tensor-product-rule",
-                           {"order": order, "sites": list(space.sites)},
-                           res, tol, res < tol))
-    res = transfer.interchange_transfer_residual(
-        1.3 + 0.2j, 0.57, space, order, pts)
-    out.append(CheckResult("transfer", "spin-shift-interchange",
-                           {"order": order, "l": 1.3 + 0.2j, "u": 0.57},
-                           res, tol, res < tol))
-    res = transfer.commutativity_residual(
-        X, Y, space, order, 0.37 + 0.21j, -0.12 + 0.43j,
-        [(0.0, x) for _, x in pts])
-    out.append(CheckResult("transfer", "commutativity",
-                           {"order": order, "sites": list(space.sites)},
-                           res, tol, res < tol))
-    return out
+    return [
+        Check("tensor-product-rule", {"order": order, "sites": list(space.sites)},
+              transfer.product_residual(
+                  X, Y, dynamical_tensor(X, Y, max_level=K), space, order, pts)),
+        Check("spin-shift-interchange", {"order": order, "l": 1.3 + 0.2j, "u": 0.57},
+              transfer.interchange_transfer_residual(1.3 + 0.2j, 0.57, space, order, pts)),
+        Check("commutativity", {"order": order, "sites": list(space.sites)},
+              transfer.commutativity_residual(
+                  X, Y, space, order, 0.37 + 0.21j, -0.12 + 0.43j,
+                  [(0.0, x) for _, x in pts])),
+    ]
 
 
-def run_tq(cfg) -> list[CheckResult]:
-    tol = cfg.tol_for("tq")
+def run_tq(cfg) -> list[Check]:
     space = _space(cfg)
     pts = _sample_pairs(cfg)
     xs = [x for _, x in pts]
-    res = transfer.tq_residual(1, space, cfg.order, [0.37 + 0.21j], xs)
-    return [CheckResult("tq", "two-dimensional-spin",
-                        {"order": cfg.order, "sites": list(space.sites)},
-                        res, tol, res < tol)]
+    return [Check("two-dimensional-spin", {"order": cfg.order, "sites": list(space.sites)},
+                  transfer.tq_residual(1, space, cfg.order, [0.37 + 0.21j], xs))]
 
 
-def run_periodicity(cfg) -> list[CheckResult]:
-    tol = cfg.tol_for("periodicity")
+def run_periodicity(cfg) -> list[Check]:
     a = cfg.elliptic_sites()[0]
     space = transfer.QuantumSpace((a, a), cfg.params)
     pts = _sample_pairs(cfg)
     xs = [x for _, x in pts]
-    res = transfer.periodicity_residual(space, cfg.order, [0.37 + 0.21j], xs)
-    return [CheckResult("periodicity", "normalized-q-double-periodicity",
-                        {"order": cfg.order, "site": a},
-                        res, tol, res < tol)]
+    return [Check("normalized-q-double-periodicity", {"order": cfg.order, "site": a},
+                  transfer.periodicity_residual(space, cfg.order, [0.37 + 0.21j], xs))]
 
 
-def run_bethe(cfg) -> list[CheckResult]:
-    tol = cfg.tol_for("bethe")
+def run_bethe(cfg) -> list[Check]:
     a = cfg.elliptic_sites()[0]
     p = cmath.exp(0.4j)
     rep = bethe.elliptic_bethe_solve(
         1, a, p, cfg.params, seed=cfg.seed, seed_count=max(10, cfg.samples))
-    out = []
     if not rep.solutions:
-        out.append(CheckResult("bethe", "solver-found-roots",
-                               {"n": 1, "a": a, "p": p, "seed": cfg.seed},
-                               float("inf"), tol, False))
-    for i, sol in enumerate(rep.solutions):
-        res = float(np.abs(
-            bethe.elliptic_bethe_residual(sol, cfg.params)).max())
-        out.append(CheckResult(
-            "bethe", "root-residual",
-            {"n": 1, "a": a, "p": p, "roots": list(sol.roots),
-             "sum_rule_ok": sol.sum_rule_ok, "seed": cfg.seed},
-            res, tol, res < tol))
-    return out
+        return [Check("solver-found-roots", {"n": 1, "a": a, "p": p, "seed": cfg.seed},
+                      float("inf"))]
+    return [Check("root-residual",
+                  {"n": 1, "a": a, "p": p, "roots": list(sol.roots),
+                   "sum_rule_ok": sol.sum_rule_ok, "seed": cfg.seed},
+                  float(np.abs(bethe.elliptic_bethe_residual(sol, cfg.params)).max()))
+            for sol in rep.solutions]
 
 
-def run_yangian_tq(cfg) -> list[CheckResult]:
+def run_yangian_tq(cfg) -> list[Check]:
+    sites = cfg.rational_sites()
+    return [Check("tq-relation", {"sites": list(sites), "order": cfg.order},
+                  yangian.tq_residual(sites, cfg.order))]
+
+
+def run_yangian_all(cfg) -> list[Check]:
     sites = cfg.rational_sites()
     order = cfg.order
-    res = yangian.tq_residual(sites, order)
-    return [CheckResult("yangian-tq", "tq-relation",
-                        {"sites": list(sites), "order": order},
-                        res, 0.0, res == 0.0, exact=True)]
-
-
-def run_yangian_all(cfg) -> list[CheckResult]:
-    sites = cfg.rational_sites()
-    order = cfg.order
-    out = []
-
-    def exact(name, params, res):
-        out.append(CheckResult("yangian-all", name, params,
-                               res, 0.0, res == 0.0, exact=True))
-
-    for m in (1, 2, 3):
-        exact("rtt-finite", {"spin": m},
-              yangian.rtt_residual(yangian.build_module("finite", spin=m)))
-    exact("rtt-ladder", {"spin": Fraction(5, 3), "levels": 6},
-          yangian.rtt_residual(
-              yangian.build_module("ladder", spin=Fraction(5, 3), levels=6)))
-    exact("rtt-oscillator", {"levels": 6},
-          yangian.rtt_residual(yangian.build_module("oscillator", levels=6)))
+    out = [Check("rtt-finite", {"spin": m},
+                 yangian.rtt_residual(yangian.build_module("finite", spin=m)))
+           for m in (1, 2, 3)]
+    out.append(Check("rtt-ladder", {"spin": Fraction(5, 3), "levels": 6},
+                     yangian.rtt_residual(
+                         yangian.build_module("ladder", spin=Fraction(5, 3), levels=6))))
+    out.append(Check("rtt-oscillator", {"levels": 6},
+                     yangian.rtt_residual(yangian.build_module("oscillator", levels=6))))
     # the degree check reads levels 0..1, so Q holds at least those
     q = yangian.yangian_q(sites, max(order, 1))
     degs = yangian.q_degree_report(sites, order=1, q=q)
     ok = all(d.degree_matches and d.leading_nonzero
              and d.p0_upper_triangular and d.p0_diagonal_matches
              for d in degs)
-    exact("q-degree-structure", {"sites": list(sites)},
-          0.0 if ok else 1.0)
+    out.append(Check("q-degree-structure", {"sites": list(sites)}, 0.0 if ok else 1.0))
     if len(sites) == 2:
-        exact("leading-coefficient-closed-form",
-              {"sites": list(sites), "order": order},
-              yangian.two_site_leading_residual(*sites, order, q=q))
-    exact("tq-relation", {"sites": list(sites), "order": order},
-          yangian.tq_residual(sites, order, q=q))
-    exact("oscillator-comparison", {"sites": list(sites), "order": order},
-          yangian.oscillator_comparison(sites, order, q=q))
-    exact("eigen-example", {"a1": Fraction(2, 3), "a2": Fraction(9, 5),
-                            "p": Fraction(1, 3)},
-          yangian.eigen_example_residual(
-              Fraction(2, 3), Fraction(9, 5), Fraction(1, 3)))
-    mism = yangian.qchar_interchange_mismatches(
-        Fraction(7, 3), Fraction(4, 5), cfg.depth)
-    exact("qchar-interchange", {"l": Fraction(7, 3), "u": Fraction(4, 5),
-                                "depth": cfg.depth}, float(mism))
+        out.append(Check("leading-coefficient-closed-form",
+                         {"sites": list(sites), "order": order},
+                         yangian.two_site_leading_residual(*sites, order, q=q)))
+    out.append(Check("tq-relation", {"sites": list(sites), "order": order},
+                     yangian.tq_residual(sites, order, q=q)))
+    out.append(Check("oscillator-comparison", {"sites": list(sites), "order": order},
+                     yangian.oscillator_comparison(sites, order, q=q)))
+    out.append(Check("eigen-example",
+                     {"a1": Fraction(2, 3), "a2": Fraction(9, 5), "p": Fraction(1, 3)},
+                     yangian.eigen_example_residual(
+                         Fraction(2, 3), Fraction(9, 5), Fraction(1, 3))))
+    mism = yangian.qchar_interchange_mismatches(Fraction(7, 3), Fraction(4, 5), cfg.depth)
+    out.append(Check("qchar-interchange",
+                     {"l": Fraction(7, 3), "u": Fraction(4, 5), "depth": cfg.depth},
+                     float(mism)))
     return out
 
 
@@ -429,6 +390,8 @@ RUNNERS = {
     "yangian-all": run_yangian_all,
     "yangian-tq": run_yangian_tq,
 }
+
+SUITES = tuple(RUNNERS)
 
 
 # ---------------------------------------------------------------------------
@@ -478,10 +441,10 @@ def resolve_config(args) -> RunConfig:
 
 
 def run_suites(cfg: RunConfig) -> list[CheckResult]:
-    results = []
-    for suite in cfg.suites:
-        results.extend(RUNNERS[suite](cfg))
-    return results
+    """Run each selected suite and give its checks their tolerance and
+    verdict; a suite whose default tolerance is 0 is exact."""
+    return [CheckResult(suite, *check, cfg.tol_for(suite), exact=DEFAULT_TOLS[suite] == 0)
+            for suite in cfg.suites for check in RUNNERS[suite](cfg)]
 
 
 def main(argv=None) -> int:
@@ -521,13 +484,9 @@ def _run(args) -> int:
     stamp = None if args.no_timestamp else (
         datetime.datetime.now(datetime.timezone.utc).isoformat())
     report = build_report(results, cfg.config_record(), timestamp=stamp)
-    path = cfg.report
-    if path is None and os.environ.get(REPORT_DIR_ENV):
-        path = os.path.join(os.environ[REPORT_DIR_ENV],
-                            f"report.{cfg.format}")
-    if path is not None:
+    if cfg.report is not None:
         try:
-            write_report(report, path, cfg.format)
+            write_report(report, cfg.report, cfg.format)
         except OSError as exc:
             print(f"error: report: {exc}", file=sys.stderr)
             return 2

@@ -633,17 +633,10 @@ def series_add(s1: DiffOpSeries, s2: DiffOpSeries, order: int) -> DiffOpSeries:
     return DiffOpSeries(s1.alpha0, terms, s1.dim, s1.params)
 
 
-def series_scale(s: DiffOpSeries, c) -> DiffOpSeries:
-    """Multiply every coefficient by a constant or by a scalar function
-    f(zs, xs) of the points, evaluated on arrays of them."""
-    if callable(c):
-        def fn_c(zs, xs):
-            return np.asarray(c(zs, xs))[:, None, None]
-    else:
-        def fn_c(zs, xs):
-            return c
+def series_scale(s: DiffOpSeries, c: complex) -> DiffOpSeries:
+    """Multiply every coefficient by the constant c."""
     terms = [
-        TermMatrix(lambda zs, xs, t=t: fn_c(zs, xs) * t.at(zs, xs), s.dim,
+        TermMatrix(lambda zs, xs, t=t: c * t.at(zs, xs), s.dim,
                    lambda zs, xs, t=t: [(t, zs, xs)])
         for t in s.terms
     ]

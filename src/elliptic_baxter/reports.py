@@ -9,8 +9,10 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import asdict, dataclass
+import math
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 SCHEMA_VERSION = 1
 
@@ -30,15 +32,30 @@ def jsonable(v):
     return v
 
 
+class Check(NamedTuple):
+    """One identity evaluated by a suite runner, before any verdict."""
+
+    name: str
+    params: dict
+    residual: float
+
+
 @dataclass
 class CheckResult:
+    """A check with its tolerance and verdict: an exact check passes when
+    its residual is 0, any other when the residual is finite and below tol."""
+
     suite: str
     name: str
     params: dict
     residual: float
     tol: float
-    passed: bool
     exact: bool = False
+    passed: bool = field(init=False)
+
+    def __post_init__(self):
+        self.passed = bool(self.residual == 0 if self.exact
+                           else math.isfinite(self.residual) and self.residual < self.tol)
 
     def record(self) -> dict:
         d = asdict(self)

@@ -7,11 +7,9 @@ import time
 from fractions import Fraction as F
 
 import numpy as np
-import pytest
 
 from elliptic_baxter import yangian
 from elliptic_baxter.bethe import (
-    BetheConfig,
     elliptic_bethe_residual,
     elliptic_bethe_solve,
     yangian_bethe_solve,

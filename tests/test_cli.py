@@ -106,10 +106,20 @@ class TestExitCodes:
         monkeypatch.setitem(cli.RUNNERS, "ybe", boom)
         assert run(["ybe"]) == 3
 
-    def test_unwritable_report_is_usage_error(self, capsys, tmp_path):
+    def test_unwritable_report_is_usage_error(self, capsys, tmp_path, monkeypatch):
+        # the report directory is checked at config load, before any suite runs
+        ran = []
+        for suite, runner in list(cli.RUNNERS.items()):
+            monkeypatch.setitem(cli.RUNNERS, suite,
+                                lambda cfg, runner=runner: ran.append(cfg) or runner(cfg))
         assert run(["ybe", "--samples", "2", "--no-timestamp",
                     "--report", str(tmp_path / "missing" / "out.json")]) == 2
         assert "error: report:" in capsys.readouterr().err
+        monkeypatch.setenv(cli.REPORT_DIR_ENV, str(tmp_path / "missing"))
+        assert run(["ybe", "--samples", "2", "--no-timestamp"]) == 2
+        assert "error: report:" in capsys.readouterr().err
+        assert ran == []
+        assert not (tmp_path / "missing").exists()
 
     def test_unexpected_exception_exits_four(self, capsys, monkeypatch):
         # a crash is an internal error, never exit 1 (an identity failed)
@@ -285,9 +295,20 @@ class TestReports:
                 if not ln.startswith("#")]
         assert body == []
 
+    def test_verdict_follows_residual_and_tol(self):
+        assert CheckResult("s", "n", {}, 1e-10, 1e-9).passed is True
+        assert CheckResult("s", "n", {}, np.float64(2e-9), 1e-9).passed is False
+        assert not CheckResult("s", "n", {}, float("nan"), 1e-9).passed
+        assert not CheckResult("s", "n", {}, float("inf"), float("inf")).passed
+        assert CheckResult("s", "n", {}, Fraction(0), 0.0, exact=True).passed
+        assert not CheckResult("s", "n", {}, 1e-30, 1.0, exact=True).passed
+
+    def test_exact_suites_ignore_tol(self):
+        cfg = cli.RunConfig(["yangian-tq", "ybe"], {**cli._DEFAULTS, "tol": "0.5"})
+        assert (cfg.tol_for("yangian-tq"), cfg.tol_for("ybe")) == (0.0, 0.5)
+
     def test_failure_records_carry_rerun_data(self):
-        r = CheckResult("ybe", "check", {"z": 0.1 + 0.2j, "seed": 5},
-                        1.0, 1e-9, False)
+        r = CheckResult("ybe", "check", {"z": 0.1 + 0.2j, "seed": 5}, 1.0, 1e-9)
         rec = build_report([r], {})["results"][0]
         assert rec["params"]["seed"] == 5
         assert rec["params"]["z"] == "0.1+0.2i"

@@ -200,9 +200,12 @@ class TestSeries:
             series_add(s1, const_series(0.3, [np.eye(2)]), 2)
 
     def test_scale(self):
-        s = const_series(0.0, [np.eye(2)])
-        scaled = series_scale(s, lambda z, x: z + x)
-        assert np.allclose(scaled.terms[0].eval(0.3, 0.4), 0.7 * np.eye(2))
+        s = const_series(0.0, [np.eye(2), 2 * np.eye(2)])
+        scaled = series_scale(s, 0.7 - 0.2j)
+        assert scaled.alpha0 == s.alpha0
+        for k in range(2):
+            assert np.allclose(scaled.terms[k].eval(0.3, 0.4),
+                               (0.7 - 0.2j) * s.terms[k].eval(0.3, 0.4))
 
     def test_divide_recovers_the_numerator(self):
         rng = np.random.default_rng(7)

@@ -1,8 +1,8 @@
 """Dead-code guard: every top-level function, class and method of the
 package has a use.
 
-A definition is used when its name is read elsewhere in ``src/`` (outside
-its own body), when ``perfbench/tracer.py`` resolves it by name, or when it
+A definition is used when it is read elsewhere in ``src/`` (outside its
+own body), when ``perfbench/tracer.py`` resolves it by name, or when it
 is listed below: a paper relation that awaits a report record, or
 reference code of the tests.  Dunder methods are called by the language
 and count as used.
@@ -35,6 +35,7 @@ AWAITING_RECORD = {
     "yangian.qchar_finite_term": "exact finite-spin q-character term",
     "yangian.qchar_oscillator_term": "exact oscillator q-character term",
     "bethe.yangian_bethe_solve": "two-site Bethe roots of the rational twin",
+    "yangian.product_residual": "exact tensor-product rule of the rational twin",
 }
 
 # Reference code that tests build or compare against, with no reader in the
@@ -47,34 +48,59 @@ TEST_REFERENCES = {
 
 
 def definitions(tree, module):
-    """(qualified name, node) of the top-level functions and classes and
-    of the methods of the top-level classes."""
+    """(qualified name, read key, node) of the top-level functions and
+    classes and of the methods of the top-level classes; the read key of a
+    method is its bare name."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            yield f"{module}.{node.name}", node
+            yield f"{module}.{node.name}", f"{module}.{node.name}", node
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef):
-                    yield f"{module}.{node.name}.{item.name}", item
+                    yield f"{module}.{node.name}.{item.name}", item.name, item
+
+
+def _resolved_reads(module, tree):
+    """(definition, line) for each name this module reads: a bare name is
+    resolved through ``from .other import name`` or else to this module;
+    ``other.name`` resolves through ``from . import other``.  Method
+    definitions stay keyed by their bare name, since the class of an
+    attribute's owner is not known."""
+    imported, modules = {}, {}
+    for n in ast.walk(tree):
+        if isinstance(n, ast.ImportFrom) and n.level == 1:
+            for alias in n.names:
+                local = alias.asname or alias.name
+                if n.module is None:
+                    modules[local] = alias.name
+                else:
+                    imported[local] = f"{n.module}.{alias.name}"
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name):
+            yield imported.get(n.id, f"{module}.{n.id}"), n.lineno
+            yield n.id, n.lineno
+        elif isinstance(n, ast.Attribute):
+            if isinstance(n.value, ast.Name) and n.value.id in modules:
+                yield f"{modules[n.value.id]}.{n.attr}", n.lineno
+            yield n.attr, n.lineno
 
 
 def outside_reads():
     """Qualified name of every non-dunder definition: the number of reads
-    of its name (a bare name or an attribute) in the package outside the
-    lines of its own definition."""
+    of it in the package outside the lines of its own definition.  A
+    module-level definition is read by its own module or through an import
+    of it; a method by any read of its name."""
     trees = {p.stem: ast.parse(p.read_text(encoding="utf-8"))
              for p in sorted(PACKAGE.glob("*.py"))}
     reads: dict[str, list[tuple[str, int]]] = {}
     for module, tree in trees.items():
-        for n in ast.walk(tree):
-            if isinstance(n, (ast.Name, ast.Attribute)):
-                reads.setdefault(n.id if isinstance(n, ast.Name) else n.attr,
-                                 []).append((module, n.lineno))
+        for key, line in _resolved_reads(module, tree):
+            reads.setdefault(key, []).append((module, line))
     return {
-        qualname: sum(1 for m, line in reads.get(node.name, ())
+        qualname: sum(1 for m, line in reads.get(key, ())
                       if m != module or not node.lineno <= line <= node.end_lineno)
         for module, tree in trees.items()
-        for qualname, node in definitions(tree, module)
+        for qualname, key, node in definitions(tree, module)
         if not (node.name.startswith("__") and node.name.endswith("__"))
     }
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from elliptic_baxter.dynamical import ModuleOperator, compose_module_ops
+from elliptic_baxter.dynamical import compose_module_ops
 from elliptic_baxter.modules import (
     HighestWeightData,
     build_asymptotic,
@@ -24,7 +24,6 @@ from elliptic_baxter.theta import (
     EllipticParams,
     SamplePlan,
     ThetaExpression,
-    ThetaSum,
     theta_eval,
 )
 
