@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
+from typing import NamedTuple
 
 import numpy as np
 
@@ -351,6 +353,85 @@ def _zero_table(dim: int) -> list:
 # a packed int that reads back as other, valid digits, so no check on the
 # packed values can see it: exactness rests on each bound being a true
 # bound, which tests check on inputs that attain it.
+#
+# The width and the stride are the layout of a series.  An operation
+# whose inputs share a layout that holds its result computes at that
+# layout with no repacking; otherwise it repacks them at the least layout
+# that does.  A relation (`tq_residual`, `oscillator_comparison`,
+# `product_residual`) composes the bounds of all its operations up front,
+# decodes each input series once and packs every term at the widest of
+# them, so that none of its operations repacks.
+
+class _Shape(NamedTuple):
+    """What the a-priori bounds know of a series: its one denominator,
+    the largest magnitude of its numerators' coefficients, and the outer
+    and inner slots of an entry."""
+
+    den: int
+    bound: int
+    outer: int
+    inner: int
+
+    def times(self, other: "_Shape", terms: int) -> "_Shape":
+        """A sum of `terms` products of an entry of each: a coefficient
+        of one product sums at most min(outer) * min(inner) products of
+        coefficients."""
+        return _Shape(self.den * other.den,
+                      self.bound * other.bound * terms
+                      * min(self.outer, other.outer)
+                      * min(self.inner, other.inner),
+                      self.outer + other.outer - 1,
+                      self.inner + other.inner - 1)
+
+
+class _Map(NamedTuple):
+    """A series made from the digits of another: its shape, and the map
+    from the other's digit rows to its own (see `PSeriesMatrix._decoded`)."""
+
+    shape: _Shape
+    apply: Callable[[list], list]
+
+
+def _common(shapes, bound=max) -> _Shape:
+    """The shapes rescaled to the lcm of their denominators and merged:
+    the most outer and inner slots, and `bound` of the rescaled bounds
+    (`max` for series compared, `sum` for series added)."""
+    den = math.lcm(*(s.den for s in shapes))
+    return _Shape(den, bound(s.bound * (den // s.den) for s in shapes),
+                  max(s.outer for s in shapes), max(s.inner for s in shapes))
+
+
+def _combination(shapes, coeffs) -> tuple:
+    """(shape, [(numerator, rescale)]) of the sum of c * x over scalar
+    polynomials c of `coeffs` and series x of `shapes`: each c a
+    numerator over the coefficients' common denominator, each product
+    rescaled to the result's denominator."""
+    dw = denominator(coeffs)
+    nums = [numerators(c, dw) for c in coeffs]
+    terms = [_scalar_shape(n, dw).times(s, 1) for n, s in zip(nums, shapes)]
+    shape = _common(terms, sum)
+    return shape, [(n, shape.den // t.den) for n, t in zip(nums, terms)]
+
+
+def _layout(series, shape: _Shape) -> tuple:
+    """(width, stride) at which an operation on `series` computes a
+    result of the given shape: the inputs' shared layout when it holds
+    the result, else the least layout that does."""
+    need = _width(shape.bound)
+    shared = {(x._width, x._stride) for x in series}
+    if len(shared) == 1:
+        ((width, stride),) = shared
+        if width >= need and stride >= shape.inner:
+            return width, stride
+    return need, shape.inner
+
+
+def _joint_layout(shapes) -> tuple:
+    """The least (width, stride) that holds every shape: the layout a
+    relation packs its terms at."""
+    return (_width(max(s.bound for s in shapes)),
+            max(s.inner for s in shapes))
+
 
 def _width(bound: int) -> int:
     """Bits per coefficient slot that hold every integer of magnitude at
@@ -373,6 +454,13 @@ def _pack(digits, width: int):
     for d in reversed(digits):
         v = (v << width) + d
     return v
+
+
+def _pack_rows(rows, width: int, stride: int):
+    """The packed value of the digits rows[i][j] of outer slot i and
+    inner slot j < stride."""
+    return _pack([d for row in rows for d in row + [0] * (stride - len(row))],
+                 width)
 
 
 def _inner_slots(values) -> int:
@@ -408,35 +496,38 @@ def _coefficient_rows(values, stride: int) -> np.ndarray:
                     dtype=object)
 
 
-def _shape(v) -> tuple:
-    """(largest coefficient magnitude, outer slots, inner slots) of an
-    int or int-leaf polynomial."""
+def _scalar_shape(v, den: int) -> _Shape:
+    """The shape of an int or int-leaf polynomial as a numerator over
+    `den`."""
     inner = _inner_slots((v,))
-    row = _coefficient_rows((v,), inner)[0]
-    return np.abs(row).max(), len(row) // inner, inner
+    flat = _flatten(v, inner)
+    return _Shape(den, max(map(abs, flat), default=0),
+                  max(1, len(flat) // inner), inner)
 
 
-def _pack_tables(tables) -> tuple:
-    """(num, width, stride, outer slots, bound) of `PSeriesMatrix._set`
-    for tables of ints and int-leaf polynomials."""
+def _pack_tables(tables, den: int) -> tuple:
+    """(num, width, stride, shape) of `PSeriesMatrix._set` for tables of
+    ints and int-leaf polynomials, numerators over `den`."""
     entries = [e for tab in tables for row in tab for e in row]
     stride = _inner_slots(entries)
-    num, *rest = _tight_pack(list(_coefficient_rows(entries, stride).T), stride)
+    num, *rest = _tight_pack(list(_coefficient_rows(entries, stride).T),
+                             stride, den)
     return num.reshape(len(tables), len(tables[0]), len(tables[0])), *rest
 
 
-def _tight_pack(digits, stride: int) -> tuple:
-    """(num, width, stride, outer slots, bound) of the entries whose
+def _tight_pack(digits, stride: int, den: int) -> tuple:
+    """(num, width, stride, shape) of the numerators over `den` whose
     coefficient slots at inner stride `stride` are digits[0], digits[1],
     ..., packed at the least width, stride and outer slot count that
     hold them."""
     used = [k for k, dig in enumerate(digits) if dig.any()] or [0]
-    tight = max(k % stride for k in used) + 1
+    inner = max(k % stride for k in used) + 1
     outer = max(k // stride for k in used) + 1
     bound = max(np.abs(dig).max() for dig in digits)
     width = _width(bound)
-    spread = [digits[i * stride + j] for i in range(outer) for j in range(tight)]
-    return _pack(spread, width), width, tight, outer, bound
+    rows = [digits[i * stride:i * stride + inner] for i in range(outer)]
+    return (_pack_rows(rows, width, inner), width, inner,
+            _Shape(den, bound, outer, inner))
 
 
 class PSeriesMatrix:
@@ -454,27 +545,25 @@ class PSeriesMatrix:
 
     def __init__(self, basis: tuple, tables: list, terminates: bool = False):
         d = denominator(e for tab in tables for row in tab for e in row)
-        self._set(basis, terminates, d, *_pack_tables(
+        self._set(basis, terminates, *_pack_tables(
             [[[numerators(e, d) for e in row] for row in tab]
-             for tab in tables]))
+             for tab in tables], d))
         self._views.update(enumerate(tables))
 
     @classmethod
-    def _packed(cls, basis, terminates, den, num, width, stride, outer,
-                bound) -> "PSeriesMatrix":
+    def _packed(cls, basis, terminates, num, width, stride,
+                shape) -> "PSeriesMatrix":
         self = cls.__new__(cls)
-        self._set(basis, terminates, den, num, width, stride, outer, bound)
+        self._set(basis, terminates, num, width, stride, shape)
         return self
 
-    def _set(self, basis, terminates, den, num, width, stride, outer, bound):
-        """num[k][row][col] is the numerator over `den` of the k-th
+    def _set(self, basis, terminates, num, width, stride, shape):
+        """num[k][row][col] is the numerator over shape.den of the k-th
         coefficient, packed at `width` bits per slot with inner stride
-        `stride`; the entries have at most `outer` outer and `stride`
-        inner slots and coefficients of magnitude at most `bound`."""
+        `stride` (at least shape.inner)."""
         self.basis, self.terminates = basis, terminates
-        self._den, self._num = den, num
-        self._width, self._stride = width, stride
-        self._outer, self._bound = outer, bound
+        self._num, self._width, self._stride = num, width, stride
+        self._shape = shape
         self._views = {}
 
     @property
@@ -499,77 +588,106 @@ class PSeriesMatrix:
         raise IndexError(f"coefficient {k} beyond truncation order {self.order}")
 
     def _unpacked(self, k: int) -> list:
-        s, d = self._stride, self._den
-        digits = [dig.tolist() for dig in
-                  _digits(self._num[k], self._width, self._outer * s)]
+        d = self._shape.den
+        rows = [[dig.tolist() for dig in row]
+                for row in self._decoded(self._num[k])]
 
-        def entry(flat):
-            if s == 1:
-                return Poly(Fraction(c, d) for c in flat)
-            return Poly(Poly(Fraction(c, d) for c in flat[i:i + s])
-                        for i in range(0, len(flat), s))
+        def entry(r, c):
+            if self._shape.inner == 1:
+                return Poly(Fraction(row[0][r][c], d) for row in rows)
+            return Poly(Poly(Fraction(dig[r][c], d) for dig in row)
+                        for row in rows)
 
-        return [[entry([dig[r][c] for dig in digits]) for c in range(self.dim)]
+        return [[entry(r, c) for c in range(self.dim)]
                 for r in range(self.dim)]
+
+    def _decoded(self, num) -> list:
+        """The balanced digits of packed numerators `num` of this series:
+        [i][j] holds the coefficients of outer slot i, inner slot j."""
+        s, inner = self._stride, self._shape.inner
+        flat = _digits(num, self._width, (self._shape.outer - 1) * s + inner)
+        return [flat[i * s:i * s + inner] for i in range(self._shape.outer)]
+
+    def _repacked(self, layout, *maps) -> list:
+        """The series each of `maps` makes from this one's digits, packed
+        at layout = (width, stride); one decode serves them all."""
+        rows = self._decoded(self._num)
+        return [self._packed(self.basis, self.terminates,
+                             _pack_rows(m.apply(rows), *layout), *layout,
+                             m.shape)
+                for m in maps]
 
     def _at(self, width: int, stride: int, order: int):
         """Numerators of coefficients 0..order packed at `width` and
-        `stride` (stride >= the series' own); levels past the stored order
-        of a terminating series are zero."""
+        `stride`; levels past the stored order of a terminating series
+        are zero."""
         if order > self.order and not self.terminates:
             raise IndexError(
                 f"coefficient {order} beyond truncation order {self.order}")
         num = self._num[:order + 1]
         if (width, stride) != (self._width, self._stride):
-            spread = [0] * (self._outer * stride)
-            digits = _digits(num, self._width, self._outer * self._stride)
-            for n, dig in enumerate(digits):
-                i, j = divmod(n, self._stride)
-                spread[i * stride + j] = dig
-            num = _pack(spread, width)
+            num = _pack_rows(self._decoded(num), width, stride)
         if order > self.order:
             pad = np.zeros((order - self.order, self.dim, self.dim),
                            dtype=object)
             num = np.concatenate([num, pad])
         return num
 
-    def shift_var(self, c) -> "PSeriesMatrix":
-        """Taylor shift v -> v + c of every entry: with c = u/w and D the
-        outer degree, w^D p(v + c) has the integer coefficients
+    def _shifted(self, c) -> _Map:
+        """The Taylor shift v -> v + c of every entry: with c = u/w and D
+        the outer degree, w^D p(v + c) has the integer coefficients
         sum_i C(i, k) u^(i-k) w^(D-i+k) p_i, a fixed matrix on the
-        coefficient axis; w^D joins the denominator."""
+        coefficient axis; w^D joins the denominator.  The shift by 0 is
+        the series itself."""
+        if c == 0:
+            return _Map(self._shape, lambda rows: rows)
         c = Fraction(c)
         u, w = c.numerator, c.denominator
-        n, s = self._outer, self._stride
+        n = self._shape.outer
         shift = [[math.comb(i, k) * u ** (i - k) * w ** (n - 1 - i + k)
                   for i in range(k, n)] for k in range(n)]
-        bound = self._bound * max(sum(map(abs, row)) for row in shift)
-        width = _width(bound)
-        digits = _digits(self._num, self._width, n * s)
-        flat = [sum(m * digits[(k + i) * s + j]
-                    for i, m in enumerate(shift[k]))
-                for k in range(n) for j in range(s)]
-        return self._packed(self.basis, self.terminates,
-                            self._den * w ** (n - 1), _pack(flat, width),
-                            width, s, n, bound)
+        shape = self._shape._replace(
+            den=self._shape.den * w ** (n - 1),
+            bound=self._shape.bound * max(sum(map(abs, row)) for row in shift))
+
+        def apply(rows):
+            out = []
+            for k, row in enumerate(shift):
+                terms = [[d if m == 1 else m * d for d in rows[k + i]]
+                         for i, m in enumerate(row) if m]
+                out.append([sum(col[1:], col[0]) for col in zip(*terms)])
+            return out
+
+        return _Map(shape, apply)
+
+    def _coefficient(self, s: int) -> _Map:
+        """The entrywise coefficient of the s-th power of the variable:
+        the inner slots become the outer ones."""
+        shape = self._shape._replace(outer=self._shape.inner, inner=1)
+
+        def apply(rows):
+            if s < len(rows):
+                return [[d] for d in rows[s]]
+            return [[np.zeros_like(rows[0][0])]]
+
+        return _Map(shape, apply)
+
+    def shift_var(self, c) -> "PSeriesMatrix":
+        """Taylor shift v -> v + c of every entry (see `_shifted`)."""
+        m = self._shifted(c)
+        return self._repacked(_layout((self,), m.shape), m)[0]
 
     def coefficient(self, s: int) -> "PSeriesMatrix":
         """Entrywise coefficient of the s-th power of the variable."""
-        stride = self._stride
-        if s < self._outer:
-            digits = _digits(self._num, self._width, (s + 1) * stride)
-            num = _pack(digits[s * stride:], self._width)
-        else:
-            num, stride = np.zeros_like(self._num), 1
-        return self._packed(self.basis, self.terminates, self._den, num,
-                            self._width, 1, stride, self._bound)
+        m = self._coefficient(s)
+        return self._repacked(_layout((self,), m.shape), m)[0]
 
     def times_p(self) -> "PSeriesMatrix":
         """The series multiplied by the grading variable p."""
         zero = np.zeros((1, self.dim, self.dim), dtype=object)
-        return self._packed(self.basis, self.terminates, self._den,
+        return self._packed(self.basis, self.terminates,
                             np.concatenate([zero, self._num]), self._width,
-                            self._stride, self._outer, self._bound)
+                            self._stride, self._shape)
 
     def weighted(self, other: "PSeriesMatrix", a, b) -> "PSeriesMatrix":
         """Entrywise a*x + b*y of two series for scalar polynomials a and
@@ -577,23 +695,24 @@ class PSeriesMatrix:
         their common denominator, x and y rescaled to the lcm of theirs."""
         if self.basis != other.basis:
             raise ValueError("mismatched chain bases")
-        dw = denominator((a, b))
-        den = math.lcm(self._den, other._den)
-        # (scalar numerator, series, rescale, bound, outer, inner slots)
-        terms = [(n, x, den // x._den, *_shape(n)) for n, x in
-                 ((numerators(a, dw), self), (numerators(b, dw), other))]
-        stride = max(inner + x._stride - 1 for _, x, _, _, _, inner in terms)
-        bound = sum(bn * x._bound * scale * min(outer, x._outer)
-                    * min(inner, x._stride)
-                    for _, x, scale, bn, outer, inner in terms)
-        width = _width(bound)
+        shape, terms = _combination((self._shape, other._shape), (a, b))
+        width, stride = _layout((self, other), shape)
         order = min(self.order, other.order)
         num = sum(x._at(width, stride, order)
                   * (_pack(_flatten(n, stride), width) * scale)
-                  for n, x, scale, *_ in terms)
-        outer = max(outer + x._outer - 1 for _, x, _, _, outer, _ in terms)
-        return self._packed(self.basis, False, den * dw, num, width, stride,
-                            outer, bound)
+                  for x, (n, scale) in zip((self, other), terms))
+        return self._packed(self.basis, False, num, width, stride, shape)
+
+    def _top(self, order: int) -> int:
+        """The last coefficient a product to `order` reads of this
+        factor: a terminating series is zero past its stored order."""
+        return min(self.order, order) if self.terminates else order
+
+    def _product(self, other: "PSeriesMatrix", order: int) -> _Shape:
+        """The shape of the truncated product: each coefficient of an
+        entry sums over the inner dimension and the split levels."""
+        levels = min(self._top(order), other._top(order)) + 1
+        return self._shape.times(other._shape, self.dim * levels)
 
     def mul(self, other: "PSeriesMatrix", order: int) -> "PSeriesMatrix":
         """Truncated product to the stated order: per output coefficient,
@@ -602,14 +721,9 @@ class PSeriesMatrix:
         the denominator is the product of the factors'."""
         if self.basis != other.basis:
             raise ValueError("mismatched chain bases")
-        top_a, top_b = (min(x.order, order) if x.terminates else order
-                        for x in (self, other))
-        stride = self._stride + other._stride - 1
-        bound = (self._bound * other._bound * self.dim
-                 * min(self._outer, other._outer)
-                 * min(self._stride, other._stride)
-                 * (min(top_a, top_b) + 1))
-        width = _width(bound)
+        top_a, top_b = self._top(order), other._top(order)
+        shape = self._product(other, order)
+        width, stride = _layout((self, other), shape)
         try:
             fa = self._at(width, stride, top_a)
             fb = other._at(width, stride, top_b)
@@ -624,8 +738,7 @@ class PSeriesMatrix:
             levels.append(sum(prods[1:], prods[0]) if prods else
                           np.zeros((self.dim, self.dim), dtype=object))
         return self._packed(self.basis, self.terminates and other.terminates,
-                            self._den * other._den, np.stack(levels), width,
-                            stride, self._outer + other._outer - 1, bound)
+                            np.stack(levels), width, stride, shape)
 
     def residual(self, other: "PSeriesMatrix", order: int | None = None) -> float:
         """Largest coefficient magnitude of the difference to the stated
@@ -637,19 +750,16 @@ class PSeriesMatrix:
             raise ValueError("mismatched chain bases")
         if order is None:
             order = min(self.order, other.order)
-        den = math.lcm(self._den, other._den)
-        rx, ry = den // self._den, den // other._den
-        stride = max(self._stride, other._stride)
-        width = max(self._width, other._width,
-                    _width(max(self._bound * rx, other._bound * ry)))
-        x = self._at(width, stride, order) * rx
-        y = other._at(width, stride, order) * ry
+        shape = _common((self._shape, other._shape))
+        width, stride = _layout((self, other), shape)
+        x = self._at(width, stride, order) * (shape.den // self._shape.den)
+        y = other._at(width, stride, order) * (shape.den // other._shape.den)
         if (x == y).all():
             return 0.0
-        count = max(self._outer, other._outer) * stride
+        count = shape.outer * stride
         worst = max(np.abs(dx - dy).max() for dx, dy in
                     zip(_digits(x, width, count), _digits(y, width, count)))
-        return exact_residual((Fraction(worst, den),))
+        return exact_residual((Fraction(worst, shape.den),))
 
 
 def yangian_transfer(X: YangianModule, sites,
@@ -747,8 +857,8 @@ def _graded_trace(X: YangianModule, sites, order: int,
     out = []
     for s, basis in enumerate(bases):
         num = traces[sector == s].T.reshape(order + 1, len(basis), len(basis))
-        out.append(PSeriesMatrix._packed(basis, X.exact, denom, *_tight_pack(
-            _digits(num, width, outer * stride), stride)))
+        out.append(PSeriesMatrix._packed(basis, X.exact, *_tight_pack(
+            _digits(num, width, outer * stride), stride, denom)))
     return out
 
 
@@ -844,28 +954,47 @@ def tq_residual(sites, order: int, drop_second_term: bool = False,
               for c in (0, 1))
     if drop_second_term:
         w1 = 0
-
-    def sector(ts, qs):
-        rhs = qs.shift_var(1).weighted(qs.shift_var(-1).times_p(), w0, w1)
-        return ts.mul(qs, order).residual(rhs, order)
-
     if q is None:
         q = yangian_q(sites, order)
-    return max(map(sector, t1, q))
+    return max(_tq_defect(ts, qs, w0, w1, order) for ts, qs in zip(t1, q))
+
+
+def _tq_defect(ts: PSeriesMatrix, qs: PSeriesMatrix, w0, w1,
+               order: int) -> float:
+    """Exact defect of T x Q against w0 x Q(v + 1) + w1 x p x Q(v - 1)
+    to the stated order, on one layout: the widest of the bounds of the
+    two shifts, the product, the weighted sum and the residual.  T and Q
+    are each decoded once, both shifts are taken from Q's digits, and
+    every term is packed once at that layout, so no operation repacks."""
+    same, up, down = (qs._shifted(c) for c in (0, 1, -1))
+    rhs, _ = _combination((up.shape, down.shape), (w0, w1))
+    prod = ts._product(qs, order)
+    layout = _joint_layout((ts._shape, qs._shape, up.shape, down.shape, rhs,
+                            prod, _common((prod, rhs))))
+    (t,) = ts._repacked(layout, ts._shifted(0))
+    q, up, down = qs._repacked(layout, same, up, down)
+    return t.mul(q, order).residual(up.weighted(down.times_p(), w0, w1),
+                                    order)
 
 
 def product_residual(X: YangianModule, Y: YangianModule, sites,
                      order: int) -> float:
     """Transfer matrix of the coproduct module against the product of the
     factors' transfer matrices, exact to the stated order, the largest
-    over the sectors."""
-    return max(
-        tx.mul(ty, order).residual(txy, order)
-        for tx, ty, txy in zip(yangian_transfer(X, sites, order),
-                               yangian_transfer(Y, sites, order),
-                               yangian_transfer(tensor_module(X, Y), sites,
-                                                order))
-    )
+    over the sectors.  Per sector the three series are decoded once and
+    packed at the one layout that holds the product and the residual."""
+
+    def sector(tx, ty, txy):
+        prod = tx._product(ty, order)
+        layout = _joint_layout((tx._shape, ty._shape, txy._shape, prod,
+                                _common((prod, txy._shape))))
+        tx, ty, txy = (x._repacked(layout, x._shifted(0))[0]
+                       for x in (tx, ty, txy))
+        return tx.mul(ty, order).residual(txy, order)
+
+    return max(map(sector, yangian_transfer(X, sites, order),
+                   yangian_transfer(Y, sites, order),
+                   yangian_transfer(tensor_module(X, Y), sites, order)))
 
 
 def oscillator_comparison(sites, order: int,
@@ -874,19 +1003,35 @@ def oscillator_comparison(sites, order: int,
     spin coefficient) x (oscillator transfer matrix); also checks that
     the oscillator leading spin coefficient is the identity at every
     series order.  Returns the largest exact defect.  `q` is
-    `yangian_q(sites, order)`, built here when not given."""
+    `yangian_q(sites, order)`, built here when not given.
+
+    Per sector, Q and the oscillator series are each decoded once, their
+    leading coefficients taken from those digits, and every term packed
+    at the one layout that holds all the bounds; the identity is the
+    packed constant 1 on the diagonal, the same int at any layout."""
     L = len(sites)
     tb = yangian_transfer(
         build_module("oscillator", levels=order + L), sites, order
     )
 
     def sector(s, qs, ts):
-        eye = [[int(r == c) for c in range(qs.dim)] for r in range(qs.dim)]
-        flat = ts.coefficient(s).residual(
-            PSeriesMatrix(ts.basis, [eye] * (order + 1)))
-        lead = qs.coefficient(s)
+        q_same, q_lead = qs._shifted(0), qs._coefficient(s)
+        t_same, t_lead = ts._shifted(0), ts._coefficient(s)
+        damped, _ = _combination((q_lead.shape,) * 2, (1, -1))
+        # neither the weighted sum nor the oscillator series terminates
+        prod = damped.times(ts._shape, ts.dim * (order + 1))
+        one = _Shape(1, 1, 1, 1)
+        layout = _joint_layout((qs._shape, q_lead.shape, ts._shape,
+                                t_lead.shape, damped, prod,
+                                _common((qs._shape, prod)),
+                                _common((t_lead.shape, one))))
+        q, lead = qs._repacked(layout, q_same, q_lead)
+        t, t_lead = ts._repacked(layout, t_same, t_lead)
+        eye = np.array([np.eye(ts.dim, dtype=object)] * (order + 1))
+        flat = t_lead.residual(
+            PSeriesMatrix._packed(ts.basis, False, eye, *layout, one))
         damped = lead.weighted(lead.times_p(), 1, -1)
-        return max(flat, qs.residual(damped.mul(ts, order), order))
+        return max(flat, q.residual(damped.mul(t, order), order))
 
     if q is None:
         q = yangian_q(sites, order)

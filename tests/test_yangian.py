@@ -692,6 +692,28 @@ class TestPackedSeries:
         assert [block.tables for block in got] != \
             [oracle_block(trace, s) for s in range(len(got))]
 
+    def tight_relation(self):
+        # the TQ shape on `tight` inputs: the product attains its bound,
+        # the largest of the relation's, which sets the one layout
+        x, order = self.tight(2**40 - 1)
+        a = Poly((2**20 - 1,) * 3)
+        down = fraction_shift(x, -1)
+        rhs = entrywise_combine(
+            fraction_shift(x, 1),
+            PSeriesMatrix(x.basis, [[[Poly()] * x.dim] * x.dim] + down.tables),
+            lambda u, v: u * a - v * a)
+        ref = fraction_residual(fraction_mul(x, x, order), rhs, order)
+        return lambda: yangian._tq_defect(x, x, a, -a, order), ref
+
+    def test_relation_layout_holds_attained_bounds(self):
+        relation, ref = self.tight_relation()
+        assert relation() == ref > 0
+
+    def test_narrow_relation_layout_is_detected(self, monkeypatch):
+        relation, ref = self.tight_relation()
+        monkeypatch.setattr(yangian, "_width", lambda bound: bound.bit_length())
+        assert relation() != ref
+
     def test_three_variables_rejected(self):
         deep = Poly((Poly((Poly((1, 2)),)),))
         with pytest.raises(ValueError):
@@ -868,6 +890,59 @@ class TestFunctionalRelations:
 
     def test_oscillator_comparison_three_sites(self):
         assert oscillator_comparison((F(2, 3), F(-5, 7), F(9, 4)), 4) == 0.0
+
+
+class TestRelationLayout:
+    """Each relation decodes its input series once per sector and packs
+    its terms at one layout, so its series operations repack nothing."""
+
+    SITES = ORACLE_SITES
+    X = build_module("ladder", spin=F(5, 3), levels=7)
+    Y = build_module("ladder", spin=F(-1, 2), shift=F(1, 5), levels=7)
+
+    # (relation, decodes per sector: one per transfer series the relation
+    # builds, then one per series it relates)
+    @pytest.mark.parametrize("relation, decodes", [
+        (lambda q: tq_residual(ORACLE_SITES, 3, q=q), 1 + 2),
+        (lambda q: oscillator_comparison(ORACLE_SITES, 3, q=q), 1 + 2),
+        (lambda q: product_residual(TestRelationLayout.X,
+                                    TestRelationLayout.Y, ORACLE_SITES, 3),
+         3 + 3),
+    ], ids=["tq", "oscillator", "product"])
+    def test_decode_count(self, monkeypatch, relation, decodes):
+        q = yangian_q(self.SITES, 3)
+        calls, inside = [], []
+        digits, pack = yangian._digits, yangian._pack
+
+        def spy_digits(v, width, count):
+            calls.append(("digits", bool(inside)))
+            return digits(v, width, count)
+
+        def spy_pack(values, width):
+            # packs of series coefficients, not of scalars or offsets
+            if any(isinstance(d, np.ndarray) for d in values):
+                calls.append(("pack", bool(inside)))
+            return pack(values, width)
+
+        def traced(op):
+            def run(*args, **kwargs):
+                inside.append(op)
+                try:
+                    return op(*args, **kwargs)
+                finally:
+                    inside.pop()
+            return run
+
+        monkeypatch.setattr(yangian, "_digits", spy_digits)
+        monkeypatch.setattr(yangian, "_pack", spy_pack)
+        for name in ("mul", "weighted", "residual"):
+            monkeypatch.setattr(PSeriesMatrix, name,
+                                traced(getattr(PSeriesMatrix, name)))
+        assert relation(q) == 0.0
+        sectors = len(self.SITES) + 1
+        assert calls.count(("digits", False)) == decodes * sectors
+        assert ("digits", True) not in calls
+        assert ("pack", True) not in calls
 
 
 class TestEigenExample:
