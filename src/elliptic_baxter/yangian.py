@@ -14,12 +14,13 @@ from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product as iproduct
 from typing import NamedTuple
 
 import numpy as np
 
-from .dynamical import contraction_plan, graded_trace
+from .dynamical import block_graded_trace, contraction_plan
 from .polyring import (
     Poly,
     RatFn,
@@ -333,6 +334,18 @@ def sector_basis(L: int, s: int) -> tuple:
     """The strings of `chain_basis(L)` with s indices equal to 1, in that
     order: the basis of the weight sector s."""
     return tuple(string for string in chain_basis(L) if string.count(1) == s)
+
+
+@lru_cache(maxsize=8)
+def _sector_pairs(L: int) -> tuple:
+    """(bases, pairs, sector) of the trace of an L-site chain: the
+    `sector_basis` of every sector, the same-sector string pairs (rows in
+    `chain_basis(L)` order) and the sector of each pair, read-only."""
+    bases = tuple(sector_basis(L, s) for s in range(L + 1))
+    pairs = tuple((i, j) for i in chain_basis(L) for j in bases[i.count(1)])
+    sector = np.array([i.count(1) for i, _ in pairs])
+    sector.flags.writeable = False
+    return bases, pairs, sector
 
 
 def _zero_table(dim: int) -> list:
@@ -789,16 +802,16 @@ def _graded_trace(X: YangianModule, sites, order: int,
     """The trace of `yangian_transfer`, with at(p, a) the value of the
     module entry p at the site a.
 
-    `dynamical.graded_trace` over the same-sector string pairs, on
-    Kronecker-packed ints: each site's entries are cleared over one
-    denominator and packed at one width and stride for the whole
-    contraction.  Each output coefficient is a sum of level-dimension
-    many diagonal entries of the site product, so its magnitude is at
-    most the largest level dimension times the product over sites of the
-    largest row sum of the entries' coefficient l1 norms (the l1 norm is
-    submultiplicative); the inner degrees add up the same way.  Each
-    sector is then repacked at its own tight width, stride and outer slot
-    count, read from the digits."""
+    `dynamical.block_graded_trace` over the same-sector string pairs, on
+    the level blocks of Kronecker-packed ints: each site's entries are
+    cleared over one denominator and packed at one width and stride for
+    the whole contraction.  Each output coefficient is a sum of
+    level-dimension many diagonal entries of the site product, so its
+    magnitude is at most the largest level dimension times the product
+    over sites of the largest row sum of the entries' coefficient l1
+    norms (the l1 norm is submultiplicative); the inner degrees add up
+    the same way.  Each sector is then repacked at its own tight width,
+    stride and outer slot count, read from the digits."""
     L = len(sites)
     if L < 1:
         raise ValueError("need at least one site")
@@ -813,15 +826,16 @@ def _graded_trace(X: YangianModule, sites, order: int,
             f"truncation too shallow: order {order} with {L} sites needs "
             f"at least {order + L} levels, module has {X.levels}"
         )
-    bases = [sector_basis(L, s) for s in range(L + 1)]
-    pairs = tuple((i, j) for i in chain_basis(L) for j in bases[i.count(1)])
+    bases, pairs, sector = _sector_pairs(L)
     plan = contraction_plan(pairs, (1, 2))
     labels = sorted(X.basis, key=X.weight.__getitem__)
     pos = {lab: n for n, lab in enumerate(labels)}
     # levels past the module's top (a finite module) trace to zero
     top = min(order, X.weight[labels[-1]])
+    # the offsets of all the module's levels: a prefix of the contraction
+    # passes through levels above the traced ones
     levels = [sum(X.weight[lab] < k for lab in labels)
-              for k in range(top + 2)]
+              for k in range(X.weight[labels[-1]] + 2)]
     n = len(labels)
     # T_ab e_lab = ... + p e_lab2 is entry (lab2, lab) of the ab matrix
     cells = [(2 * ab[0] + ab[1] - 3, pos[lab2], pos[lab], p)
@@ -842,18 +856,17 @@ def _graded_trace(X: YangianModule, sites, order: int,
         shapes.append((inner, flat.shape[1] // inner, row_l1.max()))
     inner, slots, row_l1 = zip(*shapes)
     stride, outer = sum(inner) - L + 1, sum(slots) - L + 1
-    width = _width(int(max(np.diff(levels))) * math.prod(row_l1))
-    m = np.zeros((L, 4, n, n), dtype=object)
+    width = _width(int(max(np.diff(levels[:top + 2]))) * math.prod(row_l1))
+    values = np.empty((L, len(cells)), dtype=object)
     for l, site in enumerate(nums):
-        packed = _pack(list(_coefficient_rows(site, stride).T), width)
-        for (key, r, c, _), v in zip(cells, packed):
-            m[l, key, r, c] += v
+        values[l] = _pack(list(_coefficient_rows(site, stride).T), width)
+    nonzeros = [(key * n + r) * n + c for key, r, c, _ in cells]
     # the exact entries do not depend on the shift: each grid point takes
-    # its site's matrices
+    # its site's values
     traces = np.zeros((len(pairs), order + 1), dtype=object)
-    traces[:, :top + 1] = graded_trace(m[plan[0][:, 0]], plan, levels)
+    traces[:, :top + 1] = block_graded_trace(values[plan[0][:, 0]], nonzeros,
+                                             levels, plan, top + 1)
     denom = math.prod(dens)
-    sector = np.array([i.count(1) for i, _ in pairs])
     out = []
     for s, basis in enumerate(bases):
         num = traces[sector == s].T.reshape(order + 1, len(basis), len(basis))

@@ -9,8 +9,10 @@ from elliptic_baxter.dynamical import (
     SingularityError,
     TermMatrix,
     WeightBasis,
+    block_graded_trace,
     cmatmul,
     compose_module_ops,
+    contraction_plan,
     invert_weightwise,
     series_add,
     series_compose,
@@ -42,6 +44,16 @@ class TestWeightBasis:
     def test_rejects_empty_level(self):
         with pytest.raises(ShapeError):
             WeightBasis(0.0, (1, 0, 1))
+
+
+class TestBlockGradedTrace:
+    def test_mixed_level_shift_rejected(self):
+        # one key whose entries keep level 0 and also raise it to level 1
+        plan = contraction_plan((((1,), (1,)),), (1, 2))
+        values = np.array([[1, 2**70]], dtype=object)
+        slots = [(0 * 3 + 0) * 3 + 0, (0 * 3 + 1) * 3 + 0]
+        with pytest.raises(ValueError, match="key 0"):
+            block_graded_trace(values, slots, [0, 1, 2, 3], plan, 1)
 
 
 class TestComposeModuleOps:

@@ -9,6 +9,7 @@ import pytest
 
 from elliptic_baxter import dynamical, transfer
 from elliptic_baxter.dynamical import (
+    block_graded_trace,
     compose_module_ops,
     graded_trace,
     series_add,
@@ -139,9 +140,28 @@ class TestGradedTraceContraction:
             got = np.array([t.terms[k].eval(z, x) for k in range(order + 1)])
             assert np.abs(got - r).max() <= 1e-13 * np.abs(r).max()
 
+    @pytest.mark.parametrize("L", [2, 4, 6])
+    @pytest.mark.parametrize("name", ["ladder", "tensor", "socle", "one-dim"])
+    def test_block_trace_matches_dense_contraction(self, name, L):
+        # the level-block contraction on complex entries, against the
+        # dense one, relative to the largest trace
+        X, order = oracle_module(name)
+        sites = (A1, A2, A1 + 0.13, A2 - 0.11j, A1 - 0.21j, A2 + 0.17)[:L]
+        trace = _GradedTrace(X, QuantumSpace(sites, P), order)
+        z, x = PTS[0]
+        m = X.entry_matrices(z + trace.z_off, x + trace.x_off)
+        ref = graded_trace(m, trace.plan, trace.levels)
+        got = block_graded_trace(
+            m.reshape(len(m), -1)[:, X.nonzeros], X.nonzeros,
+            [X.basis.offset(k) for k in range(X.basis.levels + 2)],
+            trace.plan, order + 1)
+        assert np.abs(ref).max() > 0
+        assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
+
     def test_batch_size_does_not_change_the_traces(self, monkeypatch):
         # one prefix per batched matmul against the default single batch,
-        # on the complex entries and on the exact twin's packed ints
+        # on the complex entries; the exact twin's level-block contraction
+        # makes no batches, so its tables must not move either
         space = QuantumSpace((A1, A2, A1 + 0.13, A2 - 0.11j), P)
         X = dynamical_tensor(build_asymptotic(1.1 + 0.2j, 0.0, 4, P),
                              build_asymptotic(0.6 - 0.3j, 0.3, 4, P), max_level=4)

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from elliptic_baxter import yangian
+from elliptic_baxter import dynamical, yangian
 from elliptic_baxter.polyring import (
     Poly,
     RatFn,
@@ -409,6 +409,41 @@ ORACLE_MODULES = {
         build_module("finite", spin=1),
         build_module("ladder", spin=F(-1, 2), levels=ORACLE_ORDER + L)),
 }
+
+
+class TestBlockTrace:
+    """The exact twin's level-block contraction against the dense
+    `dynamical.graded_trace` on the same packed entries."""
+
+    SITES = ORACLE_SITES + (F(3, 5), F(7, 2))
+
+    @pytest.mark.parametrize("L", range(1, 7))
+    @pytest.mark.parametrize("kind", sorted(ORACLE_MODULES) + ["q"])
+    def test_equals_dense_contraction(self, monkeypatch, kind, L):
+        seen = []
+
+        def spy(values, slots, levels, plan, traced):
+            got = dynamical.block_graded_trace(values, slots, levels, plan,
+                                               traced)
+            seen.append((values, slots, levels, plan, traced, got))
+            return got
+
+        monkeypatch.setattr(yangian, "block_graded_trace", spy)
+        sites = self.SITES[:L]
+        if kind == "q":
+            yangian_q(sites, ORACLE_ORDER)
+        else:
+            yangian_transfer(ORACLE_MODULES[kind](L), sites, ORACLE_ORDER)
+        ((values, slots, levels, plan, traced, got),) = seen
+        # the dense entry matrices of the same packed values
+        n = levels[-1]
+        m = np.zeros((len(values), 4 * n * n), dtype=object)
+        np.add.at(m, (slice(None), slots), values)
+        ref = dynamical.graded_trace(m.reshape(-1, 4, n, n), plan,
+                                     levels[:traced + 1])
+        assert got.shape == ref.shape and any(v != 0 for v in ref.flat)
+        assert all(type(v) is int for v in got.flat)
+        assert (got == ref).all()
 
 
 class TestTransfer:

@@ -30,7 +30,10 @@ SITES = ("2/3", "-5/7", "9/4", "-1/6", "3/5", "7/2", "5/4", "-4/9")
 CHAINS = ((6, 2), (6, 3), (8, 2), (8, 3))
 INTERCHANGE_DEPTHS = (6, 10)
 CLI_JOBS = (("yangian-tq", 8, 3), ("yangian-all", 4, 3))
-REPEATS = 3
+# Medians of nine repeats: on a shared 2-core host, jobs under 0.1 s read
+# 0.86-1.14x between identical code with three, and jobs of 2-8 ms still
+# 0.93-1.05x with nine.
+REPEATS = 9
 
 _IN_PROCESS = """
 import time

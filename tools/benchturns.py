@@ -8,7 +8,8 @@ not read off one run that the host happened to slow down.  The later runs
 find the interpreter warm: its imports done and the package's module-level
 caches (such as ``dynamical.contraction_plan``) filled.  Within every
 repeat the checkouts take turns on each job, so a busy host slows them
-alike, and the medians over the repeats are reported.
+alike; the order of the turns is reversed every other repeat, and the
+medians over the repeats are reported.
 """
 
 from __future__ import annotations
@@ -85,11 +86,14 @@ def run(src: str, code: str, args) -> dict:
 
 
 def take_turns(checkouts: dict[str, str], jobs, repeats: int) -> dict:
-    """Runs of every (name, code, args) job, as {label: {name: [run, ...]}}."""
+    """Runs of every (name, code, args) job, as {label: {name: [run, ...]}}.
+    The checkouts run each job in turn, in reversed order every other
+    repeat, so that neither always runs first."""
     runs = {label: {} for label in checkouts}
-    for _ in range(repeats):
+    order = list(checkouts.items())
+    for repeat in range(repeats):
         for name, code, args in jobs:
-            for label, src in checkouts.items():
+            for label, src in order if repeat % 2 == 0 else order[::-1]:
                 runs[label].setdefault(name, []).append(run(src, code, args))
     return runs
 
