@@ -11,16 +11,25 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
-from typing import NamedTuple
 
 import numpy as np
 
+from . import packed
 from .dynamical import block_graded_trace, contraction_plan
+from .packed import (
+    Identity,
+    Lead,
+    Product,
+    PSeriesMatrix,
+    Residual,
+    Shift,
+    TimesP,
+    Weighted,
+)
 from .polyring import (
     Poly,
     RatFn,
@@ -237,7 +246,7 @@ def rtt_residual(X: YangianModule) -> float:
     R(z - w) T1(z) T2(w) = T2(w) T1(z) R(z - w) applied to all
     truncation-safe basis vectors of the two-fold auxiliary space.
 
-    The sparse state walk runs on Kronecker-packed ints (see `_width`):
+    The sparse state walk runs on Kronecker-packed ints (see `packed`):
     the module's entries are cleared over one denominator d, and each
     state value is a polynomial in z, w and, for a symbolic-spin module,
     the spin variable (innermost), stored as its value at 2^width.  The
@@ -261,14 +270,14 @@ def rtt_residual(X: YangianModule) -> float:
              for lab, rows in table.items() for lab2, p in rows]
     d = denominator(p for *_, p in cells)
     entries = [numerators(p, d) for *_, p in cells]
-    inner = _inner_slots(entries)
-    flat = _coefficient_rows(entries, inner)
+    inner = packed.inner_slots(entries)
+    flat = packed.coefficient_rows(entries, inner)
     outer = flat.shape[1] // inner
     mu = np.abs(flat).max(axis=1)
     row = {}
     for (ab, _, lab2, _), m in zip(cells, mu):
         row[ab, lab2] = row.get((ab, lab2), 0) + m
-    width = _width(3 * inner * max(row.values()) * max(mu))
+    width = packed.slot_width(3 * inner * max(row.values()) * max(mu))
     # slot strides: the spin variable (degree below 2 * inner - 1), then
     # w and z (degree below outer in an entry, plus one from R)
     ws = 2 * inner - 1
@@ -280,7 +289,7 @@ def rtt_residual(X: YangianModule) -> float:
     for (ab, lab, lab2, _), p in zip(cells, entries):
         for slot, stride in ((0, zs), (1, ws)):
             tables[slot][ab].setdefault(lab, []).append(
-                (lab2, _pack(_flatten(p, stride), width)))
+                (lab2, packed.pack(packed.flatten(p, stride), width)))
     rc = {ab: {cd: sum(c << (width * (i * zs + j * ws)) for c, i, j in terms)
                for cd, terms in col.items()}
           for ab, col in _RTT_R.items()}
@@ -314,7 +323,8 @@ def rtt_residual(X: YangianModule) -> float:
                     x, y = lhs.get(key, 0), rhs.get(key, 0)
                     if x != y:
                         worst = max(worst, *(abs(dx - dy) for dx, dy in zip(
-                            _digits(x, width, count), _digits(y, width, count))))
+                            packed.digits(x, width, count),
+                            packed.digits(y, width, count))))
     return exact_residual((Fraction(worst, d * d),))
 
 
@@ -346,433 +356,6 @@ def _sector_pairs(L: int) -> tuple:
     sector = np.array([i.count(1) for i, _ in pairs])
     sector.flags.writeable = False
     return bases, pairs, sector
-
-
-def _zero_table(dim: int) -> list:
-    return [[Poly() for _ in range(dim)] for _ in range(dim)]
-
-
-# A series entry is a polynomial with integer coefficients over the
-# series' one denominator, stored as its value at X = 2^width: one Python
-# int (Kronecker substitution).  An entry in two variables, sum c_ij x^i y^j
-# with y the inner (coefficient-ring) variable, is stored as
-# sum c_ij X^(i*stride + j).  Evaluation at X is a ring homomorphism, so
-# sums, integer multiples and products of entries are sums, multiples and
-# products of ints, and a matrix product is one object-array matmul.  The
-# coefficients read back as balanced digits, which is exact only while each
-# of them has magnitude below 2^(width-1): every operation takes the width
-# of its result from an a-priori bound on the result's coefficients.  A
-# coefficient too large for its slot carries into the next slot and leaves
-# a packed int that reads back as other, valid digits, so no check on the
-# packed values can see it: exactness rests on each bound being a true
-# bound, which tests check on inputs that attain it.
-#
-# The width and the stride are the layout of a series.  An operation
-# whose inputs share a layout that holds its result computes at that
-# layout with no repacking; otherwise it repacks them at the least layout
-# that does.  A relation (`tq_residual`, `oscillator_comparison`,
-# `product_residual`) composes the bounds of all its operations up front,
-# decodes each input series once and packs every term at the widest of
-# them, so that none of its operations repacks.
-
-class _Shape(NamedTuple):
-    """What the a-priori bounds know of a series: its one denominator,
-    the largest magnitude of its numerators' coefficients, and the outer
-    and inner slots of an entry."""
-
-    den: int
-    bound: int
-    outer: int
-    inner: int
-
-    def times(self, other: "_Shape", terms: int) -> "_Shape":
-        """A sum of `terms` products of an entry of each: a coefficient
-        of one product sums at most min(outer) * min(inner) products of
-        coefficients."""
-        return _Shape(self.den * other.den,
-                      self.bound * other.bound * terms
-                      * min(self.outer, other.outer)
-                      * min(self.inner, other.inner),
-                      self.outer + other.outer - 1,
-                      self.inner + other.inner - 1)
-
-
-class _Map(NamedTuple):
-    """A series made from the digits of another: its shape, and the map
-    from the other's digit rows to its own (see `PSeriesMatrix._decoded`)."""
-
-    shape: _Shape
-    apply: Callable[[list], list]
-
-
-def _common(shapes, bound=max) -> _Shape:
-    """The shapes rescaled to the lcm of their denominators and merged:
-    the most outer and inner slots, and `bound` of the rescaled bounds
-    (`max` for series compared, `sum` for series added)."""
-    den = math.lcm(*(s.den for s in shapes))
-    return _Shape(den, bound(s.bound * (den // s.den) for s in shapes),
-                  max(s.outer for s in shapes), max(s.inner for s in shapes))
-
-
-def _combination(shapes, coeffs) -> tuple:
-    """(shape, [(numerator, rescale)]) of the sum of c * x over scalar
-    polynomials c of `coeffs` and series x of `shapes`: each c a
-    numerator over the coefficients' common denominator, each product
-    rescaled to the result's denominator."""
-    dw = denominator(coeffs)
-    nums = [numerators(c, dw) for c in coeffs]
-    terms = [_scalar_shape(n, dw).times(s, 1) for n, s in zip(nums, shapes)]
-    shape = _common(terms, sum)
-    return shape, [(n, shape.den // t.den) for n, t in zip(nums, terms)]
-
-
-def _layout(series, shape: _Shape) -> tuple:
-    """(width, stride) at which an operation on `series` computes a
-    result of the given shape: the inputs' shared layout when it holds
-    the result, else the least layout that does."""
-    need = _width(shape.bound)
-    shared = {(x._width, x._stride) for x in series}
-    if len(shared) == 1:
-        ((width, stride),) = shared
-        if width >= need and stride >= shape.inner:
-            return width, stride
-    return need, shape.inner
-
-
-def _joint_layout(shapes) -> tuple:
-    """The least (width, stride) that holds every shape: the layout a
-    relation packs its terms at."""
-    return (_width(max(s.bound for s in shapes)),
-            max(s.inner for s in shapes))
-
-
-def _width(bound: int) -> int:
-    """Bits per coefficient slot that hold every integer of magnitude at
-    most `bound` as a balanced digit."""
-    return bound.bit_length() + 1
-
-
-def _digits(v, width: int, count: int) -> list:
-    """The lowest `count` balanced digits base 2^width of an int, or of
-    every int of an object array at once."""
-    half, mask = 1 << (width - 1), (1 << width) - 1
-    # offset every digit by half: the offset value's plain digits
-    u = v + _pack([half] * count, width)
-    return [((u >> (width * n)) & mask) - half for n in range(count)]
-
-
-def _pack(digits, width: int):
-    """Inverse of `_digits`: the sum of digits[n] * 2^(width*n)."""
-    v = 0
-    for d in reversed(digits):
-        v = (v << width) + d
-    return v
-
-
-def _pack_rows(rows, width: int, stride: int):
-    """The packed value of the digits rows[i][j] of outer slot i and
-    inner slot j < stride."""
-    return _pack([d for row in rows for d in row + [0] * (stride - len(row))],
-                 width)
-
-
-def _inner_slots(values) -> int:
-    """Slots of the inner variable among ints and int-leaf polynomials in
-    at most two variables."""
-    inner = [c for v in values if isinstance(v, Poly) for c in v.coeffs
-             if isinstance(c, Poly)]
-    if any(isinstance(leaf, Poly) for c in inner for leaf in c.coeffs):
-        raise ValueError("series entries have at most two variables")
-    return max((len(c.coeffs) for c in inner), default=1) or 1
-
-
-def _flatten(v, stride: int) -> list:
-    """Coefficients of an int or int-leaf polynomial, the inner variable's
-    at offsets below `stride`."""
-    if not isinstance(v, Poly):
-        return [v]
-    flat = [0] * (len(v.coeffs) * stride)
-    for i, c in enumerate(v.coeffs):
-        if isinstance(c, Poly):
-            flat[i * stride:i * stride + len(c.coeffs)] = c.coeffs
-        else:
-            flat[i * stride] = c
-    return flat
-
-
-def _coefficient_rows(values, stride: int) -> np.ndarray:
-    """One row per value: its coefficients as from `_flatten`, padded
-    with zeros to the same whole number of outer slots."""
-    flat = [_flatten(v, stride) for v in values]
-    count = max(stride, max(map(len, flat)))
-    return np.array([f + [0] * (count - len(f)) for f in flat],
-                    dtype=object)
-
-
-def _scalar_shape(v, den: int) -> _Shape:
-    """The shape of an int or int-leaf polynomial as a numerator over
-    `den`."""
-    inner = _inner_slots((v,))
-    flat = _flatten(v, inner)
-    return _Shape(den, max(map(abs, flat), default=0),
-                  max(1, len(flat) // inner), inner)
-
-
-def _pack_tables(tables, den: int) -> tuple:
-    """(num, width, stride, shape) of `PSeriesMatrix._set` for tables of
-    ints and int-leaf polynomials, numerators over `den`."""
-    entries = [e for tab in tables for row in tab for e in row]
-    stride = _inner_slots(entries)
-    num, *rest = _tight_pack(list(_coefficient_rows(entries, stride).T),
-                             stride, den)
-    return num.reshape(len(tables), len(tables[0]), len(tables[0])), *rest
-
-
-def _tight_pack(digits, stride: int, den: int) -> tuple:
-    """(num, width, stride, shape) of the numerators over `den` whose
-    coefficient slots at inner stride `stride` are digits[0], digits[1],
-    ..., packed at the least width, stride and outer slot count that
-    hold them."""
-    used = [k for k, dig in enumerate(digits) if dig.any()] or [0]
-    inner = max(k % stride for k in used) + 1
-    outer = max(k // stride for k in used) + 1
-    bound = max(np.abs(dig).max() for dig in digits)
-    width = _width(bound)
-    rows = [digits[i * stride:i * stride + inner] for i in range(outer)]
-    return (_pack_rows(rows, width, inner), width, inner,
-            _Shape(den, bound, outer, inner))
-
-
-class PSeriesMatrix:
-    """Truncated power series of matrices with polynomial entries;
-    tables[k][row][col] is the k-th coefficient.  `terminates` marks a
-    series known to be a polynomial of the stored order.
-
-    The entries are held as Kronecker-packed integer numerators over one
-    denominator (see `_width`); `tables` and `get` are views unpacked to
-    Fraction polynomials once per coefficient, on first read.  The views
-    are for reading: the series operations read the packed numerators
-    only, so an entry written into a view would be seen by readers of the
-    view and by no series operation.  A changed series is built through
-    the constructor."""
-
-    def __init__(self, basis: tuple, tables: list, terminates: bool = False):
-        d = denominator(e for tab in tables for row in tab for e in row)
-        self._set(basis, terminates, *_pack_tables(
-            [[[numerators(e, d) for e in row] for row in tab]
-             for tab in tables], d))
-        self._views.update(enumerate(tables))
-
-    @classmethod
-    def _packed(cls, basis, terminates, num, width, stride,
-                shape) -> "PSeriesMatrix":
-        self = cls.__new__(cls)
-        self._set(basis, terminates, num, width, stride, shape)
-        return self
-
-    def _set(self, basis, terminates, num, width, stride, shape):
-        """num[k][row][col] is the numerator over shape.den of the k-th
-        coefficient, packed at `width` bits per slot with inner stride
-        `stride` (at least shape.inner)."""
-        self.basis, self.terminates = basis, terminates
-        self._num, self._width, self._stride = num, width, stride
-        self._shape = shape
-        self._views = {}
-
-    @property
-    def order(self) -> int:
-        return len(self._num) - 1
-
-    @property
-    def dim(self) -> int:
-        return self._num.shape[1]
-
-    @property
-    def tables(self) -> list:
-        return [self.get(k) for k in range(self.order + 1)]
-
-    def get(self, k: int):
-        if k <= self.order:
-            if k not in self._views:
-                self._views[k] = self._unpacked(k)
-            return self._views[k]
-        if self.terminates:
-            return _zero_table(self.dim)
-        raise IndexError(f"coefficient {k} beyond truncation order {self.order}")
-
-    def _unpacked(self, k: int) -> list:
-        d = self._shape.den
-        rows = [[dig.tolist() for dig in row]
-                for row in self._decoded(self._num[k])]
-
-        def entry(r, c):
-            if self._shape.inner == 1:
-                return Poly(Fraction(row[0][r][c], d) for row in rows)
-            return Poly(Poly(Fraction(dig[r][c], d) for dig in row)
-                        for row in rows)
-
-        return [[entry(r, c) for c in range(self.dim)]
-                for r in range(self.dim)]
-
-    def _decoded(self, num) -> list:
-        """The balanced digits of packed numerators `num` of this series:
-        [i][j] holds the coefficients of outer slot i, inner slot j."""
-        s, inner = self._stride, self._shape.inner
-        flat = _digits(num, self._width, (self._shape.outer - 1) * s + inner)
-        return [flat[i * s:i * s + inner] for i in range(self._shape.outer)]
-
-    def _repacked(self, layout, *maps) -> list:
-        """The series each of `maps` makes from this one's digits, packed
-        at layout = (width, stride); one decode serves them all."""
-        rows = self._decoded(self._num)
-        return [self._packed(self.basis, self.terminates,
-                             _pack_rows(m.apply(rows), *layout), *layout,
-                             m.shape)
-                for m in maps]
-
-    def _at(self, width: int, stride: int, order: int):
-        """Numerators of coefficients 0..order packed at `width` and
-        `stride`; levels past the stored order of a terminating series
-        are zero."""
-        if order > self.order and not self.terminates:
-            raise IndexError(
-                f"coefficient {order} beyond truncation order {self.order}")
-        num = self._num[:order + 1]
-        if (width, stride) != (self._width, self._stride):
-            num = _pack_rows(self._decoded(num), width, stride)
-        if order > self.order:
-            pad = np.zeros((order - self.order, self.dim, self.dim),
-                           dtype=object)
-            num = np.concatenate([num, pad])
-        return num
-
-    def _shifted(self, c) -> _Map:
-        """The Taylor shift v -> v + c of every entry: with c = u/w and D
-        the outer degree, w^D p(v + c) has the integer coefficients
-        sum_i C(i, k) u^(i-k) w^(D-i+k) p_i, a fixed matrix on the
-        coefficient axis; w^D joins the denominator.  The shift by 0 is
-        the series itself."""
-        if c == 0:
-            return _Map(self._shape, lambda rows: rows)
-        c = Fraction(c)
-        u, w = c.numerator, c.denominator
-        n = self._shape.outer
-        shift = [[math.comb(i, k) * u ** (i - k) * w ** (n - 1 - i + k)
-                  for i in range(k, n)] for k in range(n)]
-        shape = self._shape._replace(
-            den=self._shape.den * w ** (n - 1),
-            bound=self._shape.bound * max(sum(map(abs, row)) for row in shift))
-
-        def apply(rows):
-            out = []
-            for k, row in enumerate(shift):
-                terms = [[d if m == 1 else m * d for d in rows[k + i]]
-                         for i, m in enumerate(row) if m]
-                out.append([sum(col[1:], col[0]) for col in zip(*terms)])
-            return out
-
-        return _Map(shape, apply)
-
-    def _coefficient(self, s: int) -> _Map:
-        """The entrywise coefficient of the s-th power of the variable:
-        the inner slots become the outer ones."""
-        shape = self._shape._replace(outer=self._shape.inner, inner=1)
-
-        def apply(rows):
-            if s < len(rows):
-                return [[d] for d in rows[s]]
-            return [[np.zeros_like(rows[0][0])]]
-
-        return _Map(shape, apply)
-
-    def shift_var(self, c) -> "PSeriesMatrix":
-        """Taylor shift v -> v + c of every entry (see `_shifted`)."""
-        m = self._shifted(c)
-        return self._repacked(_layout((self,), m.shape), m)[0]
-
-    def coefficient(self, s: int) -> "PSeriesMatrix":
-        """Entrywise coefficient of the s-th power of the variable."""
-        m = self._coefficient(s)
-        return self._repacked(_layout((self,), m.shape), m)[0]
-
-    def times_p(self) -> "PSeriesMatrix":
-        """The series multiplied by the grading variable p."""
-        zero = np.zeros((1, self.dim, self.dim), dtype=object)
-        return self._packed(self.basis, self.terminates,
-                            np.concatenate([zero, self._num]), self._width,
-                            self._stride, self._shape)
-
-    def weighted(self, other: "PSeriesMatrix", a, b) -> "PSeriesMatrix":
-        """Entrywise a*x + b*y of two series for scalar polynomials a and
-        b, to the lower stored order, on packed numerators: a and b over
-        their common denominator, x and y rescaled to the lcm of theirs."""
-        if self.basis != other.basis:
-            raise ValueError("mismatched chain bases")
-        shape, terms = _combination((self._shape, other._shape), (a, b))
-        width, stride = _layout((self, other), shape)
-        order = min(self.order, other.order)
-        num = sum(x._at(width, stride, order)
-                  * (_pack(_flatten(n, stride), width) * scale)
-                  for x, (n, scale) in zip((self, other), terms))
-        return self._packed(self.basis, False, num, width, stride, shape)
-
-    def _top(self, order: int) -> int:
-        """The last coefficient a product to `order` reads of this
-        factor: a terminating series is zero past its stored order."""
-        return min(self.order, order) if self.terminates else order
-
-    def _product(self, other: "PSeriesMatrix", order: int) -> _Shape:
-        """The shape of the truncated product: each coefficient of an
-        entry sums over the inner dimension and the split levels."""
-        levels = min(self._top(order), other._top(order)) + 1
-        return self._shape.times(other._shape, self.dim * levels)
-
-    def mul(self, other: "PSeriesMatrix", order: int) -> "PSeriesMatrix":
-        """Truncated product to the stated order: per output coefficient,
-        a sum of object-array matmuls of the packed numerators, skipping
-        the zero coefficients past a terminating factor's stored order;
-        the denominator is the product of the factors'."""
-        if self.basis != other.basis:
-            raise ValueError("mismatched chain bases")
-        top_a, top_b = self._top(order), other._top(order)
-        shape = self._product(other, order)
-        width, stride = _layout((self, other), shape)
-        try:
-            fa = self._at(width, stride, top_a)
-            fb = other._at(width, stride, top_b)
-        except IndexError:
-            raise IndexError(
-                f"product order {order} exceeds factor truncations"
-            ) from None
-        levels = []
-        for k in range(order + 1):
-            prods = [fa[m] @ fb[k - m]
-                     for m in range(max(0, k - top_b), min(k, top_a) + 1)]
-            levels.append(sum(prods[1:], prods[0]) if prods else
-                          np.zeros((self.dim, self.dim), dtype=object))
-        return self._packed(self.basis, self.terminates and other.terminates,
-                            np.stack(levels), width, stride, shape)
-
-    def residual(self, other: "PSeriesMatrix", order: int | None = None) -> float:
-        """Largest coefficient magnitude of the difference to the stated
-        order (both orders by default), exact.  Both numerators, rescaled
-        to one denominator, are packed at one width that holds each of
-        them, so they are equal exactly when their packed values are;
-        otherwise the magnitude is read from their balanced digits."""
-        if self.basis != other.basis:
-            raise ValueError("mismatched chain bases")
-        if order is None:
-            order = min(self.order, other.order)
-        shape = _common((self._shape, other._shape))
-        width, stride = _layout((self, other), shape)
-        x = self._at(width, stride, order) * (shape.den // self._shape.den)
-        y = other._at(width, stride, order) * (shape.den // other._shape.den)
-        if (x == y).all():
-            return 0.0
-        count = shape.outer * stride
-        worst = max(np.abs(dx - dy).max() for dx, dy in
-                    zip(_digits(x, width, count), _digits(y, width, count)))
-        return exact_residual((Fraction(worst, shape.den),))
 
 
 def yangian_transfer(X: YangianModule, sites,
@@ -846,8 +429,8 @@ def _graded_trace(X: YangianModule, sites, order: int,
         vals = [at(p, a) for *_, p in cells]
         d = denominator(vals)
         site = [numerators(v, d) for v in vals]
-        inner = _inner_slots(site)
-        flat = _coefficient_rows(site, inner)
+        inner = packed.inner_slots(site)
+        flat = packed.coefficient_rows(site, inner)
         row_l1 = np.zeros((4, n), dtype=object)
         for (key, r, _, _), l1 in zip(cells, np.abs(flat).sum(axis=1)):
             row_l1[key, r] += l1
@@ -856,10 +439,11 @@ def _graded_trace(X: YangianModule, sites, order: int,
         shapes.append((inner, flat.shape[1] // inner, row_l1.max()))
     inner, slots, row_l1 = zip(*shapes)
     stride, outer = sum(inner) - L + 1, sum(slots) - L + 1
-    width = _width(int(max(np.diff(levels[:top + 2]))) * math.prod(row_l1))
+    width = packed.slot_width(int(max(np.diff(levels[:top + 2]))) * math.prod(row_l1))
     values = np.empty((L, len(cells)), dtype=object)
     for l, site in enumerate(nums):
-        values[l] = _pack(list(_coefficient_rows(site, stride).T), width)
+        values[l] = packed.pack(
+            list(packed.coefficient_rows(site, stride).T), width)
     nonzeros = [(key * n + r) * n + c for key, r, c, _ in cells]
     # the exact entries do not depend on the shift: each grid point takes
     # its site's values
@@ -870,8 +454,8 @@ def _graded_trace(X: YangianModule, sites, order: int,
     out = []
     for s, basis in enumerate(bases):
         num = traces[sector == s].T.reshape(order + 1, len(basis), len(basis))
-        out.append(PSeriesMatrix._packed(basis, X.exact, *_tight_pack(
-            _digits(num, width, outer * stride), stride, denom)))
+        out.append(packed.from_packed(basis, X.exact, num, width, stride,
+                                      outer, denom))
     return out
 
 
@@ -926,28 +510,17 @@ def q_degree_report(sites, order: int = 1,
     return out
 
 
-def two_site_leading_closed_form(a1, a2, order: int) -> list:
-    """Series coefficients of the one-index-sector leading matrix for two
-    sites, on the basis (21, 12)."""
-    return [
-        [[a1 + k, k + 1], [k, a2 + k]]
-        for k in range(order + 1)
-    ]
-
-
 def two_site_leading_residual(a1, a2, order: int,
                               q: list[PSeriesMatrix] | None = None) -> float:
     """The top spin coefficient of the one-index sector of Q, one matrix
-    per series order, against the closed form.  `q` is
+    per series order, against the closed form: on the basis (21, 12),
+    level k is [[a1 + k, k + 1], [k, a2 + k]].  `q` is
     `yangian_q((a1, a2), order)`, built here when not given."""
     if q is None:
         q = yangian_q((a1, a2), order)
-    got = q[1].coefficient(1).tables
-    ref = two_site_leading_closed_form(a1, a2, order)
-    return exact_residual(
-        got[k][i][j] - ref[k][i][j]
-        for k in range(order + 1) for i in range(2) for j in range(2)
-    )
+    ref = PSeriesMatrix(q[1].basis, [[[a1 + k, k + 1], [k, a2 + k]]
+                                     for k in range(order + 1)])
+    return max(packed.evaluate([Residual(Lead(q[1], 1), ref)], order))
 
 
 # ---------------------------------------------------------------------------
@@ -957,10 +530,10 @@ def two_site_leading_residual(a1, a2, order: int,
 def tq_residual(sites, order: int, drop_second_term: bool = False,
                 q: list[PSeriesMatrix] | None = None) -> float:
     """Exact defect of (two-dim transfer) x Q against the two shifted-Q
-    terms weighted by the site products, the largest over the sectors;
-    `drop_second_term` removes the series-graded term as a negative
-    control.  `q` is `yangian_q(sites, order)`, built here when not
-    given."""
+    terms weighted by the site products, T Q = w0 Q(v + 1) + w1 p Q(v - 1),
+    the largest over the sectors; `drop_second_term` removes the
+    series-graded term as a negative control.  `q` is
+    `yangian_q(sites, order)`, built here when not given."""
     t1 = yangian_transfer(build_module("finite", spin=1), sites,
                           min(order, 1))
     w0, w1 = (math.prod((Poly((a + c, 1)) for a in sites), start=Poly((1,)))
@@ -969,43 +542,20 @@ def tq_residual(sites, order: int, drop_second_term: bool = False,
         w1 = 0
     if q is None:
         q = yangian_q(sites, order)
-    return max(_tq_defect(ts, qs, w0, w1, order) for ts, qs in zip(t1, q))
-
-
-def _tq_defect(ts: PSeriesMatrix, qs: PSeriesMatrix, w0, w1,
-               order: int) -> float:
-    """Exact defect of T x Q against w0 x Q(v + 1) + w1 x p x Q(v - 1)
-    to the stated order, on one layout: the widest of the bounds of the
-    two shifts, the product, the weighted sum and the residual.  T and Q
-    are each decoded once, both shifts are taken from Q's digits, and
-    every term is packed once at that layout, so no operation repacks."""
-    same, up, down = (qs._shifted(c) for c in (0, 1, -1))
-    rhs, _ = _combination((up.shape, down.shape), (w0, w1))
-    prod = ts._product(qs, order)
-    layout = _joint_layout((ts._shape, qs._shape, up.shape, down.shape, rhs,
-                            prod, _common((prod, rhs))))
-    (t,) = ts._repacked(layout, ts._shifted(0))
-    q, up, down = qs._repacked(layout, same, up, down)
-    return t.mul(q, order).residual(up.weighted(down.times_p(), w0, w1),
-                                    order)
+    return max(max(packed.evaluate([Residual(
+        Product(ts, qs),
+        Weighted(Shift(qs, 1), TimesP(Shift(qs, -1)), w0, w1))], order))
+        for ts, qs in zip(t1, q))
 
 
 def product_residual(X: YangianModule, Y: YangianModule, sites,
                      order: int) -> float:
     """Transfer matrix of the coproduct module against the product of the
     factors' transfer matrices, exact to the stated order, the largest
-    over the sectors.  Per sector the three series are decoded once and
-    packed at the one layout that holds the product and the residual."""
-
-    def sector(tx, ty, txy):
-        prod = tx._product(ty, order)
-        layout = _joint_layout((tx._shape, ty._shape, txy._shape, prod,
-                                _common((prod, txy._shape))))
-        tx, ty, txy = (x._repacked(layout, x._shifted(0))[0]
-                       for x in (tx, ty, txy))
-        return tx.mul(ty, order).residual(txy, order)
-
-    return max(map(sector, yangian_transfer(X, sites, order),
+    over the sectors."""
+    return max(max(packed.evaluate([Residual(Product(tx, ty), txy)], order))
+               for tx, ty, txy in zip(
+                   yangian_transfer(X, sites, order),
                    yangian_transfer(Y, sites, order),
                    yangian_transfer(tensor_module(X, Y), sites, order)))
 
@@ -1016,39 +566,18 @@ def oscillator_comparison(sites, order: int,
     spin coefficient) x (oscillator transfer matrix); also checks that
     the oscillator leading spin coefficient is the identity at every
     series order.  Returns the largest exact defect.  `q` is
-    `yangian_q(sites, order)`, built here when not given.
-
-    Per sector, Q and the oscillator series are each decoded once, their
-    leading coefficients taken from those digits, and every term packed
-    at the one layout that holds all the bounds; the identity is the
-    packed constant 1 on the diagonal, the same int at any layout."""
+    `yangian_q(sites, order)`, built here when not given."""
     L = len(sites)
     tb = yangian_transfer(
         build_module("oscillator", levels=order + L), sites, order
     )
-
-    def sector(s, qs, ts):
-        q_same, q_lead = qs._shifted(0), qs._coefficient(s)
-        t_same, t_lead = ts._shifted(0), ts._coefficient(s)
-        damped, _ = _combination((q_lead.shape,) * 2, (1, -1))
-        # neither the weighted sum nor the oscillator series terminates
-        prod = damped.times(ts._shape, ts.dim * (order + 1))
-        one = _Shape(1, 1, 1, 1)
-        layout = _joint_layout((qs._shape, q_lead.shape, ts._shape,
-                                t_lead.shape, damped, prod,
-                                _common((qs._shape, prod)),
-                                _common((t_lead.shape, one))))
-        q, lead = qs._repacked(layout, q_same, q_lead)
-        t, t_lead = ts._repacked(layout, t_same, t_lead)
-        eye = np.array([np.eye(ts.dim, dtype=object)] * (order + 1))
-        flat = t_lead.residual(
-            PSeriesMatrix._packed(ts.basis, False, eye, *layout, one))
-        damped = lead.weighted(lead.times_p(), 1, -1)
-        return max(flat, q.residual(damped.mul(t, order), order))
-
     if q is None:
         q = yangian_q(sites, order)
-    return max(map(sector, range(L + 1), q, tb))
+    return max(max(packed.evaluate([
+        Residual(Lead(ts, s), Identity(ts.basis)),
+        Residual(qs, Product(Weighted(Lead(qs, s), TimesP(Lead(qs, s)), 1, -1),
+                             ts))], order))
+        for s, (qs, ts) in enumerate(zip(q, tb)))
 
 
 # ---------------------------------------------------------------------------

@@ -44,8 +44,6 @@ TEST_REFERENCES = {
     "modules.build_vector_rep": "vector module the coproduct and exchange tests build",
     "theta.ThetaSum.eval": "scalar evaluation of the symbolic oracles",
     "dynamical.DiffOpSeries.identity": "unit series the inverse tests divide",
-    "yangian.PSeriesMatrix.shift_var":
-        "Taylor shift the series tests check; relations shift from one decode",
 }
 
 
@@ -119,3 +117,38 @@ def test_allowlists_name_only_unread_definitions():
     counts = outside_reads()
     listed = AWAITING_RECORD | TEST_REFERENCES
     assert {q: counts.get(q) for q in listed} == dict.fromkeys(listed, 0)
+
+
+def private_names(tree):
+    """The `_`-prefixed names a module defines: its top-level functions,
+    classes and constants, its classes' methods, and the attributes its
+    code stores on objects; dunder names excluded."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            names.add(node.attr)
+    names |= {t.id for node in tree.body if isinstance(node, ast.Assign)
+              for t in node.targets if isinstance(t, ast.Name)}
+    return {n for n in names
+            if n.startswith("_") and not (n.startswith("__") and n.endswith("__"))}
+
+
+def test_packed_format_stays_in_its_module():
+    # the packed format and its one layout rule are known to `packed`
+    # alone: no other module reads a private name that `packed` defines,
+    # whether imported from it or read as an attribute
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8"))
+             for p in sorted(PACKAGE.glob("*.py"))}
+    private = private_names(trees["packed"])
+    reads = sorted(
+        (module, n.lineno, name)
+        for module, tree in trees.items() if module != "packed"
+        for n in ast.walk(tree)
+        for name in (
+            [alias.name for alias in n.names]
+            if isinstance(n, ast.ImportFrom) and n.module == "packed"
+            else [n.attr] if isinstance(n, ast.Attribute) else [])
+        if name in private)
+    assert reads == []

@@ -5,7 +5,16 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from elliptic_baxter import dynamical, yangian
+from elliptic_baxter import dynamical, packed, yangian
+from elliptic_baxter.packed import (
+    Lead,
+    Product,
+    Residual,
+    Shift,
+    TimesP,
+    Weighted,
+    evaluate,
+)
 from elliptic_baxter.polyring import (
     Poly,
     RatFn,
@@ -330,7 +339,7 @@ class TestExchangeRelation:
         # wraps, so `test_attained_bound` sees a width that is too narrow
         X = bound_module(2**40 - 1)
         ref = nested_rtt_residual(X)
-        monkeypatch.setattr(yangian, "_width", lambda bound: bound.bit_length())
+        monkeypatch.setattr(packed, "slot_width", lambda bound: bound.bit_length())
         assert rtt_residual(X) != ref
 
 
@@ -544,9 +553,15 @@ def assert_same_series(got, ref):
     assert got.tables == ref.tables
 
 
+def value(expr, order):
+    """The value of one expression of the packed calculus."""
+    return evaluate([expr], order)[0]
+
+
 class TestIntegerSeriesCalculus:
-    """`mul`, `shift_var` and `weighted` run on cleared numerators; each
-    must equal its Fraction reference exactly."""
+    """Products, Taylor shifts, leading coefficients and weighted sums
+    run on cleared numerators; each must equal its Fraction reference
+    exactly."""
 
     ORDER = 2
 
@@ -560,25 +575,29 @@ class TestIntegerSeriesCalculus:
                                sites, self.ORDER)
         w0, w1 = (math.prod((Poly((a + c, 1)) for a in sites),
                             start=Poly((1,))) for c in (0, 1))
+        order = self.ORDER
         for s, (qs, ts, bs) in enumerate(zip(q, t, osc)):
-            assert_same_series(qs.mul(ts, self.ORDER),
-                               fraction_mul(qs, ts, self.ORDER))
-            assert_same_series(ts.mul(qs, self.ORDER),
-                               fraction_mul(ts, qs, self.ORDER))
+            assert_same_series(value(Product(qs, ts), order),
+                               fraction_mul(qs, ts, order))
+            assert_same_series(value(Product(ts, qs), order),
+                               fraction_mul(ts, qs, order))
             for c in (1, -1, F(1, 3)):
-                assert_same_series(qs.shift_var(c), fraction_shift(qs, c))
-                assert_same_series(ts.shift_var(c), fraction_shift(ts, c))
-            up, down = qs.shift_var(1), qs.shift_var(-1).times_p()
+                assert_same_series(value(Shift(qs, c), order),
+                                   fraction_shift(qs, c))
+                assert_same_series(value(Shift(ts, c), order),
+                                   fraction_shift(ts, c))
+            up, down = Shift(qs, 1), TimesP(Shift(qs, -1))
             for a, b in ((w0, w1), (w0, 0)):
                 assert_same_series(
-                    up.weighted(down, a, b),
-                    entrywise_combine(up, down, lambda x, y: x * a + y * b))
-            lead = qs.coefficient(s)
-            damped = lead.weighted(lead.times_p(), 1, -1)
-            assert_same_series(damped, entrywise_combine(
+                    value(Weighted(up, down, a, b), order),
+                    entrywise_combine(value(up, order), value(down, order),
+                                      lambda x, y: x * a + y * b))
+            lead = value(Lead(qs, s), order)
+            damped = Weighted(Lead(qs, s), TimesP(Lead(qs, s)), 1, -1)
+            assert_same_series(value(damped, order), entrywise_combine(
                 lead, lead.times_p(), lambda x, y: x - y))
-            assert_same_series(damped.mul(bs, self.ORDER),
-                               fraction_mul(damped, bs, self.ORDER))
+            assert_same_series(value(Product(damped, bs), order),
+                               fraction_mul(value(damped, order), bs, order))
 
     @pytest.mark.parametrize("L", [1, 2, 3, 4])
     def test_nested_ladder_transfer(self, L):
@@ -587,15 +606,16 @@ class TestIntegerSeriesCalculus:
         W = build_module("ladder", spin=SPIN_VARIABLE, shift=F(1, 4),
                          levels=self.ORDER + L)
         a, b = Poly((F(1, 3), 1)), Poly((F(-2, 7),))
-        for ts in yangian_transfer(W, ORACLE_SITES[:L], self.ORDER):
-            assert_same_series(ts.mul(ts, self.ORDER),
-                               fraction_mul(ts, ts, self.ORDER))
+        order = self.ORDER
+        for ts in yangian_transfer(W, ORACLE_SITES[:L], order):
+            assert_same_series(value(Product(ts, ts), order),
+                               fraction_mul(ts, ts, order))
             for c in (1, F(2, 5)):
-                assert_same_series(ts.shift_var(c), fraction_shift(ts, c))
-            up = ts.shift_var(1)
+                assert_same_series(value(Shift(ts, c), order),
+                                   fraction_shift(ts, c))
             assert_same_series(
-                up.weighted(ts.times_p(), a, b),
-                entrywise_combine(up, ts.times_p(),
+                value(Weighted(Shift(ts, 1), TimesP(ts), a, b), order),
+                entrywise_combine(value(Shift(ts, 1), order), ts.times_p(),
                                   lambda x, y: x * a + y * b))
 
     @pytest.mark.parametrize("L", [1, 2, 3, 4])
@@ -608,11 +628,11 @@ class TestIntegerSeriesCalculus:
         for fs, bs in zip(fin, osc):
             assert fs.terminates and not bs.terminates
             for x, y in ((fs, bs), (bs, fs), (fs, fs)):
-                got = x.mul(y, order)
+                got = value(Product(x, y), order)
                 assert_same_series(got, fraction_mul(x, y, order))
-            assert fs.mul(fs, order).terminates
+            assert value(Product(fs, fs), order).terminates
         with pytest.raises(IndexError):
-            osc[0].mul(fin[0], order + 1)
+            value(Product(osc[0], fin[0]), order + 1)
 
 
 def fraction_residual(x, y, order):
@@ -647,21 +667,25 @@ class TestPackedSeries:
         t = yangian_transfer(build_module("finite", spin=1), sites, 1)
         w0, w1 = site_weights(sites)
         for ts, qs in zip(t, q):
-            assert_same_series(ts.mul(qs, order), fraction_mul(ts, qs, order))
+            assert_same_series(value(Product(ts, qs), order),
+                               fraction_mul(ts, qs, order))
             for c in (1, -1, F(1, 3), F(-2**64 - 13, 3**40)):
-                assert_same_series(qs.shift_var(c), fraction_shift(qs, c))
-            up, down = qs.shift_var(1), qs.shift_var(-1).times_p()
+                assert_same_series(value(Shift(qs, c), order),
+                                   fraction_shift(qs, c))
+            up = value(Shift(qs, 1), order)
+            down = value(TimesP(Shift(qs, -1)), order)
             combine = entrywise_combine(up, down, lambda x, y: x * w0 + y * w1)
-            assert_same_series(up.weighted(down, w0, w1), combine)
+            assert_same_series(value(Weighted(
+                Shift(qs, 1), TimesP(Shift(qs, -1)), w0, w1), order), combine)
             # two series over different denominators
             assert_same_series(
-                qs.shift_var(F(1, 3)).weighted(ts, w0, F(-1, 3)),
+                value(Weighted(Shift(qs, F(1, 3)), ts, w0, F(-1, 3)), order),
                 entrywise_combine(fraction_shift(qs, F(1, 3)), ts,
                                   lambda x, y: x * w0 - y * F(1, 3)))
             for rhs in (combine, up):
-                assert ts.mul(qs, order).residual(rhs, order) == \
+                assert value(Residual(Product(ts, qs), rhs), order) == \
                     fraction_residual(fraction_mul(ts, qs, order), rhs, order)
-            assert qs.residual(ts, 1) == fraction_residual(qs, ts, 1)
+            assert value(Residual(qs, ts), 1) == fraction_residual(qs, ts, 1)
         for drop in (False, True):
             # the TQ defect from the Fraction references alone
             ref = max(
@@ -698,12 +722,14 @@ class TestPackedSeries:
     def test_attained_bounds(self):
         x, order = self.tight(2**40 - 1)
         a = Poly((2**20 - 1,) * 3)
-        assert_same_series(x.mul(x, order), fraction_mul(x, x, order))
-        assert_same_series(x.weighted(x, a, a),
+        assert_same_series(value(Product(x, x), order),
+                           fraction_mul(x, x, order))
+        assert_same_series(value(Weighted(x, x, a, a), order),
                            entrywise_combine(x, x, lambda u, v: u * a + v * a))
-        assert_same_series(x.shift_var(1), fraction_shift(x, 1))
+        assert_same_series(value(Shift(x, 1), order), fraction_shift(x, 1))
         neg = map_entries(x, lambda p: -p)
-        assert x.residual(neg) == fraction_residual(x, neg, order)
+        assert value(Residual(x, neg), order) == \
+            fraction_residual(x, neg, order)
         X = self.diagonal_module(2**40 - 1)
         ref = per_pair_transfer(X, SITES, 0)
         for s, block in enumerate(yangian_transfer(X, SITES, 0)):
@@ -714,15 +740,15 @@ class TestPackedSeries:
         # wraps, so `test_attained_bounds` sees a width that is too narrow
         x, order = self.tight(2**40 - 1)
         a = Poly((2**20 - 1,) * 3)
-        refs = [(lambda: x.mul(x, order), fraction_mul(x, x, order)),
-                (lambda: x.weighted(x, a, a),
+        refs = [(Product(x, x), fraction_mul(x, x, order)),
+                (Weighted(x, x, a, a),
                  entrywise_combine(x, x, lambda u, v: u * a + v * a)),
-                (lambda: x.shift_var(1), fraction_shift(x, 1))]
+                (Shift(x, 1), fraction_shift(x, 1))]
         X = self.diagonal_module(2**40 - 1)
         trace = per_pair_transfer(X, SITES, 0)
-        monkeypatch.setattr(yangian, "_width", lambda bound: bound.bit_length())
-        for op, ref in refs:
-            assert op().tables != ref.tables
+        monkeypatch.setattr(packed, "slot_width", lambda bound: bound.bit_length())
+        for expr, ref in refs:
+            assert value(expr, order).tables != ref.tables
         got = yangian_transfer(X, SITES, 0)
         assert [block.tables for block in got] != \
             [oracle_block(trace, s) for s in range(len(got))]
@@ -738,7 +764,9 @@ class TestPackedSeries:
             PSeriesMatrix(x.basis, [[[Poly()] * x.dim] * x.dim] + down.tables),
             lambda u, v: u * a - v * a)
         ref = fraction_residual(fraction_mul(x, x, order), rhs, order)
-        return lambda: yangian._tq_defect(x, x, a, -a, order), ref
+        tq = Residual(Product(x, x),
+                      Weighted(Shift(x, 1), TimesP(Shift(x, -1)), a, -a))
+        return lambda: value(tq, order), ref
 
     def test_relation_layout_holds_attained_bounds(self):
         relation, ref = self.tight_relation()
@@ -746,13 +774,42 @@ class TestPackedSeries:
 
     def test_narrow_relation_layout_is_detected(self, monkeypatch):
         relation, ref = self.tight_relation()
-        monkeypatch.setattr(yangian, "_width", lambda bound: bound.bit_length())
+        monkeypatch.setattr(packed, "slot_width", lambda bound: bound.bit_length())
         assert relation() != ref
 
     def test_three_variables_rejected(self):
         deep = Poly((Poly((Poly((1, 2)),)),))
         with pytest.raises(ValueError):
             PSeriesMatrix(((1,),), [[[deep]]])
+
+    # each operation computes at its operands' shared layout; packed alone
+    # (here at their tight layouts), these operands do not share one, or
+    # share one too narrow for the result
+    ONE = ((1,),)
+    REFUSED = {
+        "mul": lambda x, y: x.mul(y, 0),
+        "weighted": lambda x, y: x.weighted(y, 1, 1),
+        "residual": lambda x, y: x.residual(y, 0),
+    }
+
+    @pytest.mark.parametrize("op", REFUSED)
+    def test_different_layouts_are_refused(self, op):
+        x = PSeriesMatrix(self.ONE, [[[Poly((1,))]]])
+        y = PSeriesMatrix(self.ONE, [[[Poly((2**40,))]]])
+        assert (x._width, x._stride) != (y._width, y._stride)
+        with pytest.raises(ValueError, match="different layouts"):
+            self.REFUSED[op](x, y)
+
+    @pytest.mark.parametrize("op", REFUSED)
+    def test_narrow_shared_layout_is_refused(self, op):
+        # the numerator 3 (3 bits per slot) over 2 and over 5: the
+        # product's bound 9, the sum's 21 and the residual's 15 (both
+        # rescaled to the denominator 10) each need more bits
+        x = PSeriesMatrix(self.ONE, [[[Poly((F(3, 2),))]]])
+        y = PSeriesMatrix(self.ONE, [[[Poly((F(3, 5),))]]])
+        assert (x._width, x._stride) == (y._width, y._stride)
+        with pytest.raises(ValueError, match="cannot hold"):
+            self.REFUSED[op](x, y)
 
 
 def nested_then_bound_q(sites, order):
@@ -770,12 +827,12 @@ class TestExactResidual:
     def test_underflowing_defect_is_not_zero(self):
         tiny = PSeriesMatrix(self.ONE, [[[Poly((F(1, 10**400),))]]])
         zero = PSeriesMatrix(self.ONE, [[[Poly()]]])
-        assert tiny.residual(zero) > 0
+        assert value(Residual(tiny, zero), 0) > 0
 
     def test_overflowing_defect_reads_inf(self):
         huge = PSeriesMatrix(self.ONE, [[[Poly((F(10**400),))]]])
         zero = PSeriesMatrix(self.ONE, [[[Poly()]]])
-        assert huge.residual(zero) == math.inf
+        assert value(Residual(huge, zero), 0) == math.inf
 
 
 class TestBaxterOperator:
@@ -929,7 +986,8 @@ class TestFunctionalRelations:
 
 class TestRelationLayout:
     """Each relation decodes its input series once per sector and packs
-    its terms at one layout, so its series operations repack nothing."""
+    its terms at one layout, so its series operations repack nothing;
+    each sector's product still runs through `mul`."""
 
     SITES = ORACLE_SITES
     X = build_module("ladder", spin=F(5, 3), levels=7)
@@ -946,8 +1004,8 @@ class TestRelationLayout:
     ], ids=["tq", "oscillator", "product"])
     def test_decode_count(self, monkeypatch, relation, decodes):
         q = yangian_q(self.SITES, 3)
-        calls, inside = [], []
-        digits, pack = yangian._digits, yangian._pack
+        calls, inside, ran = [], [], []
+        digits, pack = packed.digits, packed.pack
 
         def spy_digits(v, width, count):
             calls.append(("digits", bool(inside)))
@@ -962,20 +1020,22 @@ class TestRelationLayout:
         def traced(op):
             def run(*args, **kwargs):
                 inside.append(op)
+                ran.append(op.__name__)
                 try:
                     return op(*args, **kwargs)
                 finally:
                     inside.pop()
             return run
 
-        monkeypatch.setattr(yangian, "_digits", spy_digits)
-        monkeypatch.setattr(yangian, "_pack", spy_pack)
+        monkeypatch.setattr(packed, "digits", spy_digits)
+        monkeypatch.setattr(packed, "pack", spy_pack)
         for name in ("mul", "weighted", "residual"):
             monkeypatch.setattr(PSeriesMatrix, name,
                                 traced(getattr(PSeriesMatrix, name)))
         assert relation(q) == 0.0
         sectors = len(self.SITES) + 1
         assert calls.count(("digits", False)) == decodes * sectors
+        assert ran.count("mul") == sectors
         assert ("digits", True) not in calls
         assert ("pack", True) not in calls
 
