@@ -117,31 +117,6 @@ class ModuleOperator:
             {k: s.shift_z(c) for k, s in self.entries.items()}, self.params,
         )
 
-    def shift_x(self, c: complex) -> "ModuleOperator":
-        return ModuleOperator(
-            self.alpha, self.beta, self.source, self.target,
-            {k: s.shift_x(c) for k, s in self.entries.items()}, self.params,
-        )
-
-    def __add__(self, other: "ModuleOperator") -> "ModuleOperator":
-        if (self.source, self.target) != (other.source, other.target):
-            raise ShapeError("operator bases differ")
-        if abs(self.alpha - other.alpha) > _WEIGHT_TOL or abs(self.beta - other.beta) > _WEIGHT_TOL:
-            raise ShapeError("bidegrees differ; sum is not a homogeneous operator")
-        out = dict(self.entries)
-        for k, s in other.entries.items():
-            out[k] = out[k] + s if k in out else s
-        return ModuleOperator(self.alpha, self.beta, self.source, self.target, out, self.params)
-
-    def __neg__(self) -> "ModuleOperator":
-        return ModuleOperator(
-            self.alpha, self.beta, self.source, self.target,
-            {k: -s for k, s in self.entries.items()}, self.params,
-        )
-
-    def __sub__(self, other: "ModuleOperator") -> "ModuleOperator":
-        return self + (-other)
-
     @cached_property
     def _table(self) -> ThetaTable:
         cols = self.source.size

@@ -16,8 +16,6 @@ from .dynamical import (
     ShapeError,
     WeightBasis,
     cmatmul,
-    compose_module_ops,
-    invert_weightwise,
     relative_deviation,
     tensor_basis,
     tensor_entry_tables,
@@ -32,6 +30,7 @@ from .theta import (
     ThetaTable,
     in_hbar_inv_lattice,
     nonneg_int_plus_hbar_inv_lattice,
+    theta_eval,
 )
 
 _SIGNS = ("+", "-")
@@ -412,45 +411,65 @@ def _rll_level(basis: WeightBasis, tables: np.ndarray, r: np.ndarray, level: int
 # Gauss decomposition
 # ---------------------------------------------------------------------------
 
-@dataclass
-class GaussData:
-    kplus: ModuleOperator
-    kminus: ModuleOperator
-    e: ModuleOperator
-    f: ModuleOperator
+def gauss_decompose(L: np.ndarray, basis: WeightBasis, top: int) -> list[tuple]:
+    """Per level j = 0..top of the L tables [point, key, row, col] (keys
+    ++, +-, -+, --): (s, r, K+_j, E_j, F_j), s the slice of level j and r
+    that of level j-1 (empty at j = 0), K- being L--:
+
+        E_j = (L--_{j-1})^-1 L-+_{j-1,j},  F_j = L+-_{j,j-1} (L--_{j-1})^-1,
+        K+_j = L++_jj - L+-_{j,j-1} E_j,
+
+    every factor at the point of its tables (the composition rule's
+    x-shifts cancel in K+)."""
+    out = []
+    for j in range(top + 1):
+        s = slice(basis.offset(j), basis.offset(j + 1))
+        r = slice(basis.offset(j - 1) if j else s.start, s.start)
+        pm, km = L[:, 1, s, r], L[:, 3, r, r]
+        e = np.linalg.solve(km, L[:, 2, r, s])
+        f = np.linalg.solve(km.swapaxes(1, 2), pm.swapaxes(1, 2)).swapaxes(1, 2)
+        kp = L[:, 0, s, s] - cmatmul(pm, e) if j else L[:, 0, s, s]
+        out.append((s, r, kp, e, f))
+    return out
 
 
-def gauss_decompose(X: EllipticModule) -> GaussData:
-    km = X.L["--"]
-    km_inv = invert_weightwise(km)
-    e = compose_module_ops(km_inv, X.L["-+"])
-    f = compose_module_ops(X.L["+-"], km_inv)
-    kp = X.L["++"] - compose_module_ops(X.L["+-"], e)
-    return GaussData(kp, km, e, f)
-
-
-def gauss_reconstruction_residual(
-    X: EllipticModule, points, g: GaussData | None = None
-) -> float:
-    """Entrywise residual of L = (1 F; 0 1)(K+ 0; 0 K-)(1 0; E 1) at the
-    sampled (z, x) points, restricted to truncation-safe levels; ``g`` is
-    the decomposition of X, built here when not given."""
-    if g is None:
-        g = gauss_decompose(X)
-    rec = {
-        "++": g.kplus + compose_module_ops(g.f, compose_module_ops(g.kminus, g.e)),
-        "+-": compose_module_ops(g.f, g.kminus),
-        "-+": compose_module_ops(g.kminus, g.e),
-        "--": g.kminus,
-    }
-    safe = X.basis.offset(X.safe_levels) + X.basis.dims[X.safe_levels]
+def gauss_reconstruction_residual(X: GradedModule, points) -> float:
+    """Worst relative residual of L = (1 F; 0 1)(K+ 0; 0 K-)(1 0; E 1) at
+    the sampled (z, x) points, restricted to truncation-safe levels: per
+    point, the four tables of one entry-matrix pass, as one operator,
+    against the band blocks rebuilt from their Gauss factors, L++ = K+ +
+    F K- E, L+- = F K-, L-+ = K- E and L-- = K-."""
     zs, xs = zip(*points)
-    residuals = []
-    for key in _KEYS:
-        lhs = X.L[key].to_matrices(zs, xs)[:, :safe, :safe]
-        rhs = rec[key].to_matrices(zs, xs)[:, :safe, :safe]
-        residuals.extend(map(relative_deviation, lhs, rhs))
-    return worst_residual(residuals)
+    L = X.entry_matrices(zs, xs, X.safe_levels)
+    rec = np.zeros_like(L)
+    for s, r, kp, e, f in gauss_decompose(L, X.basis, X.safe_levels):
+        fk = cmatmul(f, L[:, 3, r, r])
+        rec[:, 0, s, s] = kp + cmatmul(fk, e)
+        rec[:, 1, s, r] = fk
+        rec[:, 2, r, s] = cmatmul(L[:, 3, r, r], e)
+        rec[:, 3, s, s] = L[:, 3, s, s]
+    return worst_residual(map(relative_deviation, L, rec))
+
+
+def gauss_scalar_law_residual(X: EllipticModule, points) -> float:
+    """Worst relative residual, over the truncation-safe levels and the
+    sampled (z, x) points, of the diagonal scalar law of the ladder module
+    of spin l and spectral shift u*hbar, with w = z + u*hbar:
+
+        K+_jj(z, x) K-_jj(z - hbar, x + hbar) = theta(w + (l+1) hbar) theta(w),
+
+    K+ composed with K- at z - hbar, x + hbar being the composition rule's
+    shift beta(K+) hbar.  The reference is on the scalar ``theta_eval``, so
+    the two theta kernels check each other."""
+    h, top, n = X.params.hbar, X.safe_levels, len(points)
+    zs, xs = zip(*points)
+    L = X.entry_matrices([*zs, *(z - h for z in zs)], [*xs, *(x + h for x in xs)], top)
+    kplus = [np.diagonal(kp, axis1=1, axis2=2)
+             for _, _, kp, _, _ in gauss_decompose(L[:n], X.basis, top)]
+    got = np.concatenate(kplus, axis=1) * np.diagonal(L[n:, 3], axis1=1, axis2=2)
+    ref = np.array([[theta_eval(w + (X.spin + 1) * h, X.params) * theta_eval(w, X.params)]
+                    for w in (z + X.shift_u * h for z in zs)])
+    return worst_residual((np.abs(got - ref) / np.maximum(1.0, np.abs(ref))).ravel())
 
 
 # ---------------------------------------------------------------------------

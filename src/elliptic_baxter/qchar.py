@@ -12,8 +12,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dynamical import _coset_offset, cmatmul, worst_residual
-from .modules import HighestWeightData, build_asymptotic, socle
+from .dynamical import _coset_offset, worst_residual
+from .modules import HighestWeightData, build_asymptotic, gauss_decompose, socle
 from .theta import (
     EllipticParams,
     SamplePlan,
@@ -277,12 +277,10 @@ def qchar_one_dim(g: ThetaExpression, params: EllipticParams, depth: int = 0) ->
 def qchar_of_module(X) -> QCharElement:
     """Character extracted from the Gauss diagonal of a module.
 
-    K- is L--, and K+ = L++ - L+- (L--)^-1 L-+ with every factor at the
-    same (z, x): the x-shifts of the composition rule cancel.  On the
-    diagonal block of level j only L--, L+- and L-+ of levels j-1 and j
-    enter, so K+ is solved level by level on the module's entry matrices,
-    cut to the levels up to ``safe_levels``, from one masked pass over the
-    z grid at x = ``_X_REF`` and the 3x3 probe points.  A diagonal
+    K- is L--, and K+ is read level by level off ``modules.gauss_decompose``
+    of the module's entry matrices, cut to the levels up to
+    ``safe_levels``, from one masked pass over the z grid at x = ``_X_REF``
+    and the 3x3 probe points.  A diagonal
     component is the module's symbolic term (``diagonal_terms``) when
     that is x-free, else its grid values.
 
@@ -310,7 +308,7 @@ def qchar_of_module(X) -> QCharElement:
         X.entry_matrices(zs[n:], xs[n:], safe)  # raises PoleError or OverflowError
         raise OverflowError("an L entry overflows at a probe point")
     kplus = np.full((len(zs), size), np.nan, dtype=complex)
-    for s, kp in _kplus_blocks(L[finite], basis, safe):
+    for s, _, kp, _, _ in gauss_decompose(L[finite], basis, safe):
         # the probe points are the last rows of kp, all finite
         for op in (kp[n - len(zs):], L[n:, 3, s, s]):
             a, b = np.nonzero(np.abs(np.tril(op, -1)).max(axis=0) > _CATEGORY_TOL)
@@ -340,19 +338,6 @@ def qchar_of_module(X) -> QCharElement:
     for idx, m in enumerate(monomials(triples, params)):
         el.add_monomial(basis.level_of(idx), m)
     return el
-
-
-def _kplus_blocks(L: np.ndarray, basis, top: int):
-    """(slice, K+ block) of the levels 0..top from the L tables
-    [point, key, row, col]: K+_j = L++_jj - L+-_{j,j-1} (L--_{j-1})^-1 L-+_{j-1,j}."""
-    pp, pm, mp, mm = (L[:, k] for k in range(4))
-    for j in range(top + 1):
-        s = slice(basis.offset(j), basis.offset(j + 1))
-        kp = pp[:, s, s]
-        if j:
-            r = slice(basis.offset(j - 1), s.start)
-            kp = kp - cmatmul(pm[:, s, r], np.linalg.solve(mm[:, r, r], mp[:, r, s]))
-        yield s, kp
 
 
 def interchange_check(

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from elliptic_baxter.dynamical import compose_module_ops
+from elliptic_baxter.dynamical import ModuleOperator, compose_module_ops
 from elliptic_baxter.modules import (
     HighestWeightData,
     build_asymptotic,
@@ -11,6 +11,7 @@ from elliptic_baxter.modules import (
     dynamical_tensor,
     gauss_decompose,
     gauss_reconstruction_residual,
+    gauss_scalar_law_residual,
     highest_vector_count,
     one_dim_module,
     qdybe_residual,
@@ -24,10 +25,12 @@ from elliptic_baxter.theta import (
     EllipticParams,
     SamplePlan,
     ThetaExpression,
+    ThetaSum,
     theta_eval,
 )
 
 from coproduct_oracle import symbolic_tensor
+import gauss_oracle
 
 P = EllipticParams(tau=1j, hbar=0.31)
 H = P.hbar
@@ -145,7 +148,7 @@ class TestExchangeRelations:
 
     def test_negative_control_sign_flip(self):
         flipped = dict(LADDER.L)
-        flipped["+-"] = -LADDER.L["+-"]
+        flipped["+-"] = gauss_oracle.negated(LADDER.L["+-"])
         broken = type(LADDER)(P, LADDER.basis, flipped, LADDER.spin, LADDER.shift_u)
         z, w, x = triples(71, 1)[0]
         assert rll_residual(broken, z, w, x, 2) > 1e-2
@@ -153,7 +156,7 @@ class TestExchangeRelations:
     def test_negative_control_lattice_shift_one_entry(self):
         # shifting x by tau in a single entry table breaks the relation
         shifted = dict(LADDER.L)
-        shifted["+-"] = LADDER.L["+-"].shift_x(P.tau)
+        shifted["+-"] = gauss_oracle.shift_x(LADDER.L["+-"], P.tau)
         broken = type(LADDER)(P, LADDER.basis, shifted, LADDER.spin, LADDER.shift_u)
         z, w, x = triples(73, 1)[0]
         assert rll_residual(broken, z, w, x, 2) > 1e-2
@@ -169,35 +172,79 @@ class TestGauss:
         pts = SamplePlan(seed=83, count=4, pole_margin=5e-2).pairs(P)
         assert gauss_reconstruction_residual(T, pts) < 1e-10
 
+    def test_reconstruction_tensor_module(self):
+        T = dynamical_tensor(build_vector_rep(P), LADDER, max_level=6)
+        pts = SamplePlan(seed=83, count=4, pole_margin=5e-2).pairs(P)
+        assert gauss_reconstruction_residual(T, pts) < 1e-10
+
+    @staticmethod
+    def closed_e(z, x, j):
+        """E_{j-1,j} of the ladder in the composition calculus."""
+        return -(theta_eval(z - x + (j - 1) * H, P) * theta_eval(j * H, P)
+                 / (theta_eval(z + j * H, P) * theta_eval(x + H, P)))
+
+    @staticmethod
+    def closed_f(z, x, j, l=LADDER.spin):
+        """F_{j+1,j} of the ladder in the composition calculus."""
+        return (theta_eval(z + x + (l - j) * H, P) * theta_eval((l - j) * H, P)
+                / (theta_eval(z + (j + 1) * H, P) * theta_eval(x + (l - 2 * j - 1) * H, P)))
+
     def test_raising_lowering_closed_forms(self):
-        l, u = LADDER.spin, 0.0
-        g = gauss_decompose(LADDER)
+        # the numeric E at (z, x) is the closed form at x - hbar, the
+        # composition rule's shift; F is the closed form at (z, x)
+        pts = SamplePlan(seed=87, count=5, pole_margin=5e-2).pairs(P)
+        zs, xs = zip(*pts)
+        levels = gauss_decompose(LADDER.entry_matrices(zs, xs, 3), LADDER.basis, 3)
+        for i, (z, x) in enumerate(pts):
+            for j in (1, 2, 3):
+                ref_e = self.closed_e(z, x - H, j)
+                got_e = levels[j][3][i, 0, 0]
+                assert abs(got_e - ref_e) <= 1e-10 * (1 + abs(ref_e))
+            for j in (0, 1, 2):
+                ref_f = self.closed_f(z, x, j)
+                got_f = levels[j + 1][4][i, 0, 0]
+                assert abs(got_f - ref_f) <= 1e-10 * (1 + abs(ref_f))
+
+    def test_raising_lowering_closed_forms_symbolic(self):
+        g = gauss_oracle.gauss_decompose(LADDER)
         for z, x in SamplePlan(seed=87, count=5, pole_margin=5e-2).pairs(P):
             for j in (1, 2, 3):
-                ref_e = -(
-                    theta_eval(z - x + (j - 1) * H, P) * theta_eval(j * H, P)
-                    / (theta_eval(z + j * H, P) * theta_eval(x + H, P))
-                )
+                ref_e = self.closed_e(z, x, j)
                 got_e = g.e.entries[(j - 1, j)].eval(z, x, P)
                 assert abs(got_e - ref_e) <= 1e-10 * (1 + abs(ref_e))
             for j in (0, 1, 2):
-                ref_f = (
-                    theta_eval(z + x + (l - j) * H, P) * theta_eval((l - j) * H, P)
-                    / (theta_eval(z + (j + 1) * H, P) * theta_eval(x + (l - 2 * j - 1) * H, P))
-                )
+                ref_f = self.closed_f(z, x, j)
                 got_f = g.f.entries[(j + 1, j)].eval(z, x, P)
                 assert abs(got_f - ref_f) <= 1e-10 * (1 + abs(ref_f))
 
     def test_diagonal_product_is_scalar(self):
         # K_+(z) K_-(z - hbar) acts as theta(z + (l+1)h) theta(z) on every level
         l = LADDER.spin
-        g = gauss_decompose(LADDER)
+        g = gauss_oracle.gauss_decompose(LADDER)
         prod = compose_module_ops(g.kplus, g.kminus.shift_z(-H))
         for z, x in SamplePlan(seed=89, count=5, pole_margin=5e-2).pairs(P):
             ref = theta_eval(z + (l + 1) * H, P) * theta_eval(z, P)
             for j in range(LADDER.basis.levels - 1):
                 got = prod.entries[(j, j)].eval(z, x, P)
                 assert abs(got - ref) <= 1e-10 * (1 + abs(ref))
+
+    @pytest.mark.parametrize("u", [0.0, 0.45 + 0.1j])
+    def test_scalar_law(self, u):
+        X = build_asymptotic(LADDER.spin, u, 8, P)
+        pts = SamplePlan(seed=89, count=5, pole_margin=5e-2).pairs(P)
+        assert gauss_scalar_law_residual(X, pts) < 1e-10
+
+    def test_negative_control_scalar_law(self):
+        # one L++ diagonal entry scaled by 1.5 breaks the law on its level
+        op = LADDER.L["++"]
+        entries = dict(op.entries)
+        entries[(2, 2)] = entries[(2, 2)] * ThetaSum(ThetaExpression.const(1.5))
+        L = dict(LADDER.L, **{"++": ModuleOperator(op.alpha, op.beta, op.source, op.target,
+                                                   entries, P)})
+        broken = type(LADDER)(P, LADDER.basis, L, LADDER.spin, LADDER.shift_u)
+        pts = SamplePlan(seed=89, count=5, pole_margin=5e-2).pairs(P)
+        assert gauss_scalar_law_residual(LADDER, pts) < 1e-10
+        assert gauss_scalar_law_residual(broken, pts) >= 1e-2
 
 
 class TestSocle:

@@ -1,9 +1,11 @@
 import cmath
 import math
+import sys
 
 import numpy as np
 import pytest
 
+from elliptic_baxter import cli, dynamical
 from elliptic_baxter.dynamical import ModuleOperator
 from elliptic_baxter.modules import (
     build_asymptotic,
@@ -15,7 +17,6 @@ from elliptic_baxter.modules import (
 from elliptic_baxter.qchar import (
     _MIN_VALID_SAMPLES,
     _X_REF,
-    _kplus_blocks,
     CategoryConditionError,
     QCharElement,
     classify_highest_weight,
@@ -43,6 +44,7 @@ from elliptic_baxter.theta import (
 )
 
 from coproduct_oracle import symbolic_module
+import gauss_oracle
 
 P = EllipticParams(tau=1j, hbar=0.31)
 H = P.hbar
@@ -392,7 +394,8 @@ def _ladder_tensor(params, depth):
 
 class TestNumericGaussDiagonal:
     """qchar_of_module reads the Gauss diagonal from the L values, level by
-    level; the symbolic decomposition of the gauss suite is its oracle."""
+    level (``modules.gauss_decompose``); the symbolic decomposition of
+    ``gauss_oracle`` is its oracle."""
 
     P2 = EllipticParams(tau=0.2j, hbar=0.31)
     MODULES = {
@@ -411,8 +414,9 @@ class TestNumericGaussDiagonal:
         xs = [_X_REF] * len(zs)
         L = M.entry_matrices(zs, xs)[:, :, :size, :size]
         got = np.concatenate([np.diagonal(k, axis1=1, axis2=2)
-                              for _, k in _kplus_blocks(L, M.basis, top)], axis=1)
-        diag = [gauss_decompose(symbolic_module(M)).kplus.entries[(i, i)] for i in range(size)]
+                              for _, _, k, _, _ in gauss_decompose(L, M.basis, top)], axis=1)
+        diag = [gauss_oracle.gauss_decompose(symbolic_module(M)).kplus.entries[(i, i)]
+                for i in range(size)]
         ref = ThetaTable(enumerate(diag), size, params).at(zs, xs)
         # the cancelling diagonals at tau = 0.2i are compared on the scale
         # of their largest term
@@ -423,18 +427,23 @@ class TestNumericGaussDiagonal:
             scale[:, i] = np.maximum(scale[:, i], np.abs(term_vals[:, k]))
         assert (np.abs(got - ref) <= 1e-13 * scale).all()
 
-    def test_no_symbolic_gauss_decomposition(self, monkeypatch):
-        from elliptic_baxter import dynamical, modules
-
+    def test_no_symbolic_gauss_decomposition(self, monkeypatch, tmp_path):
+        # qchar_of_module and the gauss CLI suite both read the numeric
+        # factorization: no binding in the package of the composition
+        # calculus, nor the oracle's decomposition, is called
         def forbidden(*args, **kwargs):
             raise AssertionError("symbolic Gauss decomposition")
 
-        for mod, name in ((modules, "gauss_decompose"), (modules, "compose_module_ops"),
-                          (dynamical, "compose_module_ops"), (modules, "invert_weightwise"),
-                          (dynamical, "invert_weightwise")):
-            monkeypatch.setattr(mod, name, forbidden)
+        symbolic = (dynamical.compose_module_ops, dynamical.invert_weightwise)
+        for mod in [m for n, m in sys.modules.items() if n.startswith("elliptic_baxter")]:
+            for name, value in list(vars(mod).items()):
+                if any(value is f for f in symbolic):
+                    monkeypatch.setattr(mod, name, forbidden)
+        monkeypatch.setattr(gauss_oracle, "gauss_decompose", forbidden)
         T = _ladder_tensor(self.P2, 8)
         assert [len(qchar_of_module(T).term_list(k)) for k in range(8)] == list(range(1, 9))
+        assert cli.main(["gauss", "--samples", "4", "--no-timestamp",
+                         "--report", str(tmp_path / "gauss.json")]) == 0
 
     @staticmethod
     def _with_entries(M, key, update):

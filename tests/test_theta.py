@@ -7,11 +7,7 @@ import numpy as np
 import pytest
 
 from elliptic_baxter import theta
-from elliptic_baxter.modules import (
-    build_asymptotic,
-    gauss_decompose,
-    r_matrix_symbolic,
-)
+from elliptic_baxter.modules import build_asymptotic, r_matrix_symbolic
 from elliptic_baxter.theta import (
     POLE_TOL,
     EllipticParams,
@@ -34,6 +30,7 @@ from elliptic_baxter.theta import (
 )
 
 from coproduct_oracle import symbolic_tensor
+from gauss_oracle import gauss_decompose
 
 P = EllipticParams(tau=1j, hbar=0.31)
 
