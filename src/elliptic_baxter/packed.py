@@ -15,26 +15,38 @@ other, valid digits, so no check on the packed values can see it:
 exactness rests on each bound being a true bound, which tests check on
 inputs that attain it.
 
-The width and the stride are the layout of a series.  `evaluate` is the
+The width and the stride are the layout of a series.  A series built
+from its coefficients (the constructor, `from_packed`) holds them as
+coefficient slots, one int array per outer and inner slot, at no layout;
+packed ints exist at the layout that `evaluate` picks.  `evaluate` is the
 one place that picks a layout: it derives the shape of every term and
-result of its expressions from the operations' rules, decodes each input
-series once and packs every term once at the least layout that holds them
-all.  The operations compute at the layout their operands share, and
+result of its expressions from the operations' rules and packs every term
+once, straight from its series' slots, at the least layout that holds
+them all.  The operations compute at the layout their operands share, and
 refuse operands packed at different layouts or a layout too narrow for
-their result.
+their result; an operation called on a series of slots packs it at its
+tight layout (the least that holds it) on first use.  A series an
+operation computes holds its packed ints, decoded to slots only when it
+is read.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
 
-from .polyring import Poly, denominator, exact_residual, numerators
+from .polyring import (
+    Poly,
+    denominator,
+    exact_residual,
+    numerators,
+    shift_matrix,
+)
 
 
 class _Shape(NamedTuple):
@@ -193,38 +205,28 @@ def _scalar_shape(v, den: int) -> _Shape:
                   max(1, len(flat) // inner), inner)
 
 
-def _pack_tables(tables, den: int) -> tuple:
-    """(num, width, stride, shape) of `PSeriesMatrix._set` for tables of
-    ints and int-leaf polynomials, numerators over `den`."""
-    entries = [e for tab in tables for row in tab for e in row]
-    stride = inner_slots(entries)
-    num, *rest = _tight_pack(list(coefficient_rows(entries, stride).T),
-                             stride, den)
-    return num.reshape(len(tables), len(tables[0]), len(tables[0])), *rest
-
-
-def _tight_pack(slots, stride: int, den: int) -> tuple:
-    """(num, width, stride, shape) of the numerators over `den` whose
-    coefficient slots at inner stride `stride` are slots[0], slots[1],
-    ..., packed at the least width, stride and outer slot count that
-    hold them."""
-    used = [k for k, dig in enumerate(slots) if dig.any()] or [0]
+def _tight_rows(slots, stride: int, den: int) -> tuple:
+    """(rows, shape) of the numerators over `den` whose coefficient slots
+    at inner stride `stride` are slots[0], slots[1], ...: rows[i][j] is
+    the slot of outer slot i and inner slot j, cut to the least outer and
+    inner slot counts that hold them."""
+    bounds = [np.abs(dig).max() for dig in slots]
+    used = [k for k, b in enumerate(bounds) if b] or [0]
     inner = max(k % stride for k in used) + 1
     outer = max(k // stride for k in used) + 1
-    bound = max(np.abs(dig).max() for dig in slots)
-    width = slot_width(bound)
     rows = [slots[i * stride:i * stride + inner] for i in range(outer)]
-    return (_pack_rows(rows, width, inner), width, inner,
-            _Shape(den, bound, outer, inner))
+    return rows, _Shape(den, max(bounds), outer, inner)
 
 
 def from_packed(basis: tuple, terminates: bool, num, width: int,
                 stride: int, outer: int, den: int) -> "PSeriesMatrix":
     """The series whose numerators over `den` are num[k][row][col],
-    packed at `width` and `stride` with `outer` outer slots, repacked at
-    the least layout that holds them."""
-    return PSeriesMatrix._packed(basis, terminates, *_tight_pack(
+    packed at `width` and `stride` with `outer` outer slots: decoded once
+    into its coefficient slots, cut to the least slot counts."""
+    series = PSeriesMatrix.__new__(PSeriesMatrix)
+    series._hold(basis, terminates, *_tight_rows(
         digits(num, width, outer * stride), stride, den))
+    return series
 
 
 def _zero_table(dim: int) -> list:
@@ -236,44 +238,73 @@ class PSeriesMatrix:
     tables[k][row][col] is the k-th coefficient.  `terminates` marks a
     series known to be a polynomial of the stored order.
 
-    The entries are held as Kronecker-packed integer numerators over one
-    denominator (see the module docstring); `tables` and `get` are views
-    unpacked to Fraction polynomials once per coefficient, on first read.
-    The views are for reading: the series operations read the packed
-    numerators only, so an entry written into a view would be seen by
+    The entries are integer numerators over one denominator (see the
+    module docstring): a series built from its coefficients holds their
+    slots, one computed by an operation its packed ints.  `tables` and
+    `get` are views unpacked to Fraction polynomials once per coefficient,
+    on first read.  The views are for reading: the series operations read
+    the numerators only, so an entry written into a view would be seen by
     readers of the view and by no series operation.  A changed series is
     built through the constructor."""
 
     def __init__(self, basis: tuple, tables: list, terminates: bool = False):
         d = denominator(e for tab in tables for row in tab for e in row)
-        self._set(basis, terminates, *_pack_tables(
-            [[[numerators(e, d) for e in row] for row in tab]
-             for tab in tables], d))
+        entries = [numerators(e, d) for tab in tables for row in tab
+                   for e in row]
+        stride = inner_slots(entries)
+        levels = (len(tables), len(tables[0]), len(tables[0]))
+        self._hold(basis, terminates, *_tight_rows(
+            [dig.reshape(levels)
+             for dig in coefficient_rows(entries, stride).T], stride, d))
         self._views.update(enumerate(tables))
+
+    def _hold(self, basis, terminates, rows, shape):
+        """The series of coefficient slots rows[i][j] (see `_rows`), at
+        its tight layout: the least width that holds shape.bound, and
+        stride shape.inner."""
+        self._rows = rows
+        self._set(basis, terminates, rows[0][0].shape,
+                  slot_width(shape.bound), shape.inner, shape)
 
     @classmethod
     def _packed(cls, basis, terminates, num, width, stride,
                 shape) -> "PSeriesMatrix":
         self = cls.__new__(cls)
-        self._set(basis, terminates, num, width, stride, shape)
+        self._num = num
+        self._set(basis, terminates, num.shape, width, stride, shape)
         return self
 
-    def _set(self, basis, terminates, num, width, stride, shape):
-        """num[k][row][col] is the numerator over shape.den of the k-th
-        coefficient, packed at `width` bits per slot with inner stride
-        `stride` (at least shape.inner)."""
+    def _set(self, basis, terminates, size, width, stride, shape):
+        # size: that of the [k, row, col] arrays of coefficients
         self.basis, self.terminates = basis, terminates
-        self._num, self._width, self._stride = num, width, stride
+        self.order, self.dim = size[0] - 1, size[1]
+        self._width, self._stride = width, stride
         self.shape = shape
         self._views = {}
 
-    @property
-    def order(self) -> int:
-        return len(self._num) - 1
+    @cached_property
+    def _num(self):
+        """num[k][row][col], the numerator over shape.den of the k-th
+        coefficient packed at `_width` bits per slot with inner stride
+        `_stride` (at least shape.inner); a series of slots is packed on
+        first use."""
+        return _pack_rows(self._rows, self._width, self._stride)
 
-    @property
-    def dim(self) -> int:
-        return self._num.shape[1]
+    @cached_property
+    def _rows(self) -> list:
+        """The coefficient slots: rows[i][j] holds, as an int array
+        [k, row, col], the coefficients of outer slot i and inner slot j
+        of the numerators; a computed series' packed ints are decoded on
+        first read."""
+        s, inner = self._stride, self.shape.inner
+        flat = digits(self._num, self._width, (self.shape.outer - 1) * s + inner)
+        return [flat[i * s:i * s + inner] for i in range(self.shape.outer)]
+
+    def slots(self) -> np.ndarray:
+        """The coefficient slots as one int array
+        [outer slot, inner slot, k, row, col] of numerators over
+        shape.den."""
+        return np.array(self._rows, dtype=object)
 
     @property
     def _outline(self) -> _Outline:
@@ -294,8 +325,7 @@ class PSeriesMatrix:
 
     def _unpacked(self, k: int) -> list:
         d = self.shape.den
-        rows = [[dig.tolist() for dig in row]
-                for row in self._decoded(self._num[k])]
+        rows = [[dig[k].tolist() for dig in row] for row in self._rows]
 
         def entry(r, c):
             if self.shape.inner == 1:
@@ -305,13 +335,6 @@ class PSeriesMatrix:
 
         return [[entry(r, c) for c in range(self.dim)]
                 for r in range(self.dim)]
-
-    def _decoded(self, num) -> list:
-        """The balanced digits of packed numerators `num` of this series:
-        [i][j] holds the coefficients of outer slot i, inner slot j."""
-        s, inner = self._stride, self.shape.inner
-        flat = digits(num, self._width, (self.shape.outer - 1) * s + inner)
-        return [flat[i * s:i * s + inner] for i in range(self.shape.outer)]
 
     def _at(self, order: int):
         """Numerators of coefficients 0..order; levels past the stored
@@ -403,16 +426,6 @@ class PSeriesMatrix:
 # Expressions
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=64)
-def _shift_matrix(c, n: int) -> tuple:
-    """The coefficient map of the Taylor shift by c of a polynomial with
-    n coefficients (see `Shift`), read-only."""
-    c = Fraction(c)
-    u, w = c.numerator, c.denominator
-    return tuple(tuple(math.comb(i, k) * u ** (i - k) * w ** (n - 1 - i + k)
-                       for i in range(k, n)) for k in range(n))
-
-
 # `Shift` and `Lead` are the terms `evaluate` keys its packed series by: as
 # dataclasses, two of them are equal only if their classes are, where
 # NamedTuples of equal fields would be
@@ -421,7 +434,8 @@ class Shift:
     """The Taylor shift v -> v + c of every entry of a series: with
     c = u/w and D the outer degree, w^D p(v + c) has the integer
     coefficients sum_i C(i, k) u^(i-k) w^(D-i+k) p_i, a fixed matrix on
-    the coefficient axis; w^D joins the denominator.  The shift by 0 is
+    the coefficient axis (`polyring.shift_matrix`); w^D joins the
+    denominator.  The shift by 0 is
     the series itself."""
 
     x: PSeriesMatrix
@@ -433,19 +447,19 @@ class Shift:
         if self.c == 0:
             return shape
         growth = max(sum(map(abs, row))
-                     for row in _shift_matrix(self.c, shape.outer))
+                     for row in shift_matrix(self.c, shape.outer))
         return shape._replace(
             den=shape.den * Fraction(self.c).denominator ** (shape.outer - 1),
             bound=shape.bound * growth)
 
     def apply(self, rows: list) -> list:
-        """The digit rows of the shift from those of the series (see
-        `PSeriesMatrix._decoded`)."""
+        """The slot rows of the shift from those of the series (see
+        `PSeriesMatrix._rows`)."""
         if self.c == 0:
             return rows
         out = []
-        for k, row in enumerate(_shift_matrix(self.c, self.x.shape.outer)):
-            terms = [[d if m == 1 else m * d for d in rows[k + i]]
+        for row in shift_matrix(self.c, self.x.shape.outer):
+            terms = [[d if m == 1 else m * d for d in rows[i]]
                      for i, m in enumerate(row) if m]
             out.append([sum(col[1:], col[0]) for col in zip(*terms)])
         return out
@@ -512,9 +526,9 @@ def evaluate(exprs, order: int) -> list:
     The expressions run twice: first on the outlines of their terms (the
     `Shift`s and `Lead`s of input series, and the `Identity`s), which
     gives the shape of every term and result, then on the terms packed
-    at the least layout that holds all those shapes.  Each input series
-    is decoded once and each term packed once from its digits, so no
-    operation repacks."""
+    at the least layout that holds all those shapes.  Each term is packed
+    once from its series' coefficient slots, so no operation repacks and
+    no input series built from its coefficients is decoded."""
     sources = {}
 
     def run(e, value, seen: list):
@@ -549,7 +563,7 @@ def evaluate(exprs, order: int) -> list:
     stride = max(t.shape.inner for t in seen)
     terms = {}
     for x, source_terms in sources.items():
-        rows = x._decoded(x._num)
+        rows = x._rows
         for e in source_terms:
             terms[e] = PSeriesMatrix._packed(
                 x.basis, x.terminates, _pack_rows(e.apply(rows), width, stride),

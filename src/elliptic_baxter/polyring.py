@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import math
 import operator
+from fractions import Fraction
+from functools import lru_cache
 
 
 def is_zero(v) -> bool:
@@ -127,6 +129,18 @@ class Poly:
 
 def as_poly(v) -> Poly:
     return v if isinstance(v, Poly) else Poly((v,))
+
+
+@lru_cache(maxsize=64)
+def shift_matrix(c, n: int) -> tuple:
+    """The coefficient map of the Taylor shift by c = u/w of polynomials
+    with n coefficients, cleared by w^(n-1): entry (k, i) is the int
+    multiplier C(i, k) u^(i-k) w^(n-1-i+k) of coefficient i in coefficient
+    k of w^(n-1) p(v + c), zero for i < k.  Read-only."""
+    c = Fraction(c)
+    u, w = c.numerator, c.denominator
+    return tuple(tuple(math.comb(i, k) * u ** (i - k) * w ** (n - 1 - i + k)
+                       if i >= k else 0 for i in range(n)) for k in range(n))
 
 
 def poly_rem(a: Poly, b: Poly) -> Poly:

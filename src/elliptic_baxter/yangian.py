@@ -13,7 +13,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product as iproduct
 
 import numpy as np
@@ -39,6 +39,7 @@ from .polyring import (
     is_zero,
     numerators,
     poly_rem,
+    shift_matrix,
 )
 
 SPIN_VARIABLE = Poly.variable()
@@ -130,6 +131,27 @@ class YangianModule:
     exact: bool
     levels: int
     label: str = ""
+
+    @cached_property
+    def entry_cells(self) -> tuple:
+        """(labels, cells, den, coeffs) of the entry operators, built on
+        first use: the labels in weight order; per nonzero entry (cell),
+        the int row (key, row, col) of `cells`, with key 2a + b - 3 of
+        T_ab and row and col positions in `labels` (T_ab e_lab = ... +
+        p e_lab2 is entry (lab2, lab)); and coeffs[cell, j, s], the int
+        coefficient of z^j spin^s of its entry times den, the entries' one
+        denominator."""
+        labels = tuple(sorted(self.basis, key=self.weight.__getitem__))
+        pos = {lab: n for n, lab in enumerate(labels)}
+        found = [((2 * a + b - 3, pos[lab2], pos[lab]), p)
+                 for (a, b), table in self.act.items()
+                 for lab, rows in table.items() for lab2, p in rows]
+        den = denominator(p for _, p in found)
+        nums = [numerators(p, den) for _, p in found]
+        inner = packed.inner_slots(nums)
+        coeffs = packed.coefficient_rows(nums, inner)
+        return (labels, np.array([cell for cell, _ in found]), den,
+                coeffs.reshape(len(nums), -1, inner))
 
     def band_data(self):
         """Diagonal/raising/lowering entries for single-band modules,
@@ -366,7 +388,7 @@ def yangian_transfer(X: YangianModule, sites,
     strings with different index counts vanish by the weight grading, so
     the result is one series per sector s = 0..L, on
     `sector_basis(L, s)`."""
-    return _graded_trace(X, sites, order, lambda p, a: p.shift(a))
+    return _graded_trace(X, sites, order, bound=False)
 
 
 def yangian_q(sites, order: int) -> list[PSeriesMatrix]:
@@ -377,13 +399,36 @@ def yangian_q(sites, order: int) -> list[PSeriesMatrix]:
     entries are evaluated at the site before the contraction."""
     L = len(sites)
     W = build_module("ladder", spin=SPIN_VARIABLE, levels=order + L)
-    return _graded_trace(W, sites, order, lambda p, a: as_poly(p(a)))
+    return _graded_trace(W, sites, order, bound=True)
+
+
+def _site_values(X: YangianModule, a, bound: bool) -> tuple:
+    """(d, nums) of the entries of X at the site a: nums[cell, i, j], the
+    int coefficient of the i-th power of the outer variable and the j-th
+    of the inner one over the least common denominator d, cut to the
+    least slot counts that hold them.  The value of an entry p is
+    p(z + a), z outer and the spin inner: the Taylor shift of
+    `polyring.shift_matrix` on the z axis of `entry_cells`' coefficients.
+    With `bound` it is p(a), the shift's constant term, with the spin
+    outer."""
+    _, _, den, coeffs = X.entry_cells
+    n = coeffs.shape[1]
+    shift = np.array(shift_matrix(a, n), dtype=object)
+    nums = (shift[:1] @ coeffs).transpose(0, 2, 1) if bound else shift @ coeffs
+    # the shift clears w^(n - 1) of a = u/w; each value's reduced
+    # denominator divides the full one, so d is it over the common gcd
+    full = den * Fraction(a).denominator ** (n - 1)
+    g = math.gcd(full, *nums.flat)
+    used = nums != 0
+    outer, inner = (max(np.flatnonzero(used.any(axis=axes)), default=0) + 1
+                    for axes in ((0, 2), (0, 1)))
+    return full // g, nums[:, :outer, :inner] // g
 
 
 def _graded_trace(X: YangianModule, sites, order: int,
-                  at) -> list[PSeriesMatrix]:
-    """The trace of `yangian_transfer`, with at(p, a) the value of the
-    module entry p at the site a.
+                  bound: bool) -> list[PSeriesMatrix]:
+    """The trace of `yangian_transfer`, or with `bound` of `yangian_q`,
+    each entry valued at its site by `_site_values`.
 
     `dynamical.block_graded_trace` over the same-sector string pairs, on
     the level blocks of Kronecker-packed ints: each site's entries are
@@ -393,8 +438,8 @@ def _graded_trace(X: YangianModule, sites, order: int,
     magnitude is at most the largest level dimension times the product
     over sites of the largest row sum of the entries' coefficient l1
     norms (the l1 norm is submultiplicative); the inner degrees add up
-    the same way.  Each sector is then repacked at its own tight width,
-    stride and outer slot count, read from the digits."""
+    the same way.  Each sector is then decoded once into its coefficient
+    slots (`packed.from_packed`)."""
     L = len(sites)
     if L < 1:
         raise ValueError("need at least one site")
@@ -411,8 +456,7 @@ def _graded_trace(X: YangianModule, sites, order: int,
         )
     bases, pairs, sector = _sector_pairs(L)
     plan = contraction_plan(pairs, (1, 2))
-    labels = sorted(X.basis, key=X.weight.__getitem__)
-    pos = {lab: n for n, lab in enumerate(labels)}
+    labels, cells, _, _ = X.entry_cells
     # levels past the module's top (a finite module) trace to zero
     top = min(order, X.weight[labels[-1]])
     # the offsets of all the module's levels: a prefix of the contraction
@@ -420,31 +464,22 @@ def _graded_trace(X: YangianModule, sites, order: int,
     levels = [sum(X.weight[lab] < k for lab in labels)
               for k in range(X.weight[labels[-1]] + 2)]
     n = len(labels)
-    # T_ab e_lab = ... + p e_lab2 is entry (lab2, lab) of the ab matrix
-    cells = [(2 * ab[0] + ab[1] - 3, pos[lab2], pos[lab], p)
-             for ab, table in X.act.items()
-             for lab, rows in table.items() for lab2, p in rows]
-    dens, nums, shapes = [], [], []
-    for a in sites:
-        vals = [at(p, a) for *_, p in cells]
-        d = denominator(vals)
-        site = [numerators(v, d) for v in vals]
-        inner = packed.inner_slots(site)
-        flat = packed.coefficient_rows(site, inner)
-        row_l1 = np.zeros((4, n), dtype=object)
-        for (key, r, _, _), l1 in zip(cells, np.abs(flat).sum(axis=1)):
-            row_l1[key, r] += l1
-        dens.append(d)
-        nums.append(site)
-        shapes.append((inner, flat.shape[1] // inner, row_l1.max()))
-    inner, slots, row_l1 = zip(*shapes)
-    stride, outer = sum(inner) - L + 1, sum(slots) - L + 1
+    key, row, col = cells.T
+    dens, nums = zip(*(_site_values(X, a, bound) for a in sites))
+    row_l1 = []
+    for site in nums:
+        sums = np.zeros(4 * n, dtype=object)
+        np.add.at(sums, key * n + row, np.abs(site).sum(axis=(1, 2)))
+        row_l1.append(sums.max())
+    stride = sum(site.shape[2] for site in nums) - L + 1
+    outer = sum(site.shape[1] for site in nums) - L + 1
     width = packed.slot_width(int(max(np.diff(levels[:top + 2]))) * math.prod(row_l1))
     values = np.empty((L, len(cells)), dtype=object)
     for l, site in enumerate(nums):
-        values[l] = packed.pack(
-            list(packed.coefficient_rows(site, stride).T), width)
-    nonzeros = [(key * n + r) * n + c for key, r, c, _ in cells]
+        slots = np.zeros((len(cells), site.shape[1], stride), dtype=object)
+        slots[:, :, :site.shape[2]] = site
+        values[l] = packed.pack(list(slots.reshape(len(cells), -1).T), width)
+    nonzeros = (key * n + row) * n + col
     # the exact entries do not depend on the shift: each grid point takes
     # its site's values
     traces = np.zeros((len(pairs), order + 1), dtype=object)
@@ -480,32 +515,45 @@ def q_degree_report(sites, order: int = 1,
     levels 0..order, with the level-zero triangularity and diagonal
     checks; the leading check reads Q's own top spin coefficient on the
     diagonal.  `q` is `yangian_q(sites, n)` for some n >= order, built
-    here at n = order when not given."""
+    here at n = order when not given.  Everything is read from Q's
+    coefficient slots [spin power, inner slot, level, row, col]."""
     if q is None:
         q = yangian_q(sites, order)
     out = []
     for s, qs in enumerate(q):
-        deg = max(
-            (e.degree for k in range(order + 1) for row in qs.get(k)
-             for e in row if e),
-            default=-1,
-        )
-        p0 = qs.get(0)
-        expect = [
-            math.prod((Poly((a, 1)) if il == 1 else Poly((a,))
-                       for a, il in zip(sites, string)), start=Poly((1,)))
-            for string in qs.basis
-        ]
+        if order > qs.order:
+            raise IndexError(
+                f"coefficient {order} beyond truncation order {qs.order}")
+        slots = qs.slots()[:, :, :order + 1]
+        used = np.flatnonzero((slots != 0).any(axis=(1, 2, 3, 4)))
+        deg = int(used[-1]) if len(used) else -1
+        p0 = slots[:, :, 0]
+        diag = np.diagonal(p0, axis1=2, axis2=3)
+        # the expected diagonal entry of a string, the product over the
+        # sites a = u/w of a + spin at an index 1 and a at an index 2,
+        # times the product of the w: int coefficients [spin power, string]
+        want = np.zeros((max(len(diag), s + 1), qs.dim), dtype=object)
+        want[0] = 1
+        for l, a in enumerate(map(Fraction, sites)):
+            up = np.zeros_like(want)
+            up[1:] = want[:-1] * np.array(
+                [a.denominator * (string[l] == 1) for string in qs.basis],
+                dtype=object)
+            want = want * a.numerator + up
+        got = np.zeros_like(want)
+        got[:len(diag)] = diag[:, 0]
+        scale = math.prod(Fraction(a).denominator for a in sites)
         out.append(SectorDegreeData(
             sector=s,
             degree=deg,
             degree_matches=(deg == s),
-            leading_nonzero=all(not is_zero(p0[i][i].coefficient(s))
-                                for i in range(qs.dim)),
-            p0_upper_triangular=all(not p0[r][c] for r in range(qs.dim)
-                                    for c in range(r)),
-            p0_diagonal_matches=all(p0[i][i] == e
-                                    for i, e in enumerate(expect)),
+            leading_nonzero=bool(s < len(diag)
+                                 and diag[s].any(axis=0).all()),
+            p0_upper_triangular=not np.tril((p0 != 0).any(axis=(0, 1)),
+                                            -1).any(),
+            p0_diagonal_matches=bool(
+                not diag[:, 1:].any()
+                and (got * scale == want * qs.shape.den).all()),
         ))
     return out
 

@@ -455,6 +455,69 @@ class TestBlockTrace:
         assert (got == ref).all()
 
 
+def poly_site_values(X, a, bound):
+    """Reference site values: every entry of X valued at the site a in
+    Fraction arithmetic, p.shift(a), or with `bound` p(a) with the spin as
+    the outer variable, then cleared over one denominator; (d, numerators
+    [cell, outer slot, inner slot]) in the order of `X.act`."""
+    entries = [p for table in X.act.values() for rows in table.values()
+               for _, p in rows]
+    vals = [as_poly(p(a)) if bound else p.shift(a) for p in entries]
+    d = denominator(vals)
+    nums = [numerators(v, d) for v in vals]
+    inner = packed.inner_slots(nums)
+    return d, packed.coefficient_rows(nums, inner).reshape(len(nums), -1,
+                                                           inner)
+
+
+SITE_VALUE_MODULES = {
+    **{f"finite-{m}": build_module("finite", spin=m) for m in (1, 2, 3)},
+    "ladder-int": build_module("ladder", spin=4, shift=F(-3, 11), levels=5),
+    "ladder-rational": build_module("ladder", spin=F(5, 3), levels=5),
+    "ladder-symbolic": build_module("ladder", spin=SPIN_VARIABLE,
+                                    shift=F(1, 4), levels=5),
+    "oscillator": build_module("oscillator", shift=F(5, 2), levels=5),
+    "ladder-flipped": build_module("ladder", spin=F(5, 3), levels=5,
+                                   flip_raising=True),
+    "oscillator-flipped": build_module("oscillator", levels=5,
+                                       flip_raising=True),
+    "finite-ladder": tensor_module(
+        build_module("finite", spin=2),
+        build_module("ladder", spin=SPIN_VARIABLE * F(-3, 7) + F(2, 9),
+                     levels=5)),
+}
+
+
+class TestSiteValues:
+    """The integer-array site values of the trace against the entries
+    valued in Fraction arithmetic: the same denominator and the same
+    numerators, cut to the same slot counts."""
+
+    @pytest.mark.parametrize("bound", [False, True], ids=["shift", "bound"])
+    @pytest.mark.parametrize("site", [
+        F(-97, 89), F(10**12 + 39, 7), F(2, 3), 3, -2, F(1, 10**20 + 39),
+        F(-10**18 - 9, 10**18 + 3)])
+    @pytest.mark.parametrize("kind", sorted(SITE_VALUE_MODULES))
+    def test_equals_fraction_path(self, kind, site, bound):
+        X = SITE_VALUE_MODULES[kind]
+        d, nums = yangian._site_values(X, site, bound)
+        ref_d, ref = poly_site_values(X, site, bound)
+        assert d == ref_d and nums.shape == ref.shape
+        assert all(type(v) is int for v in nums.flat)
+        assert (nums == ref).all()
+
+    @pytest.mark.parametrize("kind", sorted(SITE_VALUE_MODULES))
+    def test_cells_follow_the_action_tables(self, kind):
+        X = SITE_VALUE_MODULES[kind]
+        labels, cells, _, _ = X.entry_cells
+        assert [X.weight[lab] for lab in labels] == \
+            sorted(X.weight[lab] for lab in X.basis)
+        ref = [(2 * a + b - 3, labels.index(lab2), labels.index(lab))
+               for (a, b), table in X.act.items()
+               for lab, rows in table.items() for lab2, _ in rows]
+        assert [tuple(cell) for cell in cells.tolist()] == ref
+
+
 class TestTransfer:
     @pytest.mark.parametrize("skip", [True, False])
     @pytest.mark.parametrize("L", [1, 2, 3, 4])
@@ -835,6 +898,61 @@ class TestExactResidual:
         assert value(Residual(huge, zero), 0) == math.inf
 
 
+def unpacked_degree_report(sites, order, q):
+    """Reference degree report on the Fraction views of Q."""
+    out = []
+    for s, qs in enumerate(q):
+        deg = max((e.degree for k in range(order + 1) for row in qs.get(k)
+                   for e in row if e), default=-1)
+        p0 = qs.get(0)
+        expect = [math.prod((Poly((a, 1)) if il == 1 else Poly((a,))
+                             for a, il in zip(sites, string)),
+                            start=Poly((1,)))
+                  for string in qs.basis]
+        out.append(yangian.SectorDegreeData(
+            sector=s, degree=deg, degree_matches=(deg == s),
+            leading_nonzero=all(p0[i][i].coefficient(s) != 0
+                                for i in range(qs.dim)),
+            p0_upper_triangular=all(not p0[r][c] for r in range(qs.dim)
+                                    for c in range(r)),
+            p0_diagonal_matches=all(p0[i][i] == e
+                                    for i, e in enumerate(expect))))
+    return out
+
+
+def edited_q(q, edit):
+    """Q with the entries an edit (level, cells, f) names replaced by
+    f(sector, entry) in its Fraction tables, rebuilt through the
+    constructor; cells is "diagonal" or (row, col) pairs, those outside a
+    sector skipped."""
+    level, cells, f = edit
+    out = []
+    for s, qs in enumerate(q):
+        tables = [[list(row) for row in tab] for tab in qs.tables]
+        at = ([(i, i) for i in range(qs.dim)] if cells == "diagonal" else
+              [(r, c) for r, c in cells if max(r, c) < qs.dim])
+        for r, c in at:
+            tables[level][r][c] = f(s, tables[level][r][c])
+        out.append(PSeriesMatrix(qs.basis, tables, qs.terminates))
+    return out
+
+
+DEGREE_EDITS = {
+    "none": (0, (), None),
+    "top-dropped": (0, "diagonal", lambda s, e: Poly(e.coeffs[:s])),
+    "lower-entry": (0, ((1, 0),), lambda s, e: Poly((F(1, 3),))),
+    "diagonal-off": (0, ((0, 0),), lambda s, e: e + Poly((0, 1))),
+    "degree-up": (1, ((0, 0),),
+                  lambda s, e: e + Poly((0,) * (s + 1) + (F(2, 5),))),
+    # nested entries: a spin coefficient with an inner slot, or constant
+    # inner polynomials (equal to the scalars they hold)
+    "inner-slot": (0, ((0, 0),), lambda s, e: Poly(
+        [Poly((c, F(1, 7))) if j == 0 else c for j, c in enumerate(e.coeffs)])),
+    "inner-constant": (0, ((0, 0),),
+                       lambda s, e: Poly([Poly((c,)) for c in e.coeffs])),
+}
+
+
 class TestBaxterOperator:
     def test_degree_and_triangularity(self):
         for L, sites in [(1, (F(3, 4),)), (2, SITES),
@@ -845,6 +963,21 @@ class TestBaxterOperator:
 
     def test_two_site_leading_closed_form(self):
         assert two_site_leading_residual(*SITES, 12) == 0
+
+    @pytest.mark.parametrize("edit", sorted(DEGREE_EDITS))
+    @pytest.mark.parametrize("sites", [
+        (F(3, 4),), SITES, (F(2, 3), F(-5, 7), F(9, 4)),
+        (F(-97, 89), F(10**12 + 39, 7), 3, F(-1, 6))],
+        ids=["1site", "2site", "3site", "4site-large"])
+    def test_degree_report_matches_fraction_views(self, sites, edit):
+        q = edited_q(yangian_q(sites, 2), DEGREE_EDITS[edit])
+        for order in (0, 1, 2):
+            got = q_degree_report(sites, order, q=q)
+            assert got == unpacked_degree_report(sites, order, q)
+            assert all(type(getattr(d, verdict)) is bool for d in got
+                       for verdict in ("degree_matches", "leading_nonzero",
+                                       "p0_upper_triangular",
+                                       "p0_diagonal_matches"))
 
     def test_sector_preservation(self):
         W = build_module("ladder", spin=SPIN_VARIABLE, levels=3 + len(SITES))
@@ -985,22 +1118,23 @@ class TestFunctionalRelations:
 
 
 class TestRelationLayout:
-    """Each relation decodes its input series once per sector and packs
-    its terms at one layout, so its series operations repack nothing;
-    each sector's product still runs through `mul`."""
+    """Each trace series is decoded once, when it is built; a relation
+    decodes none of the series it relates and packs its terms at one
+    layout, so its series operations repack nothing; each sector's
+    product still runs through `mul`."""
 
     SITES = ORACLE_SITES
     X = build_module("ladder", spin=F(5, 3), levels=7)
     Y = build_module("ladder", spin=F(-1, 2), shift=F(1, 5), levels=7)
 
     # (relation, decodes per sector: one per transfer series the relation
-    # builds, then one per series it relates)
+    # builds, none for the series it relates)
     @pytest.mark.parametrize("relation, decodes", [
-        (lambda q: tq_residual(ORACLE_SITES, 3, q=q), 1 + 2),
-        (lambda q: oscillator_comparison(ORACLE_SITES, 3, q=q), 1 + 2),
+        (lambda q: tq_residual(ORACLE_SITES, 3, q=q), 1),
+        (lambda q: oscillator_comparison(ORACLE_SITES, 3, q=q), 1),
         (lambda q: product_residual(TestRelationLayout.X,
                                     TestRelationLayout.Y, ORACLE_SITES, 3),
-         3 + 3),
+         3),
     ], ids=["tq", "oscillator", "product"])
     def test_decode_count(self, monkeypatch, relation, decodes):
         q = yangian_q(self.SITES, 3)
