@@ -10,6 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .theta import EllipticParams, PoleError, lattice_distance, lattice_reduce, theta_eval
+from .yangian import two_site_quadratic
 
 _POLE_GUARD = 1e-8
 # Newton: iteration cap, log-residual norm to stop at, finite-difference step
@@ -213,9 +214,7 @@ class YangianBetheResult:
 def yangian_bethe_solve(a1: complex, a2: complex, p: complex) -> YangianBetheResult:
     """Roots of p(z+a1+1)(z+a2+1) = (z+a1)(z+a2)."""
     a1, a2, p = complex(a1), complex(a2), complex(p)
-    qa = 1 - p
-    qb = (a1 + a2) * (1 - p) - 2 * p
-    qc = a1 * a2 - p * (a1 + 1) * (a2 + 1)
+    qc, qb, qa = map(two_site_quadratic(a1, a2, p).coefficient, range(3))
     if abs(qa) < _DEGENERATE_TOL:
         if abs(qb) < _DEGENERATE_TOL:
             raise ZeroDivisionError("degenerate system: no z dependence")

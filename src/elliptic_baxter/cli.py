@@ -229,7 +229,7 @@ def run_gauss(cfg) -> list[Check]:
     h = P.hbar
     spin = 1.7 + 0.3j
     X = build_asymptotic(spin, 0.0, 8, P)
-    pts = SamplePlan(cfg.seed, max(4, cfg.samples // 3), 5e-2).pairs(
+    pts = SamplePlan(cfg.seed, max(4, cfg.samples // 3), _SAMPLE_MARGIN).pairs(
         P, guard=lambda z, x: [x + k * h for k in range(-8, 9)])
     return [Check("reconstruction", {"spin": spin, "points": len(pts), "seed": cfg.seed},
                   gauss_reconstruction_residual(X, pts)),
@@ -263,7 +263,7 @@ def _space(cfg):
 def _sample_pairs(cfg, n=3):
     P = cfg.params
     h = P.hbar
-    return SamplePlan(cfg.seed, n, 5e-2).pairs(
+    return SamplePlan(cfg.seed, n, _SAMPLE_MARGIN).pairs(
         P, guard=lambda z, x: [x + k * h for k in range(-6, 7)])
 
 

@@ -15,26 +15,23 @@ other, valid digits, so no check on the packed values can see it:
 exactness rests on each bound being a true bound, which tests check on
 inputs that attain it.
 
-The width and the stride are the layout of a series.  A series built
-from its coefficients (the constructor, `from_packed`) holds them as
-coefficient slots, one int array per outer and inner slot, at no layout;
-packed ints exist at the layout that `evaluate` picks.  `evaluate` is the
-one place that picks a layout: it derives the shape of every term and
-result of its expressions from the operations' rules and packs every term
-once, straight from its series' slots, at the least layout that holds
-them all.  The operations compute at the layout their operands share, and
-refuse operands packed at different layouts or a layout too narrow for
-their result; an operation called on a series of slots packs it at its
-tight layout (the least that holds it) on first use.  A series an
-operation computes holds its packed ints, decoded to slots only when it
-is read.
+The width and the stride are the layout of a series.  A series holds
+its coefficients as coefficient slots, one int array per outer and inner
+slot, at no layout.  `evaluate` is the one place that packs: it derives
+the shape of every term and result of its expressions from the
+operations' rules, packs every term once, straight from its series'
+slots, at the least layout that holds them all (`pack_slots`), and
+decodes a series-valued result once (`from_packed`).  The operations run
+on those packed terms: they compute at the layout their operands share,
+and refuse operands packed at different layouts or a layout too narrow
+for their result.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -156,10 +153,10 @@ def pack(values, width: int):
     return v
 
 
-def _pack_rows(rows, width: int, stride: int):
-    """The packed value of the digits rows[i][j] of outer slot i and
-    inner slot j < stride."""
-    return pack([d for row in rows for d in row + [0] * (stride - len(row))],
+def pack_slots(rows, width: int, stride: int):
+    """The packed value of the coefficient slots rows[i][j] of outer slot
+    i and inner slot j < stride: ints, or int arrays packed entrywise."""
+    return pack([d for row in rows for d in [*row] + [0] * (stride - len(row))],
                 width)
 
 
@@ -238,14 +235,15 @@ class PSeriesMatrix:
     tables[k][row][col] is the k-th coefficient.  `terminates` marks a
     series known to be a polynomial of the stored order.
 
-    The entries are integer numerators over one denominator (see the
-    module docstring): a series built from its coefficients holds their
-    slots, one computed by an operation its packed ints.  `tables` and
-    `get` are views unpacked to Fraction polynomials once per coefficient,
-    on first read.  The views are for reading: the series operations read
-    the numerators only, so an entry written into a view would be seen by
-    readers of the view and by no series operation.  A changed series is
-    built through the constructor."""
+    A series holds the coefficient slots of its entries' integer
+    numerators over one denominator (see the module docstring); only the
+    terms that `evaluate` packs hold packed ints, and only the operations
+    read them.  `tables` and `get` are views unpacked to Fraction
+    polynomials once per coefficient, on first read.  The views are for
+    reading: the series operations read the numerators only, so an entry
+    written into a view would be seen by readers of the view and by no
+    series operation.  A changed series is built through the
+    constructor."""
 
     def __init__(self, basis: tuple, tables: list, terminates: bool = False):
         d = denominator(e for tab in tables for row in tab for e in row)
@@ -259,46 +257,29 @@ class PSeriesMatrix:
         self._views.update(enumerate(tables))
 
     def _hold(self, basis, terminates, rows, shape):
-        """The series of coefficient slots rows[i][j] (see `_rows`), at
-        its tight layout: the least width that holds shape.bound, and
-        stride shape.inner."""
+        """The series of coefficient slots rows[i][j]: as an int array
+        [k, row, col], the coefficients of outer slot i and inner slot j
+        of the numerators over shape.den."""
         self._rows = rows
-        self._set(basis, terminates, rows[0][0].shape,
-                  slot_width(shape.bound), shape.inner, shape)
+        self._views = {}
+        self._set(basis, terminates, rows[0][0].shape, shape)
 
     @classmethod
     def _packed(cls, basis, terminates, num, width, stride,
                 shape) -> "PSeriesMatrix":
+        """A term of `evaluate`: num[k][row][col], the numerator over
+        shape.den of the k-th coefficient packed at `width` bits per slot
+        with inner stride `stride` (at least shape.inner)."""
         self = cls.__new__(cls)
-        self._num = num
-        self._set(basis, terminates, num.shape, width, stride, shape)
+        self._num, self._width, self._stride = num, width, stride
+        self._set(basis, terminates, num.shape, shape)
         return self
 
-    def _set(self, basis, terminates, size, width, stride, shape):
+    def _set(self, basis, terminates, size, shape):
         # size: that of the [k, row, col] arrays of coefficients
         self.basis, self.terminates = basis, terminates
         self.order, self.dim = size[0] - 1, size[1]
-        self._width, self._stride = width, stride
         self.shape = shape
-        self._views = {}
-
-    @cached_property
-    def _num(self):
-        """num[k][row][col], the numerator over shape.den of the k-th
-        coefficient packed at `_width` bits per slot with inner stride
-        `_stride` (at least shape.inner); a series of slots is packed on
-        first use."""
-        return _pack_rows(self._rows, self._width, self._stride)
-
-    @cached_property
-    def _rows(self) -> list:
-        """The coefficient slots: rows[i][j] holds, as an int array
-        [k, row, col], the coefficients of outer slot i and inner slot j
-        of the numerators; a computed series' packed ints are decoded on
-        first read."""
-        s, inner = self._stride, self.shape.inner
-        flat = digits(self._num, self._width, (self.shape.outer - 1) * s + inner)
-        return [flat[i * s:i * s + inner] for i in range(self.shape.outer)]
 
     def slots(self) -> np.ndarray:
         """The coefficient slots as one int array
@@ -315,13 +296,16 @@ class PSeriesMatrix:
         return [self.get(k) for k in range(self.order + 1)]
 
     def get(self, k: int):
-        if k <= self.order:
-            if k not in self._views:
-                self._views[k] = self._unpacked(k)
-            return self._views[k]
-        if self.terminates:
+        """The k-th coefficient: zero below 0 and past the stored order
+        of a terminating series."""
+        if k < 0 or (k > self.order and self.terminates):
             return _zero_table(self.dim)
-        raise IndexError(f"coefficient {k} beyond truncation order {self.order}")
+        if k > self.order:
+            raise IndexError(
+                f"coefficient {k} beyond truncation order {self.order}")
+        if k not in self._views:
+            self._views[k] = self._unpacked(k)
+        return self._views[k]
 
     def _unpacked(self, k: int) -> list:
         d = self.shape.den
@@ -454,7 +438,7 @@ class Shift:
 
     def apply(self, rows: list) -> list:
         """The slot rows of the shift from those of the series (see
-        `PSeriesMatrix._rows`)."""
+        `PSeriesMatrix._hold`)."""
         if self.c == 0:
             return rows
         out = []
@@ -528,7 +512,8 @@ def evaluate(exprs, order: int) -> list:
     gives the shape of every term and result, then on the terms packed
     at the least layout that holds all those shapes.  Each term is packed
     once from its series' coefficient slots, so no operation repacks and
-    no input series built from its coefficients is decoded."""
+    no input series is decoded; a series-valued result is decoded once,
+    as `from_packed` decodes a trace."""
     sources = {}
 
     def run(e, value, seen: list):
@@ -566,7 +551,7 @@ def evaluate(exprs, order: int) -> list:
         rows = x._rows
         for e in source_terms:
             terms[e] = PSeriesMatrix._packed(
-                x.basis, x.terminates, _pack_rows(e.apply(rows), width, stride),
+                x.basis, x.terminates, pack_slots(e.apply(rows), width, stride),
                 width, stride, e.shape)
 
     def packed_term(e) -> PSeriesMatrix:
@@ -576,4 +561,10 @@ def evaluate(exprs, order: int) -> list:
                                          _ONE)
         return terms[e]
 
-    return [run(e, packed_term, []) for e in exprs]
+    def decoded(v):
+        if isinstance(v, PSeriesMatrix):
+            return from_packed(v.basis, v.terminates, v._num, v._width,
+                               v._stride, v.shape.outer, v.shape.den)
+        return v
+
+    return [decoded(run(e, packed_term, [])) for e in exprs]

@@ -269,12 +269,13 @@ def rtt_residual(X: YangianModule) -> float:
     truncation-safe basis vectors of the two-fold auxiliary space.
 
     The sparse state walk runs on Kronecker-packed ints (see `packed`):
-    the module's entries are cleared over one denominator d, and each
-    state value is a polynomial in z, w and, for a symbolic-spin module,
-    the spin variable (innermost), stored as its value at 2^width.  The
-    two sides are compared as packed ints and read back only where they
-    differ; both are quadratic in the entries, so the defect is the
-    worst digit over d^2.
+    the module's entries are read cleared over one denominator d
+    (`YangianModule.entry_cells`), and each state value is a polynomial
+    in z, w and, for a symbolic-spin module, the spin variable
+    (innermost), stored as its value at 2^width.  The two sides are
+    compared as packed ints and read back only where they differ; both
+    are quadratic in the entries, so the defect is the worst digit over
+    d^2.
 
     The slot width holds both sides' coefficients.  With mu the largest
     entry coefficient, rho the largest sum of the entries' largest
@@ -284,34 +285,28 @@ def rtt_residual(X: YangianModule) -> float:
     n rho mu, and the l1 norms of R's entries sum to at most 3 along each
     row and each column, so every coefficient of either side is at most
     3 n rho mu."""
-    safe = [v for v in X.basis
-            if X.exact or X.weight[v] <= X.levels - 2]
+    labels, cells, d, coeffs = X.entry_cells
+    safe = [n for n, lab in enumerate(labels)
+            if X.exact or X.weight[lab] <= X.levels - 2]
     if not safe:
         raise ValueError("module too shallow for the exchange check")
-    cells = [(ab, lab, lab2, p) for ab, table in X.act.items()
-             for lab, rows in table.items() for lab2, p in rows]
-    d = denominator(p for *_, p in cells)
-    entries = [numerators(p, d) for *_, p in cells]
-    inner = packed.inner_slots(entries)
-    flat = packed.coefficient_rows(entries, inner)
-    outer = flat.shape[1] // inner
-    mu = np.abs(flat).max(axis=1)
-    row = {}
-    for (ab, _, lab2, _), m in zip(cells, mu):
-        row[ab, lab2] = row.get((ab, lab2), 0) + m
-    width = packed.slot_width(3 * inner * max(row.values()) * max(mu))
+    _, outer, inner = coeffs.shape
+    mu = np.abs(coeffs).max(axis=(1, 2))
+    row_sums = np.zeros(4 * len(labels), dtype=object)
+    np.add.at(row_sums, cells[:, 0] * len(labels) + cells[:, 1], mu)
+    width = packed.slot_width(3 * inner * row_sums.max() * mu.max())
     # slot strides: the spin variable (degree below 2 * inner - 1), then
     # w and z (degree below outer in an entry, plus one from R)
     ws = 2 * inner - 1
     zs = ws * (outer + 1)
     count = zs * (outer + 1)
-    # tables[slot][(a, b)][lab]: (lab2, packed entry in z for slot 0, in
-    # w for slot 1)
-    tables = [{ab: {} for ab in X.act} for _ in range(2)]
-    for (ab, lab, lab2, _), p in zip(cells, entries):
-        for slot, stride in ((0, zs), (1, ws)):
-            tables[slot][ab].setdefault(lab, []).append(
-                (lab2, packed.pack(packed.flatten(p, stride), width)))
+    # tables[slot][key, col]: (row, packed entry in z for slot 0, in w for
+    # slot 1) of each cell of T_ab in column col, key 2a + b - 3
+    tables = [{}, {}]
+    for slot, stride in ((0, zs), (1, ws)):
+        entries = packed.pack_slots(coeffs.transpose(1, 2, 0), width, stride)
+        for (k, r, c), p in zip(cells.tolist(), entries):
+            tables[slot].setdefault((k, c), []).append((r, p))
     rc = {ab: {cd: sum(c << (width * (i * zs + j * ws)) for c, i, j in terms)
                for cd, terms in col.items()}
           for ab, col in _RTT_R.items()}
@@ -319,18 +314,19 @@ def rtt_residual(X: YangianModule) -> float:
     def apply_slot(state, slot):
         # the first auxiliary slot carries z, the second w
         out = {}
-        for (a, b, lab), v in state.items():
+        for (a, b, n), v in state.items():
             for c in (1, 2):
-                for lab2, coeff in tables[slot][(c, b if slot else a)].get(lab, ()):
-                    key = (a, c, lab2) if slot else (c, b, lab2)
+                for m, coeff in tables[slot].get(
+                        (2 * c + (b if slot else a) - 3, n), ()):
+                    key = (a, c, m) if slot else (c, b, m)
                     out[key] = out.get(key, 0) + coeff * v
         return out
 
     def apply_r(state):
         out = {}
-        for (a, b, lab), v in state.items():
+        for (a, b, n), v in state.items():
             for (c, e), entry in rc[(a, b)].items():
-                key = (c, e, lab)
+                key = (c, e, n)
                 out[key] = out.get(key, 0) + entry * v
         return out
 
@@ -474,11 +470,8 @@ def _graded_trace(X: YangianModule, sites, order: int,
     stride = sum(site.shape[2] for site in nums) - L + 1
     outer = sum(site.shape[1] for site in nums) - L + 1
     width = packed.slot_width(int(max(np.diff(levels[:top + 2]))) * math.prod(row_l1))
-    values = np.empty((L, len(cells)), dtype=object)
-    for l, site in enumerate(nums):
-        slots = np.zeros((len(cells), site.shape[1], stride), dtype=object)
-        slots[:, :, :site.shape[2]] = site
-        values[l] = packed.pack(list(slots.reshape(len(cells), -1).T), width)
+    values = np.stack([packed.pack_slots(site.transpose(1, 2, 0), width, stride)
+                       for site in nums])
     nonzeros = (key * n + row) * n + col
     # the exact entries do not depend on the shift: each grid point takes
     # its site's values

@@ -606,6 +606,13 @@ def map_entries(x, f):
                          x.terminates)
 
 
+def fraction_times_p(x):
+    """Reference product by the grading variable: a zero coefficient, then
+    the Fraction tables."""
+    return PSeriesMatrix(x.basis, [[[Poly()] * x.dim] * x.dim] + x.tables,
+                         x.terminates)
+
+
 def fraction_shift(x, c):
     """Reference Taylor shift of every entry, in Fraction arithmetic."""
     return map_entries(x, lambda p: p.shift(c))
@@ -658,7 +665,7 @@ class TestIntegerSeriesCalculus:
             lead = value(Lead(qs, s), order)
             damped = Weighted(Lead(qs, s), TimesP(Lead(qs, s)), 1, -1)
             assert_same_series(value(damped, order), entrywise_combine(
-                lead, lead.times_p(), lambda x, y: x - y))
+                lead, fraction_times_p(lead), lambda x, y: x - y))
             assert_same_series(value(Product(damped, bs), order),
                                fraction_mul(value(damped, order), bs, order))
 
@@ -678,7 +685,8 @@ class TestIntegerSeriesCalculus:
                                    fraction_shift(ts, c))
             assert_same_series(
                 value(Weighted(Shift(ts, 1), TimesP(ts), a, b), order),
-                entrywise_combine(value(Shift(ts, 1), order), ts.times_p(),
+                entrywise_combine(value(Shift(ts, 1), order),
+                                  fraction_times_p(ts),
                                   lambda x, y: x * a + y * b))
 
     @pytest.mark.parametrize("L", [1, 2, 3, 4])
@@ -849,6 +857,16 @@ class TestPackedSeries:
     # (here at their tight layouts), these operands do not share one, or
     # share one too narrow for the result
     ONE = ((1,),)
+
+    def tight_term(self, tables):
+        # the series of `tables` packed as `evaluate` packs a term, at the
+        # least width that holds it and its inner slot count as the stride
+        x = PSeriesMatrix(self.ONE, tables)
+        width, stride = packed.slot_width(x.shape.bound), x.shape.inner
+        return PSeriesMatrix._packed(
+            x.basis, x.terminates, packed.pack_slots(x._rows, width, stride),
+            width, stride, x.shape)
+
     REFUSED = {
         "mul": lambda x, y: x.mul(y, 0),
         "weighted": lambda x, y: x.weighted(y, 1, 1),
@@ -857,8 +875,8 @@ class TestPackedSeries:
 
     @pytest.mark.parametrize("op", REFUSED)
     def test_different_layouts_are_refused(self, op):
-        x = PSeriesMatrix(self.ONE, [[[Poly((1,))]]])
-        y = PSeriesMatrix(self.ONE, [[[Poly((2**40,))]]])
+        x = self.tight_term([[[Poly((1,))]]])
+        y = self.tight_term([[[Poly((2**40,))]]])
         assert (x._width, x._stride) != (y._width, y._stride)
         with pytest.raises(ValueError, match="different layouts"):
             self.REFUSED[op](x, y)
@@ -868,8 +886,8 @@ class TestPackedSeries:
         # the numerator 3 (3 bits per slot) over 2 and over 5: the
         # product's bound 9, the sum's 21 and the residual's 15 (both
         # rescaled to the denominator 10) each need more bits
-        x = PSeriesMatrix(self.ONE, [[[Poly((F(3, 2),))]]])
-        y = PSeriesMatrix(self.ONE, [[[Poly((F(3, 5),))]]])
+        x = self.tight_term([[[Poly((F(3, 2),))]]])
+        y = self.tight_term([[[Poly((F(3, 5),))]]])
         assert (x._width, x._stride) == (y._width, y._stride)
         with pytest.raises(ValueError, match="cannot hold"):
             self.REFUSED[op](x, y)
@@ -1172,6 +1190,31 @@ class TestRelationLayout:
         assert ran.count("mul") == sectors
         assert ("digits", True) not in calls
         assert ("pack", True) not in calls
+
+
+class TestStoredForm:
+    """Outside `evaluate` a series holds its coefficient slots and no
+    packed ints, whether built by the constructor, decoded from a trace
+    (`from_packed`) or returned by a series-valued `evaluate`."""
+
+    def test_every_series_holds_slots_only(self):
+        sites, order = ORACLE_SITES[:3], 2
+        q = yangian_q(sites, order)
+        t = yangian_transfer(build_module("finite", spin=1), sites, 1)
+        series = [PSeriesMatrix(((1,),), [[[Poly((F(3, 2), 1))]]]), *q, *t]
+        for s, (qs, ts) in enumerate(zip(q, t)):
+            series += evaluate([Product(ts, qs), Shift(qs, F(1, 3)),
+                                TimesP(Lead(qs, s)), Weighted(qs, ts, 1, -1)],
+                               order)
+        for x in series:
+            stored = set(vars(x))
+            assert "_rows" in stored
+            assert not stored & {"_num", "_width", "_stride"}
+
+    def test_negative_coefficient_is_zero(self):
+        qs = yangian_q((2, 3), 2)[1]
+        zero = [[Poly()] * qs.dim] * qs.dim
+        assert qs.get(-1) == zero and qs.get(2) != zero
 
 
 class TestEigenExample:

@@ -7,8 +7,8 @@ measurements (CLI defaults tau = 1i, hbar = 0.31, seed 7) for the chains
 time (the best of ``benchturns.BEST_OF`` runs in the interpreter), its
 peak RSS, its exit code and the SHA-256 of its ``--no-timestamp`` report.
 The checkouts take turns within every repeat (``benchturns``); the medians
-over the repeats are reported, and ``same_reports`` says whether every
-checkout wrote byte-identical reports.
+over the repeats are reported, each beside its quartiles, and
+``same_reports`` says whether every checkout wrote byte-identical reports.
 
     python3 tools/bench_elliptic_chain.py --src change=src --src parent=../old/src \\
         --out BENCH_elliptic_chain.json

@@ -12,7 +12,7 @@ list: ``yangian-tq`` at 8 sites, order 3, and ``yangian-all`` at 4 sites,
 order 3, each with its exit code and report SHA-256.  Times are the best
 of ``benchturns.BEST_OF`` runs in the interpreter.  The checkouts take
 turns within every repeat, so a busy host slows them alike; the medians
-over the repeats are reported.
+over the repeats are reported, each beside its quartiles.
 
     python3 tools/bench_exact_twin.py --src change=src --src parent=../old/src \\
         --out BENCH_exact_twin.json

@@ -8,7 +8,7 @@ parameter sets of the ``suites-2site`` benchmark workload
 wall time (the best of ``benchturns.BEST_OF`` runs in the interpreter),
 exit code, report SHA-256 and peak RSS.  The checkouts take turns within
 every repeat (``benchturns``); the medians over the repeats are reported,
-with their sum per checkout.
+each beside its quartiles, with their sum per checkout.
 
     python3 tools/bench_numeric_suites.py --src change=src --src parent=../old/src \\
         --out BENCH_numeric_suites.json

@@ -9,7 +9,8 @@ find the interpreter warm: its imports done and the package's module-level
 caches (such as ``dynamical.contraction_plan``) filled.  Within every
 repeat the checkouts take turns on each job, so a busy host slows them
 alike; the order of the turns is reversed every other repeat, and the
-medians over the repeats are reported.
+medians over the repeats are reported, each beside its quartiles, so a
+record shows its own spread.
 """
 
 from __future__ import annotations
@@ -99,8 +100,10 @@ def take_turns(checkouts: dict[str, str], jobs, repeats: int) -> dict:
 
 
 def median(runs: list[dict], exact: tuple[str, ...]) -> dict:
-    """Median of every field over the repeats; the ``exact`` fields must not
-    differ between repeats and are reported as they are."""
+    """Median of every field over the repeats, and beside it, under the
+    field's name with ``_quartiles`` appended, its lower and upper
+    quartiles (inclusive method); the ``exact`` fields must not differ
+    between repeats and are reported as they are."""
     out = {}
     for key in runs[0]:
         values = [r[key] for r in runs]
@@ -109,7 +112,9 @@ def median(runs: list[dict], exact: tuple[str, ...]) -> dict:
                 raise RuntimeError(f"{key} differs between repeats: {values}")
             out[key] = values[0]
         else:
+            q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
             out[key] = round(statistics.median(values), 4)
+            out[f"{key}_quartiles"] = [round(q1, 4), round(q3, 4)]
     return out
 
 
