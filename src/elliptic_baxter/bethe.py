@@ -115,12 +115,14 @@ def _same_solution(r1, r2, params) -> bool:
 
 
 def _newton(seed, n, a, p, params):
-    """The converged roots, or None when the iteration fails."""
+    """The converged roots, or None when the iteration fails.  A pole or
+    an overflow of the theta series at the iterate fails the run; at a
+    trial point of the line search it rejects the trial."""
     roots = np.array(seed, dtype=complex)
     for _ in range(_NEWTON_MAX_ITER):
         try:
             r = _log_residual(roots, n, a, p, params)
-        except PoleError:
+        except (PoleError, OverflowError):
             return None
         nr = float(np.linalg.norm(r))
         if nr < _NEWTON_TOL:
@@ -132,7 +134,7 @@ def _newton(seed, n, a, p, params):
                 bumped[j] += _FD_STEP
                 jac[:, j] = (_log_residual(bumped, n, a, p, params) - r) / _FD_STEP
             step = np.linalg.solve(jac, r)
-        except (PoleError, np.linalg.LinAlgError):
+        except (PoleError, OverflowError, np.linalg.LinAlgError):
             return None
         lam = 1.0
         for _ in range(25):
@@ -141,7 +143,7 @@ def _newton(seed, n, a, p, params):
                 if float(np.linalg.norm(_log_residual(cand, n, a, p, params))) < nr:
                     roots = cand
                     break
-            except PoleError:
+            except (PoleError, OverflowError):
                 pass
             lam *= 0.5
         else:

@@ -294,11 +294,12 @@ def cmatmul(a, b, out=None) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=8)
-def contraction_plan(pairs: tuple, letters: tuple) -> tuple:
-    """Left-to-right plan of `graded_trace` over the pairs (i, j) of
-    strings in two letters (up, down), sharing products between pairs
-    with equal prefixes (an MPO-style sweep, Schollwoeck arXiv:1008.3477).
+def contraction_plan(rows, cols, sites: int) -> tuple:
+    """Left-to-right plan of `graded_trace` over the pairs (rows[n],
+    cols[n]) of strings of a chain of `sites` sites, sharing products
+    between pairs with equal prefixes (an MPO-style sweep, Schollwoeck
+    arXiv:1008.3477).  A string is an int code: bit l is set when site l
+    carries the second (down) of its two letters.
 
     Site l lists each distinct prefix (i[:l+1], j[:l+1]) once, in order
     of first appearance; at the last site the prefixes are the pairs, in
@@ -308,27 +309,29 @@ def contraction_plan(pairs: tuple, letters: tuple) -> tuple:
     and the entry 4*point + key of every prefix, with point the grid
     index and key 2*[i_l is down] + [j_l is down].
     """
-    up, down = letters
+    rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+    width = 2 * sites + 1  # the grid point (l, s) as the int l*width + s + sites
+    prefix = np.zeros(len(rows), dtype=np.int64)  # each pair's index at l-1
+    shift = np.zeros(len(rows), dtype=np.int64)  # each pair's s before site l
     raw = []
-    prev = {((), ()): (0, 0)}  # prefix: (index, shift after it)
-    for l in range(len(pairs[0][0])):
-        cur: dict[tuple, tuple] = {}
-        parent, points, key = [], [], []
-        for i, j in pairs:
-            pre = (i[: l + 1], j[: l + 1])
-            if pre not in cur:
-                n, s = prev[i[:l], j[:l]]
-                cur[pre] = (len(parent), s + (1 if j[l] == up else -1))
-                parent.append(n)
-                points.append((l, s))
-                key.append(2 * (i[l] == down) + (j[l] == down))
-        raw.append((parent, points, key))
-        prev = cur
-    grid = sorted({g for _, points, _ in raw for g in points})
-    where = {g: n for n, g in enumerate(grid)}
-    steps = tuple((np.array(parent), 4 * np.array([where[g] for g in points]) + key)
-                  for parent, points, key in raw)
-    return np.array(grid), steps
+    for l in range(sites):
+        mask = (2 << l) - 1
+        _, first, inverse = np.unique(((rows & mask) << sites) | (cols & mask),
+                                      return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        rep = first[order]
+        key = 2 * ((rows[rep] >> l) & 1) + ((cols[rep] >> l) & 1)
+        raw.append((prefix[rep], l * width + shift[rep] + sites, key))
+        prefix = rank[inverse]
+        shift = shift + 1 - 2 * ((cols >> l) & 1)
+    # the sorted distinct points (np.unique without index outputs would
+    # import numpy.ma, a megabyte of memory)
+    grid = np.flatnonzero(np.bincount(np.concatenate([point for _, point, _ in raw])))
+    steps = tuple((parent, 4 * np.searchsorted(grid, point) + key)
+                  for parent, point, key in raw)
+    return np.stack(np.divmod(grid, width), axis=1) - [0, sites], steps
 
 
 def tile_plan(plan: tuple, n: int) -> tuple:

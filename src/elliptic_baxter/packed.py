@@ -333,25 +333,36 @@ class PSeriesMatrix:
             num = np.concatenate([num, pad])
         return num
 
+    @property
+    def _layout(self) -> tuple:
+        """(width, stride) of a term of `evaluate`, which every operation
+        reads first: a series outside `evaluate` holds no packed ints."""
+        try:
+            return self._width, self._stride
+        except AttributeError:
+            raise ValueError("series operations run only on the terms that "
+                             "packed.evaluate packs") from None
+
     def _shared_layout(self, other: "PSeriesMatrix", shape: _Shape) -> tuple:
         """(width, stride) of an operation on this series and `other` with
         a result of the given shape: the layout both are packed at, which
         must hold the result."""
+        width, stride = self._layout
         if self.basis != other.basis:
             raise ValueError("mismatched chain bases")
-        if (self._width, self._stride) != (other._width, other._stride):
+        if (width, stride) != other._layout:
             raise ValueError("operands packed at different layouts")
-        if (self._width < slot_width(shape.bound)
-                or self._stride < shape.inner):
+        if width < slot_width(shape.bound) or stride < shape.inner:
             raise ValueError("the operands' layout cannot hold the result")
-        return self._width, self._stride
+        return width, stride
 
     def times_p(self) -> "PSeriesMatrix":
         """The series multiplied by the grading variable p."""
+        width, stride = self._layout
         zero = np.zeros((1, self.dim, self.dim), dtype=object)
         return self._packed(self.basis, self.terminates,
-                            np.concatenate([zero, self._num]), self._width,
-                            self._stride, self.shape)
+                            np.concatenate([zero, self._num]), width,
+                            stride, self.shape)
 
     def weighted(self, other: "PSeriesMatrix", a, b) -> "PSeriesMatrix":
         """Entrywise a*x + b*y of two series for scalar polynomials a and

@@ -8,6 +8,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -34,7 +35,9 @@ from .theta import LATTICE_TOL, EllipticParams, lattice_distance, theta_eval
 @dataclass(frozen=True)
 class QuantumSpace:
     """Zero-weight subspace of an even-length sign chain with one inhomogeneity
-    per site; basis strings are ordered lexicographically with + first."""
+    per site.  A basis string is an int code, bit l set when site l
+    carries -1; the strings are ordered lexicographically with + first,
+    which is not the order of their codes."""
 
     sites: tuple[complex, ...]
     params: EllipticParams
@@ -46,21 +49,21 @@ class QuantumSpace:
         for a in self.sites:
             if lattice_distance(a, self.params) < LATTICE_TOL:
                 raise ValueError(f"site {a} lies on the period lattice")
-        object.__setattr__(self, "_basis", tuple(self._make_basis(L)))
+        object.__setattr__(self, "_basis", self._make_basis(L))
 
     @staticmethod
-    def _make_basis(L):
+    def _make_basis(L) -> tuple:
         # the up positions in lexicographic order are the strings in
         # lexicographic order with +1 before -1
-        return [tuple(1 if i in up else -1 for i in range(L))
-                for up in combinations(range(L), L // 2)]
+        return tuple((1 << L) - 1 - sum(1 << i for i in up)
+                     for up in combinations(range(L), L // 2))
 
     @property
     def L(self) -> int:
         return len(self.sites)
 
     @property
-    def basis(self) -> tuple[tuple[int, ...], ...]:
+    def basis(self) -> tuple[int, ...]:
         return self._basis
 
     @property
@@ -72,6 +75,14 @@ class QuantumSpace:
         if any(s != a for s in self.sites):
             raise ValueError("sites are not exactly homogeneous")
         return a
+
+
+@lru_cache(maxsize=8)
+def _chain_plan(L: int) -> tuple:
+    """The `contraction_plan` of every pair of an L-site chain's strings,
+    row-major."""
+    codes = np.array(QuantumSpace._make_basis(L))
+    return contraction_plan(np.repeat(codes, len(codes)), np.tile(codes, len(codes)), L)
 
 
 class _GradedTrace:
@@ -88,8 +99,7 @@ class _GradedTrace:
 
     def __init__(self, X: GradedModule, space: QuantumSpace, order: int):
         self.module = X
-        basis = space.basis
-        self.plan = contraction_plan(tuple((i, j) for i in basis for j in basis), (1, -1))
+        self.plan = _chain_plan(space.L)
         grid, steps = self.plan
         h = X.params.hbar
         self.z_off = np.array(space.sites, dtype=complex)[grid[:, 0]] - h

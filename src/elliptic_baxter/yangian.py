@@ -350,30 +350,33 @@ def rtt_residual(X: YangianModule) -> float:
 # Chain space and transfer matrices
 # ---------------------------------------------------------------------------
 
-def chain_basis(L: int) -> tuple:
-    """Index strings over {1, 2}, totally ordered so that the last
-    differing position decides (1 before 2); the level-zero part of the
-    Baxter operator is upper triangular in this order."""
-    return tuple(sorted(iproduct((1, 2), repeat=L),
-                        key=lambda s: tuple(reversed(s))))
+def chain_basis(L: int) -> range:
+    """Index strings over {1, 2} as int codes, bit l set when position l
+    holds 2, in ascending order: the last differing position decides (1
+    before 2), and the level-zero part of the Baxter operator is upper
+    triangular in this order."""
+    return range(2 ** L)
 
 
 def sector_basis(L: int, s: int) -> tuple:
-    """The strings of `chain_basis(L)` with s indices equal to 1, in that
-    order: the basis of the weight sector s."""
-    return tuple(string for string in chain_basis(L) if string.count(1) == s)
+    """The strings of `chain_basis(L)` with s indices equal to 1 (s zero
+    bits), in that order: the basis of the weight sector s."""
+    return tuple(c for c in chain_basis(L) if c.bit_count() == L - s)
 
 
 @lru_cache(maxsize=8)
 def _sector_pairs(L: int) -> tuple:
-    """(bases, pairs, sector) of the trace of an L-site chain: the
-    `sector_basis` of every sector, the same-sector string pairs (rows in
-    `chain_basis(L)` order) and the sector of each pair, read-only."""
+    """(bases, plan, sector) of the trace of an L-site chain: the
+    `sector_basis` of every sector, the `contraction_plan` of the
+    same-sector string pairs (rows in `chain_basis(L)` order) and the
+    sector of each pair, read-only."""
     bases = tuple(sector_basis(L, s) for s in range(L + 1))
-    pairs = tuple((i, j) for i in chain_basis(L) for j in bases[i.count(1)])
-    sector = np.array([i.count(1) for i, _ in pairs])
+    row_sector = [L - i.bit_count() for i in chain_basis(L)]
+    counts = [len(bases[s]) for s in row_sector]
+    cols = np.concatenate([bases[s] for s in row_sector])
+    sector = np.repeat(row_sector, counts)
     sector.flags.writeable = False
-    return bases, pairs, sector
+    return bases, contraction_plan(np.repeat(chain_basis(L), counts), cols, L), sector
 
 
 def yangian_transfer(X: YangianModule, sites,
@@ -450,8 +453,7 @@ def _graded_trace(X: YangianModule, sites, order: int,
             f"truncation too shallow: order {order} with {L} sites needs "
             f"at least {order + L} levels, module has {X.levels}"
         )
-    bases, pairs, sector = _sector_pairs(L)
-    plan = contraction_plan(pairs, (1, 2))
+    bases, plan, sector = _sector_pairs(L)
     labels, cells, _, _ = X.entry_cells
     # levels past the module's top (a finite module) trace to zero
     top = min(order, X.weight[labels[-1]])
@@ -475,7 +477,7 @@ def _graded_trace(X: YangianModule, sites, order: int,
     nonzeros = (key * n + row) * n + col
     # the exact entries do not depend on the shift: each grid point takes
     # its site's values
-    traces = np.zeros((len(pairs), order + 1), dtype=object)
+    traces = np.zeros((len(sector), order + 1), dtype=object)
     traces[:, :top + 1] = block_graded_trace(values[plan[0][:, 0]], nonzeros,
                                              levels, plan, top + 1)
     denom = math.prod(dens)
@@ -530,7 +532,7 @@ def q_degree_report(sites, order: int = 1,
         for l, a in enumerate(map(Fraction, sites)):
             up = np.zeros_like(want)
             up[1:] = want[:-1] * np.array(
-                [a.denominator * (string[l] == 1) for string in qs.basis],
+                [a.denominator * (code >> l & 1 == 0) for code in qs.basis],
                 dtype=object)
             want = want * a.numerator + up
         got = np.zeros_like(want)
@@ -625,67 +627,38 @@ def oscillator_comparison(sites, order: int,
 # Exact series summation at a rational grading point
 # ---------------------------------------------------------------------------
 
-def _stirling2(s: int, j: int) -> int:
-    if j == 0:
-        return 1 if s == 0 else 0
-    if j > s:
-        return 0
-    return j * _stirling2(s - 1, j) + _stirling2(s - 1, j - 1)
-
-
-def _power_sum(s: int, p: Fraction) -> Fraction:
-    """Closed form of the level sum of i^s p^i over all levels, as a
-    rational function of p evaluated at p != 1."""
-    if p == 1:
-        raise ZeroDivisionError("level sums diverge at p = 1")
-    total = Fraction(0)
-    fact = 1
-    pj = Fraction(1)
-    for j in range(s + 1):
-        if j:
-            fact *= j
-            pj *= p
-        total += _stirling2(s, j) * fact * pj / (1 - p) ** (j + 1)
-    return total
-
-
 def q_exact_at_p(sites, p: Fraction) -> list:
     """Baxter operator with the series summed exactly at a rational
     grading point, one matrix of polynomials in the spin variable per
-    sector.  Each entry's level trace is a polynomial in the level index
-    of degree at most the site count, so in the Lagrange basis on levels
-    0..L its level sum (a finite combination of closed-form level sums)
-    and its values on the extra sample levels are fixed rational
-    combinations of its values on those levels; the extra levels verify
-    the degree."""
+    sector.  Each entry's level trace f is a polynomial of degree at most
+    the site count L in the level index, so by Newton's forward
+    differences its level sum is sum_{m <= L} (D^m f)(0) p^m / (1-p)^(m+1);
+    the differences of orders L+1 and L+2, which the extra levels L+1 and
+    L+2 give, must vanish, which verifies the degree.  The differences
+    are taken on Q's int coefficient slots."""
+    if p == 1:
+        raise ZeroDivisionError("level sums diverge at p = 1")
     L = len(sites)
-    nodes = range(L + 1)
-    weights = [_power_sum(s, p) for s in nodes]
-    lagrange = [
-        math.prod((Poly((Fraction(-n, m - n), Fraction(1, m - n)))
-                   for n in nodes if n != m), start=Poly((1,)))
-        for m in nodes
-    ]
-    sum_weights = [sum(lag.coefficient(s) * weights[s] for s in nodes)
-                   for lag in lagrange]
-    checks = [(i, [lag(Fraction(i)) for lag in lagrange])
-              for i in range(L + 1, L + 1 + _DEGREE_MARGIN)]
-
-    def mix(values, coeffs):
-        return sum((v.scale(c) for v, c in zip(values, coeffs)), Poly())
-
-    def summed(values):
-        if any(mix(values, w) != values[i] for i, w in checks):
+    a, b = Fraction(p).as_integer_ratio()
+    # p^m / (1-p)^(m+1) = a^m b (b-a)^(L-m) / (b-a)^(L+1)
+    weights = [a ** m * b * (b - a) ** (L - m) for m in range(L + 1)]
+    out = []
+    for qs in yangian_q(sites, L + _DEGREE_MARGIN):
+        # [spin power, level, row, col]: Q's entries have one inner slot
+        f = qs.slots()[:, 0]
+        heads = []
+        for _ in range(L + 1 + _DEGREE_MARGIN):
+            heads.append(f[:, 0])
+            f = np.diff(f, axis=1)
+        if any(h.any() for h in heads[L + 1:]):
             raise ValueError(
                 "level trace is not polynomial of the expected degree"
             )
-        return mix(values, sum_weights)
-
-    return [
-        [[summed([tab[r][c] for tab in qs.tables]) for c in range(qs.dim)]
-         for r in range(qs.dim)]
-        for qs in yangian_q(sites, L + _DEGREE_MARGIN)
-    ]
+        total = sum(w * h for w, h in zip(weights, heads))
+        den = qs.shape.den * (b - a) ** (L + 1)
+        out.append([[Poly(Fraction(v, den) for v in total[:, r, c])
+                     for c in range(qs.dim)] for r in range(qs.dim)])
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -94,6 +94,13 @@ class TestExitCodes:
         assert run(["transfer", "--hbar", "0.2+2i", "--no-timestamp"]) == 3
         assert "numerical breakdown" in capsys.readouterr().err
 
+    def test_bethe_line_search_rejects_overflowing_trial(self, capsys):
+        # a full Newton step from one of this seed's starts reaches an Im z
+        # where the theta series' stopping bound overflows: the line search
+        # rejects that trial point and goes on
+        assert run(["bethe", "--seed", "1618019092", "--no-timestamp"]) == 0
+        assert "\nPASS bethe/root-residual" in capsys.readouterr().out
+
     def test_singular_series_exits_three(self, capsys, monkeypatch):
         def boom(cfg):
             raise SingularityError("singular leading coefficient")

@@ -21,8 +21,11 @@ from elliptic_baxter.dynamical import (
     series_scale,
     worst_residual,
 )
+from elliptic_baxter import transfer, yangian
 from elliptic_baxter.modules import build_asymptotic
 from elliptic_baxter.theta import EllipticParams, SamplePlan, ThetaExpression, ThetaSum
+
+from chain_oracle import dict_walk_plan, spell
 
 P = EllipticParams(tau=1j, hbar=0.31)
 H = P.hbar
@@ -46,10 +49,39 @@ class TestWeightBasis:
             WeightBasis(0.0, (1, 0, 1))
 
 
+def assert_same_plan(got, ref):
+    (grid, steps), (ref_grid, ref_steps) = got, ref
+    assert grid.dtype == ref_grid.dtype and np.array_equal(grid, ref_grid)
+    assert len(steps) == len(ref_steps)
+    for step, ref_step in zip(steps, ref_steps):
+        for a, b in zip(step, ref_step):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+class TestContractionPlan:
+    @pytest.mark.parametrize("L", [2, 4, 6, 8])
+    def test_elliptic_plan_matches_dict_walk(self, L):
+        strings = [spell(code, L, (1, -1)) for code in transfer.QuantumSpace._make_basis(L)]
+        ref = dict_walk_plan(tuple((i, j) for i in strings for j in strings), (1, -1))
+        assert_same_plan(transfer._chain_plan(L), ref)
+
+    @pytest.mark.parametrize("L", [2, 4, 6, 8])
+    def test_exact_plan_matches_dict_walk(self, L):
+        # rows in chain-basis order, each with the strings of its sector
+        strings = [spell(code, L, (1, 2)) for code in yangian.chain_basis(L)]
+        pairs = tuple((i, j) for i in strings for j in strings
+                      if i.count(1) == j.count(1))
+        bases, plan, sector = yangian._sector_pairs(L)
+        assert_same_plan(plan, dict_walk_plan(pairs, (1, 2)))
+        assert sector.tolist() == [i.count(1) for i, _ in pairs]
+        assert [[spell(code, L, (1, 2)) for code in basis] for basis in bases] == \
+            [[i for i in strings if i.count(1) == s] for s in range(L + 1)]
+
+
 class TestBlockGradedTrace:
     def test_mixed_level_shift_rejected(self):
         # one key whose entries keep level 0 and also raise it to level 1
-        plan = contraction_plan((((1,), (1,)),), (1, 2))
+        plan = contraction_plan([0], [0], 1)
         values = np.array([[1, 2**70]], dtype=object)
         slots = [(0 * 3 + 0) * 3 + 0, (0 * 3 + 1) * 3 + 0]
         with pytest.raises(ValueError, match="key 0"):

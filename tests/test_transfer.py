@@ -47,6 +47,7 @@ from elliptic_baxter.transfer import (
 )
 from elliptic_baxter.yangian import yangian_q
 
+from chain_oracle import spell
 from coproduct_oracle import symbolic_module
 
 P = EllipticParams(tau=1j, hbar=0.31)
@@ -60,11 +61,11 @@ ZS = [0.37 + 0.21j, -0.12 + 0.43j]
 
 class TestQuantumSpace:
     def test_basis_and_dim(self):
-        assert SPACE.basis == ((1, -1), (-1, 1))
+        assert spelled(SPACE) == [(1, -1), (-1, 1)]
         assert SPACE.dim == 2
         big = QuantumSpace((A1, A2, A1 + 0.1, A2 - 0.1j), P)
         assert big.dim == 6
-        assert all(sum(s) == 0 for s in big.basis)
+        assert all(sum(s) == 0 for s in spelled(big))
 
     @pytest.mark.parametrize("L", range(2, 9, 2))
     def test_basis_order_matches_permutation_construction(self, L):
@@ -72,11 +73,11 @@ class TestQuantumSpace:
         # signs, sorted lexicographically with +1 before -1
         perms = set(permutations((1,) * (L // 2) + (-1,) * (L // 2)))
         ref = sorted(perms, key=lambda s: tuple(0 if c == 1 else 1 for c in s))
-        assert QuantumSpace._make_basis(L) == ref
+        assert [spell(code, L, (1, -1)) for code in QuantumSpace._make_basis(L)] == ref
 
     @pytest.mark.parametrize("L", [10, 12])
     def test_basis_size_is_central_binomial(self, L):
-        basis = QuantumSpace._make_basis(L)
+        basis = [spell(code, L, (1, -1)) for code in QuantumSpace._make_basis(L)]
         assert len(basis) == len(set(basis)) == comb(L, L // 2)
         assert all(sum(s) == 0 and len(s) == L for s in basis)
 
@@ -93,14 +94,20 @@ class TestQuantumSpace:
             SPACE.homogeneous_site()
 
 
+def spelled(space):
+    """The basis strings of a chain space as sign tuples."""
+    return [spell(code, space.L, (1, -1)) for code in space.basis]
+
+
 def symbolic_transfer(X, space, order, points):
     """Oracle: compose the site operators symbolically, right to left, and
     take the level-block traces of the composite at each (z, x)."""
     h = X.params.hbar
     sign = {1: "+", -1: "-"}
     out = np.zeros((len(points), order + 1, space.dim, space.dim), dtype=complex)
-    for row, istr in enumerate(space.basis):
-        for col, jstr in enumerate(space.basis):
+    strings = spelled(space)
+    for row, istr in enumerate(strings):
+        for col, jstr in enumerate(strings):
             comp = None
             for l in range(space.L - 1, -1, -1):
                 op = X.L[sign[istr[l]] + sign[jstr[l]]].shift_z(space.sites[l] - h)

@@ -52,6 +52,8 @@ from elliptic_baxter.yangian import (
     yangian_transfer,
 )
 
+from chain_oracle import spell
+
 SITES = (F(2, 3), F(-5, 7))
 
 
@@ -347,7 +349,7 @@ def per_pair_transfer(X, sites, order, skip_cross_sector=True):
     """Reference graded trace: for every pair of strings and every start
     label, propagate the label right to left through all sites."""
     L = len(sites)
-    strings = chain_basis(L)
+    strings = [spell(code, L, (1, 2)) for code in chain_basis(L)]
     shifted = {
         ab: [
             {lab: tuple((lab2, p.shift(a)) for lab2, p in rows)
@@ -384,23 +386,31 @@ def per_pair_transfer(X, sites, order, skip_cross_sector=True):
                         total = total + v
                 if total:
                     tables[k][row][col] = total
-    return PSeriesMatrix(strings, tables, terminates=X.exact)
+    return PSeriesMatrix(chain_basis(L), tables, terminates=X.exact)
+
+
+def sectors(t):
+    """The number of indices equal to 1 in each string of the basis of a
+    dense chain-basis series, the `chain_basis` of 2^L strings."""
+    L = len(t.basis).bit_length() - 1
+    return [spell(code, L, (1, 2)).count(1) for code in t.basis]
 
 
 def oracle_block(t, s):
     """Entries of a dense chain-basis series between strings of sector s,
     in `sector_basis` order."""
-    idx = [n for n, string in enumerate(t.basis) if string.count(1) == s]
+    idx = [n for n, sector in enumerate(sectors(t)) if sector == s]
     return [[[tab[r][c] for c in idx] for r in idx] for tab in t.tables]
 
 
 def cross_sector_entries(t):
     """Entries of a dense chain-basis series linking different sectors."""
+    sector = sectors(t)
     return [tab[r][c]
             for tab in t.tables
-            for r, rs in enumerate(t.basis)
-            for c, cs in enumerate(t.basis)
-            if rs.count(1) != cs.count(1)]
+            for r, rs in enumerate(sector)
+            for c, cs in enumerate(sector)
+            if rs != cs]
 
 
 ORACLE_SITES = (F(2, 3), F(-5, 7), F(9, 4), F(-1, 6))
@@ -539,7 +549,8 @@ class TestTransfer:
         a = F(3, 4)
         t2, t1 = yangian_transfer(build_module("finite", spin=1), (a,), 1)
         # one string per sector, so no entry links (1,) and (2,)
-        assert t1.basis == ((1,),) and t2.basis == ((2,),)
+        assert [spell(code, 1, (1, 2)) for code in t1.basis] == [(1,)]
+        assert [spell(code, 1, (1, 2)) for code in t2.basis] == [(2,)]
         assert t1.get(0)[0][0] == Poly((a + 1, 1))
         assert t2.get(0)[0][0] == Poly((a, 1))
         assert t1.get(1)[0][0] == Poly((a, 1))
@@ -881,6 +892,16 @@ class TestPackedSeries:
         with pytest.raises(ValueError, match="different layouts"):
             self.REFUSED[op](x, y)
 
+    @pytest.mark.parametrize("op", [*REFUSED, "times_p"])
+    def test_operation_outside_evaluate_is_refused(self, op):
+        # a series outside `evaluate` holds its slots and no packed ints
+        x = PSeriesMatrix(self.ONE, [[[Poly((1,))]]])
+        term = self.tight_term([[[Poly((1,))]]])
+        run = self.REFUSED.get(op, lambda x, y: x.times_p())
+        for a, b in [(x, x)] if op == "times_p" else [(x, x), (x, term), (term, x)]:
+            with pytest.raises(ValueError, match="packed.evaluate"):
+                run(a, b)
+
     @pytest.mark.parametrize("op", REFUSED)
     def test_narrow_shared_layout_is_refused(self, op):
         # the numerator 3 (3 bits per slot) over 2 and over 5: the
@@ -924,9 +945,9 @@ def unpacked_degree_report(sites, order, q):
                    for e in row if e), default=-1)
         p0 = qs.get(0)
         expect = [math.prod((Poly((a, 1)) if il == 1 else Poly((a,))
-                             for a, il in zip(sites, string)),
+                             for a, il in zip(sites, spell(code, len(sites), (1, 2)))),
                             start=Poly((1,)))
-                  for string in qs.basis]
+                  for code in qs.basis]
         out.append(yangian.SectorDegreeData(
             sector=s, degree=deg, degree_matches=(deg == s),
             leading_nonzero=all(p0[i][i].coefficient(s) != 0

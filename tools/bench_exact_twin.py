@@ -7,12 +7,18 @@ reports both wall times and its peak RSS.  Further runs per checkout time
 the two fixed checks of the ``yangian-all`` suite: the exchange relation
 (``rtt_residual``) on the suite's five modules together, and the
 q-character interchange count (``qchar_interchange_mismatches``, l = 7/3,
-u = 4/5) at depths 6 and 10, each with its result.  Two CLI jobs close the
-list: ``yangian-tq`` at 8 sites, order 3, and ``yangian-all`` at 4 sites,
-order 3, each with its exit code and report SHA-256.  Times are the best
-of ``benchturns.BEST_OF`` runs in the interpreter.  The checkouts take
-turns within every repeat, so a busy host slows them alike; the medians
-over the repeats are reported, each beside its quartiles.
+u = 4/5) at depths 6 and 10, each with its result.  Two CLI jobs follow:
+``yangian-tq`` at 8 sites, order 3, and ``yangian-all`` at 4 sites,
+order 3, each with its exit code and report SHA-256.  The cold-plan jobs
+close the list: at 8 and 10 sites, the contraction plans of both twins
+(the elliptic one as the transfer trace of an order-2 ladder builds it)
+and the exact Q build at order 2, each timed after every cache of
+``dynamical``, ``transfer`` and ``yangian`` is cleared, so that no run
+reads a plan an earlier run built; Q's SHA-256 shows the checkouts agree.
+Times are the best of ``benchturns.BEST_OF`` runs in the interpreter.
+The checkouts take turns within every repeat, so a busy host slows them
+alike; the medians over the repeats are reported, each beside its
+quartiles.
 
     python3 tools/bench_exact_twin.py --src change=src --src parent=../old/src \\
         --out BENCH_exact_twin.json
@@ -28,6 +34,12 @@ import benchturns
 # The first eight sites of the exact-twin measurements in ROADMAP.md.
 SITES = ("2/3", "-5/7", "9/4", "-1/6", "3/5", "7/2", "5/4", "-4/9")
 CHAINS = ((6, 2), (6, 3), (8, 2), (8, 3))
+# The first ten exact and elliptic sites of the measurements in ROADMAP.md.
+COLD_SITES = (*SITES, "8/3", "-3/10")
+COLD_ELLIPTIC_SITES = ("0.41+0.12j", "0.27-0.23j", "0.54+0.13j", "0.16-0.11j",
+                       "0.71+0.05j", "0.88-0.2j", "0.33+0.21j", "0.62-0.07j",
+                       "0.12+0.17j", "0.79-0.14j")
+COLD_LENGTHS = (8, 10)
 INTERCHANGE_DEPTHS = (6, 10)
 CLI_JOBS = (("yangian-tq", 8, 3), ("yangian-all", 4, 3))
 # Medians of nine repeats: on a shared 2-core host, jobs under 0.1 s read
@@ -78,6 +90,45 @@ def measure(argv):
     return {"qchar_interchange_s": time.perf_counter() - t0, "mismatches": n}
 """
 
+# `_sector_pairs(L)` returns the exact plan; on a checkout where it
+# returns the string pairs instead, the plan is their `contraction_plan`.
+_COLD_PLAN = """
+import hashlib, time
+from fractions import Fraction
+import numpy as np
+from elliptic_baxter import dynamical, transfer, yangian
+from elliptic_baxter.modules import build_asymptotic
+from elliptic_baxter.theta import EllipticParams
+
+def cold(build):
+    for module in (dynamical, transfer, yangian):
+        for f in vars(module).values():
+            if hasattr(f, "cache_clear"):
+                f.cache_clear()
+    t0 = time.perf_counter()
+    out = build()
+    return out, time.perf_counter() - t0
+
+def exact_plan(L):
+    plan = yangian._sector_pairs(L)[1]
+    if not isinstance(plan[0], np.ndarray):
+        dynamical.contraction_plan(plan, (1, 2))
+
+def measure(argv):
+    sites = tuple(Fraction(a) for a in argv[0].split(","))
+    params = EllipticParams(1j, 0.31)
+    space = transfer.QuantumSpace(tuple(complex(a) for a in argv[1].split(",")), params)
+    W = build_asymptotic(0.7, 0.0, 2 + space.L // 2, params)
+    _, elliptic = cold(lambda: transfer._GradedTrace(W, space, 2))
+    _, exact = cold(lambda: exact_plan(len(sites)))
+    q, build = cold(lambda: yangian.yangian_q(sites, 2))
+    sha = hashlib.sha256()
+    for qs in q:
+        sha.update(repr((qs.shape.den, qs.slots().tolist())).encode())
+    return {"elliptic_plan_s": elliptic, "exact_plan_s": exact,
+            "yangian_q_s": build, "q_sha256": sha.hexdigest()}
+"""
+
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
@@ -90,8 +141,11 @@ def main(argv=None) -> int:
     jobs += [(f"cli-{suite}-{n}site-o{o}", benchturns.CLI_JOB,
               (suite, "--sites=" + ",".join(SITES[:n]), "--order", o))
              for suite, n, o in CLI_JOBS]
+    jobs += [(f"cold-plan-{n}site-o2", _COLD_PLAN,
+              (",".join(COLD_SITES[:n]), ",".join(COLD_ELLIPTIC_SITES[:n])))
+             for n in COLD_LENGTHS]
     runs = benchturns.take_turns(checkouts, jobs, REPEATS)
-    exact = ("residual", "mismatches", "exit_code", "report_sha256")
+    exact = ("residual", "mismatches", "exit_code", "report_sha256", "q_sha256")
     record = {
         "host": benchturns.host(),
         "sites": list(SITES),

@@ -6,7 +6,7 @@ Every measurement runs a code snippet in a fresh interpreter whose
 the fastest run is kept, so that a job of a few tens of milliseconds is
 not read off one run that the host happened to slow down.  The later runs
 find the interpreter warm: its imports done and the package's module-level
-caches (such as ``dynamical.contraction_plan``) filled.  Within every
+caches (such as the contraction plans cached per chain length) filled.  Within every
 repeat the checkouts take turns on each job, so a busy host slows them
 alike; the order of the turns is reversed every other repeat, and the
 medians over the repeats are reported, each beside its quartiles, so a
