@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .theta import EllipticParams, PoleError, lattice_distance, lattice_reduce, theta_eval
+from .theta import EllipticParams, PoleError, SamplePlan, lattice_distance, lattice_reduce, theta_eval
 from .yangian import two_site_quadratic
 
 _POLE_GUARD = 1e-8
@@ -57,41 +57,39 @@ def _theta_ratio(z: complex, params: EllipticParams) -> complex:
     return num / theta_eval(den_arg, params)
 
 
-def elliptic_bethe_residual(cfg: BetheConfig, params: EllipticParams) -> np.ndarray:
-    """Componentwise defect of the multiplicative system; the empty
-    interaction product at n=1 is 1."""
-    n, a, p = cfg.n, cfg.a, cfg.p
-    out = np.zeros(n, dtype=complex)
-    for k, zk in enumerate(cfg.roots):
+def _sides(roots, a: complex, p: complex, params: EllipticParams):
+    """Each root's two sides (lhs, rhs) of the multiplicative system, in
+    root order; the empty interaction product at n=1 is 1."""
+    n = len(roots)
+    for k, zk in enumerate(roots):
         lhs = p**2 * _theta_ratio(zk + a, params) ** (2 * n)
         rhs = 1.0 + 0j
-        for j, zj in enumerate(cfg.roots):
+        for j, zj in enumerate(roots):
             if j == k:
                 continue
             num_arg, den_arg = zk - zj - params.hbar, zk - zj + params.hbar
             if lattice_distance(den_arg, params) < _POLE_GUARD:
                 raise PoleError(f"interaction pole at roots {k},{j}")
             rhs *= theta_eval(num_arg, params) / theta_eval(den_arg, params)
-        out[k] = lhs - rhs
-    return out
+        yield lhs, rhs
 
 
-def _log_residual(roots: np.ndarray, n: int, a: complex, p: complex,
+def elliptic_bethe_residual(cfg: BetheConfig, params: EllipticParams) -> np.ndarray:
+    """Componentwise defect lhs - rhs of the multiplicative system."""
+    return np.array([lhs - rhs for lhs, rhs in _sides(cfg.roots, cfg.a, cfg.p, params)],
+                    dtype=complex)
+
+
+def _log_residual(roots: np.ndarray, a: complex, p: complex,
                   params: EllipticParams) -> np.ndarray:
-    """Principal-branch logarithm of (LHS/RHS) per component."""
-    out = np.zeros(n, dtype=complex)
-    for k in range(n):
-        zk = roots[k]
-        val = p**2 * _theta_ratio(zk + a, params) ** (2 * n)
-        for j in range(n):
-            if j == k:
-                continue
-            val /= (theta_eval(zk - roots[j] - params.hbar, params)
-                    / theta_eval(zk - roots[j] + params.hbar, params))
+    """Principal-branch logarithm of lhs/rhs per component."""
+    out = []
+    for lhs, rhs in _sides(roots, a, p, params):
+        val = lhs / rhs
         if val == 0:
             raise PoleError("vanishing Bethe ratio")
-        out[k] = cmath.log(val)
-    return out
+        out.append(cmath.log(val))
+    return np.array(out, dtype=complex)
 
 
 @dataclass
@@ -121,7 +119,7 @@ def _newton(seed, n, a, p, params):
     roots = np.array(seed, dtype=complex)
     for _ in range(_NEWTON_MAX_ITER):
         try:
-            r = _log_residual(roots, n, a, p, params)
+            r = _log_residual(roots, a, p, params)
         except (PoleError, OverflowError):
             return None
         nr = float(np.linalg.norm(r))
@@ -132,7 +130,7 @@ def _newton(seed, n, a, p, params):
             for j in range(n):
                 bumped = roots.copy()
                 bumped[j] += _FD_STEP
-                jac[:, j] = (_log_residual(bumped, n, a, p, params) - r) / _FD_STEP
+                jac[:, j] = (_log_residual(bumped, a, p, params) - r) / _FD_STEP
             step = np.linalg.solve(jac, r)
         except (PoleError, OverflowError, np.linalg.LinAlgError):
             return None
@@ -140,7 +138,7 @@ def _newton(seed, n, a, p, params):
         for _ in range(25):
             cand = roots - lam * step
             try:
-                if float(np.linalg.norm(_log_residual(cand, n, a, p, params))) < nr:
+                if float(np.linalg.norm(_log_residual(cand, a, p, params))) < nr:
                     roots = cand
                     break
             except (PoleError, OverflowError):
@@ -151,27 +149,6 @@ def _newton(seed, n, a, p, params):
     return None
 
 
-def _default_seeds(n, a, params, count, seed):
-    rng = np.random.default_rng(seed)
-    out = []
-    tries = 0
-    while len(out) < count and tries < 100 * count:
-        tries += 1
-        pts = rng.random(n) + rng.random(n) * params.tau
-        ok = all(
-            lattice_distance(z + a, params) > 5e-2
-            and lattice_distance(z + a + params.hbar, params) > 5e-2
-            for z in pts
-        )
-        ok = ok and all(
-            lattice_distance(pts[i] - pts[j] + params.hbar, params) > 5e-2
-            for i in range(n) for j in range(n) if i != j
-        )
-        if ok:
-            out.append(tuple(pts))
-    return out
-
-
 def elliptic_bethe_solve(
     n: int, a: complex, p: complex, params: EllipticParams,
     seeds=None, seed: int = 7, seed_count: int = 40,
@@ -179,7 +156,13 @@ def elliptic_bethe_solve(
     """Damped Newton runs from many seeds, deduplicated as unordered root
     multisets on the torus, each annotated with the sum-rule defect."""
     if seeds is None:
-        seeds = _default_seeds(n, a, params, seed_count, seed)
+        def guard(*zs):
+            for z in zs:
+                yield from (z + a, z + a + params.hbar)
+            yield from (zi - zj + params.hbar for i, zi in enumerate(zs)
+                        for j, zj in enumerate(zs) if i != j)
+
+        seeds = SamplePlan(seed, seed_count, 5e-2).draw(params, n, guard, "seeds")
     solutions: list[BetheConfig] = []
     for s in seeds:
         roots = _newton(s, n, a, p, params)
@@ -195,9 +178,9 @@ def elliptic_bethe_solve(
             continue
         solutions.append(cfg.annotated(params))
     solutions.sort(key=lambda c: tuple(
-        (round(lattice_reduce(z, params)[0].real, 8), round(lattice_reduce(z, params)[0].imag, 8))
-        for z in sorted(c.roots, key=lambda z: (lattice_reduce(z, params)[0].real,
-                                                lattice_reduce(z, params)[0].imag))
+        (round(w.real, 8), round(w.imag, 8))
+        for w in sorted((lattice_reduce(z, params)[0] for z in c.roots),
+                        key=lambda w: (w.real, w.imag))
     ))
     return SolveReport(solutions)
 

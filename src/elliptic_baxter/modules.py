@@ -29,7 +29,7 @@ from .theta import (
     ThetaSum,
     ThetaTable,
     in_hbar_inv_lattice,
-    nonneg_int_plus_hbar_inv_lattice,
+    int_plus_hbar_inv_lattice,
     theta_eval,
 )
 
@@ -499,17 +499,8 @@ class SigmaSet:
     l: int | None
 
 
-def _int_part_mod_lattice(c: complex, params: EllipticParams) -> int | None:
-    """Integer l (any sign) with c in l + hbar^{-1}(Z+Z*tau), if unique in
-    the scan window."""
-    for l in range(-SEARCH_RADIUS, SEARCH_RADIUS + 1):
-        if in_hbar_inv_lattice(c - l, params):
-            return l
-    return None
-
-
 def sigma_set(alpha: complex, beta: complex, depth: int, params: EllipticParams) -> SigmaSet:
-    l = nonneg_int_plus_hbar_inv_lattice(alpha - beta, params)
+    l = int_plus_hbar_inv_lattice(alpha - beta, 0, params)
     if l is not None:
         return SigmaSet(tuple(beta + p for p in range(l)), False, l)
     return SigmaSet(tuple(beta + p for p in range(depth)), True, None)
@@ -576,7 +567,7 @@ def construct_simple(data: HighestWeightData, K: int, params: EllipticParams) ->
         best = None
         for p in range(k, n):
             for q in range(k, n):
-                l = _int_part_mod_lattice(a[p] - b[q], params)
+                l = int_plus_hbar_inv_lattice(a[p] - b[q], -SEARCH_RADIUS, params)
                 if l is None:
                     continue
                 if best is None or l < best[0]:
@@ -586,7 +577,7 @@ def construct_simple(data: HighestWeightData, K: int, params: EllipticParams) ->
             a[k], a[p] = a[p], a[k]
             b[k], b[q] = b[q], b[k]
     finite = all(
-        (l := _int_part_mod_lattice(a[k] - b[k], params)) is not None and l >= 0
+        (l := int_plus_hbar_inv_lattice(a[k] - b[k], -SEARCH_RADIUS, params)) is not None and l >= 0
         for k in range(n)
     )
     factors = [one_dim_module(ThetaExpression.const(data.lam), params)]

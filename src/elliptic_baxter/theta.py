@@ -35,8 +35,8 @@ POLE_TOL = 1e-12
 # the batched theta series takes pairs for at most this many
 # (pair, argument) items at once, to cap its temporaries
 _SERIES_ITEMS = 2**12
-# a SamplePlan gives up after this many rejected and accepted draws
-_MAX_TRIES = 2000
+# a SamplePlan gives up after this many rejected draws
+_MAX_REJECTIONS = 2000
 # distance threshold of every lattice-membership test
 LATTICE_TOL = 1e-9
 # integer window of the genericity scan and of every hbar-lattice test
@@ -201,13 +201,14 @@ def in_hbar_inv_lattice(c: complex, params: EllipticParams) -> bool:
     return in_lattice(c * params.hbar, params)
 
 
-def nonneg_int_plus_hbar_inv_lattice(c: complex, params: EllipticParams) -> int | None:
-    """Return l >= 0 with c in l + hbar^{-1}(Z+Z*tau), or None.
+def int_plus_hbar_inv_lattice(c: complex, lowest: int, params: EllipticParams) -> int | None:
+    """Return l in lowest..SEARCH_RADIUS with c in l + hbar^{-1}(Z+Z*tau),
+    or None.
 
-    The scan window for l is SEARCH_RADIUS; under the standing
-    genericity assumption the representative is unique when it exists.
+    Under the standing genericity assumption the representative is
+    unique in the scan window when it exists.
     """
-    for l in range(SEARCH_RADIUS + 1):
+    for l in range(lowest, SEARCH_RADIUS + 1):
         if in_hbar_inv_lattice(c - l, params):
             return l
     return None
@@ -535,25 +536,29 @@ class SamplePlan:
         ``guard`` maps a candidate z to an iterable of arguments that must
         all stay ``pole_margin`` away from Z + Z*tau.
         """
-        return [z for z, in self._draw(params, 1, guard, "points")]
+        return [z for z, in self.draw(params, 1, guard, "points")]
 
     def pairs(self, params: EllipticParams, guard=None) -> list[tuple[complex, complex]]:
         """Draw ``count`` pairs (z, x); guard maps (z, x) to guarded args."""
-        return self._draw(params, 2, guard, "pairs")
+        return self.draw(params, 2, guard, "pairs")
 
-    def _draw(self, params: EllipticParams, n: int, guard, what: str) -> list[tuple]:
-        """The seeded rejection loop: ``count`` accepted tuples of n points
-        of the cell, each tuple from 2n uniform draws (u1, v1, u2, v2, ...)."""
+    def draw(self, params: EllipticParams, n: int, guard, what: str) -> list[tuple]:
+        """The seeded rejection loop: ``count`` accepted n-tuples of points
+        of the cell, each tuple from 2n uniform draws (u1, v1, u2, v2, ...);
+        ``guard`` maps a tuple to its guarded arguments.  More than
+        ``_MAX_REJECTIONS`` rejected tuples raise RuntimeError, naming the
+        tuples ``what``."""
         rng = np.random.default_rng(self.seed)
         out: list[tuple] = []
-        tries = 0
+        rejected = 0
         while len(out) < self.count:
-            tries += 1
-            if tries > _MAX_TRIES:
-                raise RuntimeError(f"SamplePlan could not find enough generic {what}")
             uv = rng.random(2 * n)
             cand = tuple(complex(uv[i] + uv[i + 1] * params.tau) for i in range(0, 2 * n, 2))
             args = cand if guard is None else list(guard(*cand))
             if all(lattice_distance(a, params) >= self.pole_margin for a in args):
                 out.append(cand)
+                continue
+            rejected += 1
+            if rejected > _MAX_REJECTIONS:
+                raise RuntimeError(f"SamplePlan could not find enough generic {what}")
         return out

@@ -1,6 +1,8 @@
 """Rational-level counterpart of the elliptic machinery, in exact
-arithmetic: the degree-one solution of the quantum Yang-Baxter equation,
-three families of weight-graded modules over the RTT algebra (finite
+arithmetic: the degree-one solution R(z) = (z + P)/(z + 1) of the quantum
+Yang-Baxter equation (P the flip), held once, cleared, as `_RTT_R`, and
+certified by the exchange check of the spin-1 defining module (the
+`rtt-finite` record, `rtt_residual`); three families of weight-graded modules over the RTT algebra (finite
 spin chains, spin-parameter ladders, and the oscillator module), transfer
 matrices as truncated power series with polynomial entries, the Baxter
 operator obtained by promoting the ladder spin to a polynomial variable,
@@ -45,74 +47,6 @@ from .polyring import (
 SPIN_VARIABLE = Poly.variable()
 # extra sample levels that verify the degree of the level trace in q_exact_at_p
 _DEGREE_MARGIN = 2
-
-
-# ---------------------------------------------------------------------------
-# R-matrix and Yang-Baxter
-# ---------------------------------------------------------------------------
-
-def yangian_r(z):
-    """4x4 rational solution on the tensor-square basis (11, 12, 21, 22)."""
-    if z == -1:
-        raise ZeroDivisionError("R-matrix pole at z = -1")
-    d = z + 1
-    w, e = z / d, 1 / d
-    return [
-        [1, 0, 0, 0],
-        [0, w, e, 0],
-        [0, e, w, 0],
-        [0, 0, 0, 1],
-    ]
-
-
-def _embed(mat4, slots, z):
-    """Embed a 4x4 two-slot matrix into the 8-dim triple tensor product."""
-    out = [[0] * 8 for _ in range(8)]
-    rest = [k for k in range(3) if k not in slots]
-    r = yangian_r(z) if mat4 is None else mat4
-
-    def bits(n):
-        return ((n >> 2) & 1, (n >> 1) & 1, n & 1)
-
-    def idx(b):
-        return (b[0] << 2) | (b[1] << 1) | b[2]
-
-    for col in range(8):
-        cb = bits(col)
-        cc = (cb[slots[0]] << 1) | cb[slots[1]]
-        for rr in range(4):
-            v = r[rr][cc]
-            if v == 0:
-                continue
-            rb = list(cb)
-            rb[slots[0]], rb[slots[1]] = (rr >> 1) & 1, rr & 1
-            out[idx(rb)][col] = out[idx(rb)][col] + v
-    return out
-
-
-def _matmul(a, b):
-    n, m, k = len(a), len(b[0]), len(b)
-    out = [[0] * m for _ in range(n)]
-    for i in range(n):
-        for t in range(k):
-            v = a[i][t]
-            if is_zero(v) if isinstance(v, Poly) else v == 0:
-                continue
-            for j in range(m):
-                out[i][j] = out[i][j] + v * b[t][j]
-    return out
-
-
-def qybe_residual(z: Fraction, w: Fraction) -> float:
-    """Exact defect of the three-slot braid relation at rational points."""
-    r12 = _embed(None, (0, 1), z - w)
-    r13 = _embed(None, (0, 2), z)
-    r23 = _embed(None, (1, 2), w)
-    lhs = _matmul(_matmul(r12, r13), r23)
-    rhs = _matmul(_matmul(r23, r13), r12)
-    return exact_residual(
-        lhs[i][j] - rhs[i][j] for i in range(8) for j in range(8)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -252,9 +186,9 @@ def tensor_module(X: YangianModule, Y: YangianModule) -> YangianModule:
     )
 
 
-# cleared R(z - w), with its denominator (z - w + 1) multiplied through:
-# column (a, b) maps to rows (c, d) with entries given as terms
-# (coefficient, power of z, power of w)
+# the twin's one R-matrix: R(z - w) with its denominator (z - w + 1)
+# multiplied through, i.e. (z - w) + P; column (a, b) maps to rows (c, d)
+# with entries given as terms (coefficient, power of z, power of w)
 _RTT_R = {
     (1, 1): {(1, 1): ((1, 1, 0), (1, 0, 0), (-1, 0, 1))},
     (1, 2): {(1, 2): ((1, 1, 0), (-1, 0, 1)), (2, 1): ((1, 0, 0),)},
@@ -267,6 +201,12 @@ def rtt_residual(X: YangianModule) -> float:
     """Exact defect of the cleared exchange relation
     R(z - w) T1(z) T2(w) = T2(w) T1(z) R(z - w) applied to all
     truncation-safe basis vectors of the two-fold auxiliary space.
+
+    This is also the twin's Yang-Baxter certificate: the spin-1 defining
+    module has entries T_ab(z)_cd = (z + 1) R(z)_(a,c),(b,d), so its
+    relation is R12(z - w) R13(z) R23(w) = R23(w) R13(z) R12(z - w)
+    cleared of (z - w + 1)(z + 1)(w + 1), checked as a polynomial
+    identity in z and w.
 
     The sparse state walk runs on Kronecker-packed ints (see `packed`):
     the module's entries are read cleared over one denominator d

@@ -3,6 +3,7 @@ import cmath
 import numpy as np
 import pytest
 
+from elliptic_baxter import bethe
 from elliptic_baxter.bethe import (
     BetheConfig,
     elliptic_bethe_residual,
@@ -90,6 +91,20 @@ class TestSolver:
         c = self.REPORT.solutions[0]
         shifted = BetheConfig(1, A, MODULUS, tuple(z + 1 for z in c.roots))
         assert np.abs(elliptic_bethe_residual(shifted, P)).max() < 1e-10
+
+    def test_default_seeds_are_the_guarded_draw(self, monkeypatch):
+        # n = 1: each seed z = u + v*tau takes the next two uniform draws of
+        # the seed's generator and keeps z + a and z + a + hbar off the lattice
+        seen = []
+        monkeypatch.setattr(bethe, "_newton", lambda s, *args: seen.append(s))
+        elliptic_bethe_solve(1, A, MODULUS, P, seed=3, seed_count=12)
+        rng = np.random.default_rng(3)
+        ref = []
+        while len(ref) < 12:
+            z = rng.random(1)[0] + rng.random(1)[0] * P.tau
+            if min(lattice_distance(z + A, P), lattice_distance(z + A + H, P)) > 5e-2:
+                ref.append((z,))
+        assert seen == ref
 
     def test_two_roots(self):
         rep = elliptic_bethe_solve(2, A, MODULUS, P, seed_count=30)

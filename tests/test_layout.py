@@ -30,7 +30,6 @@ AWAITING_RECORD = {
     "modules.cyclicity_predicates": "cyclicity of the simple modules",
     "modules.highest_vector_count": "highest-weight vectors of the simple modules",
     "qchar.classify_highest_weight": "highest-weight classification of the simple modules",
-    "yangian.qybe_residual": "exact Yang-Baxter equation of the rational twin",
     "yangian.yangian_qchar": "exact q-characters of the rational twin",
     "yangian.qchar_finite_term": "exact finite-spin q-character term",
     "yangian.qchar_oscillator_term": "exact oscillator q-character term",

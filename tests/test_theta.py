@@ -10,6 +10,7 @@ from elliptic_baxter import theta
 from elliptic_baxter.modules import build_asymptotic, r_matrix_symbolic
 from elliptic_baxter.theta import (
     POLE_TOL,
+    SEARCH_RADIUS,
     EllipticParams,
     GenericityError,
     ParameterError,
@@ -20,10 +21,10 @@ from elliptic_baxter.theta import (
     ThetaSum,
     ThetaTable,
     in_hbar_inv_lattice,
+    int_plus_hbar_inv_lattice,
     lattice_distance,
     lattice_distance_array,
     lattice_reduce,
-    nonneg_int_plus_hbar_inv_lattice,
     _theta_series,
     theta_eval,
     theta_eval_array,
@@ -178,9 +179,14 @@ class TestLattice:
         assert not in_hbar_inv_lattice(0.123 + 0.456j, P)
 
     def test_nonneg_int_plus_lattice(self):
-        assert nonneg_int_plus_hbar_inv_lattice(2.0, P) == 2
-        assert nonneg_int_plus_hbar_inv_lattice(2 + (1 + P.tau) / P.hbar, P) == 2
-        assert nonneg_int_plus_hbar_inv_lattice(2.31 + 0.1j, P) is None
+        assert int_plus_hbar_inv_lattice(2.0, 0, P) == 2
+        assert int_plus_hbar_inv_lattice(2 + (1 + P.tau) / P.hbar, 0, P) == 2
+        assert int_plus_hbar_inv_lattice(2.31 + 0.1j, 0, P) is None
+        # a negative l is found only from a negative lowest l
+        c = -3 + (1 + P.tau) / P.hbar
+        assert int_plus_hbar_inv_lattice(c, 0, P) is None
+        assert int_plus_hbar_inv_lattice(c, -SEARCH_RADIUS, P) == -3
+        assert int_plus_hbar_inv_lattice(2.0, -SEARCH_RADIUS, P) == 2
 
 
 def r_entry_expression():
@@ -461,3 +467,14 @@ class TestSamplePlan:
         plan = SamplePlan(seed=1, count=10, pole_margin=5e-2)
         pts = plan.points(P, guard=lambda z: (z, z + 0.5))
         assert all(lattice_distance(z + 0.5, P) >= 5e-2 for z in pts)
+
+    def test_cap_counts_rejected_draws_only(self):
+        # 2500 accepted draws exceed the rejection cap; a longer plan
+        # extends a shorter one of the same seed
+        pts = SamplePlan(seed=7, count=2500, pole_margin=5e-2).points(P)
+        assert len(pts) == 2500
+        assert pts[:1000] == SamplePlan(seed=7, count=1000, pole_margin=5e-2).points(P)
+
+    def test_guard_rejecting_every_draw_raises(self):
+        with pytest.raises(RuntimeError, match="generic points"):
+            SamplePlan(seed=7, count=1, pole_margin=5e-2).points(P, guard=lambda z: (0j,))

@@ -39,7 +39,6 @@ from elliptic_baxter.yangian import (
     qchar_interchange_mismatches,
     qchar_ladder_term,
     qchar_oscillator_term,
-    qybe_residual,
     rtt_residual,
     sector_basis,
     tensor_module,
@@ -48,11 +47,11 @@ from elliptic_baxter.yangian import (
     two_site_quadratic,
     yangian_q,
     yangian_qchar,
-    yangian_r,
     yangian_transfer,
 )
 
 from chain_oracle import spell
+from rmatrix_oracle import matmul, qybe_residual, yangian_r
 
 SITES = (F(2, 3), F(-5, 7))
 
@@ -171,6 +170,33 @@ class TestRMatrix:
                                      (F(-4, 9), F(7, 11))])
     def test_yang_baxter_exact(self, z, w):
         assert qybe_residual(z, w) == 0
+
+    @pytest.mark.parametrize("z,w", [(F(3, 7), F(-2, 5)), (F(1, 2), F(5, 3)),
+                                     (F(-4, 9), F(7, 11)), (F(2), F(0))])
+    def test_rtt_r_is_cleared_r(self, z, w):
+        # _RTT_R column (a, b), row (c, d) is entry [2c+d-3][2a+b-3] of
+        # (z - w + 1) R(z - w)
+        r = yangian_r(z - w)
+        for (a, b), col in yangian._RTT_R.items():
+            for c in (1, 2):
+                for d in (1, 2):
+                    got = sum(k * z**i * w**j for k, i, j in col.get((c, d), ()))
+                    assert got == (z - w + 1) * r[2 * c + d - 3][2 * a + b - 3]
+
+    @pytest.mark.parametrize("z", [F(3, 4), F(-2, 5), F(7, 3)])
+    def test_defining_module_is_cleared_r(self, z):
+        # T_ab(z)_cd = (z + 1) R(z)_(a,c),(b,d): the spin-1 exchange record
+        # is the Yang-Baxter equation of R
+        V1 = build_module("finite", spin=1)
+        r = yangian_r(z)
+        for (a, b), table in V1.act.items():
+            t = [[0, 0], [0, 0]]
+            for d, images in table.items():
+                for c, poly in images:
+                    t[c][d] += poly(z)
+            for c in (0, 1):
+                for d in (0, 1):
+                    assert t[c][d] == (z + 1) * r[2 * a + c - 2][2 * b + d - 2]
 
 
 class TestModules:
@@ -306,6 +332,7 @@ class TestExchangeRelation:
         bad = build_module("ladder", spin=F(5, 3), levels=6,
                            flip_raising=True)
         assert rtt_residual(bad) > 0
+        assert rtt_residual(build_module("finite", spin=1, flip_raising=True)) > 0
 
     def test_too_shallow_rejected(self):
         with pytest.raises(ValueError):
@@ -322,9 +349,10 @@ class TestExchangeRelation:
         build_module("ladder", spin=SPIN_VARIABLE, levels=5,
                      flip_raising=True),
         build_module("oscillator", levels=6, flip_raising=True),
+        build_module("finite", spin=1, flip_raising=True),
     ], ids=["flipped-ladder", "flipped-shifted-ladder", "flipped-tensor",
             "symbolic-ladder", "flipped-symbolic-ladder",
-            "flipped-oscillator"])
+            "flipped-oscillator", "flipped-defining"])
     def test_matches_nested_walk(self, X):
         assert rtt_residual(X) == nested_rtt_residual(X)
 
@@ -590,13 +618,13 @@ class TestTransfer:
 
 
 def fraction_mul(x, y, order):
-    """Reference series product: `_matmul` on the exact entries, with the
+    """Reference series product: `matmul` on the exact entries, with the
     sum over splittings accumulated in Fraction arithmetic."""
     tables = []
     for k in range(order + 1):
         acc = None
         for m in range(k + 1):
-            prod = yangian._matmul(x.get(m), y.get(k - m))
+            prod = matmul(x.get(m), y.get(k - m))
             acc = prod if acc is None else [
                 [a + b for a, b in zip(ra, rp)] for ra, rp in zip(acc, prod)]
         tables.append(acc)

@@ -2,7 +2,7 @@
 
 For each checkout given, a fresh interpreter runs one CLI job of each of
 the suites ``qchar``, ``rll``, ``ybe``, ``gauss``, ``interchange``,
-``transfer`` and ``tq`` (2 sites, the CLI defaults) at each of the three
+``transfer``, ``tq`` and ``bethe`` (2 sites, the CLI defaults) at each of the three
 parameter sets of the ``suites-2site`` benchmark workload
 (``perfbench/jobs.py``), with the CLI's default seed, and reports the job's
 wall time (the best of ``benchturns.BEST_OF`` runs in the interpreter),
@@ -25,7 +25,7 @@ import benchturns
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench"))
 from jobs import PARAM_SETS  # noqa: E402
 
-SUITES = ("qchar", "rll", "ybe", "gauss", "interchange", "transfer", "tq")
+SUITES = ("qchar", "rll", "ybe", "gauss", "interchange", "transfer", "tq", "bethe")
 REPEATS = 5
 
 def main(argv=None) -> int:
