@@ -3,9 +3,9 @@
 Runs selected identity suites with configurable parameters and writes
 deterministic machine-readable reports.  Exit codes: 0 all checks pass,
 1 at least one identity check fails, 2 usage or configuration error
-(including a report that cannot be written), 3 numerical breakdown (pole
-or indeterminate value) during a run, 4 internal error (any other
-exception)."""
+(including a report that cannot be written), 3 numerical breakdown (pole,
+indeterminate value or unconverged theta series) during a run, 4 internal
+error (any other exception)."""
 
 from __future__ import annotations
 
@@ -415,8 +415,7 @@ def resolve_config(args) -> RunConfig:
     raw = dict(_DEFAULTS)
     if args.config:
         raw.update(read_config_file(args.config))
-    for key in ("tau", "hbar", "sites", "order", "depth", "samples",
-                "seed", "tol", "report", "format"):
+    for key in _DEFAULTS:
         val = getattr(args, key)
         if val is not None:
             raw[key] = val

@@ -118,16 +118,21 @@ def _common(shapes, bound=max) -> _Shape:
 
 @lru_cache(maxsize=16)
 def _combination(shapes: tuple, coeffs: tuple) -> tuple:
-    """(shape, ((numerator, rescale), ...)) of the sum of c * x over
-    scalar polynomials c of `coeffs` and series x of `shapes`: each c a
-    numerator over the coefficients' common denominator, each product
-    rescaled to the result's denominator.  Cached: `evaluate` asks for
-    each weighted sum's once for its layout and once to compute it."""
-    dw = denominator(coeffs)
-    nums = [numerators(c, dw) for c in coeffs]
-    terms = [_scalar_shape(n, dw).times(s, 1) for n, s in zip(nums, shapes)]
+    """(shape, ((row, rescale), ...)) of the sum of c * x over scalar
+    polynomials c of `coeffs` and series x of `shapes`: each c the row
+    [outer slot, inner slot] of its numerator over the coefficients'
+    common denominator (`cleared`), each product rescaled to the result's
+    denominator.  Cached: `evaluate` asks for each weighted sum's once
+    for its layout and once to compute it."""
+    dw, rows = cleared(coeffs)
+    rows, terms = rows.tolist(), []
+    for row, s in zip(rows, shapes):
+        used = [(i, j) for i, r in enumerate(row) for j, c in enumerate(r) if c]
+        outer, inner = (max(u) + 1 for u in zip(*used)) if used else (1, 1)
+        terms.append(_Shape(dw, max(abs(c) for r in row for c in r), outer,
+                            inner).times(s, 1))
     shape = _common(terms, sum)
-    return shape, tuple((n, shape.den // t.den) for n, t in zip(nums, terms))
+    return shape, tuple((row, shape.den // t.den) for row, t in zip(rows, terms))
 
 
 def slot_width(bound: int) -> int:
@@ -160,46 +165,38 @@ def pack_slots(rows, width: int, stride: int):
                 width)
 
 
-def inner_slots(values) -> int:
-    """Slots of the inner variable among ints and int-leaf polynomials in
-    at most two variables."""
-    inner = [c for v in values if isinstance(v, Poly) for c in v.coeffs
-             if isinstance(c, Poly)]
-    if any(isinstance(leaf, Poly) for c in inner for leaf in c.coeffs):
+def cleared(values) -> tuple:
+    """(den, coeffs) of exact values: ints, Fractions and polynomials of
+    them in at most two variables.  den is the lcm of their leaf
+    denominators, and coeffs[value, outer slot, inner slot] the int
+    coefficients of each value times den, zero-padded to the most outer
+    and inner slots of any value."""
+    values = list(values)
+    den = denominator(values)
+    rows = [[c.coeffs if isinstance(c, Poly) else (c,)
+             for c in (v.coeffs if isinstance(v, Poly) else (v,))]
+            for v in (numerators(v, den) for v in values)]
+    if any(isinstance(leaf, Poly) for row in rows for c in row for leaf in c):
         raise ValueError("series entries have at most two variables")
-    return max((len(c.coeffs) for c in inner), default=1) or 1
+    outer = max(map(len, rows), default=1) or 1
+    inner = max((len(c) for row in rows for c in row), default=1) or 1
+    flat = [[0] * (outer * inner) for _ in rows]
+    for f, row in zip(flat, rows):
+        for i, c in enumerate(row):
+            f[i * inner:i * inner + len(c)] = c
+    return den, np.array(flat, dtype=object).reshape(len(rows), outer, inner)
 
 
-def flatten(v, stride: int) -> list:
-    """Coefficients of an int or int-leaf polynomial, the inner variable's
-    at offsets below `stride`."""
-    if not isinstance(v, Poly):
-        return [v]
-    flat = [0] * (len(v.coeffs) * stride)
-    for i, c in enumerate(v.coeffs):
-        if isinstance(c, Poly):
-            flat[i * stride:i * stride + len(c.coeffs)] = c.coeffs
-        else:
-            flat[i * stride] = c
-    return flat
-
-
-def coefficient_rows(values, stride: int) -> np.ndarray:
-    """One row per value: its coefficients as from `flatten`, padded
-    with zeros to the same whole number of outer slots."""
-    flat = [flatten(v, stride) for v in values]
-    count = max(stride, max(map(len, flat)))
-    return np.array([f + [0] * (count - len(f)) for f in flat],
-                    dtype=object)
-
-
-def _scalar_shape(v, den: int) -> _Shape:
-    """The shape of an int or int-leaf polynomial as a numerator over
-    `den`."""
-    inner = inner_slots((v,))
-    flat = flatten(v, inner)
-    return _Shape(den, max(map(abs, flat), default=0),
-                  max(1, len(flat) // inner), inner)
+def defect(x, y, width: int, count: int, den: int) -> float:
+    """The exact defect of the object arrays of packed ints x against y:
+    0.0 where they are equal, else the largest magnitude of the
+    difference of their lowest `count` balanced digits base 2^width, over
+    `den` (`exact_residual`)."""
+    if (x == y).all():
+        return 0.0
+    worst = max(np.abs(dx - dy).max() for dx, dy in
+                zip(digits(x, width, count), digits(y, width, count)))
+    return exact_residual((Fraction(worst, den),))
 
 
 def _tight_rows(slots, stride: int, den: int) -> tuple:
@@ -246,14 +243,11 @@ class PSeriesMatrix:
     constructor."""
 
     def __init__(self, basis: tuple, tables: list, terminates: bool = False):
-        d = denominator(e for tab in tables for row in tab for e in row)
-        entries = [numerators(e, d) for tab in tables for row in tab
-                   for e in row]
-        stride = inner_slots(entries)
+        d, coeffs = cleared(e for tab in tables for row in tab for e in row)
         levels = (len(tables), len(tables[0]), len(tables[0]))
         self._hold(basis, terminates, *_tight_rows(
-            [dig.reshape(levels)
-             for dig in coefficient_rows(entries, stride).T], stride, d))
+            [dig.reshape(levels) for dig in coeffs.reshape(len(coeffs), -1).T],
+            coeffs.shape[2], d))
         self._views.update(enumerate(tables))
 
     def _hold(self, basis, terminates, rows, shape):
@@ -371,8 +365,8 @@ class PSeriesMatrix:
         shape, terms = _combination((self.shape, other.shape), (a, b))
         width, stride = self._shared_layout(other, shape)
         order = min(self.order, other.order)
-        num = sum(x._at(order) * (pack(flatten(n, stride), width) * scale)
-                  for x, (n, scale) in zip((self, other), terms))
+        num = sum(x._at(order) * (pack_slots(row, width, stride) * scale)
+                  for x, (row, scale) in zip((self, other), terms))
         return self._packed(self.basis, False, num, width, stride, shape)
 
     def mul(self, other: "PSeriesMatrix", order: int) -> "PSeriesMatrix":
@@ -407,14 +401,9 @@ class PSeriesMatrix:
         read from their balanced digits."""
         shape = _common((self.shape, other.shape))
         width, stride = self._shared_layout(other, shape)
-        x = self._at(order) * (shape.den // self.shape.den)
-        y = other._at(order) * (shape.den // other.shape.den)
-        if (x == y).all():
-            return 0.0
-        count = shape.outer * stride
-        worst = max(np.abs(dx - dy).max() for dx, dy in
-                    zip(digits(x, width, count), digits(y, width, count)))
-        return exact_residual((Fraction(worst, shape.den),))
+        return defect(self._at(order) * (shape.den // self.shape.den),
+                      other._at(order) * (shape.den // other.shape.den),
+                      width, shape.outer * stride, shape.den)
 
 
 # ---------------------------------------------------------------------------

@@ -231,8 +231,5 @@ class RatFn:
             other = RatFn(other)
         return RatFn(self.num * other.num, self.den * other.den)
 
-    def shift(self, c) -> "RatFn":
-        return RatFn(self.num.shift(c), self.den.shift(c))
-
     def __repr__(self):
         return f"RatFn({self.num!r}, {self.den!r})"

@@ -85,7 +85,9 @@ def theta_eval(z: complex, params: EllipticParams) -> complex:
 
     Terms are added in pairs (j, -1-j) of equal Gaussian decay; summation
     stops once the next pair is below ``_SERIES_EPS`` times the partial
-    sum, with a hard cap at |j| <= 64 (never binding for Im(tau) >= 0.05).
+    sum.  A series that has not met that rule by |j| = 64 (as at
+    tau = 0.05i, z = 0.1 + 3i) raises OverflowError: its partial sum is not
+    theta(z).
     """
     tau = params.tau
     if tau.imag <= 0:
@@ -103,6 +105,8 @@ def theta_eval(z: complex, params: EllipticParams) -> complex:
         bound = 2.0 * math.exp(-math.pi * tau.imag * nxt * nxt + 2.0 * math.pi * nxt * abs(zi))
         if bound <= _SERIES_EPS * abs(s):
             break
+    else:
+        raise OverflowError(f"theta series did not converge at z={z}")
     return -s
 
 
@@ -116,17 +120,19 @@ def theta_eval_array(z, params: EllipticParams) -> np.ndarray:
     theta(z + m) = (-1)^m theta(z) restored: the phases of the terms stay
     small, and with them the rounding of each term.  A non-finite value
     raises OverflowError, as ``theta_eval`` does, instead of returning inf
-    or NaN.
+    or NaN, and so does an element whose series does not converge.
     """
     vals = _theta_series(z, params)
     if not np.isfinite(vals).all():
-        raise OverflowError("theta series is not finite at some argument")
+        raise OverflowError("theta series is not finite or does not "
+                            "converge at some argument")
     return vals
 
 
 def _theta_series(z, params: EllipticParams) -> np.ndarray:
     """``theta_eval_array`` without the finiteness check: an element whose
-    series overflows comes back inf or NaN."""
+    series overflows comes back inf or NaN, one whose series has not met
+    the stopping rule by |j| = 64 NaN."""
     tau = params.tau
     if tau.imag <= 0:
         raise ParameterError(f"Im(tau) must be positive, got tau={tau}")
@@ -164,6 +170,7 @@ def _theta_series(z, params: EllipticParams) -> np.ndarray:
                 s[cols] = partial[stop, np.arange(cols.size)]
                 still.append(cols[~done.any(axis=0)])
             live = np.concatenate(still)
+    s[live] = np.nan
     return np.where(m % 2, s, -s).reshape(z.shape)
 
 

@@ -36,10 +36,8 @@ from .polyring import (
     Poly,
     RatFn,
     as_poly,
-    denominator,
     exact_residual,
     is_zero,
-    numerators,
     poly_rem,
     shift_matrix,
 )
@@ -74,18 +72,14 @@ class YangianModule:
         T_ab and row and col positions in `labels` (T_ab e_lab = ... +
         p e_lab2 is entry (lab2, lab)); and coeffs[cell, j, s], the int
         coefficient of z^j spin^s of its entry times den, the entries' one
-        denominator."""
+        denominator (`packed.cleared`)."""
         labels = tuple(sorted(self.basis, key=self.weight.__getitem__))
         pos = {lab: n for n, lab in enumerate(labels)}
         found = [((2 * a + b - 3, pos[lab2], pos[lab]), p)
                  for (a, b), table in self.act.items()
                  for lab, rows in table.items() for lab2, p in rows]
-        den = denominator(p for _, p in found)
-        nums = [numerators(p, den) for _, p in found]
-        inner = packed.inner_slots(nums)
-        coeffs = packed.coefficient_rows(nums, inner)
-        return (labels, np.array([cell for cell, _ in found]), den,
-                coeffs.reshape(len(nums), -1, inner))
+        den, coeffs = packed.cleared(p for _, p in found)
+        return labels, np.array([cell for cell, _ in found]), den, coeffs
 
     def band_data(self):
         """Diagonal/raising/lowering entries for single-band modules,
@@ -212,10 +206,10 @@ def rtt_residual(X: YangianModule) -> float:
     the module's entries are read cleared over one denominator d
     (`YangianModule.entry_cells`), and each state value is a polynomial
     in z, w and, for a symbolic-spin module, the spin variable
-    (innermost), stored as its value at 2^width.  The two sides are
-    compared as packed ints and read back only where they differ; both
-    are quadratic in the entries, so the defect is the worst digit over
-    d^2.
+    (innermost), stored as its value at 2^width.  The two sides of every
+    state are compared at once as packed ints and read back only if they
+    differ (`packed.defect`); both are quadratic in the entries, so the
+    defect is the worst digit over d^2.
 
     The slot width holds both sides' coefficients.  With mu the largest
     entry coefficient, rho the largest sum of the entries' largest
@@ -270,20 +264,16 @@ def rtt_residual(X: YangianModule) -> float:
                 out[key] = out.get(key, 0) + entry * v
         return out
 
-    worst = 0
-    for v in safe:
-        for a in (1, 2):
-            for b in (1, 2):
-                start = {(a, b, v): 1}
-                lhs = apply_r(apply_slot(apply_slot(start, 1), 0))
-                rhs = apply_slot(apply_slot(apply_r(start), 0), 1)
-                for key in lhs.keys() | rhs.keys():
-                    x, y = lhs.get(key, 0), rhs.get(key, 0)
-                    if x != y:
-                        worst = max(worst, *(abs(dx - dy) for dx, dy in zip(
-                            packed.digits(x, width, count),
-                            packed.digits(y, width, count))))
-    return exact_residual((Fraction(worst, d * d),))
+    x, y = [], []
+    for v, a, b in iproduct(safe, (1, 2), (1, 2)):
+        start = {(a, b, v): 1}
+        lhs = apply_r(apply_slot(apply_slot(start, 1), 0))
+        rhs = apply_slot(apply_slot(apply_r(start), 0), 1)
+        keys = lhs.keys() | rhs.keys()
+        x += [lhs.get(key, 0) for key in keys]
+        y += [rhs.get(key, 0) for key in keys]
+    return packed.defect(np.array(x, dtype=object), np.array(y, dtype=object),
+                         width, count, d * d)
 
 
 # ---------------------------------------------------------------------------

@@ -94,6 +94,13 @@ class TestExitCodes:
         assert run(["transfer", "--hbar", "0.2+2i", "--no-timestamp"]) == 3
         assert "numerical breakdown" in capsys.readouterr().err
 
+    def test_unconverged_theta_series_exits_three(self, capsys):
+        # sites far from the real axis against a small Im(tau): some theta
+        # series miss their stopping rule by |j| = 64
+        assert run(["transfer", "--tau", "0.03i", "--sites", "0.4+0.9i,0.3-0.8i",
+                    "--no-timestamp"]) == 3
+        assert "numerical breakdown" in capsys.readouterr().err
+
     def test_bethe_line_search_rejects_overflowing_trial(self, capsys):
         # a full Newton step from one of this seed's starts reaches an Im z
         # where the theta series' stopping bound overflows: the line search

@@ -43,6 +43,7 @@ TEST_REFERENCES = {
     "modules.build_vector_rep": "vector module the coproduct and exchange tests build",
     "theta.ThetaSum.eval": "scalar evaluation of the symbolic oracles",
     "dynamical.DiffOpSeries.identity": "unit series the inverse tests divide",
+    "packed.PSeriesMatrix.tables": "Fraction views the packed-calculus tests compare",
 }
 
 
@@ -62,9 +63,11 @@ def definitions(tree, module):
 def _resolved_reads(module, tree):
     """(definition, line) for each name this module reads: a bare name is
     resolved through ``from .other import name`` or else to this module;
-    ``other.name`` resolves through ``from . import other``.  Method
-    definitions stay keyed by their bare name, since the class of an
-    attribute's owner is not known."""
+    ``other.name`` resolves through ``from . import other``.  A method is
+    read through an attribute (``x.name``) or a class-body alias
+    (``__rmul__ = __mul__``), keyed by its bare name, since the class of
+    an attribute's owner is not known; a bare name elsewhere is a local,
+    global or import, not a method."""
     imported, modules = {}, {}
     for n in ast.walk(tree):
         if isinstance(n, ast.ImportFrom) and n.level == 1:
@@ -77,18 +80,22 @@ def _resolved_reads(module, tree):
     for n in ast.walk(tree):
         if isinstance(n, ast.Name):
             yield imported.get(n.id, f"{module}.{n.id}"), n.lineno
-            yield n.id, n.lineno
         elif isinstance(n, ast.Attribute):
             if isinstance(n.value, ast.Name) and n.value.id in modules:
                 yield f"{modules[n.value.id]}.{n.attr}", n.lineno
             yield n.attr, n.lineno
+        elif isinstance(n, ast.ClassDef):
+            for item in n.body:
+                if isinstance(item, ast.Assign) and isinstance(item.value, ast.Name):
+                    yield item.value.id, item.lineno
 
 
 def outside_reads():
     """Qualified name of every non-dunder definition: the number of reads
     of it in the package outside the lines of its own definition.  A
     module-level definition is read by its own module or through an import
-    of it; a method by any read of its name."""
+    of it; a method by any attribute read or class-body alias of its
+    name."""
     trees = {p.stem: ast.parse(p.read_text(encoding="utf-8"))
              for p in sorted(PACKAGE.glob("*.py"))}
     reads: dict[str, list[tuple[str, int]]] = {}

@@ -146,6 +146,38 @@ class TestThetaEvalArray:
         assert np.allclose(lattice_distance_array(c, P), ref, rtol=0, atol=1e-15)
 
 
+class TestUnconvergedSeries:
+    """At Im(tau) = 0.05 and |Im z| = 3 the series has not met its
+    stopping rule by |j| = 64: both kernels refuse the partial sum, where
+    a point one unit of Im z lower still converges to full accuracy."""
+
+    P = EllipticParams(tau=0.05j, hbar=0.31)
+    FAR, NEAR = 0.1 + 3j, 0.3 + 2.2j
+
+    def test_both_kernels_raise(self):
+        with pytest.raises(OverflowError, match="did not converge"):
+            theta_eval(self.FAR, self.P)
+        with pytest.raises(OverflowError):
+            theta_eval_array(np.array([self.NEAR, self.FAR]), self.P)
+        assert np.isnan(_theta_series(np.array([self.FAR]), self.P)).all()
+
+    def test_table_raises_and_masks(self):
+        table = ThetaTable([(0, ThetaSum(ThetaExpression.theta(1, 0, 0.0)))], 1, self.P)
+        zs, xs = [self.NEAR, self.FAR], [0.0, 0.0]
+        with pytest.raises(OverflowError):
+            table.at(zs, xs)
+        vals, bad = table.masked_at(zs, xs)
+        assert bad.tolist() == [False, True]
+        assert vals[0, 0] == table.at(zs[:1], xs[:1])[0, 0]
+
+    def test_converged_point_matches_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        z = self.NEAR
+        ref = complex(mpmath.jtheta(1, mpmath.pi * z, mpmath.exp(1j * mpmath.pi * self.P.tau)))
+        for got in (theta_eval(z, self.P), theta_eval_array(np.array([z]), self.P)[0]):
+            assert abs(got - ref) <= 1e-12 * abs(ref)
+
+
 class TestQuasiPeriodicity:
     def test_period_one_and_tau_and_oddness(self):
         for z in SamplePlan(seed=7, count=100).points(P):

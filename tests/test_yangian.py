@@ -496,16 +496,13 @@ class TestBlockTrace:
 def poly_site_values(X, a, bound):
     """Reference site values: every entry of X valued at the site a in
     Fraction arithmetic, p.shift(a), or with `bound` p(a) with the spin as
-    the outer variable, then cleared over one denominator; (d, numerators
-    [cell, outer slot, inner slot]) in the order of `X.act`."""
+    the outer variable, then cleared over one denominator
+    (`packed.cleared`); (d, numerators [cell, outer slot, inner slot]) in
+    the order of `X.act`."""
     entries = [p for table in X.act.values() for rows in table.values()
                for _, p in rows]
-    vals = [as_poly(p(a)) if bound else p.shift(a) for p in entries]
-    d = denominator(vals)
-    nums = [numerators(v, d) for v in vals]
-    inner = packed.inner_slots(nums)
-    return d, packed.coefficient_rows(nums, inner).reshape(len(nums), -1,
-                                                           inner)
+    return packed.cleared(as_poly(p(a)) if bound else p.shift(a)
+                          for p in entries)
 
 
 SITE_VALUE_MODULES = {
@@ -764,6 +761,62 @@ LARGE_SITES = (
 )
 
 
+class TestCleared:
+    """`packed.cleared`, the one way from exact values to integer
+    coefficient arrays: the lcm of the leaf denominators, and each value
+    times it as int coefficients [outer slot, inner slot], zero-padded to
+    the most slots of any value."""
+
+    SPIN = Poly((Poly((F(1, 2), 1)), 3, Poly((0, 0, F(1, 4)))))
+    CASES = {
+        "ints": ([3, -2, 0], 1, [[[3]], [[-2]], [[0]]]),
+        "fractions": ([F(1, 2), F(-1, 3), 4], 6, [[[3]], [[-2]], [[24]]]),
+        "nested-spin": ([SPIN], 4, [[[2, 4, 0], [12, 0, 0], [0, 0, 1]]]),
+        "zero": ([Poly(), 0, Poly((Poly(),))], 1, [[[0]], [[0]], [[0]]]),
+        "padding": ([Poly((1, F(2, 5), 3)), 5, Poly((Poly((0, 1)),))], 5,
+                    [[[5, 0], [2, 0], [15, 0]],
+                     [[25, 0], [0, 0], [0, 0]],
+                     [[0, 5], [0, 0], [0, 0]]]),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_values(self, case):
+        values, den, coeffs = self.CASES[case]
+        got_den, got = packed.cleared(iter(values))
+        assert got_den == den and got.shape == np.shape(coeffs)
+        assert all(type(v) is int for v in got.flat)
+        assert got.tolist() == coeffs
+
+    def test_three_variables_rejected(self):
+        deep = Poly((Poly((Poly((1, 2)),)),))
+        with pytest.raises(ValueError):
+            packed.cleared([1, deep])
+        with pytest.raises(ValueError):
+            PSeriesMatrix(((1,),), [[[deep]]])
+
+
+class TestDefect:
+    """`packed.defect`, the one reader of a packed difference."""
+
+    WIDTH = packed.slot_width(127)
+
+    def sides(self):
+        # balanced digits that attain the width: 127 and -127 at 8 bits
+        x = [packed.pack(d, self.WIDTH) for d in ([127, -127, 0], [1, 2, 3])]
+        y = [packed.pack(d, self.WIDTH) for d in ([-127, 127, 5], [1, 2, 3])]
+        return np.array(x, dtype=object), np.array(y, dtype=object)
+
+    def test_equal_inputs_read_zero(self):
+        x, _ = self.sides()
+        assert packed.defect(x, x.copy(), self.WIDTH, 3, 7) == 0.0
+
+    @pytest.mark.parametrize("den", [1, 3, 3**50])
+    def test_attained_width_reads_its_exact_value(self, den):
+        x, y = self.sides()
+        assert self.WIDTH == 8
+        assert packed.defect(x, y, self.WIDTH, 3, den) == float(F(254, den))
+
+
 class TestPackedSeries:
     """The packed calculus against its Fraction references on entries
     with huge denominators, on inputs whose a-priori coefficient bound is
@@ -886,11 +939,6 @@ class TestPackedSeries:
         relation, ref = self.tight_relation()
         monkeypatch.setattr(packed, "slot_width", lambda bound: bound.bit_length())
         assert relation() != ref
-
-    def test_three_variables_rejected(self):
-        deep = Poly((Poly((Poly((1, 2)),)),))
-        with pytest.raises(ValueError):
-            PSeriesMatrix(((1,),), [[[deep]]])
 
     # each operation computes at its operands' shared layout; packed alone
     # (here at their tight layouts), these operands do not share one, or
