@@ -215,14 +215,15 @@ def tensor_basis(bx: WeightBasis, by: WeightBasis, max_level: int | None = None)
     return basis, layout
 
 
-def tensor_gather(X, Y, top: int) -> np.ndarray:
+def tensor_gather(X, Y, top: int) -> tuple[np.ndarray, np.ndarray]:
     """The products whose sums are the coproduct L_{ij} = sum_k L^X_{ik}
     (x) L^Y_{kj} cut to total level ``top``, one per pair of the factors'
     structural nonzeros (``nonzeros``: the slots (key*n + row)*n + col,
     keys in the order ++, +-, -+, --, of the entries that are not zero).
-    Column p holds X's entry of product p in [Y level, key, row, col],
-    with the level of the target Y vector, Y's entry in [key, row, col]
-    and the tensor's slot, sorted by slot."""
+    Returns the tensor's structural nonzeros, sorted, and the products
+    sorted by slot: column p holds X's entry of product p in [Y level,
+    key, row, col], with the level of the target Y vector, Y's entry in
+    [key, row, col] and the index of its slot among the nonzeros."""
     bx, by = X.basis, Y.basis
     basis, layout = tensor_basis(bx, by, top)
     n, nx, ny = basis.size, bx.offset(min(top, bx.levels) + 1), by.offset(min(top, by.levels) + 1)
@@ -244,33 +245,35 @@ def tensor_gather(X, Y, top: int) -> np.ndarray:
             (((2 * k + j) * ny + c) * ny + d)[:, None],
             ((2 * i + j) * n + tgt) * n + src))[:, (tgt >= 0) & (src >= 0)])
     parts = np.concatenate(parts, axis=1)
-    return parts[:, np.argsort(parts[2], kind="stable")]
+    parts = parts[:, np.argsort(parts[2], kind="stable")]
+    first = np.diff(parts[2], prepend=-1) != 0  # np.unique would import numpy.ma
+    return parts[2, first], np.vstack([parts[:2], np.cumsum(first) - 1])
 
 
-def tensor_entry_tables(X, Y, gather: np.ndarray, zs, xs, top: int,
+def tensor_entry_tables(X, Y, gather: tuple, zs, xs, top: int,
                         masked: bool = False) -> np.ndarray:
-    """The coproduct's four entry tables at the points (zs, xs), cut to
-    total level ``top``, as [point, key, row, col]: L_{ij}(z, x) = sum_k
-    L^X_{ik}(z, x + hbar*w) L^Y_{kj}(z, x), w the weight of the target Y
-    level.  X's ``entry_matrices`` are taken once at every Y level weight
-    and Y's once (``masked`` as there); only the products of
-    ``tensor_gather`` are formed, so a factor's NaN reaches the entries
-    that read it and no other."""
+    """The coproduct's entries at the points (zs, xs), cut to total level
+    ``top``, in the slots of its ``tensor_gather``, as [point, slot]:
+    L_{ij}(z, x) = sum_k L^X_{ik}(z, x + hbar*w) L^Y_{kj}(z, x), w the
+    weight of the target Y level.  X's ``entry_matrices`` are taken once
+    at every Y level weight and Y's once (``masked`` as there); only the
+    products of ``tensor_gather`` are formed, so a factor's NaN reaches
+    the entries that read it and no other."""
     zs, xs = np.asarray(zs, dtype=complex), np.asarray(xs, dtype=complex)
     tx, ty = min(top, X.basis.levels), min(top, Y.basis.levels)
-    size = tensor_basis(X.basis, Y.basis, top)[0].size
+    slots, (gx, gy, slot) = gather
     shifts = Y.params.hbar * np.array([Y.basis.weight(j) for j in range(ty + 1)])
     mx = X.entry_matrices(np.repeat(zs, ty + 1), (xs[:, None] + shifts).ravel(), tx, masked)
     my = Y.entry_matrices(zs, xs, ty, masked)
-    out = np.zeros((len(zs), 4 * size * size), dtype=complex)
+    out = np.zeros((len(zs), len(slots)), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        np.add.at(out, (slice(None), gather[2]), mx.reshape(len(zs), -1)[:, gather[0]]
-                  * my.reshape(len(zs), -1)[:, gather[1]])
-    return out.reshape(len(zs), 4, size, size)
+        np.add.at(out, (slice(None), slot), mx.reshape(len(zs), -1)[:, gx]
+                  * my.reshape(len(zs), -1)[:, gy])
+    return out
 
 
-# Entry-matrix items gathered for one batched matmul of `graded_trace`:
-# bounds the batch temporaries whatever the number of prefixes.
+# Complex items one batch may hold: the point groups of
+# `transfer._GradedTrace` and the prefix batches of `block_graded_trace`.
 _BATCH_ITEMS = 1 << 18
 
 # The complex item of `cmatmul`'s clean-up multiply.
@@ -287,7 +290,8 @@ def cmatmul(a, b, out=None) -> np.ndarray:
     and complex arithmetic) then runs about four times slower, until some
     AVX code clears the registers; matrix-vector products do not dirty
     them.  One complex multiply in numpy's own vector loop clears them.
-    Call it for every complex matrix product on a hot path.
+    Call it for every complex matrix product on a hot path, the level
+    blocks of `block_graded_trace` included.
     """
     out = np.matmul(a, b, out=out)
     np.multiply(_UNIT, _UNIT, out=_UNIT_OUT)
@@ -295,7 +299,7 @@ def cmatmul(a, b, out=None) -> np.ndarray:
 
 
 def contraction_plan(rows, cols, sites: int) -> tuple:
-    """Left-to-right plan of `graded_trace` over the pairs (rows[n],
+    """Left-to-right plan of `block_graded_trace` over the pairs (rows[n],
     cols[n]) of strings of a chain of `sites` sites, sharing products
     between pairs with equal prefixes (an MPO-style sweep, Schollwoeck
     arXiv:1008.3477).  A string is an int code: bit l is set when site l
@@ -334,65 +338,14 @@ def contraction_plan(rows, cols, sites: int) -> tuple:
     return np.stack(np.divmod(grid, width), axis=1) - [0, sites], steps
 
 
-def tile_plan(plan: tuple, n: int) -> tuple:
-    """The plan of `contraction_plan` repeated for n points: point p's
-    prefixes follow point p-1's at every site, its parents are offset by
-    p times the previous site's prefix count (site 0 shares the empty
-    prefix) and its entries by p times 4 * len(grid), so that `graded_trace`
-    reads m[point, grid, key] with points outermost."""
-    grid, steps = plan
-    p = np.arange(n)[:, None]
-    tiled, prev = [], 0
-    for parent, code in steps:
-        tiled.append(((parent + p * prev).ravel(), (code + p * 4 * len(grid)).ravel()))
-        prev = len(parent)
-    return grid, tuple(tiled)
-
-
-def graded_trace(m: np.ndarray, plan: tuple, levels) -> np.ndarray:
-    """Level-block traces of the site-ordered products over the pairs of
-    a `contraction_plan`, in any dtype: m[point, key] is the entry matrix
-    at a grid point and rows levels[k]:levels[k+1] are level k, each
-    level nonempty.  Returns [pair, level].
-
-    Each site multiplies its prefixes' entries in batched matmuls of at
-    most `_BATCH_ITEMS` gathered entry items; only the rows of the traced
-    levels are carried, and the last site forms only the diagonal.
-
-    It serves the elliptic twin only: its float bits feed the quotient
-    TQ record, whose verdicts move with any change of rounding, and the
-    level blocks of `block_graded_trace` agree with it to rounding, not
-    bit for bit.  The exact twin, whose Python-int products are mostly
-    by zero here, uses the level blocks.
-    """
-    _, steps = plan
-    rows, size = levels[-1], m.shape[-1]
-    entries = m.reshape(-1, size, size)
-    batch = max(1, _BATCH_ITEMS // (size * size))
-    acc = np.eye(size, dtype=m.dtype)[None, :rows]
-    *inner, (parent, code) = steps
-    for up, key in inner:
-        nxt = np.empty((len(up), rows, size), dtype=m.dtype)
-        for lo in range(0, len(up), batch):
-            b = slice(lo, lo + batch)
-            cmatmul(acc[up[b]], entries[key[b]], out=nxt[b])
-        acc = nxt
-    diag = np.empty((len(parent), rows), dtype=m.dtype)
-    for lo in range(0, len(parent), batch):
-        b = slice(lo, lo + batch)
-        diag[b] = np.einsum("pab,pba->pa", acc[parent[b]], entries[code[b]][:, :, :rows])
-    return np.add.reduceat(diag, levels[:-1], axis=1)
-
-
 @lru_cache(maxsize=8)
-def _block_layout(slots: tuple, levels: tuple, sites: int) -> tuple:
-    """(index, shift, reach, shape) of `block_graded_trace` for a module
-    and chain length: the level shift of each key's slots (ValueError if
-    a key's slots move the level by more than one), the zero levels on
-    either side of the module's, so that every level k - D of a prefix is
-    an index (|D| <= reach), and where each slot's value goes in the
-    blocks [point, key, level, row, col] of `shape` after the point axis.
-    The arrays are read-only, as every caller shares them."""
+def _block_layout(slots: tuple, levels: tuple) -> tuple:
+    """(index, shift, shape) of `block_graded_trace` for a module: the
+    level shift of each key's slots (ValueError if a key's slots move the
+    level by more than one shift), and where each slot's value goes in
+    the blocks [key, level + 1, row, col] of `shape`, flattened, the
+    module's levels between one zero block on either side.  The arrays
+    are read-only, as every caller shares them."""
     levels = np.array(levels)
     dims = levels[1:] - levels[:-1]
     n, top, width = levels[-1], len(dims), int(dims.max())
@@ -406,57 +359,83 @@ def _block_layout(slots: tuple, levels: tuple, sites: int) -> tuple:
             raise ValueError(f"the entries of key {k} move the level by "
                              f"{sorted(ds)}, not by one shift")
     shift = np.array([min(moves.get(k, {0})) for k in range(4)])
-    reach = sites * int(np.abs(shift).max())
-    index = (key, reach + level[row], row - levels[level[row]], col - levels[level[col]])
-    for a in (shift, *index):
+    shape = (4, top + 2, width, width)
+    index = np.ravel_multi_index(
+        (key, 1 + level[row], row - levels[level[row]], col - levels[level[col]]), shape)
+    for a in (shift, index):
         a.flags.writeable = False
-    return (slice(None), *index), shift, reach, (4, top + 2 * reach, width, width)
+    return index, shift, shape
 
 
 def block_graded_trace(values: np.ndarray, slots, levels, plan: tuple,
-                       traced: int) -> np.ndarray:
-    """`graded_trace` on level blocks, in any dtype, from the entries'
-    structural nonzeros: values[point, i] is the entry of the slot
-    slots[i] = (key*n + row)*n + col at a grid point of a
-    `contraction_plan` (values of one slot add up), rows
-    levels[j]:levels[j+1] are level j for every level of the module, and
-    levels 0..traced-1 are traced.  Returns [pair, level].
+                       traced: int, where) -> np.ndarray:
+    """Level-block traces of the site-ordered products over the pairs of
+    a `contraction_plan` at a batch of points, in any dtype, from the
+    entries' structural nonzeros: values[r, i] is the entry of the
+    distinct slot slots[i] = (key*n + row)*n + col in row r, row where[p,
+    g] holds grid point g at point p, rows levels[j]:levels[j+1] are level
+    j of the module, and levels 0..traced-1 are traced.  Returns [point,
+    pair, level].
 
     The slots of each key must move the level by one shift d (row level
     minus column level), else ValueError.  Each entry is then stored as
-    its level blocks, from column level j - d to row level j, padded with
-    zeros to the largest level dimension, between zero blocks (the
-    layout is cached per module and chain length, `_block_layout`), and
-    a prefix maps level k to the one level k - D, with D the sum of the
-    shifts of its keys: it is carried as one block per traced level.  A
-    site gathers, for every prefix and traced level, the entry block at
-    level k - D and multiplies in one batched block product (elementwise
-    for 1x1 blocks); the last site forms only the diagonal blocks, and a
-    pair whose shifts do not sum to zero traces to zero.  This is the
-    U(1) block-sparse form of a tensor network with a conserved charge
-    (Singh, Pfeifer, Vidal, arXiv:0907.2994).
+    its level blocks, from column level j - d to row level j, padded to
+    the largest level dimension, between two zero blocks (the layout is
+    cached per module, `_block_layout`).  A prefix maps level k to the
+    one level k - D, D the sum of its keys' shifts, and is carried as
+    one block per point and traced level, with the rows of the largest
+    traced level; once k - D leaves the module's levels it is zero and
+    reads a zero block.  A site gathers the entry blocks at the levels
+    k - D and multiplies, in batches of at most `_BATCH_ITEMS` gathered
+    items; the last site forms only the diagonal blocks, and a pair
+    whose shifts do not sum to zero traces to zero: the U(1)
+    block-sparse form of a tensor network with a conserved charge
+    (Singh, Pfeifer, Vidal, arXiv:0907.2994).  Complex blocks are
+    multiplied by `cmatmul` at every size and their diagonal formed by
+    ``einsum``, as a dense contraction rounds them, so that on
+    one-dimensional levels a 2-site trace is the dense one bit for bit;
+    Python-int blocks, whose products are exact, multiply 1x1 blocks
+    elementwise and sum the diagonal.
     """
     _, steps = plan
-    index, shift, reach, shape = _block_layout(
-        tuple(np.asarray(slots).tolist()), tuple(np.asarray(levels).tolist()), len(steps))
-    entries = np.zeros((len(values), *shape), dtype=values.dtype)
-    np.add.at(entries, index, values)
+    index, shift, shape = _block_layout(
+        tuple(np.asarray(slots).tolist()), tuple(np.asarray(levels).tolist()))
+    entries = np.zeros((len(values), math.prod(shape)), dtype=values.dtype)
+    entries[:, index] = values
     entries = entries.reshape(-1, *shape[1:])
-    product = np.multiply if shape[-1] == 1 else cmatmul
-    # at[prefix, k]: the index of level k - D; the empty prefix has D = 0
-    # and the identity at every level (its ones past a level's dimension
-    # meet the zero padding of the entries)
-    at = reach + np.arange(traced)[None]
-    acc = np.eye(shape[-1], dtype=values.dtype)[None, None]
+    exact = values.dtype == object
+    product = np.multiply if exact and shape[-1] == 1 else cmatmul
+    rows = 4 * np.asarray(where).T  # [grid point, point]: 4 times the row
+    batch = max(1, _BATCH_ITEMS // (rows.shape[1] * traced * shape[-1] ** 2))
+    level, top = np.arange(traced), shape[1] - 2
+    height = int(np.diff(np.asarray(levels)[:traced + 1]).max())  # rows of a prefix block
+
+    def blocks(code, drift):  # [prefix, point, level]: the entry blocks at k - drift, or zero
+        at = np.minimum(np.maximum(level - drift[:, None], -1), top) + 1
+        return entries[(rows[code // 4] + code[:, None] % 4)[..., None], at[:, None]]
+
+    # the empty prefix (D = 0) is the identity: site 0's prefixes are its entry blocks
+    acc = np.eye(shape[-1], dtype=values.dtype)[None, None, None, :height]
+    drift = np.zeros(1, dtype=int)
     *inner, (parent, code) = steps
-    for up, k in inner:
-        at = at[up]
-        acc = product(acc[up], entries[k[:, None], at])
-        at = at - shift[k % 4][:, None]
-    at = at[parent]
-    diag = (acc[parent] * entries[code[:, None], at].swapaxes(-1, -2)).sum(axis=(-2, -1))
-    diag[at[:, 0] - shift[code % 4] != reach] = 0
-    return diag
+    for site, (up, key) in enumerate(inner):
+        nxt = np.empty((len(up), *rows.shape[1:], traced, height, shape[-1]), values.dtype)
+        for lo in range(0, len(up), batch):
+            b = slice(lo, lo + batch)
+            e = blocks(key[b], drift[up[b]])
+            if site:
+                product(acc[up[b]], e, out=nxt[b])
+            else:
+                nxt[b] = e[..., :height, :]
+        acc, drift = nxt, drift[up] + shift[key % 4]
+    diag = np.empty((len(parent), *rows.shape[1:], traced), dtype=values.dtype)
+    for lo in range(0, len(parent), batch):
+        b = slice(lo, lo + batch)
+        a, e = acc[parent[b]], blocks(code[b], drift[parent[b]])[..., :height]
+        diag[b] = ((a * e.swapaxes(-1, -2)).sum(axis=(-2, -1)) if exact
+                   else np.einsum("...ab,...ba->...", a, e))
+    diag[drift[parent] + shift[code % 4] != 0] = 0
+    return diag.transpose(1, 0, 2)
 
 
 # ---------------------------------------------------------------------------

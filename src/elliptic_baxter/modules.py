@@ -143,7 +143,8 @@ def qdybe_residual(z: complex, w: complex, x: complex, params: EllipticParams) -
 
 class GradedModule:
     """What the checks read of a module: ``params``, ``basis``, ``exact``,
-    ``entry_matrices``, ``nonzeros`` and ``diagonal_terms``."""
+    ``entry_matrices``, ``nonzeros``, ``slot_values`` and
+    ``diagonal_terms``."""
 
     @property
     def safe_levels(self) -> int:
@@ -193,6 +194,10 @@ class EllipticModule(GradedModule):
         """The slots (key*n + row)*n + col of the entries that are not zero."""
         return self._table(self.basis.size).dest
 
+    def slot_values(self, zs, xs) -> np.ndarray:
+        """The entries of ``nonzeros`` at the points (zs, xs), as [point, slot]."""
+        return self._table(self.basis.size).at(zs, xs)[:, self.nonzeros]
+
     @cached_property
     def diagonal_terms(self) -> tuple:
         """(K+, K-): per basis index the single symbolic term of the Gauss
@@ -218,18 +223,30 @@ class TensorModule(GradedModule):
             raise ShapeError("tensor factors must share parameters")
         self.X, self.Y, self.params, self.label = X, Y, X.params, f"({X.label})(x)({Y.label})"
         self.basis, self.layout = tensor_basis(X.basis, Y.basis, max_level)
-        self._gathers: dict[int, np.ndarray] = {}
+        self._gathers: dict[int, tuple] = {}
+
+    def _gather(self, top: int) -> tuple:
+        if top not in self._gathers:
+            self._gathers[top] = tensor_gather(self.X, self.Y, top)
+        return self._gathers[top]
 
     def entry_matrices(self, zs, xs, top: int | None = None, masked: bool = False) -> np.ndarray:
         """As ``EllipticModule.entry_matrices``."""
         top = self.basis.levels if top is None else top
-        if top not in self._gathers:
-            self._gathers[top] = tensor_gather(self.X, self.Y, top)
-        return tensor_entry_tables(self.X, self.Y, self._gathers[top], zs, xs, top, masked)
+        n = tensor_basis(self.X.basis, self.Y.basis, top)[0].size
+        gather = self._gather(top)
+        out = np.zeros((len(zs), 4 * n * n), dtype=complex)
+        out[:, gather[0]] = tensor_entry_tables(self.X, self.Y, gather, zs, xs, top, masked)
+        return out.reshape(len(zs), 4, n, n)
 
-    @cached_property
+    @property
     def nonzeros(self) -> np.ndarray:
-        return np.unique(tensor_gather(self.X, self.Y, self.basis.levels)[2])
+        return self._gather(self.basis.levels)[0]
+
+    def slot_values(self, zs, xs) -> np.ndarray:
+        """As ``EllipticModule.slot_values``."""
+        return tensor_entry_tables(self.X, self.Y, self._gather(self.basis.levels),
+                                   zs, xs, self.basis.levels)
 
     @cached_property
     def diagonal_terms(self) -> tuple:

@@ -18,14 +18,13 @@ from .dynamical import (
     ShapeError,
     TermMatrix,
     _BATCH_ITEMS,
+    block_graded_trace,
     contraction_plan,
-    graded_trace,
     series_add,
     series_compose,
     series_divide,
     series_max_residual,
     series_scale,
-    tile_plan,
     worst_residual,
 )
 from .modules import GradedModule, build_asymptotic, socle
@@ -90,12 +89,12 @@ class _GradedTrace:
     M_0(x) M_1(x + hbar*j_0) ... with M_l = L_{i_l j_l}(z + a_l - hbar; .),
     for every pair of chain strings, row-major, memoized per point.
 
-    The points missing from the memo are evaluated in groups of at most
+    The points missing from the memo are contracted in groups of at most
     `_BATCH_ITEMS` entry and prefix items (and at least one point): one
-    table pass over the group's points times the grid, and one
-    `graded_trace` call on the plan tiled over them.  It is the leaf of
-    the series' ``request``: ``fill`` takes every point a relation needs
-    at once."""
+    slot pass over the group's distinct grid points, and one
+    `block_graded_trace` call over its points.  It is the leaf of the
+    series' ``request``: ``fill`` takes every point a relation needs at
+    once."""
 
     def __init__(self, X: GradedModule, space: QuantumSpace, order: int):
         self.module = X
@@ -104,13 +103,13 @@ class _GradedTrace:
         h = X.params.hbar
         self.z_off = np.array(space.sites, dtype=complex)[grid[:, 0]] - h
         self.x_off = h * grid[:, 1]
-        self.levels = [X.basis.offset(k) for k in range(order + 2)]
+        self.levels = [X.basis.offset(k) for k in range(X.basis.levels + 2)]
         self.shape = (space.dim, space.dim, order + 1)
-        # complex items one point holds at once: its entry matrices, and
-        # at the widest site the gathered entries and the prefix products
-        n = X.basis.size
-        widest = max(len(parent) for parent, _ in steps)
-        items = 4 * len(grid) * n * n + widest * n * (n + 2 * self.levels[-1])
+        # complex items one point holds: the entry tables (at most dense) and blocks
+        # of its grid points, and the prefix blocks and products at the widest site
+        dims, widest = X.basis.dims, max(len(parent) for parent, _ in steps)
+        items = (len(grid) * 4 * (X.basis.size ** 2 + (len(dims) + 2) * max(dims) ** 2)
+                 + 2 * widest * (order + 1) * max(dims[:order + 1]) * max(dims))
         self.group = max(1, _BATCH_ITEMS // items)
         # point: (block of the traces filled by one request, index in it)
         self.memo: dict[tuple[complex, complex], tuple[np.ndarray, int]] = {}
@@ -139,9 +138,14 @@ class _GradedTrace:
 
     def _contract(self, keys) -> np.ndarray:
         z, x = np.array(keys, dtype=complex).T
-        m = self.module.entry_matrices((z[:, None] + self.z_off).ravel(),
-                                       (x[:, None] + self.x_off).ravel())
-        traces = graded_trace(m, tile_plan(self.plan, len(keys)), self.levels)
+        zs, xs = z[:, None] + self.z_off, x[:, None] + self.x_off
+        # each distinct grid point is evaluated once: where[p, g] is its row
+        rows: dict[tuple[complex, complex], int] = {}
+        where = [rows.setdefault(k, len(rows))
+                 for k in zip(zs.ravel().tolist(), xs.ravel().tolist())]
+        values = self.module.slot_values(*np.array(list(rows), dtype=complex).T)
+        traces = block_graded_trace(values, self.module.nonzeros, self.levels, self.plan,
+                                    self.shape[-1], np.reshape(where, zs.shape))
         return traces.reshape(len(keys), *self.shape)
 
 

@@ -405,11 +405,11 @@ def _graded_trace(X: YangianModule, sites, order: int,
     values = np.stack([packed.pack_slots(site.transpose(1, 2, 0), width, stride)
                        for site in nums])
     nonzeros = (key * n + row) * n + col
-    # the exact entries do not depend on the shift: each grid point takes
-    # its site's values
+    # the exact entries do not depend on the shift: each grid point reads
+    # its site's row
     traces = np.zeros((len(sector), order + 1), dtype=object)
-    traces[:, :top + 1] = block_graded_trace(values[plan[0][:, 0]], nonzeros,
-                                             levels, plan, top + 1)
+    traces[:, :top + 1] = block_graded_trace(values, nonzeros, levels, plan, top + 1,
+                                             plan[0][None, :, 0])[0]
     denom = math.prod(dens)
     out = []
     for s, basis in enumerate(bases):

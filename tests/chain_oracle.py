@@ -1,6 +1,8 @@
 """Chain strings spelled out: the decoding of the int codes both twins
-use for a chain string, and the contraction plan built by a dict walk
-over spelled string pairs, the reference for `dynamical.contraction_plan`."""
+use for a chain string, the contraction plan built by a dict walk over
+spelled string pairs, the reference for `dynamical.contraction_plan`,
+and the dense graded trace over that plan, the reference for
+`dynamical.block_graded_trace`."""
 
 import numpy as np
 
@@ -36,3 +38,23 @@ def dict_walk_plan(pairs, letters: tuple) -> tuple:
     steps = tuple((np.array(parent), 4 * np.array([where[g] for g in points]) + key)
                   for parent, points, key in raw)
     return np.array(grid), steps
+
+
+def graded_trace(m: np.ndarray, plan: tuple, levels) -> np.ndarray:
+    """Level-block traces of the site-ordered products over the pairs of
+    a `contraction_plan`, in any dtype, on dense entry matrices: m[point,
+    key] is the entry matrix at a grid point and rows levels[k]:levels[k+1]
+    are level k, each level nonempty.  Returns [pair, level].
+
+    Each site multiplies its prefixes' entry matrices in one batched
+    matmul; only the rows of the traced levels are carried, and the last
+    site forms only the diagonal."""
+    _, steps = plan
+    rows, size = levels[-1], m.shape[-1]
+    entries = m.reshape(-1, size, size)
+    acc = np.eye(size, dtype=m.dtype)[None, :rows]
+    *inner, (parent, code) = steps
+    for up, key in inner:
+        acc = np.matmul(acc[up], entries[key])
+    diag = np.einsum("pab,pba->pa", acc[parent], entries[code][:, :, :rows])
+    return np.add.reduceat(diag, levels[:-1], axis=1)

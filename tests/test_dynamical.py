@@ -85,7 +85,7 @@ class TestBlockGradedTrace:
         values = np.array([[1, 2**70]], dtype=object)
         slots = [(0 * 3 + 0) * 3 + 0, (0 * 3 + 1) * 3 + 0]
         with pytest.raises(ValueError, match="key 0"):
-            block_graded_trace(values, slots, [0, 1, 2, 3], plan, 1)
+            block_graded_trace(values, slots, [0, 1, 2, 3], plan, 1, [[0]])
 
 
 class TestComposeModuleOps:

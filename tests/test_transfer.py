@@ -1,8 +1,12 @@
 import cmath
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import permutations
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +15,6 @@ from elliptic_baxter import dynamical, transfer
 from elliptic_baxter.dynamical import (
     block_graded_trace,
     compose_module_ops,
-    graded_trace,
     series_add,
     series_compose,
     series_divide,
@@ -47,7 +50,7 @@ from elliptic_baxter.transfer import (
 )
 from elliptic_baxter.yangian import yangian_q
 
-from chain_oracle import spell
+from chain_oracle import graded_trace, spell
 from coproduct_oracle import symbolic_module
 
 P = EllipticParams(tau=1j, hbar=0.31)
@@ -157,18 +160,26 @@ class TestGradedTraceContraction:
         trace = _GradedTrace(X, QuantumSpace(sites, P), order)
         z, x = PTS[0]
         m = X.entry_matrices(z + trace.z_off, x + trace.x_off)
-        ref = graded_trace(m, trace.plan, trace.levels)
-        got = block_graded_trace(
-            m.reshape(len(m), -1)[:, X.nonzeros], X.nonzeros,
-            [X.basis.offset(k) for k in range(X.basis.levels + 2)],
-            trace.plan, order + 1)
+        ref = graded_trace(m, trace.plan, trace.levels[:order + 2])
+        got = trace.at([z], [x])[0].reshape(ref.shape)
         assert np.abs(ref).max() > 0
         assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
 
+    @pytest.mark.parametrize("name", ["ladder", "socle", "one-dim"])
+    def test_two_site_trace_is_the_dense_contraction(self, name):
+        # on one-dimensional levels a 2-site trace is one product per
+        # level, and the block contraction rounds it as the dense one
+        X, order = oracle_module(name)
+        trace = _GradedTrace(X, SPACE, order)
+        for z, x in PTS:
+            m = X.entry_matrices(z + trace.z_off, x + trace.x_off)
+            ref = graded_trace(m, trace.plan, trace.levels[:order + 2])
+            assert np.abs(ref).max() > 0
+            assert np.array_equal(trace.at([z], [x])[0].reshape(ref.shape), ref)
+
     def test_batch_size_does_not_change_the_traces(self, monkeypatch):
-        # one prefix per batched matmul against the default single batch,
-        # on the complex entries; the exact twin's level-block contraction
-        # makes no batches, so its tables must not move either
+        # one prefix per batch of the level-block contraction against the
+        # default batches, on the complex entries and on the exact twin's
         space = QuantumSpace((A1, A2, A1 + 0.13, A2 - 0.11j), P)
         X = dynamical_tensor(build_asymptotic(1.1 + 0.2j, 0.0, 4, P),
                              build_asymptotic(0.6 - 0.3j, 0.3, 4, P), max_level=4)
@@ -223,9 +234,10 @@ class TestPointBatches:
                 first = trace.at(zs[:2], xs[:2])
                 got = trace.at(zs, xs)
                 for z, x, g in zip(zs, xs, got):
-                    m = X.entry_matrices(z + trace.z_off, x + trace.x_off)
-                    ref = graded_trace(m, trace.plan, trace.levels).reshape(g.shape)
-                    assert np.array_equal(g, ref)
+                    values = X.slot_values(z + trace.z_off, x + trace.x_off)
+                    ref = block_graded_trace(values, X.nonzeros, trace.levels, trace.plan,
+                                             order + 1, [range(len(values))])
+                    assert np.array_equal(g, ref.reshape(g.shape))
                 assert np.array_equal(first, got[:2])
 
     @staticmethod
@@ -383,6 +395,18 @@ class TestRelationRequests:
         want = {(0j, complex(x)) for x in XS[:3]}
         assert all(len(calls) == 1 for calls in spy.calls.values())
         assert spy.points() == {0: want, 1: want, 2: want}
+
+
+def test_transfer_job_does_not_import_numpy_ma(tmp_path):
+    # the block trace of the product record reads the tensor's nonzeros;
+    # np.unique without index outputs would import numpy.ma, a megabyte
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys\nfrom elliptic_baxter import cli\n"
+            f"rc = cli.main(['transfer', '--report', {str(tmp_path / 'r.json')!r}])\n"
+            "print(rc, 'numpy.ma' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert out.stdout.split()[-2:] == ["0", "False"]
 
 
 class TestTransferMatrix:

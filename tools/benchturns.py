@@ -76,17 +76,18 @@ def src_arguments(ap: argparse.ArgumentParser) -> None:
     ap.add_argument("--out", help="write the JSON here instead of stdout")
 
 
-def run(src: str, code: str, args) -> dict:
-    """The best of ``BEST_OF`` calls of the snippet's ``measure`` with
+def run(src: str, code: str, args, best_of: int = BEST_OF) -> dict:
+    """The best of ``best_of`` calls of the snippet's ``measure`` with
     ``args``, in a fresh interpreter on checkout ``src``."""
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    program = code + _BEST_OF_LOOP.format(best_of=BEST_OF)
+    program = code + _BEST_OF_LOOP.format(best_of=best_of)
     out = subprocess.run([sys.executable, "-c", program, *map(str, args)],
                          env=env, capture_output=True, text=True, check=True)
     return json.loads(out.stdout)
 
 
-def take_turns(checkouts: dict[str, str], jobs, repeats: int) -> dict:
+def take_turns(checkouts: dict[str, str], jobs, repeats: int,
+               best_of: int = BEST_OF) -> dict:
     """Runs of every (name, code, args) job, as {label: {name: [run, ...]}}.
     The checkouts run each job in turn, in reversed order every other
     repeat, so that neither always runs first."""
@@ -95,8 +96,20 @@ def take_turns(checkouts: dict[str, str], jobs, repeats: int) -> dict:
     for repeat in range(repeats):
         for name, code, args in jobs:
             for label, src in order if repeat % 2 == 0 else order[::-1]:
-                runs[label].setdefault(name, []).append(run(src, code, args))
+                runs[label].setdefault(name, []).append(run(src, code, args, best_of))
     return runs
+
+
+def resolved(median: dict, field: str) -> dict:
+    """Per job of a ``median`` record {label: {name: fields}}, whether the
+    checkouts' quartile ranges of ``field`` are disjoint: a difference
+    whose ranges overlap is unresolved."""
+    names = next(iter(median.values()))
+    out = {}
+    for name in names:
+        ranges = sorted(by_job[name][f"{field}_quartiles"] for by_job in median.values())
+        out[name] = all(hi < lo for (_, hi), (lo, _) in zip(ranges, ranges[1:]))
+    return out
 
 
 def median(runs: list[dict], exact: tuple[str, ...]) -> dict:
