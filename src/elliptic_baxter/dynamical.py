@@ -446,56 +446,44 @@ class TermMatrix:
     """A series coefficient matrix, evaluable at a batch of points, with a
     per-point memo.
 
-    ``fn(zs, xs)`` maps arrays of n points to the stacked matrices
-    [n, dim, dim].  ``at`` calls it once per request, on the distinct
-    points not yet in the memo; composed and divided series hold closures
-    over other TermMatrix objects.  Such a term also declares what it
-    reads: ``reads(zs, xs)`` lists the (source, zs', xs') that ``fn``
-    asks for at the points, a pure function of the points, so that
-    ``request`` can fill the leaves below a whole relation before any
-    arithmetic runs.  A term without ``reads`` is opaque to ``request``
-    and evaluated when asked.  ``eval`` stays as a batch of one: the
-    benchmark's tracer (``perfbench/tracer.py``) wraps it by name.
+    A term declares what it reads once, as ``inputs``: (source, args)
+    pairs, where ``args(zs, xs)`` gives the arguments of ``source.at`` at
+    the points, a pure function of them.  ``fn(zs, xs, *values)`` maps
+    arrays of n points and each input's values there to the stacked
+    matrices [n, dim, dim].  ``at`` calls it once per request, on the
+    distinct points not yet in the memo.  A source without inputs is a
+    leaf of ``request``: a term with a plain ``fn(zs, xs)``, or a chain
+    trace.  ``eval`` stays as a batch of one: the benchmark's tracer
+    (``perfbench/tracer.py``) wraps it by name.
     """
 
-    __slots__ = ("_fn", "dim", "_cache", "reads")
+    __slots__ = ("_fn", "dim", "_cache", "inputs")
 
-    def __init__(self, fn, dim: int, reads=None):
+    def __init__(self, fn, dim: int, inputs=()):
         self._fn = fn
         self.dim = dim
-        self._cache: dict[tuple[complex, complex], np.ndarray] = {}
-        self.reads = reads
+        self._cache: dict[tuple[complex, complex], tuple[np.ndarray, int]] = {}
+        self.inputs = tuple(inputs)
 
     def at(self, zs, xs) -> np.ndarray:
         """The matrices at the points (zs, xs), as [point, dim, dim]."""
         keys = [(complex(z), complex(x)) for z, x in zip(zs, xs)]
         if not keys:
             return np.empty((0, self.dim, self.dim), dtype=complex)
-        miss = list(dict.fromkeys(k for k in keys if k not in self._cache))
+        miss = list(dict.fromkeys([k for k in keys if k not in self._cache]))
         if miss:
             mz, mx = np.array(miss, dtype=complex).T
-            vals = np.asarray(self._fn(mz, mx), dtype=complex)
+            values = [src.at(*args(mz, mx)) for src, args in self.inputs]
+            vals = np.asarray(self._fn(mz, mx, *values), dtype=complex)
             vals.flags.writeable = False
-            self._cache.update(zip(miss, vals))
+            self._cache.update({k: (vals, i) for i, k in enumerate(miss)})
             if miss == keys:
                 return vals
-        # np.stack keeps the matrices' memory order (a quotient is
-        # column-major), and a norm sums a matrix in its memory order
-        return np.stack([self._cache[k] for k in keys])
+        return gather(self._cache, keys)
 
     def eval(self, z: complex, x: complex) -> np.ndarray:
         """The matrix at one point: a batch of one."""
         return self.at([z], [x])[0]
-
-    def bound_z(self, z0: complex) -> "TermMatrix":
-        z0 = complex(z0)
-        return TermMatrix(lambda zs, xs: self.at(np.full(len(xs), z0), xs), self.dim,
-                          lambda zs, xs: [(self, np.full(len(xs), z0), xs)])
-
-    def shift_z(self, c: complex) -> "TermMatrix":
-        c = complex(c)
-        return TermMatrix(lambda zs, xs: self.at(np.asarray(zs) + c, xs), self.dim,
-                          lambda zs, xs: [(self, np.asarray(zs) + c, xs)])
 
     @staticmethod
     def zero(dim: int) -> "TermMatrix":
@@ -507,29 +495,48 @@ class TermMatrix:
                                                          (len(zs), dim, dim)), dim)
 
 
-def request(reads) -> None:
-    """Fill the leaves below the reads (source, zs, xs) before any term is
-    evaluated: walk the declared ``reads`` of every TermMatrix at the
-    points missing from its memo, down to the sources that are not
-    TermMatrix objects (the leaves), and hand each leaf the union of the
-    points it is asked for in one ``fill`` call.  A (source, point) is
-    entered once, so the recursion of a quotient stays linear."""
+def gather(memo: dict, keys: list, item=slice(None)) -> np.ndarray:
+    """Item ``item`` of the memo's values at the keys (at least one), each
+    key's value stored as (block, index in it).  Keys computed together,
+    asked in the same order, come back as a view of their block, others as
+    a copy; either way a matrix keeps its memory order (a quotient is
+    column-major), since a norm sums a matrix in its memory order."""
+    where = [memo[k] for k in keys]
+    block, first = where[0]
+    if [i for b, i in where if b is block] == list(range(first, first + len(where))):
+        return block[first:first + len(where), ..., item]
+    return np.stack([b[i, ..., item] for b, i in where])
+
+
+def _here(zs, xs):
+    """The arguments of an input read at the term's own points."""
+    return zs, xs
+
+
+def request(asks) -> None:
+    """Evaluate the leaves below the asks (source, zs, xs) before any term
+    is: walk the ``inputs`` of every term at the points missing from its
+    memo, down to the leaves, and call each leaf's ``at`` once, on the
+    union of the points it is asked for.  A (source, point) is entered
+    once, so the recursion of a quotient stays linear."""
     seen: set = set()
     leaves: dict = {}
-    todo = list(reads)
+    todo = list(asks)
     while todo:
-        src, zs, xs = todo.pop()
+        src, zs, xs, *_ = todo.pop()
         keys = [k for k in dict.fromkeys(zip(map(complex, zs), map(complex, xs)))
                 if (src, k) not in seen]
-        seen.update((src, k) for k in keys)
-        if not isinstance(src, TermMatrix):
+        seen.update([(src, k) for k in keys])
+        if not src.inputs:
             leaves.setdefault(src, []).extend(keys)
             continue
         keys = [k for k in keys if k not in src._cache]
-        if keys and src.reads is not None:
-            todo.extend(src.reads(*np.array(keys, dtype=complex).T))
+        if keys:
+            kz, kx = np.array(keys, dtype=complex).T
+            todo.extend([(s, *args(kz, kx)) for s, args in src.inputs])
     for leaf, keys in leaves.items():
-        leaf.fill(keys)
+        if keys:
+            leaf.at(*np.array(keys, dtype=complex).T)
 
 
 @dataclass
@@ -549,10 +556,19 @@ class DiffOpSeries:
         return self.terms[k] if 0 <= k < len(self.terms) else TermMatrix.zero(self.dim)
 
     def bound_z(self, z0: complex) -> "DiffOpSeries":
-        return DiffOpSeries(self.alpha0, [t.bound_z(z0) for t in self.terms], self.dim, self.params)
+        """The series evaluated at the fixed spectral point z0."""
+        z0 = complex(z0)
+        return self._read_at(lambda zs, xs: (np.full(len(xs), z0), xs))
 
     def shift_z(self, c: complex) -> "DiffOpSeries":
-        return DiffOpSeries(self.alpha0, [t.shift_z(c) for t in self.terms], self.dim, self.params)
+        """The series evaluated at z + c."""
+        c = complex(c)
+        return self._read_at(lambda zs, xs: (np.asarray(zs) + c, xs))
+
+    def _read_at(self, args) -> "DiffOpSeries":
+        """The series whose coefficients read this one's at args(zs, xs)."""
+        terms = [TermMatrix(lambda zs, xs, v: v, self.dim, [(t, args)]) for t in self.terms]
+        return DiffOpSeries(self.alpha0, terms, self.dim, self.params)
 
     @staticmethod
     def identity(dim: int, order: int, params: EllipticParams) -> "DiffOpSeries":
@@ -572,27 +588,24 @@ def _coset_offset(a1: complex, a2: complex) -> int:
 def series_compose(s1: DiffOpSeries, s2: DiffOpSeries, order: int) -> DiffOpSeries:
     if s1.dim != s2.dim:
         raise ShapeError("series dimensions differ")
-    hb = s1.params.hbar
+    hb, dim = s1.params.hbar, s1.dim
+
+    def fn(zs, xs, *factors):
+        out = np.zeros((len(zs), dim, dim), dtype=complex)
+        for a, b in zip(factors[::2], factors[1::2]):
+            out += cmatmul(a, b)
+        return out
+
     terms = []
     for m in range(order + 1):
-        pairs = [
-            (s1.terms[k1], s2.terms[k2], (s2.alpha0 - 2 * k2) * hb)
-            for k1 in range(min(m, s1.order) + 1)
-            for k2 in [m - k1]
-            if k2 <= s2.order
-        ]
-
-        def fn(zs, xs, pairs=pairs, dim=s1.dim):
-            out = np.zeros((len(zs), dim, dim), dtype=complex)
-            for t1, t2, shift in pairs:
-                out += cmatmul(t1.at(zs, xs + shift), t2.at(zs, xs))
-            return out
-
-        def reads(zs, xs, pairs=pairs):
-            return [r for t1, t2, shift in pairs for r in ((t1, zs, xs + shift), (t2, zs, xs))]
-
-        terms.append(TermMatrix(fn, s1.dim, reads))
-    return DiffOpSeries(s1.alpha0 + s2.alpha0, terms, s1.dim, s1.params)
+        inputs = []
+        for k1 in range(min(m, s1.order) + 1):
+            k2 = m - k1
+            if k2 <= s2.order:
+                inputs += [(s1.terms[k1], lambda zs, xs, c=(s2.alpha0 - 2 * k2) * hb: (zs, xs + c)),
+                           (s2.terms[k2], _here)]
+        terms.append(TermMatrix(fn, dim, inputs))
+    return DiffOpSeries(s1.alpha0 + s2.alpha0, terms, dim, s1.params)
 
 
 def series_divide(num: DiffOpSeries, den: DiffOpSeries, order: int) -> DiffOpSeries:
@@ -607,36 +620,29 @@ def series_divide(num: DiffOpSeries, den: DiffOpSeries, order: int) -> DiffOpSer
         raise ShapeError("series dimensions differ")
     hb = den.params.hbar
     b = den.alpha0
-    terms: list[TermMatrix] = []
 
-    # term m holds the lower terms, not the list it joins: no reference
+    def at_x(zs, ys):
+        return zs, ys - b * hb
+
+    def fn(zs, ys, acc, lead, *pairs):
+        for r, d in zip(pairs[::2], pairs[1::2]):
+            acc = acc - cmatmul(r, d)
+        lead = lead.transpose(0, 2, 1)
+        try:
+            return np.linalg.solve(lead, acc.transpose(0, 2, 1)).transpose(0, 2, 1)
+        except np.linalg.LinAlgError as exc:
+            raise SingularityError("singular leading coefficient",
+                                   point=_first_singular(lead, *at_x(zs, ys))) from exc
+
+    # term m reads the lower terms, not the list it joins: no reference
     # cycle, so a series and its memos are freed as soon as it is dropped
-    def make_term(m, lower):
-        inner = range(max(0, m - den.order), m)
-
-        def fn(zs, ys):
-            xs = ys - b * hb
-            acc = num.term(m).at(zs, xs)
-            for k in inner:
-                acc = acc - cmatmul(lower[k].at(zs, ys - 2 * (m - k) * hb),
-                                    den.terms[m - k].at(zs, xs))
-            lead = den.terms[0].at(zs, xs).transpose(0, 2, 1)
-            try:
-                return np.linalg.solve(lead, acc.transpose(0, 2, 1)).transpose(0, 2, 1)
-            except np.linalg.LinAlgError as exc:
-                raise SingularityError("singular leading coefficient",
-                                       point=_first_singular(lead, zs, xs)) from exc
-
-        def reads(zs, ys):
-            xs = ys - b * hb
-            return [(num.term(m), zs, xs), (den.terms[0], zs, xs),
-                    *(r for k in inner for r in ((lower[k], zs, ys - 2 * (m - k) * hb),
-                                                 (den.terms[m - k], zs, xs)))]
-
-        return TermMatrix(fn, num.dim, reads)
-
+    terms: list[TermMatrix] = []
     for m in range(order + 1):
-        terms.append(make_term(m, tuple(terms)))
+        inputs = [(num.term(m), at_x), (den.terms[0], at_x)]
+        for k in range(max(0, m - den.order), m):
+            inputs += [(terms[k], lambda zs, ys, c=2 * (m - k) * hb: (zs, ys - c)),
+                       (den.terms[m - k], at_x)]
+        terms.append(TermMatrix(fn, num.dim, inputs))
     return DiffOpSeries(num.alpha0 - b, terms, num.dim, num.params)
 
 
@@ -656,28 +662,15 @@ def series_add(s1: DiffOpSeries, s2: DiffOpSeries, order: int) -> DiffOpSeries:
     d = _coset_offset(s1.alpha0, s2.alpha0)
     if d < 0:
         return series_add(s2, s1, order)
-    terms = []
-    for k in range(order + 1):
-        t1 = s1.term(k)
-        t2 = s2.term(k - d)
-
-        def fn(zs, xs, t1=t1, t2=t2):
-            return t1.at(zs, xs) + t2.at(zs, xs)
-
-        def reads(zs, xs, t1=t1, t2=t2):
-            return [(t1, zs, xs), (t2, zs, xs)]
-
-        terms.append(TermMatrix(fn, s1.dim, reads))
+    terms = [TermMatrix(lambda zs, xs, a, b: a + b, s1.dim,
+                        [(s1.term(k), _here), (s2.term(k - d), _here)])
+             for k in range(order + 1)]
     return DiffOpSeries(s1.alpha0, terms, s1.dim, s1.params)
 
 
 def series_scale(s: DiffOpSeries, c: complex) -> DiffOpSeries:
     """Multiply every coefficient by the constant c."""
-    terms = [
-        TermMatrix(lambda zs, xs, t=t: c * t.at(zs, xs), s.dim,
-                   lambda zs, xs, t=t: [(t, zs, xs)])
-        for t in s.terms
-    ]
+    terms = [TermMatrix(lambda zs, xs, v: c * v, s.dim, [(t, _here)]) for t in s.terms]
     return DiffOpSeries(s.alpha0, terms, s.dim, s.params)
 
 
@@ -686,7 +679,7 @@ def series_max_residual(
 ) -> float:
     """Worst relative coefficient deviation over p-orders <= order and the
     sampled (z, x) points.  Exponent cosets must agree.  Every leaf below
-    the coefficients of both sides is filled in one ``request`` first."""
+    the coefficients of both sides is evaluated in one ``request`` first."""
     d = _coset_offset(s1.alpha0, s2.alpha0)
     if d < 0:
         return series_max_residual(s2, s1, order, points)

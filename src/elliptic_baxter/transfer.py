@@ -20,6 +20,7 @@ from .dynamical import (
     _BATCH_ITEMS,
     block_graded_trace,
     contraction_plan,
+    gather,
     series_add,
     series_compose,
     series_divide,
@@ -92,9 +93,11 @@ class _GradedTrace:
     The points missing from the memo are contracted in groups of at most
     `_BATCH_ITEMS` entry and prefix items (and at least one point): one
     slot pass over the group's distinct grid points, and one
-    `block_graded_trace` call over its points.  It is the leaf of the
-    series' ``request``: ``fill`` takes every point a relation needs at
-    once."""
+    `block_graded_trace` call over its points.  It is a leaf of the
+    series' ``request``, which asks it for every point a relation needs
+    at once."""
+
+    inputs = ()
 
     def __init__(self, X: GradedModule, space: QuantumSpace, order: int):
         self.module = X
@@ -111,30 +114,21 @@ class _GradedTrace:
         items = (len(grid) * 4 * (X.basis.size ** 2 + (len(dims) + 2) * max(dims) ** 2)
                  + 2 * widest * (order + 1) * max(dims[:order + 1]) * max(dims))
         self.group = max(1, _BATCH_ITEMS // items)
-        # point: (block of the traces filled by one request, index in it)
+        # point: (block of the traces contracted by one call, index in it)
         self.memo: dict[tuple[complex, complex], tuple[np.ndarray, int]] = {}
 
-    def fill(self, keys) -> None:
-        """Contract the points (z, x) of keys that the memo lacks."""
-        miss = list(dict.fromkeys(k for k in keys if k not in self.memo))
+    def at(self, zs, xs, level=slice(None)) -> np.ndarray:
+        """The traces of the levels at the points (zs, xs), at least one,
+        as [point, row, col, level], or of one level as [point, row, col],
+        the points missing from the memo contracted first."""
+        keys = [(complex(z), complex(x)) for z, x in zip(zs, xs)]
+        miss = list(dict.fromkeys([k for k in keys if k not in self.memo]))
         if miss:
             block = np.empty((len(miss), *self.shape), dtype=complex)
             for lo in range(0, len(miss), self.group):
                 block[lo:lo + self.group] = self._contract(miss[lo:lo + self.group])
-            self.memo.update((k, (block, i)) for i, k in enumerate(miss))
-
-    def at(self, zs, xs, level=slice(None)) -> np.ndarray:
-        """The traces of the levels at the points (zs, xs), as [point,
-        row, col, level], or of one level as [point, row, col].  Points
-        filled together in the requested order come back as a view of the
-        memo, otherwise as a copy."""
-        keys = [(complex(z), complex(x)) for z, x in zip(zs, xs)]
-        self.fill(keys)
-        where = [self.memo[k] for k in keys]
-        block, first = where[0] if where else (np.empty((0, *self.shape)), 0)
-        if all(b is block and i == first + n for n, (b, i) in enumerate(where)):
-            return block[first:first + len(keys), ..., level]
-        return np.stack([b[i, ..., level] for b, i in where])
+            self.memo.update({k: (block, i) for i, k in enumerate(miss)})
+        return gather(self.memo, keys, level)
 
     def _contract(self, keys) -> np.ndarray:
         z, x = np.array(keys, dtype=complex).T
@@ -156,8 +150,7 @@ def _max_transfer_order(X: GradedModule, L: int) -> int:
 def transfer_matrix(X: GradedModule, space: QuantumSpace, order: int) -> DiffOpSeries:
     """Graded trace over the auxiliary module of the site-ordered product of
     its entry operators; only zero-weight strings act on the chain space.
-    Coefficient k reads level k of one memoized trace, and declares the
-    trace points it reads."""
+    Coefficient k reads level k of one memoized trace."""
     if X.params != space.params:
         raise ShapeError("module and chain space parameters differ")
     top = _max_transfer_order(X, space.L)
@@ -166,8 +159,7 @@ def transfer_matrix(X: GradedModule, space: QuantumSpace, order: int) -> DiffOpS
             f"truncation too shallow: order {order} needs more module levels"
         )
     trace = _GradedTrace(X, space, order)
-    terms = [TermMatrix(lambda zs, xs, k=k: trace.at(zs, xs, k), space.dim,
-                        lambda zs, xs: [(trace, zs, xs)])
+    terms = [TermMatrix(lambda zs, xs, v: v, space.dim, [(trace, lambda zs, xs, k=k: (zs, xs, k))])
              for k in range(order + 1)]
     return DiffOpSeries(X.basis.alpha0, terms, space.dim, X.params)
 
@@ -246,14 +238,14 @@ def qq_relation_residual(
     control."""
     h = space.params.hbar
     other = rhs_sites if rhs_sites is not None else space
+    t0 = _ladder_transfer(0.0, space, order)
+    tl = _ladder_transfer(l, other, order)
     residuals = []
     for z0 in z_samples:
         q_up = q_operator(space, z0 + l * h, order)
-        t0 = _ladder_transfer(0.0, space, order).bound_z(z0)
-        tl = _ladder_transfer(l, other, order).bound_z(z0)
         q0 = q_operator(other, z0, order)
-        lhs = series_compose(q_up, t0, order)
-        rhs = series_compose(tl, q0, order)
+        lhs = series_compose(q_up, t0.bound_z(z0), order)
+        rhs = series_compose(tl.bound_z(z0), q0, order)
         pts = [(0.0, x) for x in xpoints]
         residuals.append(series_max_residual(lhs, rhs, order, pts))
     return worst_residual(residuals)
@@ -268,11 +260,10 @@ def tq_residual(
         raise ValueError("n must be a nonnegative integer")
     params = space.params
     h = params.hbar
+    t_v = transfer_matrix(socle(build_asymptotic(float(n), 0.0, max(n, 2), params)), space, n)
     residuals = []
     pts = [(0.0, x) for x in xpoints]
     for z0 in z_samples:
-        V = socle(build_asymptotic(float(n), 0.0, max(n, 2), params))
-        t_v = transfer_matrix(V, space, n).bound_z(z0)
         q_at = {j: q_operator(space, z0 + j * h, order) for j in range(-1, n + 1)}
         num = series_compose(q_at[n], q_at[-1], order)
         rhs = None
@@ -284,7 +275,7 @@ def tq_residual(
                 scalar *= theta_eval(z0 + a + j * h, params)
             term = series_scale(term, scalar)
             rhs = term if rhs is None else series_add(rhs, term, order)
-        residuals.append(series_max_residual(t_v, rhs, order, pts))
+        residuals.append(series_max_residual(t_v.bound_z(z0), rhs, order, pts))
     return worst_residual(residuals)
 
 

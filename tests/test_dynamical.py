@@ -327,6 +327,49 @@ class TestBatchedCalls:
         assert not out[0].any() and not out[7:].any()
 
 
+def spy_relation(calls):
+    """Both sides of a relation over one spy series: each coefficient is a
+    leaf (a TermMatrix without inputs) whose function appends the points
+    of every call to calls[k]; the sides read it through shift_z, bound_z,
+    series_compose, series_divide, series_add and series_scale."""
+    rng = np.random.default_rng(11)
+
+    def leaf(k, m):
+        def fn(zs, xs):
+            calls.setdefault(k, []).append(list(zip(zs.tolist(), xs.tolist())))
+            return np.eye(2) + (zs + 2 * xs)[:, None, None] * m
+
+        return TermMatrix(fn, 2)
+
+    s = DiffOpSeries(0.5, [leaf(k, 0.2 * (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))))
+                           for k in range(3)], 2, P)
+    lhs = series_divide(series_compose(s.shift_z(0.2), s.bound_z(0.1), 2), s.shift_z(-0.3), 2)
+    rhs = series_add(s.bound_z(0.3), series_scale(s.shift_z(0.4), 0.7 - 0.2j), 2)
+    return lhs, rhs
+
+
+class TestRequest:
+    def test_a_leaf_is_called_once_on_the_union_of_its_points(self):
+        pts = sample_pairs(37, 3)
+        calls: dict = {}
+        residual = series_max_residual(*spy_relation(calls), 2, pts)
+        assert residual > 0
+        # the points each leaf is asked for, every compared coefficient
+        # asked alone at one point on a relation built afresh
+        alone: dict = {}
+        for k in range(3):
+            for side in (0, 1):
+                for z, x in pts:
+                    fresh: dict = {}
+                    spy_relation(fresh)[side].terms[k].at([z], [x])
+                    for n, c in fresh.items():
+                        alone.setdefault(n, set()).update(p for points in c for p in points)
+        assert sorted(calls) == sorted(alone) == [0, 1, 2]
+        for n, c in calls.items():
+            assert len(c) == 1
+            assert len(c[0]) == len(set(c[0])) and set(c[0]) == alone[n]
+
+
 class TestWorstResidual:
     def test_largest_finite_value(self):
         assert worst_residual([]) == 0.0

@@ -5,7 +5,9 @@ A definition is used when it is read elsewhere in ``src/`` (outside its
 own body), when ``perfbench/tracer.py`` resolves it by name, or when it
 is listed below: a paper relation that awaits a report record, or
 reference code of the tests.  Dunder methods are called by the language
-and count as used.
+and count as used.  A method that shares its name with a data attribute
+(``Poly.shift`` and the ``shift`` field of ``ThetaFactor``) is used only
+when it is called or aliased.
 """
 
 import ast
@@ -44,20 +46,45 @@ TEST_REFERENCES = {
     "theta.ThetaSum.eval": "scalar evaluation of the symbolic oracles",
     "dynamical.DiffOpSeries.identity": "unit series the inverse tests divide",
     "packed.PSeriesMatrix.tables": "Fraction views the packed-calculus tests compare",
+    "polyring.Poly.shift": "Taylor shift of the poly_site_values oracle and the Poly tests",
 }
 
 
-def definitions(tree, module):
+def data_attributes(trees):
+    """Names the package stores on objects (``x.name = ...``) or annotates
+    in a class body (dataclass fields): a read of such a name may be data,
+    not a method."""
+    names = set()
+    for tree in trees:
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store):
+                names.add(n.attr)
+            elif isinstance(n, ast.ClassDef):
+                names |= {item.target.id for item in n.body
+                          if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)}
+    return names
+
+
+def _is_property(node):
+    return any(isinstance(d, ast.Name) and d.id in ("property", "cached_property")
+               for d in node.decorator_list)
+
+
+def definitions(tree, module, data):
     """(qualified name, read key, node) of the top-level functions and
-    classes and of the methods of the top-level classes; the read key of a
-    method is its bare name."""
+    classes and of the methods of the top-level classes.  The read key of a
+    method is its bare name; a non-property method that shares its name
+    with a data attribute is keyed ``name()``, read only through a call or
+    a class-body alias."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             yield f"{module}.{node.name}", f"{module}.{node.name}", node
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef):
-                    yield f"{module}.{node.name}.{item.name}", item.name, item
+                    called = item.name in data and not _is_property(item)
+                    yield (f"{module}.{node.name}.{item.name}",
+                           f"{item.name}()" if called else item.name, item)
 
 
 def _resolved_reads(module, tree):
@@ -66,7 +93,8 @@ def _resolved_reads(module, tree):
     ``other.name`` resolves through ``from . import other``.  A method is
     read through an attribute (``x.name``) or a class-body alias
     (``__rmul__ = __mul__``), keyed by its bare name, since the class of
-    an attribute's owner is not known; a bare name elsewhere is a local,
+    an attribute's owner is not known, and also keyed ``name()`` when the
+    attribute is called or aliased; a bare name elsewhere is a local,
     global or import, not a method."""
     imported, modules = {}, {}
     for n in ast.walk(tree):
@@ -77,6 +105,7 @@ def _resolved_reads(module, tree):
                     modules[local] = alias.name
                 else:
                     imported[local] = f"{n.module}.{alias.name}"
+    called = {id(n.func) for n in ast.walk(tree) if isinstance(n, ast.Call)}
     for n in ast.walk(tree):
         if isinstance(n, ast.Name):
             yield imported.get(n.id, f"{module}.{n.id}"), n.lineno
@@ -84,10 +113,13 @@ def _resolved_reads(module, tree):
             if isinstance(n.value, ast.Name) and n.value.id in modules:
                 yield f"{modules[n.value.id]}.{n.attr}", n.lineno
             yield n.attr, n.lineno
+            if id(n) in called:
+                yield f"{n.attr}()", n.lineno
         elif isinstance(n, ast.ClassDef):
             for item in n.body:
                 if isinstance(item, ast.Assign) and isinstance(item.value, ast.Name):
                     yield item.value.id, item.lineno
+                    yield f"{item.value.id}()", item.lineno
 
 
 def outside_reads():
@@ -95,9 +127,10 @@ def outside_reads():
     of it in the package outside the lines of its own definition.  A
     module-level definition is read by its own module or through an import
     of it; a method by any attribute read or class-body alias of its
-    name."""
+    name, or by a call or alias of it when the name is also data."""
     trees = {p.stem: ast.parse(p.read_text(encoding="utf-8"))
              for p in sorted(PACKAGE.glob("*.py"))}
+    data = data_attributes(trees.values())
     reads: dict[str, list[tuple[str, int]]] = {}
     for module, tree in trees.items():
         for key, line in _resolved_reads(module, tree):
@@ -106,7 +139,7 @@ def outside_reads():
         qualname: sum(1 for m, line in reads.get(key, ())
                       if m != module or not node.lineno <= line <= node.end_lineno)
         for module, tree in trees.items()
-        for qualname, key, node in definitions(tree, module)
+        for qualname, key, node in definitions(tree, module, data)
         if not (node.name.startswith("__") and node.name.endswith("__"))
     }
 
