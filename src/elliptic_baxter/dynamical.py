@@ -450,10 +450,11 @@ class TermMatrix:
     pairs, where ``args(zs, xs)`` gives the arguments of ``source.at`` at
     the points, a pure function of them.  ``fn(zs, xs, *values)`` maps
     arrays of n points and each input's values there to the stacked
-    matrices [n, dim, dim].  ``at`` calls it once per request, on the
-    distinct points not yet in the memo.  A source without inputs is a
-    leaf of ``request``: a term with a plain ``fn(zs, xs)``, or a chain
-    trace.  ``eval`` stays as a batch of one: the benchmark's tracer
+    values [n, ...], matrices [n, dim, dim] for a series coefficient.
+    ``at`` calls it once per request, on the distinct points not yet in
+    the memo.  A term without inputs is a leaf of ``request``, such as
+    the chain trace, whose values are [n, dim, dim, level].  ``eval``
+    stays as a batch of one: the benchmark's tracer
     (``perfbench/tracer.py``) wraps it by name.
     """
 
@@ -465,8 +466,12 @@ class TermMatrix:
         self._cache: dict[tuple[complex, complex], tuple[np.ndarray, int]] = {}
         self.inputs = tuple(inputs)
 
-    def at(self, zs, xs) -> np.ndarray:
-        """The matrices at the points (zs, xs), as [point, dim, dim]."""
+    def at(self, zs, xs, item=slice(None)) -> np.ndarray:
+        """Item ``item`` of the values at the points (zs, xs), stacked
+        [point, ...].  Points computed together, asked in the same order,
+        come back as a view of their block, others as a copy; either way
+        a matrix keeps its memory order (a quotient is column-major), since
+        a norm sums a matrix in its memory order."""
         keys = [(complex(z), complex(x)) for z, x in zip(zs, xs)]
         if not keys:
             return np.empty((0, self.dim, self.dim), dtype=complex)
@@ -477,9 +482,11 @@ class TermMatrix:
             vals = np.asarray(self._fn(mz, mx, *values), dtype=complex)
             vals.flags.writeable = False
             self._cache.update({k: (vals, i) for i, k in enumerate(miss)})
-            if miss == keys:
-                return vals
-        return gather(self._cache, keys)
+        where = [self._cache[k] for k in keys]
+        block, first = where[0]
+        if [i for b, i in where if b is block] == list(range(first, first + len(where))):
+            return block[first:first + len(where), ..., item]
+        return np.stack([b[i, ..., item] for b, i in where])
 
     def eval(self, z: complex, x: complex) -> np.ndarray:
         """The matrix at one point: a batch of one."""
@@ -495,28 +502,15 @@ class TermMatrix:
                                                          (len(zs), dim, dim)), dim)
 
 
-def gather(memo: dict, keys: list, item=slice(None)) -> np.ndarray:
-    """Item ``item`` of the memo's values at the keys (at least one), each
-    key's value stored as (block, index in it).  Keys computed together,
-    asked in the same order, come back as a view of their block, others as
-    a copy; either way a matrix keeps its memory order (a quotient is
-    column-major), since a norm sums a matrix in its memory order."""
-    where = [memo[k] for k in keys]
-    block, first = where[0]
-    if [i for b, i in where if b is block] == list(range(first, first + len(where))):
-        return block[first:first + len(where), ..., item]
-    return np.stack([b[i, ..., item] for b, i in where])
-
-
 def _here(zs, xs):
     """The arguments of an input read at the term's own points."""
     return zs, xs
 
 
 def request(asks) -> None:
-    """Evaluate the leaves below the asks (source, zs, xs) before any term
-    is: walk the ``inputs`` of every term at the points missing from its
-    memo, down to the leaves, and call each leaf's ``at`` once, on the
+    """Evaluate the leaves below the asks (source, zs, xs, ...) before any
+    term is: walk the ``inputs`` of every term at the points missing from
+    its memo, down to the leaves, and call each leaf's ``at`` once, on the
     union of the points it is asked for.  A (source, point) is entered
     once, so the recursion of a quotient stays linear."""
     seen: set = set()
@@ -525,13 +519,11 @@ def request(asks) -> None:
     while todo:
         src, zs, xs, *_ = todo.pop()
         keys = [k for k in dict.fromkeys(zip(map(complex, zs), map(complex, xs)))
-                if (src, k) not in seen]
+                if (src, k) not in seen and k not in src._cache]
         seen.update([(src, k) for k in keys])
         if not src.inputs:
             leaves.setdefault(src, []).extend(keys)
-            continue
-        keys = [k for k in keys if k not in src._cache]
-        if keys:
+        elif keys:
             kz, kx = np.array(keys, dtype=complex).T
             todo.extend([(s, *args(kz, kx)) for s, args in src.inputs])
     for leaf, keys in leaves.items():

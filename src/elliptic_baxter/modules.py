@@ -233,7 +233,7 @@ class TensorModule(GradedModule):
     def entry_matrices(self, zs, xs, top: int | None = None, masked: bool = False) -> np.ndarray:
         """As ``EllipticModule.entry_matrices``."""
         top = self.basis.levels if top is None else top
-        n = tensor_basis(self.X.basis, self.Y.basis, top)[0].size
+        n = self.basis.offset(top + 1)
         gather = self._gather(top)
         out = np.zeros((len(zs), 4 * n * n), dtype=complex)
         out[:, gather[0]] = tensor_entry_tables(self.X, self.Y, gather, zs, xs, top, masked)

@@ -17,14 +17,19 @@ inputs that attain it.
 
 The width and the stride are the layout of a series.  A series holds
 its coefficients as coefficient slots, one int array per outer and inner
-slot, at no layout.  `evaluate` is the one place that packs: it derives
-the shape of every term and result of its expressions from the
+slot, at no layout.  `evaluate` is the one place that packs series: it
+derives the shape of every term and result of its expressions from the
 operations' rules, packs every term once, straight from its series'
 slots, at the least layout that holds them all (`pack_slots`), and
 decodes a series-valued result once (`from_packed`).  The operations run
 on those packed terms: they compute at the layout their operands share,
 and refuse operands packed at different layouts or a layout too narrow
-for their result.
+for their result.  Two callers pack module entries with `pack_slots` at
+a width from their own a-priori bound: `yangian._graded_trace` (the
+largest level dimension times the product over sites of the largest
+row sum of the entries' coefficient l1 norms) and `yangian.rtt_residual`
+(3 n rho mu: spin slots, largest row sum of largest coefficients, and
+largest coefficient of the entries).
 """
 
 from __future__ import annotations

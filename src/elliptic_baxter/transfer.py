@@ -20,7 +20,6 @@ from .dynamical import (
     _BATCH_ITEMS,
     block_graded_trace,
     contraction_plan,
-    gather,
     series_add,
     series_compose,
     series_divide,
@@ -88,16 +87,13 @@ def _chain_plan(L: int) -> tuple:
 class _GradedTrace:
     """Level-block traces, levels 0..order, of the site-ordered product
     M_0(x) M_1(x + hbar*j_0) ... with M_l = L_{i_l j_l}(z + a_l - hbar; .),
-    for every pair of chain strings, row-major, memoized per point.
+    for every pair of chain strings, row-major: the function of the
+    transfer series' leaf `TermMatrix`, whose memo holds them.
 
-    The points missing from the memo are contracted in groups of at most
-    `_BATCH_ITEMS` entry and prefix items (and at least one point): one
-    slot pass over the group's distinct grid points, and one
-    `block_graded_trace` call over its points.  It is a leaf of the
-    series' ``request``, which asks it for every point a relation needs
-    at once."""
-
-    inputs = ()
+    The points are contracted in groups of at most `_BATCH_ITEMS` entry
+    and prefix items (and at least one point): one slot pass over the
+    group's distinct grid points, and one `block_graded_trace` call over
+    its points."""
 
     def __init__(self, X: GradedModule, space: QuantumSpace, order: int):
         self.module = X
@@ -114,24 +110,17 @@ class _GradedTrace:
         items = (len(grid) * 4 * (X.basis.size ** 2 + (len(dims) + 2) * max(dims) ** 2)
                  + 2 * widest * (order + 1) * max(dims[:order + 1]) * max(dims))
         self.group = max(1, _BATCH_ITEMS // items)
-        # point: (block of the traces contracted by one call, index in it)
-        self.memo: dict[tuple[complex, complex], tuple[np.ndarray, int]] = {}
 
-    def at(self, zs, xs, level=slice(None)) -> np.ndarray:
-        """The traces of the levels at the points (zs, xs), at least one,
-        as [point, row, col, level], or of one level as [point, row, col],
-        the points missing from the memo contracted first."""
-        keys = [(complex(z), complex(x)) for z, x in zip(zs, xs)]
-        miss = list(dict.fromkeys([k for k in keys if k not in self.memo]))
-        if miss:
-            block = np.empty((len(miss), *self.shape), dtype=complex)
-            for lo in range(0, len(miss), self.group):
-                block[lo:lo + self.group] = self._contract(miss[lo:lo + self.group])
-            self.memo.update({k: (block, i) for i, k in enumerate(miss)})
-        return gather(self.memo, keys, level)
+    def __call__(self, zs, xs) -> np.ndarray:
+        """The traces at the points (zs, xs), as [point, row, col, level]."""
+        zs, xs = np.asarray(zs, dtype=complex), np.asarray(xs, dtype=complex)
+        out = np.empty((len(zs), *self.shape), dtype=complex)
+        for lo in range(0, len(zs), self.group):
+            g = slice(lo, lo + self.group)
+            out[g] = self._contract(zs[g], xs[g])
+        return out
 
-    def _contract(self, keys) -> np.ndarray:
-        z, x = np.array(keys, dtype=complex).T
+    def _contract(self, z, x) -> np.ndarray:
         zs, xs = z[:, None] + self.z_off, x[:, None] + self.x_off
         # each distinct grid point is evaluated once: where[p, g] is its row
         rows: dict[tuple[complex, complex], int] = {}
@@ -140,7 +129,7 @@ class _GradedTrace:
         values = self.module.slot_values(*np.array(list(rows), dtype=complex).T)
         traces = block_graded_trace(values, self.module.nonzeros, self.levels, self.plan,
                                     self.shape[-1], np.reshape(where, zs.shape))
-        return traces.reshape(len(keys), *self.shape)
+        return traces.reshape(len(z), *self.shape)
 
 
 def _max_transfer_order(X: GradedModule, L: int) -> int:
@@ -158,7 +147,7 @@ def transfer_matrix(X: GradedModule, space: QuantumSpace, order: int) -> DiffOpS
         raise ValueError(
             f"truncation too shallow: order {order} needs more module levels"
         )
-    trace = _GradedTrace(X, space, order)
+    trace = TermMatrix(_GradedTrace(X, space, order), space.dim)
     terms = [TermMatrix(lambda zs, xs, v: v, space.dim, [(trace, lambda zs, xs, k=k: (zs, xs, k))])
              for k in range(order + 1)]
     return DiffOpSeries(X.basis.alpha0, terms, space.dim, X.params)

@@ -370,6 +370,61 @@ class TestRequest:
             assert len(c[0]) == len(set(c[0])) and set(c[0]) == alone[n]
 
 
+def level_relation(calls):
+    """A leaf whose values are [point, 2, 2, level], as a chain trace's,
+    the relation's coefficient k reading level k of it through an item,
+    and both sides of a relation over that series; the leaf's function
+    appends the points of every call to calls."""
+    rng = np.random.default_rng(13)
+    m = 0.2 * (rng.normal(size=(2, 2, 3)) + 1j * rng.normal(size=(2, 2, 3)))
+
+    def fn(zs, xs):
+        calls.append(list(zip(zs.tolist(), xs.tolist())))
+        return np.eye(2)[..., None] + (zs + 2 * xs)[:, None, None, None] * m
+
+    leaf = TermMatrix(fn, 2)
+    s = DiffOpSeries(0.0, [TermMatrix(lambda zs, xs, v: v, 2, [(leaf, lambda zs, xs, k=k: (zs, xs, k))])
+                           for k in range(3)], 2, P)
+    lhs = series_compose(s.shift_z(0.2), s.bound_z(0.1), 2)
+    rhs = series_add(s.bound_z(0.3), series_scale(s, 0.7 - 0.2j), 2)
+    return leaf, lhs, rhs
+
+
+class TestLeafItems:
+    def test_an_item_is_that_item_of_the_values(self):
+        calls: list = []
+        leaf = level_relation(calls)[0]
+        zs, xs = np.array(sample_pairs(41, 4)).T
+        together = leaf.at(zs[:3], xs[:3])
+        assert together.shape == (3, 2, 2, 3)
+        for k in range(3):
+            assert leaf.at(zs[:3], xs[:3], k).tobytes() == together[..., k].tobytes()
+            assert leaf.at(zs, xs, k).tobytes() == leaf.at(zs, xs)[..., k].tobytes()
+        assert len(calls) == 2
+        # points computed together, in order, are a view of their block;
+        # reordered, or mixed with points of another call, a copy
+        assert np.shares_memory(leaf.at(zs[1:3], xs[1:3], 1), together)
+        assert not np.shares_memory(leaf.at(zs[2::-1], xs[2::-1], 1), together)
+        assert not np.shares_memory(leaf.at(zs[[3, 0]], xs[[3, 0]], 1), together)
+
+    def test_a_residual_calls_the_leaf_once_on_the_union_of_its_points(self):
+        pts = sample_pairs(37, 3)
+        calls: list = []
+        _, lhs, rhs = level_relation(calls)
+        assert series_max_residual(lhs, rhs, 2, pts) > 0
+        # every compared coefficient asked alone at one point, on a
+        # relation built afresh
+        alone: set = set()
+        for k in range(3):
+            for side in (1, 2):
+                for z, x in pts:
+                    fresh: list = []
+                    level_relation(fresh)[side].terms[k].at([z], [x])
+                    alone.update(p for points in fresh for p in points)
+        assert len(calls) == 1
+        assert len(calls[0]) == len(set(calls[0])) and set(calls[0]) == alone
+
+
 class TestWorstResidual:
     def test_largest_finite_value(self):
         assert worst_residual([]) == 0.0

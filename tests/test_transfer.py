@@ -13,6 +13,7 @@ import pytest
 
 from elliptic_baxter import dynamical, transfer
 from elliptic_baxter.dynamical import (
+    TermMatrix,
     block_graded_trace,
     compose_module_ops,
     series_add,
@@ -161,7 +162,7 @@ class TestGradedTraceContraction:
         z, x = PTS[0]
         m = X.entry_matrices(z + trace.z_off, x + trace.x_off)
         ref = graded_trace(m, trace.plan, trace.levels[:order + 2])
-        got = trace.at([z], [x])[0].reshape(ref.shape)
+        got = trace([z], [x])[0].reshape(ref.shape)
         assert np.abs(ref).max() > 0
         assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
 
@@ -175,7 +176,7 @@ class TestGradedTraceContraction:
             m = X.entry_matrices(z + trace.z_off, x + trace.x_off)
             ref = graded_trace(m, trace.plan, trace.levels[:order + 2])
             assert np.abs(ref).max() > 0
-            assert np.array_equal(trace.at([z], [x])[0].reshape(ref.shape), ref)
+            assert np.array_equal(trace([z], [x])[0].reshape(ref.shape), ref)
 
     def test_batch_size_does_not_change_the_traces(self, monkeypatch):
         # one prefix per batch of the level-block contraction against the
@@ -231,8 +232,9 @@ class TestPointBatches:
             for group in (None, 1, 2):
                 trace = _GradedTrace(X, SPACE4, order)
                 trace.group = group or trace.group
-                first = trace.at(zs[:2], xs[:2])
-                got = trace.at(zs, xs)
+                term = TermMatrix(trace, SPACE4.dim)
+                first = term.at(zs[:2], xs[:2])
+                got = term.at(zs, xs)
                 for z, x, g in zip(zs, xs, got):
                     values = X.slot_values(z + trace.z_off, x + trace.x_off)
                     ref = block_graded_trace(values, X.nonzeros, trace.levels, trace.plan,
@@ -291,7 +293,7 @@ class TestPointBatches:
 
 
 class LeafSpy:
-    """Records every `_GradedTrace._contract` call as (trace number, keys),
+    """Records every `_GradedTrace._contract` call as (trace number, points),
     the traces numbered in the order a relation builds them; ``group``
     overrides the points per contraction."""
 
@@ -305,9 +307,9 @@ class LeafSpy:
             self.group[len(self.group)] = trace.group
             self.number[trace] = len(self.number)
 
-        def spy_contract(trace, keys):
-            self.calls.setdefault(self.number[trace], []).append(list(keys))
-            return contract(trace, keys)
+        def spy_contract(trace, z, x):
+            self.calls.setdefault(self.number[trace], []).append(list(zip(z.tolist(), x.tolist())))
+            return contract(trace, z, x)
 
         monkeypatch.setattr(_GradedTrace, "__init__", spy_init)
         monkeypatch.setattr(_GradedTrace, "_contract", spy_contract)

@@ -5,12 +5,13 @@ For each checkout given, a fresh interpreter runs the CLI suites
 measurements (CLI defaults tau = 1i, hbar = 0.31, seed 7) for the chains
 (L, order) = (4, 4), (6, 2), (8, 2) and (8, 4), and reports the job's wall
 time (the best of ``benchturns.BEST_OF`` runs in the interpreter), its
-peak RSS, its exit code and the SHA-256 of its ``--no-timestamp`` report.
+peak RSS, the ``tracemalloc`` peak of one more run, its exit code and the
+SHA-256 of its ``--no-timestamp`` report.
 The checkouts take turns within every repeat (``benchturns``); the medians
 over the repeats are reported, each beside its quartiles, and
 ``wall_s_resolved`` says whether the checkouts' wall-time quartiles are
-disjoint.  The 10-site, order-2 ``transfer`` job, on two more sites, runs
-once per checkout (``single``).  ``same_reports`` says whether every
+disjoint.  The 10-site, order-2 ``transfer`` and ``tq`` jobs, on two more
+sites, run once per checkout (``single``).  ``same_reports`` says whether every
 checkout wrote byte-identical reports.
 
     python3 tools/bench_elliptic_chain.py --src change=src --src parent=../old/src \\
@@ -33,7 +34,7 @@ CHAINS = ((4, 4), (6, 2), (8, 2), (8, 4))
 SUITES = ("transfer", "tq")
 REPEATS = 3
 # (suite, L, order) run once per checkout: a job of seconds to minutes.
-SINGLE = (("transfer", 10, 2),)
+SINGLE = (("transfer", 10, 2), ("tq", 10, 2))
 
 
 def _job(suite: str, n: int, order: int) -> tuple:

@@ -28,8 +28,11 @@ BEST_OF = 3
 # Runs the snippet's measure() BEST_OF times.  Fields ending in "_s" are
 # times (the fastest run is kept), peak_rss_mb is the interpreter's peak
 # over all runs, and every other field must be the same in all runs.
+# py_peak_mb is the tracemalloc peak of one more, untimed run: the Python
+# heap a job allocates, which the heap layout does not move as it moves
+# the peak RSS.
 _BEST_OF_LOOP = """
-import json, resource, sys
+import json, resource, sys, tracemalloc
 runs = [measure(sys.argv[1:]) for _ in range({best_of})]
 best = {{}}
 for key in runs[0]:
@@ -41,6 +44,10 @@ for key in runs[0]:
     else:
         best[key] = values[0]
 best["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+tracemalloc.start()
+measure(sys.argv[1:])
+best["py_peak_mb"] = tracemalloc.get_traced_memory()[1] / 2 ** 20
+tracemalloc.stop()
 print(json.dumps(best))
 """
 
