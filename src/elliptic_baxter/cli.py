@@ -35,6 +35,7 @@ from .theta import (
     ParameterError,
     PoleError,
     SamplePlan,
+    SamplingError,
     theta_eval,  # read as cli.theta_eval by perfbench's tracer tests
 )
 
@@ -455,7 +456,7 @@ def _run(args) -> int:
         return 2
     try:
         results = run_suites(cfg)
-    except (PoleError, ZeroDivisionError, RuntimeError, OverflowError,
+    except (PoleError, ZeroDivisionError, SamplingError, OverflowError,
             SingularityError, np.linalg.LinAlgError, qchar.CategoryConditionError) as exc:
         # LinAlgError and CategoryConditionError (a category condition that
         # fails at the sample points) are ValueErrors, so they must be

@@ -32,9 +32,6 @@ _MAX_J = 64
 _SERIES_EPS = 1e-14
 # a negative-power theta factor this close to Z + Z*tau raises PoleError
 POLE_TOL = 1e-12
-# the batched theta series takes pairs for at most this many
-# (pair, argument) items at once, to cap its temporaries
-_SERIES_ITEMS = 2**12
 # a SamplePlan gives up after this many rejected draws
 _MAX_REJECTIONS = 2000
 # distance threshold of every lattice-membership test
@@ -53,6 +50,10 @@ class PoleError(ArithmeticError):
 
 class GenericityError(ParameterError):
     """Z + Z*tau and hbar*Z intersect away from 0 inside the scan window."""
+
+
+class SamplingError(RuntimeError):
+    """A SamplePlan rejected more than ``_MAX_REJECTIONS`` draws."""
 
 
 @dataclass(frozen=True)
@@ -132,46 +133,39 @@ def theta_eval_array(z, params: EllipticParams) -> np.ndarray:
 def _theta_series(z, params: EllipticParams) -> np.ndarray:
     """``theta_eval_array`` without the finiteness check: an element whose
     series overflows comes back inf or NaN, one whose series has not met
-    the stopping rule by |j| = 64 NaN."""
+    the stopping rule by |j| = 64 NaN.
+
+    ``theta_eval``'s loop, run over the elements still summing: each pass
+    adds pair j to every live element and retires those whose next pair
+    meets the stopping rule.  An element's value does not depend on the
+    batch it is in, and agrees with ``theta_eval`` within 1e-13.
+    """
     tau = params.tau
     if tau.imag <= 0:
         raise ParameterError(f"Im(tau) must be positive, got tau={tau}")
     z = np.asarray(z, dtype=complex)
-    m = np.round(z.real).ravel()
-    zp = z.ravel() - m + 0.5
-    zi = np.abs(z.ravel().imag)
-    s = np.zeros_like(zp)
-    live = np.arange(zp.size)
-    # pairs per block: at the largest |Im z| the bound of the next pair is
-    # below _SERIES_EPS * 1e-3 once pi*Im(tau)*nxt^2 - 2*pi*|Im z|*nxt > log(2e3/_SERIES_EPS),
-    # so one block serves every partial sum down to 1e-3
-    a = math.pi * tau.imag
-    c = 2.0 * math.pi * float(np.fmin(np.max(zi, initial=0.0), 1e3))
-    block = math.ceil((c + math.sqrt(c * c + 4.0 * a * math.log(2e3 / _SERIES_EPS))) / (2.0 * a))
-    chunk = max(1, _SERIES_ITEMS // block)
     with np.errstate(over="ignore", invalid="ignore"):
-        # a block of pairs for a chunk of live elements at once; accumulate
-        # is sequential, so the partial sums are those of the scalar loop
-        for j0 in range(0, _MAX_J + 1, block):
+        m = np.round(z.real).ravel()
+        zp = z.ravel() - m + 0.5
+        zi = np.abs(z.ravel().imag)
+        out = np.full(zp.shape, np.nan, dtype=complex)
+        live = np.arange(zp.size)
+        s = np.zeros_like(zp)
+        for j in range(_MAX_J + 1):
             if not live.size:
                 break
-            half = np.arange(j0, min(j0 + block, _MAX_J + 1))[:, None] + 0.5
+            half = j + 0.5
             quad = 1j * math.pi * half * half * tau
+            lin = (_TWO_PI_I * half) * zp
+            s += np.exp(quad + lin) + np.exp(quad - lin)
             nxt = half + 1.0
-            still = []
-            for c0 in range(0, live.size, chunk):
-                cols = live[c0:c0 + chunk]
-                lin = (_TWO_PI_I * half) * zp[cols]
-                pairs = np.vstack([s[cols], np.exp(quad + lin) + np.exp(quad - lin)])
-                partial = np.add.accumulate(pairs, axis=0)[1:]
-                bound = 2.0 * np.exp(-math.pi * tau.imag * nxt * nxt + 2.0 * math.pi * nxt * zi[cols])
-                done = bound <= _SERIES_EPS * np.abs(partial)
-                stop = np.where(done.any(axis=0), done.argmax(axis=0), len(half) - 1)
-                s[cols] = partial[stop, np.arange(cols.size)]
-                still.append(cols[~done.any(axis=0)])
-            live = np.concatenate(still)
-    s[live] = np.nan
-    return np.where(m % 2, s, -s).reshape(z.shape)
+            bound = 2.0 * np.exp(-math.pi * tau.imag * nxt * nxt + 2.0 * math.pi * nxt * zi)
+            done = bound <= _SERIES_EPS * np.abs(s)
+            if done.any():
+                out[live[done]] = s[done]
+                keep = ~done
+                live, zp, zi, s = live[keep], zp[keep], zi[keep], s[keep]
+        return np.where(m % 2, out, -out).reshape(z.shape)
 
 
 def lattice_reduce(c: complex, params: EllipticParams) -> tuple[complex, int, int]:
@@ -553,7 +547,7 @@ class SamplePlan:
         """The seeded rejection loop: ``count`` accepted n-tuples of points
         of the cell, each tuple from 2n uniform draws (u1, v1, u2, v2, ...);
         ``guard`` maps a tuple to its guarded arguments.  More than
-        ``_MAX_REJECTIONS`` rejected tuples raise RuntimeError, naming the
+        ``_MAX_REJECTIONS`` rejected tuples raise SamplingError, naming the
         tuples ``what``."""
         rng = np.random.default_rng(self.seed)
         out: list[tuple] = []
@@ -567,5 +561,5 @@ class SamplePlan:
                 continue
             rejected += 1
             if rejected > _MAX_REJECTIONS:
-                raise RuntimeError(f"SamplePlan could not find enough generic {what}")
+                raise SamplingError(f"SamplePlan could not find enough generic {what}")
         return out

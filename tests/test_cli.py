@@ -18,7 +18,7 @@ from elliptic_baxter.reports import (
     render_json,
     render_text,
 )
-from elliptic_baxter.theta import PoleError
+from elliptic_baxter.theta import PoleError, SamplePlan
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from jobs import PARAM_SETS  # noqa: E402
@@ -142,6 +142,22 @@ class TestExitCodes:
         monkeypatch.setitem(cli.RUNNERS, "ybe", boom)
         assert run(["ybe"]) == 4
         assert "internal error: IndexError: list index out of range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("error", [NotImplementedError, RecursionError])
+    def test_runtime_error_subclass_is_internal_error(self, capsys, monkeypatch, error):
+        # only a sampling failure among RuntimeErrors is a numerical breakdown
+        def boom(cfg):
+            raise error("not a breakdown")
+        monkeypatch.setitem(cli.RUNNERS, "ybe", boom)
+        assert run(["ybe"]) == 4
+        assert f"internal error: {error.__name__}" in capsys.readouterr().err
+
+    def test_sampling_failure_exits_three(self, capsys, monkeypatch):
+        def starved(cfg):
+            SamplePlan(cfg.seed, 1, 5e-2).points(cfg.params, guard=lambda z: (0j,))
+        monkeypatch.setitem(cli.RUNNERS, "ybe", starved)
+        assert run(["ybe"]) == 3
+        assert "numerical breakdown: SamplePlan could not find" in capsys.readouterr().err
 
     def test_category_condition_at_small_im_tau_exits_three(self, capsys):
         # precision loss at tau = 0.1i makes a Gauss diagonal read as

@@ -6,7 +6,6 @@ import warnings
 import numpy as np
 import pytest
 
-from elliptic_baxter import theta
 from elliptic_baxter.modules import build_asymptotic, r_matrix_symbolic
 from elliptic_baxter.theta import (
     POLE_TOL,
@@ -126,19 +125,31 @@ class TestThetaEvalArray:
         with pytest.raises(OverflowError):
             theta_eval(0.3 + 300j, P)
 
-    @pytest.mark.parametrize("tau", [1j, 0.4 + 0.6j, 0.2j])
-    def test_chunked_series_is_bit_identical(self, tau, monkeypatch):
-        # a few (pair, argument) items per chunk: many chunks per block,
-        # elements finishing in different chunks, and NaN/inf elements
+    @pytest.mark.parametrize("tau", [1j, 0.4 + 0.6j, 0.2j, 0.05j])
+    def test_series_is_independent_of_the_batch(self, tau):
+        # elements retire on different passes, and inf, NaN and unconverged
+        # (0.1+3j at tau = 0.05i) elements never do
         params = EllipticParams(tau=tau, hbar=0.31)
         rng = np.random.default_rng(11)
         z = np.concatenate([
-            rng.uniform(-3, 3, 997) + 1j * tau.imag * rng.uniform(-3, 3, 997),
-            [0.3 + 300j, complex("nan"), 0.0]])
-        whole = _theta_series(z, params)
-        monkeypatch.setattr(theta, "_SERIES_ITEMS", 7)
-        assert np.array_equal(_theta_series(z, params), whole, equal_nan=True)
+            rng.uniform(-3, 3, 1000) + 1j * tau.imag * rng.uniform(-3, 3, 1000),
+            [0.3 + 300j, complex("nan"), 0.0, complex("inf"), 0.1 + 3j]])
+        alone = np.array([_theta_series(z[i:i + 1], params)[0] for i in range(z.size)])
+        assert np.array_equal(_theta_series(z, params), alone, equal_nan=True)
         assert _theta_series(z[:0], params).shape == (0,)
+
+    @pytest.mark.parametrize("tau", [1j, 0.3 + 0.6j, 0.4 + 0.6j, 0.2j])
+    def test_both_kernels_match_mpmath(self, tau):
+        mpmath = pytest.importorskip("mpmath")
+        params = EllipticParams(tau=tau, hbar=0.31)
+        z = (np.linspace(-1.437, 1.563, 13)[:, None]
+             + 1j * tau.imag * np.linspace(-2, 2, 9)).ravel()
+        with mpmath.workdps(30):
+            q = mpmath.exp(1j * mpmath.pi * mpmath.mpc(tau))
+            ref = np.array([complex(mpmath.jtheta(1, mpmath.pi * mpmath.mpc(c), q)) for c in z])
+        scalar = np.array([theta_eval(c, params) for c in z])
+        for got in (theta_eval_array(z, params), scalar):
+            assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref))
 
     def test_lattice_distance_array_matches_scalar(self):
         c = np.array([0.0, 3 + 2 * P.tau, 0.5, 0.123 - 2.456j, -0.7 + 0.2j])

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from elliptic_baxter import dynamical, transfer
+from elliptic_baxter import cli, dynamical, transfer
 from elliptic_baxter.dynamical import (
     TermMatrix,
     block_graded_trace,
@@ -538,3 +538,40 @@ class TestFunctionalRelations:
         Y = build_asymptotic(0.6 - 0.3j, 0.0, 5, P)
         XY = dynamical_tensor(X, Y, max_level=5)
         assert product_residual(X, Y, XY, big, 3, PTS[:2]) < 1e-8
+
+
+class TestDivisionFreeTQ:
+    """Spin-1/2 TQ without the quotient: t_V(z0) Q(z0) against
+    s0 Q(z0+hbar) + s1 Q(z0-hbar), where s_j is the product over the sites
+    of theta(z0 + a + j*hbar), on the tq suite's sites, z0 and sample
+    points.  The quotient record reads 1.5e-8 to 1.6e-5 on all but the
+    default configuration; this form reads 1e-14 to 1e-13 on each."""
+
+    CONFIGS = [("--tau", "0.2i", "--seed", s) for s in ("7", "1", "2", "3")] + [
+        ("--order", "12"), ("--hbar", "0.5+0.9i", "--order", "2"), ()]
+
+    @staticmethod
+    def residuals(argv):
+        """The form, then its controls: w1 dropped, and the Q shifts flipped."""
+        cfg = cli.resolve_config(cli.build_parser().parse_args(["tq", *argv]))
+        space, params, order = cli._space(cfg), cfg.params, cfg.order
+        h, z0 = params.hbar, 0.37 + 0.21j
+        pts = [(0.0, x) for _, x in cli._sample_pairs(cfg)]
+        t_v = transfer_matrix(socle(build_asymptotic(1.0, 0.0, 2, params)), space, 1)
+        q = {j: q_operator(space, z0 + j * h, order) for j in (-1, 0, 1)}
+        s0, s1 = (math.prod(theta_eval(z0 + a + j * h, params) for a in space.sites)
+                  for j in (0, 1))
+        lhs = series_compose(t_v.bound_z(z0), q[0], order)
+
+        def against(w0, w1, up, down):
+            rhs = series_add(series_scale(q[up], w0), series_scale(q[down], w1), order)
+            return series_max_residual(lhs, rhs, order, pts)
+
+        return against(s0, s1, 1, -1), against(s0, 0.0, 1, -1), against(s0, s1, -1, 1)
+
+    @pytest.mark.parametrize("argv", CONFIGS, ids=lambda a: " ".join(a) or "defaults")
+    def test_form_holds_and_controls_fail(self, argv):
+        form, no_w1, flipped = self.residuals(argv)
+        assert form <= 1e-12
+        assert no_w1 >= 0.1
+        assert flipped >= 0.1
