@@ -451,10 +451,12 @@ class TermMatrix:
     the points, a pure function of them.  ``fn(zs, xs, *values)`` maps
     arrays of n points and each input's values there to the stacked
     values [n, ...], matrices [n, dim, dim] for a series coefficient.
-    ``at`` calls it once per request, on the distinct points not yet in
-    the memo.  A term without inputs is a leaf of ``request``, such as
-    the chain trace, whose values are [n, dim, dim, level].  ``eval``
-    stays as a batch of one: the benchmark's tracer
+    ``request`` calls it once per request, on the distinct points not yet
+    in the memo, after it has filled the inputs' memos there.  A term
+    without inputs is a leaf, such as the chain trace, whose values are
+    [n, dim, dim, level].  A read term (``TermMatrix.read``) returns its
+    one input unchanged, and its memo holds views of its source's blocks.
+    ``eval`` stays as a batch of one: the benchmark's tracer
     (``perfbench/tracer.py``) wraps it by name.
     """
 
@@ -466,22 +468,26 @@ class TermMatrix:
         self._cache: dict[tuple[complex, complex], tuple[np.ndarray, int]] = {}
         self.inputs = tuple(inputs)
 
+    @staticmethod
+    def read(source: "TermMatrix", args, dim: int) -> "TermMatrix":
+        """The term whose values are ``source.at(*args(zs, xs))``."""
+        return TermMatrix(_read, dim, [(source, args)])
+
     def at(self, zs, xs, item=slice(None)) -> np.ndarray:
         """Item ``item`` of the values at the points (zs, xs), stacked
-        [point, ...].  Points computed together, asked in the same order,
-        come back as a view of their block, others as a copy; either way
-        a matrix keeps its memory order (a quotient is column-major), since
-        a norm sums a matrix in its memory order."""
-        keys = [(complex(z), complex(x)) for z, x in zip(zs, xs)]
+        [point, ...], the points missing from the memo evaluated first by
+        one ``request``.  Points computed together, asked in the same
+        order, come back as a view of their block, others as a copy;
+        either way a matrix keeps its memory order (a quotient is
+        column-major), since a norm sums a matrix in its memory order."""
+        keys = _keys(zs, xs)
         if not keys:
             return np.empty((0, self.dim, self.dim), dtype=complex)
-        miss = list(dict.fromkeys([k for k in keys if k not in self._cache]))
-        if miss:
-            mz, mx = np.array(miss, dtype=complex).T
-            values = [src.at(*args(mz, mx)) for src, args in self.inputs]
-            vals = np.asarray(self._fn(mz, mx, *values), dtype=complex)
-            vals.flags.writeable = False
-            self._cache.update({k: (vals, i) for i, k in enumerate(miss)})
+        if any(k not in self._cache for k in keys):
+            request([(self, zs, xs)])
+        return self._gather(keys, item)
+
+    def _gather(self, keys, item=slice(None)) -> np.ndarray:
         where = [self._cache[k] for k in keys]
         block, first = where[0]
         if [i for b, i in where if b is block] == list(range(first, first + len(where))):
@@ -502,33 +508,78 @@ class TermMatrix:
                                                          (len(zs), dim, dim)), dim)
 
 
+def _keys(zs, xs) -> list[tuple[complex, complex]]:
+    """The memo keys of the points (zs, xs)."""
+    return list(zip(np.asarray(zs, dtype=complex).tolist(), np.asarray(xs, dtype=complex).tolist()))
+
+
+def _read(zs, xs, value):
+    """The function of a read term: its one input's values."""
+    return value
+
+
 def _here(zs, xs):
     """The arguments of an input read at the term's own points."""
     return zs, xs
 
 
 def request(asks) -> None:
-    """Evaluate the leaves below the asks (source, zs, xs, ...) before any
-    term is: walk the ``inputs`` of every term at the points missing from
-    its memo, down to the leaves, and call each leaf's ``at`` once, on the
-    union of the points it is asked for.  A (source, point) is entered
-    once, so the recursion of a quotient stays linear."""
+    """Evaluate every term below the asks (term, zs, xs) at the points
+    missing from its memo, calling each term's function once.
+
+    The walk from the asks puts the terms children first.  Parents first,
+    each term is then given the ordered union of the missing points that
+    the asks and its parents' ``args`` read of it, and each edge records
+    the keys and item it reads.  Children first, each term's function
+    runs on its union, its inputs gathered from the memos just filled.  A
+    read term calls nothing: its memo holds its source's block (with an
+    item, a view of it) and row, never a copy."""
+    asks = list(asks)
+    order: list[TermMatrix] = []  # children first
     seen: set = set()
-    leaves: dict = {}
-    todo = list(asks)
-    while todo:
-        src, zs, xs, *_ = todo.pop()
-        keys = [k for k in dict.fromkeys(zip(map(complex, zs), map(complex, xs)))
-                if (src, k) not in seen and k not in src._cache]
-        seen.update([(src, k) for k in keys])
-        if not src.inputs:
-            leaves.setdefault(src, []).extend(keys)
-        elif keys:
-            kz, kx = np.array(keys, dtype=complex).T
-            todo.extend([(s, *args(kz, kx)) for s, args in src.inputs])
-    for leaf, keys in leaves.items():
-        if keys:
-            leaf.at(*np.array(keys, dtype=complex).T)
+    stack = [(t, False) for t, *_ in asks]
+    while stack:
+        t, done = stack.pop()
+        if done:
+            order.append(t)
+        elif t not in seen:
+            seen.add(t)
+            stack += [(t, True), *((s, False) for s, _ in t.inputs)]
+    # the leaves first, in the order the walk met them: no memo above them
+    # is held yet when they run, and a chain trace's contraction sets a
+    # relation's peak memory
+    order.sort(key=lambda t: bool(t.inputs))
+    need: dict = {t: {} for t in order}  # term -> its missing points, as dict keys
+    for t, zs, xs, *_ in asks:
+        need[t].update(dict.fromkeys([k for k in _keys(zs, xs) if k not in t._cache]))
+    plan = []  # (term, its points, (source, keys, item) of each input), parents first
+    for t in reversed(order):
+        keys = list(need.pop(t))  # final: every parent has added to it
+        if not keys:
+            continue
+        kz, kx = np.array(keys, dtype=complex).T
+        reads = []
+        for s, args in t.inputs:
+            zs, xs, *item = args(kz, kx)
+            sk = keys if zs is kz and xs is kx else _keys(zs, xs)
+            reads.append((s, sk, *item))
+            need[s].update(dict.fromkeys([k for k in sk if k not in s._cache]))
+        plan.append((t, keys, reads))
+    for t, keys, reads in reversed(plan):
+        if t._fn is _read:
+            (s, sk, *item), = reads
+            views: dict = {}
+            for k, (block, i) in zip(keys, map(s._cache.__getitem__, sk)):
+                view = views.get(id(block))
+                if view is None:
+                    view = views[id(block)] = block[(..., *item)] if item else block
+                t._cache[k] = view, i
+            continue
+        kz, kx = np.array(keys, dtype=complex).T
+        vals = np.asarray(t._fn(kz, kx, *[s._gather(sk, *item) for s, sk, *item in reads]),
+                          dtype=complex)
+        vals.flags.writeable = False
+        t._cache.update({k: (vals, i) for i, k in enumerate(keys)})
 
 
 @dataclass
@@ -559,7 +610,7 @@ class DiffOpSeries:
 
     def _read_at(self, args) -> "DiffOpSeries":
         """The series whose coefficients read this one's at args(zs, xs)."""
-        terms = [TermMatrix(lambda zs, xs, v: v, self.dim, [(t, args)]) for t in self.terms]
+        terms = [TermMatrix.read(t, args, self.dim) for t in self.terms]
         return DiffOpSeries(self.alpha0, terms, self.dim, self.params)
 
     @staticmethod

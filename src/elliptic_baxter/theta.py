@@ -497,7 +497,11 @@ class ThetaTable:
         distinct, inverse = np.unique(args, return_inverse=True)
         inverse = inverse.reshape(args.shape)
         neg = self.power < 0
-        near = (lattice_distance_array(distinct, self.params) < POLE_TOL)[inverse[neg]]
+        # only the arguments of negative-power factors are tested for poles
+        pole = np.zeros(len(distinct), dtype=bool)
+        pole[inverse[neg]] = True
+        pole[pole] = lattice_distance_array(distinct[pole], self.params) < POLE_TOL
+        near = pole[inverse[neg]]
         if strict:
             if near.any():
                 raise PoleError(f"theta factor with negative power at lattice point {args[neg][near][0]}")

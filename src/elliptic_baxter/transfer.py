@@ -20,6 +20,7 @@ from .dynamical import (
     _BATCH_ITEMS,
     block_graded_trace,
     contraction_plan,
+    request,
     series_add,
     series_compose,
     series_divide,
@@ -148,7 +149,7 @@ def transfer_matrix(X: GradedModule, space: QuantumSpace, order: int) -> DiffOpS
             f"truncation too shallow: order {order} needs more module levels"
         )
     trace = TermMatrix(_GradedTrace(X, space, order), space.dim)
-    terms = [TermMatrix(lambda zs, xs, v: v, space.dim, [(trace, lambda zs, xs, k=k: (zs, xs, k))])
+    terms = [TermMatrix.read(trace, lambda zs, xs, k=k: (zs, xs, k), space.dim)
              for k in range(order + 1)]
     return DiffOpSeries(X.basis.alpha0, terms, space.dim, X.params)
 
@@ -281,11 +282,14 @@ def periodicity_residual(
     sign = (-1.0) ** n
     residuals = []
     zeros = np.zeros(len(xpoints))
+
+    def q_at(z):  # Q at z = 0 (z sets its spin), as [point, row, col, k]
+        terms = q_operator(space, z, order).terms
+        request([(t, zeros, xpoints) for t in terms])
+        return np.stack([t.at(zeros, xpoints) for t in terms], axis=-1)
+
     for z0 in z_samples:
-        # each Q at z = 0 (z sets its spin), as [point, row, col, k]
-        q, q1, qt = (np.stack([t.at(zeros, xpoints) for t in q_operator(space, z, order).terms],
-                              axis=-1)
-                     for z in (z0, z0 + 1, z0 + tau))
+        q, q1, qt = (q_at(z) for z in (z0, z0 + 1, z0 + tau))
         fac = sign * cmath.exp(-n * 1j * math.pi * (tau + 2 * z0 + 2 * a))
         for k in range(order + 1):
             for m, m1, mt in zip(q[..., k], q1[..., k], qt[..., k]):

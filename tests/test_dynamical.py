@@ -9,6 +9,7 @@ from elliptic_baxter.dynamical import (
     SingularityError,
     TermMatrix,
     WeightBasis,
+    _read,
     block_graded_trace,
     cmatmul,
     compose_module_ops,
@@ -348,6 +349,33 @@ def spy_relation(calls):
     return lhs, rhs
 
 
+def spy_terms(*sides):
+    """The call lists of every term below the sides but the read terms,
+    which call no function, in the order of a fixed walk: each term's
+    function is wrapped to append the points of every call to its list."""
+    calls: dict = {}
+    todo = [t for side in sides for t in side.terms]
+    while todo:
+        t = todo.pop()
+        if t not in calls:
+            calls[t] = []
+            todo += [s for s, _ in t.inputs]
+
+    def spy(fn, c):
+        def wrapped(zs, xs, *values):
+            c.append(list(zip(zs.tolist(), xs.tolist())))
+            return fn(zs, xs, *values)
+
+        return wrapped
+
+    spied = []
+    for t, c in calls.items():
+        if t._fn is not _read:
+            t._fn = spy(t._fn, c)
+            spied.append(c)
+    return spied
+
+
 class TestRequest:
     def test_a_leaf_is_called_once_on_the_union_of_its_points(self):
         pts = sample_pairs(37, 3)
@@ -369,6 +397,49 @@ class TestRequest:
             assert len(c) == 1
             assert len(c[0]) == len(set(c[0])) and set(c[0]) == alone[n]
 
+    def test_every_term_runs_once_on_the_union_of_its_points(self):
+        pts = sample_pairs(37, 3)
+        sides = spy_relation({})
+        calls = spy_terms(*sides)
+        assert series_max_residual(*sides, 2, pts) > 0
+        # the points each term is asked for, every compared coefficient
+        # asked alone at one point on a relation built afresh
+        alone = [set() for _ in calls]
+        for k in range(3):
+            for side in (0, 1):
+                for z, x in pts:
+                    fresh = spy_relation({})
+                    fresh_calls = spy_terms(*fresh)
+                    fresh[side].terms[k].at([z], [x])
+                    for a, c in zip(alone, fresh_calls):
+                        a.update(p for points in c for p in points)
+        assert len(calls) == len(fresh_calls) and all(alone)
+        for c, a in zip(calls, alone):
+            assert len(c) == 1
+            assert len(c[0]) == len(set(c[0])) and set(c[0]) == a
+
+    def test_read_terms_hold_views_of_their_source(self):
+        # the shift_z and bound_z reads of the levels, and the levels'
+        # reads of the leaf, at every point they hold
+        pts = sample_pairs(37, 3)
+        leaf, lhs, rhs = level_relation([])
+        # the leaf holds the points in reverse order first, so that the
+        # levels read them from its block in no order it was filled in
+        leaf.at(*np.array(pts[::-1]).T)
+        assert series_max_residual(lhs, rhs, 2, pts) > 0
+        reads, todo = set(), [t for side in (lhs, rhs) for t in side.terms]
+        while todo:
+            t = todo.pop()
+            if t._fn is _read:
+                reads.add(t)
+            todo += [s for s, _ in t.inputs]
+        assert len(reads) == 3 * 3 + 3
+        for t in reads:
+            (source, args), = t.inputs
+            for z, x in t._cache:
+                zs, xs, *_ = args(np.array([z]), np.array([x]))
+                assert np.shares_memory(t.at([z], [x]), source.at(zs, xs))
+
 
 def level_relation(calls):
     """A leaf whose values are [point, 2, 2, level], as a chain trace's,
@@ -383,7 +454,7 @@ def level_relation(calls):
         return np.eye(2)[..., None] + (zs + 2 * xs)[:, None, None, None] * m
 
     leaf = TermMatrix(fn, 2)
-    s = DiffOpSeries(0.0, [TermMatrix(lambda zs, xs, v: v, 2, [(leaf, lambda zs, xs, k=k: (zs, xs, k))])
+    s = DiffOpSeries(0.0, [TermMatrix.read(leaf, lambda zs, xs, k=k: (zs, xs, k), 2)
                            for k in range(3)], 2, P)
     lhs = series_compose(s.shift_z(0.2), s.bound_z(0.1), 2)
     rhs = series_add(s.bound_z(0.3), series_scale(s, 0.7 - 0.2j), 2)

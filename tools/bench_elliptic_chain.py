@@ -11,7 +11,9 @@ The checkouts take turns within every repeat (``benchturns``); the medians
 over the repeats are reported, each beside its quartiles, and
 ``wall_s_resolved`` says whether the checkouts' wall-time quartiles are
 disjoint.  The 10-site, order-2 ``transfer`` and ``tq`` jobs, on two more
-sites, run once per checkout (``single``).  ``same_reports`` says whether every
+sites, take turns ``SINGLE_REPEATS`` times as one run each (``single``, with
+the same medians, quartiles and ``single_wall_s_resolved``): one run per
+checkout cannot resolve them.  ``same_reports`` says whether every
 checkout wrote byte-identical reports.
 
     python3 tools/bench_elliptic_chain.py --src change=src --src parent=../old/src \\
@@ -33,8 +35,9 @@ SITES = ("0.41+0.12i", "0.27-0.23i", "0.54+0.13i", "0.16-0.11i",
 CHAINS = ((4, 4), (6, 2), (8, 2), (8, 4))
 SUITES = ("transfer", "tq")
 REPEATS = 3
-# (suite, L, order) run once per checkout: a job of seconds to minutes.
+# (suite, L, order) of seconds per run: run once per repeat, not best of 3.
 SINGLE = (("transfer", 10, 2), ("tq", 10, 2))
+SINGLE_REPEATS = 6
 
 
 def _job(suite: str, n: int, order: int) -> tuple:
@@ -53,8 +56,10 @@ def main(argv=None) -> int:
                       for name, r in by_job.items()}
               for label, by_job in runs.items()}
     singles = [_job(*job) for job in SINGLE]
-    single = {label: {name: r[0] for name, r in by_job.items()}
-              for label, by_job in benchturns.take_turns(checkouts, singles, 1, 1).items()}
+    single = {label: {name: benchturns.median(r, ("exit_code", "report_sha256"))
+                      for name, r in by_job.items()}
+              for label, by_job in benchturns.take_turns(
+                  checkouts, singles, SINGLE_REPEATS, 1).items()}
     record = {
         "host": benchturns.host(),
         "sites": list(SITES),
@@ -64,7 +69,9 @@ def main(argv=None) -> int:
                                     for by_job in (*median.values(), *single.values())
                                     if name in by_job}) == 1
                          for name, _, _ in jobs + singles},
+        "single_repeats": SINGLE_REPEATS,
         "wall_s_resolved": benchturns.resolved(median, "wall_s"),
+        "single_wall_s_resolved": benchturns.resolved(single, "wall_s"),
         "median": median,
         "single": single,
     }
