@@ -71,13 +71,13 @@ class WeightBasis:
     def offset(self, level: int) -> int:
         return sum(self.dims[:level])
 
+    @cached_property
+    def index_levels(self) -> tuple[int, ...]:
+        """The level of every basis index, in index order."""
+        return tuple(j for j, d in enumerate(self.dims) for _ in range(d))
+
     def level_of(self, idx: int) -> int:
-        acc = 0
-        for j, d in enumerate(self.dims):
-            acc += d
-            if idx < acc:
-                return j
-        raise IndexError(idx)
+        return self.index_levels[idx]
 
     def weight(self, level: int) -> complex:
         return self.alpha0 - 2 * level
@@ -100,11 +100,12 @@ class ModuleOperator:
 
     def __post_init__(self):
         shift = self.beta - self.alpha
+        target, source = self.target.index_levels, self.source.index_levels
         for (a, b), s in self.entries.items():
             if not s:
                 continue
-            wa = self.target.weight(self.target.level_of(a))
-            wb = self.source.weight(self.source.level_of(b))
+            wa = self.target.weight(target[a])
+            wb = self.source.weight(source[b])
             if abs(wa - wb - shift) > _WEIGHT_TOL:
                 raise ShapeError(
                     f"entry ({a},{b}) violates the weight rule for bidegree "

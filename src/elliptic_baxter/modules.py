@@ -268,26 +268,19 @@ def build_asymptotic(l: complex, u: complex, K: int, params: EllipticParams) -> 
         raise ValueError("K must be >= 2")
     h = params.hbar
     basis = WeightBasis(complex(l), (1,) * (K + 1))
+    prod = ThetaExpression.product
     pp, pm, mp, mm = {}, {}, {}, {}
+    # each entry is one product of (cz, cx, shift, power) theta factors
     for j in range(K + 1):
-        pp[(j, j)] = ThetaSum(
-            _th(1, 0, (u + l - j + 1) * h)
-            * _th(0, 1, (l - j + 1) * h)
-            * _th(0, 1, -j * h)
-            * _th(0, 1, 0, -1)
-            * _th(0, 1, (l - 2 * j + 1) * h, -1)
-        )
-        mm[(j, j)] = ThetaSum(_th(1, 0, (u + j + 1) * h))
+        pp[(j, j)] = ThetaSum(prod((
+            (1, 0, (u + l - j + 1) * h, 1), (0, 1, (l - j + 1) * h, 1), (0, 1, -j * h, 1),
+            (0, 1, 0, -1), (0, 1, (l - 2 * j + 1) * h, -1))))
+        mm[(j, j)] = ThetaSum(ThetaExpression.theta(1, 0, (u + j + 1) * h))
         if j + 1 <= K:
-            pm[(j + 1, j)] = ThetaSum(
-                _th(1, 1, (u + l - j) * h)
-                * _th(0, 0, (l - j) * h)
-                * _th(0, 1, (l - 2 * j - 1) * h, -1)
-            )
+            pm[(j + 1, j)] = ThetaSum(prod((
+                (1, 1, (u + l - j) * h, 1), (0, 0, (l - j) * h, 1), (0, 1, (l - 2 * j - 1) * h, -1))))
         if j >= 1:
-            mp[(j - 1, j)] = ThetaSum(
-                (-1.0) * _th(1, -1, (u + j) * h) * _th(0, 0, j * h) * _th(0, 1, 0, -1)
-            )
+            mp[(j - 1, j)] = ThetaSum(-prod(((1, -1, (u + j) * h, 1), (0, 0, j * h, 1), (0, 1, 0, -1))))
     L = {
         "++": ModuleOperator(1, 1, basis, basis, pp, params),
         "+-": ModuleOperator(1, -1, basis, basis, pm, params),

@@ -190,7 +190,9 @@ def lattice_distance_array(c, params: EllipticParams) -> np.ndarray:
     tau = params.tau
     c1 = c - np.floor(c.imag / tau.imag) * tau
     c0 = c1 - np.floor(c1.real)
-    return np.minimum.reduce([np.abs(c0), np.abs(c0 - 1), np.abs(c0 - tau), np.abs(c0 - 1 - tau)])
+    c0_1 = c0 - 1
+    return np.minimum(np.minimum(np.abs(c0), np.abs(c0_1)),
+                      np.minimum(np.abs(c0 - tau), np.abs(c0_1 - tau)))
 
 
 def in_lattice(c: complex, params: EllipticParams) -> bool:
@@ -251,11 +253,31 @@ class ThetaExpression:
 
     @staticmethod
     def theta(cz: int, cx: int, shift: complex, power: int = 1) -> "ThetaExpression":
-        if cz not in (-1, 0, 1) or cx not in (-1, 0, 1):
-            raise ValueError("theta factor coefficients must lie in {-1,0,1}")
-        if power == 0:
-            return ThetaExpression()
-        return ThetaExpression(factors=(ThetaFactor(cz, cx, complex(shift), power),))
+        return ThetaExpression.product(((cz, cx, shift, power),))
+
+    @staticmethod
+    def product(factors) -> "ThetaExpression":
+        """The product of theta(cz*z + cx*x + shift)**power over the
+        (cz, cx, shift, power) of ``factors``, merged in one pass into the
+        expression that the chain ``theta(f_1) * theta(f_2) * ...`` of
+        ``*`` gives, factor order and shifts included: a factor adds its
+        power to the first one of its ``_merge_key``, a merged power that
+        reaches 0 drops the factor, and a later factor of that key starts
+        again at the end."""
+        merged: dict[tuple, list] = {}
+        for cz, cx, shift, power in factors:
+            if cz not in (-1, 0, 1) or cx not in (-1, 0, 1):
+                raise ValueError("theta factor coefficients must lie in {-1,0,1}")
+            shift = complex(shift)
+            key = _merge_key(cz, cx, shift)
+            entry = merged.get(key)
+            if entry is None:
+                entry = merged[key] = [ThetaFactor(cz, cx, shift, power), 0]
+            entry[1] += power
+            if not entry[1]:
+                del merged[key]
+        return ThetaExpression(factors=tuple(
+            f if p == f.power else ThetaFactor(f.cz, f.cx, f.shift, p) for f, p in merged.values()))
 
     # -- ring operations ----------------------------------------------
     def __mul__(self, other: "ThetaExpression | complex") -> "ThetaExpression":
@@ -436,6 +458,21 @@ class ThetaSum:
 # ThetaTable: many ThetaSums at many points from one theta series pass
 # ---------------------------------------------------------------------------
 
+def _distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct values of each row of the 2-D array ``a`` under ``==``
+    (exact equality): all of them, sorted within each row, row after row;
+    their count per row; and, in the shape of ``a``, the position of each
+    item's value in that list."""
+    order = np.argsort(a, axis=1)
+    order += a.shape[1] * np.arange(len(a))[:, None]
+    ranked = a.take(order)
+    first = np.ones(a.shape, dtype=bool)
+    np.not_equal(ranked[:, 1:], ranked[:, :-1], out=first[:, 1:])
+    number = np.empty(a.shape, dtype=int)
+    number.put(order, first.cumsum() - 1)
+    return ranked[first], first.sum(axis=1), number
+
+
 class ThetaTable:
     """Theta sums flattened into factor arrays, so that every sum at a
     batch of (z, x) points comes out of one ``theta_eval_array`` pass over
@@ -444,7 +481,10 @@ class ThetaTable:
     Built from (slot, ThetaSum) pairs; slot k of the result is the sum of
     all terms given for k, zero when there are none.  Each distinct factor
     theta(cz*z + cx*x + shift)**power is stored once; terms are sorted by
-    the slot they add to.
+    the slot they add to.  The factors are grouped by kind, their (cz, cx)
+    pair, and each kind stores its distinct shifts once, so that the
+    arguments of a batch are deduped as the distinct point parts
+    cz*z + cx*x of each kind plus that kind's shifts.
     """
 
     def __init__(self, sums, size: int, params: EllipticParams):
@@ -469,6 +509,19 @@ class ThetaTable:
         width = max(map(len, idx), default=0)
         self.index = np.array([i + [len(factors)] * (width - len(i)) for i in idx],
                               dtype=int).reshape(len(idx), width)
+        # each kind (cz, cx) numbers its distinct shifts once
+        kinds: dict[tuple, dict[complex, int]] = {}
+        for f in factors:
+            shifts = kinds.setdefault(f[:2], {})
+            shifts.setdefault(f[2], len(shifts))
+        kind_of = {k: i for i, k in enumerate(kinds)}
+        self.kind = np.array([kind_of[f[:2]] for f in factors], dtype=int)
+        self.shift_index = np.array([kinds[f[:2]][f[2]] for f in factors], dtype=int)
+        self.kind_cz, self.kind_cx = (np.array([k[i] for k in kinds], dtype=int)[:, None] for i in (0, 1))
+        self.kind_shifts = [np.array(list(s), dtype=complex) for s in kinds.values()]
+        self.kind_width = np.array([len(s) for s in kinds.values()], dtype=int)
+        self.negative = np.flatnonzero(self.power < 0)
+        self.raised = np.flatnonzero(self.power != 1)
 
     def at(self, zs, xs) -> np.ndarray:
         """Every slot at the points (zs, xs), as an array [point, slot].
@@ -492,27 +545,51 @@ class ThetaTable:
         out = np.zeros((len(zs), self.size), dtype=complex)
         if not self.dest.size:
             return out
-        args = self.cz[:, None] * zs + self.cx[:, None] * xs + self.shift[:, None]
+        # an argument is (cz*z + cx*x) + shift, summed as one array over
+        # all factors would sum it, so the candidates, each kind's distinct
+        # point parts plus each of its shifts, are every argument, with
+        # far fewer repeats
+        parts = self.kind_cz * zs + self.kind_cx * xs
+        kind_parts, counts, number = _distinct_rows(parts)
+        ends = counts.cumsum()
+        cands = np.concatenate([np.empty(0, dtype=complex)] + [
+            (kind_parts[e - c:e, None] + s).ravel()
+            for e, c, s in zip(ends.tolist(), counts.tolist(), self.kind_shifts)])
+        # kind k's candidates are a block, part-major: part number n of
+        # kind k with shift 0 is candidate n*width_k + offset_k
+        sizes = counts * self.kind_width
+        offset = sizes.cumsum() - sizes - (ends - counts) * self.kind_width
+        # [factor, point] -> the factor's argument among the candidates
+        slot = (number * self.kind_width[:, None] + offset[:, None])[self.kind]
+        slot += self.shift_index[:, None]
         # each distinct argument is summed and pole-checked once
-        distinct, inverse = np.unique(args, return_inverse=True)
-        inverse = inverse.reshape(args.shape)
-        neg = self.power < 0
+        distinct, _, inverse = _distinct_rows(cands[None])
+        inverse = inverse[0]
         # only the arguments of negative-power factors are tested for poles
+        neg = inverse[slot[self.negative]]
         pole = np.zeros(len(distinct), dtype=bool)
-        pole[inverse[neg]] = True
+        pole[neg] = True
         pole[pole] = lattice_distance_array(distinct[pole], self.params) < POLE_TOL
-        near = pole[inverse[neg]]
+        near = pole[neg]
         if strict:
             if near.any():
-                raise PoleError(f"theta factor with negative power at lattice point {args[neg][near][0]}")
-            vals = theta_eval_array(distinct, self.params)[inverse]
+                row, point = np.argwhere(near)[0]
+                f = self.negative[row]
+                arg = parts[self.kind[f], point] + self.shift[f]
+                raise PoleError(f"theta factor with negative power at lattice point {arg}")
+            thetas = theta_eval_array(distinct, self.params)
         else:
-            vals = _theta_series(distinct, self.params)[inverse]
-            vals[neg] = np.where(near, np.nan, vals[neg])
-            vals[~np.isfinite(vals)] = np.nan
+            thetas = _theta_series(distinct, self.params)
+            thetas[~np.isfinite(thetas)] = np.nan
+        # the last row is ones, the pad of shorter products; every index is
+        # in range, and "clip" writes into vals unbuffered
+        vals = np.ones((len(slot) + 1, len(zs)), dtype=complex)
+        np.take(thetas[inverse], slot, out=vals[:-1], mode="clip")
+        if not strict:
+            vals[self.negative] = np.where(near, np.nan, vals[self.negative])
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            vals = vals ** self.power[:, None]
-            vals = np.vstack([vals, np.ones((1, len(zs)))])
+            # a factor of power 1 is its theta value: only other powers are taken
+            vals[self.raised] **= self.power[self.raised, None]
             terms = vals[self.index].prod(axis=1) * self.scalar[:, None]
             terms *= np.exp(self.exp_z[:, None] * zs + self.exp_x[:, None] * xs)
             out[:, self.dest] = np.add.reduceat(terms, self.starts, axis=0).T

@@ -43,6 +43,7 @@ class TestWeightBasis:
         assert b.levels == 2
         assert b.offset(1) + 1 == 2
         assert b.level_of(3) == 2
+        assert b.index_levels == (0, 1, 1, 2)
         assert b.weight(2) == 2.0 - 4
 
     def test_rejects_empty_level(self):
@@ -104,7 +105,7 @@ class TestComposeModuleOps:
 
     def test_weight_rule_enforced(self):
         b = WeightBasis(1.0, (1, 1))
-        with pytest.raises(ShapeError):
+        with pytest.raises(ShapeError, match=r"^entry \(1,0\) violates the weight rule for bidegree \(1,1\)$"):
             # a (+,+) bidegree operator must preserve weight
             ModuleOperator(1, 1, b, b, {(1, 0): ThetaSum.one()}, P)
 

@@ -31,6 +31,7 @@ from elliptic_baxter.theta import (
 
 from coproduct_oracle import symbolic_tensor
 import gauss_oracle
+from ladder_oracle import chain_ladder_entries, expression_bits
 
 P = EllipticParams(tau=1j, hbar=0.31)
 H = P.hbar
@@ -71,6 +72,29 @@ class TestRMatrix:
         ref22 = tz / theta_eval(z + H, P)
         for got, ref in ((r[1, 1], ref11), (r[1, 2], ref12), (r[2, 1], ref21), (r[2, 2], ref22)):
             assert abs(got - ref) <= 1e-12 * (1 + abs(ref))
+
+
+class TestOnePassEntries:
+    """Entries built as one product each are the chains of ``*`` of
+    ``tests/ladder_oracle.py``: scalar, exponents and every factor's
+    (cz, cx, shift, power), in order, bit for bit."""
+
+    @pytest.mark.parametrize("K", [2, 5, 8])
+    @pytest.mark.parametrize("u", [0, 0.57])
+    @pytest.mark.parametrize("l", [-1, 0, 1, 2, 1.3 + 0.2j])
+    def test_ladder_entries_are_the_chains(self, l, u, K):
+        X = build_asymptotic(l, u, K, P)
+        for key, ref in chain_ladder_entries(l, u, K, P).items():
+            got = X.L[key].entries
+            assert list(got) == list(ref)
+            for k, e in ref.items():
+                assert [expression_bits(t) for t in got[k].terms] == [expression_bits(e)]
+
+    @pytest.mark.parametrize("l", [-1, 0, 1, 2])
+    def test_integer_spins_cancel_factors(self, l):
+        # the case the merge order matters for: some ++ entry loses factors
+        pp = build_asymptotic(l, 0, 8, P).L["++"].entries
+        assert min(len(s.terms[0].factors) for s in pp.values()) < 5
 
 
 class TestDynamicalYangBaxter:

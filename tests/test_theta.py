@@ -1,5 +1,8 @@
 import cmath
+import functools
 import math
+import operator
+import random
 import re
 import warnings
 
@@ -31,6 +34,7 @@ from elliptic_baxter.theta import (
 
 from coproduct_oracle import symbolic_tensor
 from gauss_oracle import gauss_decompose
+from ladder_oracle import expression_bits, th
 
 P = EllipticParams(tau=1j, hbar=0.31)
 
@@ -247,6 +251,29 @@ class TestThetaExpression:
     def test_empty_is_one(self):
         assert ThetaExpression().eval(0.37, 0.21j, P) == 1
 
+    @staticmethod
+    def chain(factors):
+        """theta(f_1) * theta(f_2) * ..., one ``*`` at a time."""
+        ones = [ThetaExpression() if p == 0 else th(cz, cx, shift, p)
+                for cz, cx, shift, p in factors]
+        return functools.reduce(operator.mul, ones, ThetaExpression())
+
+    def test_product_is_the_chain_of_products(self):
+        # a factor that cancels and comes back goes to the end
+        fs = [(1, 0, 0.2, 1), (0, 1, 0.2, -1), (1, 0, 0.2, -1), (1, 1, 0, 1), (1, 0, 0.2, 2)]
+        got = ThetaExpression.product(fs)
+        assert [(f.cz, f.cx, f.power) for f in got.factors] == [(0, 1, -1), (1, 1, 1), (1, 0, 2)]
+        # few keys, so that powers merge, cancel and come back
+        rng = random.Random(5)
+        pool = [(1, 0, 0.2), (0, 1, 0.2), (1, 1, -0.31), (0, 0, 0.45), (1, -1, 0.2), (1, 0, 0.2 + 1e-14)]
+        for _ in range(300):
+            fs = [(*rng.choice(pool), rng.choice((-2, -1, 0, 1, 2))) for _ in range(rng.randint(0, 8))]
+            assert expression_bits(ThetaExpression.product(fs)) == expression_bits(self.chain(fs))
+
+    def test_product_rejects_bad_coefficients(self):
+        with pytest.raises(ValueError):
+            ThetaExpression.product([(1, 0, 0.2, 1), (2, 0, 0.1, 1)])
+
     def test_single_factor_matches_theta_eval(self):
         e = ThetaExpression.theta(1, 1, 0)
         assert abs(e.eval(0.2, 0.3, P) - theta_eval(0.5, P)) < 1e-14
@@ -427,17 +454,22 @@ class TestThetaTable:
 
 def raw_table_values(table, zs, xs, strict):
     """``ThetaTable._eval`` with every raw argument summed and pole-checked
-    on its own, in [factor, point] order."""
+    on its own, each by a ``_theta_series`` call of its own, in [factor,
+    point] order: no argument is deduped."""
     zs, xs = np.asarray(zs, dtype=complex), np.asarray(xs, dtype=complex)
     args = table.cz[:, None] * zs + table.cx[:, None] * xs + table.shift[:, None]
     neg = table.power < 0
-    near = lattice_distance_array(args[neg], table.params) < POLE_TOL
+    near = np.array([lattice_distance_array(a, table.params) < POLE_TOL
+                     for a in args[neg].ravel()], dtype=bool).reshape(args[neg].shape)
+    vals = np.array([_theta_series(a, table.params) for a in args.ravel()],
+                    dtype=complex).reshape(args.shape)
     if strict:
         if near.any():
             raise PoleError(f"theta factor with negative power at lattice point {args[neg][near][0]}")
-        vals = theta_eval_array(args, table.params)
+        if not np.isfinite(vals).all():
+            raise OverflowError("theta series is not finite or does not "
+                                "converge at some argument")
     else:
-        vals = _theta_series(args, table.params)
         vals[neg] = np.where(near, np.nan, vals[neg])
         vals[~np.isfinite(vals)] = np.nan
     out = np.zeros((len(zs), table.size), dtype=complex)
@@ -447,6 +479,12 @@ def raw_table_values(table, zs, xs, strict):
         terms *= np.exp(table.exp_z[:, None] * zs + table.exp_x[:, None] * xs)
         out[:, table.dest] = np.add.reduceat(terms, table.starts, axis=0).T
     return out
+
+
+def bits(a):
+    """The bit patterns of a complex array, NaN payloads and zero signs
+    included."""
+    return np.ascontiguousarray(a).view(np.uint64)
 
 
 class TestDeduplicatedArguments:
@@ -496,6 +534,72 @@ class TestDeduplicatedArguments:
             with pytest.raises(err) as ref:
                 raw_table_values(table, zs, xs, strict=True)
             assert str(got.value) == str(ref.value)
+
+
+class TestKindDedupe:
+    """The table dedupes each kind's point parts and its shifts before the
+    exact dedupe of their sums; the values must be those of evaluating
+    every raw argument on its own, bit for bit."""
+
+    th = staticmethod(ThetaExpression.theta)
+    # every kind, powers -2, -1, 1 and 2, shifts repeated within and
+    # across kinds and powers, a constant factor; z - x - 0.1 is on the
+    # lattice at z = 0.3, x = 0.2
+    SUMS = [
+        (0, ThetaSum(th(1, 0, 0.2) * th(0, 1, 0.2, -2) * th(0, 0, 0.37, 2))),
+        (1, ThetaSum((th(1, 1, 0.2) * th(1, 0, 0.2, -1) * th(0, 1, -0.31),
+                      th(1, -1, 0.2, 2) * th(0, 0, 0.37)))),
+        (2, ThetaSum(th(1, -1, -0.1, -1) * th(1, 1, 0.45, 2) * th(0, 1, 0.2))),
+        (1, ThetaSum(th(1, 0, 0.45) * th(1, 1, 0.2, -2) * th(0, 0, 0.2, -1))),
+        (3, ThetaSum(th(1, -1, 0.45) * th(1, 0, -0.31, 2) * th(0, 1, 0.45, -1))),
+        (4, ThetaSum.one()),
+    ]
+    # a grid: each z with each x, so zs and xs repeat; the pole is at
+    # (0.3, 0.2), the fourth point
+    ZS = [0.1 + 0.2j] * 3 + [0.3] * 3 + [0.55 - 0.1j] * 3
+    XS = [0.2, 0.4 + 0.15j, 0.75 - 0.2j] * 3
+
+    def table(self):
+        return ThetaTable(self.SUMS, 5, P)
+
+    def test_the_table_has_what_it_should_test(self):
+        t = self.table()
+        assert {(int(a), int(b)) for a, b in zip(t.cz, t.cx)} == {(1, 0), (0, 1), (1, 1), (1, -1), (0, 0)}
+        assert set(t.power.tolist()) == {-2, -1, 1, 2}
+        assert len(set(t.shift.tolist())) < len(t.shift)
+        assert len(set(self.ZS)) < len(self.ZS) and len(set(self.XS)) < len(self.XS)
+
+    def test_masked_values_are_the_raw_arguments_bit_for_bit(self):
+        t = self.table()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vals, bad = t.masked_at(self.ZS, self.XS)
+        ref = raw_table_values(t, self.ZS, self.XS, strict=False)
+        assert np.array_equal(bits(vals), bits(ref))
+        assert bad.tolist() == [i == 3 for i in range(9)]
+        assert np.isnan(vals[3, 2]) and np.isfinite(np.delete(vals[3], 2)).all()
+
+    def test_values_are_the_raw_arguments_bit_for_bit(self):
+        t = self.table()
+        keep = [i for i in range(9) if i != 3]
+        zs, xs = np.array(self.ZS)[keep], np.array(self.XS)[keep]
+        assert np.array_equal(bits(t.at(zs, xs)), bits(raw_table_values(t, zs, xs, strict=True)))
+
+    def test_pole_message_is_the_raw_arguments(self):
+        t = self.table()
+        with pytest.raises(PoleError) as got:
+            t.at(self.ZS, self.XS)
+        with pytest.raises(PoleError) as ref:
+            raw_table_values(t, self.ZS, self.XS, strict=True)
+        assert str(got.value) == str(ref.value)
+        assert re.fullmatch(r"theta factor with negative power at lattice point \(.*\)", str(got.value))
+
+    def test_constant_terms_and_no_points(self):
+        t = ThetaTable([(0, ThetaSum.one()), (1, ThetaSum(ThetaExpression.const(2.5)))], 2, P)
+        assert t.at([0.1, 0.2 + 0.3j], [0.4, 0.5]).tolist() == [[1, 2.5], [1, 2.5]]
+        assert self.table().at([], []).shape == (0, 5)
+        vals, bad = self.table().masked_at([], [])
+        assert vals.shape == (0, 5) and bad.shape == (0,)
 
 
 class TestSamplePlan:
