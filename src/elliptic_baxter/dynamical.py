@@ -283,7 +283,8 @@ _UNIT_OUT = np.empty(1, dtype=complex)
 
 
 def cmatmul(a, b, out=None) -> np.ndarray:
-    """``np.matmul`` of complex matrices that leaves the vector unit clean.
+    """``np.matmul`` of matrices of any dtype that leaves the vector unit
+    clean.
 
     OpenBLAS's complex gemm kernels (scipy-openblas 0.3.31 on AVX-512
     Xeons) return with the upper halves of the vector registers dirty.
@@ -292,7 +293,12 @@ def cmatmul(a, b, out=None) -> np.ndarray:
     AVX code clears the registers; matrix-vector products do not dirty
     them.  One complex multiply in numpy's own vector loop clears them.
     Call it for every complex matrix product on a hot path, the level
-    blocks of `block_graded_trace` included.
+    blocks of `block_graded_trace` included.  The float64 gemm does not
+    dirty them: a loop of 2000 `cmath.exp` steps read 387 us right after
+    a [39, 20, 20] float64 matmul stack and 386 us clean, against 2238 us
+    after the same stack in complex128 (medians of 300, same host).  The
+    float64 products of `packed.evaluate` go through here all the same,
+    so that every matrix product on a hot path has one entry point.
     """
     out = np.matmul(a, b, out=out)
     np.multiply(_UNIT, _UNIT, out=_UNIT_OUT)

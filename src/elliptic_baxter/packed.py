@@ -1,35 +1,48 @@
-"""Kronecker-packed integer series: the exact twin's series calculus.
+"""Exact integer series: the exact twin's series calculus.
 
 A series entry is a polynomial with integer coefficients over the
-series' one denominator, stored as its value at X = 2^width: one Python
-int (Kronecker substitution).  An entry in two variables, sum c_ij x^i y^j
-with y the inner (coefficient-ring) variable, is stored as
-sum c_ij X^(i*stride + j).  Evaluation at X is a ring homomorphism, so
-sums, integer multiples and products of entries are sums, multiples and
-products of ints, and a matrix product is one object-array matmul.  The
-coefficients read back as balanced digits, which is exact only while each
-of them has magnitude below 2^(width-1): the width comes from an a-priori
-bound on the coefficients (`slot_width`).  A coefficient too large for its
-slot carries into the next slot and leaves a packed int that reads back as
-other, valid digits, so no check on the packed values can see it:
-exactness rests on each bound being a true bound, which tests check on
-inputs that attain it.
+series' one denominator.  A series holds its coefficients as coefficient
+slots [outer slot, inner slot, k, row, col], the outer slot the power of
+the outer variable and the inner slot that of the inner, coefficient-ring
+variable: an int64 array when every coefficient fits it, else Python
+ints.
 
-The width and the stride are the layout of a series.  A series holds
-its coefficients as coefficient slots, one int array per outer and inner
-slot, at no layout.  `evaluate` is the one place that packs series: it
-derives the shape of every term and result of its expressions from the
-operations' rules, packs every term once, straight from its series'
-slots, at the least layout that holds them all (`pack_slots`), and
-decodes a series-valued result once (`from_packed`).  The operations run
-on those packed terms: they compute at the layout their operands share,
-and refuse operands packed at different layouts or a layout too narrow
-for their result.  Two callers pack module entries with `pack_slots` at
-a width from their own a-priori bound: `yangian._graded_trace` (the
-largest level dimension times the product over sites of the largest
-row sum of the entries' coefficient l1 norms) and `yangian.rtt_residual`
-(3 n rho mu: spin slots, largest row sum of largest coefficients, and
-largest coefficient of the entries).
+`evaluate` checks relations on residues.  Every relation it computes is
+an identity between polynomial matrices, and evaluation at a point
+modulo a prime is a ring homomorphism, so each term and operation runs
+on R[prime, point, k, row, col]: the values of the series at the points
+of a grid modulo word-size primes, as float64.  A value is reduced to
+|r| <= (p + 2)/2 after every step, so a sum of k products of values stays
+below 2^52 and is exact in float64 while k (p + 2)^2 / 4 < 2^52 (FFLAS:
+J.-G. Dumas, P. Giorgi, C. Pernet, arXiv:cs/0601133); matrix products
+are float64 BLAS matmuls reduced once per output level.  The a-priori
+bounds of the operations (`_Outline`) give the denominator, coefficient
+bound and outer and inner degrees of every term and result, and so fix
+the primes and the points: points 0..D (a grid (D+1) x (E+1) when an
+inner degree E > 0 occurs) for the largest degrees D and E of a result,
+and primes that divide no denominator the residues invert, until their
+product exceeds twice the largest coefficient bound of a result.  A
+polynomial of degree at most D that vanishes at D + 1 points modulo p is
+zero modulo p, and an integer below half the primes' product that is
+zero modulo each of them is zero (Chinese remainder theorem; von zur
+Gathen and Gerhard, Modern Computer Algebra, ch. 5 and 10), so a
+residual whose residues all vanish is exactly 0.  A nonzero residual,
+and a series-valued result, is interpolated modulo each prime and read
+back in the symmetric range.  Exactness rests on each bound being a true
+bound, which tests check on inputs that attain it.
+
+Kronecker packing remains for the trace and the exchange check: an entry
+stored as its value at X = 2^width, one Python int, so that sums and
+products of entries are sums and products of ints and read back as
+balanced digits, exact only while each coefficient has magnitude below
+2^(width-1) (`slot_width`).  A coefficient too large for its slot carries
+into the next one and reads back as other, valid digits, so the width
+comes from an a-priori bound.  `yangian._graded_trace` packs module
+entries at a width from the largest level dimension times the product
+over sites of the largest row sum of the entries' coefficient l1 norms,
+and decodes each sector once (`from_packed`); `yangian.rtt_residual`
+packs at 3 n rho mu (spin slots, largest row sum of largest coefficients,
+and largest coefficient of the entries) and compares with `defect`.
 """
 
 from __future__ import annotations
@@ -42,6 +55,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .dynamical import _BATCH_ITEMS, cmatmul
 from .polyring import (
     Poly,
     denominator,
@@ -73,20 +87,24 @@ class _Shape(NamedTuple):
                       self.inner + other.inner - 1)
 
 
-# the packed constant 1: the same int at any layout
+# the constant 1
 _ONE = _Shape(1, 1, 1, 1)
 
 
 class _Outline(NamedTuple):
     """A series as the a-priori bounds see it: its shape, stored order,
-    termination and dimension.  The operations on outlines are the shape
-    rules of the operations of `PSeriesMatrix`: each gives the outline of
-    its result."""
+    termination and dimension, the largest number of products one
+    residue sums while computing it (`sums`), and the lcm of the
+    denominators its residues invert (`units`).  The operations on
+    outlines are the shape rules of the operations of `PSeriesMatrix`:
+    each gives the outline of its result."""
 
     shape: _Shape
     order: int
     terminates: bool
     dim: int
+    sums: int
+    units: int
 
     def top(self, order: int) -> int:
         """The last coefficient a product to `order` reads of this
@@ -96,48 +114,54 @@ class _Outline(NamedTuple):
     def times_p(self) -> "_Outline":
         return self._replace(order=self.order + 1)
 
-    def weighted(self, other: "_Outline", a, b) -> "_Outline":
-        return _Outline(_combination((self.shape, other.shape), (a, b))[0],
-                        min(self.order, other.order), False, self.dim)
+    def weighted(self, other: "_Outline", weights: tuple) -> "_Outline":
+        """The sum of each series times its weight (`_weights`)."""
+        dw, _, shapes = weights
+        shape = _common([w.times(s.shape, 1) for w, s in zip(shapes, (self, other))])
+        return _Outline(shape, min(self.order, other.order), False, self.dim,
+                        max(self.sums, other.sums, 2),
+                        math.lcm(self.units, other.units, dw))
 
     def mul(self, other: "_Outline", order: int) -> "_Outline":
         """Each coefficient of an entry of the truncated product sums
         over the inner dimension and the split levels."""
-        levels = min(self.top(order), other.top(order)) + 1
-        return _Outline(self.shape.times(other.shape, self.dim * levels),
-                        order, self.terminates and other.terminates, self.dim)
+        terms = self.dim * (min(self.top(order), other.top(order)) + 1)
+        return _Outline(self.shape.times(other.shape, terms), order,
+                        self.terminates and other.terminates, self.dim,
+                        max(self.sums, other.sums, terms),
+                        math.lcm(self.units, other.units))
 
     def residual(self, other: "_Outline", order: int) -> "_Outline":
+        """The difference of the two series: its coefficients are sums
+        of theirs, rescaled to one denominator."""
         return _Outline(_common((self.shape, other.shape)), order, False,
-                        self.dim)
+                        self.dim, max(self.sums, other.sums, 2),
+                        math.lcm(self.units, other.units))
 
 
-def _common(shapes, bound=max) -> _Shape:
-    """The shapes rescaled to the lcm of their denominators and merged:
-    the most outer and inner slots, and `bound` of the rescaled bounds
-    (`max` for series compared, `sum` for series added)."""
+def _common(shapes) -> _Shape:
+    """The shape of a sum of series of `shapes`, rescaled to the lcm of
+    their denominators: the most outer and inner slots, and the sum of
+    the rescaled bounds."""
     den = math.lcm(*(s.den for s in shapes))
-    return _Shape(den, bound(s.bound * (den // s.den) for s in shapes),
+    return _Shape(den, sum(s.bound * (den // s.den) for s in shapes),
                   max(s.outer for s in shapes), max(s.inner for s in shapes))
 
 
 @lru_cache(maxsize=16)
-def _combination(shapes: tuple, coeffs: tuple) -> tuple:
-    """(shape, ((row, rescale), ...)) of the sum of c * x over scalar
-    polynomials c of `coeffs` and series x of `shapes`: each c the row
-    [outer slot, inner slot] of its numerator over the coefficients'
-    common denominator (`cleared`), each product rescaled to the result's
-    denominator.  Cached: `evaluate` asks for each weighted sum's once
-    for its layout and once to compute it."""
+def _weights(coeffs: tuple) -> tuple:
+    """(den, rows, shapes) of scalar polynomials: rows[value][outer
+    slot][inner slot] their int numerators over the lcm den of their
+    denominators (`cleared`), and each one's `_Shape`.  Cached: the
+    weights of a relation recur in every sector."""
     dw, rows = cleared(coeffs)
-    rows, terms = rows.tolist(), []
-    for row, s in zip(rows, shapes):
+    shapes = []
+    for row in rows.tolist():
         used = [(i, j) for i, r in enumerate(row) for j, c in enumerate(r) if c]
         outer, inner = (max(u) + 1 for u in zip(*used)) if used else (1, 1)
-        terms.append(_Shape(dw, max(abs(c) for r in row for c in r), outer,
-                            inner).times(s, 1))
-    shape = _common(terms, sum)
-    return shape, tuple((row, shape.den // t.den) for row, t in zip(rows, terms))
+        shapes.append(_Shape(dw, max(abs(c) for r in row for c in r), outer,
+                             inner))
+    return dw, rows.tolist(), tuple(shapes)
 
 
 def slot_width(bound: int) -> int:
@@ -204,32 +228,245 @@ def defect(x, y, width: int, count: int, den: int) -> float:
     return exact_residual((Fraction(worst, den),))
 
 
-def _tight_rows(slots, stride: int, den: int) -> tuple:
-    """(rows, shape) of the numerators over `den` whose coefficient slots
-    at inner stride `stride` are slots[0], slots[1], ...: rows[i][j] is
-    the slot of outer slot i and inner slot j, cut to the least outer and
-    inner slot counts that hold them."""
-    bounds = [np.abs(dig).max() for dig in slots]
-    used = [k for k, b in enumerate(bounds) if b] or [0]
-    inner = max(k % stride for k in used) + 1
-    outer = max(k // stride for k in used) + 1
-    rows = [slots[i * stride:i * stride + inner] for i in range(outer)]
-    return rows, _Shape(den, max(bounds), outer, inner)
+def _tight(slots, den: int) -> tuple:
+    """(slots, shape) of the numerators over `den` with the int
+    coefficient slots [outer slot, inner slot, k, row, col], an int64
+    array or Python ints, cut to the least slot counts that hold them;
+    Python ints that all fit int64 are converted."""
+    mags = np.abs(slots).max(axis=(2, 3, 4))
+    used = np.argwhere(mags != 0)
+    outer, inner = used.max(axis=0) + 1 if len(used) else (1, 1)
+    bound = int(mags.max())
+    slots = np.ascontiguousarray(slots[:outer, :inner],
+                                 object if bound >> 63 else np.int64)
+    return slots, _Shape(den, bound, int(outer), int(inner))
+
+
+def _series(basis: tuple, terminates: bool, slots, den: int) -> "PSeriesMatrix":
+    series = PSeriesMatrix.__new__(PSeriesMatrix)
+    series._hold(basis, terminates, *_tight(slots, den))
+    return series
 
 
 def from_packed(basis: tuple, terminates: bool, num, width: int,
                 stride: int, outer: int, den: int) -> "PSeriesMatrix":
     """The series whose numerators over `den` are num[k][row][col],
     packed at `width` and `stride` with `outer` outer slots: decoded once
-    into its coefficient slots, cut to the least slot counts."""
-    series = PSeriesMatrix.__new__(PSeriesMatrix)
-    series._hold(basis, terminates, *_tight_rows(
-        digits(num, width, outer * stride), stride, den))
-    return series
+    into its coefficient slots."""
+    slots = np.array(digits(num, width, outer * stride),
+                     dtype=np.int64 if width < 64 else object)
+    return _series(basis, terminates,
+                   slots.reshape((outer, stride) + slots.shape[1:]), den)
 
 
 def _zero_table(dim: int) -> list:
     return [[Poly() for _ in range(dim)] for _ in range(dim)]
+
+
+# ---------------------------------------------------------------------------
+# Residues
+# ---------------------------------------------------------------------------
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin on the bases 2, 7 and 61, deterministic for odd
+    61 < n < 4759123141."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in (2, 7, 61):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def _prime_below(n: int) -> int:
+    """The largest prime below n: one step down the fixed descending list
+    of primes."""
+    n -= 1
+    while not _is_prime(n):
+        n -= 1
+    return n
+
+
+def _primes(sums: int, bound: int, units: int) -> tuple:
+    """The primes of an evaluation, descending from the largest p whose
+    residues stay exact in sums of `sums` products, (p + 2)^2 / 4 * sums
+    < 2^52, skipping every prime that divides `units`, until their
+    product exceeds 2 * bound."""
+    bits = (54 - sums.bit_length()) // 2
+    out, product, p = [], 1, (1 << bits) - 2
+    while not out or product <= 2 * bound:
+        p = _prime_below(p)
+        if units % p:
+            out.append(p)
+            product *= p
+    return tuple(out)
+
+
+def _grid(results) -> tuple:
+    """(D + 1, E + 1): the points of the outer and the inner variable
+    that determine every result of an evaluation."""
+    return (max(o.shape.outer for o in results),
+            max(o.shape.inner for o in results))
+
+
+def _symmetric(rows, primes) -> np.ndarray:
+    """Python ints [prime, ...] reduced modulo their prime into
+    |r| <= p/2, as float64."""
+    return np.array([[(r + p // 2) % p - p // 2 for r in row]
+                     for row, p in zip(rows, primes)], dtype=float)
+
+
+def _blocks(terms, outer: int) -> tuple:
+    """(blocks, starts) of the `Shift`s and `Lead`s of one series: the
+    row blocks of its power matrix, ("shift", c, n) at the outer points
+    x + c and ("lead", s, n) at x, for x < n, and each term's block and
+    first outer point in it.  The shifts by integers share one block,
+    since the shift by c at the point x is the series at x + c."""
+    whole = sorted({int(t.c) for t in terms
+                    if isinstance(t, Shift) and t.c.denominator == 1})
+    blocks = [("shift", whole[0], outer + whole[-1] - whole[0])] if whole else []
+    starts = []
+    for t in terms:
+        if isinstance(t, Shift) and t.c.denominator == 1:
+            starts.append((0, int(t.c) - whole[0]))
+        else:
+            starts.append((len(blocks), 0))
+            blocks.append(("shift", t.c, outer) if isinstance(t, Shift)
+                          else ("lead", t.s, outer))
+    return tuple(blocks), starts
+
+
+@lru_cache(maxsize=64)
+def _powers(primes: tuple, inner: int, n: int, m: int, blocks: tuple) -> np.ndarray:
+    """[prime, row, slot]: the matrices that take the residues of the
+    slots i*m + j of a series (n outer and m inner slots) to those of its
+    terms at the points (x, y) of the `_blocks`, y < inner, rows in
+    order: (x + c)^i y^j in the block ("shift", c, count), and x^j in the
+    slots of i = s in ("lead", s, count)."""
+    rows = []
+    for p in primes:
+        row = []
+        for kind, c, count in blocks:
+            if kind == "shift":
+                c = Fraction(c)
+                cp = c.numerator * pow(c.denominator, -1, p)
+            row += [(pow(x + cp, i, p) * pow(y, j, p) if kind == "shift"
+                     else pow(x, j, p) if i == c else 0)
+                    for x in range(count) for y in range(inner)
+                    for i in range(n) for j in range(m)]
+        rows.append(row)
+    return _symmetric(rows, primes).reshape(len(primes), -1, n * m)
+
+
+def _lagrange(n: int, p: int) -> list:
+    """The inverse of the Vandermonde matrix of the points 0..n-1 modulo
+    p: row l, column i the coefficient of x^l in the Lagrange basis
+    polynomial of the point i."""
+    out = [[0] * n for _ in range(n)]
+    for i in range(n):
+        poly, scale = [1], 1
+        for j in range(n):
+            if j != i:
+                poly = [((poly[l - 1] if l else 0)
+                         - j * (poly[l] if l < len(poly) else 0)) % p
+                        for l in range(len(poly) + 1)]
+                scale = scale * (i - j) % p
+        inv = pow(scale, -1, p)
+        for l in range(n):
+            out[l][i] = poly[l] * inv % p
+    return out
+
+
+@lru_cache(maxsize=16)
+def _interpolation(primes: tuple, grid: tuple) -> np.ndarray:
+    """[prime, slot, grid point]: the coefficients of the slots
+    i*grid[1] + j from the values at the grid points, modulo each prime."""
+    return _symmetric([np.kron(np.array(_lagrange(grid[0], p), dtype=object),
+                               np.array(_lagrange(grid[1], p), dtype=object)
+                               ).ravel().tolist() for p in primes],
+                      primes).reshape(len(primes), grid[0] * grid[1], -1)
+
+
+def _crt(residues, primes: tuple) -> np.ndarray:
+    """The ints of magnitude below half the primes' product with the
+    given residues [prime, ...], as an object array."""
+    m = math.prod(primes)
+    total = 0
+    for r, p in zip(residues, primes):
+        e = m // p * pow(m // p, -1, p)
+        total = total + r.astype(np.int64).astype(object) * e
+    total %= m
+    return np.where(total > m // 2, total - m, total)
+
+
+@lru_cache(maxsize=64)
+def _block_rows(blocks: tuple, grid: tuple, lo: int, hi: int) -> tuple:
+    """(rows, firsts): the rows of the power matrix of `_blocks` that the
+    grid points lo..hi-1 read (all of them as a slice), and the first
+    row of each block among them."""
+    spans, at = [], 0
+    for _, _, count in blocks:
+        spans.append(np.arange(at + lo, at + hi + (count - grid[0]) * grid[1]))
+        at += count * grid[1]
+    firsts = np.cumsum([0] + [len(r) for r in spans])
+    return (slice(None) if hi - lo == grid[0] * grid[1] else np.concatenate(spans),
+            tuple(firsts.tolist()))
+
+
+class _Chunk(NamedTuple):
+    """The (prime, point) rows one pass of `evaluate` computes on: a
+    slice of its primes and one of its grid points, their counts, and
+    the primes as float64 columns."""
+
+    primes: slice
+    points: slice
+    size: tuple
+    p: np.ndarray
+    pinv: np.ndarray
+
+    def reduce(self, x: np.ndarray) -> np.ndarray:
+        """x, a contiguous array with the chunk's primes on its first
+        axis, modulo them in place into |r| <= (p + 2)/2: exact for
+        |x| < 2^52."""
+        v = x.view()
+        v.shape = (len(self.p), -1)  # refuses to copy
+        q = v * self.pinv
+        np.rint(q, out=q)
+        q *= self.p
+        v -= q
+        return x
+
+
+def _chunk(primes: tuple, rows: slice = slice(None), points: int = 1,
+           cut: slice = slice(None)) -> _Chunk:
+    p = np.array(primes[rows], dtype=float)[:, None]
+    return _Chunk(rows, cut, (len(p), len(range(points)[cut])), p, 1 / p)
+
+
+def _chunks(primes: tuple, points: int, rows: int) -> list:
+    """The chunks of at most `rows` (prime, point) rows that cover the
+    primes and points, prime by prime: whole primes while one holds all
+    points."""
+    if rows >= points:
+        step = rows // points
+        return [_chunk(primes, slice(i, i + step), points)
+                for i in range(0, len(primes), step)]
+    return [_chunk(primes, slice(i, i + 1), points, slice(j, j + rows))
+            for i in range(len(primes)) for j in range(0, points, rows)]
+
+
+def _zeros(res: np.ndarray, levels: int) -> np.ndarray:
+    """Zero residues of `levels` coefficients, at the rows of res."""
+    return np.zeros(res.shape[:2] + (levels,) + res.shape[3:])
 
 
 class PSeriesMatrix:
@@ -238,57 +475,37 @@ class PSeriesMatrix:
     series known to be a polynomial of the stored order.
 
     A series holds the coefficient slots of its entries' integer
-    numerators over one denominator (see the module docstring); only the
-    terms that `evaluate` packs hold packed ints, and only the operations
-    read them.  `tables` and `get` are views unpacked to Fraction
-    polynomials once per coefficient, on first read.  The views are for
-    reading: the series operations read the numerators only, so an entry
-    written into a view would be seen by readers of the view and by no
-    series operation.  A changed series is built through the
+    numerators over one denominator (see the module docstring).  Inside
+    `evaluate` a value holds its residues instead, and only the
+    operations read them.  `tables` and `get` are views unpacked to
+    Fraction polynomials once per coefficient, on first read.  The views
+    are for reading: the series operations read the numerators only, so
+    an entry written into a view would be seen by readers of the view and
+    by no series operation.  A changed series is built through the
     constructor."""
 
     def __init__(self, basis: tuple, tables: list, terminates: bool = False):
         d, coeffs = cleared(e for tab in tables for row in tab for e in row)
-        levels = (len(tables), len(tables[0]), len(tables[0]))
-        self._hold(basis, terminates, *_tight_rows(
-            [dig.reshape(levels) for dig in coeffs.reshape(len(coeffs), -1).T],
-            coeffs.shape[2], d))
+        dim = len(tables[0])
+        slots = coeffs.transpose(1, 2, 0).reshape(
+            coeffs.shape[1:] + (len(tables), dim, dim))
+        self._hold(basis, terminates, *_tight(slots, d))
         self._views.update(enumerate(tables))
 
-    def _hold(self, basis, terminates, rows, shape):
-        """The series of coefficient slots rows[i][j]: as an int array
-        [k, row, col], the coefficients of outer slot i and inner slot j
-        of the numerators over shape.den."""
-        self._rows = rows
+    def _hold(self, basis, terminates, slots, shape):
+        """The series of the int coefficient slots [outer slot, inner
+        slot, k, row, col] of the numerators over shape.den."""
+        self._slots = slots
         self._views = {}
-        self._set(basis, terminates, rows[0][0].shape, shape)
-
-    @classmethod
-    def _packed(cls, basis, terminates, num, width, stride,
-                shape) -> "PSeriesMatrix":
-        """A term of `evaluate`: num[k][row][col], the numerator over
-        shape.den of the k-th coefficient packed at `width` bits per slot
-        with inner stride `stride` (at least shape.inner)."""
-        self = cls.__new__(cls)
-        self._num, self._width, self._stride = num, width, stride
-        self._set(basis, terminates, num.shape, shape)
-        return self
-
-    def _set(self, basis, terminates, size, shape):
-        # size: that of the [k, row, col] arrays of coefficients
         self.basis, self.terminates = basis, terminates
-        self.order, self.dim = size[0] - 1, size[1]
+        self.order, self.dim = slots.shape[2] - 1, slots.shape[3]
         self.shape = shape
 
     def slots(self) -> np.ndarray:
-        """The coefficient slots as one int array
+        """The coefficient slots as one array of Python ints
         [outer slot, inner slot, k, row, col] of numerators over
         shape.den."""
-        return np.array(self._rows, dtype=object)
-
-    @property
-    def _outline(self) -> _Outline:
-        return _Outline(self.shape, self.order, self.terminates, self.dim)
+        return self._slots.astype(object)
 
     @property
     def tables(self) -> list:
@@ -308,115 +525,115 @@ class PSeriesMatrix:
 
     def _unpacked(self, k: int) -> list:
         d = self.shape.den
-        rows = [[dig[k].tolist() for dig in row] for row in self._rows]
+        level = self._slots[:, :, k].tolist()
 
         def entry(r, c):
             if self.shape.inner == 1:
-                return Poly(Fraction(row[0][r][c], d) for row in rows)
+                return Poly(Fraction(row[0][r][c], d) for row in level)
             return Poly(Poly(Fraction(dig[r][c], d) for dig in row)
-                        for row in rows)
+                        for row in level)
 
         return [[entry(r, c) for c in range(self.dim)]
                 for r in range(self.dim)]
 
-    def _at(self, order: int):
-        """Numerators of coefficients 0..order; levels past the stored
-        order of a terminating series are zero."""
+    # -- values of `evaluate` ------------------------------------------------
+
+    @classmethod
+    def _value(cls, basis, terminates, res, chunk) -> "PSeriesMatrix":
+        """A value of `evaluate`: res[prime, point, k, row, col], the
+        series at the chunk's grid points modulo its primes, reduced."""
+        self = cls.__new__(cls)
+        self._res, self._chunk = res, chunk
+        self.basis, self.terminates = basis, terminates
+        self.order, self.dim = res.shape[2] - 1, res.shape[3]
+        return self
+
+    def _residues(self) -> tuple:
+        try:
+            return self._res, self._chunk
+        except AttributeError:
+            raise ValueError("series operations run only on the values that "
+                             "packed.evaluate computes") from None
+
+    def _with(self, other: "PSeriesMatrix") -> tuple:
+        """The residues of both operands and the chunk they are held at."""
+        x, chunk = self._residues()
+        y, other_chunk = other._residues()
+        if other_chunk is not chunk:
+            raise ValueError("operands held at different primes or points")
+        if self.basis != other.basis:
+            raise ValueError("mismatched chain bases")
+        return x, y, chunk
+
+    def _levels(self, res: np.ndarray, order: int) -> np.ndarray:
+        """The residues res of coefficients 0..order; levels past the
+        stored order of a terminating series are zero."""
         if order > self.order and not self.terminates:
             raise IndexError(
                 f"coefficient {order} beyond truncation order {self.order}")
-        num = self._num[:order + 1]
         if order > self.order:
-            pad = np.zeros((order - self.order, self.dim, self.dim),
-                           dtype=object)
-            num = np.concatenate([num, pad])
-        return num
-
-    @property
-    def _layout(self) -> tuple:
-        """(width, stride) of a term of `evaluate`, which every operation
-        reads first: a series outside `evaluate` holds no packed ints."""
-        try:
-            return self._width, self._stride
-        except AttributeError:
-            raise ValueError("series operations run only on the terms that "
-                             "packed.evaluate packs") from None
-
-    def _shared_layout(self, other: "PSeriesMatrix", shape: _Shape) -> tuple:
-        """(width, stride) of an operation on this series and `other` with
-        a result of the given shape: the layout both are packed at, which
-        must hold the result."""
-        width, stride = self._layout
-        if self.basis != other.basis:
-            raise ValueError("mismatched chain bases")
-        if (width, stride) != other._layout:
-            raise ValueError("operands packed at different layouts")
-        if width < slot_width(shape.bound) or stride < shape.inner:
-            raise ValueError("the operands' layout cannot hold the result")
-        return width, stride
+            return np.concatenate([res, _zeros(res, order - self.order)], axis=2)
+        return res[:, :, :order + 1]
 
     def times_p(self) -> "PSeriesMatrix":
         """The series multiplied by the grading variable p."""
-        width, stride = self._layout
-        zero = np.zeros((1, self.dim, self.dim), dtype=object)
-        return self._packed(self.basis, self.terminates,
-                            np.concatenate([zero, self._num]), width,
-                            stride, self.shape)
+        res, chunk = self._residues()
+        return self._value(self.basis, self.terminates, np.concatenate(
+            [_zeros(res, 1), res], axis=2), chunk)
 
     def weighted(self, other: "PSeriesMatrix", a, b) -> "PSeriesMatrix":
-        """Entrywise a*x + b*y of two series for scalar polynomials a and
-        b, to the lower stored order, on packed numerators: a and b over
-        their common denominator, x and y rescaled to the lcm of theirs."""
-        shape, terms = _combination((self.shape, other.shape), (a, b))
-        width, stride = self._shared_layout(other, shape)
-        order = min(self.order, other.order)
-        num = sum(x._at(order) * (pack_slots(row, width, stride) * scale)
-                  for x, (row, scale) in zip((self, other), terms))
-        return self._packed(self.basis, False, num, width, stride, shape)
+        """Entrywise a*x + b*y of two series, to the lower stored order;
+        a and b are the residues [prime, point, 1, 1, 1] of the scalar
+        polynomials at the operands' points."""
+        x, y, chunk = self._with(other)
+        top = min(self.order, other.order) + 1
+        out = x[:, :, :top] * a
+        out += y[:, :, :top] * b
+        return self._value(self.basis, False, chunk.reduce(out), chunk)
 
     def mul(self, other: "PSeriesMatrix", order: int) -> "PSeriesMatrix":
-        """Truncated product to the stated order: per output coefficient,
-        a sum of object-array matmuls of the packed numerators, skipping
-        the zero coefficients past a terminating factor's stored order;
-        the denominator is the product of the factors'."""
-        a, b = self._outline, other._outline
-        term = a.mul(b, order)
-        width, stride = self._shared_layout(other, term.shape)
-        top_a, top_b = a.top(order), b.top(order)
+        """Truncated product to the stated order, skipping the zero
+        coefficients past a terminating factor's stored order: output
+        coefficient k is one float64 matmul of the factors' levels side
+        by side, [x_lo .. x_hi] times [y_(k-lo); ..; y_(k-hi)], and the
+        product is reduced once."""
+        x, y, chunk = self._with(other)
+        top_a = min(self.order, order) if self.terminates else order
+        top_b = min(other.order, order) if other.terminates else order
         try:
-            fa, fb = self._at(top_a), other._at(top_b)
+            fa, fb = self._levels(x, top_a), other._levels(y, top_b)
         except IndexError:
             raise IndexError(
                 f"product order {order} exceeds factor truncations"
             ) from None
-        levels = []
-        for k in range(order + 1):
-            prods = [fa[m] @ fb[k - m]
-                     for m in range(max(0, k - top_b), min(k, top_a) + 1)]
-            levels.append(sum(prods[1:], prods[0]) if prods else
-                          np.zeros((self.dim, self.dim), dtype=object))
-        return self._packed(self.basis, term.terminates, np.stack(levels),
-                            width, stride, term.shape)
+        rows, d = fa.shape[:2], self.dim
+        # fa's levels side by side along the columns, fb's reversed down
+        # the rows: y_(k-lo) sits at block row top_b - k + lo
+        xs = fa.transpose(0, 1, 3, 2, 4).reshape(rows + (d, (top_a + 1) * d))
+        ys = fb[:, :, ::-1].reshape(rows + ((top_b + 1) * d, d))
+        out = np.zeros(rows + (order + 1, d, d))
+        for k in range(min(order, top_a + top_b) + 1):
+            lo, hi = max(0, k - top_b), min(k, top_a)
+            cmatmul(xs[..., lo * d:(hi + 1) * d],
+                    ys[..., (top_b - k + lo) * d:(top_b - k + hi + 1) * d, :],
+                    out=out[:, :, k])
+        return self._value(self.basis, self.terminates and other.terminates,
+                           chunk.reduce(out), chunk)
 
-    def residual(self, other: "PSeriesMatrix", order: int) -> float:
-        """Largest coefficient magnitude of the difference to the stated
-        order, exact.  Both numerators, rescaled to one denominator, are
-        packed at one width that holds each of them, so they are equal
-        exactly when their packed values are; otherwise the magnitude is
-        read from their balanced digits."""
-        shape = _common((self.shape, other.shape))
-        width, stride = self._shared_layout(other, shape)
-        return defect(self._at(order) * (shape.den // self.shape.den),
-                      other._at(order) * (shape.den // other.shape.den),
-                      width, shape.outer * stride, shape.den)
+    def residual(self, other: "PSeriesMatrix", order: int) -> "PSeriesMatrix":
+        """The difference of the two series to the stated order, whose
+        residues `evaluate` reads back as the exact defect."""
+        x, y, chunk = self._with(other)
+        out = self._levels(x, order) - other._levels(y, order)
+        return self._value(self.basis, False, chunk.reduce(out), chunk)
 
 
 # ---------------------------------------------------------------------------
 # Expressions
 # ---------------------------------------------------------------------------
 
-# `Shift` and `Lead` are the terms `evaluate` keys its packed series by: as
-# dataclasses, two of them are equal only if their classes are, where
+# `Shift` and `Lead` are the terms `evaluate` keys its series' residues by:
+# as dataclasses, two of them are equal only if their classes are, where
 # NamedTuples of equal fields would be
 @dataclass(frozen=True)
 class Shift:
@@ -424,8 +641,8 @@ class Shift:
     c = u/w and D the outer degree, w^D p(v + c) has the integer
     coefficients sum_i C(i, k) u^(i-k) w^(D-i+k) p_i, a fixed matrix on
     the coefficient axis (`polyring.shift_matrix`); w^D joins the
-    denominator.  The shift by 0 is
-    the series itself."""
+    denominator.  Its residues are the series' slots evaluated at the
+    shifted points.  The shift by 0 is the series itself."""
 
     x: PSeriesMatrix
     c: object
@@ -438,20 +655,8 @@ class Shift:
         growth = max(sum(map(abs, row))
                      for row in shift_matrix(self.c, shape.outer))
         return shape._replace(
-            den=shape.den * Fraction(self.c).denominator ** (shape.outer - 1),
+            den=shape.den * self.c.denominator ** (shape.outer - 1),
             bound=shape.bound * growth)
-
-    def apply(self, rows: list) -> list:
-        """The slot rows of the shift from those of the series (see
-        `PSeriesMatrix._hold`)."""
-        if self.c == 0:
-            return rows
-        out = []
-        for row in shift_matrix(self.c, self.x.shape.outer):
-            terms = [[d if m == 1 else m * d for d in rows[i]]
-                     for i, m in enumerate(row) if m]
-            out.append([sum(col[1:], col[0]) for col in zip(*terms)])
-        return out
 
 
 @dataclass(frozen=True)
@@ -465,11 +670,6 @@ class Lead:
     @property
     def shape(self) -> _Shape:
         return self.x.shape._replace(outer=self.x.shape.inner, inner=1)
-
-    def apply(self, rows: list) -> list:
-        if self.s < len(rows):
-            return [[d] for d in rows[self.s]]
-        return [[np.zeros_like(rows[0][0])]]
 
 
 class Identity(NamedTuple):
@@ -508,22 +708,83 @@ class Residual(NamedTuple):
     y: object
 
 
+def _slot_residues(x: PSeriesMatrix, chunk: _Chunk, primes: tuple) -> np.ndarray:
+    """[prime, slot, k*row*col]: the int slots of x modulo each of the
+    chunk's primes: reduced as float64 when they are exact in it, else
+    in 0..p-1 from int remainders."""
+    flat = x._slots.reshape(x.shape.outer * x.shape.inner, -1)
+    if x.shape.bound >> 52:
+        return np.array([flat % p for p in primes], dtype=float)
+    flat = flat.astype(float)
+    q = flat * chunk.pinv[:, :, None]
+    np.rint(q, out=q)
+    q *= chunk.p[:, :, None]
+    return flat - q
+
+
+def _weight_residues(weights: tuple, primes: tuple, grid: tuple) -> np.ndarray:
+    """[weight, prime, grid point, 1, 1, 1]: the scalar polynomials of
+    `_weights` at the grid points modulo each prime."""
+    dw, rows, _ = weights
+    values = []
+    for x in range(grid[0]):
+        for y in range(grid[1]):
+            for row in rows:
+                v = 0
+                for r in reversed(row):
+                    inner = 0
+                    for c in reversed(r):
+                        inner = inner * y + c
+                    v = v * x + inner
+                values.append(v)
+    res = _symmetric([[v * inv for v in values] for inv in
+                      (pow(dw, -1, p) for p in primes)], primes)
+    return res.reshape(len(primes), -1, 2, 1, 1, 1).transpose(2, 0, 1, 3, 4, 5)
+
+
+def _read(values: list, outline: _Outline, primes: tuple, grid: tuple,
+          residual: bool):
+    """The result of a relation from its values on the chunks: the float
+    of a `Residual`, 0.0 when every residue is zero, or the series.  The
+    numerators over the outline's denominator are interpolated modulo
+    each prime and read back in the symmetric range."""
+    if residual and not any(v._res.any() for v in values):
+        return 0.0
+    first = values[0]
+    full = np.zeros((len(primes), grid[0] * grid[1]) + first._res.shape[2:])
+    for v in values:
+        full[v._chunk.primes, v._chunk.points] = v._res
+    whole = _chunk(primes)
+    inv = whole.reduce(_interpolation(primes, grid) * _symmetric(
+        [[outline.shape.den] for p in primes], primes)[:, :, None])
+    coeffs = whole.reduce(cmatmul(inv, full.reshape(inv.shape[:2] + (-1,))))
+    if residual:
+        worst = np.abs(_crt(coeffs[:, coeffs.any(axis=0)], primes)).max()
+        return exact_residual((Fraction(int(worst), outline.shape.den),))
+    slots = _crt(coeffs, primes).reshape(grid + first._res.shape[2:])
+    return _series(first.basis, first.terminates, slots, outline.shape.den)
+
+
 def evaluate(exprs, order: int) -> list:
     """The value of each expression: a series, or the float of a
     `Residual`.  A bare series stands for its shift by 0.
 
-    The expressions run twice: first on the outlines of their terms (the
+    The expressions run first on the outlines of their terms (the
     `Shift`s and `Lead`s of input series, and the `Identity`s), which
-    gives the shape of every term and result, then on the terms packed
-    at the least layout that holds all those shapes.  Each term is packed
-    once from its series' coefficient slots, so no operation repacks and
-    no input series is decoded; a series-valued result is decoded once,
-    as `from_packed` decodes a trace."""
-    sources = {}
+    gives every result's denominator, bound and degrees and so the
+    primes and the grid points (see the module docstring), then on
+    residues, in chunks of (prime, point) rows whose values hold at most
+    `dynamical._BATCH_ITEMS` coefficient items (at least one row).  Each
+    input series' slots are reduced
+    modulo the primes once, and all its terms come from one product with
+    their stacked power matrices; a result is read back once, from all
+    its chunks."""
+    sources, weights = {}, {}
 
     def run(e, value, seen: list):
-        # the value of e, with value(t) that of each term t; appends every
-        # value it computes to `seen`
+        # the value of e, with value(t) that of each term t and value(w)
+        # the weights of each `Weighted` w; appends every value it
+        # computes to `seen`
         match e:
             case PSeriesMatrix():
                 return run(Shift(e, 0), value, seen)
@@ -531,8 +792,8 @@ def evaluate(exprs, order: int) -> list:
                 v = run(x, value, seen).times_p()
             case Product(x, y):
                 v = run(x, value, seen).mul(run(y, value, seen), order)
-            case Weighted(x, y, a, b):
-                v = run(x, value, seen).weighted(run(y, value, seen), a, b)
+            case Weighted(x, y):
+                v = run(x, value, seen).weighted(run(y, value, seen), *value(e))
             case Residual(x, y):
                 v = run(x, value, seen).residual(run(y, value, seen), order)
             case _:
@@ -540,36 +801,65 @@ def evaluate(exprs, order: int) -> list:
         seen.append(v)
         return v
 
-    def outline(e) -> _Outline:
+    def outline(e):
+        if isinstance(e, Weighted):
+            weights[id(e)] = _weights((e.a, e.b))
+            return weights[id(e)],
         if isinstance(e, Identity):
-            return _Outline(_ONE, order, False, len(e.basis))
-        sources.setdefault(e.x, {})[e] = None
-        return _Outline(e.shape, e.x.order, e.x.terminates, e.x.dim)
+            return _Outline(_ONE, order, False, len(e.basis), 1, 1)
+        x = e.x
+        sources.setdefault(x, {})[e] = None
+        w = e.c.denominator if isinstance(e, Shift) else 1
+        # a power matrix row (reduced) times slots in 0..p-1
+        return _Outline(e.shape, x.order, x.terminates, x.dim,
+                        2 * x.shape.outer * x.shape.inner,
+                        math.lcm(x.shape.den, w))
 
     seen = []
-    for e in exprs:
-        run(e, outline, seen)
-    width = slot_width(max(t.shape.bound for t in seen))
-    stride = max(t.shape.inner for t in seen)
-    terms = {}
-    for x, source_terms in sources.items():
-        rows = x._rows
-        for e in source_terms:
-            terms[e] = PSeriesMatrix._packed(
-                x.basis, x.terminates, pack_slots(e.apply(rows), width, stride),
-                width, stride, e.shape)
+    results = [run(e, outline, seen) for e in exprs]
+    grid = _grid(results)
+    points = grid[0] * grid[1]
+    primes = _primes(max(points, *(o.sums for o in results)),
+                     max(o.shape.bound for o in results),
+                     math.lcm(*(o.units for o in results)))
+    levels = max(o.order for o in seen) + 1
+    chunks = _chunks(primes, points, max(1, _BATCH_ITEMS // (
+        levels * results[0].dim ** 2)))
+    whole = _chunk(primes)
+    powers = {}
+    for x, terms in sources.items():
+        blocks, starts = _blocks(terms, grid[0])
+        # the residues are values: numerators times the inverse of x's den
+        inv = _symmetric([[pow(x.shape.den, -1, p)] for p in primes], primes)
+        mats = _powers(primes, grid[1], x.shape.outer, x.shape.inner, blocks)
+        powers[x] = whole.reduce(mats * inv[:, :, None]), blocks, starts
+    scalars, slots, values = {}, {}, [[] for _ in exprs]
+    for chunk in chunks:
+        part = primes[chunk.primes]
+        terms = {}
+        for x, (mats, blocks, starts) in powers.items():
+            if slots.get(x, (None,))[0] != part:
+                slots[x] = part, _slot_residues(x, chunk, part)
+            rows, firsts = _block_rows(blocks, grid, *chunk.points.indices(points)[:2])
+            res = chunk.reduce(cmatmul(mats[chunk.primes][:, rows], slots[x][1]))
+            for t, (b, off) in zip(sources[x], starts):
+                first = firsts[b] + off * grid[1]
+                terms[t] = PSeriesMatrix._value(
+                    x.basis, x.terminates, res[:, first:first + chunk.size[1]].reshape(
+                        chunk.size + (x.order + 1, x.dim, x.dim)), chunk)
 
-    def packed_term(e) -> PSeriesMatrix:
-        if isinstance(e, Identity):
-            eye = np.array([np.eye(len(e.basis), dtype=object)] * (order + 1))
-            return PSeriesMatrix._packed(e.basis, False, eye, width, stride,
-                                         _ONE)
-        return terms[e]
+        def value(e):
+            if isinstance(e, Weighted):
+                if id(e) not in scalars:
+                    scalars[id(e)] = _weight_residues(weights[id(e)], primes, grid)
+                return (w[chunk.primes, chunk.points] for w in scalars[id(e)])
+            if isinstance(e, Identity):
+                return PSeriesMatrix._value(e.basis, False, np.broadcast_to(
+                    np.eye(len(e.basis)),
+                    chunk.size + (order + 1,) + (len(e.basis),) * 2), chunk)
+            return terms[e]
 
-    def decoded(v):
-        if isinstance(v, PSeriesMatrix):
-            return from_packed(v.basis, v.terminates, v._num, v._width,
-                               v._stride, v.shape.outer, v.shape.den)
-        return v
-
-    return [decoded(run(e, packed_term, [])) for e in exprs]
+        for out, e in zip(values, exprs):
+            out.append(run(e, value, []))
+    return [_read(v, o, primes, grid, isinstance(e, Residual))
+            for v, o, e in zip(values, results, exprs)]

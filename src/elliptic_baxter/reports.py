@@ -10,7 +10,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -58,11 +58,13 @@ class CheckResult:
                            else math.isfinite(self.residual) and self.residual < self.tol)
 
     def record(self) -> dict:
-        d = asdict(self)
-        d["params"] = jsonable(self.params)
-        d["residual"] = jsonable(float(self.residual))
-        d["tol"] = jsonable(float(self.tol))
-        return d
+        """The fields in declaration order, params, residual and tol
+        mapped to JSON-stable primitives."""
+        return {"suite": self.suite, "name": self.name,
+                "params": jsonable(self.params),
+                "residual": jsonable(float(self.residual)),
+                "tol": jsonable(float(self.tol)),
+                "exact": self.exact, "passed": self.passed}
 
 
 def _sort_key(rec: dict):

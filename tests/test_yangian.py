@@ -898,26 +898,19 @@ class TestPackedSeries:
             assert block.tables == oracle_block(ref, s)
 
     def test_narrow_width_is_detected(self, monkeypatch):
-        # one bit less than each attained bound: the largest coefficient
-        # wraps, so `test_attained_bounds` sees a width that is too narrow
-        x, order = self.tight(2**40 - 1)
-        a = Poly((2**20 - 1,) * 3)
-        refs = [(Product(x, x), fraction_mul(x, x, order)),
-                (Weighted(x, x, a, a),
-                 entrywise_combine(x, x, lambda u, v: u * a + v * a)),
-                (Shift(x, 1), fraction_shift(x, 1))]
+        # one bit less than the trace's attained bound: the largest
+        # coefficient wraps, so `test_attained_bounds` sees a width that
+        # is too narrow
         X = self.diagonal_module(2**40 - 1)
         trace = per_pair_transfer(X, SITES, 0)
         monkeypatch.setattr(packed, "slot_width", lambda bound: bound.bit_length())
-        for expr, ref in refs:
-            assert value(expr, order).tables != ref.tables
         got = yangian_transfer(X, SITES, 0)
         assert [block.tables for block in got] != \
             [oracle_block(trace, s) for s in range(len(got))]
 
     def tight_relation(self):
         # the TQ shape on `tight` inputs: the product attains its bound,
-        # the largest of the relation's, which sets the one layout
+        # the largest of the relation's, which sets the primes
         x, order = self.tight(2**40 - 1)
         a = Poly((2**20 - 1,) * 3)
         down = fraction_shift(x, -1)
@@ -934,24 +927,68 @@ class TestPackedSeries:
         relation, ref = self.tight_relation()
         assert relation() == ref > 0
 
-    def test_narrow_relation_layout_is_detected(self, monkeypatch):
-        relation, ref = self.tight_relation()
-        monkeypatch.setattr(packed, "slot_width", lambda bound: bound.bit_length())
-        assert relation() != ref
+    def attained(self):
+        # (expression, reference) pairs of series and residuals whose
+        # bounds and degrees are attained: every coefficient of x is
+        # 2^40 - 1, and the difference of x and -x is 2x
+        x, order = self.tight(2**40 - 1)
+        a = Poly((2**20 - 1,) * 3)
+        neg = map_entries(x, lambda p: -p)
+        return order, {
+            "mul": (Product(x, x), fraction_mul(x, x, order)),
+            "weighted": (Weighted(x, x, a, a),
+                         entrywise_combine(x, x, lambda u, v: u * a + v * a)),
+            "residual": (Residual(x, neg), fraction_residual(x, neg, order)),
+        }
 
-    # each operation computes at its operands' shared layout; packed alone
-    # (here at their tight layouts), these operands do not share one, or
-    # share one too narrow for the result
+    def read(self, expr, order):
+        got = value(expr, order)
+        return got if isinstance(expr, Residual) else got.tables
+
+    def test_one_prime_fewer_is_detected(self, monkeypatch):
+        # the primes' product exceeds twice each attained bound by less
+        # than their last prime: without it the largest coefficients
+        # wrap in the symmetric range
+        relation, ref = self.tight_relation()
+        order, cases = self.attained()
+        primes = packed._primes
+        monkeypatch.setattr(packed, "_primes",
+                            lambda *args: primes(*args)[:-1])
+        assert relation() != ref
+        for expr, want in cases.values():
+            assert self.read(expr, order) != getattr(want, "tables", want)
+
+    @pytest.mark.parametrize("op", ["mul", "weighted", "residual"])
+    def test_one_point_fewer_is_detected(self, monkeypatch, op):
+        # D points for a result of outer degree D: the product and the
+        # weighted sum read back wrong, and a difference m v (v - 1) that
+        # vanishes at the points 0 and 1 reads as a false zero
+        order, cases = self.attained()
+        expr, want = cases[op]
+        m = 2**40 - 1
+        x = PSeriesMatrix(self.ONE, [[[Poly((0, -m, m))]]])
+        zero = PSeriesMatrix(self.ONE, [[[Poly()]]])
+        assert value(Residual(x, zero), 0) == m
+        grid = packed._grid
+        monkeypatch.setattr(packed, "_grid",
+                            lambda results: (grid(results)[0] - 1, grid(results)[1]))
+        assert self.read(expr, order) != getattr(want, "tables", want)
+        assert value(Residual(x, zero), 0) == 0.0
+
     ONE = ((1,),)
 
-    def tight_term(self, tables):
-        # the series of `tables` packed as `evaluate` packs a term, at the
-        # least width that holds it and its inner slot count as the stride
-        x = PSeriesMatrix(self.ONE, tables)
-        width, stride = packed.slot_width(x.shape.bound), x.shape.inner
-        return PSeriesMatrix._packed(
-            x.basis, x.terminates, packed.pack_slots(x._rows, width, stride),
-            width, stride, x.shape)
+    def values_of(self, monkeypatch, exprs, order):
+        # the operands each residual of `evaluate` saw
+        seen, residual = [], PSeriesMatrix.residual
+
+        def spy(x, y, order):
+            seen.append((x, y))
+            return residual(x, y, order)
+
+        monkeypatch.setattr(PSeriesMatrix, "residual", spy)
+        evaluate(exprs, order)
+        monkeypatch.setattr(PSeriesMatrix, "residual", residual)
+        return seen
 
     REFUSED = {
         "mul": lambda x, y: x.mul(y, 0),
@@ -960,33 +997,59 @@ class TestPackedSeries:
     }
 
     @pytest.mark.parametrize("op", REFUSED)
-    def test_different_layouts_are_refused(self, op):
-        x = self.tight_term([[[Poly((1,))]]])
-        y = self.tight_term([[[Poly((2**40,))]]])
-        assert (x._width, x._stride) != (y._width, y._stride)
-        with pytest.raises(ValueError, match="different layouts"):
+    def test_different_layouts_are_refused(self, monkeypatch, op):
+        # values of two evaluations, held at different primes: an
+        # operation takes its operands at one evaluation's primes and
+        # points
+        small = PSeriesMatrix(self.ONE, [[[Poly((1,))]]])
+        large = PSeriesMatrix(self.ONE, [[[Poly((2**40,))]]])
+        (x, _), = self.values_of(monkeypatch, [Residual(small, small)], 0)
+        (y, _), = self.values_of(monkeypatch, [Residual(large, large)], 0)
+        assert len(x._chunk.p) != len(y._chunk.p)
+        with pytest.raises(ValueError, match="different primes or points"):
             self.REFUSED[op](x, y)
 
     @pytest.mark.parametrize("op", [*REFUSED, "times_p"])
-    def test_operation_outside_evaluate_is_refused(self, op):
-        # a series outside `evaluate` holds its slots and no packed ints
+    def test_operation_outside_evaluate_is_refused(self, monkeypatch, op):
+        # a series outside `evaluate` holds its slots and no residues
         x = PSeriesMatrix(self.ONE, [[[Poly((1,))]]])
-        term = self.tight_term([[[Poly((1,))]]])
+        (term, _), = self.values_of(monkeypatch, [Residual(x, x)], 0)
         run = self.REFUSED.get(op, lambda x, y: x.times_p())
         for a, b in [(x, x)] if op == "times_p" else [(x, x), (x, term), (term, x)]:
             with pytest.raises(ValueError, match="packed.evaluate"):
                 run(a, b)
 
-    @pytest.mark.parametrize("op", REFUSED)
-    def test_narrow_shared_layout_is_refused(self, op):
-        # the numerator 3 (3 bits per slot) over 2 and over 5: the
-        # product's bound 9, the sum's 21 and the residual's 15 (both
-        # rescaled to the denominator 10) each need more bits
-        x = self.tight_term([[[Poly((F(3, 2),))]]])
-        y = self.tight_term([[[Poly((F(3, 5),))]]])
-        assert (x._width, x._stride) == (y._width, y._stride)
-        with pytest.raises(ValueError, match="cannot hold"):
-            self.REFUSED[op](x, y)
+    def test_prime_dividing_a_denominator_is_skipped(self, monkeypatch):
+        # P, the first prime of these evaluations, divides in turn the
+        # series' denominator, a shift's w and the weights' denominator;
+        # the residues would invert it, so it is skipped
+        P = packed._prime_below((1 << 25) - 2)
+        assert packed._primes(4, 1, 1) == (P,)
+        assert P not in packed._primes(4, 1, 3 * P)
+        x = PSeriesMatrix(self.ONE, [[[Poly((1, 1))]]])
+        y = PSeriesMatrix(self.ONE, [[[Poly((F(1, P), 1))]]])
+        zero = PSeriesMatrix(self.ONE, [[[Poly()]]])
+        a = Poly((F(2, P), 1))
+        cases = [(Residual(y, zero), 1.0),
+                 (Residual(Shift(x, F(1, P)), zero), float(1 + F(1, P))),
+                 (Shift(x, F(1, P)), fraction_shift(x, F(1, P))),
+                 (Weighted(x, x, a, F(-1, P)),
+                  entrywise_combine(x, x, lambda u, v: u * a - v * F(1, P)))]
+        chosen, primes = [], packed._primes
+
+        def spy(sums, bound, units):
+            chosen.append((primes(sums, bound, 1), primes(sums, bound, units)))
+            return chosen[-1][1]
+
+        monkeypatch.setattr(packed, "_primes", spy)
+        for expr, ref in cases:
+            got = value(expr, 0)
+            if isinstance(expr, Residual):
+                assert got == ref
+            else:
+                assert_same_series(got, ref)
+        assert len(chosen) == len(cases)
+        assert all(free[0] == P not in used for free, used in chosen)
 
 
 def nested_then_bound_q(sites, order):
@@ -996,6 +1059,83 @@ def nested_then_bound_q(sites, order):
     W = build_module("ladder", spin=SPIN_VARIABLE, levels=order + len(sites))
     return [map_entries(t, lambda p: as_poly(p(0)))
             for t in yangian_transfer(W, sites, order)]
+
+
+class TestRandomExpressions:
+    """Differential test of `evaluate` on random expressions over random
+    series (one or two variables, terminating or not): every series
+    value equals its Fraction oracle, and every residual float equals
+    `fraction_residual`, whether the difference is zero or not."""
+
+    COUNT = 200
+
+    def scalar(self, rng):
+        return F(rng.randint(-9, 9), rng.randint(1, 6))
+
+    def entry(self, rng, inner):
+        # a polynomial in the outer variable whose coefficients are
+        # scalars, or polynomials in the inner variable
+        coeff = ((lambda: Poly(self.scalar(rng) for _ in range(rng.randint(1, 2))))
+                 if inner else (lambda: self.scalar(rng)))
+        return Poly(coeff() for _ in range(rng.randint(0, 3)))
+
+    def series(self, rng, dim, order):
+        inner = rng.random() < 0.25
+        terminates = rng.random() < 0.25
+        levels = rng.randint(1, order + 1) if terminates else order + 1
+        return PSeriesMatrix(tuple(range(dim)), [
+            [[self.entry(rng, inner) for _ in range(dim)] for _ in range(dim)]
+            for _ in range(levels)], terminates)
+
+    def weight(self, rng):
+        return rng.choice([0, 1, self.scalar(rng),
+                           Poly(self.scalar(rng) for _ in range(rng.randint(1, 3)))])
+
+    def expression(self, rng, leaves, depth, order):
+        """(expression, oracle series) of a random expression."""
+        x = rng.choice(leaves)
+        kind = rng.choice(["leaf", "shift", "lead"] if depth == 0 else
+                          ["leaf", "shift", "lead", "times_p", "product",
+                           "weighted", "weighted"])
+        if kind == "leaf":
+            return x, x
+        if kind == "shift":
+            c = rng.choice([1, -1, F(rng.randint(-7, 7), rng.randint(2, 5))])
+            return Shift(x, c), fraction_shift(x, c)
+        if kind == "lead":
+            s = rng.randint(0, 3)
+            return Lead(x, s), map_entries(x, lambda p: as_poly(p.coefficient(s)))
+        e, ref = self.expression(rng, leaves, depth - 1, order)
+        if kind == "times_p":
+            return TimesP(e), fraction_times_p(ref)
+        f, other = self.expression(rng, leaves, depth - 1, order)
+        if kind == "product" and all(r.order >= order or r.terminates
+                                     for r in (ref, other)):
+            return Product(e, f), fraction_mul(ref, other, order)
+        a, b = self.weight(rng), self.weight(rng)
+        return Weighted(e, f, a, b), entrywise_combine(
+            ref, other, lambda u, v: u * a + v * b)
+
+    # `evaluate`'s chunks: one per evaluation, or down to single (prime,
+    # point) rows when a row may hold only one coefficient item
+    @pytest.mark.parametrize("batch", [None, 1], ids=["whole", "rows"])
+    def test_against_fraction_oracles(self, monkeypatch, batch):
+        if batch:
+            monkeypatch.setattr(packed, "_BATCH_ITEMS", batch)
+        rng = random.Random(20261019)
+        zero = nonzero = 0
+        for _ in range(self.COUNT):
+            dim, order = rng.randint(1, 2), rng.randint(0, 2)
+            leaves = [self.series(rng, dim, order) for _ in range(3)]
+            expr, ref = self.expression(rng, leaves, rng.randint(0, 3), order)
+            got, = evaluate([expr], order)
+            assert_same_series(got, ref)
+            other = rng.choice([ref, *leaves])
+            if all(r.order >= order or r.terminates for r in (ref, other)):
+                want = fraction_residual(ref, other, order)
+                assert evaluate([Residual(expr, other)], order) == [want]
+                zero, nonzero = zero + (want == 0), nonzero + (want != 0)
+        assert zero > 20 and nonzero > 20
 
 
 class TestExactResidual:
@@ -1233,37 +1373,33 @@ class TestFunctionalRelations:
 
 class TestRelationLayout:
     """Each trace series is decoded once, when it is built; a relation
-    decodes none of the series it relates and packs its terms at one
-    layout, so its series operations repack nothing; each sector's
-    product still runs through `mul`."""
+    decodes none of the series it relates, reduces each input series'
+    slots modulo its primes once, outside its operations, and reads back
+    nothing inside them; each sector's product still runs through
+    `mul`."""
 
     SITES = ORACLE_SITES
     X = build_module("ladder", spin=F(5, 3), levels=7)
     Y = build_module("ladder", spin=F(-1, 2), shift=F(1, 5), levels=7)
 
     # (relation, decodes per sector: one per transfer series the relation
-    # builds, none for the series it relates)
-    @pytest.mark.parametrize("relation, decodes", [
-        (lambda q: tq_residual(ORACLE_SITES, 3, q=q), 1),
-        (lambda q: oscillator_comparison(ORACLE_SITES, 3, q=q), 1),
+    # builds, none for the series it relates; input series per sector)
+    @pytest.mark.parametrize("relation, decodes, inputs", [
+        (lambda q: tq_residual(ORACLE_SITES, 3, q=q), 1, 2),
+        (lambda q: oscillator_comparison(ORACLE_SITES, 3, q=q), 1, 2),
         (lambda q: product_residual(TestRelationLayout.X,
                                     TestRelationLayout.Y, ORACLE_SITES, 3),
-         3),
+         3, 3),
     ], ids=["tq", "oscillator", "product"])
-    def test_decode_count(self, monkeypatch, relation, decodes):
+    def test_decode_count(self, monkeypatch, relation, decodes, inputs):
         q = yangian_q(self.SITES, 3)
         calls, inside, ran = [], [], []
-        digits, pack = packed.digits, packed.pack
 
-        def spy_digits(v, width, count):
-            calls.append(("digits", bool(inside)))
-            return digits(v, width, count)
-
-        def spy_pack(values, width):
-            # packs of series coefficients, not of scalars or offsets
-            if any(isinstance(d, np.ndarray) for d in values):
-                calls.append(("pack", bool(inside)))
-            return pack(values, width)
+        def spy(name, f):
+            def run(*args, **kwargs):
+                calls.append((name, bool(inside)))
+                return f(*args, **kwargs)
+            monkeypatch.setattr(packed, name, run)
 
         def traced(op):
             def run(*args, **kwargs):
@@ -1275,23 +1411,26 @@ class TestRelationLayout:
                     inside.pop()
             return run
 
-        monkeypatch.setattr(packed, "digits", spy_digits)
-        monkeypatch.setattr(packed, "pack", spy_pack)
-        for name in ("mul", "weighted", "residual"):
+        for name in ("digits", "pack", "_slot_residues", "_crt", "_read"):
+            spy(name, getattr(packed, name))
+        for name in ("mul", "weighted", "residual", "times_p"):
             monkeypatch.setattr(PSeriesMatrix, name,
                                 traced(getattr(PSeriesMatrix, name)))
         assert relation(q) == 0.0
         sectors = len(self.SITES) + 1
         assert calls.count(("digits", False)) == decodes * sectors
+        assert calls.count(("_slot_residues", False)) == inputs * sectors
         assert ran.count("mul") == sectors
-        assert ("digits", True) not in calls
-        assert ("pack", True) not in calls
+        # a zero residual is read from its residues alone
+        assert ("_crt", False) not in calls
+        assert not [name for name, op in calls if op]
 
 
 class TestStoredForm:
     """Outside `evaluate` a series holds its coefficient slots and no
-    packed ints, whether built by the constructor, decoded from a trace
-    (`from_packed`) or returned by a series-valued `evaluate`."""
+    residues, whether built by the constructor, decoded from a trace
+    (`from_packed`) or returned by a series-valued `evaluate`; slots that
+    fit int64 are held as int64, and read as Python ints."""
 
     def test_every_series_holds_slots_only(self):
         sites, order = ORACLE_SITES[:3], 2
@@ -1304,8 +1443,16 @@ class TestStoredForm:
                                order)
         for x in series:
             stored = set(vars(x))
-            assert "_rows" in stored
-            assert not stored & {"_num", "_width", "_stride"}
+            assert "_slots" in stored
+            assert not stored & {"_res", "_chunk"}
+            assert x._slots.dtype == np.int64
+            assert all(type(v) is int for v in x.slots().flat)
+
+    def test_large_slots_stay_python_ints(self):
+        x = PSeriesMatrix(((1,),), [[[Poly((2**63, -1))]]])
+        assert x._slots.dtype == object
+        assert x.slots().tolist() == [[[[[2**63]]]], [[[[-1]]]]]
+        assert value(Residual(x, x), 0) == 0.0
 
     def test_negative_coefficient_is_zero(self):
         qs = yangian_q((2, 3), 2)[1]

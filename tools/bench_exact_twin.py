@@ -18,7 +18,10 @@ reads a plan an earlier run built; Q's SHA-256 shows the checkouts agree.
 Times are the best of ``benchturns.BEST_OF`` runs in the interpreter.
 The checkouts take turns within every repeat, so a busy host slows them
 alike; the medians over the repeats are reported, each beside its
-quartiles.
+quartiles.  The 10-site, order-2 ``yangian-tq`` CLI job on the first ten
+sites takes seconds: it takes turns ``SINGLE_REPEATS`` times as one run
+per fresh interpreter (``single``, with the same medians and quartiles,
+its peak RSS and ``py_peak_mb``).
 
     python3 tools/bench_exact_twin.py --src change=src --src parent=../old/src \\
         --out BENCH_exact_twin.json
@@ -42,6 +45,9 @@ COLD_ELLIPTIC_SITES = ("0.41+0.12j", "0.27-0.23j", "0.54+0.13j", "0.16-0.11j",
 COLD_LENGTHS = (8, 10)
 INTERCHANGE_DEPTHS = (6, 10)
 CLI_JOBS = (("yangian-tq", 8, 3), ("yangian-all", 4, 3))
+# (suite, L, order) of seconds per run: run once per repeat, not best of 3.
+SINGLE = (("yangian-tq", 10, 2),)
+SINGLE_REPEATS = 6
 # Medians of nine repeats: on a shared 2-core host, jobs under 0.1 s read
 # 0.86-1.14x between identical code with three, and jobs of 2-8 ms still
 # 0.93-1.05x with nine.
@@ -146,6 +152,10 @@ def main(argv=None) -> int:
              for n in COLD_LENGTHS]
     runs = benchturns.take_turns(checkouts, jobs, REPEATS)
     exact = ("residual", "mismatches", "exit_code", "report_sha256", "q_sha256")
+    singles = [(f"cli-{suite}-{n}site-o{o}", benchturns.CLI_JOB,
+                (suite, "--sites=" + ",".join(COLD_SITES[:n]), "--order", o))
+               for suite, n, o in SINGLE]
+    single = benchturns.take_turns(checkouts, singles, SINGLE_REPEATS, 1)
     record = {
         "host": benchturns.host(),
         "sites": list(SITES),
@@ -154,6 +164,10 @@ def main(argv=None) -> int:
         "median": {label: {name: benchturns.median(r, exact)
                            for name, r in by_job.items()}
                    for label, by_job in runs.items()},
+        "single_repeats": SINGLE_REPEATS,
+        "single": {label: {name: benchturns.median(r, exact)
+                           for name, r in by_job.items()}
+                   for label, by_job in single.items()},
     }
     benchturns.write(record, args.out)
     return 0
