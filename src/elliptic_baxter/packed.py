@@ -31,18 +31,18 @@ and a series-valued result, is interpolated modulo each prime and read
 back in the symmetric range.  Exactness rests on each bound being a true
 bound, which tests check on inputs that attain it.
 
-Kronecker packing remains for the trace and the exchange check: an entry
+Kronecker packing is the trace's encoding only (`pack_sites`): an entry
 stored as its value at X = 2^width, one Python int, so that sums and
 products of entries are sums and products of ints and read back as
 balanced digits, exact only while each coefficient has magnitude below
-2^(width-1) (`slot_width`).  A coefficient too large for its slot carries
-into the next one and reads back as other, valid digits, so the width
-comes from an a-priori bound.  `yangian._graded_trace` packs module
-entries at a width from the largest level dimension times the product
-over sites of the largest row sum of the entries' coefficient l1 norms,
-and decodes each sector once (`from_packed`); `yangian.rtt_residual`
-packs at 3 n rho mu (spin slots, largest row sum of largest coefficients,
-and largest coefficient of the entries) and compares with `defect`.
+2^(width-1).  A coefficient too large for its slot carries into the next
+one and reads back as other, valid digits, so the width comes from the
+caller's a-priori bound: `yangian._graded_trace` passes the largest level
+dimension times the product over sites of the largest row sum of the
+entries' coefficient l1 norms, and decodes each sector once.  Every
+relation, the exchange relation of `yangian.rtt_residual` included, is
+checked by `evaluate`; in the exchange check the symbolic spin rides on
+the series axis k.
 """
 
 from __future__ import annotations
@@ -164,34 +164,27 @@ def _weights(coeffs: tuple) -> tuple:
     return dw, rows.tolist(), tuple(shapes)
 
 
-def slot_width(bound: int) -> int:
+def _slot_width(bound: int) -> int:
     """Bits per coefficient slot that hold every integer of magnitude at
     most `bound` as a balanced digit."""
     return bound.bit_length() + 1
 
 
-def digits(v, width: int, count: int) -> list:
+def _digits(v, width: int, count: int) -> list:
     """The lowest `count` balanced digits base 2^width of an int, or of
     every int of an object array at once."""
     half, mask = 1 << (width - 1), (1 << width) - 1
     # offset every digit by half: the offset value's plain digits
-    u = v + pack([half] * count, width)
+    u = v + _pack([half] * count, width)
     return [((u >> (width * n)) & mask) - half for n in range(count)]
 
 
-def pack(values, width: int):
-    """Inverse of `digits`: the sum of values[n] * 2^(width*n)."""
+def _pack(values, width: int):
+    """Inverse of `_digits`: the sum of values[n] * 2^(width*n)."""
     v = 0
     for d in reversed(values):
         v = (v << width) + d
     return v
-
-
-def pack_slots(rows, width: int, stride: int):
-    """The packed value of the coefficient slots rows[i][j] of outer slot
-    i and inner slot j < stride: ints, or int arrays packed entrywise."""
-    return pack([d for row in rows for d in [*row] + [0] * (stride - len(row))],
-                width)
 
 
 def cleared(values) -> tuple:
@@ -216,18 +209,6 @@ def cleared(values) -> tuple:
     return den, np.array(flat, dtype=object).reshape(len(rows), outer, inner)
 
 
-def defect(x, y, width: int, count: int, den: int) -> float:
-    """The exact defect of the object arrays of packed ints x against y:
-    0.0 where they are equal, else the largest magnitude of the
-    difference of their lowest `count` balanced digits base 2^width, over
-    `den` (`exact_residual`)."""
-    if (x == y).all():
-        return 0.0
-    worst = max(np.abs(dx - dy).max() for dx, dy in
-                zip(digits(x, width, count), digits(y, width, count)))
-    return exact_residual((Fraction(worst, den),))
-
-
 def _tight(slots, den: int) -> tuple:
     """(slots, shape) of the numerators over `den` with the int
     coefficient slots [outer slot, inner slot, k, row, col], an int64
@@ -242,21 +223,39 @@ def _tight(slots, den: int) -> tuple:
     return slots, _Shape(den, bound, int(outer), int(inner))
 
 
-def _series(basis: tuple, terminates: bool, slots, den: int) -> "PSeriesMatrix":
+def from_slots(basis: tuple, terminates: bool, slots, den: int) -> "PSeriesMatrix":
+    """The series of the int coefficient slots [outer slot, inner slot, k,
+    row, col], an int64 array or Python ints, of its numerators over
+    `den`."""
     series = PSeriesMatrix.__new__(PSeriesMatrix)
     series._hold(basis, terminates, *_tight(slots, den))
     return series
 
 
-def from_packed(basis: tuple, terminates: bool, num, width: int,
-                stride: int, outer: int, den: int) -> "PSeriesMatrix":
-    """The series whose numerators over `den` are num[k][row][col],
-    packed at `width` and `stride` with `outer` outer slots: decoded once
-    into its coefficient slots."""
-    slots = np.array(digits(num, width, outer * stride),
-                     dtype=np.int64 if width < 64 else object)
-    return _series(basis, terminates,
-                   slots.reshape((outer, stride) + slots.shape[1:]), den)
+def pack_sites(bound: int, sites) -> tuple:
+    """(values, decode) of a contraction of products of one entry per
+    site, from sites[site][cell, outer slot, inner slot], the entries'
+    int coefficients, and `bound`, the largest coefficient magnitude of a
+    sum of such products.  values[site][cell] is an entry packed at the
+    width of `bound`, with a stride and an outer slot count that hold the
+    degrees of a product; decode(basis, terminates, num, den) is the
+    series whose numerators over `den` are the sums num[k][row][col],
+    decoded once into its coefficient slots."""
+    width = _slot_width(bound)
+    stride = sum(site.shape[2] for site in sites) - len(sites) + 1
+    outer = sum(site.shape[1] for site in sites) - len(sites) + 1
+    # slot (i, j) of an entry at digit i * stride + j
+    values = np.stack([_pack([d for row in site.transpose(1, 2, 0)
+                              for d in [*row] + [0] * (stride - len(row))], width)
+                       for site in sites])
+
+    def decode(basis: tuple, terminates: bool, num, den: int) -> "PSeriesMatrix":
+        slots = np.array(_digits(num, width, outer * stride),
+                         dtype=np.int64 if width < 64 else object)
+        return from_slots(basis, terminates,
+                          slots.reshape((outer, stride) + slots.shape[1:]), den)
+
+    return values, decode
 
 
 def _zero_table(dim: int) -> list:
@@ -762,7 +761,7 @@ def _read(values: list, outline: _Outline, primes: tuple, grid: tuple,
         worst = np.abs(_crt(coeffs[:, coeffs.any(axis=0)], primes)).max()
         return exact_residual((Fraction(int(worst), outline.shape.den),))
     slots = _crt(coeffs, primes).reshape(grid + first._res.shape[2:])
-    return _series(first.basis, first.terminates, slots, outline.shape.den)
+    return from_slots(first.basis, first.terminates, slots, outline.shape.den)
 
 
 def evaluate(exprs, order: int) -> list:

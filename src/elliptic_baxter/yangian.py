@@ -2,12 +2,15 @@
 arithmetic: the degree-one solution R(z) = (z + P)/(z + 1) of the quantum
 Yang-Baxter equation (P the flip), held once, cleared, as `_RTT_R`, and
 certified by the exchange check of the spin-1 defining module (the
-`rtt-finite` record, `rtt_residual`); three families of weight-graded modules over the RTT algebra (finite
-spin chains, spin-parameter ladders, and the oscillator module), transfer
-matrices as truncated power series with polynomial entries, the Baxter
-operator obtained by promoting the ladder spin to a polynomial variable,
-its degree and triangularity structure, the TQ relation, the comparison
-against the oscillator transfer matrix, and rational q-characters."""
+`rtt-finite` record, `rtt_residual`); three families of weight-graded
+modules over the RTT algebra (finite spin chains, spin-parameter
+ladders, and the oscillator module), transfer matrices as truncated
+power series with polynomial entries, the Baxter operator obtained by
+promoting the ladder spin to a polynomial variable, its degree and
+triangularity structure, the TQ relation, the comparison against the
+oscillator transfer matrix, and rational q-characters.  The exchange,
+product, TQ and oscillator relations are each one `packed.evaluate`
+expression."""
 
 from __future__ import annotations
 
@@ -202,78 +205,49 @@ def rtt_residual(X: YangianModule) -> float:
     cleared of (z - w + 1)(z + 1)(w + 1), checked as a polynomial
     identity in z and w.
 
-    The sparse state walk runs on Kronecker-packed ints (see `packed`):
-    the module's entries are read cleared over one denominator d
-    (`YangianModule.entry_cells`), and each state value is a polynomial
-    in z, w and, for a symbolic-spin module, the spin variable
-    (innermost), stored as its value at 2^width.  The two sides of every
-    state are compared at once as packed ints and read back only if they
-    differ (`packed.defect`); both are quadratic in the entries, so the
-    defect is the worst digit over d^2.
-
-    The slot width holds both sides' coefficients.  With mu the largest
-    entry coefficient, rho the largest sum of the entries' largest
-    coefficients over one row of one entry operator, and n the spin
-    slots of an entry: a coefficient of p(z) q(w) is at most
-    n mu(p) mu(q), a sum over the middle labels of such products at most
-    n rho mu, and the l1 norms of R's entries sum to at most 3 along each
-    row and each column, so every coefficient of either side is at most
-    3 n rho mu."""
+    One `packed.evaluate` relation on the states (a, b, m), a and b the
+    indices of the two auxiliary slots and m a label: (T1)(a,c,m),(b,c,n)
+    = T_ab(z)_mn, T2 the same on the second slot in w, and R from
+    `_RTT_R`, with z the outer variable, w the inner one and the spin of
+    a symbolic-spin module on the series axis.  An entry has spin degree
+    below `inner`, the spin slots of `YangianModule.entry_cells`, so a
+    product to order 2 (inner - 1) truncates nothing.  The factor applied
+    first on each side has its truncation-unsafe columns zeroed; the
+    entries are cleared over one denominator d, so the sides are over
+    d^2."""
     labels, cells, d, coeffs = X.entry_cells
-    safe = [n for n, lab in enumerate(labels)
-            if X.exact or X.weight[lab] <= X.levels - 2]
-    if not safe:
+    n, (_, outer, inner) = len(labels), coeffs.shape
+    safe = np.array([X.exact or X.weight[lab] <= X.levels - 2 for lab in labels] * 4)
+    if not safe.any():
         raise ValueError("module too shallow for the exchange check")
-    _, outer, inner = coeffs.shape
-    mu = np.abs(coeffs).max(axis=(1, 2))
-    row_sums = np.zeros(4 * len(labels), dtype=object)
-    np.add.at(row_sums, cells[:, 0] * len(labels) + cells[:, 1], mu)
-    width = packed.slot_width(3 * inner * row_sums.max() * mu.max())
-    # slot strides: the spin variable (degree below 2 * inner - 1), then
-    # w and z (degree below outer in an entry, plus one from R)
-    ws = 2 * inner - 1
-    zs = ws * (outer + 1)
-    count = zs * (outer + 1)
-    # tables[slot][key, col]: (row, packed entry in z for slot 0, in w for
-    # slot 1) of each cell of T_ab in column col, key 2a + b - 3
-    tables = [{}, {}]
-    for slot, stride in ((0, zs), (1, ws)):
-        entries = packed.pack_slots(coeffs.transpose(1, 2, 0), width, stride)
-        for (k, r, c), p in zip(cells.tolist(), entries):
-            tables[slot].setdefault((k, c), []).append((r, p))
-    rc = {ab: {cd: sum(c << (width * (i * zs + j * ws)) for c, i, j in terms)
-               for cd, terms in col.items()}
-          for ab, col in _RTT_R.items()}
-
-    def apply_slot(state, slot):
-        # the first auxiliary slot carries z, the second w
-        out = {}
-        for (a, b, n), v in state.items():
-            for c in (1, 2):
-                for m, coeff in tables[slot].get(
-                        (2 * c + (b if slot else a) - 3, n), ()):
-                    key = (a, c, m) if slot else (c, b, m)
-                    out[key] = out.get(key, 0) + coeff * v
-        return out
-
-    def apply_r(state):
-        out = {}
-        for (a, b, n), v in state.items():
-            for (c, e), entry in rc[(a, b)].items():
-                key = (c, e, n)
-                out[key] = out.get(key, 0) + entry * v
-        return out
-
-    x, y = [], []
-    for v, a, b in iproduct(safe, (1, 2), (1, 2)):
-        start = {(a, b, v): 1}
-        lhs = apply_r(apply_slot(apply_slot(start, 1), 0))
-        rhs = apply_slot(apply_slot(apply_r(start), 0), 1)
-        keys = lhs.keys() | rhs.keys()
-        x += [lhs.get(key, 0) for key in keys]
-        y += [rhs.get(key, 0) for key in keys]
-    return packed.defect(np.array(x, dtype=object), np.array(y, dtype=object),
-                         width, count, d * d)
+    dtype = object if np.abs(coeffs).max(initial=0) >> 63 else np.int64
+    # the entry operators [z power, spin power, a, m, b, n] of T_ab
+    ops = np.zeros((4, n, n, outer, inner), dtype)
+    np.add.at(ops, tuple(cells.T), coeffs)
+    ops = ops.reshape(2, 2, n, n, outer, inner).transpose(4, 5, 0, 2, 1, 3)
+    # slots [z power, w power, k, (a, b, m), (c, e, n)] of T1, T2 and R
+    t1 = np.zeros((outer, 1, inner) + (2, 2, n) * 2, dtype)
+    t2 = np.zeros((1, outer, inner) + (2, 2, n) * 2, dtype)
+    r = np.zeros((2, 2, 1) + (2, 2, n) * 2, np.int64)
+    for c in range(2):
+        t1[:, 0, :, :, c, :, :, c] = ops
+        t2[0, :, :, c, :, :, c] = ops
+    eye = np.eye(n, dtype=int)
+    for (a, b), col in _RTT_R.items():
+        for (c, e), terms in col.items():
+            for coeff, i, j in terms:
+                r[i, j, 0, c - 1, e - 1, :, a - 1, b - 1] += coeff * eye
+    basis, size = tuple(range(4 * n)), (4 * n,) * 2
+    t1, t2, r = (x.reshape(x.shape[:3] + size) for x in (t1, t2, r))
+    series = [packed.from_slots(basis, True, x, den)
+              for x, den in ((t1, d), (t2, d), (r, 1))]
+    # the factors applied first on each side, their unsafe columns zeroed
+    series += (series[1:] if safe.all() else
+               [packed.from_slots(basis, True, x * safe, den)
+                for x, den in ((t2, d), (r, 1))])
+    t1, t2, r, t2s, rs = series
+    return packed.evaluate([Residual(Product(r, Product(t1, t2s)),
+                                     Product(t2, Product(t1, rs)))], 2 * (inner - 1))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -360,15 +334,15 @@ def _graded_trace(X: YangianModule, sites, order: int,
     each entry valued at its site by `_site_values`.
 
     `dynamical.block_graded_trace` over the same-sector string pairs, on
-    the level blocks of Kronecker-packed ints: each site's entries are
-    cleared over one denominator and packed at one width and stride for
-    the whole contraction.  Each output coefficient is a sum of
+    the level blocks of Kronecker-packed ints (`packed.pack_sites`): each
+    site's entries are cleared over one denominator and packed for the
+    whole contraction.  Each output coefficient is a sum of
     level-dimension many diagonal entries of the site product, so its
     magnitude is at most the largest level dimension times the product
     over sites of the largest row sum of the entries' coefficient l1
-    norms (the l1 norm is submultiplicative); the inner degrees add up
-    the same way.  Each sector is then decoded once into its coefficient
-    slots (`packed.from_packed`)."""
+    norms (the l1 norm is submultiplicative), the bound the packing
+    holds.  Each sector is then decoded once into its coefficient
+    slots."""
     L = len(sites)
     if L < 1:
         raise ValueError("need at least one site")
@@ -399,11 +373,8 @@ def _graded_trace(X: YangianModule, sites, order: int,
         sums = np.zeros(4 * n, dtype=object)
         np.add.at(sums, key * n + row, np.abs(site).sum(axis=(1, 2)))
         row_l1.append(sums.max())
-    stride = sum(site.shape[2] for site in nums) - L + 1
-    outer = sum(site.shape[1] for site in nums) - L + 1
-    width = packed.slot_width(int(max(np.diff(levels[:top + 2]))) * math.prod(row_l1))
-    values = np.stack([packed.pack_slots(site.transpose(1, 2, 0), width, stride)
-                       for site in nums])
+    values, decode = packed.pack_sites(
+        int(max(np.diff(levels[:top + 2]))) * math.prod(row_l1), nums)
     nonzeros = (key * n + row) * n + col
     # the exact entries do not depend on the shift: each grid point reads
     # its site's row
@@ -414,8 +385,7 @@ def _graded_trace(X: YangianModule, sites, order: int,
     out = []
     for s, basis in enumerate(bases):
         num = traces[sector == s].T.reshape(order + 1, len(basis), len(basis))
-        out.append(packed.from_packed(basis, X.exact, num, width, stride,
-                                      outer, denom))
+        out.append(decode(basis, X.exact, num, denom))
     return out
 
 

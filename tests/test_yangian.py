@@ -293,17 +293,29 @@ def nested_rtt_residual(X):
 
 def bound_module(m):
     """Two labels of level zero; T11 e1 = m z e0, T12 e0 = m (1 + z) e0 +
-    m (z - 1) e1, T22 e0 = -m e0 + m z e1, T21 = 0.  Each row of each
-    entry operator holds one entry, of largest coefficient m, so the
-    packed walk's coefficient bound 3 n rho mu is 3 m^2 (n = 1 spin
-    slot, rho = mu = m), which a side of the walk attains where the two
-    sides differ."""
+    m (z - 1) e1, T22 e0 = -m e0 + m z e1, T21 = 0.  A side of the
+    exchange relation attains the coefficient 3 m^2 where the two sides
+    differ."""
     return yangian.YangianModule(
         "bound", (0, 1), {0: 0, 1: 0},
         {(1, 1): {1: ((0, Poly((0, m))),)},
          (1, 2): {0: ((0, Poly((m, m))), (1, Poly((-m, m))))},
          (2, 1): {},
          (2, 2): {0: ((0, Poly((-m,))), (1, Poly((0, m))))}},
+        exact=True, levels=0)
+
+
+def spin_module():
+    """One label of level zero with T11 = s z, T12 = -z, T21 = -s - s z
+    and T22 = -s + s z, s the spin variable: entries of spin degree one,
+    so the sides of the exchange relation reach spin degree two."""
+    s = SPIN_VARIABLE
+    return yangian.YangianModule(
+        "spin", (0,), {0: 0},
+        {(1, 1): {0: ((0, Poly((0, s))),)},
+         (1, 2): {0: ((0, Poly((0, -1))),)},
+         (2, 1): {0: ((0, Poly((-s, -s))),)},
+         (2, 2): {0: ((0, Poly((-s, s))),)}},
         exact=True, levels=0)
 
 
@@ -350,9 +362,13 @@ class TestExchangeRelation:
                      flip_raising=True),
         build_module("oscillator", levels=6, flip_raising=True),
         build_module("finite", spin=1, flip_raising=True),
+        build_module("ladder", spin=F(-10**18 - 9, 10**18 + 3),
+                     shift=F(1, 10**20 + 39), levels=6, flip_raising=True),
+        bound_module(2**64 + 1),
     ], ids=["flipped-ladder", "flipped-shifted-ladder", "flipped-tensor",
             "symbolic-ladder", "flipped-symbolic-ladder",
-            "flipped-oscillator", "flipped-defining"])
+            "flipped-oscillator", "flipped-defining", "large-denominators",
+            "python-int-slots"])
     def test_matches_nested_walk(self, X):
         assert rtt_residual(X) == nested_rtt_residual(X)
 
@@ -364,13 +380,80 @@ class TestExchangeRelation:
         assert worst == 3 * m * m
         assert rtt_residual(X) == nested_rtt_residual(X) > 0
 
-    def test_narrow_width_is_detected(self, monkeypatch):
-        # one bit less than the attained bound: the largest coefficient
-        # wraps, so `test_attained_bound` sees a width that is too narrow
+    def test_one_relation_read_from_residues(self, monkeypatch):
+        # the exchange check is one `evaluate` relation, and one that holds
+        # reads 0.0 from its residues alone, without a CRT readback
+        calls = []
+        for name in ("evaluate", "_crt"):
+            f = getattr(packed, name)
+            monkeypatch.setattr(packed, name, lambda *args, f=f, name=name:
+                                calls.append(name) or f(*args))
+        W = build_module("ladder", spin=SPIN_VARIABLE, levels=5)
+        assert rtt_residual(W) == 0.0
+        assert calls == ["evaluate"]
+
+    def test_one_prime_fewer_is_detected(self, monkeypatch):
+        # the primes' product exceeds twice the outline's bound by less
+        # than their last prime: without it the largest coefficient of
+        # `test_attained_bound` wraps in the symmetric range
         X = bound_module(2**40 - 1)
         ref = nested_rtt_residual(X)
-        monkeypatch.setattr(packed, "slot_width", lambda bound: bound.bit_length())
+        primes = packed._primes
+        monkeypatch.setattr(packed, "_primes", lambda *args: primes(*args)[:-1])
         assert rtt_residual(X) != ref
+
+    def test_spin_axis(self, monkeypatch):
+        # the spin rides on the series axis: the sides differ in their top
+        # spin coefficient, which an order one short does not read
+        X = spin_module()
+        assert rtt_residual(X) == nested_rtt_residual(X) == 2.0
+        evaluate = packed.evaluate
+        monkeypatch.setattr(packed, "evaluate",
+                            lambda exprs, order: evaluate(exprs, order - 1))
+        assert rtt_residual(X) == 1.0
+
+
+class TestRandomExchange:
+    """`rtt_residual` against the nested walk on random one- and
+    two-label modules with entries a + b z, a and b in {0, +-1, +-spin}:
+    equal on every module, whether the relation holds or not.  A third of
+    the modules are constant in z, which on one label satisfies the
+    relation; a second label of level one in an inexact module is not
+    truncation-safe."""
+
+    COUNT = 200
+    VALUES = (0, 1, -1, SPIN_VARIABLE, -SPIN_VARIABLE)
+
+    def module(self, rng):
+        n = rng.randint(1, 2)
+        constant = rng.random() < 1 / 3
+        act = {}
+        for ab in ((1, 1), (1, 2), (2, 1), (2, 2)):
+            table = {}
+            for lab in range(n):
+                rows = []
+                for lab2 in range(n):
+                    p = Poly((rng.choice(self.VALUES),
+                              0 if constant else rng.choice(self.VALUES)))
+                    if p:
+                        rows.append((lab2, p))
+                if rows:
+                    table[lab] = tuple(rows)
+            act[ab] = table
+        weight = {0: 0, 1: rng.randint(0, 1)}
+        return yangian.YangianModule("random", tuple(range(n)),
+                                     {lab: weight[lab] for lab in range(n)}, act,
+                                     exact=rng.random() < 0.5, levels=2)
+
+    def test_against_nested_walk(self):
+        rng = random.Random(20261020)
+        zero = nonzero = 0
+        for _ in range(self.COUNT):
+            X = self.module(rng)
+            want = nested_rtt_residual(X)
+            assert rtt_residual(X) == want
+            zero, nonzero = zero + (want == 0), nonzero + (want != 0)
+        assert zero > 20 and nonzero > 20
 
 
 def per_pair_transfer(X, sites, order, skip_cross_sector=True):
@@ -794,28 +877,6 @@ class TestCleared:
             PSeriesMatrix(((1,),), [[[deep]]])
 
 
-class TestDefect:
-    """`packed.defect`, the one reader of a packed difference."""
-
-    WIDTH = packed.slot_width(127)
-
-    def sides(self):
-        # balanced digits that attain the width: 127 and -127 at 8 bits
-        x = [packed.pack(d, self.WIDTH) for d in ([127, -127, 0], [1, 2, 3])]
-        y = [packed.pack(d, self.WIDTH) for d in ([-127, 127, 5], [1, 2, 3])]
-        return np.array(x, dtype=object), np.array(y, dtype=object)
-
-    def test_equal_inputs_read_zero(self):
-        x, _ = self.sides()
-        assert packed.defect(x, x.copy(), self.WIDTH, 3, 7) == 0.0
-
-    @pytest.mark.parametrize("den", [1, 3, 3**50])
-    def test_attained_width_reads_its_exact_value(self, den):
-        x, y = self.sides()
-        assert self.WIDTH == 8
-        assert packed.defect(x, y, self.WIDTH, 3, den) == float(F(254, den))
-
-
 class TestPackedSeries:
     """The packed calculus against its Fraction references on entries
     with huge denominators, on inputs whose a-priori coefficient bound is
@@ -903,7 +964,7 @@ class TestPackedSeries:
         # is too narrow
         X = self.diagonal_module(2**40 - 1)
         trace = per_pair_transfer(X, SITES, 0)
-        monkeypatch.setattr(packed, "slot_width", lambda bound: bound.bit_length())
+        monkeypatch.setattr(packed, "_slot_width", lambda bound: bound.bit_length())
         got = yangian_transfer(X, SITES, 0)
         assert [block.tables for block in got] != \
             [oracle_block(trace, s) for s in range(len(got))]
@@ -1411,14 +1472,14 @@ class TestRelationLayout:
                     inside.pop()
             return run
 
-        for name in ("digits", "pack", "_slot_residues", "_crt", "_read"):
+        for name in ("_digits", "_pack", "_slot_residues", "_crt", "_read"):
             spy(name, getattr(packed, name))
         for name in ("mul", "weighted", "residual", "times_p"):
             monkeypatch.setattr(PSeriesMatrix, name,
                                 traced(getattr(PSeriesMatrix, name)))
         assert relation(q) == 0.0
         sectors = len(self.SITES) + 1
-        assert calls.count(("digits", False)) == decodes * sectors
+        assert calls.count(("_digits", False)) == decodes * sectors
         assert calls.count(("_slot_residues", False)) == inputs * sectors
         assert ran.count("mul") == sectors
         # a zero residual is read from its residues alone
@@ -1429,7 +1490,7 @@ class TestRelationLayout:
 class TestStoredForm:
     """Outside `evaluate` a series holds its coefficient slots and no
     residues, whether built by the constructor, decoded from a trace
-    (`from_packed`) or returned by a series-valued `evaluate`; slots that
+    (`pack_sites`) or returned by a series-valued `evaluate`; slots that
     fit int64 are held as int64, and read as Python ints."""
 
     def test_every_series_holds_slots_only(self):

@@ -5,7 +5,8 @@ a fresh interpreter builds the Baxter operator (``yangian_q``), then
 evaluates the TQ defect with that operator given (``tq_residual``), and
 reports both wall times and its peak RSS.  Further runs per checkout time
 the two fixed checks of the ``yangian-all`` suite: the exchange relation
-(``rtt_residual``) on the suite's five modules together, and the
+(``rtt_residual``, one ``packed.evaluate`` relation checked on residues
+modulo word primes) on the suite's five modules together, and the
 q-character interchange count (``qchar_interchange_mismatches``, l = 7/3,
 u = 4/5) at depths 6 and 10, each with its result.  Two CLI jobs follow:
 ``yangian-tq`` at 8 sites, order 3, and ``yangian-all`` at 4 sites,
