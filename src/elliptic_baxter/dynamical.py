@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
@@ -374,15 +374,30 @@ def _block_layout(slots: tuple, levels: tuple) -> tuple:
     return index, shift, shape
 
 
+def _poly_product(product, a, e, out, span) -> np.ndarray:
+    """out = the product of the polynomials a and e of blocks, their
+    coefficients on the first axis, truncated to out's coefficients: e[j]
+    is the coefficient span[j] of e, which is zero at the others, and a
+    is zero past its own.  One `product` per coefficient of e."""
+    out[...] = 0
+    for j, m in enumerate(span):
+        n = min(len(a), len(out) - m)
+        if n > 0:
+            out[m:m + n] += product(a[:n], e[j])
+    return out
+
+
 def block_graded_trace(values: np.ndarray, slots, levels, plan: tuple,
                        traced: int, where) -> np.ndarray:
     """Level-block traces of the site-ordered products over the pairs of
-    a `contraction_plan` at a batch of points, in any dtype, from the
-    entries' structural nonzeros: values[r, i] is the entry of the
-    distinct slot slots[i] = (key*n + row)*n + col in row r, row where[p,
-    g] holds grid point g at point p, rows levels[j]:levels[j+1] are level
-    j of the module, and levels 0..traced-1 are traced.  Returns [point,
-    pair, level].
+    a `contraction_plan` at a batch of points, from the entries'
+    structural nonzeros: values[r, i] is the complex entry of the
+    distinct slot slots[i] = (key*n + row)*n + col in row r, or values[r,
+    i, c] the int coefficients c of a polynomial entry (int64, or Python
+    ints); row where[p, g] holds grid point g at point p, rows
+    levels[j]:levels[j+1] are level j of the module, and levels
+    0..traced-1 are traced.  Returns [point, pair, level], or [point,
+    pair, level, c].
 
     The slots of each key must move the level by one shift d (row level
     minus column level), else ValueError.  Each entry is then stored as
@@ -400,49 +415,68 @@ def block_graded_trace(values: np.ndarray, slots, levels, plan: tuple,
     (Singh, Pfeifer, Vidal, arXiv:0907.2994).  Complex blocks are
     multiplied by `cmatmul` at every size and their diagonal formed by
     ``einsum``, as a dense contraction rounds them, so that on
-    one-dimensional levels a 2-site trace is the dense one bit for bit;
-    Python-int blocks, whose products are exact, multiply 1x1 blocks
-    elementwise and sum the diagonal.
+    one-dimensional levels a 2-site trace is the dense one bit for bit.
+    For polynomial entries every array of the contraction leads with
+    the c axis, and a product is the polynomial product truncated to it
+    (`_poly_product` over the coefficients some entry holds: 1x1 blocks
+    multiply elementwise, wider ones by ``matmul``, and the diagonal by
+    the same ``einsum``), exact while every partial sum fits the dtype.
     """
     _, steps = plan
     index, shift, shape = _block_layout(
         tuple(np.asarray(slots).tolist()), tuple(np.asarray(levels).tolist()))
-    entries = np.zeros((len(values), math.prod(shape)), dtype=values.dtype)
-    entries[:, index] = values
-    entries = entries.reshape(-1, *shape[1:])
-    exact = values.dtype == object
-    product = np.multiply if exact and shape[-1] == 1 else cmatmul
+    # polynomial entries lead every array with their c axis: pre indexes past it
+    coeffs = values.shape[2:]
+    exact, pre = bool(coeffs), (slice(None),) * len(coeffs)
+    entries = np.zeros((*coeffs, len(values), math.prod(shape)), dtype=values.dtype)
+    entries[..., index] = np.moveaxis(values, range(2, values.ndim), range(len(coeffs)))
+    entries = entries.reshape(*coeffs, -1, *shape[1:])
+    if exact:
+        # only the coefficients some entry holds; a prefix of l sites is
+        # zero past the coefficient l * step, so it holds no more
+        span = np.flatnonzero(values.any(axis=(0, 1))).tolist()
+        entries, step = entries[span], max(span, default=0)
+        block = np.multiply if shape[-1] == 1 else np.matmul
     rows = 4 * np.asarray(where).T  # [grid point, point]: 4 times the row
-    batch = max(1, _BATCH_ITEMS // (rows.shape[1] * traced * shape[-1] ** 2))
+    batch = max(1, _BATCH_ITEMS // (rows.shape[1] * traced * shape[-1] ** 2
+                                    * math.prod(coeffs)))
     level, top = np.arange(traced), shape[1] - 2
     height = int(np.diff(np.asarray(levels)[:traced + 1]).max())  # rows of a prefix block
 
-    def blocks(code, drift):  # [prefix, point, level]: the entry blocks at k - drift, or zero
+    def blocks(code, drift):  # [(c,) prefix, point, level]: the entry blocks at k - drift, or zero
         at = np.minimum(np.maximum(level - drift[:, None], -1), top) + 1
-        return entries[(rows[code // 4] + code[:, None] % 4)[..., None], at[:, None]]
+        return entries[(*pre, (rows[code // 4] + code[:, None] % 4)[..., None], at[:, None])]
 
     # the empty prefix (D = 0) is the identity: site 0's prefixes are its entry blocks
-    acc = np.eye(shape[-1], dtype=values.dtype)[None, None, None, :height]
+    acc = np.zeros((1,) * len(coeffs) + (1, 1, 1, height, shape[-1]), dtype=values.dtype)
+    acc[(0,) * (len(coeffs) + 3)] = np.eye(shape[-1], dtype=values.dtype)[:height]
     drift = np.zeros(1, dtype=int)
     *inner, (parent, code) = steps
     for site, (up, key) in enumerate(inner):
-        nxt = np.empty((len(up), *rows.shape[1:], traced, height, shape[-1]), values.dtype)
+        held = tuple(min(c, (site + 1) * step + 1) for c in coeffs)
+        nxt = np.empty((*held, len(up), *rows.shape[1:], traced, height, shape[-1]),
+                       values.dtype)
         for lo in range(0, len(up), batch):
             b = slice(lo, lo + batch)
             e = blocks(key[b], drift[up[b]])
-            if site:
-                product(acc[up[b]], e, out=nxt[b])
+            if exact:
+                _poly_product(block, acc[:, up[b]], e, nxt[:, b], span)
+            elif site:
+                cmatmul(acc[up[b]], e, out=nxt[b])
             else:
                 nxt[b] = e[..., :height, :]
         acc, drift = nxt, drift[up] + shift[key % 4]
-    diag = np.empty((len(parent), *rows.shape[1:], traced), dtype=values.dtype)
+    diag = np.empty((*coeffs, len(parent), *rows.shape[1:], traced), dtype=values.dtype)
+    trace = partial(np.einsum, "...ab,...ba->...")
     for lo in range(0, len(parent), batch):
         b = slice(lo, lo + batch)
-        a, e = acc[parent[b]], blocks(code[b], drift[parent[b]])[..., :height]
-        diag[b] = ((a * e.swapaxes(-1, -2)).sum(axis=(-2, -1)) if exact
-                   else np.einsum("...ab,...ba->...", a, e))
-    diag[drift[parent] + shift[code % 4] != 0] = 0
-    return diag.transpose(1, 0, 2)
+        e = blocks(code[b], drift[parent[b]])[..., :height]
+        if exact:
+            _poly_product(trace, acc[:, parent[b]], e, diag[:, b], span)
+        else:
+            diag[b] = trace(acc[parent[b]], e)
+    diag[(*pre, drift[parent] + shift[code % 4] != 0)] = 0
+    return np.moveaxis(diag, range(len(coeffs)), range(-len(coeffs), 0)).swapaxes(0, 1)
 
 
 # ---------------------------------------------------------------------------

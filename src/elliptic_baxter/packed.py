@@ -31,18 +31,9 @@ and a series-valued result, is interpolated modulo each prime and read
 back in the symmetric range.  Exactness rests on each bound being a true
 bound, which tests check on inputs that attain it.
 
-Kronecker packing is the trace's encoding only (`pack_sites`): an entry
-stored as its value at X = 2^width, one Python int, so that sums and
-products of entries are sums and products of ints and read back as
-balanced digits, exact only while each coefficient has magnitude below
-2^(width-1).  A coefficient too large for its slot carries into the next
-one and reads back as other, valid digits, so the width comes from the
-caller's a-priori bound: `yangian._graded_trace` passes the largest level
-dimension times the product over sites of the largest row sum of the
-entries' coefficient l1 norms, and decodes each sector once.  Every
-relation, the exchange relation of `yangian.rtt_residual` included, is
-checked by `evaluate`; in the exchange check the symbolic spin rides on
-the series axis k.
+Every relation, the exchange relation of `yangian.rtt_residual`
+included, is checked by `evaluate`; in the exchange check the symbolic
+spin rides on the series axis k.
 """
 
 from __future__ import annotations
@@ -152,39 +143,23 @@ def _common(shapes) -> _Shape:
 def _weights(coeffs: tuple) -> tuple:
     """(den, rows, shapes) of scalar polynomials: rows[value][outer
     slot][inner slot] their int numerators over the lcm den of their
-    denominators (`cleared`), and each one's `_Shape`.  Cached: the
-    weights of a relation recur in every sector."""
+    denominators (`cleared`), as tuples, and each one's `_Shape`.
+    Cached: the weights of a relation recur in every sector."""
     dw, rows = cleared(coeffs)
+    rows = tuple(tuple(map(tuple, row)) for row in rows.tolist())
     shapes = []
-    for row in rows.tolist():
+    for row in rows:
         used = [(i, j) for i, r in enumerate(row) for j, c in enumerate(r) if c]
         outer, inner = (max(u) + 1 for u in zip(*used)) if used else (1, 1)
         shapes.append(_Shape(dw, max(abs(c) for r in row for c in r), outer,
                              inner))
-    return dw, rows.tolist(), tuple(shapes)
+    return dw, rows, tuple(shapes)
 
 
-def _slot_width(bound: int) -> int:
-    """Bits per coefficient slot that hold every integer of magnitude at
-    most `bound` as a balanced digit."""
-    return bound.bit_length() + 1
-
-
-def _digits(v, width: int, count: int) -> list:
-    """The lowest `count` balanced digits base 2^width of an int, or of
-    every int of an object array at once."""
-    half, mask = 1 << (width - 1), (1 << width) - 1
-    # offset every digit by half: the offset value's plain digits
-    u = v + _pack([half] * count, width)
-    return [((u >> (width * n)) & mask) - half for n in range(count)]
-
-
-def _pack(values, width: int):
-    """Inverse of `_digits`: the sum of values[n] * 2^(width*n)."""
-    v = 0
-    for d in reversed(values):
-        v = (v << width) + d
-    return v
+def int_dtype(bound: int):
+    """int64 when every int of magnitude at most `bound` fits it, else
+    object (Python ints)."""
+    return object if bound >> 63 else np.int64
 
 
 def cleared(values) -> tuple:
@@ -218,8 +193,7 @@ def _tight(slots, den: int) -> tuple:
     used = np.argwhere(mags != 0)
     outer, inner = used.max(axis=0) + 1 if len(used) else (1, 1)
     bound = int(mags.max())
-    slots = np.ascontiguousarray(slots[:outer, :inner],
-                                 object if bound >> 63 else np.int64)
+    slots = np.ascontiguousarray(slots[:outer, :inner], int_dtype(bound))
     return slots, _Shape(den, bound, int(outer), int(inner))
 
 
@@ -230,32 +204,6 @@ def from_slots(basis: tuple, terminates: bool, slots, den: int) -> "PSeriesMatri
     series = PSeriesMatrix.__new__(PSeriesMatrix)
     series._hold(basis, terminates, *_tight(slots, den))
     return series
-
-
-def pack_sites(bound: int, sites) -> tuple:
-    """(values, decode) of a contraction of products of one entry per
-    site, from sites[site][cell, outer slot, inner slot], the entries'
-    int coefficients, and `bound`, the largest coefficient magnitude of a
-    sum of such products.  values[site][cell] is an entry packed at the
-    width of `bound`, with a stride and an outer slot count that hold the
-    degrees of a product; decode(basis, terminates, num, den) is the
-    series whose numerators over `den` are the sums num[k][row][col],
-    decoded once into its coefficient slots."""
-    width = _slot_width(bound)
-    stride = sum(site.shape[2] for site in sites) - len(sites) + 1
-    outer = sum(site.shape[1] for site in sites) - len(sites) + 1
-    # slot (i, j) of an entry at digit i * stride + j
-    values = np.stack([_pack([d for row in site.transpose(1, 2, 0)
-                              for d in [*row] + [0] * (stride - len(row))], width)
-                       for site in sites])
-
-    def decode(basis: tuple, terminates: bool, num, den: int) -> "PSeriesMatrix":
-        slots = np.array(_digits(num, width, outer * stride),
-                         dtype=np.int64 if width < 64 else object)
-        return from_slots(basis, terminates,
-                          slots.reshape((outer, stride) + slots.shape[1:]), den)
-
-    return values, decode
 
 
 def _zero_table(dim: int) -> list:
@@ -721,9 +669,12 @@ def _slot_residues(x: PSeriesMatrix, chunk: _Chunk, primes: tuple) -> np.ndarray
     return flat - q
 
 
+@lru_cache(maxsize=16)
 def _weight_residues(weights: tuple, primes: tuple, grid: tuple) -> np.ndarray:
     """[weight, prime, grid point, 1, 1, 1]: the scalar polynomials of
-    `_weights` at the grid points modulo each prime."""
+    `_weights` at the grid points modulo each prime.  Cached, and
+    read-only: a relation checked again on the same chain, at the same
+    primes and grid, reads them again."""
     dw, rows, _ = weights
     values = []
     for x in range(grid[0]):
@@ -738,7 +689,9 @@ def _weight_residues(weights: tuple, primes: tuple, grid: tuple) -> np.ndarray:
                 values.append(v)
     res = _symmetric([[v * inv for v in values] for inv in
                       (pow(dw, -1, p) for p in primes)], primes)
-    return res.reshape(len(primes), -1, 2, 1, 1, 1).transpose(2, 0, 1, 3, 4, 5)
+    res = res.reshape(len(primes), -1, 2, 1, 1, 1).transpose(2, 0, 1, 3, 4, 5)
+    res.flags.writeable = False
+    return res
 
 
 def _read(values: list, outline: _Outline, primes: tuple, grid: tuple,
@@ -832,7 +785,7 @@ def evaluate(exprs, order: int) -> list:
         inv = _symmetric([[pow(x.shape.den, -1, p)] for p in primes], primes)
         mats = _powers(primes, grid[1], x.shape.outer, x.shape.inner, blocks)
         powers[x] = whole.reduce(mats * inv[:, :, None]), blocks, starts
-    scalars, slots, values = {}, {}, [[] for _ in exprs]
+    slots, values = {}, [[] for _ in exprs]
     for chunk in chunks:
         part = primes[chunk.primes]
         terms = {}
@@ -849,9 +802,8 @@ def evaluate(exprs, order: int) -> list:
 
         def value(e):
             if isinstance(e, Weighted):
-                if id(e) not in scalars:
-                    scalars[id(e)] = _weight_residues(weights[id(e)], primes, grid)
-                return (w[chunk.primes, chunk.points] for w in scalars[id(e)])
+                return (w[chunk.primes, chunk.points]
+                        for w in _weight_residues(weights[id(e)], primes, grid))
             if isinstance(e, Identity):
                 return PSeriesMatrix._value(e.basis, False, np.broadcast_to(
                     np.eye(len(e.basis)),

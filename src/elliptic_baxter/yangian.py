@@ -220,7 +220,7 @@ def rtt_residual(X: YangianModule) -> float:
     safe = np.array([X.exact or X.weight[lab] <= X.levels - 2 for lab in labels] * 4)
     if not safe.any():
         raise ValueError("module too shallow for the exchange check")
-    dtype = object if np.abs(coeffs).max(initial=0) >> 63 else np.int64
+    dtype = packed.int_dtype(np.abs(coeffs).max(initial=0))
     # the entry operators [z power, spin power, a, m, b, n] of T_ab
     ops = np.zeros((4, n, n, outer, inner), dtype)
     np.add.at(ops, tuple(cells.T), coeffs)
@@ -334,15 +334,17 @@ def _graded_trace(X: YangianModule, sites, order: int,
     each entry valued at its site by `_site_values`.
 
     `dynamical.block_graded_trace` over the same-sector string pairs, on
-    the level blocks of Kronecker-packed ints (`packed.pack_sites`): each
-    site's entries are cleared over one denominator and packed for the
-    whole contraction.  Each output coefficient is a sum of
-    level-dimension many diagonal entries of the site product, so its
-    magnitude is at most the largest level dimension times the product
-    over sites of the largest row sum of the entries' coefficient l1
-    norms (the l1 norm is submultiplicative), the bound the packing
-    holds.  Each sector is then decoded once into its coefficient
-    slots."""
+    the level blocks of int coefficient polynomials: each site's entries
+    are cleared over one denominator, and the slot (i, j) of an entry is
+    coefficient i * stride + j of one axis that holds the outer and inner
+    degrees of a product of one entry per site.  Each output coefficient
+    is a sum of level-dimension many diagonal entries of the site
+    product, so its magnitude, and that of every partial sum of the
+    contraction, is at most the largest level dimension times the
+    product over sites of the largest row sum of the entries'
+    coefficient l1 norms (the l1 norm is submultiplicative): the
+    contraction runs in int64 when that bound fits it, else on Python
+    ints.  Each sector's coefficients are then its slots."""
     L = len(sites)
     if L < 1:
         raise ValueError("need at least one site")
@@ -373,20 +375,25 @@ def _graded_trace(X: YangianModule, sites, order: int,
         sums = np.zeros(4 * n, dtype=object)
         np.add.at(sums, key * n + row, np.abs(site).sum(axis=(1, 2)))
         row_l1.append(sums.max())
-    values, decode = packed.pack_sites(
-        int(max(np.diff(levels[:top + 2]))) * math.prod(row_l1), nums)
+    # the bound of every partial sum of the contraction
+    largest = int(max(np.diff(levels[:top + 2]))) * math.prod(row_l1)
+    # the outer and inner slots of a product of one entry per site; the
+    # inner count is the stride of the outer
+    stride = sum(site.shape[2] for site in nums) - L + 1
+    outer = sum(site.shape[1] for site in nums) - L + 1
+    values = np.zeros((L, len(cells), outer, stride), packed.int_dtype(largest))
+    for v, site in zip(values, nums):
+        v[:, :site.shape[1], :site.shape[2]] = site
     nonzeros = (key * n + row) * n + col
     # the exact entries do not depend on the shift: each grid point reads
     # its site's row
-    traces = np.zeros((len(sector), order + 1), dtype=object)
-    traces[:, :top + 1] = block_graded_trace(values, nonzeros, levels, plan, top + 1,
-                                             plan[0][None, :, 0])[0]
+    traces = np.zeros((len(sector), order + 1, outer * stride), dtype=values.dtype)
+    traces[:, :top + 1] = block_graded_trace(values.reshape(L, len(cells), -1), nonzeros,
+                                             levels, plan, top + 1, plan[0][None, :, 0])[0]
     denom = math.prod(dens)
-    out = []
-    for s, basis in enumerate(bases):
-        num = traces[sector == s].T.reshape(order + 1, len(basis), len(basis))
-        out.append(decode(basis, X.exact, num, denom))
-    return out
+    return [packed.from_slots(basis, X.exact, traces[sector == s].reshape(
+        len(basis), len(basis), order + 1, outer, stride).transpose(3, 4, 2, 0, 1), denom)
+        for s, basis in enumerate(bases)]
 
 
 # ---------------------------------------------------------------------------
@@ -644,11 +651,12 @@ def yangian_qchar(X: YangianModule, depth: int | None = None) -> list:
     return out
 
 
-def _ladder_roots(spin, u, i: int) -> tuple:
+def _ladder_roots(spin, u, i: int, one=1) -> tuple:
     """The level-i character pair of a spectrally shifted ladder as
     quotients of monic linear factors z + r: for each component, the r of
-    its numerator and of its denominator factors."""
-    return ((u + spin, u - 1), (u + i - 1,)), ((u + i,), ())
+    its numerator and of its denominator factors.  With `one` = s, spin, u
+    and i are those of the ladder times s, and so are the roots."""
+    return ((u + spin, u - one), (u + i - one,)), ((u + i,), ())
 
 
 def _linear_product(roots) -> Poly:
@@ -670,20 +678,20 @@ def qchar_oscillator_term(i: int) -> tuple:
     return RatFn(Poly((0, 1))), RatFn(Poly((1,)))
 
 
-def _factor_multisets(terms, scale: int) -> tuple:
+def _factor_multisets(terms, one: int) -> tuple:
     """Both components of the product of the ladder character pairs of
-    `terms`, (spin, u, i) triples, as reduced factor multisets: each root
-    r of a factor z + r, times `scale`, which must make it an int, with
-    its numerator count minus its denominator count, zero counts
-    dropped.  By unique factorization two such products are equal as
-    rational functions exactly when their multisets are."""
+    `terms`, (spin, u, i) int triples of ladders scaled by `one`
+    (`_ladder_roots`), as reduced factor multisets: each int root r of a
+    factor z + r/one with its numerator count minus its denominator
+    count, zero counts dropped.  By unique factorization two such
+    products are equal as rational functions exactly when their
+    multisets are."""
     out = []
-    for comp in zip(*(_ladder_roots(*t) for t in terms)):
+    for comp in zip(*(_ladder_roots(*t, one) for t in terms)):
         count = {}
         for num, den in comp:
             for roots, sign in ((num, 1), (den, -1)):
                 for r in roots:
-                    r = int(r * scale)
                     count[r] = count.get(r, 0) + sign
         out.append(frozenset((r, n) for r, n in count.items() if n))
     return tuple(out)
@@ -696,16 +704,17 @@ def qchar_interchange_mismatches(l: Fraction, u: Fraction, depth: int,
     ladder(u, 0), each level compared as a multiset of component pairs.
     `rhs_shift` is added to the spectral shift of the ladder(l-u, u)
     factor alone, as a negative control.  The roots are integer
-    combinations of 1, l, u and `rhs_shift`, so the lcm of their
-    denominators scales them to ints."""
-    scale = math.lcm(*(Fraction(v).denominator for v in (l, u, rhs_shift)))
-    zero = Fraction(0)
+    combinations of 1, l, u and `rhs_shift`, so the lcm s of their
+    denominators scales them to ints, and the ladders are compared scaled
+    by s."""
+    s = math.lcm(*(Fraction(v).denominator for v in (l, u, rhs_shift)))
+    l, u, shift = (int(v * s) for v in (l, u, rhs_shift))
     bad = 0
     for k in range(depth + 1):
-        lhs = Counter(_factor_multisets(((l, zero, i), (zero, u, k - i)), scale)
+        lhs = Counter(_factor_multisets(((l, 0, i * s), (0, u, (k - i) * s)), s)
                       for i in range(k + 1))
-        rhs = Counter(_factor_multisets(((l - u, u + rhs_shift, i),
-                                         (u, zero, k - i)), scale)
+        rhs = Counter(_factor_multisets(((l - u, u + shift, i * s),
+                                         (u, 0, (k - i) * s)), s)
                       for i in range(k + 1))
         bad += lhs != rhs
     return bad

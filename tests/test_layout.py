@@ -191,3 +191,21 @@ def test_packed_format_stays_in_its_module():
             else [n.attr] if isinstance(n, ast.Attribute) else [])
         if name in private)
     assert reads == []
+
+
+def test_no_kronecker_packing_left():
+    # the exact traces contract int coefficient arrays: no module defines
+    # or reads a Kronecker packing or its balanced-digit decode, and no
+    # text describes one
+    gone = {"pack_sites", "_pack", "_digits", "_slot_width"}
+    found = sorted(
+        (p.stem, n.lineno, name)
+        for p in sorted(PACKAGE.glob("*.py"))
+        for n in ast.walk(ast.parse(p.read_text(encoding="utf-8")))
+        for name in ([n.name] if isinstance(n, (ast.FunctionDef, ast.ClassDef))
+                     else [n.id] if isinstance(n, ast.Name)
+                     else [n.attr] if isinstance(n, ast.Attribute) else [])
+        if name in gone)
+    assert found == []
+    assert [p.stem for p in sorted(PACKAGE.glob("*.py"))
+            if "kronecker" in p.read_text(encoding="utf-8").lower()] == []

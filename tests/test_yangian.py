@@ -542,8 +542,9 @@ ORACLE_MODULES = {
 
 
 class TestBlockTrace:
-    """The exact twin's level-block contraction against the dense
-    `chain_oracle.graded_trace` on the same packed entries."""
+    """The exact twin's level-block contraction of int coefficient
+    polynomials against the dense `chain_oracle.graded_trace` of the same
+    entries as `Poly`s in the coefficient axis."""
 
     SITES = ORACLE_SITES + (F(3, 5), F(7, 2))
 
@@ -565,14 +566,21 @@ class TestBlockTrace:
         else:
             yangian_transfer(ORACLE_MODULES[kind](L), sites, ORACLE_ORDER)
         ((values, slots, levels, plan, traced, got),) = seen
-        # the dense entry matrices of the same packed values
+        # the dense entry matrices of the same coefficients, as polynomials
         n = levels[-1]
+        polys = np.empty(values.shape[:2], dtype=object)
+        polys[...] = [[Poly(c) for c in row] for row in values.tolist()]
         m = np.zeros((len(values), 4 * n * n), dtype=object)
-        np.add.at(m, (slice(None), slots), values)
+        np.add.at(m, (slice(None), slots), polys)
         ref = graded_trace(m.reshape(-1, 4, n, n), plan, levels[:traced + 1])
-        assert got.shape == ref.shape and any(v != 0 for v in ref.flat)
-        assert all(type(v) is int for v in got.flat)
-        assert (got == ref).all()
+        assert values.dtype == got.dtype == np.int64
+        assert got.shape == ref.shape + values.shape[2:]
+        assert any(v != 0 for v in ref.flat)
+        assert all(Poly(c) == r for c, r in zip(got.reshape(-1, got.shape[-1]).tolist(),
+                                                ref.flat))
+        if kind == "tensor":
+            # a tensor module's levels are wider than one label
+            assert max(np.diff(levels)) > 1
 
 
 def poly_site_values(X, a, bound):
@@ -880,7 +888,7 @@ class TestCleared:
 class TestPackedSeries:
     """The packed calculus against its Fraction references on entries
     with huge denominators, on inputs whose a-priori coefficient bound is
-    attained, and with a slot width one bit too narrow for them."""
+    attained, and on a trace in a dtype too narrow for its bound."""
 
     @pytest.mark.parametrize("sites", LARGE_SITES,
                              ids=["large-2site", "large-4site"])
@@ -958,13 +966,37 @@ class TestPackedSeries:
         for s, block in enumerate(yangian_transfer(X, SITES, 0)):
             assert block.tables == oracle_block(ref, s)
 
-    def test_narrow_width_is_detected(self, monkeypatch):
-        # one bit less than the trace's attained bound: the largest
-        # coefficient wraps, so `test_attained_bounds` sees a width that
-        # is too narrow
-        X = self.diagonal_module(2**40 - 1)
+    # 3 c^2 just below 2^63, and 3 (c + 1)^2 just above it
+    EDGE = math.isqrt((2**63 - 1) // 3)
+
+    @pytest.mark.parametrize("c, dtype", [(EDGE, np.int64), (EDGE + 1, object)],
+                             ids=["int64", "object"])
+    def test_trace_bound_is_attained_around_int64(self, monkeypatch, c, dtype):
+        # the contraction's bound 3 c^2 on two sites, attained by every
+        # trace: int64 up to 2^63 - 1, Python ints above
+        assert (3 * c * c < 2**63) == (dtype is np.int64)
+        seen = []
+
+        def spy(values, *args):
+            seen.append(values.dtype)
+            return dynamical.block_graded_trace(values, *args)
+
+        monkeypatch.setattr(yangian, "block_graded_trace", spy)
+        X = self.diagonal_module(c)
+        ref = per_pair_transfer(X, SITES, 0)
+        got = yangian_transfer(X, SITES, 0)
+        assert seen == [dtype]
+        assert [block.tables for block in got] == \
+            [oracle_block(ref, s) for s in range(len(got))]
+        assert max(v for block in got for v in block.slots().flat) == 3 * c * c
+
+    def test_narrow_dtype_is_detected(self, monkeypatch):
+        # a trace whose bound is just above 2^63 contracted in int64: the
+        # sum of three products wraps, so `test_trace_bound_is_attained_
+        # around_int64` sees a dtype that is too narrow
+        X = self.diagonal_module(self.EDGE + 1)
         trace = per_pair_transfer(X, SITES, 0)
-        monkeypatch.setattr(packed, "_slot_width", lambda bound: bound.bit_length())
+        monkeypatch.setattr(packed, "int_dtype", lambda bound: np.int64)
         got = yangian_transfer(X, SITES, 0)
         assert [block.tables for block in got] != \
             [oracle_block(trace, s) for s in range(len(got))]
@@ -1433,26 +1465,27 @@ class TestFunctionalRelations:
 
 
 class TestRelationLayout:
-    """Each trace series is decoded once, when it is built; a relation
-    decodes none of the series it relates, reduces each input series'
-    slots modulo its primes once, outside its operations, and reads back
-    nothing inside them; each sector's product still runs through
-    `mul`."""
+    """Each trace series is built once from its coefficient slots
+    (`from_slots`); a relation builds none of the series it relates,
+    reduces each input series' slots modulo its primes once, outside its
+    operations, and reads back nothing inside them; each sector's product
+    still runs through `mul`."""
 
     SITES = ORACLE_SITES
     X = build_module("ladder", spin=F(5, 3), levels=7)
     Y = build_module("ladder", spin=F(-1, 2), shift=F(1, 5), levels=7)
 
-    # (relation, decodes per sector: one per transfer series the relation
-    # builds, none for the series it relates; input series per sector)
-    @pytest.mark.parametrize("relation, decodes, inputs", [
+    # (relation, series built per sector: one per transfer series the
+    # relation builds, none for the series it relates; input series per
+    # sector)
+    @pytest.mark.parametrize("relation, built, inputs", [
         (lambda q: tq_residual(ORACLE_SITES, 3, q=q), 1, 2),
         (lambda q: oscillator_comparison(ORACLE_SITES, 3, q=q), 1, 2),
         (lambda q: product_residual(TestRelationLayout.X,
                                     TestRelationLayout.Y, ORACLE_SITES, 3),
          3, 3),
     ], ids=["tq", "oscillator", "product"])
-    def test_decode_count(self, monkeypatch, relation, decodes, inputs):
+    def test_decode_count(self, monkeypatch, relation, built, inputs):
         q = yangian_q(self.SITES, 3)
         calls, inside, ran = [], [], []
 
@@ -1472,14 +1505,14 @@ class TestRelationLayout:
                     inside.pop()
             return run
 
-        for name in ("_digits", "_pack", "_slot_residues", "_crt", "_read"):
+        for name in ("from_slots", "_slot_residues", "_crt", "_read"):
             spy(name, getattr(packed, name))
         for name in ("mul", "weighted", "residual", "times_p"):
             monkeypatch.setattr(PSeriesMatrix, name,
                                 traced(getattr(PSeriesMatrix, name)))
         assert relation(q) == 0.0
         sectors = len(self.SITES) + 1
-        assert calls.count(("_digits", False)) == decodes * sectors
+        assert calls.count(("from_slots", False)) == built * sectors
         assert calls.count(("_slot_residues", False)) == inputs * sectors
         assert ran.count("mul") == sectors
         # a zero residual is read from its residues alone
@@ -1489,8 +1522,8 @@ class TestRelationLayout:
 
 class TestStoredForm:
     """Outside `evaluate` a series holds its coefficient slots and no
-    residues, whether built by the constructor, decoded from a trace
-    (`pack_sites`) or returned by a series-valued `evaluate`; slots that
+    residues, whether built by the constructor, by a trace from its
+    coefficient slots or returned by a series-valued `evaluate`; slots that
     fit int64 are held as int64, and read as Python ints."""
 
     def test_every_series_holds_slots_only(self):
@@ -1611,6 +1644,10 @@ class TestQCharacters:
             return [(rng.choice(values), rng.choice(values), rng.randrange(4))
                     for _ in range(rng.randint(1, 3))]
 
+        def scaled(terms):
+            # the int triples of the ladders scaled by 2
+            return [(int(2 * spin), int(2 * u), 2 * i) for spin, u, i in terms]
+
         seen = set()
         for _ in range(300):
             a = draw()
@@ -1620,11 +1657,11 @@ class TestQCharacters:
             # each component alone: equal first components may cancel
             # different factors
             for x, y, mx, my in zip(product(a), product(b),
-                                    yangian._factor_multisets(a, 2),
-                                    yangian._factor_multisets(b, 2)):
+                                    yangian._factor_multisets(scaled(a), 2),
+                                    yangian._factor_multisets(scaled(b), 2)):
                 assert (mx == my) == (x == y)
             equal = product(a) == product(b)
-            cancels = any(len(yangian._factor_multisets([t], 2)[0]) < 2
+            cancels = any(len(yangian._factor_multisets(scaled([t]), 2)[0]) < 2
                           for t in a)
             seen.add((equal, cancels))
         assert seen == {(True, True), (True, False), (False, True),
