@@ -529,11 +529,17 @@ class TermMatrix:
         return self._gather(keys, item)
 
     def _gather(self, keys, item=slice(None)) -> np.ndarray:
+        """Item ``item`` of the memo's values at ``keys``, as ``at``
+        returns them: a view of one block's contiguous run, one fancy
+        index into one block, or a stack of rows from several."""
         where = [self._cache[k] for k in keys]
         block, first = where[0]
-        if [i for b, i in where if b is block] == list(range(first, first + len(where))):
-            return block[first:first + len(where), ..., item]
-        return np.stack([b[i, ..., item] for b, i in where])
+        rows = [i for b, i in where if b is block]
+        if len(rows) < len(where):
+            return np.stack([b[i, ..., item] for b, i in where])
+        if rows == list(range(first, first + len(rows))):
+            return block[first:first + len(rows), ..., item]
+        return block[rows, ..., item]
 
     def eval(self, z: complex, x: complex) -> np.ndarray:
         """The matrix at one point: a batch of one."""

@@ -23,13 +23,16 @@ from .dynamical import (
     worst_residual,
 )
 from .theta import (
+    MERGE_GAP,
     SEARCH_RADIUS,
     EllipticParams,
     ThetaExpression,
     ThetaSum,
     ThetaTable,
+    flat_terms,
     in_hbar_inv_lattice,
     int_plus_hbar_inv_lattice,
+    merged_factors,
     theta_eval,
 )
 
@@ -40,6 +43,10 @@ _BIDEG = {"+": 1, "-": -1}
 # between it and the second bound make the count indeterminate
 _KERNEL_REL_TOL = 1e-8
 _KERNEL_INDETERMINATE = 1e-6
+# the scalars of a ladder term: that of ThetaExpression.product, and on -+
+# that of its unary minus
+_ONE = 1.0 + 0j
+_MINUS = _ONE * complex(-1.0)
 
 
 def _th(cz, cx, shift, power=1):
@@ -152,30 +159,64 @@ class GradedModule:
         return self.basis.levels if self.exact else self.basis.levels - 1
 
 
-@dataclass
 class EllipticModule(GradedModule):
-    """Weight-graded truncated module with four symbolic L-entry tables."""
+    """Weight-graded truncated module whose four L-entry tables are held
+    in one of two forms, the other built from it on first read: flat
+    ``ThetaTable`` terms (``terms``: (slot, scalar, exp_z, exp_x, factors)
+    at the slots (key*n + row)*n + col, keys in the order ++, +-, -+, --),
+    read by every numeric pass, or symbolic ``ModuleOperator``s (``L``,
+    by key), read by ``socle``, ``spectral_shift``, ``diagonal_terms`` and
+    the oracles.  A ladder is built flat, and its ``L`` is the view of
+    ``ThetaExpression.product`` of each term's factors (times the term's
+    scalar and exponential where they are not 1)."""
 
-    params: EllipticParams
-    basis: WeightBasis
-    L: dict[str, ModuleOperator]
-    spin: complex | None = None
-    shift_u: complex = 0.0
-    label: str = ""
-    exact: bool = False  # finite module, no truncation edge
+    def __init__(self, params: EllipticParams, basis: WeightBasis, L: dict | None = None,
+                 spin: complex | None = None, shift_u: complex = 0.0, label: str = "",
+                 exact: bool = False, terms: list | None = None):
+        if (L is None) == (terms is None):
+            raise ValueError("a module takes its entries either as L or as terms")
+        self.params, self.basis, self.spin, self.shift_u = params, basis, spin, shift_u
+        self.label, self.exact = label, exact  # exact: a finite module, no truncation edge
+        self._tables: dict[int, ThetaTable] = {}
+        if L is None:
+            self.terms = terms
+        else:
+            self.L = L
 
     @cached_property
-    def _tables(self) -> dict[int, ThetaTable]:
-        return {}
+    def terms(self) -> list[tuple]:
+        """The flat terms of ``L``, key by key, in entry order."""
+        n = self.basis.size
+        return flat_terms(((k * n + a) * n + b, s) for k, key in enumerate(_KEYS)
+                          for (a, b), s in self.L[key].entries.items())
+
+    @cached_property
+    def L(self) -> dict[str, ModuleOperator]:
+        """The symbolic view of ``terms``: per key, a ModuleOperator whose
+        entry at (row, col) sums that slot's terms."""
+        n = self.basis.size
+        entries: list[dict] = [{} for _ in _KEYS]
+        for slot, scalar, exp_z, exp_x, factors in self.terms:
+            k, rc = divmod(slot, n * n)
+            e = ThetaExpression.product(factors)
+            if (scalar, exp_z, exp_x) != (1, 0, 0):
+                e = e * ThetaExpression(scalar, exp_z, exp_x)
+            at = divmod(rc, n)
+            entries[k][at] = entries[k].get(at, ThetaSum.zero()) + ThetaSum(e)
+        return {key: ModuleOperator(_BIDEG[key[0]], _BIDEG[key[1]], self.basis, self.basis,
+                                    ops, self.params) for key, ops in zip(_KEYS, entries)}
 
     def _table(self, n: int) -> ThetaTable:
         """The four L tables cut to their leading n x n block, slot
         (k*n + a)*n + b for key k in the order ++, +-, -+, --."""
         if n not in self._tables:
-            self._tables[n] = ThetaTable(
-                (((k * n + a) * n + b, s) for k, name in enumerate(_KEYS)
-                 for (a, b), s in self.L[name].entries.items() if a < n and b < n),
-                4 * n * n, self.params)
+            m = self.basis.size
+            terms = self.terms
+            if n < m:
+                terms = [((k * n + a) * n + b, *rest) for slot, *rest in terms
+                         for k, rc in [divmod(slot, m * m)] for a, b in [divmod(rc, m)]
+                         if a < n and b < n]
+            self._tables[n] = ThetaTable(terms, 4 * n * n, self.params)
         return self._tables[n]
 
     def entry_matrices(self, zs, xs, top: int | None = None, masked: bool = False) -> np.ndarray:
@@ -196,7 +237,7 @@ class EllipticModule(GradedModule):
 
     def slot_values(self, zs, xs) -> np.ndarray:
         """The entries of ``nonzeros`` at the points (zs, xs), as [point, slot]."""
-        return self._table(self.basis.size).at(zs, xs)[:, self.nonzeros]
+        return self._table(self.basis.size).at_dest(zs, xs)
 
     @cached_property
     def diagonal_terms(self) -> tuple:
@@ -263,32 +304,35 @@ class TensorModule(GradedModule):
 
 def build_asymptotic(l: complex, u: complex, K: int, params: EllipticParams) -> EllipticModule:
     """Ladder module on w_0..w_K of weights l - 2j, with the spectral
-    argument shifted by u*hbar."""
+    argument shifted by u*hbar, built flat: each entry is one term, the
+    product of its (cz, cx, shift, power) theta factors merged by
+    ``merged_factors`` (the rule of ``ThetaExpression.product``), the -+
+    entries negated.  Only an L++ entry has factors of one kind, and it is
+    merged only when two of their shifts lie within ``MERGE_GAP`` of each
+    other: otherwise every factor keeps its own merge key."""
     if K < 2:
         raise ValueError("K must be >= 2")
     h = params.hbar
-    basis = WeightBasis(complex(l), (1,) * (K + 1))
-    prod = ThetaExpression.product
-    pp, pm, mp, mm = {}, {}, {}, {}
-    # each entry is one product of (cz, cx, shift, power) theta factors
-    for j in range(K + 1):
-        pp[(j, j)] = ThetaSum(prod((
-            (1, 0, (u + l - j + 1) * h, 1), (0, 1, (l - j + 1) * h, 1), (0, 1, -j * h, 1),
-            (0, 1, 0, -1), (0, 1, (l - 2 * j + 1) * h, -1))))
-        mm[(j, j)] = ThetaSum(ThetaExpression.theta(1, 0, (u + j + 1) * h))
+    n = K + 1
+    pp, pm, mp, mm = [], [], [], []
+    for j in range(n):
+        a, b, d = (l - j + 1) * h, -j * h, (l - 2 * j + 1) * h
+        factors = ((1, 0, (u + l - j + 1) * h, 1), (0, 1, a, 1), (0, 1, b, 1), (0, 1, 0, -1),
+                   (0, 1, d, -1))
+        ra, rb, rd = abs(a), abs(b), abs(d)
+        if min(ra, rb, rd, abs(a - b), abs(a - d), abs(b - d)) < MERGE_GAP * (1 + ra + rb + rd):
+            factors = merged_factors(factors)
+        pp.append((j * n + j, _ONE, 0j, 0j, factors))
+        mm.append(((3 * n + j) * n + j, _ONE, 0j, 0j, ((1, 0, (u + j + 1) * h, 1),)))
         if j + 1 <= K:
-            pm[(j + 1, j)] = ThetaSum(prod((
+            pm.append(((n + j + 1) * n + j, _ONE, 0j, 0j, (
                 (1, 1, (u + l - j) * h, 1), (0, 0, (l - j) * h, 1), (0, 1, (l - 2 * j - 1) * h, -1))))
         if j >= 1:
-            mp[(j - 1, j)] = ThetaSum(-prod(((1, -1, (u + j) * h, 1), (0, 0, j * h, 1), (0, 1, 0, -1))))
-    L = {
-        "++": ModuleOperator(1, 1, basis, basis, pp, params),
-        "+-": ModuleOperator(1, -1, basis, basis, pm, params),
-        "-+": ModuleOperator(-1, 1, basis, basis, mp, params),
-        "--": ModuleOperator(-1, -1, basis, basis, mm, params),
-    }
-    return EllipticModule(params, basis, L, spin=complex(l), shift_u=complex(u),
-                          label=f"W({l},{u})[K={K}]")
+            mp.append(((2 * n + j - 1) * n + j, _MINUS, 0j, 0j, (
+                (1, -1, (u + j) * h, 1), (0, 0, j * h, 1), (0, 1, 0, -1))))
+    return EllipticModule(params, WeightBasis(complex(l), (1,) * n), spin=complex(l),
+                          shift_u=complex(u), label=f"W({l},{u})[K={K}]",
+                          terms=pp + pm + mp + mm)
 
 
 def build_vector_rep(params: EllipticParams) -> EllipticModule:

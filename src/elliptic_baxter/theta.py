@@ -22,7 +22,9 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
+from itertools import count
+from operator import itemgetter
 
 import numpy as np
 
@@ -237,6 +239,33 @@ def _merge_key(cz: int, cx: int, shift: complex) -> tuple:
     return (cz, cx, round(shift.real, 12), round(shift.imag, 12))
 
 
+# two factors of one kind whose shifts p, q are at least MERGE_GAP * (1 +
+# |p| + |q|) apart never share a ``_merge_key``, which rounds each part to
+# 12 decimals
+MERGE_GAP = 1e-11
+
+
+def merged_factors(factors) -> tuple:
+    """The theta factors (cz, cx, shift, power) of ``factors`` merged in
+    one pass, the rule of ``ThetaExpression.product``: a factor adds its
+    power to the first one of its ``_merge_key``, a merged power that
+    reaches 0 drops the factor, and a later factor of that key starts
+    again at the end.  Shifts come back complex."""
+    merged: dict[tuple, list] = {}
+    for cz, cx, shift, power in factors:
+        if cz not in (-1, 0, 1) or cx not in (-1, 0, 1):
+            raise ValueError("theta factor coefficients must lie in {-1,0,1}")
+        shift = complex(shift)
+        key = _merge_key(cz, cx, shift)
+        entry = merged.get(key)
+        if entry is None:
+            entry = merged[key] = [cz, cx, shift, 0]
+        entry[3] += power
+        if not entry[3]:
+            del merged[key]
+    return tuple(map(tuple, merged.values()))
+
+
 @dataclass(frozen=True)
 class ThetaExpression:
     """scalar * exp(exp_z*z + exp_x*x) * prod theta(cz*z + cx*x + shift)^power."""
@@ -258,26 +287,10 @@ class ThetaExpression:
     @staticmethod
     def product(factors) -> "ThetaExpression":
         """The product of theta(cz*z + cx*x + shift)**power over the
-        (cz, cx, shift, power) of ``factors``, merged in one pass into the
-        expression that the chain ``theta(f_1) * theta(f_2) * ...`` of
-        ``*`` gives, factor order and shifts included: a factor adds its
-        power to the first one of its ``_merge_key``, a merged power that
-        reaches 0 drops the factor, and a later factor of that key starts
-        again at the end."""
-        merged: dict[tuple, list] = {}
-        for cz, cx, shift, power in factors:
-            if cz not in (-1, 0, 1) or cx not in (-1, 0, 1):
-                raise ValueError("theta factor coefficients must lie in {-1,0,1}")
-            shift = complex(shift)
-            key = _merge_key(cz, cx, shift)
-            entry = merged.get(key)
-            if entry is None:
-                entry = merged[key] = [ThetaFactor(cz, cx, shift, power), 0]
-            entry[1] += power
-            if not entry[1]:
-                del merged[key]
-        return ThetaExpression(factors=tuple(
-            f if p == f.power else ThetaFactor(f.cz, f.cx, f.shift, p) for f, p in merged.values()))
+        (cz, cx, shift, power) of ``factors``, merged by ``merged_factors``
+        into the expression that the chain ``theta(f_1) * theta(f_2) * ...``
+        of ``*`` gives, factor order and shifts included."""
+        return ThetaExpression(factors=tuple(ThetaFactor(*f) for f in merged_factors(factors)))
 
     # -- ring operations ----------------------------------------------
     def __mul__(self, other: "ThetaExpression | complex") -> "ThetaExpression":
@@ -473,55 +486,108 @@ def _distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return ranked[first], first.sum(axis=1), number
 
 
+def flat_terms(sums) -> list[tuple]:
+    """The flat terms of (slot, ThetaSum) pairs: per term of each sum, in
+    order, (slot, scalar, exp_z, exp_x, factors), its factors as (cz, cx,
+    shift, power) tuples."""
+    return [(slot, t.scalar, t.exp_z, t.exp_x,
+             tuple((f.cz, f.cx, f.shift, f.power) for f in t.factors))
+            for slot, s in sums for t in s.terms]
+
+
+@lru_cache(maxsize=32)
+def _table_layout(slots: tuple, counts: tuple, ids: tuple, cz: tuple, cx: tuple, power: tuple,
+                  arg: tuple, arg_cz: tuple, arg_cx: tuple) -> tuple:
+    """The arrays of a ``ThetaTable`` that do not depend on the values of
+    its shifts, scalars and exponents, from: the slot and factor count of
+    each term, sorted by slot; the number of each factor of each term
+    among the distinct factors; per distinct factor, its cz, cx and power
+    and the number of its argument (cz, cx, shift) among the distinct
+    arguments; and the cz and cx of each distinct argument.  Also the
+    order that groups the arguments by kind, in order of first appearance
+    within a kind, and the end of each kind's group in it.  The arrays
+    are read-only, as every table of the layout shares them."""
+    starts = [i for i in range(len(slots)) if not i or slots[i] != slots[i - 1]]
+    # index len(cz) is a row of ones that pads shorter products
+    width = max(counts, default=0)
+    rows, at = [], 0
+    for n in counts:
+        rows.append(list(ids[at:at + n]) + [len(cz)] * (width - n))
+        at += n
+    index = np.array(rows, dtype=int).reshape(len(counts), width)
+    # each kind (cz, cx), numbered in order of first appearance, numbers
+    # its distinct shifts once, in order
+    kinds = list(zip(arg_cz, arg_cx))
+    kind_of: dict[tuple, int] = {}
+    for kind in kinds:
+        kind_of.setdefault(kind, len(kind_of))
+    groups: list[list[int]] = [[] for _ in kind_of]
+    for a, kind in enumerate(kinds):
+        groups[kind_of[kind]].append(a)
+    place = {a: i for g in groups for i, a in enumerate(g)}
+    kind_cz, kind_cx = np.array(list(kind_of), dtype=int).reshape(-1, 2).T[:, :, None]
+    kind_width = np.array([len(g) for g in groups], dtype=int)
+    power = np.array(power, dtype=int)
+    arrays = (np.array(starts, dtype=int), np.array([slots[i] for i in starts], dtype=int),
+              np.array(cz, dtype=int), np.array(cx, dtype=int), power, index,
+              np.array([kind_of[kinds[a]] for a in arg], dtype=int),
+              np.array([place[a] for a in arg], dtype=int), kind_cz, kind_cx, kind_width,
+              np.flatnonzero(power < 0), np.flatnonzero(power != 1))
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays, [a for g in groups for a in g], np.cumsum(kind_width).tolist()
+
+
 class ThetaTable:
     """Theta sums flattened into factor arrays, so that every sum at a
     batch of (z, x) points comes out of one ``theta_eval_array`` pass over
     the distinct theta arguments.
 
-    Built from (slot, ThetaSum) pairs; slot k of the result is the sum of
-    all terms given for k, zero when there are none.  Each distinct factor
-    theta(cz*z + cx*x + shift)**power is stored once; terms are sorted by
-    the slot they add to.  The factors are grouped by kind, their (cz, cx)
-    pair, and each kind stores its distinct shifts once, so that the
-    arguments of a batch are deduped as the distinct point parts
-    cz*z + cx*x of each kind plus that kind's shifts.
+    Built from flat terms (slot, scalar, exp_z, exp_x, factors), each the
+    term scalar * exp(exp_z*z + exp_x*x) * prod theta(cz*z + cx*x +
+    shift)**power over its (cz, cx, shift, power) factors; a (slot,
+    ThetaSum) pair stands for the flat terms of its sum (``flat_terms``).
+    Slot k of the result is the sum of all terms given for k, zero when
+    there are none.  Terms are sorted by the slot they add to, and each
+    distinct factor is stored once, numbered in that order.  The factors
+    are grouped by kind, their (cz, cx) pair, and each kind stores its
+    distinct shifts once, so that the arguments of a batch are deduped as
+    the distinct point parts cz*z + cx*x of each kind plus that kind's
+    shifts.  Tables whose factors coincide alike share every array but
+    the shifts, scalars and exponents (``_table_layout``), as the ladders
+    of one K and spins of one coincidence pattern do.
     """
 
-    def __init__(self, sums, size: int, params: EllipticParams):
+    def __init__(self, terms, size: int, params: EllipticParams):
         self.size = size
         self.params = params
+        flat = []
+        for t in terms:
+            if len(t) == 2:
+                flat += flat_terms((t,))
+            else:
+                flat.append(t)
+        flat.sort(key=itemgetter(0))
         factors: dict[tuple, int] = {}
-        terms = []
-        for slot, s in sums:
-            for t in s.terms:
-                idx = [factors.setdefault((f.cz, f.cx, f.shift, f.power), len(factors))
-                       for f in t.factors]
-                terms.append((slot, t.scalar, t.exp_z, t.exp_x, idx))
-        terms.sort(key=lambda t: t[0])
-        dest, scalar, exp_z, exp_x, idx = zip(*terms) if terms else ((),) * 5
-        self.starts = np.flatnonzero(np.diff(np.array(dest, dtype=int), prepend=-1))
-        self.dest = np.array(dest, dtype=int)[self.starts]
+        ids = tuple([factors.setdefault(f, len(factors)) for t in flat for f in t[4]])
+        # the distinct arguments (cz, cx, shift), numbered in order
+        args = list(map(itemgetter(0, 1, 2), factors))
+        arg_of = dict(zip(dict.fromkeys(args), count()))
+        layout, order, ends = _table_layout(
+            tuple(map(itemgetter(0), flat)), tuple(map(len, map(itemgetter(4), flat))), ids,
+            *(tuple(map(itemgetter(i), factors)) for i in (0, 1, 3)),
+            tuple(map(arg_of.__getitem__, args)),
+            *(tuple(map(itemgetter(i), arg_of)) for i in (0, 1)))
+        (self.starts, self.dest, self.cz, self.cx, self.power, self.index, self.kind,
+         self.shift_index, self.kind_cz, self.kind_cx, self.kind_width, self.negative,
+         self.raised) = layout
+        self.shift = np.fromiter(map(itemgetter(2), factors), complex, len(factors))
+        shifts = np.fromiter(map(itemgetter(2), arg_of), complex, len(arg_of))[order]
+        self.kind_shifts = [shifts[lo:hi] for lo, hi in zip([0, *ends], ends)]
+        _, scalar, exp_z, exp_x, _ = zip(*flat) if flat else ((),) * 5
         self.scalar, self.exp_z, self.exp_x = (np.array(c, dtype=complex) for c in (scalar, exp_z, exp_x))
-        cz, cx, shift, power = zip(*factors) if factors else ((),) * 4
-        self.cz, self.cx, self.power = (np.array(c, dtype=int) for c in (cz, cx, power))
-        self.shift = np.array(shift, dtype=complex)
-        # index len(factors) is a row of ones that pads shorter products
-        width = max(map(len, idx), default=0)
-        self.index = np.array([i + [len(factors)] * (width - len(i)) for i in idx],
-                              dtype=int).reshape(len(idx), width)
-        # each kind (cz, cx) numbers its distinct shifts once
-        kinds: dict[tuple, dict[complex, int]] = {}
-        for f in factors:
-            shifts = kinds.setdefault(f[:2], {})
-            shifts.setdefault(f[2], len(shifts))
-        kind_of = {k: i for i, k in enumerate(kinds)}
-        self.kind = np.array([kind_of[f[:2]] for f in factors], dtype=int)
-        self.shift_index = np.array([kinds[f[:2]][f[2]] for f in factors], dtype=int)
-        self.kind_cz, self.kind_cx = (np.array([k[i] for k in kinds], dtype=int)[:, None] for i in (0, 1))
-        self.kind_shifts = [np.array(list(s), dtype=complex) for s in kinds.values()]
-        self.kind_width = np.array([len(s) for s in kinds.values()], dtype=int)
-        self.negative = np.flatnonzero(self.power < 0)
-        self.raised = np.flatnonzero(self.power != 1)
+        # only a table with some exponent multiplies its terms by exp(...)
+        self.exponential = any(exp_z) or any(exp_x)
 
     def at(self, zs, xs) -> np.ndarray:
         """Every slot at the points (zs, xs), as an array [point, slot].
@@ -531,6 +597,11 @@ class ThetaTable:
         """
         return self._eval(zs, xs, strict=True)
 
+    def at_dest(self, zs, xs) -> np.ndarray:
+        """The slots of ``dest`` at the points (zs, xs), as [point, slot]:
+        ``at`` without the slots no term adds to, and raising as it does."""
+        return self._eval(zs, xs, strict=True, dense=False)
+
     def masked_at(self, zs, xs) -> tuple[np.ndarray, np.ndarray]:
         """``at`` without raising: the values, NaN in every slot with a
         term that has a negative-power factor on the zero lattice or a
@@ -539,12 +610,13 @@ class ThetaTable:
         out = self._eval(zs, xs, strict=False)
         return out, ~np.isfinite(out).all(axis=1)
 
-    def _eval(self, zs, xs, strict: bool) -> np.ndarray:
+    def _eval(self, zs, xs, strict: bool, dense: bool = True) -> np.ndarray:
+        """Every slot at the points, as [point, slot], or with ``dense``
+        false the slots of ``dest`` only."""
         zs = np.asarray(zs, dtype=complex)
         xs = np.asarray(xs, dtype=complex)
-        out = np.zeros((len(zs), self.size), dtype=complex)
         if not self.dest.size:
-            return out
+            return np.zeros((len(zs), self.size if dense else 0), dtype=complex)
         # an argument is (cz*z + cx*x) + shift, summed as one array over
         # all factors would sum it, so the candidates, each kind's distinct
         # point parts plus each of its shifts, are every argument, with
@@ -591,8 +663,13 @@ class ThetaTable:
             # a factor of power 1 is its theta value: only other powers are taken
             vals[self.raised] **= self.power[self.raised, None]
             terms = vals[self.index].prod(axis=1) * self.scalar[:, None]
-            terms *= np.exp(self.exp_z[:, None] * zs + self.exp_x[:, None] * xs)
-            out[:, self.dest] = np.add.reduceat(terms, self.starts, axis=0).T
+            if self.exponential:
+                terms *= np.exp(self.exp_z[:, None] * zs + self.exp_x[:, None] * xs)
+            sums = np.add.reduceat(terms, self.starts, axis=0).T
+        if not dense:
+            return sums
+        out = np.zeros((len(zs), self.size), dtype=complex)
+        out[:, self.dest] = sums
         return out
 
 

@@ -9,6 +9,7 @@ from elliptic_baxter.dynamical import (
     SingularityError,
     TermMatrix,
     WeightBasis,
+    _keys,
     _read,
     block_graded_trace,
     cmatmul,
@@ -495,6 +496,44 @@ class TestLeafItems:
                     alone.update(p for points in fresh for p in points)
         assert len(calls) == 1
         assert len(calls[0]) == len(set(calls[0])) and set(calls[0]) == alone
+
+
+class TestGather:
+    """``at`` reads the memo as a view of one block's contiguous run, by
+    one fancy index for other rows of one block, or as a stack of rows
+    of several blocks; each gives the values, in the memory order, of
+    stacking the rows one by one."""
+
+    @staticmethod
+    def stacked(term, zs, xs, item=slice(None)):
+        return np.stack([b[i, ..., item] for b, i in map(term._cache.__getitem__, _keys(zs, xs))])
+
+    @pytest.mark.parametrize("column_major", [False, True])
+    def test_the_three_cases(self, column_major):
+        def fn(zs, xs):  # a quotient's matrices are column-major
+            m = np.eye(2) + (zs + 2 * xs)[:, None, None] * np.array([[1, 2j], [0.5, -1]])
+            return np.ascontiguousarray(m.swapaxes(1, 2)).swapaxes(1, 2) if column_major else m
+
+        leaf = TermMatrix(fn, 2)
+        zs, xs = np.array(sample_pairs(43, 5)).T
+        block = leaf.at(zs[:4], xs[:4])
+        leaf.at(zs[4:], xs[4:])
+        for rows, view in (([1, 2, 3], True), ([3, 0, 2], False), ([2, 4, 1], False)):
+            got, ref = leaf.at(zs[rows], xs[rows]), self.stacked(leaf, zs[rows], xs[rows])
+            assert np.array_equal(got, ref) and got.strides == ref.strides
+            assert np.shares_memory(got, block) == view
+
+    def test_an_item_of_the_three_cases(self):
+        leaf = level_relation([])[0]
+        zs, xs = np.array(sample_pairs(43, 5)).T
+        block = leaf.at(zs[:4], xs[:4])
+        leaf.at(zs[4:], xs[4:])
+        for rows, view in (([1, 2, 3], True), ([3, 0, 2], False), ([2, 4, 1], False)):
+            for k in (1, slice(1, 3)):
+                got, ref = leaf.at(zs[rows], xs[rows], k), self.stacked(leaf, zs[rows], xs[rows], k)
+                assert np.array_equal(got, ref)
+                # a view keeps its block's strides, a copy has those of the stack
+                assert np.shares_memory(got, block) if view else got.strides == ref.strides
 
 
 class TestWorstResidual:

@@ -26,6 +26,7 @@ from elliptic_baxter.theta import (
     SamplePlan,
     ThetaExpression,
     ThetaSum,
+    ThetaTable,
     theta_eval,
 )
 
@@ -95,6 +96,55 @@ class TestOnePassEntries:
         # the case the merge order matters for: some ++ entry loses factors
         pp = build_asymptotic(l, 0, 8, P).L["++"].entries
         assert min(len(s.terms[0].factors) for s in pp.values()) < 5
+
+
+def table_state(table) -> dict:
+    """Every attribute of a ThetaTable, arrays as their dtype and bytes."""
+    def state(v):
+        if isinstance(v, np.ndarray):
+            return v.dtype.str, v.shape, v.tobytes()
+        if isinstance(v, list):
+            return [state(a) for a in v]
+        return v
+    return {k: state(v) for k, v in vars(table).items()}
+
+
+class TestFlatLadder:
+    """A ladder is built as flat terms, its table straight from them and
+    its symbolic L as a view of them on first read.  The flat table must
+    be the table of the view's ThetaSums array for array, and the view the
+    chains of ``*`` of ``tests/ladder_oracle.py``.  Spin 0 and the integer
+    spins merge and cancel factors of some L++ entries (level 0 always);
+    with complex hbar numpy's complex multiply would round the shifts
+    otherwise than Python's."""
+
+    @pytest.mark.parametrize("params", [EllipticParams(1j, 0.31),
+                                        EllipticParams(0.4 + 0.6j, 0.23 + 0.05j)],
+                             ids=["real-hbar", "complex-hbar"])
+    @pytest.mark.parametrize("K", [2, 6, 8])
+    @pytest.mark.parametrize("u", [0, 0.3, 0.57])
+    @pytest.mark.parametrize("l", [1.3 + 0.2j, 0.57, 0, 1, 2, -1])
+    def test_flat_table_is_the_table_of_the_view(self, l, u, K, params):
+        X = build_asymptotic(l, u, K, params)
+        n = X.basis.size
+        flat = X._table(n)
+        assert "L" not in vars(X)
+        sums = [((k * n + a) * n + b, s) for k, key in enumerate(("++", "+-", "-+", "--"))
+                for (a, b), s in X.L[key].entries.items()]
+        assert table_state(flat) == table_state(ThetaTable(sums, 4 * n * n, params))
+        for key, ref in chain_ladder_entries(l, u, K, params).items():
+            got = X.L[key].entries
+            assert list(got) == list(ref)
+            for k, e in ref.items():
+                assert [expression_bits(t) for t in got[k].terms] == [expression_bits(e)]
+        # level 0 merges: theta(x + (l+1) hbar) and theta(x) cancel
+        assert len(X.L["++"].entries[(0, 0)].terms[0].factors) == 1
+
+    def test_cut_tables_are_cut_from_the_terms(self):
+        X = build_asymptotic(1.3 + 0.2j, 0.4, 6, P)
+        Y = type(X)(P, X.basis, X.L, X.spin, X.shift_u)  # the same entries, given as L
+        for n in (1, 3, 7):
+            assert table_state(X._table(n)) == table_state(Y._table(n))
 
 
 class TestDynamicalYangBaxter:

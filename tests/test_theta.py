@@ -426,6 +426,25 @@ class TestThetaTable:
         assert got[2] == pytest.approx((a + b).eval(z, x, P), rel=1e-13)
         assert ThetaTable([], 2, P).at([0.1, 0.2], [0.3, 0.4]).tolist() == [[0, 0], [0, 0]]
 
+    def test_at_dest_is_at_on_dest(self):
+        a = ThetaSum(ThetaExpression.theta(1, 0, 0.2))
+        b = ThetaSum(ThetaExpression.theta(0, 1, 0.1, power=-1))
+        table = ThetaTable([(2, a), (0, b), (2, b)], 4, P)
+        zs, xs = [0.3 + 0.1j, 0.5 - 0.2j], [0.4 + 0.2j, 0.1 + 0.3j]
+        assert table.dest.tolist() == [0, 2]
+        assert np.array_equal(table.at_dest(zs, xs), table.at(zs, xs)[:, table.dest])
+        assert ThetaTable([], 2, P).at_dest(zs, xs).shape == (2, 0)
+
+    def test_only_a_table_with_an_exponent_multiplies_by_it(self):
+        e = ThetaExpression(scalar=2.0, exp_z=0.3j, exp_x=-0.2) * ThetaExpression.theta(1, 0, 0.2)
+        plain = ThetaSum(ThetaExpression.theta(0, 1, 0.1))
+        table = ThetaTable([(0, ThetaSum(e)), (1, plain)], 2, P)
+        assert table.exponential and not ThetaTable([(1, plain)], 2, P).exponential
+        z, x = 0.3 + 0.1j, 0.4 + 0.2j
+        got = table.at([z], [x])[0]
+        assert got[0] == pytest.approx(e.eval(z, x, P), rel=1e-13)
+        assert got[1] == pytest.approx(plain.eval(z, x, P), rel=1e-13)
+
     POLE = ThetaSum(ThetaExpression.theta(1, 0, -0.3, power=-1))   # pole at z = 0.3
     GROWS = ThetaSum(ThetaExpression.theta(0, 1, 0.0))             # overflows at x = 300i
     ZS = [0.1 + 0.2j, 0.3, 0.5 + 0.1j, 0.7 + 0.3j, 0.2 + 0.4j]

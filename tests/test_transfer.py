@@ -16,6 +16,7 @@ from elliptic_baxter.dynamical import (
     TermMatrix,
     block_graded_trace,
     compose_module_ops,
+    request,
     series_add,
     series_compose,
     series_divide,
@@ -493,6 +494,15 @@ class TestQOperator:
     def test_leading_exponent(self):
         q = q_operator(SPACE, self.ZQ, 2)
         assert abs(q.alpha0 - self.ZQ / H) < 1e-12
+
+    def test_evaluation_builds_no_symbolic_entries(self):
+        # the ladder enters the trace as flat terms: its L view stays unbuilt
+        q = q_operator(SPACE, self.ZQ, 2)
+        request([(t, np.zeros(len(XS)), np.array(XS)) for t in q.terms])
+        (trace, _), = q.terms[0].inputs
+        ladder = trace._fn.module
+        assert ladder._tables and trace._cache
+        assert "L" not in vars(ladder)
 
 
 class TestFunctionalRelations:
