@@ -9,7 +9,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .theta import EllipticParams, PoleError, SamplePlan, lattice_distance, lattice_reduce, theta_eval
+from .theta import (
+    EllipticParams,
+    PoleError,
+    SamplePlan,
+    _theta_series,
+    lattice_distance,
+    lattice_distance_array,
+    lattice_reduce,
+    theta_eval,
+)
 from .yangian import two_site_quadratic
 
 _POLE_GUARD = 1e-8
@@ -17,6 +26,8 @@ _POLE_GUARD = 1e-8
 _NEWTON_MAX_ITER = 80
 _NEWTON_TOL = 1e-12
 _FD_STEP = 1e-7
+# halvings of the Newton step the line search tries
+_LINE_SEARCH = 25
 # an accepted root set must meet the multiplicative system to this norm
 _RESIDUAL_TOL = 1e-10
 # sum-rule defect below which the rule counts as met
@@ -80,16 +91,33 @@ def elliptic_bethe_residual(cfg: BetheConfig, params: EllipticParams) -> np.ndar
                     dtype=complex)
 
 
-def _log_residual(roots: np.ndarray, a: complex, p: complex,
-                  params: EllipticParams) -> np.ndarray:
-    """Principal-branch logarithm of lhs/rhs per component."""
-    out = []
-    for lhs, rhs in _sides(roots, a, p, params):
+def _log_residuals(roots: np.ndarray, a: complex, p: complex,
+                   params: EllipticParams) -> tuple[np.ndarray, np.ndarray]:
+    """Principal-branch logarithm of lhs/rhs per component, for each root
+    set of ``roots`` [..., n], the sides those of ``_sides`` on the masked
+    theta series; and the mask of the root sets at which ``_sides`` would
+    raise (a denominator argument within the pole guard of the lattice, a
+    theta series that overflows or does not converge) or a ratio vanishes."""
+    n = roots.shape[-1]
+    h = params.hbar
+    za = roots + a
+    off = ~np.eye(n, dtype=bool)
+    diff = (roots[..., :, None] - roots[..., None, :])[..., off]  # zk - zj, j != k in order
+    args = np.concatenate([za, za + h, diff - h, diff + h], axis=-1)
+    dens = np.concatenate([za + h, diff + h], axis=-1)
+    thetas = _theta_series(args, params)
+    bad = ((lattice_distance_array(dens, params) < _POLE_GUARD).any(axis=-1)
+           | ~np.isfinite(thetas).all(axis=-1))
+    t1, t1h, t2, t2h = np.split(thetas, [n, 2 * n, 2 * n + n * (n - 1)], axis=-1)
+    with np.errstate(all="ignore"):
+        lhs = p**2 * (t1 / t1h) ** (2 * n)
+        ratios = (t2 / t2h).reshape(*roots.shape, n - 1)
+        rhs = np.ones(roots.shape, dtype=complex)
+        for j in range(n - 1):
+            rhs *= ratios[..., j]
         val = lhs / rhs
-        if val == 0:
-            raise PoleError("vanishing Bethe ratio")
-        out.append(cmath.log(val))
-    return np.array(out, dtype=complex)
+        bad |= (val == 0).any(axis=-1)
+        return np.log(val), bad
 
 
 @dataclass
@@ -112,41 +140,59 @@ def _same_solution(r1, r2, params) -> bool:
     return not left
 
 
-def _newton(seed, n, a, p, params):
-    """The converged roots, or None when the iteration fails.  A pole or
-    an overflow of the theta series at the iterate fails the run; at a
-    trial point of the line search it rejects the trial."""
-    roots = np.array(seed, dtype=complex)
-    for _ in range(_NEWTON_MAX_ITER):
-        try:
-            r = _log_residual(roots, a, p, params)
-        except (PoleError, OverflowError):
-            return None
-        nr = float(np.linalg.norm(r))
-        if nr < _NEWTON_TOL:
-            return roots
-        jac = np.zeros((n, n), dtype=complex)
-        try:
-            for j in range(n):
-                bumped = roots.copy()
-                bumped[j] += _FD_STEP
-                jac[:, j] = (_log_residual(bumped, a, p, params) - r) / _FD_STEP
-            step = np.linalg.solve(jac, r)
-        except (PoleError, OverflowError, np.linalg.LinAlgError):
-            return None
-        lam = 1.0
-        for _ in range(25):
-            cand = roots - lam * step
+def _solve_each(jac: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Newton steps jac^-1 r of a batch, and the mask of the ones that
+    are defined: a singular matrix leaves its own step undefined only."""
+    try:
+        return np.linalg.solve(jac, r[..., None])[..., 0], np.ones(len(r), dtype=bool)
+    except np.linalg.LinAlgError:
+        steps, ok = np.zeros_like(r), np.ones(len(r), dtype=bool)
+        for i in range(len(r)):
             try:
-                if float(np.linalg.norm(_log_residual(cand, a, p, params))) < nr:
-                    roots = cand
-                    break
-            except (PoleError, OverflowError):
-                pass
-            lam *= 0.5
-        else:
-            return None
-    return None
+                steps[i] = np.linalg.solve(jac[i], r[i])
+            except np.linalg.LinAlgError:
+                ok[i] = False
+        return steps, ok
+
+
+def _newton(seeds, n, a, p, params) -> list:
+    """Per seed, the converged roots, or None when the iteration fails.
+
+    Each damped Newton step runs for all live seeds at once: the
+    logarithmic residual, its finite-difference Jacobian and all
+    ``_LINE_SEARCH`` halvings of the step are each one ``_log_residuals``
+    pass.  A pole or an overflow of the theta series at a seed's iterate
+    fails that seed; at a trial point of the line search it rejects the
+    trial, and the first halving accepted is taken."""
+    roots = np.array(seeds, dtype=complex).reshape(-1, n)
+    out = [None] * len(roots)
+    r, bad = _log_residuals(roots, a, p, params)
+    live = np.flatnonzero(~bad)
+    roots, r = roots[live], r[live]
+    lams = 0.5 ** np.arange(_LINE_SEARCH)
+    diag = np.arange(n)
+    for _ in range(_NEWTON_MAX_ITER):
+        nr = np.linalg.norm(r, axis=1)
+        done = nr < _NEWTON_TOL
+        for i, z in zip(live[done], roots[done]):
+            out[i] = z
+        live, roots, r, nr = live[~done], roots[~done], r[~done], nr[~done]
+        if not live.size:
+            break
+        bumped = np.repeat(roots[:, None], n, axis=1)
+        bumped[:, diag, diag] += _FD_STEP
+        rb, bad = _log_residuals(bumped, a, p, params)
+        jac = ((rb - r[:, None]) / _FD_STEP).transpose(0, 2, 1)
+        step, ok = _solve_each(jac, r)
+        ok &= ~bad.any(axis=1)
+        live, roots, r, nr, step = live[ok], roots[ok], r[ok], nr[ok], step[ok]
+        cand = roots[:, None] - lams[None, :, None] * step[:, None]
+        rc, bad = _log_residuals(cand, a, p, params)
+        accepted = ~bad & (np.linalg.norm(rc, axis=2) < nr[:, None])
+        first, ok = accepted.argmax(axis=1), accepted.any(axis=1)
+        at = np.arange(len(live))
+        live, roots, r = live[ok], cand[at, first][ok], rc[at, first][ok]
+    return out
 
 
 def elliptic_bethe_solve(
@@ -164,8 +210,7 @@ def elliptic_bethe_solve(
 
         seeds = SamplePlan(seed, seed_count, 5e-2).draw(params, n, guard, "seeds")
     solutions: list[BetheConfig] = []
-    for s in seeds:
-        roots = _newton(s, n, a, p, params)
+    for roots in _newton(seeds, n, a, p, params):
         if roots is None:
             continue
         cfg = BetheConfig(n, complex(a), complex(p), tuple(roots))

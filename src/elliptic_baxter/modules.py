@@ -159,6 +159,15 @@ class GradedModule:
         return self.basis.levels if self.exact else self.basis.levels - 1
 
 
+def _expression(scalar, exp_z, exp_x, factors) -> ThetaExpression:
+    """The expression of a flat term: ``ThetaExpression.product`` of its
+    factors, times its scalar and exponential where they are not (1, 0, 0)."""
+    e = ThetaExpression.product(factors)
+    if (scalar, exp_z, exp_x) != (1, 0, 0):
+        e = e * ThetaExpression(scalar, exp_z, exp_x)
+    return e
+
+
 class EllipticModule(GradedModule):
     """Weight-graded truncated module whose four L-entry tables are held
     in one of two forms, the other built from it on first read: flat
@@ -196,13 +205,10 @@ class EllipticModule(GradedModule):
         entry at (row, col) sums that slot's terms."""
         n = self.basis.size
         entries: list[dict] = [{} for _ in _KEYS]
-        for slot, scalar, exp_z, exp_x, factors in self.terms:
+        for slot, *term in self.terms:
             k, rc = divmod(slot, n * n)
-            e = ThetaExpression.product(factors)
-            if (scalar, exp_z, exp_x) != (1, 0, 0):
-                e = e * ThetaExpression(scalar, exp_z, exp_x)
             at = divmod(rc, n)
-            entries[k][at] = entries[k].get(at, ThetaSum.zero()) + ThetaSum(e)
+            entries[k][at] = entries[k].get(at, ThetaSum.zero()) + ThetaSum(_expression(*term))
         return {key: ModuleOperator(_BIDEG[key[0]], _BIDEG[key[1]], self.basis, self.basis,
                                     ops, self.params) for key, ops in zip(_KEYS, entries)}
 
@@ -243,12 +249,34 @@ class EllipticModule(GradedModule):
     def diagonal_terms(self) -> tuple:
         """(K+, K-): per basis index the single symbolic term of the Gauss
         diagonal entry, or None.  K- is L--; a K+ entry is its L++ entry
-        when no L-+ entry is in its column, else None."""
-        pp, mp, mm = (self.L[k].entries for k in ("++", "-+", "--"))
-        corrected = {b for (_, b), s in mp.items() if s}
-        n, zero = range(self.basis.size), ThetaSum.zero()
-        return (tuple(None if i in corrected else pp.get((i, i), zero).single() for i in n),
-                tuple(mm.get((i, i), zero).single() for i in n))
+        when no L-+ entry is in its column, else None.  A module held as
+        flat terms reads them off its terms, as ``L`` would read them,
+        without building ``L``."""
+        n = self.basis.size
+        if "L" in self.__dict__:
+            pp, mp, mm = (self.L[k].entries for k in ("++", "-+", "--"))
+            corrected = {b for (_, b), s in mp.items() if s}
+            zero = ThetaSum.zero()
+            return (tuple(None if i in corrected else pp.get((i, i), zero).single()
+                          for i in range(n)),
+                    tuple(mm.get((i, i), zero).single() for i in range(n)))
+        # per diagonal slot of L++ and L--, its one term, or None for several
+        diag: dict[int, tuple | None] = {}
+        corrected = set()
+        for t in self.terms:
+            k, rc = divmod(t[0], n * n)
+            a, b = divmod(rc, n)
+            if k == 2:
+                corrected.add(b)
+            elif k != 1 and a == b:
+                diag[t[0]] = None if t[0] in diag else t[1:]
+
+        def single(slot):
+            term = diag.get(slot)
+            return None if term is None else _expression(*term)
+
+        return (tuple(None if i in corrected else single(i * n + i) for i in range(n)),
+                tuple(single((3 * n + i) * n + i) for i in range(n)))
 
 
 class TensorModule(GradedModule):
@@ -439,26 +467,34 @@ def rll_residual(
 def _rll_level(basis: WeightBasis, tables: np.ndarray, r: np.ndarray, level: int) -> float:
     """The exchange residual of ``rll_residuals`` at one level, from the
     six L tables and the R-matrices of one triple: tables[3*at_w + s + 1,
-    key] is the L table at z (w when at_w) and x + s*hbar."""
-    r_target = r[[basis.level_of(a) for a in range(basis.size)]]
-    r0 = r[-1]
+    key] is the L table at z (w when at_w) and x + s*hbar.
 
-    def ridx(s1: int, s2: int) -> int:  # signs +-1 to the 4-dim index and the key
-        return 2 * (0 if s1 == 1 else 1) + (0 if s2 == 1 else 1)
-
-    residuals = []
-    for i, jj, m, n in product((1, -1), repeat=4):
-        for b in range(basis.offset(level), basis.offset(level + 1)):
-            lhs = np.zeros(basis.size, dtype=complex)
-            rhs = np.zeros(basis.size, dtype=complex)
-            for p, q in product((1, -1), repeat=2):
-                lhs += r_target[:, ridx(m, n), ridx(p, q)] * (
-                    tables[1, ridx(p, i)] @ tables[4 + i, ridx(q, jj)][:, b])
-            for p, q in product((1, -1), repeat=2):
-                rhs += r0[ridx(p, q), ridx(i, jj)] * (
-                    tables[4, ridx(n, q)] @ tables[1 + q, ridx(m, p)][:, b])
-            residuals.append(relative_deviation(lhs, rhs))
-    return worst_residual(residuals)
+    Every (i, j, m, n) component of both sides is formed for all basis
+    vectors of the level at once, a sign +1 at index 0 and -1 at index 1
+    of its axis, a key (s1, s2) at 2*s1 + s2: the 16 products of L tables
+    of each side are one stacked matmul on the level's columns, summed
+    over (p, q) in the order (++, +-, -+, --) with their R weights."""
+    n = basis.size
+    cols = slice(basis.offset(level), basis.offset(level + 1))
+    t = tables.reshape(6, 2, 2, n, n)
+    # lhs: L_{pi}(z; x) L_{qj}(w; x + i*hbar) -> [p, i, q, j, row, col]
+    lz = t[1][:, :, None, None]
+    lw = t[[5, 3]][..., cols][None, :, :, :]
+    prod_l = np.matmul(lz, lw)
+    # rhs: L_{nq}(w; x) L_{mp}(z; x + q*hbar) -> [n, q, m, p, row, col]
+    prod_r = np.matmul(t[4][:, :, None, None], t[[2, 0]][..., cols][None])
+    # R^{pq}_{mn} at each row's level as [m, n, p, q, row], R^{ij}_{pq}(x) as [p, q, i, j]
+    rt = r[list(basis.index_levels)].reshape(n, 2, 2, 2, 2).transpose(1, 2, 3, 4, 0)
+    r0 = r[-1].reshape(2, 2, 2, 2)
+    lhs = np.zeros((2, 2, 2, 2, n, cols.stop - cols.start), dtype=complex)
+    rhs = np.zeros_like(lhs)
+    for p, q in product(range(2), repeat=2):
+        # [i, j, m, n, row, col]
+        lhs += rt[None, None, :, :, p, q, :, None] * prod_l[p, :, q][:, :, None, None]
+        rhs += r0[p, q][:, :, None, None, None, None] * prod_r[:, q, :, p].swapaxes(0, 1)[None, None]
+    diff, a, b = (np.linalg.norm(v, axis=4) for v in (lhs - rhs, lhs, rhs))
+    residuals = diff / np.maximum(1.0, np.maximum(a, b))
+    return worst_residual(residuals.ravel())
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from .theta import (
     ThetaExpression,
     ThetaSum,
     ThetaTable,
+    _merge_key,
 )
 
 _MERGE_TOL = 1e-9
@@ -44,13 +45,105 @@ def _zgrid(params: EllipticParams) -> tuple[complex, ...]:
 
 
 def _rounded(c: complex) -> tuple[float, float]:
+    if not c:  # round keeps the sign of a zero
+        return (c.real, c.imag)
     return (round(c.real, 9), round(c.imag, 9))
 
 
-def _factor_key(c: ThetaExpression) -> tuple:
-    """Rounded factor multiset of a canonical form, scalar excluded."""
-    return (_rounded(c.exp_z) + _rounded(c.exp_x),
-            tuple((f.cz, f.cx, *_rounded(f.shift), f.power) for f in c.factors))
+# a factor whose oriented real shift part lies this close below an integer
+# makes its products go through their expressions (``_near_edge``)
+_EDGE = 1e-11
+
+
+def _form(c: ThetaExpression) -> tuple:
+    """The canonical flat form of a canonical expression: (scalar, exp_z,
+    exp_x, classes), the classes a dict from each factor's ``_merge_key``
+    to (its rounded shift parts, its power)."""
+    return (c.scalar, c.exp_z, c.exp_x,
+            {_merge_key(f.cz, f.cx, f.shift): (*_rounded(f.shift), f.power) for f in c.factors})
+
+
+def _form_product(f: tuple, g: tuple) -> tuple:
+    """The canonical flat form of the product of two expressions, from
+    theirs: scalars multiplied, exponents added, and each class's powers
+    summed, a class whose power sums to 0 dropped."""
+    classes = dict(f[3])
+    for k, (re, im, p) in g[3].items():
+        held = classes.get(k)
+        if held is None:
+            classes[k] = (re, im, p)
+        elif held[2] + p:
+            classes[k] = (held[0], held[1], held[2] + p)
+        else:
+            del classes[k]
+    return (f[0] * g[0], f[1] + g[1], f[2] + g[2], classes)
+
+
+def _form_key(f: tuple) -> tuple:
+    """The rounded exponents and factor multiset of a form, its classes in
+    the order of ``ThetaExpression.canonical``."""
+    return (_rounded(f[1]) + _rounded(f[2]),
+            tuple((k[0], k[1], re, im, p) for k, (re, im, p) in sorted(f[3].items())))
+
+
+def _near_edge(e: ThetaExpression) -> bool:
+    """Whether some factor of ``e``, oriented as ``canonical`` orients it,
+    has a real shift part within ``_EDGE`` below an integer, or a shift part
+    within 2e-11 of a 9-decimal rounding boundary (or an imaginary part
+    beyond 1e3, where that test loses its resolution).  Two factors that
+    ``*`` merges have shifts within 1e-12 of each other.  Without such a
+    factor anywhere in a product, they reduce to the same class, and every
+    factor of a class rounds alike, so the product's canonical form is the
+    merge of its factors' forms (``_form_product``); with one, the
+    product's pair is multiplied out and its canonical form read off."""
+    for f in e.factors:
+        s = -f.shift if f.cz < 0 or (f.cz == 0 and f.cx < 0) else f.shift
+        re = s.real - math.floor(s.real)
+        if re > 1 - _EDGE or abs(s.imag) > 1e3:
+            return True
+        # within 1e-11 of a boundary (n + 1/2)*1e-9 means within 0.01 of
+        # n + 1/2 in units of 1e-9; 0.02 leaves room for rounding
+        if abs(re * 1e9 % 1.0 - 0.5) < 0.02 or abs(s.imag * 1e9 % 1.0 - 0.5) < 0.02:
+            return True
+    return False
+
+
+class _Sym:
+    """The symbolic side of a monomial: its class key, the canonical flat
+    form of each component (``_form``), whether its products must go
+    through their expressions (``edge``), and the pair (a+, a-), which a
+    product builds from its factors' pairs on first read."""
+
+    __slots__ = ("key", "forms", "edge", "_pair", "_factors")
+
+    def __init__(self, forms: tuple, weight: complex, edge: bool, pair=None, factors=None):
+        self.forms, self.edge, self._pair, self._factors = forms, edge, pair, factors
+        fp, fm = forms
+        self.key = (_form_key(fp), _form_key(fm), _rounded(fp[0] * fm[0]), _rounded(weight))
+
+    @staticmethod
+    def of_pair(ap: ThetaExpression, am: ThetaExpression, weight: complex,
+                edge: bool = False) -> "_Sym":
+        """The symbolic side of the pair (ap, am), its forms read off the
+        canonical forms of its components."""
+        return _Sym((_form(ap.canonical()), _form(am.canonical())), weight,
+                    edge or _near_edge(ap) or _near_edge(am), pair=(ap, am))
+
+    def times(self, other: "_Sym", weight: complex) -> "_Sym":
+        """The symbolic side of the product: the merged forms, or near an
+        edge the canonical forms of the product pair, as ``of_pair``."""
+        if self.edge or other.edge:
+            a, b = self.pair, other.pair
+            return _Sym.of_pair(a[0] * b[0], a[1] * b[1], weight, edge=True)
+        forms = tuple(map(_form_product, self.forms, other.forms))
+        return _Sym(forms, weight, False, factors=(self, other))
+
+    @property
+    def pair(self) -> tuple:
+        if self._pair is None:
+            a, b = (s.pair for s in self._factors)
+            self._pair, self._factors = (a[0] * b[0], a[1] * b[1]), None
+        return self._pair
 
 
 class WeightMonomial:
@@ -61,39 +154,78 @@ class WeightMonomial:
     (``_zgrid``) as [component, point]; ``ok`` marks the points where both
     are finite.  ``pair`` is the symbolic pair (a+, a-) when both
     components are x-free ``ThetaExpression``s, else None, and ``key`` a
-    hashable invariant of its class (None without a pair).  Build leaf
-    monomials with ``monomials``; a product multiplies the values.
+    hashable invariant of its class (None without a pair): the rounded
+    factor multisets of the canonical forms of a+ and a-, the rounded
+    product of their scalars and the rounded weight.  Build leaf monomials
+    with ``monomials``; a product multiplies the values.
     """
 
-    __slots__ = ("values", "ok", "weight", "pair", "key")
+    __slots__ = ("values", "ok", "weight", "sym")
 
-    def __init__(self, values: np.ndarray, weight: complex, pair=None):
+    def __init__(self, values: np.ndarray, weight: complex, sym: _Sym | None = None,
+                 ok: np.ndarray | None = None):
         self.values = values
-        self.ok = np.isfinite(values).all(axis=0)
+        self.ok = np.isfinite(values).all(axis=0) if ok is None else ok
         self.weight = complex(weight)
-        self.pair = pair
-        self.key = None
-        if pair is not None:
-            ap, am = (c.canonical() for c in pair)
-            self.key = (_factor_key(ap), _factor_key(am),
-                        _rounded(ap.scalar * am.scalar), _rounded(self.weight))
+        self.sym = sym
+
+    @property
+    def key(self) -> tuple | None:
+        return None if self.sym is None else self.sym.key
+
+    @property
+    def pair(self) -> tuple | None:
+        return None if self.sym is None else self.sym.pair
 
     def __mul__(self, other: "WeightMonomial") -> "WeightMonomial":
-        pair = None
-        if self.pair is not None and other.pair is not None:
-            pair = (self.pair[0] * other.pair[0], self.pair[1] * other.pair[1])
-        return WeightMonomial(self.values * other.values, self.weight + other.weight, pair)
+        weight = self.weight + other.weight
+        sym = None
+        if self.sym is not None and other.sym is not None:
+            sym = self.sym.times(other.sym, weight)
+        return WeightMonomial(self.values * other.values, weight, sym)
 
 
-def monomials(triples, params: EllipticParams) -> list[WeightMonomial]:
-    """The monomials of (a+, a-, weight) triples, every component on the z
-    grid of ``params``, the symbolic ones from one masked ``ThetaTable``
-    pass.
+class _Stack:
+    """The terms of one step, stacked in term order: ``values`` [term,
+    component, point], ``ok`` [term, point], ``weights`` [term], and per
+    term its multiplicity (``mults``) and its ``_Sym`` or None (``syms``)."""
 
-    A component is an x-free ``ThetaExpression`` or an array of its values
-    on the grid; a symbolic component is NaN at a point where it has a
-    pole or is not finite.
-    """
+    __slots__ = ("values", "ok", "weights", "mults", "syms")
+
+    def __init__(self, values, ok, weights, mults: list, syms: list):
+        self.values, self.ok, self.weights, self.mults, self.syms = values, ok, weights, mults, syms
+
+    @staticmethod
+    def of(terms) -> "_Stack":
+        """The stack of [monomial, multiplicity] pairs."""
+        monos = [m for m, _ in terms]
+        return _Stack(np.array([m.values for m in monos]), np.array([m.ok for m in monos]),
+                      np.array([m.weight for m in monos], dtype=complex),
+                      [n for _, n in terms], [m.sym for m in monos])
+
+    def __len__(self) -> int:
+        return len(self.mults)
+
+    def take(self, idx) -> "_Stack":
+        idx = list(idx)
+        return _Stack(self.values[idx], self.ok[idx], self.weights[idx],
+                      [self.mults[i] for i in idx], [self.syms[i] for i in idx])
+
+    def monomial(self, i: int) -> WeightMonomial:
+        return WeightMonomial(self.values[i], self.weights[i], self.syms[i], self.ok[i])
+
+    @staticmethod
+    def concat(stacks) -> "_Stack":
+        stacks = list(stacks)
+        return _Stack(*(np.concatenate([getattr(s, a) for s in stacks])
+                        for a in ("values", "ok", "weights")),
+                      [n for s in stacks for n in s.mults], [y for s in stacks for y in s.syms])
+
+
+def _leaf_stack(triples, params: EllipticParams) -> _Stack:
+    """The monomials of (a+, a-, weight) triples, stacked with multiplicity
+    1, every component on the z grid of ``params``, the symbolic ones from
+    one masked ``ThetaTable`` pass."""
     triples = list(triples)
     comps = [c for ap, am, _ in triples for c in (ap, am)]
     zs = np.array(_zgrid(params))
@@ -113,11 +245,25 @@ def monomials(triples, params: EllipticParams) -> list[WeightMonomial]:
     for n, c in enumerate(comps):
         if isinstance(c, np.ndarray):
             vals[:, n] = c
-    out = []
-    for v, (ap, am, w) in zip(vals.T.reshape(len(triples), 2, zs.size), triples):
-        symbolic = isinstance(ap, ThetaExpression) and isinstance(am, ThetaExpression)
-        out.append(WeightMonomial(v, w, (ap, am) if symbolic else None))
-    return out
+    values = np.ascontiguousarray(vals.T.reshape(len(triples), 2, zs.size))
+    weights = np.array([w for _, _, w in triples], dtype=complex)
+    syms = [_Sym.of_pair(ap, am, complex(w))
+            if isinstance(ap, ThetaExpression) and isinstance(am, ThetaExpression) else None
+            for ap, am, w in triples]
+    return _Stack(values, np.isfinite(values).all(axis=1), weights, [1] * len(triples), syms)
+
+
+def monomials(triples, params: EllipticParams) -> list[WeightMonomial]:
+    """The monomials of (a+, a-, weight) triples, every component on the z
+    grid of ``params``, the symbolic ones from one masked ``ThetaTable``
+    pass.
+
+    A component is an x-free ``ThetaExpression`` or an array of its values
+    on the grid; a symbolic component is NaN at a point where it has a
+    pole or is not finite.
+    """
+    stack = _leaf_stack(triples, params)
+    return [stack.monomial(i) for i in range(len(stack))]
 
 
 def monomial_deviation(m1: WeightMonomial, m2: WeightMonomial) -> float:
@@ -144,29 +290,105 @@ def monomial_deviation(m1: WeightMonomial, m2: WeightMonomial) -> float:
     return float(max(np.abs(rp - c).max() / max(1.0, abs(c)), np.abs(rm * c - 1.0).max()))
 
 
-@dataclass
+def _near(a: np.ndarray, bound: float) -> np.ndarray:
+    return (a > bound / 4) & (a < bound * 4)
+
+
+def _deviations(blocks, tol: float) -> list:
+    """``monomial_deviation`` of term x of X against term y of Y for the
+    (x, y) pairs of each block (X, Y, pairs), from one pass of arrays
+    [pair, point]: per block a function of (x, y).  An entry below 4*tol,
+    or of a pair whose weight difference or some component size lies
+    within a factor 4 of the rule's bounds, is recomputed by
+    ``monomial_deviation`` itself on first read (save a pair of equal keys
+    and weights, which it reads as 0): so every deviation below ``tol`` is
+    its value, bit for bit, and no other entry is below it."""
+    i, j, where, xo, yo = [], [], [], 0, 0
+    for bx, by, pairs in blocks:
+        where.append({p: len(i) + n for n, p in enumerate(pairs)})
+        i += [xo + a for a, _ in pairs]
+        j += [yo + b for _, b in pairs]
+        xo, yo = xo + len(bx), yo + len(by)
+    if not i:  # no pair to read
+        return [None] * len(blocks)
+    X, Y = (_Stack.concat(b[n] for b in blocks) for n in (0, 1))
+    i, j = np.array(i, dtype=int), np.array(j, dtype=int)
+    ids: dict[tuple, int] = {}
+    kx, ky = (np.array([-1 if s is None else ids.setdefault(s.key, len(ids)) for s in S.syms],
+                       dtype=int)[idx] for S, idx in ((X, i), (Y, j)))
+    ax, ay = np.abs(X.values), np.abs(Y.values)
+    x, y = X.values[i], Y.values[j]
+    wd = np.abs(X.weights[i] - Y.weights[j])
+    with np.errstate(all="ignore"):
+        ok = (X.ok[i] & Y.ok[j] & (ay.min(axis=1)[j] >= 1e-13)
+              & (np.maximum(ax.max(axis=1)[i], ay.max(axis=1)[j]) <= 1e13))
+        rp = x[:, 0] / y[:, 0]
+        rm = x[:, 1] / y[:, 1]
+        c = rp[np.arange(len(i)), ok.argmax(axis=1)][:, None]
+        dev = np.maximum(np.where(ok, np.abs(rp - c), 0.0).max(axis=1, initial=0.0)
+                         / np.maximum(1.0, np.abs(c[:, 0])),
+                         np.where(ok, np.abs(rm * c - 1.0), 0.0).max(axis=1, initial=0.0))
+    dev[np.count_nonzero(ok, axis=1) < _MIN_VALID_SAMPLES] = np.inf
+    same = (kx == ky) & (kx >= 0)
+    dev[same] = 0.0
+    dev[wd > _MERGE_TOL] = np.inf
+    edge_x, edge_y = ((_near(a, 1e-13) | _near(a, 1e13)).any(axis=(1, 2)) for a in (ax, ay))
+    recheck = (dev < 4 * tol) | _near(wd, _MERGE_TOL) | edge_x[i] | edge_y[j]
+    recheck[same & (wd < _MERGE_TOL / 4)] = False
+    dev, recheck = dev.tolist(), recheck.tolist()
+
+    def read(p: int) -> float:
+        if recheck[p]:
+            dev[p] = monomial_deviation(X.monomial(i[p]), Y.monomial(j[p]))
+            recheck[p] = False
+        return dev[p]
+
+    return [lambda a, b, at=at: read(at[a, b]) for at in where]
+
+
 class QCharElement:
-    """Finite truncation of a graded character: terms[step] is a list of
-    [monomial, multiplicity] pairs at t-weight alpha0 - 2*step; steps beyond
+    """Finite truncation of a graded character: terms[step] holds the
+    terms at t-weight alpha0 - 2*step as a ``_Stack``; steps beyond
     ``depth`` are unknown rather than zero."""
 
-    alpha0: complex
-    depth: int
-    params: EllipticParams
-    terms: dict[int, list[list]] = field(default_factory=dict)
+    def __init__(self, alpha0: complex, depth: int, params: EllipticParams):
+        self.alpha0, self.depth, self.params = alpha0, depth, params
+        self.terms: dict[int, _Stack] = {}
 
     def add_monomial(self, step: int, mono: WeightMonomial, mult: int = 1) -> None:
-        if step < 0 or step > self.depth:
-            return
-        row = self.terms.setdefault(step, [])
-        for pair in row:
-            if monomial_deviation(mono, pair[0]) < _MERGE_TOL:
-                pair[1] += mult
-                return
-        row.append([mono, mult])
+        self._add([(step, _Stack.of([(mono, mult)]))])
+
+    def _add(self, news) -> None:
+        """Add the terms of each (step, stack) of ``news`` to that step one
+        by one, as ``add_monomial`` adds them: a term merges into the first
+        term held before it (the step's, then those appended before it)
+        within ``_MERGE_TOL``, or is appended.  The [new, held] deviations
+        of all steps come from one ``_deviations`` pass."""
+        steps = []
+        for k, new in news:
+            if 0 <= k <= self.depth and len(new):
+                kept = self.terms.get(k)
+                held = new if kept is None else _Stack.concat((kept, new))
+                steps.append((k, new, held, len(held) - len(new)))
+        devs = _deviations([(new, held, [(t, j) for t in range(len(new)) for j in range(first + t)])
+                            for _, new, held, first in steps], _MERGE_TOL)
+        for (k, new, held, first), dev in zip(steps, devs):
+            rows, mults = list(range(first)), list(held.mults[:first])
+            for t, n in enumerate(new.mults):
+                for r, j in enumerate(rows):
+                    if dev(t, j) < _MERGE_TOL:
+                        mults[r] += n
+                        break
+                else:
+                    rows.append(first + t)
+                    mults.append(n)
+            self.terms[k] = held.take(rows)
+            self.terms[k].mults = mults
 
     def term_list(self, step: int) -> list[list]:
-        return self.terms.get(step, [])
+        """The [monomial, multiplicity] pairs of a step, in term order."""
+        s = self.terms.get(step)
+        return [] if s is None else [[s.monomial(i), n] for i, n in enumerate(s.mults)]
 
 
 def qchar_unit(params: EllipticParams, depth: int = 0) -> QCharElement:
@@ -174,22 +396,40 @@ def qchar_unit(params: EllipticParams, depth: int = 0) -> QCharElement:
 
 
 def mul(A: QCharElement, B: QCharElement, depth: int | None = None) -> QCharElement:
+    """The product truncated at the smaller depth (and at ``depth``): the
+    products of each target step from one broadcast multiply, added in the
+    order (step of A, term of A, term of B)."""
     if A.params != B.params:
         raise ValueError("mismatched parameters")
     top = min(A.depth, B.depth)
     if depth is not None:
         top = min(top, depth)
     out = QCharElement(A.alpha0 + B.alpha0, top, A.params)
-    for ka in sorted(A.terms):
-        if ka > top:
+    sa = [k for k in sorted(A.terms) if k <= top]
+    sb = [k for k in sorted(B.terms) if k <= top]
+    if not sa or not sb:
+        return out
+    a, b = (_Stack.concat(E.terms[k] for k in steps) for E, steps in ((A, sa), (B, sb)))
+    oa, ob = ({k: at for k, at in zip(steps, accumulate([0] + [len(E.terms[k]) for k in steps]))}
+              for E, steps in ((A, sa), (B, sb)))
+    news = []
+    for k in range(top + 1):
+        ia, ib = [], []
+        for ka in sa:
+            kb = k - ka
+            if kb in ob:
+                na, nb = len(A.terms[ka]), len(B.terms[kb])
+                ia += [oa[ka] + i for i in range(na) for _ in range(nb)]
+                ib += [ob[kb] + j for _ in range(na) for j in range(nb)]
+        if not ia:
             continue
-        for kb in sorted(B.terms):
-            k = ka + kb
-            if k > top:
-                continue
-            for ma, na in A.terms[ka]:
-                for mb, nb in B.terms[kb]:
-                    out.add_monomial(k, ma * mb, na * nb)
+        values = a.values[ia] * b.values[ib]
+        weights = a.weights[ia] + b.weights[ib]
+        syms = [None if x is None or y is None else x.times(y, complex(w))
+                for x, y, w in zip((a.syms[i] for i in ia), (b.syms[j] for j in ib), weights)]
+        news.append((k, _Stack(values, np.isfinite(values).all(axis=1), weights,
+                               [a.mults[i] * b.mults[j] for i, j in zip(ia, ib)], syms)))
+    out._add(news)
     return out
 
 
@@ -199,14 +439,12 @@ def element_add(A: QCharElement, B: QCharElement) -> QCharElement:
         return element_add(B, A)
     top = min(A.depth, B.depth + d)
     out = QCharElement(A.alpha0, top, A.params)
-    for k, row in A.terms.items():
-        if k <= top:
-            for m, n in row:
-                out.add_monomial(k, m, n)
-    for k, row in B.terms.items():
-        if k + d <= top:
-            for m, n in row:
-                out.add_monomial(k + d, m, n)
+    news = []
+    for k in range(top + 1):
+        parts = [s for s in (A.terms.get(k), B.terms.get(k - d)) if s is not None]
+        if parts:
+            news.append((k, _Stack.concat(parts)))
+    out._add(news)
     return out
 
 
@@ -214,7 +452,10 @@ def element_deviation(
     A: QCharElement, B: QCharElement, depth: int | None = None
 ) -> float:
     """Worst monomial-matching deviation between two elements; inf when the
-    term multisets cannot be matched."""
+    term multisets cannot be matched.  Per step, each term of A in order
+    takes the terms of B in order that are within ``_MATCH_TOL`` of it, as
+    long as both have multiplicity left; the [A, B] deviations of all
+    steps come from one ``_deviations`` pass."""
     try:
         d = _coset_offset(A.alpha0, B.alpha0)
     except ValueError:
@@ -224,23 +465,29 @@ def element_deviation(
     top = min(A.depth, B.depth + d)
     if depth is not None:
         top = min(top, depth)
+    steps = [(A.terms.get(k), B.terms.get(k - d) if k - d >= 0 else None)
+             for k in range(top + 1)]
+    devs = iter(_deviations([(X, Y, [(a, b) for a in range(len(X)) for b in range(len(Y))])
+                             for X, Y in steps if X is not None and Y is not None], _MATCH_TOL))
     matched = []
-    for k in range(top + 1):
-        la = [[m, n] for m, n in A.term_list(k)]
-        lb = [[m, n] for m, n in B.term_list(k - d)] if k - d >= 0 else []
-        for pa in la:
-            for pb in lb:
-                if not pb[1]:
-                    continue
-                dev = monomial_deviation(pa[0], pb[0])
-                if dev < _MATCH_TOL:
-                    c = min(pa[1], pb[1])
-                    pa[1] -= c
-                    pb[1] -= c
-                    matched.append(dev)
-                    if pa[1] == 0:
-                        break
-        if any(p[1] for p in la) or any(p[1] for p in lb):
+    for X, Y in steps:
+        la = list(X.mults) if X is not None else []
+        lb = list(Y.mults) if Y is not None else []
+        if la and lb:
+            dev = next(devs)
+            for a in range(len(la)):
+                for b in range(len(lb)):
+                    if not lb[b]:
+                        continue
+                    v = dev(a, b)
+                    if v < _MATCH_TOL:
+                        c = min(la[a], lb[b])
+                        la[a] -= c
+                        lb[b] -= c
+                        matched.append(v)
+                        if la[a] == 0:
+                            break
+        if any(la) or any(lb):
             return math.inf
     return worst_residual(matched)
 
@@ -249,23 +496,33 @@ def element_deviation(
 # Characters of concrete modules
 # ---------------------------------------------------------------------------
 
+def _ladder_characters(specs, depth: int, params: EllipticParams) -> list[QCharElement]:
+    """``qchar_asymptotic`` of each (l, u) of ``specs``, all leaves from
+    one ``_leaf_stack`` pass."""
+    h = params.hbar
+    specs = list(specs)
+    # the product of three factors is their chain of *: only the last one
+    # can cancel a factor, so no merged power passes through 0 and back
+    stack = _leaf_stack(((
+        ThetaExpression.product(((1, 0, (u + l + 1) * h, 1), (1, 0, u * h, 1),
+                                 (1, 0, (u + j) * h, -1))),
+        ThetaExpression.theta(1, 0, (u + j + 1) * h),
+        l - 2 * j,
+    ) for l, u in specs for j in range(depth + 1)), params)
+    out = []
+    for n, (l, _) in enumerate(specs):
+        el = QCharElement(complex(l), depth, params)
+        el._add((j, stack.take([n * (depth + 1) + j])) for j in range(depth + 1))
+        out.append(el)
+    return out
+
+
 def qchar_asymptotic(
     l: complex, u: complex, depth: int, params: EllipticParams
 ) -> QCharElement:
     """Closed-form character series of the ladder module of spin l with
     spectral shift u*hbar."""
-    h = params.hbar
-    el = QCharElement(complex(l), depth, params)
-    leaves = monomials(((
-        ThetaExpression.theta(1, 0, (u + l + 1) * h)
-        * ThetaExpression.theta(1, 0, u * h)
-        * ThetaExpression.theta(1, 0, (u + j) * h, -1),
-        ThetaExpression.theta(1, 0, (u + j + 1) * h),
-        l - 2 * j,
-    ) for j in range(depth + 1)), params)
-    for j, m in enumerate(leaves):
-        el.add_monomial(j, m)
-    return el
+    return _ladder_characters([(l, u)], depth, params)[0]
 
 
 def qchar_one_dim(g: ThetaExpression, params: EllipticParams, depth: int = 0) -> QCharElement:
@@ -319,24 +576,29 @@ def qchar_of_module(X) -> QCharElement:
         kplus[finite, s] = np.diagonal(kp, axis1=1, axis2=2)
     kminus = np.diagonal(L[:, 3], axis1=1, axis2=2)
     plus_terms, minus_terms = X.diagonal_terms
+    # [point, component, index]; per component and index, whether it is
+    # zero and whether it depends on x at the probe points
+    diag = np.stack([kplus, kminus], axis=1)
+    v = diag[n:].reshape(len(zprobe), len(xprobe), 2, size)
+    scale = np.maximum(1.0, np.abs(v).max(axis=1))
+    x_dependent = (np.abs(v - v[:, :1]).max(axis=1) > _CATEGORY_TOL * scale).any(axis=0)
+    zero = ~diag.any(axis=0)
     triples = []
     for idx in range(size):
         comps = []
-        for term, vals in ((plus_terms[idx], kplus[:, idx]), (minus_terms[idx], kminus[:, idx])):
+        for c, term in enumerate((plus_terms[idx], minus_terms[idx])):
             if term is not None and term.is_x_free():
                 comps.append(term)
                 continue
-            if not vals.any():
+            if zero[c, idx]:
                 raise CategoryConditionError(f"zero Gauss diagonal at index {idx}")
-            v = vals[n:].reshape(len(zprobe), len(xprobe))
-            scale = np.maximum(1.0, np.abs(v).max(axis=1))
-            if (np.abs(v - v[:, :1]).max(axis=1) > _CATEGORY_TOL * scale).any():
+            if x_dependent[c, idx]:
                 raise CategoryConditionError(f"x-dependent Gauss diagonal at index {idx}")
-            comps.append(vals[:n])
+            comps.append(diag[:n, c, idx])
         triples.append((*comps, basis.weight(basis.level_of(idx))))
     el = QCharElement(basis.alpha0, safe, params)
-    for idx, m in enumerate(monomials(triples, params)):
-        el.add_monomial(basis.level_of(idx), m)
+    stack = _leaf_stack(triples, params)
+    el._add((j, stack.take(range(basis.offset(j), basis.offset(j + 1)))) for j in range(safe + 1))
     return el
 
 
@@ -345,11 +607,8 @@ def interchange_check(
 ) -> float:
     """Deviation between the two ways of distributing a spectral shift over
     a pair of ladder-module characters."""
-    lhs = mul(qchar_asymptotic(l, 0.0, depth, params),
-              qchar_asymptotic(0.0, u, depth, params), depth)
-    rhs = mul(qchar_asymptotic(l - u, u, depth, params),
-              qchar_asymptotic(u, 0.0, depth, params), depth)
-    return element_deviation(lhs, rhs, depth)
+    a, b, c, d = _ladder_characters(((l, 0.0), (0.0, u), (l - u, u), (u, 0.0)), depth, params)
+    return element_deviation(mul(a, b, depth), mul(c, d, depth), depth)
 
 
 def classify_highest_weight(

@@ -12,6 +12,8 @@ from elliptic_baxter.bethe import (
 )
 from elliptic_baxter.theta import EllipticParams, lattice_distance, theta_eval
 
+import bethe_oracle
+
 P = EllipticParams(tau=1j, hbar=0.31)
 H = P.hbar
 A = 0.41 + 0.12j
@@ -96,7 +98,8 @@ class TestSolver:
         # n = 1: each seed z = u + v*tau takes the next two uniform draws of
         # the seed's generator and keeps z + a and z + a + hbar off the lattice
         seen = []
-        monkeypatch.setattr(bethe, "_newton", lambda s, *args: seen.append(s))
+        monkeypatch.setattr(bethe, "_newton",
+                            lambda seeds, *args: seen.extend(seeds) or [None] * len(seeds))
         elliptic_bethe_solve(1, A, MODULUS, P, seed=3, seed_count=12)
         rng = np.random.default_rng(3)
         ref = []
@@ -119,6 +122,54 @@ class TestSolver:
         for c in rep.solutions[:4]:
             conj = BetheConfig(2, 0.41, 1 / MODULUS, tuple(z.conjugate() for z in c.roots))
             assert np.abs(elliptic_bethe_residual(conj, P)).max() < 1e-9
+
+
+class TestBatchedNewton:
+    """The Newton iteration run for all seeds at once against
+    ``tests/bethe_oracle.py``, which iterates each seed on its own: on 200
+    random seeds the same seeds converge and the same fail, to roots that
+    agree within 1e-10 on the torus.  With the pole guard widened to 0.05
+    many trial points of the line search fall inside it and are rejected
+    by both."""
+
+    CASES = {
+        "default": (P, 1, 1e-8),
+        "skew": (EllipticParams(0.4 + 0.6j, 0.23 + 0.05j), 1, 1e-8),
+        "small-im-tau": (EllipticParams(0.2j, 0.31), 1, 1e-8),
+        "two-roots": (P, 2, 1e-8),
+        "wide-guard": (P, 1, 0.05),
+        "two-roots-wide-guard": (P, 2, 0.05),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_same_outcome_seed_by_seed(self, case, monkeypatch):
+        params, n, guard = self.CASES[case]
+        monkeypatch.setattr(bethe, "_POLE_GUARD", guard)
+        rng = np.random.default_rng(11)
+        seeds = [tuple(complex(u + v * params.tau) for u, v in rng.random((n, 2)))
+                 for _ in range(200)]
+        got = bethe._newton(seeds, n, A, MODULUS, params)
+        rejected = []
+        ref = [bethe_oracle.newton(s, n, A, MODULUS, params, rejected) for s in seeds]
+        assert [g is None for g in got] == [r is None for r in ref]
+        assert sum(r is not None for r in ref) > 150
+        for g, r in zip(got, ref):
+            if r is not None:
+                assert max(lattice_distance(x - y, params) for x, y in zip(g, r)) < 1e-10
+        if guard > 1e-8:
+            assert len(rejected) >= 4
+
+    def test_a_singular_jacobian_fails_its_seed_alone(self):
+        jac = np.array([[[0j]], [[2 + 0j]]])
+        steps, ok = bethe._solve_each(jac, np.array([[1 + 0j], [4 + 0j]]))
+        assert ok.tolist() == [False, True] and steps[1, 0] == 2
+
+    def test_a_pole_at_the_seed_fails_it_alone(self):
+        # z + a + hbar on the lattice: the seed's first residual is undefined
+        seeds = [(-A - H,), (0.23 + 0.17j,)]
+        got = bethe._newton(seeds, 1, A, MODULUS, P)
+        assert got[0] is None and got[1] is not None
+        assert bethe_oracle.newton(seeds[0], 1, A, MODULUS, P) is None
 
 
 class TestYangianBethe:

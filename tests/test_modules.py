@@ -1,5 +1,10 @@
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+from elliptic_baxter import cli, modules
 
 from elliptic_baxter.dynamical import ModuleOperator, compose_module_ops
 from elliptic_baxter.modules import (
@@ -17,6 +22,7 @@ from elliptic_baxter.modules import (
     qdybe_residual,
     r_matrices,
     rll_residual,
+    rll_residuals,
     sigma_set,
     socle,
     spectral_shift,
@@ -33,6 +39,10 @@ from elliptic_baxter.theta import (
 from coproduct_oracle import symbolic_tensor
 import gauss_oracle
 from ladder_oracle import chain_ladder_entries, expression_bits
+import rll_oracle
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from jobs import PARAM_SETS  # noqa: E402
 
 P = EllipticParams(tau=1j, hbar=0.31)
 H = P.hbar
@@ -140,11 +150,55 @@ class TestFlatLadder:
         # level 0 merges: theta(x + (l+1) hbar) and theta(x) cancel
         assert len(X.L["++"].entries[(0, 0)].terms[0].factors) == 1
 
+    @pytest.mark.parametrize("params", [EllipticParams(1j, 0.31),
+                                        EllipticParams(0.4 + 0.6j, 0.23 + 0.05j)],
+                             ids=["real-hbar", "complex-hbar"])
+    @pytest.mark.parametrize("K", [2, 6, 8])
+    @pytest.mark.parametrize("u", [0, 0.3, 0.57])
+    @pytest.mark.parametrize("l", [1.3 + 0.2j, 0.57, 0, 1, 2, -1])
+    def test_diagonal_terms_are_those_of_the_view(self, l, u, K, params):
+        X = build_asymptotic(l, u, K, params)
+        got = X.diagonal_terms
+        assert "L" not in vars(X)
+        ref = type(X)(params, X.basis, X.L, X.spin, X.shift_u).diagonal_terms
+        for g, r in zip(got, ref):
+            assert [None if e is None else expression_bits(e) for e in g] == \
+                [None if e is None else expression_bits(e) for e in r]
+        # K+ is symbolic only at level 0, the one column with no L-+ entry
+        assert [e is None for e in got[0]] == [False] + [True] * K
+        assert None not in got[1]
+
     def test_cut_tables_are_cut_from_the_terms(self):
         X = build_asymptotic(1.3 + 0.2j, 0.4, 6, P)
         Y = type(X)(P, X.basis, X.L, X.spin, X.shift_u)  # the same entries, given as L
         for n in (1, 3, 7):
             assert table_state(X._table(n)) == table_state(Y._table(n))
+
+
+class TestRllLevel:
+    """The batched exchange residual of a level against
+    ``tests/rll_oracle.py``, which sums each component of each basis
+    vector on its own: on the rll job's ladder and triples of every
+    parameter set of the 2-site benchmark, at levels 0 and 2."""
+
+    @pytest.mark.parametrize("params", [p for _, p in PARAM_SETS],
+                             ids=[name for name, _ in PARAM_SETS])
+    def test_matches_vector_by_vector(self, params, monkeypatch):
+        cfg = cli.resolve_config(cli.build_parser().parse_args(["rll", *params]))
+        X = build_asymptotic(1.7 + 0.3j, 0.0, 8, cfg.params)
+        pairs = []
+        level = modules._rll_level
+
+        def both(basis, tables, r, lev):
+            pairs.append((level(basis, tables, r, lev), rll_oracle.rll_level(basis, tables, r, lev)))
+            return pairs[-1][0]
+
+        monkeypatch.setattr(modules, "_rll_level", both)
+        rll_residuals(X, cli._triples(cfg)[:6], (0, 2))
+        assert len(pairs) == 12
+        for got, ref in pairs:
+            assert 0 < ref < 1e-9
+            assert abs(got - ref) <= 1e-15 * ref
 
 
 class TestDynamicalYangBaxter:

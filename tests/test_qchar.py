@@ -1,11 +1,12 @@
 import cmath
+import functools
 import math
 import sys
 
 import numpy as np
 import pytest
 
-from elliptic_baxter import cli, dynamical
+from elliptic_baxter import cli, dynamical, qchar
 from elliptic_baxter.dynamical import ModuleOperator
 from elliptic_baxter.modules import (
     build_asymptotic,
@@ -16,6 +17,8 @@ from elliptic_baxter.modules import (
 )
 from elliptic_baxter.qchar import (
     _MIN_VALID_SAMPLES,
+    _Stack,
+    _deviations,
     _X_REF,
     CategoryConditionError,
     QCharElement,
@@ -45,6 +48,8 @@ from elliptic_baxter.theta import (
 
 from coproduct_oracle import symbolic_module
 import gauss_oracle
+from ladder_oracle import expression_bits
+import qchar_oracle
 
 P = EllipticParams(tau=1j, hbar=0.31)
 H = P.hbar
@@ -180,7 +185,7 @@ class TestOneEquivalenceRule:
 
     def _element(self, terms):
         el = QCharElement(1.0, 0, P)
-        el.terms[0] = [[m, n] for m, n in terms]
+        el.terms[0] = _Stack.of(terms)
         return el
 
     def _pair(self, rewritten_mult):
@@ -496,3 +501,194 @@ class TestNumericGaussDiagonal:
         assert monomial_deviation(got, ref) < 1e-15
         with pytest.raises(ValueError):
             mono(ref.values[0][:3], b, 1.0)
+
+
+class TestRingOracle:
+    """The stacked ring against ``tests/qchar_oracle.py``, the ring one
+    monomial at a time: on random elements every step must hold the same
+    multiplicities, keys, weights and values, and every deviation the
+    same float, bit for bit."""
+
+    GRID = np.array(_zgrid(P))
+    # theta(z + 0.2 + tau) is theta(z + 0.2) up to a scalar and exp(-2 pi i z)
+    SHIFTS = (0.1, 0.2, 1.2, -0.2, 0.2 + P.tau, 0.37 + 0.05j, 0.0)
+    WEIGHTS = (1.0, 1.0 + 5e-10, 1.0 + 3e-9, -1.0)
+    # deviations on either side of both tolerances
+    EPS = (0.0, 0.9e-9, 1.1e-9, 0.9e-6, 1.1e-6)
+
+    def _expression(self, rng):
+        e = ThetaExpression(scalar=complex(rng.choice([1.0, 2.0, -0.5, 1j])),
+                            exp_z=-2j * math.pi if rng.random() < 0.2 else 0j)
+        for _ in range(rng.integers(1, 4)):
+            e = e * ThetaExpression.theta(int(rng.choice([1, -1])), 0,
+                                          complex(rng.choice(self.SHIFTS)),
+                                          int(rng.choice([1, -1])))
+        if rng.random() < 0.15:  # a pole on a grid point: NaN there
+            e = e * ThetaExpression.theta(1, 0, -self.GRID[rng.integers(len(self.GRID))], -1)
+        return e
+
+    def _leaf(self, rng):
+        """(a+, a-, weight): symbolic, or a numeric component perturbed by a
+        relative eps*w(z), w = 0 at the first grid point and |w| <= 1."""
+        ap, am = self._expression(rng), self._expression(rng)
+        w = complex(rng.choice(self.WEIGHTS))
+        if rng.random() < 0.4:
+            g = self.GRID - self.GRID[0]
+            ap = grid_values(ap) * (1 + rng.choice(self.EPS) * g / np.abs(g).max())
+        return ap, am, w
+
+    def _twin(self, rng, leaf):
+        """A leaf of the same class as ``leaf``, rescaled or perturbed."""
+        ap, am, w = leaf
+        c = complex(rng.choice([1.0, 3.0, -2.0]))
+        g = self.GRID - self.GRID[0]
+        vp = ap if isinstance(ap, np.ndarray) else grid_values(ap)
+        if isinstance(ap, ThetaExpression) and rng.random() < 0.5:
+            return c * ap, (1 / c) * am, w
+        return vp * c * (1 + rng.choice(self.EPS) * g / np.abs(g).max()), (1 / c) * am, w
+
+    @staticmethod
+    def _both(alpha0, depth, adds):
+        new, old = QCharElement(alpha0, depth, P), qchar_oracle.Element(alpha0, depth, P)
+        for k, m, n in adds:
+            new.add_monomial(k, m, n)
+            old.add_monomial(k, qchar_oracle.Monomial.of(m), n)
+        return new, old
+
+    @staticmethod
+    def _assert_same(new, old):
+        assert (new.alpha0, new.depth) == (old.alpha0, old.depth)
+        assert sorted(new.terms) == sorted(old.terms)
+        for k in old.terms:
+            got, ref = new.term_list(k), old.term_list(k)
+            assert [n for _, n in got] == [n for _, n in ref]
+            for (m, _), (r, _) in zip(got, ref):
+                assert m.key == r.key and m.weight == r.weight
+                assert m.values.tobytes() == r.values.tobytes()
+                assert m.ok.tolist() == r.ok.tolist()
+
+    def _elements(self, rng, depth=3):
+        leaves = [self._leaf(rng) for _ in range(8)]
+        leaves += [self._twin(rng, leaves[i]) for i in rng.integers(8, size=6)]
+        monos = monomials(leaves, P)
+        adds = [(int(rng.integers(depth + 1)), monos[i], int(rng.integers(1, 4)))
+                for i in rng.integers(len(monos), size=14)]
+        # the same terms, each replaced by a twin, in another order
+        twins = monomials([self._twin(rng, leaves[monos.index(m)]) for _, m, _ in adds], P)
+        shuffled = [(k, t, n) for (k, _, n), t in zip(adds, twins)]
+        shuffled = [shuffled[i] for i in rng.permutation(len(shuffled))]
+        return self._both(1.0, depth, adds), self._both(1.0, depth, shuffled)
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_random_elements(self, seed):
+        rng = np.random.default_rng(seed)
+        (a, a_ref), (b, b_ref) = self._elements(rng)
+        (c, c_ref), _ = self._elements(rng)
+        self._assert_same(a, a_ref)
+        self._assert_same(b, b_ref)
+        for x, y, x_ref, y_ref in ((a, b, a_ref, b_ref), (a, c, a_ref, c_ref)):
+            assert element_deviation(x, y) == qchar_oracle.element_deviation(x_ref, y_ref)
+            ab, ab_ref = mul(x, y, 3), qchar_oracle.mul(x_ref, y_ref, 3)
+            self._assert_same(ab, ab_ref)
+            ba, ba_ref = mul(y, x), qchar_oracle.mul(y_ref, x_ref)
+            assert element_deviation(ab, ba) == qchar_oracle.element_deviation(ab_ref, ba_ref)
+            s, s_ref = element_add(x, y), qchar_oracle.element_add(x_ref, y_ref)
+            self._assert_same(s, s_ref)
+            assert element_deviation(s, ab) == qchar_oracle.element_deviation(s_ref, ab_ref)
+
+    def test_deviation_matrix_is_the_rule(self):
+        rng = np.random.default_rng(99)
+        leaves = [self._leaf(rng) for _ in range(20)]
+        monos = monomials(leaves + [self._twin(rng, leaf) for leaf in leaves], P)
+        X, Y = _Stack.of([(m, 1) for m in monos[:25]]), _Stack.of([(m, 1) for m in monos[10:]])
+        for tol in (1e-9, 1e-6):
+            pairs = [(i, j) for i in range(len(X)) for j in range(len(Y))]
+            at = _deviations([(X, Y, pairs)], tol)[0]
+            dev = np.array([at(i, j) for i, j in pairs]).reshape(len(X), len(Y))
+            ref = np.array([[qchar_oracle.monomial_deviation(
+                qchar_oracle.Monomial.of(a), qchar_oracle.Monomial.of(b))
+                for b in monos[10:]] for a in monos[:25]])
+            below = ref < tol
+            assert ((dev < tol) == below).all()
+            assert dev[below].tobytes() == ref[below].tobytes()
+            assert below.sum() > 10 and (~below).sum() > 10
+            assert np.allclose(dev, ref, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("depth", [8, 12])
+    def test_interchange(self, depth):
+        l, u = 1.3 + 0.2j, 0.57
+
+        def oracle(l, u):
+            el = qchar_oracle.Element(complex(l), depth, P)
+            for j, m in enumerate(qchar_asymptotic(l, u, depth, P).term_list(k)[0][0]
+                                  for k in range(depth + 1)):
+                el.add_monomial(j, qchar_oracle.Monomial.of(m))
+            return el
+
+        lhs = mul(qchar_asymptotic(l, 0.0, depth, P), qchar_asymptotic(0.0, u, depth, P), depth)
+        lhs_ref = qchar_oracle.mul(oracle(l, 0.0), oracle(0.0, u), depth)
+        rhs_ref = qchar_oracle.mul(oracle(l - u, u), oracle(u, 0.0), depth)
+        self._assert_same(lhs, lhs_ref)
+        got = interchange_check(l, u, depth, P)
+        assert got == qchar_oracle.element_deviation(lhs_ref, rhs_ref, depth)
+        assert got < 1e-9
+
+    def test_products_build_no_expression(self, monkeypatch):
+        # product keys merge the factors' canonical forms; the pair of a
+        # product is built from its factors' pairs on first read only
+        A, B = (qchar_asymptotic(l, u, 8, P) for l, u in ((1.3 + 0.2j, 0.0), (0.0, 0.57)))
+        calls = []
+        for name in ("__mul__", "canonical"):
+            f = vars(ThetaExpression)[name]
+            monkeypatch.setattr(ThetaExpression, name,
+                                lambda *a, f=f, name=name: calls.append(name) or f(*a))
+        prod = mul(A, B, 8)
+        assert calls == []
+        m = prod.term_list(3)[1][0]
+        pair = m.pair
+        assert calls == ["__mul__", "__mul__"]
+        ref = (qchar_oracle.Monomial.of(A.term_list(1)[0][0])
+               * qchar_oracle.Monomial.of(B.term_list(2)[0][0]))
+        assert m.key == ref.key
+        assert [expression_bits(e) for e in pair] == [expression_bits(e) for e in ref.pair]
+
+    S9 = 0.1234567895  # rounds to 0.123456789, and S9 + 2e-13 to 0.12345679
+    EDGES = {
+        # * merges theta(z + 1 - 1e-16) with theta(z + 1 + 3e-13): one
+        # reduces to 0.999..., the other to 3e-13
+        "below-integer": (((1 - 1e-16, 1),), ((1 + 3e-13, -1),)),
+        "integer": (((1.0, 1),), ((1 - 3e-13, -1),)),
+        # A's two factors cancel in its canonical form, so the product's
+        # class keeps B's shift, where A * B keeps A's
+        "rounding-boundary": (((S9, 1), (S9 + 1, -1)), ((S9 + 2e-13, 1),)),
+    }
+
+    @pytest.mark.parametrize("name", EDGES)
+    def test_products_near_an_edge_read_their_expressions(self, name, monkeypatch):
+        a, b = (ThetaExpression.product([(1, 0, s, p) for s, p in f] + [(1, 0, 0.3, 1)])
+                for f in self.EDGES[name])
+        c = ThetaExpression.theta(1, 0, 0.7)
+        ma, mb = monomials([(a, c, 1.0), (b, c, 1.0)], P)
+        ref = qchar_oracle.Monomial.of(ma) * qchar_oracle.Monomial.of(mb)
+        assert (ma.sym.edge or mb.sym.edge) and (ma * mb).key == ref.key
+        # the merged forms alone would give another key
+        monkeypatch.setattr(qchar, "_near_edge", lambda e: False)
+        ma, mb = monomials([(a, c, 1.0), (b, c, 1.0)], P)
+        assert (ma * mb).key != ref.key
+
+
+class TestQCharJobViews:
+    def test_qchar_job_builds_no_symbolic_view(self, monkeypatch, tmp_path):
+        from elliptic_baxter.modules import EllipticModule
+
+        built = []
+        view = EllipticModule.L
+
+        def counted(module):
+            built.append(module.label)
+            return view.func(module)
+
+        monkeypatch.setattr(EllipticModule, "L", functools.cached_property(counted))
+        EllipticModule.L.__set_name__(EllipticModule, "L")
+        assert cli.main(["qchar", "--no-timestamp", "--report", str(tmp_path / "q.json")]) == 0
+        assert built == []

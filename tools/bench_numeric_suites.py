@@ -4,7 +4,9 @@ For each checkout given, a fresh interpreter runs one CLI job of each of
 the suites ``qchar``, ``rll``, ``ybe``, ``gauss``, ``interchange``,
 ``transfer``, ``tq`` and ``bethe`` (2 sites, the CLI defaults) at each of the three
 parameter sets of the ``suites-2site`` benchmark workload
-(``perfbench/jobs.py``), with the CLI's default seed, and reports the job's
+(``perfbench/jobs.py``), with the CLI's default seed, and the
+q-character suites ``qchar`` and ``interchange`` at the CLI defaults at
+each character depth of ``DEPTHS``; it reports each job's
 wall time (the best of ``benchturns.BEST_OF`` runs in the interpreter),
 exit code, report SHA-256 and peak RSS.  The checkouts take turns within
 every repeat (``benchturns``); the medians over the repeats are reported,
@@ -26,6 +28,9 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."
 from jobs import PARAM_SETS  # noqa: E402
 
 SUITES = ("qchar", "rll", "ybe", "gauss", "interchange", "transfer", "tq", "bethe")
+# character depth as a scaling axis of the q-character ring
+DEPTHS = (12, 16)
+DEPTH_SUITES = ("qchar", "interchange")
 REPEATS = 5
 
 def main(argv=None) -> int:
@@ -35,6 +40,8 @@ def main(argv=None) -> int:
     checkouts = dict(s.split("=", 1) for s in args.src)
     jobs = [(f"{suite}@{pname}", benchturns.CLI_JOB, (suite, *params))
             for pname, params in PARAM_SETS for suite in SUITES]
+    jobs += [(f"{suite}@depth{depth}", benchturns.CLI_JOB, (suite, "--depth", str(depth)))
+             for depth in DEPTHS for suite in DEPTH_SUITES]
     runs = benchturns.take_turns(checkouts, jobs, REPEATS)
     median = {label: {name: benchturns.median(r, ("exit_code", "report_sha256"))
                       for name, r in by_job.items()}
@@ -42,6 +49,7 @@ def main(argv=None) -> int:
     record = {
         "host": benchturns.host(),
         "param_sets": {pname: list(params) for pname, params in PARAM_SETS},
+        "depths": list(DEPTHS),
         "repeats": REPEATS,
         "best_of": benchturns.BEST_OF,
         "total_wall_s": {label: round(sum(j["wall_s"] for j in by_job.values()), 4)
