@@ -23,7 +23,7 @@ from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
-from .theta import EllipticParams, ThetaSum, ThetaTable
+from .theta import EllipticParams, ThetaSum, ThetaTable, flat_terms
 
 _WEIGHT_TOL = 1e-9
 
@@ -112,16 +112,10 @@ class ModuleOperator:
                     f"({self.alpha},{self.beta})"
                 )
 
-    def shift_z(self, c: complex) -> "ModuleOperator":
-        return ModuleOperator(
-            self.alpha, self.beta, self.source, self.target,
-            {k: s.shift_z(c) for k, s in self.entries.items()}, self.params,
-        )
-
     @cached_property
     def _table(self) -> ThetaTable:
         cols = self.source.size
-        return ThetaTable(((a * cols + b, s) for (a, b), s in self.entries.items()),
+        return ThetaTable(flat_terms((a * cols + b, s) for (a, b), s in self.entries.items()),
                           self.target.size * cols, self.params)
 
     def to_matrices(self, zs, xs) -> np.ndarray:

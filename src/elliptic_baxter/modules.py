@@ -5,6 +5,7 @@ relations, Gauss decomposition, and the highest-weight predicates."""
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
@@ -36,53 +37,42 @@ from .theta import (
     theta_eval,
 )
 
-_SIGNS = ("+", "-")
 _KEYS = ("++", "+-", "-+", "--")
 _BIDEG = {"+": 1, "-": -1}
 # singular values below this share of the largest count as kernel; those
 # between it and the second bound make the count indeterminate
 _KERNEL_REL_TOL = 1e-8
 _KERNEL_INDETERMINATE = 1e-6
-# the scalars of a ladder term: that of ThetaExpression.product, and on -+
-# that of its unary minus
+# the scalars of a ladder or R-matrix term: that of ThetaExpression.product,
+# and on -+ (R at slot 9) that of its unary minus
 _ONE = 1.0 + 0j
 _MINUS = _ONE * complex(-1.0)
-
-
-def _th(cz, cx, shift, power=1):
-    return ThetaExpression.theta(cz, cx, shift, power)
 
 
 # ---------------------------------------------------------------------------
 # R-matrix
 # ---------------------------------------------------------------------------
 
-def r_matrix_symbolic(params: EllipticParams):
-    """4x4 table of ThetaExpressions in the basis (++, +-, -+, --)."""
+def r_matrix_terms(params: EllipticParams) -> list[tuple]:
+    """The flat terms of the 4x4 R-matrix in the basis (++, +-, -+, --), at
+    the slots 4*row + col: one term per nonzero entry, its factors merged
+    by ``merged_factors``, the scalar -1 on the entry (-+, +-)."""
     h = params.hbar
-    one = ThetaSum.one()
-    zero = ThetaSum.zero()
-    b11 = ThetaSum(
-        _th(1, 0, 0) * _th(0, 1, h) * _th(0, 1, -h)
-        * _th(1, 0, h, -1) * _th(0, 1, 0, -2)
+    entries = (
+        (0, ()),
+        (5, ((1, 0, 0, 1), (0, 1, h, 1), (0, 1, -h, 1), (1, 0, h, -1), (0, 1, 0, -2))),
+        (6, ((1, 1, 0, 1), (0, 0, h, 1), (1, 0, h, -1), (0, 1, 0, -1))),
+        (9, ((1, -1, 0, 1), (0, 0, h, 1), (1, 0, h, -1), (0, 1, 0, -1))),
+        (10, ((1, 0, 0, 1), (1, 0, h, -1))),
+        (15, ()),
     )
-    b12 = ThetaSum(_th(1, 1, 0) * _th(0, 0, h) * _th(1, 0, h, -1) * _th(0, 1, 0, -1))
-    b21 = ThetaSum(
-        (-1.0) * _th(1, -1, 0) * _th(0, 0, h) * _th(1, 0, h, -1) * _th(0, 1, 0, -1)
-    )
-    b22 = ThetaSum(_th(1, 0, 0) * _th(1, 0, h, -1))
-    return [
-        [one, zero, zero, zero],
-        [zero, b11, b12, zero],
-        [zero, b21, b22, zero],
-        [zero, zero, zero, one],
-    ]
+    return [(slot, _MINUS if slot == 9 else _ONE, 0j, 0j, merged_factors(factors))
+            for slot, factors in entries]
 
 
 @lru_cache(maxsize=8)
 def _r_table(params: EllipticParams) -> ThetaTable:
-    sym = r_matrix_symbolic(params)
-    return ThetaTable(((4 * a + b, sym[a][b]) for a in range(4) for b in range(4)), 16, params)
+    return ThetaTable(r_matrix_terms(params), 16, params)
 
 
 def r_matrices(zs, xs, params: EllipticParams) -> np.ndarray:
@@ -169,40 +159,25 @@ def _expression(scalar, exp_z, exp_x, factors) -> ThetaExpression:
 
 
 class EllipticModule(GradedModule):
-    """Weight-graded truncated module whose four L-entry tables are held
-    in one of two forms, the other built from it on first read: flat
-    ``ThetaTable`` terms (``terms``: (slot, scalar, exp_z, exp_x, factors)
-    at the slots (key*n + row)*n + col, keys in the order ++, +-, -+, --),
-    read by every numeric pass, or symbolic ``ModuleOperator``s (``L``,
-    by key), read by ``socle``, ``spectral_shift``, ``diagonal_terms`` and
-    the oracles.  A ladder is built flat, and its ``L`` is the view of
-    ``ThetaExpression.product`` of each term's factors (times the term's
-    scalar and exponential where they are not 1)."""
+    """Weight-graded truncated module held as the flat ``ThetaTable`` terms
+    of its four L-entry tables: ``terms``, (slot, scalar, exp_z, exp_x,
+    factors) at the slots (key*n + row)*n + col, keys in the order ++, +-,
+    -+, --.  Every numeric pass reads them.  ``L`` is a read-only symbolic
+    view of them, read by ``socle`` and the oracles."""
 
-    def __init__(self, params: EllipticParams, basis: WeightBasis, L: dict | None = None,
+    def __init__(self, params: EllipticParams, basis: WeightBasis, terms: list,
                  spin: complex | None = None, shift_u: complex = 0.0, label: str = "",
-                 exact: bool = False, terms: list | None = None):
-        if (L is None) == (terms is None):
-            raise ValueError("a module takes its entries either as L or as terms")
-        self.params, self.basis, self.spin, self.shift_u = params, basis, spin, shift_u
-        self.label, self.exact = label, exact  # exact: a finite module, no truncation edge
+                 exact: bool = False):
+        self.params, self.basis, self.terms, self.spin = params, basis, terms, spin
+        self.shift_u, self.label, self.exact = shift_u, label, exact  # exact: no truncation edge
         self._tables: dict[int, ThetaTable] = {}
-        if L is None:
-            self.terms = terms
-        else:
-            self.L = L
-
-    @cached_property
-    def terms(self) -> list[tuple]:
-        """The flat terms of ``L``, key by key, in entry order."""
-        n = self.basis.size
-        return flat_terms(((k * n + a) * n + b, s) for k, key in enumerate(_KEYS)
-                          for (a, b), s in self.L[key].entries.items())
 
     @cached_property
     def L(self) -> dict[str, ModuleOperator]:
         """The symbolic view of ``terms``: per key, a ModuleOperator whose
-        entry at (row, col) sums that slot's terms."""
+        entry at (row, col) sums that slot's terms, each the
+        ``ThetaExpression.product`` of its factors (times its scalar and
+        exponential where they are not 1)."""
         n = self.basis.size
         entries: list[dict] = [{} for _ in _KEYS]
         for slot, *term in self.terms:
@@ -249,17 +224,9 @@ class EllipticModule(GradedModule):
     def diagonal_terms(self) -> tuple:
         """(K+, K-): per basis index the single symbolic term of the Gauss
         diagonal entry, or None.  K- is L--; a K+ entry is its L++ entry
-        when no L-+ entry is in its column, else None.  A module held as
-        flat terms reads them off its terms, as ``L`` would read them,
-        without building ``L``."""
+        when no L-+ entry is in its column, else None.  They are read off
+        the terms, as ``L`` would read them, without building ``L``."""
         n = self.basis.size
-        if "L" in self.__dict__:
-            pp, mp, mm = (self.L[k].entries for k in ("++", "-+", "--"))
-            corrected = {b for (_, b), s in mp.items() if s}
-            zero = ThetaSum.zero()
-            return (tuple(None if i in corrected else pp.get((i, i), zero).single()
-                          for i in range(n)),
-                    tuple(mm.get((i, i), zero).single() for i in range(n)))
         # per diagonal slot of L++ and L--, its one term, or None for several
         diag: dict[int, tuple | None] = {}
         corrected = set()
@@ -358,36 +325,17 @@ def build_asymptotic(l: complex, u: complex, K: int, params: EllipticParams) -> 
         if j >= 1:
             mp.append(((2 * n + j - 1) * n + j, _MINUS, 0j, 0j, (
                 (1, -1, (u + j) * h, 1), (0, 0, j * h, 1), (0, 1, 0, -1))))
-    return EllipticModule(params, WeightBasis(complex(l), (1,) * n), spin=complex(l),
-                          shift_u=complex(u), label=f"W({l},{u})[K={K}]",
-                          terms=pp + pm + mp + mm)
-
-
-def build_vector_rep(params: EllipticParams) -> EllipticModule:
-    """Two-dimensional module v_+, v_- of weights +1, -1 with entries read
-    off the R-matrix."""
-    basis = WeightBasis(1.0, (1, 1))
-    sym = r_matrix_symbolic(params)
-    # L_{mi} has entry (a, b) = R[(m, a), (i, b)], slot signs + -> 0, - -> 1
-    L = {m + i: ModuleOperator(_BIDEG[m], _BIDEG[i], basis, basis,
-                               {(a, b): s for a in range(2) for b in range(2)
-                                if (s := sym[2 * mi + a][2 * ii + b])}, params)
-         for mi, m in enumerate(_SIGNS) for ii, i in enumerate(_SIGNS)}
-    return EllipticModule(params, basis, L, spin=1.0, label="V", exact=True)
+    return EllipticModule(params, WeightBasis(complex(l), (1,) * n), pp + pm + mp + mm,
+                          spin=complex(l), shift_u=complex(u), label=f"W({l},{u})[K={K}]")
 
 
 def one_dim_module(g: ThetaExpression, params: EllipticParams) -> EllipticModule:
+    """The module on one vector whose L++ and L-- are the x-free ``g``."""
     if not g.is_x_free():
         raise ValueError("one-dimensional module datum must not depend on x")
-    basis = WeightBasis(0.0, (1,))
-    gs = ThetaSum(g)
-    L = {
-        "++": ModuleOperator(1, 1, basis, basis, {(0, 0): gs}, params),
-        "+-": ModuleOperator(1, -1, basis, basis, {}, params),
-        "-+": ModuleOperator(-1, 1, basis, basis, {}, params),
-        "--": ModuleOperator(-1, -1, basis, basis, {(0, 0): gs}, params),
-    }
-    return EllipticModule(params, basis, L, spin=0.0, label="D", exact=True)
+    return EllipticModule(params, WeightBasis(0.0, (1,)),
+                          flat_terms((slot, ThetaSum(g)) for slot in (0, 3)),
+                          spin=0.0, label="D", exact=True)
 
 
 def dynamical_tensor(X: GradedModule, Y: GradedModule, max_level: int | None = None) -> TensorModule:
@@ -395,15 +343,21 @@ def dynamical_tensor(X: GradedModule, Y: GradedModule, max_level: int | None = N
 
 
 def spectral_shift(X: EllipticModule, u: complex) -> EllipticModule:
-    """Twist by the spectral automorphism z -> z + u*hbar."""
-    c = u * X.params.hbar
-    L = {k: op.shift_z(c) for k, op in X.L.items()}
-    return EllipticModule(X.params, X.basis, L, spin=X.spin,
+    """Twist by the spectral automorphism z -> z + c, c = u*hbar: each term
+    as ``ThetaExpression.shift_z`` shifts it, its scalar times
+    exp(exp_z*c) and each factor's shift plus cz*c."""
+    c = complex(u * X.params.hbar)
+    terms = X.terms if c == 0 else [
+        (slot, scalar * cmath.exp(exp_z * c), exp_z, exp_x,
+         tuple((cz, cx, shift + cz * c, power) for cz, cx, shift, power in factors))
+        for slot, scalar, exp_z, exp_x, factors in X.terms]
+    return EllipticModule(X.params, X.basis, terms, spin=X.spin,
                           shift_u=X.shift_u + u, label=f"Psi_{u}*{X.label}", exact=X.exact)
 
 
 def socle(X: EllipticModule, l: int | None = None) -> EllipticModule:
-    """Finite-dimensional submodule w_0..w_l at nonnegative integer spin."""
+    """Finite-dimensional submodule w_0..w_l at nonnegative integer spin:
+    the entries of ``X.L`` whose row and column lie in it, flattened."""
     if l is None:
         if X.spin is None or abs(X.spin - round(X.spin.real)) > 1e-9:
             raise ValueError("socle requires a nonnegative integer spin")
@@ -414,10 +368,9 @@ def socle(X: EllipticModule, l: int | None = None) -> EllipticModule:
         raise ValueError("truncation too shallow for the requested socle")
     basis = WeightBasis(X.basis.alpha0, X.basis.dims[: l + 1])
     n = basis.size
-    L = {key: ModuleOperator(op.alpha, op.beta, basis, basis,
-                             {ab: s for ab, s in op.entries.items() if max(ab) < n}, X.params)
-         for key, op in X.L.items()}
-    return EllipticModule(X.params, basis, L, spin=float(l), shift_u=X.shift_u,
+    terms = flat_terms(((k * n + a) * n + b, s) for k, key in enumerate(_KEYS)
+                       for (a, b), s in X.L[key].entries.items() if max(a, b) < n)
+    return EllipticModule(X.params, basis, terms, spin=float(l), shift_u=X.shift_u,
                           label=f"V^{l}", exact=True)
 
 

@@ -21,6 +21,7 @@ from .theta import (
     ThetaSum,
     ThetaTable,
     _merge_key,
+    flat_terms,
 )
 
 _MERGE_TOL = 1e-9
@@ -30,6 +31,8 @@ _CATEGORY_TOL = 1e-8
 # x and z exponents of a highest-weight ratio below this count as zero
 _EXPONENT_TOL = 1e-9
 _X_REF = 0.2337 + 0.1711j
+# ``_deviations`` builds its [pair, component, point] arrays this many pairs at a time
+_PAIR_BLOCK = 512
 
 
 class CategoryConditionError(ValueError):
@@ -241,7 +244,8 @@ def _leaf_stack(triples, params: EllipticParams) -> _Stack:
         else:
             raise TypeError(f"a monomial component is a ThetaExpression or an array "
                             f"of grid values, not {type(c).__name__}")
-    vals, _ = ThetaTable(sums, len(comps), params).masked_at(zs, np.full(zs.shape, _X_REF))
+    vals, _ = ThetaTable(flat_terms(sums), len(comps), params).masked_at(
+        zs, np.full(zs.shape, _X_REF))
     for n, c in enumerate(comps):
         if isinstance(c, np.ndarray):
             vals[:, n] = c
@@ -296,10 +300,11 @@ def _near(a: np.ndarray, bound: float) -> np.ndarray:
 
 def _deviations(blocks, tol: float) -> list:
     """``monomial_deviation`` of term x of X against term y of Y for the
-    (x, y) pairs of each block (X, Y, pairs), from one pass of arrays
-    [pair, point]: per block a function of (x, y).  An entry below 4*tol,
-    or of a pair whose weight difference or some component size lies
-    within a factor 4 of the rule's bounds, is recomputed by
+    (x, y) pairs of each block (X, Y, pairs), from arrays [pair, point]
+    of ``_PAIR_BLOCK`` pairs at a time: per block a function of (x, y).
+    An entry below 4*tol, or of a pair whose weight difference or some
+    component size lies within a factor 4 of the rule's bounds, is
+    recomputed by
     ``monomial_deviation`` itself on first read (save a pair of equal keys
     and weights, which it reads as 0): so every deviation below ``tol`` is
     its value, bit for bit, and no other entry is below it."""
@@ -317,18 +322,25 @@ def _deviations(blocks, tol: float) -> list:
     kx, ky = (np.array([-1 if s is None else ids.setdefault(s.key, len(ids)) for s in S.syms],
                        dtype=int)[idx] for S, idx in ((X, i), (Y, j)))
     ax, ay = np.abs(X.values), np.abs(Y.values)
-    x, y = X.values[i], Y.values[j]
-    wd = np.abs(X.weights[i] - Y.weights[j])
     with np.errstate(all="ignore"):
-        ok = (X.ok[i] & Y.ok[j] & (ay.min(axis=1)[j] >= 1e-13)
-              & (np.maximum(ax.max(axis=1)[i], ay.max(axis=1)[j]) <= 1e13))
-        rp = x[:, 0] / y[:, 0]
-        rm = x[:, 1] / y[:, 1]
-        c = rp[np.arange(len(i)), ok.argmax(axis=1)][:, None]
-        dev = np.maximum(np.where(ok, np.abs(rp - c), 0.0).max(axis=1, initial=0.0)
-                         / np.maximum(1.0, np.abs(c[:, 0])),
-                         np.where(ok, np.abs(rm * c - 1.0), 0.0).max(axis=1, initial=0.0))
-    dev[np.count_nonzero(ok, axis=1) < _MIN_VALID_SAMPLES] = np.inf
+        # per term and point: finite, no component above 1e13, on Y none below 1e-13
+        fine_x = X.ok & (ax.max(axis=1) <= 1e13)
+        fine_y = Y.ok & (ay.max(axis=1) <= 1e13) & (ay.min(axis=1) >= 1e-13)
+    devs = []
+    for lo in range(0, len(i), _PAIR_BLOCK):
+        bi, bj = i[lo:lo + _PAIR_BLOCK], j[lo:lo + _PAIR_BLOCK]
+        x, y, ok = X.values[bi], Y.values[bj], fine_x[bi] & fine_y[bj]
+        with np.errstate(all="ignore"):
+            rp = x[:, 0] / y[:, 0]
+            rm = x[:, 1] / y[:, 1]
+            c = rp[np.arange(len(bi)), ok.argmax(axis=1)][:, None]
+            dev = np.maximum(np.where(ok, np.abs(rp - c), 0.0).max(axis=1, initial=0.0)
+                             / np.maximum(1.0, np.abs(c[:, 0])),
+                             np.where(ok, np.abs(rm * c - 1.0), 0.0).max(axis=1, initial=0.0))
+        dev[np.count_nonzero(ok, axis=1) < _MIN_VALID_SAMPLES] = np.inf
+        devs.append(dev)
+    dev = np.concatenate(devs)
+    wd = np.abs(X.weights[i] - Y.weights[j])
     same = (kx == ky) & (kx >= 0)
     dev[same] = 0.0
     dev[wd > _MERGE_TOL] = np.inf

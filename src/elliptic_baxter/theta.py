@@ -400,9 +400,6 @@ class ThetaExpression:
         return ThetaExpression(scalar, self.exp_z, self.exp_x, factors)
 
 
-ONE = ThetaExpression()
-
-
 # ---------------------------------------------------------------------------
 # ThetaSum: finite sums of ThetaExpressions (the entry ring of operators)
 # ---------------------------------------------------------------------------
@@ -420,10 +417,6 @@ class ThetaSum:
     @staticmethod
     def zero() -> "ThetaSum":
         return ThetaSum(())
-
-    @staticmethod
-    def one() -> "ThetaSum":
-        return ThetaSum((ONE,))
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -444,31 +437,23 @@ class ThetaSum:
 
     __rmul__ = __mul__
 
-    def shift_z(self, c: complex) -> "ThetaSum":
-        return ThetaSum(tuple(t.shift_z(c) for t in self.terms))
-
     def shift_x(self, c: complex) -> "ThetaSum":
         return ThetaSum(tuple(t.shift_x(c) for t in self.terms))
 
     def eval(self, z: complex, x: complex, params: EllipticParams) -> complex:
         return sum((t.eval(z, x, params) for t in self.terms), 0j)
 
-    def single(self) -> ThetaExpression | None:
-        """The unique term if this sum is a monomial, else None."""
-        return self.terms[0] if len(self.terms) == 1 else None
-
     def inv(self) -> "ThetaSum":
-        t = self.single()
-        if t is None:
+        if len(self.terms) != 1:
             raise ValueError("only single-term ThetaSums are invertible exactly")
-        return ThetaSum((t.inv(),))
+        return ThetaSum((self.terms[0].inv(),))
 
     def __repr__(self) -> str:
         return f"ThetaSum({len(self.terms)} terms)"
 
 
 # ---------------------------------------------------------------------------
-# ThetaTable: many ThetaSums at many points from one theta series pass
+# ThetaTable: many sums of flat terms at many points from one theta series pass
 # ---------------------------------------------------------------------------
 
 def _distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -545,11 +530,11 @@ class ThetaTable:
 
     Built from flat terms (slot, scalar, exp_z, exp_x, factors), each the
     term scalar * exp(exp_z*z + exp_x*x) * prod theta(cz*z + cx*x +
-    shift)**power over its (cz, cx, shift, power) factors; a (slot,
-    ThetaSum) pair stands for the flat terms of its sum (``flat_terms``).
-    Slot k of the result is the sum of all terms given for k, zero when
-    there are none.  Terms are sorted by the slot they add to, and each
-    distinct factor is stored once, numbered in that order.  The factors
+    shift)**power over its (cz, cx, shift, power) factors; ``flat_terms``
+    flattens (slot, ThetaSum) pairs into them.  Slot k of the result is
+    the sum of all terms given for k, zero when there are none.  Terms
+    are sorted by the slot they add to, and each distinct factor is
+    stored once, numbered in that order.  The factors
     are grouped by kind, their (cz, cx) pair, and each kind stores its
     distinct shifts once, so that the arguments of a batch are deduped as
     the distinct point parts cz*z + cx*x of each kind plus that kind's
@@ -561,13 +546,7 @@ class ThetaTable:
     def __init__(self, terms, size: int, params: EllipticParams):
         self.size = size
         self.params = params
-        flat = []
-        for t in terms:
-            if len(t) == 2:
-                flat += flat_terms((t,))
-            else:
-                flat.append(t)
-        flat.sort(key=itemgetter(0))
+        flat = sorted(terms, key=itemgetter(0))
         factors: dict[tuple, int] = {}
         ids = tuple([factors.setdefault(f, len(factors)) for t in flat for f in t[4]])
         # the distinct arguments (cz, cx, shift), numbered in order

@@ -11,6 +11,8 @@ composition of transfer products, entry injections) use it.
 from elliptic_baxter.dynamical import ModuleOperator, tensor_basis
 from elliptic_baxter.modules import EllipticModule, TensorModule
 
+from module_oracle import module_of_L
+
 
 def symbolic_tensor(X, Y, max_level=None) -> EllipticModule:
     """X (x) Y truncated at total level max_level, with symbolic L tables;
@@ -41,7 +43,7 @@ def symbolic_tensor(X, Y, max_level=None) -> EllipticModule:
                         entries[key] = entries[key] + term if key in entries else term
             out[i + j] = ModuleOperator(1 if i == "+" else -1, 1 if j == "+" else -1,
                                         basis, basis, entries, params)
-    return EllipticModule(params, basis, out, label=f"({X.label})(x)({Y.label})")
+    return module_of_L(params, basis, out, label=f"({X.label})(x)({Y.label})")
 
 
 

@@ -1,10 +1,17 @@
-"""The rational R-matrix as Fraction 4x4 matrices: the embedding into the
+"""The R-matrices as tables of their entries.
+
+The rational R-matrix as Fraction 4x4 matrices: the embedding into the
 three-fold tensor product, a plain list matmul and the quantum Yang-Baxter
 equation at rational points.  The reference for `yangian._RTT_R` and for
 the defining module, whose exchange relation is the package's Yang-Baxter
-certificate."""
+certificate.
+
+The dynamical elliptic R-matrix as a 4x4 table of ``ThetaSum``s, each
+entry a chain of ``*`` of one-factor expressions: the reference for the
+flat terms of ``modules.r_matrix_terms``."""
 
 from elliptic_baxter.polyring import Poly, exact_residual, is_zero
+from elliptic_baxter.theta import EllipticParams, ThetaExpression, ThetaSum
 
 
 def yangian_r(z):
@@ -68,3 +75,29 @@ def qybe_residual(z, w) -> float:
     return exact_residual(
         lhs[i][j] - rhs[i][j] for i in range(8) for j in range(8)
     )
+
+
+def _th(cz, cx, shift, power=1):
+    return ThetaExpression.theta(cz, cx, shift, power)
+
+
+def r_matrix_symbolic(params: EllipticParams):
+    """4x4 table of ThetaSums in the basis (++, +-, -+, --)."""
+    h = params.hbar
+    one = ThetaSum(ThetaExpression())
+    zero = ThetaSum.zero()
+    b11 = ThetaSum(
+        _th(1, 0, 0) * _th(0, 1, h) * _th(0, 1, -h)
+        * _th(1, 0, h, -1) * _th(0, 1, 0, -2)
+    )
+    b12 = ThetaSum(_th(1, 1, 0) * _th(0, 0, h) * _th(1, 0, h, -1) * _th(0, 1, 0, -1))
+    b21 = ThetaSum(
+        (-1.0) * _th(1, -1, 0) * _th(0, 0, h) * _th(1, 0, h, -1) * _th(0, 1, 0, -1)
+    )
+    b22 = ThetaSum(_th(1, 0, 0) * _th(1, 0, h, -1))
+    return [
+        [one, zero, zero, zero],
+        [zero, b11, b12, zero],
+        [zero, b21, b22, zero],
+        [zero, zero, zero, one],
+    ]

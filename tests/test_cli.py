@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -200,6 +201,37 @@ class TestExitCodes:
 
 def config(suite, params):
     return cli.resolve_config(cli.build_parser().parse_args([suite, *params]))
+
+
+class TestRobustnessProbes:
+    """The outcomes of the small-Im(tau), large-order and complex-hbar
+    probes at the default seed 7: the exit code, and the decade of the
+    worst residual where one is pinned.  Each is a known outcome of theta
+    series summed without argument reduction or of the TQ quotient; a
+    change of outcome, in either direction, shows here."""
+
+    PROBES = [
+        (("ybe", "--tau", "0.05i"), 1, 7.6e-8),
+        (("ybe", "--tau", "0.02i"), 1, None),
+        (("ybe", "--tau", "0.08i"), 0, None),
+        (("rll", "--tau", "0.05i"), 1, 2.5e-4),
+        (("rll", "--tau", "0.08i"), 1, 2.8e-8),
+        (("rll", "--tau", "0.15i"), 0, None),
+        (("qchar", "--tau", "0.15i"), 1, 1.985e-9),
+        (("tq", "--tau", "0.2i"), 1, 1.571e-8),
+        (("tq", "--order", "12"), 1, 2.897e-6),
+        (("tq", "--hbar", "0.5+0.9i", "--order", "2"), 1, 1.564e-5),
+        (("tq", "--hbar", "0.5+0.9i"), 3, None),
+    ]
+
+    @pytest.mark.parametrize("argv, code, worst", PROBES,
+                             ids=[" ".join(argv) for argv, _, _ in PROBES])
+    def test_outcome(self, argv, code, worst, tmp_path, capsys):
+        report = tmp_path / "probe.json"
+        assert run([*argv, "--no-timestamp", "--report", str(report)]) == code
+        if worst is not None:
+            got = max(r["residual"] for r in json.loads(report.read_text())["results"])
+            assert math.floor(math.log10(got)) == math.floor(math.log10(worst))
 
 
 class TestBatchedTriples:

@@ -10,7 +10,6 @@ from elliptic_baxter.dynamical import ModuleOperator
 from elliptic_baxter.modules import (
     HighestWeightData,
     build_asymptotic,
-    build_vector_rep,
     construct_simple,
     dynamical_tensor,
     spectral_shift,
@@ -20,6 +19,7 @@ from elliptic_baxter.theta import EllipticParams, PoleError, SamplePlan, ThetaEx
 from elliptic_baxter.transfer import QuantumSpace, product_residual
 
 from coproduct_oracle import symbolic_module
+from module_oracle import build_vector_rep, with_L
 
 # the parameter sets of the suite jobs of the benchmark (perfbench/jobs.py)
 PARAM_SETS = {
@@ -124,7 +124,7 @@ def x_twisted_ladder():
     twist = ThetaExpression.theta(0, 1, 0.4)
     L = dict(X.L, **{"--": ModuleOperator(op.alpha, op.beta, op.source, op.target,
                                           {k: s * twist for k, s in op.entries.items()}, P)})
-    return type(X)(P, X.basis, L, X.spin, X.shift_u)
+    return with_L(X, L)
 
 
 class TestDiagonalTerms:

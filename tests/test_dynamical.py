@@ -95,7 +95,8 @@ class TestComposeModuleOps:
     def test_identity_neutral(self):
         W = build_asymptotic(1.3 + 0.2j, 0.0, 4, P)
         ident = ModuleOperator(0, 0, W.basis, W.basis,
-                               {(i, i): ThetaSum.one() for i in range(W.basis.size)}, P)
+                               {(i, i): ThetaSum(ThetaExpression()) for i in range(W.basis.size)},
+                               P)
         for key in ("++", "+-", "-+", "--"):
             left = compose_module_ops(ident, W.L[key])
             right = compose_module_ops(W.L[key], ident)
@@ -108,7 +109,7 @@ class TestComposeModuleOps:
         b = WeightBasis(1.0, (1, 1))
         with pytest.raises(ShapeError, match=r"^entry \(1,0\) violates the weight rule for bidegree \(1,1\)$"):
             # a (+,+) bidegree operator must preserve weight
-            ModuleOperator(1, 1, b, b, {(1, 0): ThetaSum.one()}, P)
+            ModuleOperator(1, 1, b, b, {(1, 0): ThetaSum(ThetaExpression())}, P)
 
     def test_matches_sequential_application_oracle(self):
         # Oracle: apply Psi, then Phi, by the defining property

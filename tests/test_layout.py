@@ -42,7 +42,6 @@ AWAITING_RECORD = {
 # Reference code that tests build or compare against, with no reader in the
 # package.
 TEST_REFERENCES = {
-    "modules.build_vector_rep": "vector module the coproduct and exchange tests build",
     "theta.ThetaSum.eval": "scalar evaluation of the symbolic oracles",
     "dynamical.DiffOpSeries.identity": "unit series the inverse tests divide",
     "packed.PSeriesMatrix.tables": "Fraction views the packed-calculus tests compare",
@@ -210,3 +209,36 @@ def test_no_kronecker_packing_left():
     assert found == []
     assert [p.stem for p in sorted(PACKAGE.glob("*.py"))
             if "kronecker" in p.read_text(encoding="utf-8").lower()] == []
+
+
+def callers(name):
+    """Qualified names of the package's top-level functions and methods
+    (and ``module.<module>`` for other code) that call ``name``, bare or
+    as an attribute."""
+    found = set()
+    for p in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(p.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.ClassDef):
+                scopes = [(f"{node.name}.{item.name}" if isinstance(item, ast.FunctionDef)
+                           else node.name, item) for item in node.body]
+            else:
+                scopes = [(node.name if isinstance(node, ast.FunctionDef) else "<module>", node)]
+            found |= {f"{p.stem}.{qualname}" for qualname, scope in scopes
+                      for n in ast.walk(scope) if isinstance(n, ast.Call)
+                      and name in (getattr(n.func, "id", None), getattr(n.func, "attr", None))}
+    return found
+
+
+def test_elliptic_modules_have_one_stored_form():
+    # a module is given its flat terms only; its symbolic L is a view,
+    # and that view and the composition calculus alone build operators
+    tree = ast.parse((PACKAGE / "modules.py").read_text(encoding="utf-8"))
+    init = next(item for node in tree.body
+                if isinstance(node, ast.ClassDef) and node.name == "EllipticModule"
+                for item in node.body
+                if isinstance(item, ast.FunctionDef) and item.name == "__init__")
+    args = init.args
+    assert "L" not in [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+    assert callers("ModuleOperator") == {"modules.EllipticModule.L",
+                                         "dynamical.compose_module_ops",
+                                         "dynamical.invert_weightwise"}

@@ -1,3 +1,4 @@
+import struct
 import sys
 from pathlib import Path
 
@@ -10,7 +11,6 @@ from elliptic_baxter.dynamical import ModuleOperator, compose_module_ops
 from elliptic_baxter.modules import (
     HighestWeightData,
     build_asymptotic,
-    build_vector_rep,
     construct_simple,
     cyclicity_predicates,
     dynamical_tensor,
@@ -33,13 +33,17 @@ from elliptic_baxter.theta import (
     ThetaExpression,
     ThetaSum,
     ThetaTable,
+    flat_terms,
     theta_eval,
 )
 
 from coproduct_oracle import symbolic_tensor
 import gauss_oracle
 from ladder_oracle import chain_ladder_entries, expression_bits
+import module_oracle
+from module_oracle import build_vector_rep, with_L
 import rll_oracle
+from rmatrix_oracle import r_matrix_symbolic
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from jobs import PARAM_SETS  # noqa: E402
@@ -141,7 +145,7 @@ class TestFlatLadder:
         assert "L" not in vars(X)
         sums = [((k * n + a) * n + b, s) for k, key in enumerate(("++", "+-", "-+", "--"))
                 for (a, b), s in X.L[key].entries.items()]
-        assert table_state(flat) == table_state(ThetaTable(sums, 4 * n * n, params))
+        assert table_state(flat) == table_state(ThetaTable(flat_terms(sums), 4 * n * n, params))
         for key, ref in chain_ladder_entries(l, u, K, params).items():
             got = X.L[key].entries
             assert list(got) == list(ref)
@@ -160,7 +164,7 @@ class TestFlatLadder:
         X = build_asymptotic(l, u, K, params)
         got = X.diagonal_terms
         assert "L" not in vars(X)
-        ref = type(X)(params, X.basis, X.L, X.spin, X.shift_u).diagonal_terms
+        ref = with_L(X, X.L).diagonal_terms
         for g, r in zip(got, ref):
             assert [None if e is None else expression_bits(e) for e in g] == \
                 [None if e is None else expression_bits(e) for e in r]
@@ -170,9 +174,93 @@ class TestFlatLadder:
 
     def test_cut_tables_are_cut_from_the_terms(self):
         X = build_asymptotic(1.3 + 0.2j, 0.4, 6, P)
-        Y = type(X)(P, X.basis, X.L, X.spin, X.shift_u)  # the same entries, given as L
+        Y = with_L(X, X.L)  # the same entries, flattened from L
         for n in (1, 3, 7):
             assert table_state(X._table(n)) == table_state(Y._table(n))
+
+
+def bench_params(args) -> EllipticParams:
+    """The parameters of a benchmark parameter set's CLI arguments."""
+    return cli.resolve_config(cli.build_parser().parse_args(["rll", *args])).params
+
+
+BENCH_PARAMS = [bench_params(args) for _, args in PARAM_SETS]
+BENCH_IDS = [name for name, _ in PARAM_SETS]
+
+
+def term_bits(terms) -> list:
+    """Flat terms bit for bit: slot, the bits of the scalar and exponents,
+    and per factor (cz, cx, the bits of the shift, power)."""
+    def b(c):
+        c = complex(c)
+        return struct.pack("<dd", c.real, c.imag)
+    return [(slot, b(s), b(ez), b(ex), tuple((cz, cx, b(sh), p) for cz, cx, sh, p in f))
+            for slot, s, ez, ex, f in terms]
+
+
+def assert_same_module(got, ref):
+    """Two modules alike: terms bit for bit; table state, entry tables and
+    the diagonal terms at six sample points, dtype, shape and bytes."""
+    assert term_bits(got.terms) == term_bits(ref.terms)
+    n = got.basis.size
+    assert table_state(got._table(n)) == table_state(ref._table(n))
+    zs, xs = zip(*SamplePlan(seed=11, count=6, pole_margin=5e-2).pairs(got.params))
+    a, b = (M.entry_matrices(zs, xs, masked=True) for M in (got, ref))
+    assert (a.dtype.str, a.shape, a.tobytes()) == (b.dtype.str, b.shape, b.tobytes())
+    for g, r in zip(got.diagonal_terms, ref.diagonal_terms):
+        assert [None if e is None else expression_bits(e) for e in g] == \
+            [None if e is None else expression_bits(e) for e in r]
+
+
+class TestFlatForms:
+    """Every module constructor writes flat terms: the R-matrix table, the
+    vector module, spectral shifts and one-dimensional modules against
+    their routes through symbolic L tables (``tests/module_oracle.py``) at
+    the parameter sets of the 2-site benchmark, bit for bit."""
+
+    @pytest.mark.parametrize("params", BENCH_PARAMS, ids=BENCH_IDS)
+    def test_r_table_is_the_table_of_the_symbolic_matrix(self, params):
+        sym = r_matrix_symbolic(params)
+        ref = flat_terms((4 * a + b, sym[a][b]) for a in range(4) for b in range(4))
+        assert term_bits(modules.r_matrix_terms(params)) == term_bits(ref)
+        assert table_state(modules._r_table(params)) == table_state(ThetaTable(ref, 16, params))
+
+    @pytest.mark.parametrize("params", BENCH_PARAMS, ids=BENCH_IDS)
+    def test_vector_module(self, params):
+        assert_same_module(build_vector_rep(params), module_oracle.vector_rep_of_L(params))
+
+    @pytest.mark.parametrize("u", [0, 1.0, 0.77 + 0.1j])
+    @pytest.mark.parametrize("params", BENCH_PARAMS, ids=BENCH_IDS)
+    def test_spectral_shifts(self, params, u):
+        V = build_vector_rep(params)
+        assert_same_module(spectral_shift(V, u), module_oracle.spectral_shift_of_L(V, u))
+        # a ladder, one with integer spin, and a module with a z-exponential
+        g = ThetaExpression(2.0, 0.3j) * ThetaExpression.theta(1, 0, 0.4)
+        for X in (build_asymptotic(1.7 + 0.3j, 0.0, 6, params), build_asymptotic(2, 0.3, 4, params),
+                  one_dim_module(g, params)):
+            assert_same_module(spectral_shift(X, u), module_oracle.spectral_shift_of_L(X, u))
+        assert spectral_shift(V, 0).terms is V.terms
+
+    @pytest.mark.parametrize("params", BENCH_PARAMS, ids=BENCH_IDS)
+    def test_one_dim_module(self, params):
+        for g in (ThetaExpression.theta(1, 0, 0.4), ThetaExpression.theta(1, 0, 0.4, -1),
+                  ThetaExpression.const(1.3 + 0.2j)):
+            D = one_dim_module(g, params)
+            assert_same_module(D, module_oracle.one_dim_of_L(g, params))
+            assert D.diagonal_terms[1] == (g,)
+
+    @pytest.mark.parametrize("params", BENCH_PARAMS, ids=BENCH_IDS)
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_socle_terms_are_the_cut_of_the_ladder_terms(self, params, n):
+        # the socle flattens the ladder's L view; a direct cut of the
+        # ladder's terms gives the same terms
+        X = build_asymptotic(float(n - 1), 0.0, 4, params)
+        m = X.basis.size
+        cut = [((k * n + a) * n + b, *rest) for slot, *rest in X.terms
+               for k, rc in [divmod(slot, m * m)] for a, b in [divmod(rc, m)] if a < n and b < n]
+        S = socle(X)
+        assert term_bits(S.terms) == term_bits(cut)
+        assert table_state(S._table(n)) == table_state(X._table(n))
 
 
 class TestRllLevel:
@@ -277,7 +365,7 @@ class TestExchangeRelations:
     def test_negative_control_sign_flip(self):
         flipped = dict(LADDER.L)
         flipped["+-"] = gauss_oracle.negated(LADDER.L["+-"])
-        broken = type(LADDER)(P, LADDER.basis, flipped, LADDER.spin, LADDER.shift_u)
+        broken = with_L(LADDER, flipped)
         z, w, x = triples(71, 1)[0]
         assert rll_residual(broken, z, w, x, 2) > 1e-2
 
@@ -285,7 +373,7 @@ class TestExchangeRelations:
         # shifting x by tau in a single entry table breaks the relation
         shifted = dict(LADDER.L)
         shifted["+-"] = gauss_oracle.shift_x(LADDER.L["+-"], P.tau)
-        broken = type(LADDER)(P, LADDER.basis, shifted, LADDER.spin, LADDER.shift_u)
+        broken = with_L(LADDER, shifted)
         z, w, x = triples(73, 1)[0]
         assert rll_residual(broken, z, w, x, 2) > 1e-2
 
@@ -349,7 +437,7 @@ class TestGauss:
         # K_+(z) K_-(z - hbar) acts as theta(z + (l+1)h) theta(z) on every level
         l = LADDER.spin
         g = gauss_oracle.gauss_decompose(LADDER)
-        prod = compose_module_ops(g.kplus, g.kminus.shift_z(-H))
+        prod = compose_module_ops(g.kplus, module_oracle.shift_z(g.kminus, -H))
         for z, x in SamplePlan(seed=89, count=5, pole_margin=5e-2).pairs(P):
             ref = theta_eval(z + (l + 1) * H, P) * theta_eval(z, P)
             for j in range(LADDER.basis.levels - 1):
@@ -369,7 +457,7 @@ class TestGauss:
         entries[(2, 2)] = entries[(2, 2)] * ThetaSum(ThetaExpression.const(1.5))
         L = dict(LADDER.L, **{"++": ModuleOperator(op.alpha, op.beta, op.source, op.target,
                                                    entries, P)})
-        broken = type(LADDER)(P, LADDER.basis, L, LADDER.spin, LADDER.shift_u)
+        broken = with_L(LADDER, L)
         pts = SamplePlan(seed=89, count=5, pole_margin=5e-2).pairs(P)
         assert gauss_scalar_law_residual(LADDER, pts) < 1e-10
         assert gauss_scalar_law_residual(broken, pts) >= 1e-2

@@ -43,12 +43,14 @@ from elliptic_baxter.theta import (
     ThetaExpression,
     ThetaSum,
     ThetaTable,
+    flat_terms,
     theta_eval,
 )
 
 from coproduct_oracle import symbolic_module
 import gauss_oracle
 from ladder_oracle import expression_bits
+from module_oracle import with_L
 import qchar_oracle
 
 P = EllipticParams(tau=1j, hbar=0.31)
@@ -312,7 +314,7 @@ class TestExtraction:
             op.alpha, op.beta, op.source, op.target,
             {k: s * twist for k, s in op.entries.items()}, P,
         )
-        bad = type(X)(P, X.basis, broken, X.spin, X.shift_u)
+        bad = with_L(X, broken)
         with pytest.raises(CategoryConditionError):
             qchar_of_module(bad)
 
@@ -422,11 +424,12 @@ class TestNumericGaussDiagonal:
                               for _, _, k, _, _ in gauss_decompose(L, M.basis, top)], axis=1)
         diag = [gauss_oracle.gauss_decompose(symbolic_module(M)).kplus.entries[(i, i)]
                 for i in range(size)]
-        ref = ThetaTable(enumerate(diag), size, params).at(zs, xs)
+        ref = ThetaTable(flat_terms(enumerate(diag)), size, params).at(zs, xs)
         # the cancelling diagonals at tau = 0.2i are compared on the scale
         # of their largest term
         terms = [(i, ThetaSum(t)) for i, s in enumerate(diag) for t in s.terms]
-        term_vals = ThetaTable(enumerate(s for _, s in terms), len(terms), params).at(zs, xs)
+        term_vals = ThetaTable(flat_terms(enumerate(s for _, s in terms)), len(terms),
+                               params).at(zs, xs)
         scale = np.zeros(ref.shape)
         for k, (i, _) in enumerate(terms):
             scale[:, i] = np.maximum(scale[:, i], np.abs(term_vals[:, k]))
@@ -456,7 +459,7 @@ class TestNumericGaussDiagonal:
         op = M.L[key]
         L[key] = ModuleOperator(op.alpha, op.beta, op.source, op.target,
                                 update(dict(op.entries)), M.params)
-        return type(M)(M.params, M.basis, L, M.spin, M.shift_u)
+        return with_L(M, L)
 
     @pytest.mark.parametrize("idx", [0, 2])
     def test_x_dependent_kplus_diagonal_rejected(self, idx):
@@ -613,6 +616,20 @@ class TestRingOracle:
             assert dev[below].tobytes() == ref[below].tobytes()
             assert below.sum() > 10 and (~below).sum() > 10
             assert np.allclose(dev, ref, rtol=1e-12, atol=0)
+
+    def test_deviations_do_not_depend_on_the_pair_block(self, monkeypatch):
+        # 750 pairs: blocks of 7 (a short last block), 512 and all at once
+        rng = np.random.default_rng(99)
+        leaves = [self._leaf(rng) for _ in range(20)]
+        monos = monomials(leaves + [self._twin(rng, leaf) for leaf in leaves], P)
+        X, Y = _Stack.of([(m, 1) for m in monos[:25]]), _Stack.of([(m, 1) for m in monos[10:]])
+        pairs = [(i, j) for i in range(len(X)) for j in range(len(Y))]
+        got = []
+        for block in (7, 512, len(pairs)):
+            monkeypatch.setattr(qchar, "_PAIR_BLOCK", block)
+            at = _deviations([(X, Y, pairs[:400]), (X, Y, pairs[400:])], 1e-9)
+            got.append(np.array([at[n >= 400](*p) for n, p in enumerate(pairs)]).tobytes())
+        assert got[0] == got[1] == got[2]
 
     @pytest.mark.parametrize("depth", [8, 12])
     def test_interchange(self, depth):

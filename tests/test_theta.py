@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from elliptic_baxter.modules import build_asymptotic, r_matrix_symbolic
+from elliptic_baxter.modules import build_asymptotic
 from elliptic_baxter.theta import (
     POLE_TOL,
     SEARCH_RADIUS,
@@ -22,6 +22,7 @@ from elliptic_baxter.theta import (
     ThetaFactor,
     ThetaSum,
     ThetaTable,
+    flat_terms,
     in_hbar_inv_lattice,
     int_plus_hbar_inv_lattice,
     lattice_distance,
@@ -35,8 +36,15 @@ from elliptic_baxter.theta import (
 from coproduct_oracle import symbolic_tensor
 from gauss_oracle import gauss_decompose
 from ladder_oracle import expression_bits, th
+from rmatrix_oracle import r_matrix_symbolic
 
 P = EllipticParams(tau=1j, hbar=0.31)
+ONE_SUM = ThetaSum(ThetaExpression())
+
+
+def sums_table(pairs, size, params):
+    """The ThetaTable of (slot, ThetaSum) pairs."""
+    return ThetaTable(flat_terms(pairs), size, params)
 
 
 def brute_theta(z, tau):
@@ -177,7 +185,7 @@ class TestUnconvergedSeries:
         assert np.isnan(_theta_series(np.array([self.FAR]), self.P)).all()
 
     def test_table_raises_and_masks(self):
-        table = ThetaTable([(0, ThetaSum(ThetaExpression.theta(1, 0, 0.0)))], 1, self.P)
+        table = sums_table([(0, ThetaSum(ThetaExpression.theta(1, 0, 0.0)))], 1, self.P)
         zs, xs = [self.NEAR, self.FAR], [0.0, 0.0]
         with pytest.raises(OverflowError):
             table.at(zs, xs)
@@ -407,7 +415,7 @@ class TestThetaTable:
         params = EllipticParams(tau=tau, hbar=0.31)
         pts = SamplePlan(seed=5, count=8, pole_margin=5e-2).pairs(params)
         for sums in _table_cases(params).values():
-            got = ThetaTable(enumerate(sums), len(sums), params).at(*zip(*pts))
+            got = sums_table(enumerate(sums), len(sums), params).at(*zip(*pts))
             assert got.shape == (len(pts), len(sums))
             for row, (z, x) in zip(got, pts):
                 for v, s in zip(row, sums):
@@ -419,27 +427,27 @@ class TestThetaTable:
     def test_slots_add_and_empty_slots_are_zero(self):
         a = ThetaSum(ThetaExpression.theta(1, 0, 0.2))
         b = ThetaSum(ThetaExpression.theta(0, 1, 0.1, power=-1))
-        got = ThetaTable([(2, a), (0, b), (2, b)], 4, P).at([0.3 + 0.1j], [0.4 + 0.2j])[0]
+        got = sums_table([(2, a), (0, b), (2, b)], 4, P).at([0.3 + 0.1j], [0.4 + 0.2j])[0]
         z, x = 0.3 + 0.1j, 0.4 + 0.2j
         assert got[1] == got[3] == 0
         assert got[0] == pytest.approx(b.eval(z, x, P), rel=1e-13)
         assert got[2] == pytest.approx((a + b).eval(z, x, P), rel=1e-13)
-        assert ThetaTable([], 2, P).at([0.1, 0.2], [0.3, 0.4]).tolist() == [[0, 0], [0, 0]]
+        assert sums_table([], 2, P).at([0.1, 0.2], [0.3, 0.4]).tolist() == [[0, 0], [0, 0]]
 
     def test_at_dest_is_at_on_dest(self):
         a = ThetaSum(ThetaExpression.theta(1, 0, 0.2))
         b = ThetaSum(ThetaExpression.theta(0, 1, 0.1, power=-1))
-        table = ThetaTable([(2, a), (0, b), (2, b)], 4, P)
+        table = sums_table([(2, a), (0, b), (2, b)], 4, P)
         zs, xs = [0.3 + 0.1j, 0.5 - 0.2j], [0.4 + 0.2j, 0.1 + 0.3j]
         assert table.dest.tolist() == [0, 2]
         assert np.array_equal(table.at_dest(zs, xs), table.at(zs, xs)[:, table.dest])
-        assert ThetaTable([], 2, P).at_dest(zs, xs).shape == (2, 0)
+        assert sums_table([], 2, P).at_dest(zs, xs).shape == (2, 0)
 
     def test_only_a_table_with_an_exponent_multiplies_by_it(self):
         e = ThetaExpression(scalar=2.0, exp_z=0.3j, exp_x=-0.2) * ThetaExpression.theta(1, 0, 0.2)
         plain = ThetaSum(ThetaExpression.theta(0, 1, 0.1))
-        table = ThetaTable([(0, ThetaSum(e)), (1, plain)], 2, P)
-        assert table.exponential and not ThetaTable([(1, plain)], 2, P).exponential
+        table = sums_table([(0, ThetaSum(e)), (1, plain)], 2, P)
+        assert table.exponential and not sums_table([(1, plain)], 2, P).exponential
         z, x = 0.3 + 0.1j, 0.4 + 0.2j
         got = table.at([z], [x])[0]
         assert got[0] == pytest.approx(e.eval(z, x, P), rel=1e-13)
@@ -452,14 +460,14 @@ class TestThetaTable:
 
     def test_strict_raises_pole_and_overflow(self):
         with pytest.raises(PoleError):
-            ThetaTable([(0, self.POLE)], 1, P).at(self.ZS[:3], self.XS[:3])
+            sums_table([(0, self.POLE)], 1, P).at(self.ZS[:3], self.XS[:3])
         with pytest.raises(OverflowError):
             theta_eval(self.XS[3], P)
         with pytest.raises(OverflowError):
-            ThetaTable([(0, self.GROWS)], 1, P).at(self.ZS[3:], self.XS[3:])
+            sums_table([(0, self.GROWS)], 1, P).at(self.ZS[3:], self.XS[3:])
 
     def test_masked_marks_exactly_the_bad_points(self):
-        table = ThetaTable([(0, self.POLE), (1, self.GROWS), (2, ThetaSum.one())], 3, P)
+        table = sums_table([(0, self.POLE), (1, self.GROWS), (2, ONE_SUM)], 3, P)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             vals, bad = table.masked_at(self.ZS, self.XS)
@@ -533,7 +541,7 @@ class TestDeduplicatedArguments:
     GROWS = TestThetaTable.GROWS
 
     def test_nan_slots_match_raw_arguments(self):
-        table = ThetaTable([(0, self.POLE), (1, self.GROWS), (2, ThetaSum.one()),
+        table = sums_table([(0, self.POLE), (1, self.GROWS), (2, ONE_SUM),
                             (3, self.POLE * self.GROWS)], 4, P)
         zs = [0.3, 0.3, 0.1 + 0.2j, 0.5 + 0.1j, 0.5 + 0.1j, 0.3]
         xs = [0.4 + 0.2j, 0.2 + 300j, 0.2 + 300j, 0.1 + 0.1j, 0.2 + 300j, 0.4 + 0.2j]
@@ -545,7 +553,7 @@ class TestDeduplicatedArguments:
         assert np.isnan(vals).any() and bad.tolist() == [True, True, True, False, True, True]
 
     def test_strict_errors_match_raw_arguments(self):
-        table = ThetaTable([(0, self.POLE), (1, self.GROWS)], 2, P)
+        table = sums_table([(0, self.POLE), (1, self.GROWS)], 2, P)
         for zs, xs, err in (([0.1, 0.3, 0.3 + 1j], [0.2, 0.1, 0.2], PoleError),
                             ([0.1, 0.2, 0.1], [0.2 + 300j, 0.1, 0.2 + 300j], OverflowError)):
             with pytest.raises(err) as got:
@@ -571,7 +579,7 @@ class TestKindDedupe:
         (2, ThetaSum(th(1, -1, -0.1, -1) * th(1, 1, 0.45, 2) * th(0, 1, 0.2))),
         (1, ThetaSum(th(1, 0, 0.45) * th(1, 1, 0.2, -2) * th(0, 0, 0.2, -1))),
         (3, ThetaSum(th(1, -1, 0.45) * th(1, 0, -0.31, 2) * th(0, 1, 0.45, -1))),
-        (4, ThetaSum.one()),
+        (4, ONE_SUM),
     ]
     # a grid: each z with each x, so zs and xs repeat; the pole is at
     # (0.3, 0.2), the fourth point
@@ -579,7 +587,7 @@ class TestKindDedupe:
     XS = [0.2, 0.4 + 0.15j, 0.75 - 0.2j] * 3
 
     def table(self):
-        return ThetaTable(self.SUMS, 5, P)
+        return sums_table(self.SUMS, 5, P)
 
     def test_the_table_has_what_it_should_test(self):
         t = self.table()
@@ -614,7 +622,7 @@ class TestKindDedupe:
         assert re.fullmatch(r"theta factor with negative power at lattice point \(.*\)", str(got.value))
 
     def test_constant_terms_and_no_points(self):
-        t = ThetaTable([(0, ThetaSum.one()), (1, ThetaSum(ThetaExpression.const(2.5)))], 2, P)
+        t = sums_table([(0, ONE_SUM), (1, ThetaSum(ThetaExpression.const(2.5)))], 2, P)
         assert t.at([0.1, 0.2 + 0.3j], [0.4, 0.5]).tolist() == [[1, 2.5], [1, 2.5]]
         assert self.table().at([], []).shape == (0, 5)
         vals, bad = self.table().masked_at([], [])

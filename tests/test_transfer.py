@@ -54,6 +54,7 @@ from elliptic_baxter.yangian import yangian_q
 
 from chain_oracle import graded_trace, spell
 from coproduct_oracle import symbolic_module
+from module_oracle import shift_z
 
 P = EllipticParams(tau=1j, hbar=0.31)
 H = P.hbar
@@ -115,7 +116,7 @@ def symbolic_transfer(X, space, order, points):
         for col, jstr in enumerate(strings):
             comp = None
             for l in range(space.L - 1, -1, -1):
-                op = X.L[sign[istr[l]] + sign[jstr[l]]].shift_z(space.sites[l] - h)
+                op = shift_z(X.L[sign[istr[l]] + sign[jstr[l]]], space.sites[l] - h)
                 comp = op if comp is None else compose_module_ops(op, comp)
             for k in range(order + 1):
                 off = X.basis.offset(k)
