@@ -88,19 +88,17 @@ def _slot_weight(idx: int) -> int:
 
 def _embed_r(slots, r_by_state) -> np.ndarray:
     """R on the slot pair ``slots`` of the 8-dimensional triple tensor
-    space, acting as r_by_state[c] while the third slot is in state c."""
+    space, acting as r_by_state[c] while the third slot is in state c:
+    one indexed assignment into [row slots, col slots]."""
     i, j = slots
     k = 3 - i - j
-    m = np.zeros((8, 8), dtype=complex)
-    for c in range(2):
-        r = r_by_state[c]
-        for a, b, ap, bp in product(range(2), repeat=4):
-            row, col = [0, 0, 0], [0, 0, 0]
-            row[i], row[j], row[k] = a, b, c
-            col[i], col[j], col[k] = ap, bp, c
-            m[4 * row[0] + 2 * row[1] + row[2],
-              4 * col[0] + 2 * col[1] + col[2]] = r[2 * a + b, 2 * ap + bp]
-    return m
+    c, a, b, ap, bp = np.indices((2,) * 5)
+    row, col = [None] * 3, [None] * 3
+    row[i], row[j], row[k] = a, b, c
+    col[i], col[j], col[k] = ap, bp, c
+    m = np.zeros((2,) * 6, dtype=complex)
+    m[(*row, *col)] = np.reshape(r_by_state, (2,) * 5)
+    return m.reshape(8, 8)
 
 
 # (slots, shifted) of the factors of lhs = R12 R13 R23, rhs = R23 R13 R12
@@ -147,6 +145,14 @@ class GradedModule:
     def safe_levels(self) -> int:
         """Highest level at which one L-application is truncation-exact."""
         return self.basis.levels if self.exact else self.basis.levels - 1
+
+    @property
+    def diagonal_terms(self) -> tuple:
+        """(K+, K-): per basis index the single symbolic term of the Gauss
+        diagonal entry, or None; a module without symbolic entries has
+        none, and ``qchar_of_module`` reads its diagonal off the entry
+        tables."""
+        return ((None,) * self.basis.size,) * 2
 
 
 def _expression(scalar, exp_z, exp_x, factors) -> ThetaExpression:
@@ -249,8 +255,8 @@ class EllipticModule(GradedModule):
 class TensorModule(GradedModule):
     """The dynamical tensor product X (x) Y truncated at total level
     ``max_level``, with no symbolic L: its entry tables are evaluated from
-    the factors' (``dynamical.tensor_entry_tables``), and its Gauss
-    diagonal terms are products of theirs."""
+    the factors' (``dynamical.tensor_entry_tables``), and so is its Gauss
+    diagonal."""
 
     exact = False
 
@@ -283,18 +289,6 @@ class TensorModule(GradedModule):
         """As ``EllipticModule.slot_values``."""
         return tensor_entry_tables(self.X, self.Y, self._gather(self.basis.levels),
                                    zs, xs, self.basis.levels)
-
-    @cached_property
-    def diagonal_terms(self) -> tuple:
-        """The factors' terms multiplied, X's x-shifted by hbar times the Y
-        weight; a column is corrected when either factor's column is."""
-        bx, by = self.X.basis, self.Y.basis
-        pairs = [(bx.offset(jx) + ix, by.offset(jy) + iy, self.params.hbar * by.weight(jy))
-                 for jx, ix, jy, iy in self.layout]
-        return tuple(
-            tuple(None if tx[a] is None or ty[c] is None else tx[a].shift_x(shift) * ty[c]
-                  for a, c, shift in pairs)
-            for tx, ty in zip(self.X.diagonal_terms, self.Y.diagonal_terms))
 
 
 def build_asymptotic(l: complex, u: complex, K: int, params: EllipticParams) -> EllipticModule:
@@ -343,9 +337,8 @@ def dynamical_tensor(X: GradedModule, Y: GradedModule, max_level: int | None = N
 
 
 def spectral_shift(X: EllipticModule, u: complex) -> EllipticModule:
-    """Twist by the spectral automorphism z -> z + c, c = u*hbar: each term
-    as ``ThetaExpression.shift_z`` shifts it, its scalar times
-    exp(exp_z*c) and each factor's shift plus cz*c."""
+    """Twist by the spectral automorphism z -> z + c, c = u*hbar: each
+    term's scalar times exp(exp_z*c) and each factor's shift plus cz*c."""
     c = complex(u * X.params.hbar)
     terms = X.terms if c == 0 else [
         (slot, scalar * cmath.exp(exp_z * c), exp_z, exp_x,

@@ -53,11 +53,6 @@ def _rounded(c: complex) -> tuple[float, float]:
     return (round(c.real, 9), round(c.imag, 9))
 
 
-# a factor whose oriented real shift part lies this close below an integer
-# makes its products go through their expressions (``_near_edge``)
-_EDGE = 1e-11
-
-
 def _form(c: ThetaExpression) -> tuple:
     """The canonical flat form of a canonical expression: (scalar, exp_z,
     exp_x, classes), the classes a dict from each factor's ``_merge_key``
@@ -89,57 +84,31 @@ def _form_key(f: tuple) -> tuple:
             tuple((k[0], k[1], re, im, p) for k, (re, im, p) in sorted(f[3].items())))
 
 
-def _near_edge(e: ThetaExpression) -> bool:
-    """Whether some factor of ``e``, oriented as ``canonical`` orients it,
-    has a real shift part within ``_EDGE`` below an integer, or a shift part
-    within 2e-11 of a 9-decimal rounding boundary (or an imaginary part
-    beyond 1e3, where that test loses its resolution).  Two factors that
-    ``*`` merges have shifts within 1e-12 of each other.  Without such a
-    factor anywhere in a product, they reduce to the same class, and every
-    factor of a class rounds alike, so the product's canonical form is the
-    merge of its factors' forms (``_form_product``); with one, the
-    product's pair is multiplied out and its canonical form read off."""
-    for f in e.factors:
-        s = -f.shift if f.cz < 0 or (f.cz == 0 and f.cx < 0) else f.shift
-        re = s.real - math.floor(s.real)
-        if re > 1 - _EDGE or abs(s.imag) > 1e3:
-            return True
-        # within 1e-11 of a boundary (n + 1/2)*1e-9 means within 0.01 of
-        # n + 1/2 in units of 1e-9; 0.02 leaves room for rounding
-        if abs(re * 1e9 % 1.0 - 0.5) < 0.02 or abs(s.imag * 1e9 % 1.0 - 0.5) < 0.02:
-            return True
-    return False
-
-
 class _Sym:
     """The symbolic side of a monomial: its class key, the canonical flat
-    form of each component (``_form``), whether its products must go
-    through their expressions (``edge``), and the pair (a+, a-), which a
-    product builds from its factors' pairs on first read."""
+    form of each component (``_form``) and the pair (a+, a-), which a
+    product builds from its factors' pairs on first read.  A product's
+    forms merge its factors' (``_form_product``); where two factors that
+    ``*`` merges reduce or round apart, its key is not that of the
+    canonical product pair, and the two compare by their grid values."""
 
-    __slots__ = ("key", "forms", "edge", "_pair", "_factors")
+    __slots__ = ("key", "forms", "_pair", "_factors")
 
-    def __init__(self, forms: tuple, weight: complex, edge: bool, pair=None, factors=None):
-        self.forms, self.edge, self._pair, self._factors = forms, edge, pair, factors
+    def __init__(self, forms: tuple, weight: complex, pair=None, factors=None):
+        self.forms, self._pair, self._factors = forms, pair, factors
         fp, fm = forms
         self.key = (_form_key(fp), _form_key(fm), _rounded(fp[0] * fm[0]), _rounded(weight))
 
     @staticmethod
-    def of_pair(ap: ThetaExpression, am: ThetaExpression, weight: complex,
-                edge: bool = False) -> "_Sym":
+    def of_pair(ap: ThetaExpression, am: ThetaExpression, weight: complex) -> "_Sym":
         """The symbolic side of the pair (ap, am), its forms read off the
         canonical forms of its components."""
-        return _Sym((_form(ap.canonical()), _form(am.canonical())), weight,
-                    edge or _near_edge(ap) or _near_edge(am), pair=(ap, am))
+        return _Sym((_form(ap.canonical()), _form(am.canonical())), weight, pair=(ap, am))
 
     def times(self, other: "_Sym", weight: complex) -> "_Sym":
-        """The symbolic side of the product: the merged forms, or near an
-        edge the canonical forms of the product pair, as ``of_pair``."""
-        if self.edge or other.edge:
-            a, b = self.pair, other.pair
-            return _Sym.of_pair(a[0] * b[0], a[1] * b[1], weight, edge=True)
-        forms = tuple(map(_form_product, self.forms, other.forms))
-        return _Sym(forms, weight, False, factors=(self, other))
+        """The symbolic side of the product: the merged forms."""
+        return _Sym(tuple(map(_form_product, self.forms, other.forms)), weight,
+                    factors=(self, other))
 
     @property
     def pair(self) -> tuple:
@@ -549,9 +518,9 @@ def qchar_of_module(X) -> QCharElement:
     K- is L--, and K+ is read level by level off ``modules.gauss_decompose``
     of the module's entry matrices, cut to the levels up to
     ``safe_levels``, from one masked pass over the z grid at x = ``_X_REF``
-    and the 3x3 probe points.  A diagonal
-    component is the module's symbolic term (``diagonal_terms``) when
-    that is x-free, else its grid values.
+    and the 3x3 probe points.  A diagonal component is the module's
+    symbolic term (``diagonal_terms``) when that is x-free, else its grid
+    values (all of a tensor module's, which has no symbolic term).
 
     Requires both diagonal Gauss blocks to be triangular per weight space
     with nonzero, x-independent diagonal entries; violations raise

@@ -334,18 +334,6 @@ class ThetaExpression:
         return self * other.inv()
 
     # -- shifts --------------------------------------------------------
-    def shift_z(self, c: complex) -> "ThetaExpression":
-        """Substitute z -> z + c (exact)."""
-        c = complex(c)
-        if c == 0:
-            return self
-        factors = tuple(
-            ThetaFactor(f.cz, f.cx, f.shift + f.cz * c, f.power) for f in self.factors
-        )
-        return ThetaExpression(
-            self.scalar * cmath.exp(self.exp_z * c), self.exp_z, self.exp_x, factors
-        )
-
     def shift_x(self, c: complex) -> "ThetaExpression":
         """Substitute x -> x + c (exact)."""
         c = complex(c)

@@ -6,13 +6,22 @@ them, key by key in entry order, as a module given its L was flattened
 when it still took one.  The L-route modules below build their tables with
 the ``ThetaSum`` and ``ModuleOperator`` arithmetic that the flat
 constructors of ``modules`` replaced, so that those can be checked against
-them term for term.  ``build_vector_rep`` is the vector module read off the
-flat R-matrix terms.
+them term for term; ``expression_shift_z`` is the symbolic z-substitution.
+``build_vector_rep`` is the vector module read off the flat R-matrix
+terms.
 """
+
+import cmath
 
 from elliptic_baxter.dynamical import ModuleOperator, WeightBasis
 from elliptic_baxter.modules import EllipticModule, r_matrix_terms
-from elliptic_baxter.theta import EllipticParams, ThetaExpression, ThetaSum, flat_terms
+from elliptic_baxter.theta import (
+    EllipticParams,
+    ThetaExpression,
+    ThetaFactor,
+    ThetaSum,
+    flat_terms,
+)
 
 from rmatrix_oracle import r_matrix_symbolic
 
@@ -34,10 +43,20 @@ def with_L(X: EllipticModule, L: dict) -> EllipticModule:
     return module_of_L(X.params, X.basis, L, X.spin, X.shift_u, X.label, X.exact)
 
 
+def expression_shift_z(e: ThetaExpression, c: complex) -> ThetaExpression:
+    """e with z -> z + c substituted: the scalar times exp(exp_z*c), each
+    factor's shift plus cz*c (e itself at c = 0)."""
+    c = complex(c)
+    if c == 0:
+        return e
+    factors = tuple(ThetaFactor(f.cz, f.cx, f.shift + f.cz * c, f.power) for f in e.factors)
+    return ThetaExpression(e.scalar * cmath.exp(e.exp_z * c), e.exp_z, e.exp_x, factors)
+
+
 def shift_z(op: ModuleOperator, c: complex) -> ModuleOperator:
-    """op with every entry z-shifted by c (``ThetaExpression.shift_z``)."""
+    """op with every entry z-shifted by c (``expression_shift_z``)."""
     return ModuleOperator(op.alpha, op.beta, op.source, op.target,
-                          {k: ThetaSum(tuple(t.shift_z(c) for t in s.terms))
+                          {k: ThetaSum(tuple(expression_shift_z(t, c) for t in s.terms))
                            for k, s in op.entries.items()}, op.params)
 
 

@@ -289,6 +289,21 @@ class TestRllLevel:
             assert abs(got - ref) <= 1e-15 * ref
 
 
+def embed_loop(slots, r_by_state):
+    """The 8x8 embedding of ``modules._embed_r`` entry by entry:
+    r_by_state[c] on the slot pair while the third slot is in state c."""
+    m = np.zeros((8, 8), dtype=complex)
+    idx = lambda a, b, c: 4 * a + 2 * b + c
+    free = ({0, 1, 2} - set(slots)).pop()
+    for a, b, ap, bp, c in np.ndindex(2, 2, 2, 2, 2):
+        t = [0, 0, 0]
+        s = [0, 0, 0]
+        t[slots[0]], t[slots[1]], t[free] = a, b, c
+        s[slots[0]], s[slots[1]], s[free] = ap, bp, c
+        m[idx(*t), idx(*s)] = r_by_state[c][2 * a + b, 2 * ap + bp]
+    return m
+
+
 class TestDynamicalYangBaxter:
     def test_residual_small_on_samples(self):
         for z, w, x in triples(31, 20):
@@ -296,26 +311,20 @@ class TestDynamicalYangBaxter:
                 continue
             assert qdybe_residual(z, w, x, P) < 1e-9
 
+    @pytest.mark.parametrize("slots", [(0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1)])
+    def test_embedding_is_the_entry_loop(self, slots):
+        rng = np.random.default_rng(sum(slots) + 3 * slots[0])
+        r = rng.normal(size=(2, 4, 4)) + 1j * rng.normal(size=(2, 4, 4))
+        got = modules._embed_r(slots, r)
+        ref = embed_loop(slots, r)
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+
     def test_negative_control_without_dynamical_shifts(self):
         # dropping every dynamical shift must break the identity
-        def emb(r, slots):
-            m = np.zeros((8, 8), dtype=complex)
-            idx = lambda a, b, c: 4 * a + 2 * b + c
-            for a, b, ap, bp in np.ndindex(2, 2, 2, 2):
-                for c in range(2):
-                    t = [0, 0, 0]
-                    s = [0, 0, 0]
-                    t[slots[0]], t[slots[1]] = a, b
-                    s[slots[0]], s[slots[1]] = ap, bp
-                    free = ({0, 1, 2} - set(slots)).pop()
-                    t[free] = s[free] = c
-                    m[idx(*t), idx(*s)] = r[2 * a + b, 2 * ap + bp]
-            return m
-
         z, w, x = 0.21 + 0.13j, -0.17 + 0.31j, 0.23 + 0.17j
-        r12 = emb(r_matrices([z - w], [x], P)[0], (0, 1))
-        r13 = emb(r_matrices([z], [x], P)[0], (0, 2))
-        r23 = emb(r_matrices([w], [x], P)[0], (1, 2))
+        r12, r13, r23 = (embed_loop(slots, [r_matrices([a], [x], P)[0]] * 2)
+                         for a, slots in ((z - w, (0, 1)), (z, (0, 2)), (w, (1, 2))))
         lhs, rhs = r12 @ r13 @ r23, r23 @ r13 @ r12
         dev = np.linalg.norm(lhs - rhs) / max(1.0, np.linalg.norm(lhs))
         assert dev > 1e-2

