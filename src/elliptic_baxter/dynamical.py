@@ -213,31 +213,33 @@ def tensor_basis(bx: WeightBasis, by: WeightBasis, max_level: int | None = None)
 def tensor_gather(X, Y, top: int) -> tuple[np.ndarray, np.ndarray]:
     """The products whose sums are the coproduct L_{ij} = sum_k L^X_{ik}
     (x) L^Y_{kj} cut to total level ``top``, one per pair of the factors'
-    structural nonzeros (``nonzeros``: the slots (key*n + row)*n + col,
-    keys in the order ++, +-, -+, --, of the entries that are not zero).
-    Returns the tensor's structural nonzeros, sorted, and the products
-    sorted by slot: column p holds X's entry of product p in [Y level,
-    key, row, col], with the level of the target Y vector, Y's entry in
-    [key, row, col] and the index of its slot among the nonzeros."""
+    structural nonzeros cut to ``top`` (``nonzeros``).  Returns the
+    tensor's structural nonzeros, sorted, and the products sorted by
+    slot: column p holds product p's X entry as (level of its target Y
+    vector) * (X's nonzero count) + its index among X's nonzeros, its Y
+    entry as its index among Y's, and the index of its slot among the
+    tensor's nonzeros."""
     bx, by = X.basis, Y.basis
     basis, layout = tensor_basis(bx, by, top)
-    n, nx, ny = basis.size, bx.offset(min(top, bx.levels) + 1), by.offset(min(top, by.levels) + 1)
+    n = basis.size
     pos = np.full((bx.size, by.size), -1)
     for t, (jx, ix, jy, iy) in enumerate(layout):
         pos[bx.offset(jx) + ix, by.offset(jy) + iy] = t
     level_y = np.repeat(np.arange(len(by.dims)), by.dims)
+    tx, ty = min(top, bx.levels), min(top, by.levels)
+    zx, zy = X.nonzeros(tx), Y.nonzeros(ty)
 
-    def entries(M, key):  # (rows, cols) of M's nonzero entries of one key
-        m = M.basis.size
-        return np.divmod(M.nonzeros[M.nonzeros // (m * m) == key] % (m * m), m)
+    def entries(nz, m, key):  # (index, row, col) of the nonzeros of one key, cut to m x m
+        i = np.flatnonzero(nz // (m * m) == key)
+        return (i, *np.divmod(nz[i] % (m * m), m))
 
     parts = []
     for i, j, k in np.ndindex(2, 2, 2):
-        (a, b), (c, d) = entries(X, 2 * i + k), entries(Y, 2 * k + j)
+        p, a, b = entries(zx, bx.offset(tx + 1), 2 * i + k)
+        q, c, d = entries(zy, by.offset(ty + 1), 2 * k + j)
         tgt, src = pos[a, c[:, None]], pos[b, d[:, None]]  # [Y entry, X entry]
         parts.append(np.stack(np.broadcast_arrays(
-            ((level_y[c, None] * 4 + 2 * i + k) * nx + a) * nx + b,
-            (((2 * k + j) * ny + c) * ny + d)[:, None],
+            level_y[c, None] * len(zx) + p, q[:, None],
             ((2 * i + j) * n + tgt) * n + src))[:, (tgt >= 0) & (src >= 0)])
     parts = np.concatenate(parts, axis=1)
     parts = parts[:, np.argsort(parts[2], kind="stable")]
@@ -250,20 +252,20 @@ def tensor_entry_tables(X, Y, gather: tuple, zs, xs, top: int,
     """The coproduct's entries at the points (zs, xs), cut to total level
     ``top``, in the slots of its ``tensor_gather``, as [point, slot]:
     L_{ij}(z, x) = sum_k L^X_{ik}(z, x + hbar*w) L^Y_{kj}(z, x), w the
-    weight of the target Y level.  X's ``entry_matrices`` are taken once
-    at every Y level weight and Y's once (``masked`` as there); only the
-    products of ``tensor_gather`` are formed, so a factor's NaN reaches
-    the entries that read it and no other."""
+    weight of the target Y level.  X's ``slot_values`` are taken once at
+    every Y level weight and Y's once (``masked`` as there), and only the
+    products of ``tensor_gather`` are formed, so no dense table is built
+    and a factor's NaN reaches the entries that read it and no other."""
     zs, xs = np.asarray(zs, dtype=complex), np.asarray(xs, dtype=complex)
     tx, ty = min(top, X.basis.levels), min(top, Y.basis.levels)
     slots, (gx, gy, slot) = gather
     shifts = Y.params.hbar * np.array([Y.basis.weight(j) for j in range(ty + 1)])
-    mx = X.entry_matrices(np.repeat(zs, ty + 1), (xs[:, None] + shifts).ravel(), tx, masked)
-    my = Y.entry_matrices(zs, xs, ty, masked)
+    vx = X.slot_values(np.repeat(zs, ty + 1), (xs[:, None] + shifts).ravel(), tx, masked)
+    vy = Y.slot_values(zs, xs, ty, masked)
     out = np.zeros((len(zs), len(slots)), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        np.add.at(out, (slice(None), slot), mx.reshape(len(zs), -1)[:, gx]
-                  * my.reshape(len(zs), -1)[:, gy])
+        np.add.at(out, (slice(None), slot),
+                  vx.reshape(len(zs), (ty + 1) * vx.shape[1])[:, gx] * vy[:, gy])
     return out
 
 
@@ -768,12 +770,11 @@ def series_max_residual(
     if d < 0:
         return series_max_residual(s2, s1, order, points)
     zs, xs = np.array(points, dtype=complex).reshape(-1, 2).T
-    request((t, zs, xs) for k in range(order + 1) for t in (s1.term(k), s2.term(k - d)))
-    return worst_residual(
-        relative_deviation(a, b)
-        for k in range(order + 1)
-        for a, b in zip(s1.term(k).at(zs, xs), s2.term(k - d).at(zs, xs))
-    )
+    # bound once: a term past a series' order is a fresh zero term per call
+    pairs = [(s1.term(k), s2.term(k - d)) for k in range(order + 1)]
+    request((t, zs, xs) for pair in pairs for t in pair)
+    return worst_residual(relative_deviation(a, b) for t1, t2 in pairs
+                          for a, b in zip(t1.at(zs, xs), t2.at(zs, xs)))
 
 
 def relative_deviation(a: np.ndarray, b: np.ndarray) -> float:

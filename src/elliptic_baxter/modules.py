@@ -138,13 +138,26 @@ def qdybe_residual(z: complex, w: complex, x: complex, params: EllipticParams) -
 
 class GradedModule:
     """What the checks read of a module: ``params``, ``basis``, ``exact``,
-    ``entry_matrices``, ``nonzeros``, ``slot_values`` and
-    ``diagonal_terms``."""
+    ``diagonal_terms`` and two readers: ``nonzeros(top)``, the slots
+    (key*n + row)*n + col (keys ++, +-, -+, --) of the entries that are
+    not zero in the L tables cut to the levels up to ``top``, and
+    ``slot_values(zs, xs, top, masked)``, those entries as [point, slot],
+    evaluating no other, NaN where ``ThetaTable.masked_at`` gives it with
+    ``masked``, else raising as ``ThetaTable.at``."""
 
     @property
     def safe_levels(self) -> int:
         """Highest level at which one L-application is truncation-exact."""
         return self.basis.levels if self.exact else self.basis.levels - 1
+
+    def entry_matrices(self, zs, xs, top: int | None = None, masked: bool = False) -> np.ndarray:
+        """The four L tables at the points (zs, xs), cut to the levels up
+        to ``top``, as [point, key, row, col]: ``slot_values`` at
+        ``nonzeros``, zero elsewhere."""
+        n = self.basis.size if top is None else self.basis.offset(top + 1)
+        out = np.zeros((len(zs), 4 * n * n), dtype=complex)
+        out[:, self.nonzeros(top)] = self.slot_values(zs, xs, top, masked)
+        return out.reshape(len(zs), 4, n, n)
 
     @property
     def diagonal_terms(self) -> tuple:
@@ -206,25 +219,16 @@ class EllipticModule(GradedModule):
             self._tables[n] = ThetaTable(terms, 4 * n * n, self.params)
         return self._tables[n]
 
-    def entry_matrices(self, zs, xs, top: int | None = None, masked: bool = False) -> np.ndarray:
-        """The four L tables at the points (zs, xs), one table pass, as
-        [point, key, row, col] with keys in the order ++, +-, -+, --, cut
-        to the levels up to ``top`` (a pass evaluates no entry outside
-        them).  ``masked`` gives NaN where ``ThetaTable.masked_at`` does
-        instead of raising."""
-        n = self.basis.size if top is None else self.basis.offset(top + 1)
-        table = self._table(n)
-        vals = table.masked_at(zs, xs)[0] if masked else table.at(zs, xs)
-        return vals.reshape(len(zs), 4, n, n)
+    def _cut(self, top: int | None) -> ThetaTable:
+        return self._table(self.basis.size if top is None else self.basis.offset(top + 1))
 
-    @property
-    def nonzeros(self) -> np.ndarray:
-        """The slots (key*n + row)*n + col of the entries that are not zero."""
-        return self._table(self.basis.size).dest
+    def nonzeros(self, top: int | None = None) -> np.ndarray:
+        """The slots of the cut table that some term adds to."""
+        return self._cut(top).dest
 
-    def slot_values(self, zs, xs) -> np.ndarray:
-        """The entries of ``nonzeros`` at the points (zs, xs), as [point, slot]."""
-        return self._table(self.basis.size).at_dest(zs, xs)
+    def slot_values(self, zs, xs, top: int | None = None, masked: bool = False) -> np.ndarray:
+        """One pass of the cut table (``ThetaTable.at_dest``)."""
+        return self._cut(top).at_dest(zs, xs, masked)
 
     @cached_property
     def diagonal_terms(self) -> tuple:
@@ -254,9 +258,9 @@ class EllipticModule(GradedModule):
 
 class TensorModule(GradedModule):
     """The dynamical tensor product X (x) Y truncated at total level
-    ``max_level``, with no symbolic L: its entry tables are evaluated from
-    the factors' (``dynamical.tensor_entry_tables``), and so is its Gauss
-    diagonal."""
+    ``max_level``, with no symbolic L: its slot values are the products
+    of its factors' (``dynamical.tensor_entry_tables``), and its Gauss
+    diagonal is read off them."""
 
     exact = False
 
@@ -272,23 +276,14 @@ class TensorModule(GradedModule):
             self._gathers[top] = tensor_gather(self.X, self.Y, top)
         return self._gathers[top]
 
-    def entry_matrices(self, zs, xs, top: int | None = None, masked: bool = False) -> np.ndarray:
-        """As ``EllipticModule.entry_matrices``."""
+    def nonzeros(self, top: int | None = None) -> np.ndarray:
+        """The first slot of each run of the cut's sorted products."""
+        return self._gather(self.basis.levels if top is None else top)[0]
+
+    def slot_values(self, zs, xs, top: int | None = None, masked: bool = False) -> np.ndarray:
+        """The sums of the cut's products of the factors' slot values."""
         top = self.basis.levels if top is None else top
-        n = self.basis.offset(top + 1)
-        gather = self._gather(top)
-        out = np.zeros((len(zs), 4 * n * n), dtype=complex)
-        out[:, gather[0]] = tensor_entry_tables(self.X, self.Y, gather, zs, xs, top, masked)
-        return out.reshape(len(zs), 4, n, n)
-
-    @property
-    def nonzeros(self) -> np.ndarray:
-        return self._gather(self.basis.levels)[0]
-
-    def slot_values(self, zs, xs) -> np.ndarray:
-        """As ``EllipticModule.slot_values``."""
-        return tensor_entry_tables(self.X, self.Y, self._gather(self.basis.levels),
-                                   zs, xs, self.basis.levels)
+        return tensor_entry_tables(self.X, self.Y, self._gather(top), zs, xs, top, masked)
 
 
 def build_asymptotic(l: complex, u: complex, K: int, params: EllipticParams) -> EllipticModule:

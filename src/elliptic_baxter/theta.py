@@ -564,10 +564,11 @@ class ThetaTable:
         """
         return self._eval(zs, xs, strict=True)
 
-    def at_dest(self, zs, xs) -> np.ndarray:
+    def at_dest(self, zs, xs, masked: bool = False) -> np.ndarray:
         """The slots of ``dest`` at the points (zs, xs), as [point, slot]:
-        ``at`` without the slots no term adds to, and raising as it does."""
-        return self._eval(zs, xs, strict=True, dense=False)
+        ``at`` without the slots no term adds to, raising as it does, or
+        with ``masked`` the values of ``masked_at`` there."""
+        return self._eval(zs, xs, strict=not masked, dense=False)
 
     def masked_at(self, zs, xs) -> tuple[np.ndarray, np.ndarray]:
         """``at`` without raising: the values, NaN in every slot with a

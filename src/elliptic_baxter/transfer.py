@@ -128,7 +128,7 @@ class _GradedTrace:
         where = [rows.setdefault(k, len(rows))
                  for k in zip(zs.ravel().tolist(), xs.ravel().tolist())]
         values = self.module.slot_values(*np.array(list(rows), dtype=complex).T)
-        traces = block_graded_trace(values, self.module.nonzeros, self.levels, self.plan,
+        traces = block_graded_trace(values, self.module.nonzeros(), self.levels, self.plan,
                                     self.shape[-1], np.reshape(where, zs.shape))
         return traces.reshape(len(z), *self.shape)
 

@@ -1,23 +1,34 @@
 """The numeric coproduct of ``dynamical_tensor`` against the symbolic
-coproduct of ``coproduct_oracle``: entry tables, masked passes, and no
-symbolic products per entry pair, the tensor's character included."""
+and the dense coproducts of ``coproduct_oracle``: entry tables, masked
+passes, no dense factor table, and no symbolic products per entry pair,
+the tensor's character included."""
 
 import numpy as np
 import pytest
 
 from elliptic_baxter import dynamical
 from elliptic_baxter.modules import (
+    EllipticModule,
     HighestWeightData,
+    TensorModule,
     build_asymptotic,
     construct_simple,
     dynamical_tensor,
+    one_dim_module,
     spectral_shift,
 )
 from elliptic_baxter.qchar import _X_REF, _zgrid, qchar_of_module
-from elliptic_baxter.theta import EllipticParams, PoleError, SamplePlan, ThetaExpression, ThetaSum
+from elliptic_baxter.theta import (
+    EllipticParams,
+    PoleError,
+    SamplePlan,
+    ThetaExpression,
+    ThetaSum,
+    ThetaTable,
+)
 from elliptic_baxter.transfer import QuantumSpace, product_residual
 
-from coproduct_oracle import symbolic_module
+from coproduct_oracle import dense_tables, symbolic_module
 from module_oracle import build_vector_rep
 
 # the parameter sets of the suite jobs of the benchmark (perfbench/jobs.py)
@@ -34,6 +45,26 @@ def ladder_tensor(params, depth):
     X = build_asymptotic(1.1 + 0.2j, 0.0, depth, params)
     Y = build_asymptotic(0.7 - 0.4j, 0.3, depth, params)
     return dynamical_tensor(X, Y, max_level=depth)
+
+
+def nested_tensor(params, K):
+    """D (x) three ladders, folded as ``construct_simple`` folds them."""
+    T = one_dim_module(ThetaExpression.const(1.3), params)
+    for l, u in ((1.1 + 0.2j, 0.0), (0.7 - 0.4j, 0.3), (0.4 + 0.1j, 0.6)):
+        T = dynamical_tensor(T, build_asymptotic(l, u, K, params), max_level=K)
+    return T
+
+
+SLOT_TENSORS = {"ladders": lambda: ladder_tensor(P, 6), "nested": lambda: nested_tensor(P, 4)}
+
+
+def slot_points(masked):
+    """Four sample points, and with ``masked`` two more at x = 0, a pole of
+    the last factor's L++ above level 0."""
+    zs, xs = np.array(SamplePlan(seed=3, count=4, pole_margin=5e-2).pairs(P)).T
+    if masked:
+        zs, xs = np.r_[zs, _zgrid(P)[:2]], np.r_[xs, 0.0, 0.0]
+    return zs, xs
 
 
 def other_tensors():
@@ -57,7 +88,7 @@ def assert_tables_match(T, S, pts, top=None):
     scale = np.abs(ref).max(axis=(2, 3), keepdims=True)
     assert (scale > 0).all()
     assert (np.abs(got - ref) <= 1e-13 * scale).all()
-    assert np.array_equal(T.nonzeros, S._table(S.basis.size).dest)
+    assert np.array_equal(T.nonzeros(), S._table(S.basis.size).dest)
 
 
 class TestEntryTables:
@@ -76,6 +107,40 @@ class TestEntryTables:
         T = other_tensors()[name]
         pts = SamplePlan(seed=3, count=4, pole_margin=5e-2).pairs(P)
         assert_tables_match(T, symbolic_module(T), pts)
+
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("name", SLOT_TENSORS)
+    def test_entries_are_the_dense_coproduct_bit_for_bit(self, name, masked):
+        T = SLOT_TENSORS[name]()
+        zs, xs = slot_points(masked)
+        for top in [None, *range(T.basis.levels + 1)]:
+            ref, slots = dense_tables(T, zs, xs, top, masked)
+            assert T.nonzeros(top).tolist() == slots
+            assert T.slot_values(zs, xs, top, masked).tobytes() == \
+                ref.reshape(len(zs), -1)[:, slots].tobytes()
+            got = T.entry_matrices(zs, xs, top, masked)
+            assert got.tobytes() == ref.tobytes()
+            assert T.entry_matrices([], [], top, masked).shape == (0, *ref.shape[1:])
+            # the probes at x = 0 put NaN in the entries above level 0 only
+            assert np.isnan(got).any() == (masked and top != 0)
+            assert np.isfinite(got[:4]).all()
+
+    @pytest.mark.parametrize("name", SLOT_TENSORS)
+    def test_coproduct_reads_no_dense_table(self, name, monkeypatch):
+        T = SLOT_TENSORS[name]()
+        zs, xs = slot_points(masked=True)
+        want = [T.entry_matrices(zs, xs, masked=True), T.slot_values(zs[:4], xs[:4])]
+        dense = T.entry_matrices
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("dense table")
+
+        for cls, attr in ((EllipticModule, "entry_matrices"), (TensorModule, "entry_matrices"),
+                          (ThetaTable, "at"), (ThetaTable, "masked_at")):
+            monkeypatch.setattr(cls, attr, forbidden)
+        got = [dense(zs, xs, masked=True), T.slot_values(zs[:4], xs[:4])]
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+        T.slot_values(zs, xs, T.basis.levels - 1, masked=True)
 
 
 class TestMaskedPass:

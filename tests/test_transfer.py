@@ -239,7 +239,7 @@ class TestPointBatches:
                 got = term.at(zs, xs)
                 for z, x, g in zip(zs, xs, got):
                     values = X.slot_values(z + trace.z_off, x + trace.x_off)
-                    ref = block_graded_trace(values, X.nonzeros, trace.levels, trace.plan,
+                    ref = block_graded_trace(values, X.nonzeros(), trace.levels, trace.plan,
                                              order + 1, [range(len(values))])
                     assert np.array_equal(g, ref.reshape(g.shape))
                 assert np.array_equal(first, got[:2])
@@ -392,6 +392,15 @@ class TestRelationRequests:
             for n, keys in spy.points().items():
                 alone.setdefault(n, set()).update(keys)
         assert batched == alone
+
+    def test_tq_makes_one_request_per_sample(self, monkeypatch):
+        # t_V has order 1 against the relation's 4: its missing terms are
+        # zero terms, bound once with the rest
+        calls = []
+        ask = dynamical.request
+        monkeypatch.setattr(dynamical, "request", lambda asks: calls.append(1) or ask(asks))
+        tq_residual(1, SPACE, 4, ZS, XS[:3])
+        assert len(calls) == len(ZS)
 
     def test_periodicity_contracts_each_trace_once(self, monkeypatch):
         spy = LeafSpy(monkeypatch)
