@@ -480,29 +480,28 @@ def block_graded_trace(values: np.ndarray, slots, levels, plan: tuple,
 # ---------------------------------------------------------------------------
 
 class TermMatrix:
-    """A series coefficient matrix, evaluable at a batch of points, with a
-    per-point memo.
+    """A series coefficient matrix, evaluable at a batch of points.
 
     A term declares what it reads once, as ``inputs``: (source, args)
     pairs, where ``args(zs, xs)`` gives the arguments of ``source.at`` at
     the points, a pure function of them.  ``fn(zs, xs, *values)`` maps
     arrays of n points and each input's values there to the stacked
     values [n, ...], matrices [n, dim, dim] for a series coefficient.
-    ``request`` calls it once per request, on the distinct points not yet
-    in the memo, after it has filled the inputs' memos there.  A term
+    ``request`` calls it once per request, on the distinct points the
+    request asks of it, after it has evaluated the inputs there.  A term
     without inputs is a leaf, such as the chain trace, whose values are
     [n, dim, dim, level].  A read term (``TermMatrix.read``) returns its
-    one input unchanged, and its memo holds views of its source's blocks.
-    ``eval`` stays as a batch of one: the benchmark's tracer
-    (``perfbench/tracer.py``) wraps it by name.
+    one input unchanged, as a view of its source's values.  A term keeps
+    no values: they live for one request.  ``eval`` stays as a batch of
+    one: the benchmark's tracer (``perfbench/tracer.py``) wraps it by
+    name.
     """
 
-    __slots__ = ("_fn", "dim", "_cache", "inputs")
+    __slots__ = ("_fn", "dim", "inputs")
 
     def __init__(self, fn, dim: int, inputs=()):
         self._fn = fn
         self.dim = dim
-        self._cache: dict[tuple[complex, complex], tuple[np.ndarray, int]] = {}
         self.inputs = tuple(inputs)
 
     @staticmethod
@@ -512,30 +511,8 @@ class TermMatrix:
 
     def at(self, zs, xs, item=slice(None)) -> np.ndarray:
         """Item ``item`` of the values at the points (zs, xs), stacked
-        [point, ...], the points missing from the memo evaluated first by
-        one ``request``.  Points computed together, asked in the same
-        order, come back as a view of their block, others as a copy;
-        either way a matrix keeps its memory order (a quotient is
-        column-major), since a norm sums a matrix in its memory order."""
-        keys = _keys(zs, xs)
-        if not keys:
-            return np.empty((0, self.dim, self.dim), dtype=complex)
-        if any(k not in self._cache for k in keys):
-            request([(self, zs, xs)])
-        return self._gather(keys, item)
-
-    def _gather(self, keys, item=slice(None)) -> np.ndarray:
-        """Item ``item`` of the memo's values at ``keys``, as ``at``
-        returns them: a view of one block's contiguous run, one fancy
-        index into one block, or a stack of rows from several."""
-        where = [self._cache[k] for k in keys]
-        block, first = where[0]
-        rows = [i for b, i in where if b is block]
-        if len(rows) < len(where):
-            return np.stack([b[i, ..., item] for b, i in where])
-        if rows == list(range(first, first + len(rows))):
-            return block[first:first + len(rows), ..., item]
-        return block[rows, ..., item]
+        [point, ...]: a request of one ask."""
+        return request([(self, zs, xs, item)])[0]
 
     def eval(self, z: complex, x: complex) -> np.ndarray:
         """The matrix at one point: a batch of one."""
@@ -545,14 +522,9 @@ class TermMatrix:
     def zero(dim: int) -> "TermMatrix":
         return TermMatrix(lambda zs, xs: np.zeros((len(zs), dim, dim), dtype=complex), dim)
 
-    @staticmethod
-    def identity(dim: int) -> "TermMatrix":
-        return TermMatrix(lambda zs, xs: np.broadcast_to(np.eye(dim, dtype=complex),
-                                                         (len(zs), dim, dim)), dim)
-
 
 def _keys(zs, xs) -> list[tuple[complex, complex]]:
-    """The memo keys of the points (zs, xs)."""
+    """The keys of the points (zs, xs) in a request's table."""
     return list(zip(np.asarray(zs, dtype=complex).tolist(), np.asarray(xs, dtype=complex).tolist()))
 
 
@@ -566,17 +538,30 @@ def _here(zs, xs):
     return zs, xs
 
 
-def request(asks) -> None:
-    """Evaluate every term below the asks (term, zs, xs) at the points
-    missing from its memo, calling each term's function once.
+def _gather(block, rows, item=slice(None)) -> np.ndarray:
+    """Item ``item`` of the block's rows, stacked [row, ...]: a view for a
+    contiguous run, else one fancy index.  Either way a matrix keeps the
+    block's memory order (a quotient is column-major), since a norm sums
+    a matrix in its memory order."""
+    first = rows[0]
+    if rows == list(range(first, first + len(rows))):
+        return block[first:first + len(rows), ..., item]
+    return block[rows, ..., item]
+
+
+def request(asks) -> list[np.ndarray]:
+    """The values of the asks (term, zs, xs[, item]), as ``at`` gives
+    them, with every term below the asks evaluated once, on the union of
+    its points.
 
     The walk from the asks puts the terms children first.  Parents first,
-    each term is then given the ordered union of the missing points that
-    the asks and its parents' ``args`` read of it, and each edge records
-    the keys and item it reads.  Children first, each term's function
-    runs on its union, its inputs gathered from the memos just filled.  A
-    read term calls nothing: its memo holds its source's block (with an
-    item, a view of it) and row, never a copy."""
+    each term is then given the ordered union of the points that the
+    asks and its parents' ``args`` read of it, and each edge records the
+    keys and item it reads.  Children first, each term's function runs on
+    its union, its inputs gathered from the table just filled, which maps
+    each term to its block and the row of each key.  A read term calls
+    nothing: its entry is its source's block (with an item, a view of
+    it), never a copy.  The table is dropped on return."""
     asks = list(asks)
     order: list[TermMatrix] = []  # children first
     seen: set = set()
@@ -588,13 +573,13 @@ def request(asks) -> None:
         elif t not in seen:
             seen.add(t)
             stack += [(t, True), *((s, False) for s, _ in t.inputs)]
-    # the leaves first, in the order the walk met them: no memo above them
+    # the leaves first, in the order the walk met them: no value above them
     # is held yet when they run, and a chain trace's contraction sets a
     # relation's peak memory
     order.sort(key=lambda t: bool(t.inputs))
-    need: dict = {t: {} for t in order}  # term -> its missing points, as dict keys
+    need: dict = {t: {} for t in order}  # term -> its points, as dict keys
     for t, zs, xs, *_ in asks:
-        need[t].update(dict.fromkeys([k for k in _keys(zs, xs) if k not in t._cache]))
+        need[t].update(dict.fromkeys(_keys(zs, xs)))
     plan = []  # (term, its points, (source, keys, item) of each input), parents first
     for t in reversed(order):
         keys = list(need.pop(t))  # final: every parent has added to it
@@ -606,23 +591,32 @@ def request(asks) -> None:
             zs, xs, *item = args(kz, kx)
             sk = keys if zs is kz and xs is kx else _keys(zs, xs)
             reads.append((s, sk, *item))
-            need[s].update(dict.fromkeys([k for k in sk if k not in s._cache]))
+            need[s].update(dict.fromkeys(sk))
         plan.append((t, keys, reads))
+    table: dict = {}  # term -> (block, {key: row})
+
+    def values(t, keys, item=slice(None)):
+        block, rows = table[t]
+        return _gather(block, [rows[k] for k in keys], item)
+
     for t, keys, reads in reversed(plan):
         if t._fn is _read:
             (s, sk, *item), = reads
-            views: dict = {}
-            for k, (block, i) in zip(keys, map(s._cache.__getitem__, sk)):
-                view = views.get(id(block))
-                if view is None:
-                    view = views[id(block)] = block[(..., *item)] if item else block
-                t._cache[k] = view, i
+            block, rows = table[s]
+            table[t] = (block[(..., *item)] if item else block,
+                        dict(zip(keys, map(rows.__getitem__, sk))))
             continue
         kz, kx = np.array(keys, dtype=complex).T
-        vals = np.asarray(t._fn(kz, kx, *[s._gather(sk, *item) for s, sk, *item in reads]),
+        vals = np.asarray(t._fn(kz, kx, *[values(s, sk, *item) for s, sk, *item in reads]),
                           dtype=complex)
         vals.flags.writeable = False
-        t._cache.update({k: (vals, i) for i, k in enumerate(keys)})
+        table[t] = vals, {k: i for i, k in enumerate(keys)}
+    out = []
+    for t, zs, xs, *item in asks:
+        keys = _keys(zs, xs)
+        out.append(values(t, keys, *item) if keys
+                   else np.empty((0, t.dim, t.dim), dtype=complex))
+    return out
 
 
 @dataclass
@@ -655,11 +649,6 @@ class DiffOpSeries:
         """The series whose coefficients read this one's at args(zs, xs)."""
         terms = [TermMatrix.read(t, args, self.dim) for t in self.terms]
         return DiffOpSeries(self.alpha0, terms, self.dim, self.params)
-
-    @staticmethod
-    def identity(dim: int, order: int, params: EllipticParams) -> "DiffOpSeries":
-        terms = [TermMatrix.identity(dim)] + [TermMatrix.zero(dim) for _ in range(order)]
-        return DiffOpSeries(0.0, terms, dim, params)
 
 
 def _coset_offset(a1: complex, a2: complex) -> int:
@@ -764,17 +753,15 @@ def series_max_residual(
     s1: DiffOpSeries, s2: DiffOpSeries, order: int, points
 ) -> float:
     """Worst relative coefficient deviation over p-orders <= order and the
-    sampled (z, x) points.  Exponent cosets must agree.  Every leaf below
-    the coefficients of both sides is evaluated in one ``request`` first."""
+    sampled (z, x) points.  Exponent cosets must agree.  The coefficients
+    of both sides are evaluated in one ``request``."""
     d = _coset_offset(s1.alpha0, s2.alpha0)
     if d < 0:
         return series_max_residual(s2, s1, order, points)
     zs, xs = np.array(points, dtype=complex).reshape(-1, 2).T
-    # bound once: a term past a series' order is a fresh zero term per call
-    pairs = [(s1.term(k), s2.term(k - d)) for k in range(order + 1)]
-    request((t, zs, xs) for pair in pairs for t in pair)
-    return worst_residual(relative_deviation(a, b) for t1, t2 in pairs
-                          for a, b in zip(t1.at(zs, xs), t2.at(zs, xs)))
+    vals = request((t, zs, xs) for k in range(order + 1) for t in (s1.term(k), s2.term(k - d)))
+    return worst_residual(relative_deviation(a, b) for v1, v2 in zip(vals[::2], vals[1::2])
+                          for a, b in zip(v1, v2))
 
 
 def relative_deviation(a: np.ndarray, b: np.ndarray) -> float:

@@ -285,8 +285,7 @@ def periodicity_residual(
 
     def q_at(z):  # Q at z = 0 (z sets its spin), as [point, row, col, k]
         terms = q_operator(space, z, order).terms
-        request([(t, zeros, xpoints) for t in terms])
-        return np.stack([t.at(zeros, xpoints) for t in terms], axis=-1)
+        return np.stack(request([(t, zeros, xpoints) for t in terms]), axis=-1)
 
     for z0 in z_samples:
         q, q1, qt = (q_at(z) for z in (z0, z0 + 1, z0 + tau))

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -9,13 +11,14 @@ from elliptic_baxter.dynamical import (
     SingularityError,
     TermMatrix,
     WeightBasis,
-    _keys,
+    _gather,
     _read,
     block_graded_trace,
     cmatmul,
     compose_module_ops,
     contraction_plan,
     invert_weightwise,
+    request,
     series_add,
     series_compose,
     series_divide,
@@ -174,7 +177,7 @@ class TestSeries:
                  [ThetaSum.zero(), ThetaSum(ThetaExpression.theta(0, 1, 0.2))]],
             ],
         )
-        ident = DiffOpSeries.identity(2, 3, P)
+        ident = const_series(0.0, [np.eye(2)] + [np.zeros((2, 2))] * 3)
         prod = series_compose(s, ident, 3)
         pts = sample_pairs(11, 3)
         assert series_max_residual(prod, s, 3, pts) < 1e-12
@@ -210,31 +213,32 @@ class TestSeries:
         m = ThetaSum(ThetaExpression.theta(0, 1, 0.15))
         a = 0.9 - 0.3j
         s = theta_series(a, [[[m, ThetaSum.zero()], [ThetaSum.zero(), m.shift_x(0.2)]]])
-        inv = series_divide(DiffOpSeries.identity(2, 2, P), s, 2)
+        inv = series_divide(const_series(0.0, [np.eye(2)] + [np.zeros((2, 2))] * 2), s, 2)
         for z, x in sample_pairs(19, 4):
             # entrywise inverse with argument shifted by -a*hbar
             ref = 1.0 / m.eval(z, x - a * H, P)
             assert abs(inv.terms[0].eval(z, x)[0, 0] - ref) <= 1e-11 * (1 + abs(ref))
         ident = series_compose(s, inv, 2)
         pts = sample_pairs(23, 4)
-        assert series_max_residual(ident, DiffOpSeries.identity(2, 2, P), 2, pts) < 1e-9
+        unit = const_series(0.0, [np.eye(2)] + [np.zeros((2, 2))] * 2)
+        assert series_max_residual(ident, unit, 2, pts) < 1e-9
 
     def test_invert_full_series_roundtrip(self):
         rng = np.random.default_rng(5)
         mats = [np.eye(3) + 0.2 * (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
                 for _ in range(4)]
         s = const_series(0.4 + 1.2j, mats)
-        inv = series_divide(DiffOpSeries.identity(3, 3, P), s, 3)
+        inv = series_divide(const_series(0.0, [np.eye(3)] + [np.zeros((3, 3))] * 3), s, 3)
         prod = series_compose(s, inv, 3)
         prod2 = series_compose(inv, s, 3)
         pts = sample_pairs(29, 3)
-        ident = DiffOpSeries.identity(3, 3, P)
+        ident = const_series(0.0, [np.eye(3)] + [np.zeros((3, 3))] * 3)
         assert series_max_residual(prod, ident, 3, pts) < 1e-9
         assert series_max_residual(prod2, ident, 3, pts) < 1e-9
 
     def test_invert_singular_leading_term(self):
         s = const_series(0.0, [np.zeros((2, 2))])
-        inv = series_divide(DiffOpSeries.identity(2, 1, P), s, 1)
+        inv = series_divide(const_series(0.0, [np.eye(2)] + [np.zeros((2, 2))] * 1), s, 1)
         with pytest.raises(SingularityError):
             inv.terms[0].eval(0.1, 0.2)
 
@@ -265,7 +269,8 @@ class TestSeries:
         assert abs(quo.alpha0 - (1.1 - 1.4j)) < 1e-12
         pts = sample_pairs(31, 3)
         assert series_max_residual(series_compose(quo, den, 3), num, 3, pts) < 1e-12
-        via_inverse = series_compose(num, series_divide(DiffOpSeries.identity(3, 3, P), den, 3), 3)
+        unit = const_series(0.0, [np.eye(3)] + [np.zeros((3, 3))] * 3)
+        via_inverse = series_compose(num, series_divide(unit, den, 3), 3)
         assert series_max_residual(quo, via_inverse, 3, pts) < 1e-9
 
     def test_divide_singular_leading_term(self):
@@ -292,18 +297,23 @@ class TestBatchedCalls:
         assert exc.value.point == (0.3, bad)
         assert np.array_equal(quo.terms[0].at(zs[:2], xs[:2]), np.stack([np.eye(2)] * 2))
 
-    def test_memo_answers_repeated_and_overlapping_points(self):
+    def test_an_ask_calls_the_function_once_on_its_distinct_points(self):
         calls = []
 
         def fn(zs, xs):
-            calls.append(len(zs))
+            calls.append(list(zip(zs.tolist(), xs.tolist())))
             return (np.asarray(zs) + 2 * np.asarray(xs))[:, None, None] * np.eye(2)
 
         t = TermMatrix(fn, 2)
-        first = t.at([0.1, 0.2, 0.1], [0.3, 0.4, 0.3])
-        again = t.at([0.2, 0.5], [0.4, 0.6])
-        assert calls == [2, 1]
+        first, again = request([(t, [0.1, 0.2, 0.1], [0.3, 0.4, 0.3]), (t, [0.2, 0.5], [0.4, 0.6])])
+        assert calls == [[(0.1, 0.3), (0.2, 0.4), (0.5, 0.6)]]
         assert np.array_equal(first[0], first[2]) and np.array_equal(again[0], first[1])
+        # a term keeps no values: each ``at`` is a request of its own
+        calls.clear()
+        alone = t.at([0.1, 0.2, 0.1], [0.3, 0.4, 0.3])
+        assert np.array_equal(t.at([0.2, 0.5], [0.4, 0.6]), again)
+        assert calls == [[(0.1, 0.3), (0.2, 0.4)], [(0.2, 0.4), (0.5, 0.6)]]
+        assert np.array_equal(alone, first)
         assert np.array_equal(t.eval(0.5, 0.6), again[1])
         assert t.at([], []).shape == (0, 2, 2)
 
@@ -352,17 +362,24 @@ def spy_relation(calls):
     return lhs, rhs
 
 
+def terms_below(*sides):
+    """Every term below the sides' coefficients, in the order of a fixed
+    walk."""
+    found: dict = {}
+    todo = [t for side in sides for t in side.terms]
+    while todo:
+        t = todo.pop()
+        if t not in found:
+            found[t] = None
+            todo += [s for s, _ in t.inputs]
+    return list(found)
+
+
 def spy_terms(*sides):
     """The call lists of every term below the sides but the read terms,
     which call no function, in the order of a fixed walk: each term's
     function is wrapped to append the points of every call to its list."""
-    calls: dict = {}
-    todo = [t for side in sides for t in side.terms]
-    while todo:
-        t = todo.pop()
-        if t not in calls:
-            calls[t] = []
-            todo += [s for s, _ in t.inputs]
+    calls = {t: [] for t in terms_below(*sides)}
 
     def spy(fn, c):
         def wrapped(zs, xs, *values):
@@ -421,34 +438,62 @@ class TestRequest:
             assert len(c) == 1
             assert len(c[0]) == len(set(c[0])) and set(c[0]) == a
 
-    def test_read_terms_hold_views_of_their_source(self):
-        # the shift_z and bound_z reads of the levels, and the levels'
-        # reads of the leaf, at every point they hold
+    def test_values_die_with_the_request(self):
+        # a term keeps no values: once the residual returns, no array that
+        # its three leaves returned is alive
         pts = sample_pairs(37, 3)
-        leaf, lhs, rhs = level_relation([])
-        # the leaf holds the points in reverse order first, so that the
-        # levels read them from its block in no order it was filled in
-        leaf.at(*np.array(pts[::-1]).T)
+        lhs, rhs = spy_relation({})
+        leaves = [t for t in terms_below(lhs, rhs) if not t.inputs]
+        assert len(leaves) == 3
+        refs = []
+
+        def keep_ref(fn):
+            def wrapped(zs, xs):
+                vals = fn(zs, xs)
+                refs.append(weakref.ref(vals))
+                return vals
+
+            return wrapped
+
+        for t in leaves:
+            t._fn = keep_ref(t._fn)
         assert series_max_residual(lhs, rhs, 2, pts) > 0
-        reads, todo = set(), [t for side in (lhs, rhs) for t in side.terms]
-        while todo:
-            t = todo.pop()
-            if t._fn is _read:
-                reads.add(t)
-            todo += [s for s, _ in t.inputs]
-        assert len(reads) == 3 * 3 + 3
-        for t in reads:
-            (source, args), = t.inputs
-            for z, x in t._cache:
-                zs, xs, *_ = args(np.array([z]), np.array([x]))
-                assert np.shares_memory(t.at([z], [x]), source.at(zs, xs))
+        assert len(refs) == 3
+        assert sum(r() is not None for r in refs) == 0
+
+    def test_read_inputs_are_views_of_the_source_block(self):
+        # every read below the sides asks the leaf at the same points in
+        # the same order, so each read gathers a contiguous run: the level
+        # values the sides' terms are given share the leaf's block
+        pts = sample_pairs(37, 3)
+        leaf, s = level_series([])
+        lhs = series_scale(s.shift_z(0.2), 0.7 - 0.2j)
+        rhs = series_add(s.shift_z(0.2), s.shift_z(0.2), 2)
+        blocks: list = []
+        inputs: list = []
+
+        def spy(fn, values_of):
+            def wrapped(zs, xs, *values):
+                out = fn(zs, xs, *values)
+                values_of(out, values)
+                return out
+
+            return wrapped
+
+        leaf._fn = spy(leaf._fn, lambda block, _: blocks.append(block))
+        for t in terms_below(lhs, rhs):
+            if t.inputs and t._fn is not _read:
+                t._fn = spy(t._fn, lambda _, values: inputs.extend(values))
+        assert series_max_residual(lhs, rhs, 2, pts) > 0
+        (block,) = blocks
+        assert len(inputs) == 3 + 2 * 3
+        assert all(np.shares_memory(v, block) for v in inputs)
 
 
-def level_relation(calls):
+def level_series(calls):
     """A leaf whose values are [point, 2, 2, level], as a chain trace's,
-    the relation's coefficient k reading level k of it through an item,
-    and both sides of a relation over that series; the leaf's function
-    appends the points of every call to calls."""
+    and the series whose coefficient k reads level k of it through an
+    item; the leaf's function appends the points of every call to calls."""
     rng = np.random.default_rng(13)
     m = 0.2 * (rng.normal(size=(2, 2, 3)) + 1j * rng.normal(size=(2, 2, 3)))
 
@@ -457,8 +502,14 @@ def level_relation(calls):
         return np.eye(2)[..., None] + (zs + 2 * xs)[:, None, None, None] * m
 
     leaf = TermMatrix(fn, 2)
-    s = DiffOpSeries(0.0, [TermMatrix.read(leaf, lambda zs, xs, k=k: (zs, xs, k), 2)
-                           for k in range(3)], 2, P)
+    return leaf, DiffOpSeries(0.0, [TermMatrix.read(leaf, lambda zs, xs, k=k: (zs, xs, k), 2)
+                                    for k in range(3)], 2, P)
+
+
+def level_relation(calls):
+    """The leaf of ``level_series`` and both sides of a relation over
+    that series."""
+    leaf, s = level_series(calls)
     lhs = series_compose(s.shift_z(0.2), s.bound_z(0.1), 2)
     rhs = series_add(s.bound_z(0.3), series_scale(s, 0.7 - 0.2j), 2)
     return leaf, lhs, rhs
@@ -469,17 +520,12 @@ class TestLeafItems:
         calls: list = []
         leaf = level_relation(calls)[0]
         zs, xs = np.array(sample_pairs(41, 4)).T
-        together = leaf.at(zs[:3], xs[:3])
-        assert together.shape == (3, 2, 2, 3)
-        for k in range(3):
-            assert leaf.at(zs[:3], xs[:3], k).tobytes() == together[..., k].tobytes()
-            assert leaf.at(zs, xs, k).tobytes() == leaf.at(zs, xs)[..., k].tobytes()
-        assert len(calls) == 2
-        # points computed together, in order, are a view of their block;
-        # reordered, or mixed with points of another call, a copy
-        assert np.shares_memory(leaf.at(zs[1:3], xs[1:3], 1), together)
-        assert not np.shares_memory(leaf.at(zs[2::-1], xs[2::-1], 1), together)
-        assert not np.shares_memory(leaf.at(zs[[3, 0]], xs[[3, 0]], 1), together)
+        together = leaf.at(zs, xs)
+        assert together.shape == (4, 2, 2, 3)
+        for k in (0, 1, 2, slice(1, 3)):
+            assert leaf.at(zs, xs, k).tobytes() == together[..., k].tobytes()
+            assert leaf.at(zs[2::-1], xs[2::-1], k).tobytes() == together[2::-1, ..., k].tobytes()
+        assert len(calls) == 9
 
     def test_a_residual_calls_the_leaf_once_on_the_union_of_its_points(self):
         pts = sample_pairs(37, 3)
@@ -500,38 +546,39 @@ class TestLeafItems:
 
 
 class TestGather:
-    """``at`` reads the memo as a view of one block's contiguous run, by
-    one fancy index for other rows of one block, or as a stack of rows
-    of several blocks; each gives the values, in the memory order, of
-    stacking the rows one by one."""
+    """``_gather`` reads a block's rows as a view of a contiguous run, or
+    by one fancy index for any other order; either gives the values, in
+    the memory order, of stacking the rows one by one."""
 
     @staticmethod
-    def stacked(term, zs, xs, item=slice(None)):
-        return np.stack([b[i, ..., item] for b, i in map(term._cache.__getitem__, _keys(zs, xs))])
+    def stacked(block, rows, item=slice(None)):
+        return np.stack([block[i, ..., item] for i in rows])
 
-    @pytest.mark.parametrize("column_major", [False, True])
-    def test_the_three_cases(self, column_major):
-        def fn(zs, xs):  # a quotient's matrices are column-major
-            m = np.eye(2) + (zs + 2 * xs)[:, None, None] * np.array([[1, 2j], [0.5, -1]])
-            return np.ascontiguousarray(m.swapaxes(1, 2)).swapaxes(1, 2) if column_major else m
+    CASES = (([1, 2, 3], True), ([0], True), ([3, 0, 2], False), ([2, 4, 1], False),
+             ([1, 1], False))
 
-        leaf = TermMatrix(fn, 2)
+    @pytest.mark.parametrize("quotient", [False, True])
+    def test_the_two_cases(self, quotient):
         zs, xs = np.array(sample_pairs(43, 5)).T
-        block = leaf.at(zs[:4], xs[:4])
-        leaf.at(zs[4:], xs[4:])
-        for rows, view in (([1, 2, 3], True), ([3, 0, 2], False), ([2, 4, 1], False)):
-            got, ref = leaf.at(zs[rows], xs[rows]), self.stacked(leaf, zs[rows], xs[rows])
+        rng = np.random.default_rng(3)
+        mats = [np.eye(2) + 0.3 * rng.normal(size=(2, 2)) for _ in range(2)]
+        if quotient:  # a quotient's matrices are column-major
+            block = series_divide(const_series(0.0, mats), const_series(0.0, mats[::-1]), 1
+                                  ).terms[1].at(zs, xs)
+            assert all(m.flags.f_contiguous and not m.flags.c_contiguous for m in block)
+        else:
+            block = const_series(0.0, mats).terms[0].at(zs, xs) + zs[:, None, None]
+        for rows, view in self.CASES:
+            got, ref = _gather(block, rows), self.stacked(block, rows)
             assert np.array_equal(got, ref) and got.strides == ref.strides
             assert np.shares_memory(got, block) == view
 
-    def test_an_item_of_the_three_cases(self):
-        leaf = level_relation([])[0]
+    def test_an_item_of_the_two_cases(self):
         zs, xs = np.array(sample_pairs(43, 5)).T
-        block = leaf.at(zs[:4], xs[:4])
-        leaf.at(zs[4:], xs[4:])
-        for rows, view in (([1, 2, 3], True), ([3, 0, 2], False), ([2, 4, 1], False)):
+        block = level_relation([])[0].at(zs, xs)
+        for rows, view in self.CASES:
             for k in (1, slice(1, 3)):
-                got, ref = leaf.at(zs[rows], xs[rows], k), self.stacked(leaf, zs[rows], xs[rows], k)
+                got, ref = _gather(block, rows, k), self.stacked(block, rows, k)
                 assert np.array_equal(got, ref)
                 # a view keeps its block's strides, a copy has those of the stack
                 assert np.shares_memory(got, block) if view else got.strides == ref.strides
@@ -550,7 +597,7 @@ class TestWorstResidual:
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf / inf
     def test_series_residual_against_non_finite_series(self, bad):
-        ident = DiffOpSeries.identity(2, 1, P)
+        ident = const_series(0.0, [np.eye(2)] + [np.zeros((2, 2))] * 1)
         broken = const_series(0.0, [np.full((2, 2), bad), np.zeros((2, 2))])
         pts = sample_pairs(37, 2)
         assert series_max_residual(ident, broken, 1, pts) == float("inf")

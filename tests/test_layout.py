@@ -43,7 +43,6 @@ AWAITING_RECORD = {
 # package.
 TEST_REFERENCES = {
     "theta.ThetaSum.eval": "scalar evaluation of the symbolic oracles",
-    "dynamical.DiffOpSeries.identity": "unit series the inverse tests divide",
     "packed.PSeriesMatrix.tables": "Fraction views the packed-calculus tests compare",
     "polyring.Poly.shift": "Taylor shift of the poly_site_values oracle and the Poly tests",
     "qchar.QCharElement.term_list": "[monomial, multiplicity] view of a step the ring tests read",
