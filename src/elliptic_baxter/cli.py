@@ -62,12 +62,16 @@ class ConfigError(ValueError):
 
 
 def parse_complex(text: str) -> complex:
+    """A finite complex number in re+imi syntax."""
     t = text.strip().replace(" ", "")
     try:
-        return complex(t.replace("i", "j"))
+        z = complex(t[:-1] + "j" if t.endswith("i") else t)
     except ValueError:
         raise ConfigError(f"cannot parse complex number {text!r} "
                           "(expected re+imi syntax)") from None
+    if not cmath.isfinite(z):
+        raise ConfigError(f"complex number {text!r} is not finite")
+    return z
 
 
 def parse_fraction(text: str) -> Fraction:
@@ -315,8 +319,7 @@ def run_bethe(cfg) -> list[Check]:
         return [Check("solver-found-roots", {"n": 1, "a": a, "p": p, "seed": cfg.seed},
                       float("inf"))]
     return [Check("root-residual",
-                  {"n": 1, "a": a, "p": p, "roots": list(sol.roots),
-                   "sum_rule_ok": sol.sum_rule_ok, "seed": cfg.seed},
+                  {"n": 1, "a": a, "p": p, "roots": list(sol.roots), "seed": cfg.seed},
                   float(np.abs(bethe.elliptic_bethe_residual(sol, cfg.params)).max()))
             for sol in rep.solutions]
 

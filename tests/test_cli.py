@@ -71,6 +71,18 @@ class TestExitCodes:
             assert run(["qchar", "--depth", depth]) == 2
             assert "error: depth:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, text", [
+        (["ybe", "--hbar", "1e400"], "1e400"),
+        (["tq", "--sites=1e400+0.1i,0.2+0.1i"], "1e400+0.1i"),
+        (["ybe", "--tau", "nan+1i"], "nan+1i"),
+        (["ybe", "--hbar", "nan"], "nan"),
+        (["tq", "--sites=nan+0i,0.2+0.1i"], "nan+0i"),
+        (["ybe", "--tau", "inf"], "inf"),
+    ])
+    def test_non_finite_complex_is_usage_error(self, argv, text, capsys):
+        assert run([*argv, "--no-timestamp"]) == 2
+        assert f"error: complex number {text!r} is not finite" in capsys.readouterr().err
+
     def test_zero_tol_is_valid(self):
         assert cli.RunConfig(["ybe"], {**cli._DEFAULTS, "tol": "0"}).tol == 0.0
 
