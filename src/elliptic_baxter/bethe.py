@@ -1,6 +1,6 @@
 """Bethe-equation residuals and solvers: the elliptic homogeneous-chain
-system with the sum-rule annotation, a damped Newton iteration on the
-logarithmic residual, and the exact two-site polynomial system."""
+system, a damped Newton iteration on the logarithmic residual, and the
+exact two-site polynomial system."""
 
 from __future__ import annotations
 
@@ -30,8 +30,6 @@ _FD_STEP = 1e-7
 _LINE_SEARCH = 25
 # an accepted root set must meet the multiplicative system to this norm
 _RESIDUAL_TOL = 1e-10
-# sum-rule defect below which the rule counts as met
-_SUM_RULE_TOL = 1e-6
 # leading coefficients below this count as zero in the two-site system
 _DEGENERATE_TOL = 1e-12
 # torus distance below which two roots count as the same root
@@ -46,18 +44,10 @@ class BetheConfig:
     a: complex
     p: complex
     roots: tuple[complex, ...]
-    sum_rule_defect: complex | None = None
-    sum_rule_ok: bool | None = None
 
     def __post_init__(self):
         if len(self.roots) != self.n:
             raise ValueError("root count must equal n")
-
-    def annotated(self, params: EllipticParams) -> "BetheConfig":
-        d = sum(self.roots) - self.n * self.a
-        defect = lattice_distance(d, params)
-        return BetheConfig(self.n, self.a, self.p, self.roots,
-                           sum_rule_defect=complex(d), sum_rule_ok=bool(defect < _SUM_RULE_TOL))
 
 
 def _theta_ratio(z: complex, params: EllipticParams) -> complex:
@@ -200,7 +190,7 @@ def elliptic_bethe_solve(
     seeds=None, seed: int = 7, seed_count: int = 40,
 ) -> SolveReport:
     """Damped Newton runs from many seeds, deduplicated as unordered root
-    multisets on the torus, each annotated with the sum-rule defect."""
+    multisets on the torus."""
     if seeds is None:
         def guard(*zs):
             for z in zs:
@@ -221,7 +211,7 @@ def elliptic_bethe_solve(
             continue
         if any(_same_solution(cfg.roots, other.roots, params) for other in solutions):
             continue
-        solutions.append(cfg.annotated(params))
+        solutions.append(cfg)
     solutions.sort(key=lambda c: tuple(
         (round(w.real, 8), round(w.imag, 8))
         for w in sorted((lattice_reduce(z, params)[0] for z in c.roots),
