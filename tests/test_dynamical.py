@@ -461,7 +461,7 @@ class TestRequest:
         assert len(refs) == 3
         assert sum(r() is not None for r in refs) == 0
 
-    def test_read_inputs_are_views_of_the_source_block(self):
+    def test_read_terms_hold_views_of_their_source(self):
         # every read below the sides asks the leaf at the same points in
         # the same order, so each read gathers a contiguous run: the level
         # values the sides' terms are given share the leaf's block
@@ -567,7 +567,7 @@ class TestGather:
                                   ).terms[1].at(zs, xs)
             assert all(m.flags.f_contiguous and not m.flags.c_contiguous for m in block)
         else:
-            block = const_series(0.0, mats).terms[0].at(zs, xs) + zs[:, None, None]
+            block = np.eye(2) + zs[:, None, None] * mats[0]
         for rows, view in self.CASES:
             got, ref = _gather(block, rows), self.stacked(block, rows)
             assert np.array_equal(got, ref) and got.strides == ref.strides
