@@ -16,6 +16,7 @@ import math
 import os
 import sys
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
@@ -388,7 +389,10 @@ SUITES = tuple(RUNNERS)
 # Driver
 # ---------------------------------------------------------------------------
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, so every ``main`` call shares it."""
     p = argparse.ArgumentParser(
         prog="elliptic-baxter",
         description="Run identity-verification suites and emit reports.",

@@ -210,16 +210,18 @@ def tensor_basis(bx: WeightBasis, by: WeightBasis, max_level: int | None = None)
     return basis, layout
 
 
-def tensor_gather(X, Y, top: int) -> tuple[np.ndarray, np.ndarray]:
+def tensor_gather(dims_x: tuple, dims_y: tuple, top: int, zx, zy) -> tuple[np.ndarray, np.ndarray]:
     """The products whose sums are the coproduct L_{ij} = sum_k L^X_{ik}
     (x) L^Y_{kj} cut to total level ``top``, one per pair of the factors'
-    structural nonzeros cut to ``top`` (``nonzeros``).  Returns the
-    tensor's structural nonzeros, sorted, and the products sorted by
-    slot: column p holds product p's X entry as (level of its target Y
-    vector) * (X's nonzero count) + its index among X's nonzeros, its Y
-    entry as its index among Y's, and the index of its slot among the
-    tensor's nonzeros."""
-    bx, by = X.basis, Y.basis
+    structural nonzeros cut to ``top``: ``zx`` and ``zy``, the
+    ``nonzeros`` of factors with level dimensions ``dims_x`` and
+    ``dims_y``, cut to min(top, their top level).  No weight enters.
+    Returns the tensor's structural nonzeros, sorted, and the products
+    sorted by slot: column p holds product p's X entry as (level of its
+    target Y vector) * (X's nonzero count) + its index among X's
+    nonzeros, its Y entry as its index among Y's, and the index of its
+    slot among the tensor's nonzeros."""
+    bx, by = WeightBasis(0j, dims_x), WeightBasis(0j, dims_y)
     basis, layout = tensor_basis(bx, by, top)
     n = basis.size
     pos = np.full((bx.size, by.size), -1)
@@ -227,7 +229,6 @@ def tensor_gather(X, Y, top: int) -> tuple[np.ndarray, np.ndarray]:
         pos[bx.offset(jx) + ix, by.offset(jy) + iy] = t
     level_y = np.repeat(np.arange(len(by.dims)), by.dims)
     tx, ty = min(top, bx.levels), min(top, by.levels)
-    zx, zy = X.nonzeros(tx), Y.nonzeros(ty)
 
     def entries(nz, m, key):  # (index, row, col) of the nonzeros of one key, cut to m x m
         i = np.flatnonzero(nz // (m * m) == key)
@@ -558,10 +559,11 @@ def request(asks) -> list[np.ndarray]:
     each term is then given the ordered union of the points that the
     asks and its parents' ``args`` read of it, and each edge records the
     keys and item it reads.  Children first, each term's function runs on
-    its union, its inputs gathered from the table just filled, which maps
-    each term to its block and the row of each key.  A read term calls
-    nothing: its entry is its source's block (with an item, a view of
-    it), never a copy.  The table is dropped on return."""
+    its union, as the point arrays its planning formed, its inputs
+    gathered from the table just filled, which maps each term to its
+    block and the row of each key.  A read term calls nothing: its entry
+    is its source's block (with an item, a view of it), never a copy.
+    The table is dropped on return."""
     asks = list(asks)
     order: list[TermMatrix] = []  # children first
     seen: set = set()
@@ -580,7 +582,9 @@ def request(asks) -> list[np.ndarray]:
     need: dict = {t: {} for t in order}  # term -> its points, as dict keys
     for t, zs, xs, *_ in asks:
         need[t].update(dict.fromkeys(_keys(zs, xs)))
-    plan = []  # (term, its points, (source, keys, item) of each input), parents first
+    # (term, its points as keys and as arrays, (source, keys, item) of each
+    # input), parents first
+    plan = []
     for t in reversed(order):
         keys = list(need.pop(t))  # final: every parent has added to it
         if not keys:
@@ -592,21 +596,20 @@ def request(asks) -> list[np.ndarray]:
             sk = keys if zs is kz and xs is kx else _keys(zs, xs)
             reads.append((s, sk, *item))
             need[s].update(dict.fromkeys(sk))
-        plan.append((t, keys, reads))
+        plan.append((t, keys, kz, kx, reads))
     table: dict = {}  # term -> (block, {key: row})
 
     def values(t, keys, item=slice(None)):
         block, rows = table[t]
         return _gather(block, [rows[k] for k in keys], item)
 
-    for t, keys, reads in reversed(plan):
+    for t, keys, kz, kx, reads in reversed(plan):
         if t._fn is _read:
             (s, sk, *item), = reads
             block, rows = table[s]
             table[t] = (block[(..., *item)] if item else block,
                         dict(zip(keys, map(rows.__getitem__, sk))))
             continue
-        kz, kx = np.array(keys, dtype=complex).T
         vals = np.asarray(t._fn(kz, kx, *[values(s, sk, *item) for s, sk, *item in reads]),
                           dtype=complex)
         vals.flags.writeable = False

@@ -256,6 +256,18 @@ class EllipticModule(GradedModule):
                 tuple(single((3 * n + i) * n + i) for i in range(n)))
 
 
+@lru_cache(maxsize=16)
+def _shared_gather(dims_x: tuple, dims_y: tuple, top: int, zx: bytes, zy: bytes) -> tuple:
+    """``tensor_gather`` keyed on structure only, the factors' level
+    dimensions and the bytes of their cut nonzeros, so that tensors of
+    one structure share it whatever their spins and shifts.  The arrays
+    are read-only, as every such tensor shares them."""
+    slots, products = tensor_gather(dims_x, dims_y, top, np.frombuffer(zx, dtype=int),
+                                    np.frombuffer(zy, dtype=int))
+    slots.flags.writeable = products.flags.writeable = False
+    return slots, products
+
+
 class TensorModule(GradedModule):
     """The dynamical tensor product X (x) Y truncated at total level
     ``max_level``, with no symbolic L: its slot values are the products
@@ -273,7 +285,10 @@ class TensorModule(GradedModule):
 
     def _gather(self, top: int) -> tuple:
         if top not in self._gathers:
-            self._gathers[top] = tensor_gather(self.X, self.Y, top)
+            bx, by = self.X.basis, self.Y.basis
+            self._gathers[top] = _shared_gather(
+                bx.dims, by.dims, top, self.X.nonzeros(min(top, bx.levels)).tobytes(),
+                self.Y.nonzeros(min(top, by.levels)).tobytes())
         return self._gathers[top]
 
     def nonzeros(self, top: int | None = None) -> np.ndarray:

@@ -40,6 +40,9 @@ _MAX_REJECTIONS = 2000
 LATTICE_TOL = 1e-9
 # integer window of the genericity scan and of every hbar-lattice test
 SEARCH_RADIUS = 6
+# every (m, n, k) of the genericity window, in the loop order m, n, k
+_WINDOW = np.mgrid[(slice(-SEARCH_RADIUS, SEARCH_RADIUS + 1),) * 3].reshape(3, -1)
+_WINDOW.flags.writeable = False
 
 
 class ParameterError(ValueError):
@@ -70,9 +73,7 @@ class EllipticParams:
             raise ParameterError(f"Im(tau) must be positive, got tau={self.tau}")
         if self.hbar == 0:
             raise ParameterError("hbar must be nonzero")
-        r = SEARCH_RADIUS
-        # every (m, n, k) of the window at once, in the loop order m, n, k
-        m, n, k = np.mgrid[-r:r + 1, -r:r + 1, -r:r + 1].reshape(3, -1)
+        m, n, k = _WINDOW
         hit = np.abs(m + n * self.tau - k * self.hbar) < LATTICE_TOL
         hit[m.size // 2] = False  # (0, 0, 0)
         if hit.any():
@@ -481,8 +482,9 @@ def _table_layout(slots: tuple, counts: tuple, ids: tuple, cz: tuple, cx: tuple,
     within a kind, and the end of each kind's group in it.  The arrays
     are read-only, as every table of the layout shares them."""
     starts = [i for i in range(len(slots)) if not i or slots[i] != slots[i - 1]]
-    # index len(cz) is a row of ones that pads shorter products
-    width = max(counts, default=0)
+    # index len(cz) is a row of ones that pads shorter products; every
+    # product has a column, so a term of no factor reads that row
+    width = max((1, *counts))
     rows, at = [], 0
     for n in counts:
         rows.append(list(ids[at:at + n]) + [len(cz)] * (width - n))
@@ -529,6 +531,9 @@ class ThetaTable:
     shifts.  Tables whose factors coincide alike share every array but
     the shifts, scalars and exponents (``_table_layout``), as the ladders
     of one K and spins of one coincidence pattern do.
+
+    A pass is independent of its batch: the values at a point are the
+    same bits whether it is evaluated alone or among other points.
     """
 
     def __init__(self, terms, size: int, params: EllipticParams):
@@ -630,7 +635,12 @@ class ThetaTable:
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             # a factor of power 1 is its theta value: only other powers are taken
             vals[self.raised] **= self.power[self.raised, None]
-            terms = vals[self.index].prod(axis=1) * self.scalar[:, None]
+            # the factor columns multiplied in turn: elementwise, as a
+            # reduction over factors would not be on a one-point batch
+            terms = vals[self.index[:, 0]]
+            for column in self.index.T[1:]:
+                terms *= vals[column]
+            terms *= self.scalar[:, None]
             if self.exponential:
                 terms *= np.exp(self.exp_z[:, None] * zs + self.exp_x[:, None] * xs)
             sums = np.add.reduceat(terms, self.starts, axis=0).T

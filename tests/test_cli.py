@@ -2,6 +2,8 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -311,6 +313,46 @@ class TestConfigFile:
         cfgfile.write_text("tol = abc\n")
         assert run(["ybe", "--config", str(cfgfile)]) == 2
         assert "tol" in capsys.readouterr().err
+
+
+# Runs the calls of a JSON list of [directory, argv] one after another in
+# this interpreter, each writing its report to report.json in its directory.
+_CALLS = """
+import json, os, sys
+from elliptic_baxter import cli
+for work, argv in json.loads(sys.argv[1]):
+    os.chdir(work)
+    assert cli.main([*argv, "--no-timestamp", "--report", "report.json"]) == 0
+"""
+
+
+def fresh_process_reports(tmp_path, name, calls):
+    """The reports of the argv ``calls``, run back to back in one fresh
+    interpreter, each in a directory of its own under tmp_path/name."""
+    dirs = [tmp_path / name / str(i) for i in range(len(calls))]
+    for d in dirs:
+        d.mkdir(parents=True)
+    src = Path(cli.__file__).resolve().parents[1]
+    subprocess.run([sys.executable, "-c", _CALLS,
+                    json.dumps([[str(d), argv] for d, argv in zip(dirs, calls)])],
+                   env={**os.environ, "PYTHONPATH": str(src)}, check=True, capture_output=True)
+    return [(d / "report.json").read_bytes() for d in dirs]
+
+
+class TestSharedParser:
+    """``build_parser`` builds one parser per process; no call's flags
+    reach the next call."""
+
+    def test_one_parser_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_back_to_back_calls_write_the_reports_of_lone_calls(self, tmp_path):
+        calls = [["tq", "--order", "2"], ["tq"]]
+        both = fresh_process_reports(tmp_path, "both", calls)
+        alone = [fresh_process_reports(tmp_path, f"alone{i}", [argv])[0]
+                 for i, argv in enumerate(calls)]
+        assert both == alone
+        assert alone[0] != alone[1]
 
 
 class TestReports:

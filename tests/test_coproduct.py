@@ -91,6 +91,58 @@ def assert_tables_match(T, S, pts, top=None):
     assert np.array_equal(T.nonzeros(), S._table(S.basis.size).dest)
 
 
+# the (K, top) of the suites' tensor gathers: the qchar suite's ladders at
+# K = 6 cut to level 5, the transfer suite's at K = 7 and 8 cut to 7
+SUITE_GATHERS = [(6, 5), (7, 7), (8, 7)]
+
+
+def fresh_gather(T, top):
+    """``dynamical.tensor_gather`` of T's factors, uncached."""
+    bx, by = T.X.basis, T.Y.basis
+    return dynamical.tensor_gather(bx.dims, by.dims, top, T.X.nonzeros(min(top, bx.levels)),
+                                   T.Y.nonzeros(min(top, by.levels)))
+
+
+def assert_fresh(T, top):
+    got = T._gather(top)
+    assert not any(a.flags.writeable for a in got)
+    for a, b in zip(got, fresh_gather(T, top)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    return got
+
+
+class TestSharedGather:
+    """A tensor's gathers are shared across the process by structure: each
+    equals a fresh ``tensor_gather``, is read-only, and serves every
+    tensor of its structure, whatever its spins, shifts and parameters."""
+
+    @pytest.mark.parametrize("K, top", SUITE_GATHERS)
+    def test_ladder_pairs_of_one_structure_share_one_gather(self, K, top):
+        spins = [((1.1 + 0.2j, 0.0), (0.7 - 0.4j, 0.3)), ((2.0, 0.5), (-0.3 + 0.1j, -1.2)),
+                 ((0.4 + 0.1j, 0.6), (1.9 - 0.2j, 0.0))]
+        tensors = [dynamical_tensor(build_asymptotic(*a, K, params),
+                                    build_asymptotic(*b, K, params), max_level=K)
+                   for params in PARAM_SETS.values() for a, b in spins]
+        first = assert_fresh(tensors[0], top)
+        for T in tensors[1:]:
+            assert all(a is b for a, b in zip(assert_fresh(T, top), first))
+
+    def test_unequal_and_nested_factors_at_every_top(self):
+        X = build_asymptotic(1.1 + 0.2j, 0.0, 4, P)
+        Y = build_asymptotic(0.7 - 0.4j, 0.3, 6, P)
+        for T in (dynamical_tensor(X, Y), dynamical_tensor(Y, X), nested_tensor(P, 4)):
+            for top in range(T.basis.levels + 1):
+                assert_fresh(T, top)
+
+    def test_factors_of_one_shape_and_other_nonzeros_do_not_share(self):
+        V = build_vector_rep(P)
+        # V without its +- entries: the same level dimensions, fewer nonzeros
+        W = EllipticModule(P, V.basis, [t for t in V.terms if t[0] // 4 != 1], spin=1.0)
+        a, b = dynamical_tensor(V, V), dynamical_tensor(W, V)
+        assert a.X.basis.dims == b.X.basis.dims
+        assert len(assert_fresh(a, 2)[1][0]) > len(assert_fresh(b, 2)[1][0])
+
+
 class TestEntryTables:
     @pytest.mark.parametrize("depth", range(2, 11))
     @pytest.mark.parametrize("name", PARAM_SETS)

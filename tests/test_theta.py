@@ -111,6 +111,19 @@ class TestGenericityScan:
         assert first_collision(1j, 0.31) is None
         EllipticParams(tau=1j, hbar=0.31)
 
+    def test_a_collision_at_the_window_edge(self):
+        # m + n*tau = k*hbar only at (m, n, k) = +-(1, 1, 6): |k| = 6 is the
+        # edge of the window, and (-1, -1, -6) comes first in its loop
+        tau = 0.3 + 1.1j
+        hbar = (1 + tau) / 6
+        assert first_collision(tau, hbar) == (-1, -1, -6)
+        msg = f"lattice collision m=-1, n=-1, k=-6 for tau={tau}, hbar={hbar}"
+        with pytest.raises(GenericityError, match=f"^{re.escape(msg)}$"):
+            EllipticParams(tau=tau, hbar=hbar)
+        # |k| = 7 lies outside the window
+        assert first_collision(tau, (1 + tau) / 7) is None
+        EllipticParams(tau=tau, hbar=(1 + tau) / 7)
+
 
 class TestThetaEvalArray:
     @pytest.mark.parametrize("tau", [1j, 0.3 + 0.6j, 0.2j])
@@ -453,6 +466,19 @@ class TestThetaTable:
         got = table.at([z], [x])[0]
         assert got[0] == pytest.approx(e.eval(z, x, P), rel=1e-13)
         assert got[1] == pytest.approx(plain.eval(z, x, P), rel=1e-13)
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_a_pass_is_independent_of_its_batch(self, masked):
+        # numpy reduces a product over factors along a one-point batch in a
+        # loop that rounds otherwise than the elementwise multiply of a
+        # larger batch
+        ladder = build_asymptotic(1.7 + 0.3j, 0.4, 6, P)
+        table = ThetaTable(ladder.terms, 4 * ladder.basis.size ** 2, P)
+        pts = SamplePlan(seed=11, count=100, pole_margin=5e-2).pairs(P)
+        for (z1, x1), (z2, x2) in zip(pts[::2], pts[1::2]):
+            one = table.at_dest([z1], [x1], masked)
+            two = table.at_dest([z1, z2], [x1, x2], masked)
+            assert one[0].tobytes() == two[0].tobytes()
 
     POLE = ThetaSum(ThetaExpression.theta(1, 0, -0.3, power=-1))   # pole at z = 0.3
     GROWS = ThetaSum(ThetaExpression.theta(0, 1, 0.0))             # overflows at x = 300i
