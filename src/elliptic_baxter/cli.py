@@ -24,8 +24,7 @@ from . import bethe, qchar, transfer, yangian
 from .modules import (
     build_asymptotic,
     dynamical_tensor,
-    gauss_reconstruction_residual,
-    gauss_scalar_law_residual,
+    gauss_residuals,
     qdybe_residuals,
     rll_residuals,
 )
@@ -237,10 +236,11 @@ def run_gauss(cfg) -> list[Check]:
     X = build_asymptotic(spin, 0.0, 8, P)
     pts = SamplePlan(cfg.seed, max(4, cfg.samples // 3), _SAMPLE_MARGIN).pairs(
         P, guard=lambda z, x: [x + k * h for k in range(-8, 9)])
+    reconstruction, scalar_law = gauss_residuals(X, pts)
     return [Check("reconstruction", {"spin": spin, "points": len(pts), "seed": cfg.seed},
-                  gauss_reconstruction_residual(X, pts)),
+                  reconstruction),
             Check("diagonal-scalar-law", {"spin": spin, "levels": X.safe_levels, "seed": cfg.seed},
-                  gauss_scalar_law_residual(X, pts))]
+                  scalar_law)]
 
 
 def run_qchar(cfg) -> list[Check]:

@@ -20,10 +20,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
+from itertools import islice
 
 import numpy as np
 
-from .theta import EllipticParams, ThetaSum, ThetaTable, flat_terms
+from .theta import EllipticParams, ThetaSum, ThetaTable, flat_terms, table_passes
 
 _WEIGHT_TOL = 1e-9
 
@@ -248,25 +249,18 @@ def tensor_gather(dims_x: tuple, dims_y: tuple, top: int, zx, zy) -> tuple[np.nd
     return parts[2, first], np.vstack([parts[:2], np.cumsum(first) - 1])
 
 
-def tensor_entry_tables(X, Y, gather: tuple, zs, xs, top: int,
-                        masked: bool = False) -> np.ndarray:
-    """The coproduct's entries at the points (zs, xs), cut to total level
-    ``top``, in the slots of its ``tensor_gather``, as [point, slot]:
-    L_{ij}(z, x) = sum_k L^X_{ik}(z, x + hbar*w) L^Y_{kj}(z, x), w the
-    weight of the target Y level.  X's ``slot_values`` are taken once at
-    every Y level weight and Y's once (``masked`` as there), and only the
-    products of ``tensor_gather`` are formed, so no dense table is built
-    and a factor's NaN reaches the entries that read it and no other."""
-    zs, xs = np.asarray(zs, dtype=complex), np.asarray(xs, dtype=complex)
-    tx, ty = min(top, X.basis.levels), min(top, Y.basis.levels)
+def tensor_entry_tables(vx: np.ndarray, vy: np.ndarray, gather: tuple) -> np.ndarray:
+    """The coproduct's entries at some points, in the slots of its
+    ``tensor_gather``, as [point, slot]: L_{ij}(z, x) = sum_k L^X_{ik}(z,
+    x + hbar*w) L^Y_{kj}(z, x), w the weight of the target Y level, from
+    the factors' slot values there: vx[p, (level, slot)] those of X at
+    every Y level weight, vy[p, slot] those of Y.  Only the products of
+    ``tensor_gather`` are formed, so no dense table is built and a
+    factor's NaN reaches the entries that read it and no other."""
     slots, (gx, gy, slot) = gather
-    shifts = Y.params.hbar * np.array([Y.basis.weight(j) for j in range(ty + 1)])
-    vx = X.slot_values(np.repeat(zs, ty + 1), (xs[:, None] + shifts).ravel(), tx, masked)
-    vy = Y.slot_values(zs, xs, ty, masked)
-    out = np.zeros((len(zs), len(slots)), dtype=complex)
+    out = np.zeros((len(vy), len(slots)), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        np.add.at(out, (slice(None), slot),
-                  vx.reshape(len(zs), (ty + 1) * vx.shape[1])[:, gx] * vy[:, gy])
+        np.add.at(out, (slice(None), slot), vx[:, gx] * vy[:, gy])
     return out
 
 
@@ -491,7 +485,10 @@ class TermMatrix:
     ``request`` calls it once per request, on the distinct points the
     request asks of it, after it has evaluated the inputs there.  A term
     without inputs is a leaf, such as the chain trace, whose values are
-    [n, dim, dim, level].  A read term (``TermMatrix.read``) returns its
+    [n, dim, dim, level]; a leaf whose function has a ``theta_pass(zs,
+    xs)`` method, (items, finish) with ``finish(theta.table_passes(items))``
+    its values, shares one theta pass with the request's other such
+    leaves.  A read term (``TermMatrix.read``) returns its
     one input unchanged, as a view of its source's values.  A term keeps
     no values: they live for one request.  ``eval`` stays as a batch of
     one: the benchmark's tracer (``perfbench/tracer.py``) wraps it by
@@ -563,7 +560,10 @@ def request(asks) -> list[np.ndarray]:
     gathered from the table just filled, which maps each term to its
     block and the row of each key.  A read term calls nothing: its entry
     is its source's block (with an item, a view of it), never a copy.
-    The table is dropped on return."""
+    The leaves with a ``theta_pass`` run theirs in one ``table_passes``
+    call before any term runs, and each finishes in its turn, so that
+    their shared theta arguments are summed once and their finished
+    values are held one leaf at a time.  The table is dropped on return."""
     asks = list(asks)
     order: list[TermMatrix] = []  # children first
     seen: set = set()
@@ -597,6 +597,11 @@ def request(asks) -> list[np.ndarray]:
             reads.append((s, sk, *item))
             need[s].update(dict.fromkeys(sk))
         plan.append((t, keys, kz, kx, reads))
+    # leaf -> (its finish, the passes of its items)
+    split = {t: t._fn.theta_pass(kz, kx) for t, _, kz, kx, _ in plan
+             if hasattr(t._fn, "theta_pass")}
+    passes = iter(table_passes([item for items, _ in split.values() for item in items]))
+    split = {t: (finish, list(islice(passes, len(items)))) for t, (items, finish) in split.items()}
     table: dict = {}  # term -> (block, {key: row})
 
     def values(t, keys, item=slice(None)):
@@ -610,8 +615,12 @@ def request(asks) -> list[np.ndarray]:
             table[t] = (block[(..., *item)] if item else block,
                         dict(zip(keys, map(rows.__getitem__, sk))))
             continue
-        vals = np.asarray(t._fn(kz, kx, *[values(s, sk, *item) for s, sk, *item in reads]),
-                          dtype=complex)
+        if t in split:
+            finish, done = split.pop(t)
+            vals = np.asarray(finish(done), dtype=complex)
+        else:
+            vals = np.asarray(t._fn(kz, kx, *[values(s, sk, *item) for s, sk, *item in reads]),
+                              dtype=complex)
         vals.flags.writeable = False
         table[t] = vals, {k: i for i, k in enumerate(keys)}
     out = []

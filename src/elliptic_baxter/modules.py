@@ -34,6 +34,7 @@ from .theta import (
     in_hbar_inv_lattice,
     int_plus_hbar_inv_lattice,
     merged_factors,
+    table_passes,
     theta_eval,
 )
 
@@ -138,12 +139,19 @@ def qdybe_residual(z: complex, w: complex, x: complex, params: EllipticParams) -
 
 class GradedModule:
     """What the checks read of a module: ``params``, ``basis``, ``exact``,
-    ``diagonal_terms`` and two readers: ``nonzeros(top)``, the slots
+    ``diagonal_terms`` and three readers: ``nonzeros(top)``, the slots
     (key*n + row)*n + col (keys ++, +-, -+, --) of the entries that are
-    not zero in the L tables cut to the levels up to ``top``, and
+    not zero in the L tables cut to the levels up to ``top``;
     ``slot_values(zs, xs, top, masked)``, those entries as [point, slot],
     evaluating no other, NaN where ``ThetaTable.masked_at`` gives it with
-    ``masked``, else raising as ``ThetaTable.at``."""
+    ``masked``, else raising as ``ThetaTable.at``; and ``theta_pass``, the
+    same in two steps, so that a caller can share one theta pass among
+    modules."""
+
+    def slot_values(self, zs, xs, top: int | None = None, masked: bool = False) -> np.ndarray:
+        """The module's own ``theta_pass``, finished."""
+        items, finish = self.theta_pass(zs, xs, top, masked)
+        return finish(table_passes(items))
 
     @property
     def safe_levels(self) -> int:
@@ -226,9 +234,11 @@ class EllipticModule(GradedModule):
         """The slots of the cut table that some term adds to."""
         return self._cut(top).dest
 
-    def slot_values(self, zs, xs, top: int | None = None, masked: bool = False) -> np.ndarray:
-        """One pass of the cut table (``ThetaTable.at_dest``)."""
-        return self._cut(top).at_dest(zs, xs, masked)
+    def theta_pass(self, zs, xs, top: int | None = None, masked: bool = False) -> tuple:
+        """(items, finish): the ``theta.table_passes`` item of the cut
+        table's ``at_dest``, and the function that maps the pass of it to
+        ``slot_values``."""
+        return [(self._cut(top), zs, xs, not masked, False)], _first_pass
 
     @cached_property
     def diagonal_terms(self) -> tuple:
@@ -254,6 +264,11 @@ class EllipticModule(GradedModule):
 
         return (tuple(None if i in corrected else single(i * n + i) for i in range(n)),
                 tuple(single((3 * n + i) * n + i) for i in range(n)))
+
+
+def _first_pass(passes) -> np.ndarray:
+    """The finish of a module of one table: its one pass, finished."""
+    return passes[0]()
 
 
 @lru_cache(maxsize=16)
@@ -295,10 +310,28 @@ class TensorModule(GradedModule):
         """The first slot of each run of the cut's sorted products."""
         return self._gather(self.basis.levels if top is None else top)[0]
 
-    def slot_values(self, zs, xs, top: int | None = None, masked: bool = False) -> np.ndarray:
-        """The sums of the cut's products of the factors' slot values."""
+    def theta_pass(self, zs, xs, top: int | None = None, masked: bool = False) -> tuple:
+        """(items, finish): the ``theta.table_passes`` items of X at every
+        Y level weight, L^X_{ik}(z, x + hbar*w) for w the weight of the
+        target Y level, then those of Y (each cut to ``top``, ``masked`` as
+        there), and the function that maps their passes to the sums of
+        the cut's products (``dynamical.tensor_entry_tables``)."""
         top = self.basis.levels if top is None else top
-        return tensor_entry_tables(self.X, self.Y, self._gather(top), zs, xs, top, masked)
+        X, Y = self.X, self.Y
+        zs, xs = np.asarray(zs, dtype=complex), np.asarray(xs, dtype=complex)
+        ty = min(top, Y.basis.levels)
+        shifts = self.params.hbar * np.array([Y.basis.weight(j) for j in range(ty + 1)])
+        ix, fx = X.theta_pass(np.repeat(zs, ty + 1), (xs[:, None] + shifts).ravel(),
+                              min(top, X.basis.levels), masked)
+        iy, fy = Y.theta_pass(zs, xs, ty, masked)
+        gather = self._gather(top)
+
+        def finish(passes):
+            vx = fx(passes[:len(ix)])
+            return tensor_entry_tables(vx.reshape(len(zs), (ty + 1) * vx.shape[1]),
+                                       fy(passes[len(ix):]), gather)
+
+        return ix + iy, finish
 
 
 def build_asymptotic(l: complex, u: complex, K: int, params: EllipticParams) -> EllipticModule:
@@ -436,9 +469,9 @@ def _rll_level(basis: WeightBasis, tables: np.ndarray, r: np.ndarray, level: int
     # lhs: L_{pi}(z; x) L_{qj}(w; x + i*hbar) -> [p, i, q, j, row, col]
     lz = t[1][:, :, None, None]
     lw = t[[5, 3]][..., cols][None, :, :, :]
-    prod_l = np.matmul(lz, lw)
+    prod_l = cmatmul(lz, lw)
     # rhs: L_{nq}(w; x) L_{mp}(z; x + q*hbar) -> [n, q, m, p, row, col]
-    prod_r = np.matmul(t[4][:, :, None, None], t[[2, 0]][..., cols][None])
+    prod_r = cmatmul(t[4][:, :, None, None], t[[2, 0]][..., cols][None])
     # R^{pq}_{mn} at each row's level as [m, n, p, q, row], R^{ij}_{pq}(x) as [p, q, i, j]
     rt = r[list(basis.index_levels)].reshape(n, 2, 2, 2, 2).transpose(1, 2, 3, 4, 0)
     r0 = r[-1].reshape(2, 2, 2, 2)
@@ -487,8 +520,14 @@ def gauss_reconstruction_residual(X: GradedModule, points) -> float:
     F K- E, L+- = F K-, L-+ = K- E and L-- = K-."""
     zs, xs = zip(*points)
     L = X.entry_matrices(zs, xs, X.safe_levels)
+    return _reconstruction_residual(L, gauss_decompose(L, X.basis, X.safe_levels))
+
+
+def _reconstruction_residual(L: np.ndarray, levels: list) -> float:
+    """``gauss_reconstruction_residual`` of the tables L [point, key, row,
+    col] from their ``gauss_decompose`` levels."""
     rec = np.zeros_like(L)
-    for s, r, kp, e, f in gauss_decompose(L, X.basis, X.safe_levels):
+    for s, r, kp, e, f in levels:
         fk = cmatmul(f, L[:, 3, r, r])
         rec[:, 0, s, s] = kp + cmatmul(fk, e)
         rec[:, 1, s, r] = fk
@@ -497,25 +536,31 @@ def gauss_reconstruction_residual(X: GradedModule, points) -> float:
     return worst_residual(map(relative_deviation, L, rec))
 
 
-def gauss_scalar_law_residual(X: EllipticModule, points) -> float:
-    """Worst relative residual, over the truncation-safe levels and the
-    sampled (z, x) points, of the diagonal scalar law of the ladder module
-    of spin l and spectral shift u*hbar, with w = z + u*hbar:
+def gauss_residuals(X: EllipticModule, points) -> tuple[float, float]:
+    """The two Gauss identities of the ladder module X at the sampled (z,
+    x) points, over the truncation-safe levels: its
+    ``gauss_reconstruction_residual``, the same bits, and the worst
+    relative residual of the diagonal scalar law of the ladder of spin l
+    and spectral shift u*hbar, with w = z + u*hbar:
 
         K+_jj(z, x) K-_jj(z - hbar, x + hbar) = theta(w + (l+1) hbar) theta(w),
 
     K+ composed with K- at z - hbar, x + hbar being the composition rule's
-    shift beta(K+) hbar.  The reference is on the scalar ``theta_eval``, so
-    the two theta kernels check each other."""
+    shift beta(K+) hbar.  One entry-matrix pass over the points and their
+    (z - hbar, x + hbar) shifts and one ``gauss_decompose`` at the points
+    serve both, as a pass does not depend on its batch.  The scalar law's
+    reference is on the scalar ``theta_eval``, so the two theta kernels
+    check each other."""
     h, top, n = X.params.hbar, X.safe_levels, len(points)
     zs, xs = zip(*points)
     L = X.entry_matrices([*zs, *(z - h for z in zs)], [*xs, *(x + h for x in xs)], top)
-    kplus = [np.diagonal(kp, axis1=1, axis2=2)
-             for _, _, kp, _, _ in gauss_decompose(L[:n], X.basis, top)]
+    levels = gauss_decompose(L[:n], X.basis, top)
+    kplus = [np.diagonal(kp, axis1=1, axis2=2) for _, _, kp, _, _ in levels]
     got = np.concatenate(kplus, axis=1) * np.diagonal(L[n:, 3], axis1=1, axis2=2)
     ref = np.array([[theta_eval(w + (X.spin + 1) * h, X.params) * theta_eval(w, X.params)]
                     for w in (z + X.shift_u * h for z in zs)])
-    return worst_residual((np.abs(got - ref) / np.maximum(1.0, np.abs(ref))).ravel())
+    return (_reconstruction_residual(L[:n], levels),
+            worst_residual((np.abs(got - ref) / np.maximum(1.0, np.abs(ref))).ravel()))
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from itertools import count
 from operator import itemgetter
 
@@ -36,6 +36,8 @@ _SERIES_EPS = 1e-14
 POLE_TOL = 1e-12
 # a SamplePlan gives up after this many rejected draws
 _MAX_REJECTIONS = 2000
+# the OverflowError of a batch with a non-finite or unconverged theta value
+_NOT_FINITE = "theta series is not finite or does not converge at some argument"
 # distance threshold of every lattice-membership test
 LATTICE_TOL = 1e-9
 # integer window of the genericity scan and of every hbar-lattice test
@@ -128,8 +130,7 @@ def theta_eval_array(z, params: EllipticParams) -> np.ndarray:
     """
     vals = _theta_series(z, params)
     if not np.isfinite(vals).all():
-        raise OverflowError("theta series is not finite or does not "
-                            "converge at some argument")
+        raise OverflowError(_NOT_FINITE)
     return vals
 
 
@@ -460,6 +461,34 @@ def _distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return ranked[first], first.sum(axis=1), number
 
 
+# odd 64-bit multiplier of ``_unique_rows``'s hash of a row's bits
+_MIX = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _unique_rows(a: np.ndarray, kind: str = "quicksort") -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of the 2-D complex array ``a`` under ``==``, and
+    the position of each row's value among them.
+
+    The rows are sorted by a 64-bit hash of their bits, which an integer
+    sort (``np.argsort`` of ``kind``) orders several times faster than
+    numpy's complex sort orders values, and equal neighbours are merged;
+    zeros are hashed as positive, so that equal rows hash alike.  Equal
+    rows are then neighbours, unless the hashes of two other rows collide
+    between them, which repeats a row in the list but never joins two.
+    With a stable ``kind`` each listed row is the first of its value."""
+    bits = (a + 0).view(np.uint64)
+    key = bits[:, 0]
+    for column in bits.T[1:]:
+        key = key * _MIX ^ column
+    order = np.argsort(key, kind=kind)
+    ranked = a[order]
+    first = np.ones(len(a), dtype=bool)
+    np.any(ranked[1:] != ranked[:-1], axis=1, out=first[1:])
+    number = np.empty(len(a), dtype=int)
+    number[order] = first.cumsum() - 1
+    return ranked[first], number
+
+
 def flat_terms(sums) -> list[tuple]:
     """The flat terms of (slot, ThetaSum) pairs: per term of each sum, in
     order, (slot, scalar, exp_z, exp_x, factors), its factors as (cz, cx,
@@ -515,8 +544,8 @@ def _table_layout(slots: tuple, counts: tuple, ids: tuple, cz: tuple, cx: tuple,
 
 class ThetaTable:
     """Theta sums flattened into factor arrays, so that every sum at a
-    batch of (z, x) points comes out of one ``theta_eval_array`` pass over
-    the distinct theta arguments.
+    batch of (z, x) points comes out of one theta series pass over the
+    distinct theta arguments.
 
     Built from flat terms (slot, scalar, exp_z, exp_x, factors), each the
     term scalar * exp(exp_z*z + exp_x*x) * prod theta(cz*z + cx*x +
@@ -532,8 +561,13 @@ class ThetaTable:
     the shifts, scalars and exponents (``_table_layout``), as the ladders
     of one K and spins of one coincidence pattern do.
 
-    A pass is independent of its batch: the values at a point are the
-    same bits whether it is evaluated alone or among other points.
+    A pass has two steps, the arguments (``_arguments``) and the finish
+    (``_finish``), and between them the theta values of the arguments,
+    which ``table_passes`` sums for many tables at once; ``at``,
+    ``at_dest`` and ``masked_at`` are its one-item case.  A pass is
+    independent of its batch: the values at a point are the same bits
+    whether it is evaluated alone, among other points or beside other
+    tables.
     """
 
     def __init__(self, terms, size: int, params: EllipticParams):
@@ -584,16 +618,19 @@ class ThetaTable:
         return out, ~np.isfinite(out).all(axis=1)
 
     def _eval(self, zs, xs, strict: bool, dense: bool = True) -> np.ndarray:
-        """Every slot at the points, as [point, slot], or with ``dense``
-        false the slots of ``dest`` only."""
-        zs = np.asarray(zs, dtype=complex)
-        xs = np.asarray(xs, dtype=complex)
-        if not self.dest.size:
-            return np.zeros((len(zs), self.size if dense else 0), dtype=complex)
+        """A pass of one item (``table_passes``), finished."""
+        finish, = table_passes([(self, zs, xs, strict, dense)])
+        return finish()
+
+    def _arguments(self, zs, xs) -> tuple:
+        """The arguments step of a pass at the points: the candidates,
+        each kind's distinct point parts plus each of its shifts; as [kind,
+        point], the number of the candidate of each point part with the
+        kind's first shift, which ``_factor_candidates`` spreads over the
+        factors; and the point parts, which name a pole's argument."""
         # an argument is (cz*z + cx*x) + shift, summed as one array over
-        # all factors would sum it, so the candidates, each kind's distinct
-        # point parts plus each of its shifts, are every argument, with
-        # far fewer repeats
+        # all factors would sum it, so the candidates are every argument,
+        # with far fewer repeats
         parts = self.kind_cz * zs + self.kind_cx * xs
         kind_parts, counts, number = _distinct_rows(parts)
         ends = counts.cumsum()
@@ -604,32 +641,42 @@ class ThetaTable:
         # kind k with shift 0 is candidate n*width_k + offset_k
         sizes = counts * self.kind_width
         offset = sizes.cumsum() - sizes - (ends - counts) * self.kind_width
-        # [factor, point] -> the factor's argument among the candidates
-        slot = (number * self.kind_width[:, None] + offset[:, None])[self.kind]
-        slot += self.shift_index[:, None]
-        # each distinct argument is summed and pole-checked once
-        distinct, _, inverse = _distinct_rows(cands[None])
-        inverse = inverse[0]
-        # only the arguments of negative-power factors are tested for poles
-        neg = inverse[slot[self.negative]]
-        pole = np.zeros(len(distinct), dtype=bool)
-        pole[neg] = True
-        pole[pole] = lattice_distance_array(distinct[pole], self.params) < POLE_TOL
-        near = pole[neg]
+        return cands, number * self.kind_width[:, None] + offset[:, None], parts
+
+    def _factor_candidates(self, base, factors=slice(None)) -> np.ndarray:
+        """[factor, point] -> the candidate of the factor's argument, for
+        the factors ``factors``, from the [kind, point] numbers ``base``
+        of ``_arguments``."""
+        return base[self.kind[factors]] + self.shift_index[factors, None]
+
+    def _pole(self, parts, near) -> str | None:
+        """The PoleError message of the first factor that ``near``, [negative
+        factor, point], puts on the zero lattice, from the point ``parts``
+        of ``_arguments``; None for none."""
+        if not near.any():
+            return None
+        row, point = np.argwhere(near)[0]
+        f = self.negative[row]
+        arg = parts[self.kind[f], point] + self.shift[f]
+        return f"theta factor with negative power at lattice point {arg}"
+
+    def _finish(self, zs, xs, base, thetas, near, pole, strict: bool,
+                dense: bool) -> np.ndarray:
+        """The finish step of a pass: the slots at the points from the
+        theta values of the candidates, per negative-power factor and
+        point whether its argument is on the zero lattice, and the
+        ``_pole`` message of those flags."""
         if strict:
-            if near.any():
-                row, point = np.argwhere(near)[0]
-                f = self.negative[row]
-                arg = parts[self.kind[f], point] + self.shift[f]
-                raise PoleError(f"theta factor with negative power at lattice point {arg}")
-            thetas = theta_eval_array(distinct, self.params)
+            if pole:
+                raise PoleError(pole)
+            if not np.isfinite(thetas).all():
+                raise OverflowError(_NOT_FINITE)
         else:
-            thetas = _theta_series(distinct, self.params)
             thetas[~np.isfinite(thetas)] = np.nan
         # the last row is ones, the pad of shorter products; every index is
         # in range, and "clip" writes into vals unbuffered
-        vals = np.ones((len(slot) + 1, len(zs)), dtype=complex)
-        np.take(thetas[inverse], slot, out=vals[:-1], mode="clip")
+        vals = np.ones((len(self.kind) + 1, len(zs)), dtype=complex)
+        np.take(thetas, self._factor_candidates(base), out=vals[:-1], mode="clip")
         if not strict:
             vals[self.negative] = np.where(near, np.nan, vals[self.negative])
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -649,6 +696,63 @@ class ThetaTable:
         out = np.zeros((len(zs), self.size), dtype=complex)
         out[:, self.dest] = sums
         return out
+
+
+def table_passes(items) -> list:
+    """One theta pass for many tables: per item (table, zs, xs, strict,
+    dense), the function of no arguments that returns the table's values
+    at the points (zs, xs), as ``table.at`` gives them (strict, dense),
+    ``table.at_dest`` (not dense, ``masked`` = not strict) or the values of
+    ``table.masked_at`` (dense, not strict).
+
+    The arguments step of every item runs here, and so does one
+    ``_theta_series`` call, and one pole test, per parameter set over the
+    union of the items' distinct arguments (``_unique_rows``, exact under
+    ``==``); an item's finish step runs when its function is called, so
+    that a caller holds the finished values of one item at a time.  A
+    theta value and a lattice distance do
+    not depend on the batch they are in, so each item's values are the
+    bits of its own pass, and an item raises the error it raises alone,
+    when its function is called: PoleError before OverflowError, as the
+    one-item pass does.  A table with no terms takes no part."""
+    items = [(table, np.asarray(zs, dtype=complex), np.asarray(xs, dtype=complex), *rest)
+             for table, zs, xs, *rest in items]
+    steps = [table._arguments(zs, xs) if table.dest.size else None
+             for table, zs, xs, *_ in items]
+    # per item: its [kind, point] candidate numbers, the union's theta
+    # values and the union index of each of its candidates, and its
+    # near-lattice flags and their pole message
+    found: list = [None] * len(items)
+    groups: dict = {}
+    for i, (table, *_) in enumerate(items):
+        if steps[i] is not None:
+            groups.setdefault(table.params, []).append(i)
+    for params, members in groups.items():
+        # each distinct argument is summed and pole-checked once
+        distinct, inverse = _unique_rows(np.concatenate([steps[i][0] for i in members])[:, None])
+        distinct = distinct[:, 0]
+        bounds = np.cumsum([0] + [len(steps[i][0]) for i in members]).tolist()
+        inverse = [inverse[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+        # only the arguments of negative-power factors are tested for poles
+        neg = [at[items[i][0]._factor_candidates(steps[i][1], items[i][0].negative)]
+               for i, at in zip(members, inverse)]
+        pole = np.zeros(len(distinct), dtype=bool)
+        for n in neg:
+            pole[n] = True
+        pole[pole] = lattice_distance_array(distinct[pole], params) < POLE_TOL
+        thetas = _theta_series(distinct, params)
+        for i, at, n in zip(members, inverse, neg):
+            base, parts = steps[i][1:]
+            found[i] = (base, thetas, at, pole[n], items[i][0]._pole(parts, pole[n]))
+
+    def finish(i):  # called once: the item's arrays go with it
+        table, zs, xs, strict, dense = items[i]
+        if not table.dest.size:
+            return np.zeros((len(zs), table.size if dense else 0), dtype=complex)
+        (base, thetas, at, near, pole), found[i] = found[i], None
+        return table._finish(zs, xs, base, thetas[at], near, pole, strict, dense)
+
+    return [partial(finish, i) for i in range(len(items))]
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,14 @@ from .dynamical import (
     worst_residual,
 )
 from .modules import GradedModule, build_asymptotic, socle
-from .theta import LATTICE_TOL, EllipticParams, lattice_distance, theta_eval
+from .theta import (
+    LATTICE_TOL,
+    EllipticParams,
+    _unique_rows,
+    lattice_distance,
+    table_passes,
+    theta_eval,
+)
 
 
 @dataclass(frozen=True)
@@ -92,9 +99,11 @@ class _GradedTrace:
     transfer series' leaf `TermMatrix`, whose memo holds them.
 
     The points are contracted in groups of at most `_BATCH_ITEMS` entry
-    and prefix items (and at least one point): one slot pass over the
-    group's distinct grid points, and one `block_graded_trace` call over
-    its points."""
+    and prefix items (and at least one point): the module's slot values
+    at the group's distinct grid points, and one `block_graded_trace`
+    call over its points.  The slot values of every group come from one
+    theta pass (`theta_pass`, which a request shares among its traces),
+    and are finished one group at a time, just before its contraction."""
 
     def __init__(self, X: GradedModule, space: QuantumSpace, order: int):
         self.module = X
@@ -114,22 +123,38 @@ class _GradedTrace:
 
     def __call__(self, zs, xs) -> np.ndarray:
         """The traces at the points (zs, xs), as [point, row, col, level]."""
+        items, finish = self.theta_pass(zs, xs)
+        return finish(table_passes(items))
+
+    def theta_pass(self, zs, xs) -> tuple:
+        """(items, finish): the `theta.table_passes` items of the module's
+        slot values at the distinct grid points of every group, and the
+        function that maps their passes to the traces, contracting the
+        groups in turn."""
         zs, xs = np.asarray(zs, dtype=complex), np.asarray(xs, dtype=complex)
-        out = np.empty((len(zs), *self.shape), dtype=complex)
+        items, groups = [], []
         for lo in range(0, len(zs), self.group):
             g = slice(lo, lo + self.group)
-            out[g] = self._contract(zs[g], xs[g])
-        return out
+            z, x = zs[g][:, None] + self.z_off, xs[g][:, None] + self.x_off
+            # each distinct grid point is evaluated once: where[p, g] is its row
+            grid, where = _unique_rows(np.stack([z.ravel(), x.ravel()], axis=1), "stable")
+            part, values = self.module.theta_pass(*grid.T)
+            groups.append((g, len(items), len(part), values, where.reshape(z.shape)))
+            items += part
 
-    def _contract(self, z, x) -> np.ndarray:
-        zs, xs = z[:, None] + self.z_off, x[:, None] + self.x_off
-        # each distinct grid point is evaluated once: where[p, g] is its row
-        rows: dict[tuple[complex, complex], int] = {}
-        where = [rows.setdefault(k, len(rows))
-                 for k in zip(zs.ravel().tolist(), xs.ravel().tolist())]
-        values = self.module.slot_values(*np.array(list(rows), dtype=complex).T)
+        def finish(passes):
+            out = np.empty((len(zs), *self.shape), dtype=complex)
+            for g, at, n, values, where in groups:
+                out[g] = self._contract(zs[g], xs[g], values(passes[at:at + n]), where)
+            return out
+
+        return items, finish
+
+    def _contract(self, z, x, values, where) -> np.ndarray:
+        """The traces at the group's points (z, x) from the slot values at
+        its grid points, whose row where[p, g] holds grid point g at point p."""
         traces = block_graded_trace(values, self.module.nonzeros(), self.levels, self.plan,
-                                    self.shape[-1], np.reshape(where, zs.shape))
+                                    self.shape[-1], where)
         return traces.reshape(len(z), *self.shape)
 
 
@@ -282,13 +307,13 @@ def periodicity_residual(
     sign = (-1.0) ** n
     residuals = []
     zeros = np.zeros(len(xpoints))
-
-    def q_at(z):  # Q at z = 0 (z sets its spin), as [point, row, col, k]
-        terms = q_operator(space, z, order).terms
-        return np.stack(request([(t, zeros, xpoints) for t in terms]), axis=-1)
-
     for z0 in z_samples:
-        q, q1, qt = (q_at(z) for z in (z0, z0 + 1, z0 + tau))
+        # Q at z = 0 (z sets its spin) for the three z, from one request,
+        # each as [point, row, col, k]
+        terms = [t for z in (z0, z0 + 1, z0 + tau) for t in q_operator(space, z, order).terms]
+        vals = request([(t, zeros, xpoints) for t in terms])
+        q, q1, qt = (np.stack(vals[i:i + order + 1], axis=-1)
+                     for i in range(0, len(vals), order + 1))
         fac = sign * cmath.exp(-n * 1j * math.pi * (tau + 2 * z0 + 2 * a))
         for k in range(order + 1):
             for m, m1, mt in zip(q[..., k], q1[..., k], qt[..., k]):

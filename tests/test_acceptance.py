@@ -18,7 +18,7 @@ from elliptic_baxter.modules import (
     build_asymptotic,
     dynamical_tensor,
     gauss_reconstruction_residual,
-    gauss_scalar_law_residual,
+    gauss_residuals,
     qdybe_residual,
     r_matrices,
     rll_residual,
@@ -145,7 +145,7 @@ def test_criterion_4_gauss_identities():
     pts = SamplePlan(seed=43, count=6, pole_margin=5e-2).pairs(
         P, guard=lambda z, x: [x + k * H for k in range(-8, 9)])
     rec = gauss_reconstruction_residual(X, pts)
-    scal = gauss_scalar_law_residual(X, pts)
+    scal = gauss_residuals(X, pts)[1]
     _verdict(4, "Gauss decomposition identities",
              rec < 1e-9 and scal < 1e-9,
              f"reconstruction={rec:.2e} scalar-law={scal:.2e}")

@@ -46,6 +46,9 @@ TEST_REFERENCES = {
     "packed.PSeriesMatrix.tables": "Fraction views the packed-calculus tests compare",
     "polyring.Poly.shift": "Taylor shift of the poly_site_values oracle and the Poly tests",
     "qchar.QCharElement.term_list": "[monomial, multiplicity] view of a step the ring tests read",
+    "theta.theta_eval_array": "checked vectorized theta the kernel tests compare with theta_eval",
+    "theta.ThetaTable.at_dest": "one-item dest pass the table tests compare with at",
+    "modules.gauss_reconstruction_residual": "Gauss reconstruction of any module, tensors included",
 }
 
 

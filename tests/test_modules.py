@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from elliptic_baxter import cli, modules
+from elliptic_baxter import cli, modules, theta
 
 from elliptic_baxter.dynamical import ModuleOperator, compose_module_ops
 from elliptic_baxter.modules import (
@@ -16,7 +16,7 @@ from elliptic_baxter.modules import (
     dynamical_tensor,
     gauss_decompose,
     gauss_reconstruction_residual,
-    gauss_scalar_law_residual,
+    gauss_residuals,
     highest_vector_count,
     one_dim_module,
     qdybe_residual,
@@ -457,7 +457,23 @@ class TestGauss:
     def test_scalar_law(self, u):
         X = build_asymptotic(LADDER.spin, u, 8, P)
         pts = SamplePlan(seed=89, count=5, pole_margin=5e-2).pairs(P)
-        assert gauss_scalar_law_residual(X, pts) < 1e-10
+        assert gauss_residuals(X, pts)[1] < 1e-10
+
+    def test_both_records_from_one_pass_and_one_decomposition(self, monkeypatch):
+        # the gauss job's two records: the reconstruction is the bits of
+        # its own pass, from the one table pass and decomposition they share
+        X = build_asymptotic(1.7 + 0.3j, 0.0, 8, P)
+        pts = SamplePlan(seed=43, count=6, pole_margin=5e-2).pairs(
+            P, guard=lambda z, x: [x + k * H for k in range(-8, 9)])
+        rec = gauss_reconstruction_residual(X, pts)
+        calls = []
+        for module, name in ((theta, "_theta_series"), (modules, "gauss_decompose")):
+            fn = getattr(module, name)
+            monkeypatch.setattr(module, name,
+                                lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
+        got = gauss_residuals(X, pts)
+        assert calls == ["_theta_series", "gauss_decompose"]
+        assert got[0] == rec and 0 < got[1] < 1e-10
 
     def test_negative_control_scalar_law(self):
         # one L++ diagonal entry scaled by 1.5 breaks the law on its level
@@ -468,8 +484,8 @@ class TestGauss:
                                                    entries, P)})
         broken = with_L(LADDER, L)
         pts = SamplePlan(seed=89, count=5, pole_margin=5e-2).pairs(P)
-        assert gauss_scalar_law_residual(LADDER, pts) < 1e-10
-        assert gauss_scalar_law_residual(broken, pts) >= 1e-2
+        assert gauss_residuals(LADDER, pts)[1] < 1e-10
+        assert gauss_residuals(broken, pts)[1] >= 1e-2
 
 
 class TestSocle:

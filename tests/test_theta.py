@@ -9,6 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
+from elliptic_baxter import theta
 from elliptic_baxter.modules import build_asymptotic
 from elliptic_baxter.theta import (
     POLE_TOL,
@@ -29,6 +30,7 @@ from elliptic_baxter.theta import (
     lattice_distance_array,
     lattice_reduce,
     _theta_series,
+    table_passes,
     theta_eval,
     theta_eval_array,
 )
@@ -654,6 +656,132 @@ class TestKindDedupe:
         assert self.table().at([], []).shape == (0, 5)
         vals, bad = self.table().masked_at([], [])
         assert vals.shape == (0, 5) and bad.shape == (0,)
+
+
+class TestTablePasses:
+    """One theta pass serves many items (table, zs, xs, strict, dense):
+    each item's values are the bits of its own one-item pass, and an item
+    that raises alone raises the same error, with the same message."""
+
+    P2 = EllipticParams(tau=0.4 + 0.6j, hbar=0.31)
+
+    @staticmethod
+    def alone(item):
+        finish, = table_passes([item])
+        return finish()
+
+    @staticmethod
+    def series_sizes(monkeypatch):
+        """The sizes of the ``_theta_series`` calls of the passes to come."""
+        sizes, series = [], theta._theta_series
+        monkeypatch.setattr(theta, "_theta_series",
+                            lambda z, params: sizes.append(z.size) or series(z, params))
+        return sizes
+
+    def items(self):
+        # two ladders of one layout and other shifts, a cut of the first
+        # (another layout on the same arguments), every kind and power
+        # with the pole at the fourth point, a table with no terms, and a
+        # ladder of other parameters; the points overlap from item to item
+        ladder = build_asymptotic(1.7 + 0.3j, 0.4, 6, P)
+        other = build_asymptotic(0.7 - 0.4j, 0.4, 6, P)
+        n = ladder.basis.size
+        pts = SamplePlan(seed=13, count=6, pole_margin=5e-2).pairs(P)
+        zs, xs = (np.array(v) for v in zip(*pts))
+        kinds = sums_table(TestKindDedupe.SUMS, 5, P)
+        tables = [(ThetaTable(ladder.terms, 4 * n * n, P), zs, xs),
+                  (ThetaTable(other.terms, 4 * n * n, P), zs[:4], xs[:4] + P.hbar),
+                  (ladder._table(3), np.r_[zs[2:], zs[:2]], np.r_[xs[2:], xs[:2] + P.hbar]),
+                  (kinds, TestKindDedupe.ZS, TestKindDedupe.XS),
+                  (sums_table([], 3, P), zs[:2], xs[:2]),
+                  (ThetaTable(build_asymptotic(1.7 + 0.3j, 0.4, 6, self.P2).terms, 4 * n * n,
+                              self.P2), zs, xs)]
+        # the pole of the kinds table is its fourth point: strict only without it
+        keep = [i for i in range(9) if i != 3]
+        return [(t, np.asarray(z)[keep], np.asarray(x)[keep], True, dense)
+                if t is kinds and strict else (t, z, x, strict, dense)
+                for t, z, x in tables for strict in (True, False) for dense in (True, False)]
+
+    def test_every_item_is_its_pass_alone(self, monkeypatch):
+        items = self.items()
+        sizes = self.series_sizes(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = [finish() for finish in table_passes(items)]
+            # one series call per parameter set, over fewer arguments than
+            # the items' own passes sum
+            assert len(sizes) == 2
+            shared = sum(sizes)
+            want = [self.alone(item) for item in items]
+        assert shared < sum(sizes[2:])
+        for item, a, b in zip(items, got, want):
+            assert a.shape == b.shape
+            assert np.array_equal(bits(a), bits(b))
+        for (table, zs, xs, strict, dense), a in zip(items, got):
+            if strict:
+                ref = table.at(zs, xs) if dense else table.at_dest(zs, xs)
+            else:
+                ref = table.masked_at(zs, xs)[0] if dense else table.at_dest(zs, xs, True)
+            assert np.array_equal(bits(a), bits(ref))
+        assert got[4 * 4].shape == (2, 3) and got[4 * 4 + 1].shape == (2, 0)
+
+    def test_an_item_raises_as_it_does_alone(self):
+        pole = sums_table([(0, TestThetaTable.POLE)], 1, P)
+        grows = sums_table([(0, TestThetaTable.GROWS), (1, TestThetaTable.POLE)], 2, P)
+        zs, xs = TestThetaTable.ZS, TestThetaTable.XS
+        items = [(grows, zs, xs, False, True),        # NaN where alone, raises nothing
+                 (pole, zs[:3], xs[:3], True, False),  # PoleError
+                 (grows, zs[3:], xs[3:], True, True),  # OverflowError
+                 (grows, zs, xs, True, True),          # both: PoleError first
+                 (grows, zs[4:], xs[4:], True, False)]  # good, beside an overflow
+        errors = [None, PoleError, OverflowError, PoleError, None]
+        for finish, item, err in zip(table_passes(items), items, errors):
+            if err is None:
+                assert np.array_equal(bits(finish()), bits(self.alone(item)))
+                continue
+            with pytest.raises(err) as got:
+                finish()
+            with pytest.raises(err) as ref:
+                self.alone(item)
+            assert str(got.value) == str(ref.value)
+
+
+class TestUniqueRows:
+    """The hashed dedupe of the shared pass and of a trace's grid points:
+    rows equal under ``==`` share a position, zeros of either sign
+    included, and a hash collision may repeat a row but never joins two."""
+
+    def rows(self):
+        rng = np.random.default_rng(3)
+        vals = rng.random(50) + 1j * rng.random(50)
+        a = vals[rng.integers(0, 50, 400)]
+        a[:4] = [complex(-0.0, 0.0), 0j, complex(0.0, -0.0), complex(-0.0, -0.0)]
+        return np.stack([a, a[::-1]], axis=1)
+
+    @pytest.mark.parametrize("kind", ["quicksort", "stable"])
+    def test_equal_rows_share_a_position(self, kind):
+        rows = self.rows()
+        for a in (rows, rows[:, :1]):
+            distinct, number = theta._unique_rows(a, kind)
+            assert np.array_equal(distinct[number], a)
+            assert len(distinct) == len(set(map(tuple, a.tolist())))
+
+    def test_stable_lists_the_first_row_of_each_value(self):
+        a = self.rows()[:, :1]
+        distinct, number = theta._unique_rows(a, "stable")
+        first = {}
+        for i, v in enumerate(a[:, 0].tolist()):
+            first.setdefault(v, i)
+        for row, n in zip(a, number):
+            assert bits(distinct[n]).tolist() == bits(a[first[row[0]]]).tolist()
+
+    def test_a_hash_collision_repeats_but_never_joins(self, monkeypatch):
+        # with the multiplier 0 a row hashes to the bits of its last part:
+        # every value of one imaginary part collides
+        monkeypatch.setattr(theta, "_MIX", np.uint64(0))
+        a = np.array([1 + 2j, 3 + 2j, 1 + 2j, 5 + 7j, 3 + 2j, 1 + 2j])[:, None]
+        distinct, number = theta._unique_rows(a)
+        assert np.array_equal(distinct[number], a) and len(distinct) >= 3
 
 
 class TestSamplePlan:

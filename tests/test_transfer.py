@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from elliptic_baxter import cli, dynamical, transfer
+from elliptic_baxter import cli, dynamical, theta, transfer
 from elliptic_baxter.dynamical import (
     TermMatrix,
     block_graded_trace,
@@ -309,9 +309,9 @@ class LeafSpy:
             self.group[len(self.group)] = trace.group
             self.number[trace] = len(self.number)
 
-        def spy_contract(trace, z, x):
+        def spy_contract(trace, z, x, *finished):
             self.calls.setdefault(self.number[trace], []).append(list(zip(z.tolist(), x.tolist())))
-            return contract(trace, z, x)
+            return contract(trace, z, x, *finished)
 
         monkeypatch.setattr(_GradedTrace, "__init__", spy_init)
         monkeypatch.setattr(_GradedTrace, "_contract", spy_contract)
@@ -408,6 +408,52 @@ class TestRelationRequests:
         want = {(0j, complex(x)) for x in XS[:3]}
         assert all(len(calls) == 1 for calls in spy.calls.values())
         assert spy.points() == {0: want, 1: want, 2: want}
+
+
+class TestSharedPass:
+    """A request's traces share one theta pass: every contraction reads
+    the values it reads when each table item has a pass of its own, and
+    each trace's values are those of the trace evaluated alone."""
+
+    @pytest.mark.parametrize("group", [None, 2])
+    @pytest.mark.parametrize("sites", [(A1, A2), (A1, A2, A1 + 0.13, A2 - 0.11j)])
+    @pytest.mark.parametrize("name", ["product", "interchange", "commutativity", "tq",
+                                      "periodicity"])
+    def test_request_values_are_each_trace_alone(self, name, sites, group, monkeypatch):
+        if name == "periodicity":
+            space = QuantumSpace((A1,) * len(sites), P)
+
+            def relation():
+                return periodicity_residual(space, 4, ZS[:1], XS[:3])
+        else:
+            relation = relation_cases(sites)[name]
+        LeafSpy(monkeypatch, group)
+        outs, contract = [], _GradedTrace._contract
+
+        def spy(trace, z, x, *finished):
+            out = contract(trace, z, x, *finished)
+            outs.append((trace, z, x, out))
+            return out
+
+        monkeypatch.setattr(_GradedTrace, "_contract", spy)
+        sizes, series = [], theta._theta_series
+        monkeypatch.setattr(theta, "_theta_series",
+                            lambda z, params: sizes.append(z.size) or series(z, params))
+        shared = relation()
+        n, shared_sizes = len(outs), sizes[:]
+        # every table item its own pass
+        passes = dynamical.table_passes
+        monkeypatch.setattr(dynamical, "table_passes",
+                            lambda items: [f for item in items for f in passes([item])])
+        sizes.clear()
+        assert relation() == shared
+        assert len(shared_sizes) < len(sizes) and sum(shared_sizes) < sum(sizes)
+        assert len(outs) == 2 * n
+        for (_, z1, x1, a), (_, z2, x2, b) in zip(outs[:n], outs[n:]):
+            assert np.array_equal(z1, z2) and np.array_equal(x1, x2)
+            assert np.array_equal(a, b)
+        for trace, z, x, out in outs[:n]:
+            assert np.array_equal(trace(z, x), out)
 
 
 def test_transfer_job_does_not_import_numpy_ma(tmp_path):
