@@ -50,6 +50,8 @@ REPORT_DIR_ENV = "ELLIPTIC_BAXTER_REPORT_DIR"
 
 # torus distance of every guarded sample argument from the zero lattice
 _SAMPLE_MARGIN = 5e-2
+# (z, x) pairs each chain relation samples
+_CHAIN_PAIRS = 3
 
 _DEFAULTS = {
     "tau": "1i", "hbar": "0.31", "sites": None, "order": 4, "depth": 6,
@@ -266,10 +268,10 @@ def _space(cfg):
     return transfer.QuantumSpace(cfg.elliptic_sites(), cfg.params)
 
 
-def _sample_pairs(cfg, n=3):
+def _sample_pairs(cfg):
     P = cfg.params
     h = P.hbar
-    return SamplePlan(cfg.seed, n, _SAMPLE_MARGIN).pairs(
+    return SamplePlan(cfg.seed, _CHAIN_PAIRS, _SAMPLE_MARGIN).pairs(
         P, guard=lambda z, x: [x + k * h for k in range(-6, 7)])
 
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
-from itertools import islice
 
 import numpy as np
 
@@ -486,7 +485,7 @@ class TermMatrix:
     request asks of it, after it has evaluated the inputs there.  A term
     without inputs is a leaf, such as the chain trace, whose values are
     [n, dim, dim, level]; a leaf whose function has a ``theta_pass(zs,
-    xs)`` method, (items, finish) with ``finish(theta.table_passes(items))``
+    xs)`` method, (items, finish) with ``finish(iter(theta.table_passes(items)))``
     its values, shares one theta pass with the request's other such
     leaves.  A read term (``TermMatrix.read``) returns its
     one input unchanged, as a view of its source's values.  A term keeps
@@ -561,9 +560,11 @@ def request(asks) -> list[np.ndarray]:
     block and the row of each key.  A read term calls nothing: its entry
     is its source's block (with an item, a view of it), never a copy.
     The leaves with a ``theta_pass`` run theirs in one ``table_passes``
-    call before any term runs, and each finishes in its turn, so that
-    their shared theta arguments are summed once and their finished
-    values are held one leaf at a time.  The table is dropped on return."""
+    call before any term runs, their items in the order the leaves run,
+    and each finishes in its turn, reading its passes from one iterator,
+    so that their shared theta arguments are summed once and their
+    finished values are held one leaf at a time.  The table is dropped
+    on return."""
     asks = list(asks)
     order: list[TermMatrix] = []  # children first
     seen: set = set()
@@ -597,11 +598,10 @@ def request(asks) -> list[np.ndarray]:
             reads.append((s, sk, *item))
             need[s].update(dict.fromkeys(sk))
         plan.append((t, keys, kz, kx, reads))
-    # leaf -> (its finish, the passes of its items)
-    split = {t: t._fn.theta_pass(kz, kx) for t, _, kz, kx, _ in plan
+    # leaf -> (its items, its finish), in the order the leaves run
+    split = {t: t._fn.theta_pass(kz, kx) for t, _, kz, kx, _ in reversed(plan)
              if hasattr(t._fn, "theta_pass")}
     passes = iter(table_passes([item for items, _ in split.values() for item in items]))
-    split = {t: (finish, list(islice(passes, len(items)))) for t, (items, finish) in split.items()}
     table: dict = {}  # term -> (block, {key: row})
 
     def values(t, keys, item=slice(None)):
@@ -616,8 +616,8 @@ def request(asks) -> list[np.ndarray]:
                         dict(zip(keys, map(rows.__getitem__, sk))))
             continue
         if t in split:
-            finish, done = split.pop(t)
-            vals = np.asarray(finish(done), dtype=complex)
+            _, finish = split.pop(t)
+            vals = np.asarray(finish(passes), dtype=complex)
         else:
             vals = np.asarray(t._fn(kz, kx, *[values(s, sk, *item) for s, sk, *item in reads]),
                               dtype=complex)
@@ -722,7 +722,7 @@ def series_divide(num: DiffOpSeries, den: DiffOpSeries, order: int) -> DiffOpSer
                                    point=_first_singular(lead, *at_x(zs, ys))) from exc
 
     # term m reads the lower terms, not the list it joins: no reference
-    # cycle, so a series and its memos are freed as soon as it is dropped
+    # cycle, so a series and its terms are freed as soon as it is dropped
     terms: list[TermMatrix] = []
     for m in range(order + 1):
         inputs = [(num.term(m), at_x), (den.terms[0], at_x)]

@@ -151,7 +151,7 @@ class GradedModule:
     def slot_values(self, zs, xs, top: int | None = None, masked: bool = False) -> np.ndarray:
         """The module's own ``theta_pass``, finished."""
         items, finish = self.theta_pass(zs, xs, top, masked)
-        return finish(table_passes(items))
+        return finish(iter(table_passes(items)))
 
     @property
     def safe_levels(self) -> int:
@@ -236,9 +236,9 @@ class EllipticModule(GradedModule):
 
     def theta_pass(self, zs, xs, top: int | None = None, masked: bool = False) -> tuple:
         """(items, finish): the ``theta.table_passes`` item of the cut
-        table's ``at_dest``, and the function that maps the pass of it to
-        ``slot_values``."""
-        return [(self._cut(top), zs, xs, not masked, False)], _first_pass
+        table, and the function that maps an iterator whose next pass is
+        that item's to ``slot_values``."""
+        return [(self._cut(top), zs, xs, not masked)], lambda passes: next(passes)()
 
     @cached_property
     def diagonal_terms(self) -> tuple:
@@ -266,11 +266,6 @@ class EllipticModule(GradedModule):
                 tuple(single((3 * n + i) * n + i) for i in range(n)))
 
 
-def _first_pass(passes) -> np.ndarray:
-    """The finish of a module of one table: its one pass, finished."""
-    return passes[0]()
-
-
 @lru_cache(maxsize=16)
 def _shared_gather(dims_x: tuple, dims_y: tuple, top: int, zx: bytes, zy: bytes) -> tuple:
     """``tensor_gather`` keyed on structure only, the factors' level
@@ -296,15 +291,12 @@ class TensorModule(GradedModule):
             raise ShapeError("tensor factors must share parameters")
         self.X, self.Y, self.params, self.label = X, Y, X.params, f"({X.label})(x)({Y.label})"
         self.basis, self.layout = tensor_basis(X.basis, Y.basis, max_level)
-        self._gathers: dict[int, tuple] = {}
 
     def _gather(self, top: int) -> tuple:
-        if top not in self._gathers:
-            bx, by = self.X.basis, self.Y.basis
-            self._gathers[top] = _shared_gather(
-                bx.dims, by.dims, top, self.X.nonzeros(min(top, bx.levels)).tobytes(),
-                self.Y.nonzeros(min(top, by.levels)).tobytes())
-        return self._gathers[top]
+        bx, by = self.X.basis, self.Y.basis
+        return _shared_gather(bx.dims, by.dims, top,
+                              self.X.nonzeros(min(top, bx.levels)).tobytes(),
+                              self.Y.nonzeros(min(top, by.levels)).tobytes())
 
     def nonzeros(self, top: int | None = None) -> np.ndarray:
         """The first slot of each run of the cut's sorted products."""
@@ -315,7 +307,8 @@ class TensorModule(GradedModule):
         Y level weight, L^X_{ik}(z, x + hbar*w) for w the weight of the
         target Y level, then those of Y (each cut to ``top``, ``masked`` as
         there), and the function that maps their passes to the sums of
-        the cut's products (``dynamical.tensor_entry_tables``)."""
+        the cut's products (``dynamical.tensor_entry_tables``), reading
+        X's passes and then Y's from one iterator."""
         top = self.basis.levels if top is None else top
         X, Y = self.X, self.Y
         zs, xs = np.asarray(zs, dtype=complex), np.asarray(xs, dtype=complex)
@@ -327,9 +320,9 @@ class TensorModule(GradedModule):
         gather = self._gather(top)
 
         def finish(passes):
-            vx = fx(passes[:len(ix)])
+            vx = fx(passes)
             return tensor_entry_tables(vx.reshape(len(zs), (ty + 1) * vx.shape[1]),
-                                       fy(passes[len(ix):]), gather)
+                                       fy(passes), gather)
 
         return ix + iy, finish
 

@@ -43,7 +43,8 @@ class Check(NamedTuple):
 @dataclass
 class CheckResult:
     """A check with its tolerance and verdict: an exact check passes when
-    its residual is 0, any other when the residual is finite and below tol."""
+    its residual is 0, any other when the residual is finite and below tol,
+    both read as the record writes them."""
 
     suite: str
     name: str
@@ -54,8 +55,9 @@ class CheckResult:
     passed: bool = field(init=False)
 
     def __post_init__(self):
-        self.passed = bool(self.residual == 0 if self.exact
-                           else math.isfinite(self.residual) and self.residual < self.tol)
+        residual, tol = jsonable(float(self.residual)), jsonable(float(self.tol))
+        self.passed = bool(residual == 0 if self.exact
+                           else math.isfinite(residual) and residual < tol)
 
     def record(self) -> dict:
         """The fields in declaration order, params, residual and tol

@@ -563,8 +563,8 @@ class ThetaTable:
 
     A pass has two steps, the arguments (``_arguments``) and the finish
     (``_finish``), and between them the theta values of the arguments,
-    which ``table_passes`` sums for many tables at once; ``at``,
-    ``at_dest`` and ``masked_at`` are its one-item case.  A pass is
+    which ``table_passes`` sums for many tables at once; ``at`` and
+    ``masked_at`` scatter a one-item pass into the slots.  A pass is
     independent of its batch: the values at a point are the same bits
     whether it is evaluated alone, among other points or beside other
     tables.
@@ -601,26 +601,20 @@ class ThetaTable:
         A negative-power factor on the zero lattice raises PoleError and a
         non-finite theta value OverflowError, as ``ThetaExpression.eval``.
         """
-        return self._eval(zs, xs, strict=True)
-
-    def at_dest(self, zs, xs, masked: bool = False) -> np.ndarray:
-        """The slots of ``dest`` at the points (zs, xs), as [point, slot]:
-        ``at`` without the slots no term adds to, raising as it does, or
-        with ``masked`` the values of ``masked_at`` there."""
-        return self._eval(zs, xs, strict=not masked, dense=False)
+        finish, = table_passes([(self, zs, xs, True)])
+        out = np.zeros((len(zs), self.size), dtype=complex)
+        out[:, self.dest] = finish()
+        return out
 
     def masked_at(self, zs, xs) -> tuple[np.ndarray, np.ndarray]:
         """``at`` without raising: the values, NaN in every slot with a
         term that has a negative-power factor on the zero lattice or a
         non-finite theta value, and the mask of the points where some slot
         is not finite."""
-        out = self._eval(zs, xs, strict=False)
+        finish, = table_passes([(self, zs, xs, False)])
+        out = np.zeros((len(zs), self.size), dtype=complex)
+        out[:, self.dest] = finish()
         return out, ~np.isfinite(out).all(axis=1)
-
-    def _eval(self, zs, xs, strict: bool, dense: bool = True) -> np.ndarray:
-        """A pass of one item (``table_passes``), finished."""
-        finish, = table_passes([(self, zs, xs, strict, dense)])
-        return finish()
 
     def _arguments(self, zs, xs) -> tuple:
         """The arguments step of a pass at the points: the candidates,
@@ -660,12 +654,11 @@ class ThetaTable:
         arg = parts[self.kind[f], point] + self.shift[f]
         return f"theta factor with negative power at lattice point {arg}"
 
-    def _finish(self, zs, xs, base, thetas, near, pole, strict: bool,
-                dense: bool) -> np.ndarray:
-        """The finish step of a pass: the slots at the points from the
-        theta values of the candidates, per negative-power factor and
-        point whether its argument is on the zero lattice, and the
-        ``_pole`` message of those flags."""
+    def _finish(self, zs, xs, base, thetas, near, pole, strict: bool) -> np.ndarray:
+        """The finish step of a pass: the slots of ``dest`` at the points,
+        as [point, slot], from the theta values of the candidates, per
+        negative-power factor and point whether its argument is on the
+        zero lattice, and the ``_pole`` message of those flags."""
         if strict:
             if pole:
                 raise PoleError(pole)
@@ -690,67 +683,63 @@ class ThetaTable:
             terms *= self.scalar[:, None]
             if self.exponential:
                 terms *= np.exp(self.exp_z[:, None] * zs + self.exp_x[:, None] * xs)
-            sums = np.add.reduceat(terms, self.starts, axis=0).T
-        if not dense:
-            return sums
-        out = np.zeros((len(zs), self.size), dtype=complex)
-        out[:, self.dest] = sums
-        return out
+            return np.add.reduceat(terms, self.starts, axis=0).T
 
 
 def table_passes(items) -> list:
-    """One theta pass for many tables: per item (table, zs, xs, strict,
-    dense), the function of no arguments that returns the table's values
-    at the points (zs, xs), as ``table.at`` gives them (strict, dense),
-    ``table.at_dest`` (not dense, ``masked`` = not strict) or the values of
-    ``table.masked_at`` (dense, not strict).
+    """One theta pass for many tables of one parameter set: per item
+    (table, zs, xs, strict), the function of no arguments that returns
+    the slots of the table's ``dest`` at the points (zs, xs), as
+    [point, slot]: raising as ``table.at`` does when strict, else with
+    NaN where ``table.masked_at`` puts it.  Tables of two parameter sets
+    raise ValueError.
 
     The arguments step of every item runs here, and so does one
-    ``_theta_series`` call, and one pole test, per parameter set over the
-    union of the items' distinct arguments (``_unique_rows``, exact under
-    ``==``); an item's finish step runs when its function is called, so
-    that a caller holds the finished values of one item at a time.  A
-    theta value and a lattice distance do
-    not depend on the batch they are in, so each item's values are the
-    bits of its own pass, and an item raises the error it raises alone,
-    when its function is called: PoleError before OverflowError, as the
-    one-item pass does.  A table with no terms takes no part."""
-    items = [(table, np.asarray(zs, dtype=complex), np.asarray(xs, dtype=complex), *rest)
-             for table, zs, xs, *rest in items]
-    steps = [table._arguments(zs, xs) if table.dest.size else None
-             for table, zs, xs, *_ in items]
-    # per item: its [kind, point] candidate numbers, the union's theta
+    ``_theta_series`` call, and one pole test, over the union of the
+    items' distinct arguments (``_unique_rows``, exact under ``==``); an
+    item's finish step runs when its function is called, so that a caller
+    holds the finished values of one item at a time.  A theta value and a
+    lattice distance do not depend on the batch they are in, so each
+    item's values are the bits of its own pass, and an item raises the
+    error it raises alone, when its function is called: PoleError before
+    OverflowError, as the one-item pass does.  A table with no terms
+    takes no part."""
+    items = [(table, np.asarray(zs, dtype=complex), np.asarray(xs, dtype=complex), strict)
+             for table, zs, xs, strict in items]
+    if len({table.params for table, *_ in items}) > 1:
+        raise ValueError("one theta pass takes the tables of one parameter set")
+    # the arguments step of each item with terms
+    steps = {i: table._arguments(zs, xs) for i, (table, zs, xs, _) in enumerate(items)
+             if table.dest.size}
+    # per such item: its [kind, point] candidate numbers, the union's theta
     # values and the union index of each of its candidates, and its
     # near-lattice flags and their pole message
-    found: list = [None] * len(items)
-    groups: dict = {}
-    for i, (table, *_) in enumerate(items):
-        if steps[i] is not None:
-            groups.setdefault(table.params, []).append(i)
-    for params, members in groups.items():
+    found: dict = {}
+    if steps:
+        params = items[next(iter(steps))][0].params
         # each distinct argument is summed and pole-checked once
-        distinct, inverse = _unique_rows(np.concatenate([steps[i][0] for i in members])[:, None])
+        cands = [c for c, _, _ in steps.values()]
+        distinct, inverse = _unique_rows(np.concatenate(cands)[:, None])
         distinct = distinct[:, 0]
-        bounds = np.cumsum([0] + [len(steps[i][0]) for i in members]).tolist()
+        bounds = np.cumsum([0, *map(len, cands)]).tolist()
         inverse = [inverse[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
         # only the arguments of negative-power factors are tested for poles
-        neg = [at[items[i][0]._factor_candidates(steps[i][1], items[i][0].negative)]
-               for i, at in zip(members, inverse)]
+        neg = [at[items[i][0]._factor_candidates(base, items[i][0].negative)]
+               for (i, (_, base, _)), at in zip(steps.items(), inverse)]
         pole = np.zeros(len(distinct), dtype=bool)
         for n in neg:
             pole[n] = True
         pole[pole] = lattice_distance_array(distinct[pole], params) < POLE_TOL
         thetas = _theta_series(distinct, params)
-        for i, at, n in zip(members, inverse, neg):
-            base, parts = steps[i][1:]
+        for (i, (_, base, parts)), at, n in zip(steps.items(), inverse, neg):
             found[i] = (base, thetas, at, pole[n], items[i][0]._pole(parts, pole[n]))
 
     def finish(i):  # called once: the item's arrays go with it
-        table, zs, xs, strict, dense = items[i]
-        if not table.dest.size:
-            return np.zeros((len(zs), table.size if dense else 0), dtype=complex)
-        (base, thetas, at, near, pole), found[i] = found[i], None
-        return table._finish(zs, xs, base, thetas[at], near, pole, strict, dense)
+        table, zs, xs, strict = items[i]
+        if i not in found:
+            return np.zeros((len(zs), 0), dtype=complex)
+        base, thetas, at, near, pole = found.pop(i)
+        return table._finish(zs, xs, base, thetas[at], near, pole, strict)
 
     return [partial(finish, i) for i in range(len(items))]
 

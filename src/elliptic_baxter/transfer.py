@@ -34,7 +34,6 @@ from .theta import (
     EllipticParams,
     _unique_rows,
     lattice_distance,
-    table_passes,
     theta_eval,
 )
 
@@ -96,7 +95,7 @@ class _GradedTrace:
     """Level-block traces, levels 0..order, of the site-ordered product
     M_0(x) M_1(x + hbar*j_0) ... with M_l = L_{i_l j_l}(z + a_l - hbar; .),
     for every pair of chain strings, row-major: the function of the
-    transfer series' leaf `TermMatrix`, whose memo holds them.
+    transfer series' leaf `TermMatrix`.
 
     The points are contracted in groups of at most `_BATCH_ITEMS` entry
     and prefix items (and at least one point): the module's slot values
@@ -121,16 +120,11 @@ class _GradedTrace:
                  + 2 * widest * (order + 1) * max(dims[:order + 1]) * max(dims))
         self.group = max(1, _BATCH_ITEMS // items)
 
-    def __call__(self, zs, xs) -> np.ndarray:
-        """The traces at the points (zs, xs), as [point, row, col, level]."""
-        items, finish = self.theta_pass(zs, xs)
-        return finish(table_passes(items))
-
     def theta_pass(self, zs, xs) -> tuple:
         """(items, finish): the `theta.table_passes` items of the module's
         slot values at the distinct grid points of every group, and the
-        function that maps their passes to the traces, contracting the
-        groups in turn."""
+        function that maps an iterator of their passes to the traces,
+        [point, row, col, level], contracting the groups in turn."""
         zs, xs = np.asarray(zs, dtype=complex), np.asarray(xs, dtype=complex)
         items, groups = [], []
         for lo in range(0, len(zs), self.group):
@@ -139,13 +133,13 @@ class _GradedTrace:
             # each distinct grid point is evaluated once: where[p, g] is its row
             grid, where = _unique_rows(np.stack([z.ravel(), x.ravel()], axis=1), "stable")
             part, values = self.module.theta_pass(*grid.T)
-            groups.append((g, len(items), len(part), values, where.reshape(z.shape)))
+            groups.append((g, values, where.reshape(z.shape)))
             items += part
 
         def finish(passes):
             out = np.empty((len(zs), *self.shape), dtype=complex)
-            for g, at, n, values, where in groups:
-                out[g] = self._contract(zs[g], xs[g], values(passes[at:at + n]), where)
+            for g, values, where in groups:
+                out[g] = self._contract(zs[g], xs[g], values(passes), where)
             return out
 
         return items, finish
@@ -165,7 +159,7 @@ def _max_transfer_order(X: GradedModule, L: int) -> int:
 def transfer_matrix(X: GradedModule, space: QuantumSpace, order: int) -> DiffOpSeries:
     """Graded trace over the auxiliary module of the site-ordered product of
     its entry operators; only zero-weight strings act on the chain space.
-    Coefficient k reads level k of one memoized trace."""
+    Coefficient k reads level k of the one trace leaf."""
     if X.params != space.params:
         raise ShapeError("module and chain space parameters differ")
     top = _max_transfer_order(X, space.L)

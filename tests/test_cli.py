@@ -419,6 +419,16 @@ class TestReports:
         assert CheckResult("s", "n", {}, Fraction(0), 0.0, exact=True).passed
         assert not CheckResult("s", "n", {}, 1e-30, 1.0, exact=True).passed
 
+    def test_verdict_follows_the_written_residual_and_tol(self):
+        # 9.9999999999996e-09 is below 1e-8, but a report writes 12
+        # significant digits, 1e-08, equal to its tol: no PASS may read so
+        for residual in (9.9999999999996e-09, 9.9999999999e-09, 1.0000000000004e-08, 1e-8):
+            r = CheckResult("tq", "x", {}, residual, 1e-8)
+            rec, = json.loads(render_json(build_report([r], {})))["results"]
+            assert rec["passed"] is (rec["residual"] < rec["tol"])
+        rec = CheckResult("tq", "x", {}, 9.9999999999996e-09, 1e-8).record()
+        assert (rec["residual"], rec["tol"], rec["passed"]) == (1e-8, 1e-8, False)
+
     def test_exact_suites_ignore_tol(self):
         cfg = cli.RunConfig(["yangian-tq", "ybe"], {**cli._DEFAULTS, "tol": "0.5"})
         assert (cfg.tol_for("yangian-tq"), cfg.tol_for("ybe")) == (0.0, 0.5)

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from elliptic_baxter import cli, dynamical, qchar
+from elliptic_baxter import cli, dynamical, modules, qchar, theta
 from elliptic_baxter.dynamical import ModuleOperator
 from elliptic_baxter.modules import (
     build_asymptotic,
@@ -45,6 +45,7 @@ from elliptic_baxter.theta import (
     ThetaSum,
     ThetaTable,
     flat_terms,
+    table_passes,
     theta_eval,
 )
 
@@ -331,13 +332,14 @@ class TestInterchange:
         factors = [qchar_asymptotic(l, u, 8, p2)
                    for l, u in ((1.3 + 0.2j, 0.0), (0.0, 0.57), (1.3 + 0.2j - 0.57, 0.57), (0.57, 0.0))]
         passes = []
-        evaluate = ThetaTable._eval
 
-        def counted(table, zs, xs, strict):
-            passes.append(len(zs))
-            return evaluate(table, zs, xs, strict)
+        def counted(items):
+            passes.append(items)
+            return table_passes(items)
 
-        monkeypatch.setattr(ThetaTable, "_eval", counted)
+        # every binding of the one entry into theta values
+        for module in (theta, modules, dynamical):
+            monkeypatch.setattr(module, "table_passes", counted)
         lhs, rhs = mul(*factors[:2], 8), mul(*factors[2:], 8)
         assert passes == []
         assert element_deviation(lhs, rhs, 8) < 1e-9

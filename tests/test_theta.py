@@ -450,14 +450,15 @@ class TestThetaTable:
         assert got[2] == pytest.approx((a + b).eval(z, x, P), rel=1e-13)
         assert sums_table([], 2, P).at([0.1, 0.2], [0.3, 0.4]).tolist() == [[0, 0], [0, 0]]
 
-    def test_at_dest_is_at_on_dest(self):
+    def test_a_pass_item_is_at_on_dest(self):
         a = ThetaSum(ThetaExpression.theta(1, 0, 0.2))
         b = ThetaSum(ThetaExpression.theta(0, 1, 0.1, power=-1))
         table = sums_table([(2, a), (0, b), (2, b)], 4, P)
         zs, xs = [0.3 + 0.1j, 0.5 - 0.2j], [0.4 + 0.2j, 0.1 + 0.3j]
         assert table.dest.tolist() == [0, 2]
-        assert np.array_equal(table.at_dest(zs, xs), table.at(zs, xs)[:, table.dest])
-        assert sums_table([], 2, P).at_dest(zs, xs).shape == (2, 0)
+        assert np.array_equal(TestTablePasses.alone((table, zs, xs, True)),
+                              table.at(zs, xs)[:, table.dest])
+        assert TestTablePasses.alone((sums_table([], 2, P), zs, xs, True)).shape == (2, 0)
 
     def test_only_a_table_with_an_exponent_multiplies_by_it(self):
         e = ThetaExpression(scalar=2.0, exp_z=0.3j, exp_x=-0.2) * ThetaExpression.theta(1, 0, 0.2)
@@ -478,8 +479,8 @@ class TestThetaTable:
         table = ThetaTable(ladder.terms, 4 * ladder.basis.size ** 2, P)
         pts = SamplePlan(seed=11, count=100, pole_margin=5e-2).pairs(P)
         for (z1, x1), (z2, x2) in zip(pts[::2], pts[1::2]):
-            one = table.at_dest([z1], [x1], masked)
-            two = table.at_dest([z1, z2], [x1, x2], masked)
+            one = TestTablePasses.alone((table, [z1], [x1], not masked))
+            two = TestTablePasses.alone((table, [z1, z2], [x1, x2], not masked))
             assert one[0].tobytes() == two[0].tobytes()
 
     POLE = ThetaSum(ThetaExpression.theta(1, 0, -0.3, power=-1))   # pole at z = 0.3
@@ -509,9 +510,10 @@ class TestThetaTable:
 
 
 def raw_table_values(table, zs, xs, strict):
-    """``ThetaTable._eval`` with every raw argument summed and pole-checked
-    on its own, each by a ``_theta_series`` call of its own, in [factor,
-    point] order: no argument is deduped."""
+    """The values of ``ThetaTable.at`` (strict) or ``masked_at`` with
+    every raw argument summed and pole-checked on its own, each by a
+    ``_theta_series`` call of its own, in [factor, point] order: no
+    argument is deduped."""
     zs, xs = np.asarray(zs, dtype=complex), np.asarray(xs, dtype=complex)
     args = table.cz[:, None] * zs + table.cx[:, None] * xs + table.shift[:, None]
     neg = table.power < 0
@@ -659,9 +661,11 @@ class TestKindDedupe:
 
 
 class TestTablePasses:
-    """One theta pass serves many items (table, zs, xs, strict, dense):
-    each item's values are the bits of its own one-item pass, and an item
-    that raises alone raises the same error, with the same message."""
+    """One theta pass serves many items (table, zs, xs, strict) of one
+    parameter set: each item's values are the bits of its own one-item
+    pass, which are ``at`` or ``masked_at`` on the table's ``dest``, and
+    an item that raises alone raises the same error, with the same
+    message."""
 
     P2 = EllipticParams(tau=0.4 + 0.6j, hbar=0.31)
 
@@ -681,8 +685,9 @@ class TestTablePasses:
     def items(self):
         # two ladders of one layout and other shifts, a cut of the first
         # (another layout on the same arguments), every kind and power
-        # with the pole at the fourth point, a table with no terms, and a
-        # ladder of other parameters; the points overlap from item to item
+        # with the pole at the fourth point, a table with no terms, and,
+        # last, a ladder of other parameters; the points overlap from item
+        # to item
         ladder = build_asymptotic(1.7 + 0.3j, 0.4, 6, P)
         other = build_asymptotic(0.7 - 0.4j, 0.4, 6, P)
         n = ladder.basis.size
@@ -698,18 +703,19 @@ class TestTablePasses:
                               self.P2), zs, xs)]
         # the pole of the kinds table is its fourth point: strict only without it
         keep = [i for i in range(9) if i != 3]
-        return [(t, np.asarray(z)[keep], np.asarray(x)[keep], True, dense)
-                if t is kinds and strict else (t, z, x, strict, dense)
-                for t, z, x in tables for strict in (True, False) for dense in (True, False)]
+        return [(t, np.asarray(z)[keep], np.asarray(x)[keep], True)
+                if t is kinds and strict else (t, z, x, strict)
+                for t, z, x in tables for strict in (True, False)]
 
     def test_every_item_is_its_pass_alone(self, monkeypatch):
         items = self.items()
         sizes = self.series_sizes(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = [finish() for finish in table_passes(items)]
-            # one series call per parameter set, over fewer arguments than
-            # the items' own passes sum
+            # the ladder of other parameters takes a pass of its own
+            got = [finish() for p in (items[:-2], items[-2:]) for finish in table_passes(p)]
+            # one series call per pass, over fewer arguments than the
+            # items' own passes sum
             assert len(sizes) == 2
             shared = sum(sizes)
             want = [self.alone(item) for item in items]
@@ -717,23 +723,26 @@ class TestTablePasses:
         for item, a, b in zip(items, got, want):
             assert a.shape == b.shape
             assert np.array_equal(bits(a), bits(b))
-        for (table, zs, xs, strict, dense), a in zip(items, got):
-            if strict:
-                ref = table.at(zs, xs) if dense else table.at_dest(zs, xs)
-            else:
-                ref = table.masked_at(zs, xs)[0] if dense else table.at_dest(zs, xs, True)
-            assert np.array_equal(bits(a), bits(ref))
-        assert got[4 * 4].shape == (2, 3) and got[4 * 4 + 1].shape == (2, 0)
+        for (table, zs, xs, strict), a in zip(items, got):
+            ref = table.at(zs, xs) if strict else table.masked_at(zs, xs)[0]
+            assert np.array_equal(bits(a), bits(ref[:, table.dest]))
+        assert got[4 * 2].shape == got[4 * 2 + 1].shape == (2, 0)
+
+    def test_a_pass_of_two_parameter_sets_raises(self):
+        items = self.items()
+        assert items[0][0].params != items[-1][0].params
+        with pytest.raises(ValueError):
+            table_passes([items[0], items[-1]])
 
     def test_an_item_raises_as_it_does_alone(self):
         pole = sums_table([(0, TestThetaTable.POLE)], 1, P)
         grows = sums_table([(0, TestThetaTable.GROWS), (1, TestThetaTable.POLE)], 2, P)
         zs, xs = TestThetaTable.ZS, TestThetaTable.XS
-        items = [(grows, zs, xs, False, True),        # NaN where alone, raises nothing
-                 (pole, zs[:3], xs[:3], True, False),  # PoleError
-                 (grows, zs[3:], xs[3:], True, True),  # OverflowError
-                 (grows, zs, xs, True, True),          # both: PoleError first
-                 (grows, zs[4:], xs[4:], True, False)]  # good, beside an overflow
+        items = [(grows, zs, xs, False),        # NaN where alone, raises nothing
+                 (pole, zs[:3], xs[:3], True),  # PoleError
+                 (grows, zs[3:], xs[3:], True),  # OverflowError
+                 (grows, zs, xs, True),          # both: PoleError first
+                 (grows, zs[4:], xs[4:], True)]  # good, beside an overflow
         errors = [None, PoleError, OverflowError, PoleError, None]
         for finish, item, err in zip(table_passes(items), items, errors):
             if err is None:

@@ -164,7 +164,7 @@ class TestGradedTraceContraction:
         z, x = PTS[0]
         m = X.entry_matrices(z + trace.z_off, x + trace.x_off)
         ref = graded_trace(m, trace.plan, trace.levels[:order + 2])
-        got = trace([z], [x])[0].reshape(ref.shape)
+        got = TermMatrix(trace, trace.shape[0]).at([z], [x])[0].reshape(ref.shape)
         assert np.abs(ref).max() > 0
         assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
 
@@ -174,11 +174,12 @@ class TestGradedTraceContraction:
         # level, and the block contraction rounds it as the dense one
         X, order = oracle_module(name)
         trace = _GradedTrace(X, SPACE, order)
+        term = TermMatrix(trace, SPACE.dim)
         for z, x in PTS:
             m = X.entry_matrices(z + trace.z_off, x + trace.x_off)
             ref = graded_trace(m, trace.plan, trace.levels[:order + 2])
             assert np.abs(ref).max() > 0
-            assert np.array_equal(trace([z], [x])[0].reshape(ref.shape), ref)
+            assert np.array_equal(term.at([z], [x])[0].reshape(ref.shape), ref)
 
     def test_batch_size_does_not_change_the_traces(self, monkeypatch):
         # one prefix per batch of the level-block contraction against the
@@ -453,7 +454,7 @@ class TestSharedPass:
             assert np.array_equal(z1, z2) and np.array_equal(x1, x2)
             assert np.array_equal(a, b)
         for trace, z, x, out in outs[:n]:
-            assert np.array_equal(trace(z, x), out)
+            assert np.array_equal(TermMatrix(trace, trace.shape[0]).at(z, x), out)
 
 
 def test_transfer_job_does_not_import_numpy_ma(tmp_path):
