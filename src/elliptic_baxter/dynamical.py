@@ -393,19 +393,25 @@ def block_graded_trace(values: np.ndarray, slots, levels, plan: tuple,
     minus column level), else ValueError.  Each entry is then stored as
     its level blocks, from column level j - d to row level j, padded to
     the largest level dimension, between two zero blocks (the layout is
-    cached per module, `_block_layout`).  A prefix maps level k to the
-    one level k - D, D the sum of its keys' shifts, and is carried as
-    one block per point and traced level, with the rows of the largest
-    traced level; once k - D leaves the module's levels it is zero and
-    reads a zero block.  A site gathers the entry blocks at the levels
-    k - D and multiplies, in batches of at most `_BATCH_ITEMS` gathered
-    items; the last site forms only the diagonal blocks, and a pair
-    whose shifts do not sum to zero traces to zero: the U(1)
-    block-sparse form of a tensor network with a conserved charge
-    (Singh, Pfeifer, Vidal, arXiv:0907.2994).  Complex blocks are
-    multiplied by `cmatmul` at every size and their diagonal formed by
-    ``einsum``, as a dense contraction rounds them, so that on
-    one-dimensional levels a 2-site trace is the dense one bit for bit.
+    cached per module, `_block_layout`).  The blocks are laid out point
+    innermost, [(grid point, key, level + 1), point, row, col], built
+    once from values[where], so that a block of every point is one run
+    of memory.  A prefix maps level k to the one level k - D, D the sum
+    of its keys' shifts, and is carried as [prefix, level, point, rows,
+    cols], with the rows of the largest traced level; once k - D leaves
+    the module's levels it is zero and reads a zero block.  A site
+    gathers the entry blocks at the levels k - D with one index per
+    prefix and level, the same at every point ((4 grid point + key)
+    times the padded level count, plus the padded level), and
+    multiplies, in batches of at most `_BATCH_ITEMS` gathered items; the
+    last site forms only the diagonal blocks, and a pair whose shifts do
+    not sum to zero traces to zero: the U(1) block-sparse form of a
+    tensor network with a conserved charge (Singh, Pfeifer, Vidal,
+    arXiv:0907.2994).  Complex blocks are multiplied by `cmatmul` at
+    every size and their diagonal formed by ``einsum``, as a dense
+    contraction rounds them, so that on one-dimensional levels a 2-site
+    trace is the dense one bit for bit, and a trace is that of the
+    former prefix-major layout (`tests/chain_oracle.py`) bit for bit.
     For polynomial entries every array of the contraction leads with
     the c axis, and a product is the polynomial product truncated to it
     (`_poly_product` over the coefficients some entry holds: 1x1 blocks
@@ -418,45 +424,51 @@ def block_graded_trace(values: np.ndarray, slots, levels, plan: tuple,
     # polynomial entries lead every array with their c axis: pre indexes past it
     coeffs = values.shape[2:]
     exact, pre = bool(coeffs), (slice(None),) * len(coeffs)
-    entries = np.zeros((*coeffs, len(values), math.prod(shape)), dtype=values.dtype)
-    entries[..., index] = np.moveaxis(values, range(2, values.ndim), range(len(coeffs)))
-    entries = entries.reshape(*coeffs, -1, *shape[1:])
+    where = np.asarray(where)
+    points, top, width = len(where), shape[1] - 2, shape[-1]
+    # [(c,) grid point, (key, level + 1), point, row * col]: values[where] is
+    # [point, grid point, slot(, c)], and the scatter leads with its slots
+    block, cell = np.divmod(index, width ** 2)
+    entries = np.zeros((*coeffs, where.shape[1], shape[0] * shape[1], points, width ** 2),
+                       dtype=values.dtype)
+    entries[(*pre, slice(None), block, slice(None), cell)] = values[where].transpose(
+        2, *range(3, values.ndim + 1), 1, 0)
+    entries = entries.reshape(*coeffs, -1, points, width, width)
     if exact:
         # only the coefficients some entry holds; a prefix of l sites is
         # zero past the coefficient l * step, so it holds no more
         span = np.flatnonzero(values.any(axis=(0, 1))).tolist()
         entries, step = entries[span], max(span, default=0)
-        block = np.multiply if shape[-1] == 1 else np.matmul
-    rows = 4 * np.asarray(where).T  # [grid point, point]: 4 times the row
-    batch = max(1, _BATCH_ITEMS // (rows.shape[1] * traced * shape[-1] ** 2
-                                    * math.prod(coeffs)))
-    level, top = np.arange(traced), shape[1] - 2
+        product = np.multiply if width == 1 else np.matmul
+    batch = max(1, _BATCH_ITEMS // (points * traced * width ** 2 * math.prod(coeffs)))
+    level = np.arange(traced)
     height = int(np.diff(np.asarray(levels)[:traced + 1]).max())  # rows of a prefix block
 
-    def blocks(code, drift):  # [(c,) prefix, point, level]: the entry blocks at k - drift, or zero
-        at = np.minimum(np.maximum(level - drift[:, None], -1), top) + 1
-        return entries[(*pre, (rows[code // 4] + code[:, None] % 4)[..., None], at[:, None])]
+    def blocks(code, drift):  # [(c,) prefix, level, point]: the entry blocks at k - drift, or zero
+        at = level - drift[:, None]  # clipped to the zero blocks, then the block index
+        np.clip(at, -1, top, out=at)
+        at += (code * (top + 2) + 1)[:, None]
+        return np.take(entries, at, axis=len(coeffs))
 
     # the empty prefix (D = 0) is the identity: site 0's prefixes are its entry blocks
-    acc = np.zeros((1,) * len(coeffs) + (1, 1, 1, height, shape[-1]), dtype=values.dtype)
-    acc[(0,) * (len(coeffs) + 3)] = np.eye(shape[-1], dtype=values.dtype)[:height]
+    acc = np.zeros((1,) * len(coeffs) + (1, 1, 1, height, width), dtype=values.dtype)
+    acc[(0,) * (len(coeffs) + 3)] = np.eye(width, dtype=values.dtype)[:height]
     drift = np.zeros(1, dtype=int)
     *inner, (parent, code) = steps
     for site, (up, key) in enumerate(inner):
         held = tuple(min(c, (site + 1) * step + 1) for c in coeffs)
-        nxt = np.empty((*held, len(up), *rows.shape[1:], traced, height, shape[-1]),
-                       values.dtype)
+        nxt = np.empty((*held, len(up), traced, points, height, width), values.dtype)
         for lo in range(0, len(up), batch):
             b = slice(lo, lo + batch)
             e = blocks(key[b], drift[up[b]])
             if exact:
-                _poly_product(block, acc[:, up[b]], e, nxt[:, b], span)
+                _poly_product(product, acc[:, up[b]], e, nxt[:, b], span)
             elif site:
                 cmatmul(acc[up[b]], e, out=nxt[b])
             else:
                 nxt[b] = e[..., :height, :]
         acc, drift = nxt, drift[up] + shift[key % 4]
-    diag = np.empty((*coeffs, len(parent), *rows.shape[1:], traced), dtype=values.dtype)
+    diag = np.empty((*coeffs, len(parent), traced, points), dtype=values.dtype)
     trace = partial(np.einsum, "...ab,...ba->...")
     for lo in range(0, len(parent), batch):
         b = slice(lo, lo + batch)
@@ -466,7 +478,9 @@ def block_graded_trace(values: np.ndarray, slots, levels, plan: tuple,
         else:
             diag[b] = trace(acc[parent[b]], e)
     diag[(*pre, drift[parent] + shift[code % 4] != 0)] = 0
-    return np.moveaxis(diag, range(len(coeffs)), range(-len(coeffs), 0)).swapaxes(0, 1)
+    # [point, pair, level(, c)]
+    return np.moveaxis(diag, (*range(len(coeffs)), len(coeffs) + 2),
+                       (*range(-len(coeffs), 0), 0))
 
 
 # ---------------------------------------------------------------------------

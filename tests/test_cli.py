@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 from fractions import Fraction
@@ -353,6 +354,43 @@ class TestSharedParser:
                  for i, argv in enumerate(calls)]
         assert both == alone
         assert alone[0] != alone[1]
+
+
+# The minor page faults of a second, identical `main` call in one
+# interpreter, after a first call that warms it.
+_REPEAT_FAULTS = """
+import contextlib, io, os, resource, sys
+from elliptic_baxter import cli
+os.chdir(sys.argv[1])
+
+def call():
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main([*sys.argv[2:], "--no-timestamp", "--report", "report.json"]) == 0
+
+call()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+call()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's malloc thresholds")
+class TestHeapPages:
+    """``main`` keeps the heap pages a job frees, so a repeated job reuses
+    them instead of faulting fresh ones in: with glibc's dynamic
+    thresholds, which trim the heap top after each trace, the second
+    calls read 562 and 1,223 faults (glibc 2.36, x86-64)."""
+
+    @pytest.mark.parametrize("argv", [
+        ["transfer", "--sites=0.41+0.12i,0.27-0.23i,0.54+0.13i,0.16-0.11i", "--order", "4"],
+        ["yangian-tq", "--sites=2/3,-5/7,9/4,-1/6,3/5,7/2", "--order", "3"],
+    ], ids=["transfer-4site", "yangian-tq-6site"])
+    def test_a_repeated_job_faults_in_no_pages(self, argv, tmp_path):
+        src = Path(cli.__file__).resolve().parents[1]
+        out = subprocess.run([sys.executable, "-c", _REPEAT_FAULTS, str(tmp_path), *argv],
+                             env={**os.environ, "PYTHONPATH": str(src)}, check=True,
+                             capture_output=True, text=True)
+        assert int(out.stdout) < 50
 
 
 class TestReports:

@@ -26,11 +26,11 @@ from elliptic_baxter.dynamical import (
     series_scale,
     worst_residual,
 )
-from elliptic_baxter import transfer, yangian
+from elliptic_baxter import dynamical, transfer, yangian
 from elliptic_baxter.modules import build_asymptotic
 from elliptic_baxter.theta import EllipticParams, SamplePlan, ThetaExpression, ThetaSum
 
-from chain_oracle import dict_walk_plan, spell
+from chain_oracle import dict_walk_plan, prefix_major_trace, spell
 
 P = EllipticParams(tau=1j, hbar=0.31)
 H = P.hbar
@@ -84,7 +84,64 @@ class TestContractionPlan:
             [[i for i in strings if i.count(1) == s] for s in range(L + 1)]
 
 
+def random_trace_inputs(rng, sites, dtype, points):
+    """Arguments of `block_graded_trace` for a random module and plan: 2-5
+    levels of dimension 1-3, each key's slots a random part of the
+    (row, col) pairs of its level shift (0, s, -s, 0 for s = +-1, as a
+    ladder's keys move the level), 30 string pairs, 20 of them in one
+    sector, so that their shifts can sum to zero, a `where` whose rows
+    repeat and are out of point order, and two NaN complex entries, which
+    reach only the products that read their blocks (a product that reads
+    a zero block in their place stays finite)."""
+    dims = rng.integers(1, 4, size=rng.integers(2, 6))
+    levels = np.concatenate([[0], np.cumsum(dims)])
+    n, level = int(levels[-1]), np.repeat(np.arange(len(dims)), dims)
+    s, slots = rng.choice([-1, 1]), []
+    for key, d in enumerate((0, s, -s, 0)):
+        rows, cols = np.nonzero(level[:, None] - level[None, :] == d)
+        keep = rng.random(len(rows)) < 0.6
+        slots += ((key * n + rows[keep]) * n + cols[keep]).tolist()
+    rows = rng.integers(0, 1 << sites, size=30)
+    cols = [int("".join(rng.permutation(list(f"{code:0{sites}b}"))), 2) for code in rows[:20]]
+    plan = contraction_plan(rows, [*cols, *rng.integers(0, 1 << sites, size=10)], sites)
+    count = 2 * points  # fewer rows than (point, grid point) pairs
+    if dtype == complex:
+        values = rng.standard_normal((count, len(slots), 2)) @ [1, 1j]
+        values[0, rng.integers(len(slots))] = values[1, rng.integers(len(slots))] = np.nan
+    else:
+        # int coefficient polynomials, one coefficient that no entry holds
+        values = rng.integers(-5, 6, size=(count, len(slots), 3)).astype(dtype)
+        values[..., 1] = 0
+    where = rng.integers(0, count, size=(points, len(plan[0])))
+    return values, slots, levels, plan, int(rng.integers(1, len(dims) + 1)), where
+
+
+def same_bits(a, b):
+    return (a.shape == b.shape and a.dtype == b.dtype
+            and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes())
+
+
 class TestBlockGradedTrace:
+    @pytest.mark.parametrize("batch", [None, 1])
+    @pytest.mark.parametrize("dtype", [complex, np.int64])
+    @pytest.mark.parametrize("sites", [2, 4, 6])
+    def test_point_inner_layout_is_the_prefix_major_one(self, sites, dtype, batch,
+                                                        monkeypatch):
+        # the point-inner blocks give the former layout's traces bit for
+        # bit, whatever the batch, and each point's trace is that of a
+        # one-point call
+        if batch:
+            monkeypatch.setattr(dynamical, "_BATCH_ITEMS", batch)
+        rng = np.random.default_rng(sites)
+        for _ in range(4):
+            args = random_trace_inputs(rng, sites, dtype, points=3)
+            got = block_graded_trace(*args)
+            assert same_bits(got, prefix_major_trace(*args))
+            values, slots, levels, plan, traced, where = args
+            for p in range(len(where)):
+                one = block_graded_trace(values, slots, levels, plan, traced, where[p:p + 1])
+                assert same_bits(got[p], one[0])
+
     def test_mixed_level_shift_rejected(self):
         # one key whose entries keep level 0 and also raise it to level 1
         plan = contraction_plan([0], [0], 1)

@@ -4,17 +4,19 @@ For each checkout given, a fresh interpreter runs the CLI suites
 ``transfer`` and ``tq`` on the first L elliptic sites of the ROADMAP.md
 measurements (CLI defaults tau = 1i, hbar = 0.31, seed 7) for the chains
 (L, order) = (4, 4), (6, 2), (8, 2) and (8, 4), and reports the job's wall
-time (the best of ``benchturns.BEST_OF`` runs in the interpreter), its
-peak RSS, the ``tracemalloc`` peak of one more run, its exit code and the
-SHA-256 of its ``--no-timestamp`` report.
+time and minor page faults (the fastest and the fewest of
+``benchturns.BEST_OF`` runs in the interpreter), its peak RSS, the
+``tracemalloc`` peak of one more run, its exit code and the SHA-256 of its
+``--no-timestamp`` report.
 The checkouts take turns within every repeat (``benchturns``); the medians
 over the repeats are reported, each beside its quartiles, and
-``wall_s_resolved`` says whether the checkouts' wall-time quartiles are
-disjoint.  The 10-site, order-2 ``transfer`` and ``tq`` jobs, on two more
-sites, take turns ``SINGLE_REPEATS`` times as one run each (``single``, with
-the same medians, quartiles and ``single_wall_s_resolved``): one run per
-checkout cannot resolve them.  ``same_reports`` says whether every
-checkout wrote byte-identical reports.
+``wall_s_resolved`` and ``minor_faults_resolved`` say whether the
+checkouts' quartiles of the wall time and of the faults are disjoint.  The
+10-site, order-2 ``transfer`` and ``tq`` jobs, on two more sites, take
+turns ``SINGLE_REPEATS`` times as one run each (``single``, with the same
+medians, quartiles and ``single_wall_s_resolved``, the faults those of a
+first call): one run per checkout cannot resolve them.  ``same_reports``
+says whether every checkout wrote byte-identical reports.
 
     python3 tools/bench_elliptic_chain.py --src change=src --src parent=../old/src \\
         --out BENCH_elliptic_chain.json
@@ -71,6 +73,7 @@ def main(argv=None) -> int:
                          for name, _, _ in jobs + singles},
         "single_repeats": SINGLE_REPEATS,
         "wall_s_resolved": benchturns.resolved(median, "wall_s"),
+        "minor_faults_resolved": benchturns.resolved(median, "minor_faults"),
         "single_wall_s_resolved": benchturns.resolved(single, "wall_s"),
         "median": median,
         "single": single,

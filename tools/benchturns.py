@@ -26,8 +26,10 @@ import sys
 BEST_OF = 3
 
 # Runs the snippet's measure() BEST_OF times.  Fields ending in "_s" are
-# times (the fastest run is kept), peak_rss_mb is the interpreter's peak
-# over all runs, and every other field must be the same in all runs.
+# times (the fastest run is kept), minor_faults counts page faults (the
+# fewest are kept, as the later runs may reuse pages the earlier ones
+# freed), peak_rss_mb is the interpreter's peak over all runs, and every
+# other field must be the same in all runs.
 # py_peak_mb is the tracemalloc peak of one more, untimed run: the Python
 # heap a job allocates, which the heap layout does not move as it moves
 # the peak RSS.
@@ -37,7 +39,7 @@ runs = [measure(sys.argv[1:]) for _ in range({best_of})]
 best = {{}}
 for key in runs[0]:
     values = [r[key] for r in runs]
-    if key.endswith("_s"):
+    if key.endswith("_s") or key == "minor_faults":
         best[key] = min(values)
     elif len(set(map(json.dumps, values))) != 1:
         raise SystemExit(f"{{key}} differs between runs: {{values}}")
@@ -51,11 +53,12 @@ tracemalloc.stop()
 print(json.dumps(best))
 """
 
-# One CLI job: wall time, exit code and the SHA-256 of its --no-timestamp
-# JSON report.  The report is written under a fixed relative name in a
-# scratch directory, because the report records its own path.
+# One CLI job: wall time, minor page faults, exit code and the SHA-256 of
+# its --no-timestamp JSON report.  The report is written under a fixed
+# relative name in a scratch directory, because the report records its own
+# path.
 CLI_JOB = """
-import contextlib, hashlib, io, os, tempfile, time
+import contextlib, hashlib, io, os, resource, tempfile, time
 from elliptic_baxter import cli
 
 def measure(argv):
@@ -63,15 +66,18 @@ def measure(argv):
         cwd = os.getcwd()
         os.chdir(tmp)
         try:
+            f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             t0 = time.perf_counter()
             with contextlib.redirect_stdout(io.StringIO()):
                 code = cli.main([*argv, "--no-timestamp", "--report", "report.json"])
             wall = time.perf_counter() - t0
+            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0
             with open("report.json", "rb") as fh:
                 sha = hashlib.sha256(fh.read()).hexdigest()
         finally:
             os.chdir(cwd)
-    return {"wall_s": wall, "exit_code": code, "report_sha256": sha}
+    return {"wall_s": wall, "minor_faults": faults, "exit_code": code,
+            "report_sha256": sha}
 """
 
 
